@@ -82,8 +82,21 @@ func (h *MultiplyShift) HashBatch(keys []uint64, dst []uint64) {
 // Count-Sketch rows use by default — gets a specialized two-coefficient loop.
 func (p *PolyHash) HashBatch(keys []uint64, dst []uint64) {
 	p.rawBatch(keys, dst)
-	m := p.m
-	for i := range keys {
+	reduceBatch(dst[:len(keys)], p.m)
+}
+
+// reduceBatch maps every dst[i] into [0, m). A power-of-two range — what
+// every sketch sized in powers of two gives its rows — reduces with a mask,
+// which is bit-identical to % and saves a 64-bit division per key.
+func reduceBatch(dst []uint64, m uint64) {
+	if m&(m-1) == 0 {
+		mask := m - 1
+		for i := range dst {
+			dst[i] &= mask
+		}
+		return
+	}
+	for i := range dst {
 		dst[i] %= m
 	}
 }
@@ -145,27 +158,34 @@ func (s *PolySign) SignBatch(keys []uint64, dst []float64) {
 func (t *Tabulation) HashBatch(keys []uint64, dst []uint64) {
 	t0, t1, t2, t3 := &t.tables[0], &t.tables[1], &t.tables[2], &t.tables[3]
 	t4, t5, t6, t7 := &t.tables[4], &t.tables[5], &t.tables[6], &t.tables[7]
-	m := t.m
 	dst = dst[:len(keys)]
 	for i, k := range keys {
-		h := t0[byte(k)] ^ t1[byte(k>>8)] ^ t2[byte(k>>16)] ^ t3[byte(k>>24)] ^
+		dst[i] = t0[byte(k)] ^ t1[byte(k>>8)] ^ t2[byte(k>>16)] ^ t3[byte(k>>24)] ^
 			t4[byte(k>>32)] ^ t5[byte(k>>40)] ^ t6[byte(k>>48)] ^ t7[byte(k>>56)]
-		dst[i] = h % m
 	}
+	reduceBatch(dst, t.m)
 }
 
 // TabulationSign ------------------------------------------------------------
 
-// SignBatch writes the ±1 sign of every key, matching Sign bit for bit.
+// SignBatch writes the ±1 sign of every key, matching Sign bit for bit. Like
+// reduceBatch it masks instead of dividing when the range is a power of two,
+// which NewTabulationSign's 2^62 always is.
 func (s *TabulationSign) SignBatch(keys []uint64, dst []float64) {
 	t := s.t
 	t0, t1, t2, t3 := &t.tables[0], &t.tables[1], &t.tables[2], &t.tables[3]
 	t4, t5, t6, t7 := &t.tables[4], &t.tables[5], &t.tables[6], &t.tables[7]
 	m := t.m
+	pow2 := m&(m-1) == 0
 	dst = dst[:len(keys)]
 	for i, k := range keys {
 		h := t0[byte(k)] ^ t1[byte(k>>8)] ^ t2[byte(k>>16)] ^ t3[byte(k>>24)] ^
 			t4[byte(k>>32)] ^ t5[byte(k>>40)] ^ t6[byte(k>>48)] ^ t7[byte(k>>56)]
-		dst[i] = 1 - 2*float64((h%m)&1)
+		if pow2 {
+			h &= m - 1
+		} else {
+			h %= m
+		}
+		dst[i] = 1 - 2*float64(h&1)
 	}
 }

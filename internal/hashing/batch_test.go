@@ -22,18 +22,26 @@ func randomKeys(r *xrand.Rand, n int) []uint64 {
 
 // TestHashBatchMatchesScalar asserts the batched kernels are bit-identical
 // to the scalar Hash path for every family, every range shape, and both the
-// concrete-type and interface-dispatch entry points.
+// concrete-type and interface-dispatch entry points. The batch kernels
+// reduce with a mask when the range is a power of two and with % otherwise
+// (the scalar path always divides), so poly2, poly4 and tabulation each
+// appear on both sides of that branch, range 1 (mask 0) included.
 func TestHashBatchMatchesScalar(t *testing.T) {
 	r := xrand.New(11)
 	keys := randomKeys(r, 513)
 	hashers := map[string]Hasher{
 		"poly1":            NewPolyHash(xrand.New(1), 1, 977),
-		"poly2":            NewPolyHash(xrand.New(2), 2, 1024),
-		"poly4":            NewPolyHash(xrand.New(3), 4, 37),
+		"poly2-pow2":       NewPolyHash(xrand.New(2), 2, 1024),
+		"poly2-odd":        NewPolyHash(xrand.New(2), 2, 1000),
+		"poly2-one":        NewPolyHash(xrand.New(2), 2, 1),
+		"poly4-pow2":       NewPolyHash(xrand.New(3), 4, 65536),
+		"poly4-odd":        NewPolyHash(xrand.New(3), 4, 37),
 		"poly7":            NewPolyHash(xrand.New(4), 7, 999983),
 		"multiply-shift":   NewMultiplyShift(xrand.New(5), 4096),
 		"multiply-shift-1": NewMultiplyShift(xrand.New(6), 1),
-		"tabulation":       NewTabulation(xrand.New(7), 12345),
+		"tabulation-pow2":  NewTabulation(xrand.New(7), 1<<20),
+		"tabulation-odd":   NewTabulation(xrand.New(7), 12345),
+		"tabulation-one":   NewTabulation(xrand.New(7), 1),
 	}
 	for name, h := range hashers {
 		dst := make([]uint64, len(keys))
@@ -66,7 +74,11 @@ func TestSignBatchMatchesScalar(t *testing.T) {
 	signers := map[string]SignHasher{
 		"poly2-sign":      NewPolySign(xrand.New(1), 2),
 		"poly4-sign":      NewPolySign(xrand.New(2), 4),
-		"tabulation-sign": NewTabulationSign(xrand.New(3)),
+		"tabulation-sign": NewTabulationSign(xrand.New(3)), // range 2^62: the mask branch
+		// No constructor builds these, but SignBatch must match Sign on the
+		// dividing branch too, and at range 1 where every sign is +1.
+		"tabulation-sign-odd": &TabulationSign{t: NewTabulation(xrand.New(3), 12345)},
+		"tabulation-sign-one": &TabulationSign{t: NewTabulation(xrand.New(3), 1)},
 	}
 	for name, s := range signers {
 		dst := make([]float64, len(keys))

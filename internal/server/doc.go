@@ -41,7 +41,9 @@
 // concurrent-ingestion test). The binary update body decodes straight into
 // the lane's reusable key/delta columns (DecodeBatchColumns — no per-item
 // structs), which flow whole through the producer handle into the sketches'
-// batched update path.
+// batched update path. That decode is also where a NaN or ±Inf delta is
+// refused, for POST bodies and stream frames alike: one would poison a
+// counter for good and gossip would copy it to every peer.
 // Queries are answered from a barrier snapshot cached per write generation;
 // snapshot, merge and stats share one narrow barrier lock that the update
 // hot path never touches.

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"testing"
 )
 
@@ -11,7 +12,8 @@ import (
 // lands here). Arbitrary bytes must decode-or-error without panicking and
 // without header-driven allocation; accepted input must re-encode through
 // AppendBatchColumns byte-identically (the format has no non-canonical
-// freedom — counts, items and delta bits are all verbatim).
+// freedom — counts, items and delta bits are all verbatim), and every delta
+// it yields must be finite: NaN and ±Inf never get past this boundary.
 func FuzzDecodeBatchColumns(f *testing.F) {
 	f.Add(AppendBatchColumns(nil, nil, nil))
 	f.Add(AppendBatchColumns(nil, []uint64{1, 2, 3}, []float64{1, -0.5, 3.25}))
@@ -19,6 +21,8 @@ func FuzzDecodeBatchColumns(f *testing.F) {
 		[]uint64{0, ^uint64(0), 1 << 33},
 		[]float64{0, -1e300, 0.1}))
 	f.Add([]byte("SKB1\x00\x00\x00\x01junkjunkjunkjunk"))
+	f.Add(AppendBatchColumns(nil, []uint64{1, 2}, []float64{1, math.NaN()}))
+	f.Add(AppendBatchColumns(nil, []uint64{1, 2}, []float64{math.Inf(-1), 1}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		items, deltas, err := DecodeBatchColumns(data, nil, nil)
 		if err != nil {
@@ -26,6 +30,11 @@ func FuzzDecodeBatchColumns(f *testing.F) {
 		}
 		if len(items) != len(deltas) {
 			t.Fatalf("decoded %d items but %d deltas", len(items), len(deltas))
+		}
+		for i, d := range deltas {
+			if math.IsNaN(d) || math.IsInf(d, 0) {
+				t.Fatalf("accepted batch carries non-finite delta %v at record %d", d, i)
+			}
 		}
 		re := AppendBatchColumns(nil, items, deltas)
 		if !bytes.Equal(re, data) {

@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 
@@ -351,6 +352,11 @@ func AppendBatchColumns(buf []byte, items []uint64, deltas []float64) []byte {
 // ingest lanes use, one bounds-checked scan with no per-item structs. The
 // count word is validated against the actual body length before any
 // allocation, so a corrupt header cannot demand unbounded memory.
+//
+// A NaN or ±Inf delta is refused here (errNonFiniteDelta), at the boundary
+// POST /v1/update bodies and SKS1 data frames share: added to a counter it
+// never washes out, and gossip would replicate it to every peer. On any
+// error the columns come back exactly as they were passed in.
 func DecodeBatchColumns(data []byte, items []uint64, deltas []float64) ([]uint64, []float64, error) {
 	if len(data) < batchHeaderLen {
 		return items, deltas, fmt.Errorf("server: truncated batch (need %d header bytes, have %d)", batchHeaderLen, len(data))
@@ -364,13 +370,27 @@ func DecodeBatchColumns(data []byte, items []uint64, deltas []float64) ([]uint64
 		return items, deltas, fmt.Errorf("server: batch payload is %d bytes, header claims %d records (%d bytes)",
 			len(payload), n, uint64(n)*batchRecordLen)
 	}
+	ni, nd := len(items), len(deltas)
 	for i := 0; i < int(n); i++ {
 		rec := payload[i*batchRecordLen : i*batchRecordLen+batchRecordLen]
+		bits := binary.BigEndian.Uint64(rec[8:16])
+		if bits&float64ExpMask == float64ExpMask {
+			return items[:ni], deltas[:nd], fmt.Errorf("server: batch record %d (item %d): %w",
+				i, binary.BigEndian.Uint64(rec[:8]), errNonFiniteDelta)
+		}
 		items = append(items, binary.BigEndian.Uint64(rec[:8]))
-		deltas = append(deltas, math.Float64frombits(binary.BigEndian.Uint64(rec[8:16])))
+		deltas = append(deltas, math.Float64frombits(bits))
 	}
 	return items, deltas, nil
 }
+
+// float64ExpMask selects a float64's exponent field; all ones there means
+// NaN or ±Inf.
+const float64ExpMask = 0x7ff << 52
+
+// errNonFiniteDelta is what DecodeBatchColumns wraps when a record's delta
+// is NaN or ±Inf.
+var errNonFiniteDelta = errors.New("delta is not finite")
 
 // Delta replication frames ---------------------------------------------------
 //

@@ -1,8 +1,9 @@
 package sketch
 
 import (
-	"container/heap"
 	"fmt"
+	"maps"
+	"slices"
 )
 
 // Column partitioning --------------------------------------------------------
@@ -213,14 +214,25 @@ func concatColumnSlices(counts []float64, slices [][]float64, shape ColumnShape)
 
 // CandidateSet is a bounded top-score set of stream keys: Offer keeps the
 // capacity highest-scoring distinct keys, updating the score of keys already
-// present. It is the per-shard candidate store of the engine's partitioned
-// heavy-hitter tracking — scores there are row-0 counters, the same
-// "estimate never underestimates" upper bound the tracker's own heap uses —
-// and reuses the tracker's heap machinery.
+// present. It is the one candidate store of the package: the heavy-hitter
+// tracker holds one scored by Count-Min estimates, and each shard of the
+// engine's partitioned tracking holds one scored by its row-0 counters — the
+// same "estimate never underestimates" upper bound.
+//
+// The store is a flat min-heap on score plus a key -> heap-position index.
+// The sift routines are container/heap's, ported line for line, so ties break
+// exactly as they always have (the golden tracker fixtures encode the
+// resulting sets) — but on a concrete slice: no interface dispatch, and an
+// eviction reuses the evicted entry's storage instead of allocating a node.
 type CandidateSet struct {
-	cap   int
-	heap  *candidateHeap
-	items map[uint64]*candidate
+	cap  int
+	heap []candidate
+	pos  map[uint64]int // key -> index in heap
+}
+
+type candidate struct {
+	item  uint64
+	score float64
 }
 
 // NewCandidateSet builds an empty set keeping the given number of keys.
@@ -228,41 +240,93 @@ func NewCandidateSet(capacity int) *CandidateSet {
 	if capacity < 1 {
 		panic("sketch: NewCandidateSet requires capacity >= 1")
 	}
-	return &CandidateSet{
-		cap:   capacity,
-		heap:  &candidateHeap{},
-		items: make(map[uint64]*candidate),
-	}
+	return &CandidateSet{cap: capacity, pos: make(map[uint64]int)}
 }
 
 // Offer records the key with the given score, evicting the current minimum
 // when the set is full and the newcomer scores higher.
 func (c *CandidateSet) Offer(key uint64, score float64) {
-	if cand, ok := c.items[key]; ok {
-		cand.count = score
-		heap.Fix(c.heap, cand.index)
+	if i, ok := c.pos[key]; ok {
+		c.heap[i].score = score
+		if !c.down(i, len(c.heap)) { // heap.Fix
+			c.up(i)
+		}
 		return
 	}
-	if c.heap.Len() >= c.cap {
-		min := (*c.heap)[0]
-		if score <= min.count {
+	if n := len(c.heap); n >= c.cap {
+		if score <= c.heap[0].score {
 			return
 		}
-		heap.Pop(c.heap)
-		delete(c.items, min.item)
+		c.swap(0, n-1) // heap.Pop
+		c.down(0, n-1)
+		delete(c.pos, c.heap[n-1].item)
+		c.heap = c.heap[:n-1]
 	}
-	cand := &candidate{item: key, count: score}
-	heap.Push(c.heap, cand)
-	c.items[key] = cand
+	c.heap = append(c.heap, candidate{item: key, score: score}) // heap.Push
+	c.pos[key] = len(c.heap) - 1
+	c.up(len(c.heap) - 1)
+}
+
+func (c *CandidateSet) swap(i, j int) {
+	h := c.heap
+	h[i], h[j] = h[j], h[i]
+	c.pos[h[i].item], c.pos[h[j].item] = i, j
+}
+
+func (c *CandidateSet) up(j int) {
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !(c.heap[j].score < c.heap[i].score) {
+			break
+		}
+		c.swap(i, j)
+		j = i
+	}
+}
+
+func (c *CandidateSet) down(i0, n int) bool {
+	i := i0
+	for {
+		j1 := 2*i + 1
+		if j1 >= n {
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && c.heap[j2].score < c.heap[j1].score {
+			j = j2 // right child
+		}
+		if !(c.heap[j].score < c.heap[i].score) {
+			break
+		}
+		c.swap(i, j)
+		i = j
+	}
+	return i > i0
+}
+
+// Floor returns the minimum held score and true when the set is full — the
+// score a new key must beat to be admitted. While the set has room every key
+// is admitted and there is no floor (false).
+func (c *CandidateSet) Floor() (float64, bool) {
+	if len(c.heap) < c.cap {
+		return 0, false
+	}
+	return c.heap[0].score, true
 }
 
 // Len returns the number of keys currently held.
-func (c *CandidateSet) Len() int { return c.heap.Len() }
+func (c *CandidateSet) Len() int { return len(c.heap) }
 
 // AppendItems appends the held keys to dst (in heap order) and returns it.
 func (c *CandidateSet) AppendItems(dst []uint64) []uint64 {
-	for _, cand := range *c.heap {
+	for _, cand := range c.heap {
 		dst = append(dst, cand.item)
 	}
 	return dst
+}
+
+// Copy returns an independent set holding the same keys and scores in the
+// same heap order.
+func (c *CandidateSet) Copy() *CandidateSet {
+	return &CandidateSet{cap: c.cap, heap: slices.Clone(c.heap), pos: maps.Clone(c.pos)}
 }

@@ -139,6 +139,20 @@ func (cm *CountMin) bucket(row int, item uint64) int {
 	return int(cm.hashes[row].Hash(item) % uint64(cm.width))
 }
 
+// hashRow writes the bucket of every key in one row to dst, in [0, width):
+// the family's batch kernel, plus a modulo pass only when the hash range is
+// not the width itself — multiply-shift at a width that is not a power of
+// two (its range rounds up). Every batched read and write path hashes its
+// rows through here, so bucket columns index a row directly.
+func hashRow(h hashing.Hasher, width int, keys, dst []uint64) {
+	hashing.HashBatch(h, keys, dst)
+	if w := uint64(width); h.Range() != w {
+		for i := range dst[:len(keys)] {
+			dst[i] %= w
+		}
+	}
+}
+
 // buckets returns the reusable bucket column, grown to hold n entries.
 func (cm *CountMin) buckets(n int) []uint64 {
 	if cap(cm.bucketScratch) < n {
@@ -178,12 +192,11 @@ func (cm *CountMin) UpdateBatch(items []uint64, deltas []float64) {
 		return
 	}
 	buckets := cm.buckets(len(items))
-	w := uint64(cm.width)
 	for r := 0; r < cm.depth; r++ {
-		hashing.HashBatch(cm.hashes[r], items, buckets)
+		hashRow(cm.hashes[r], cm.width, items, buckets)
 		row := cm.row(r)
 		for i, b := range buckets {
-			row[b%w] += deltas[i]
+			row[b] += deltas[i]
 		}
 	}
 	for _, d := range deltas {
@@ -399,11 +412,10 @@ func (cm *CountMin) ScatterColumns(items []uint64, deltas []float64, sc *ColumnS
 		panic("sketch: conservative-update CountMin is not linear and cannot be column-partitioned")
 	}
 	buckets := sc.bucketScratch(len(items))
-	w := uint64(cm.width)
 	for r := 0; r < cm.depth; r++ {
-		hashing.HashBatch(cm.hashes[r], items, buckets)
+		hashRow(cm.hashes[r], cm.width, items, buckets)
 		for i, b := range buckets {
-			sc.route(r, b%w, deltas[i])
+			sc.route(r, b, deltas[i])
 		}
 	}
 	for _, d := range deltas {

@@ -159,13 +159,12 @@ func (cs *CountSketch) UpdateBatch(items []uint64, deltas []float64) {
 		return
 	}
 	buckets, signs := cs.scratch(len(items))
-	w := uint64(cs.width)
 	for r := 0; r < cs.depth; r++ {
-		hashing.HashBatch(cs.hashes[r], items, buckets)
+		hashRow(cs.hashes[r], cs.width, items, buckets)
 		hashing.SignBatch(cs.signs[r], items, signs)
 		row := cs.row(r)
 		for i, b := range buckets {
-			row[b%w] += signs[i] * deltas[i]
+			row[b] += signs[i] * deltas[i]
 		}
 	}
 }
@@ -343,12 +342,11 @@ func (cs *CountSketch) ScatterColumns(items []uint64, deltas []float64, sc *Colu
 	}
 	buckets := sc.bucketScratch(len(items))
 	signs := sc.signScratch(len(items))
-	w := uint64(cs.width)
 	for r := 0; r < cs.depth; r++ {
-		hashing.HashBatch(cs.hashes[r], items, buckets)
+		hashRow(cs.hashes[r], cs.width, items, buckets)
 		hashing.SignBatch(cs.signs[r], items, signs)
 		for i, b := range buckets {
-			sc.route(r, b%w, signs[i]*deltas[i])
+			sc.route(r, b, signs[i]*deltas[i])
 		}
 	}
 }

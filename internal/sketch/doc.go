@@ -41,5 +41,9 @@
 // per-sketch scratch column so steady-state ingestion does not allocate.
 // Batched ingestion is bit-identical to per-item ingestion — for any one
 // counter the same deltas arrive in the same stream order — and per-item
-// Update survives as a len-1 batch.
+// Update survives as a len-1 batch. The HeavyHitterTracker batches the same
+// way up to its candidate heap, whose decision alone is per-item: it hashes
+// a chunk once per row, reads each item's estimate off the counters it has
+// just added to, and consults the heap only for items that can clear its
+// floor (see HeavyHitterTracker.UpdateBatch).
 package sketch

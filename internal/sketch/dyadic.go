@@ -1,11 +1,10 @@
 package sketch
 
 import (
-	"container/heap"
 	"fmt"
+	"math"
 	"math/bits"
 
-	"repro/internal/hashing"
 	"repro/internal/stream"
 	"repro/internal/xrand"
 )
@@ -339,7 +338,6 @@ func (d *Dyadic) ScatterColumns(items []uint64, deltas []float64, sc *ColumnScat
 		}
 	}
 	depth := d.levels[0].depth
-	w := uint64(d.levels[0].width)
 	prefixes := sc.keyScratch(len(items))
 	copy(prefixes, items)
 	buckets := sc.bucketScratch(len(items))
@@ -351,9 +349,9 @@ func (d *Dyadic) ScatterColumns(items []uint64, deltas []float64, sc *ColumnScat
 		}
 		cm := d.levels[l]
 		for r := 0; r < depth; r++ {
-			hashing.HashBatch(cm.hashes[r], prefixes, buckets)
+			hashRow(cm.hashes[r], cm.width, prefixes, buckets)
 			for i, b := range buckets {
-				sc.route(l*depth+r, b%w, deltas[i])
+				sc.route(l*depth+r, b, deltas[i])
 			}
 		}
 	}
@@ -409,36 +407,29 @@ func (d *Dyadic) ColumnMass() float64 { return d.levels[0].totalMass }
 // the sketch supplies estimated counts, the heap remembers which items
 // currently look heavy.
 type HeavyHitterTracker struct {
-	cm         *CountMin
-	k          int
-	candidates *candidateHeap
-	inHeap     map[uint64]*candidate
+	cm    *CountMin
+	k     int
+	cands *CandidateSet
+	// scoresLow is the floor-gate latch of UpdateBatch: true while every
+	// stored candidate score is a lower bound on that item's current estimate.
+	// It holds as long as only non-negative deltas have touched the counters
+	// since the scores were set, so anything that can lower a counter clears
+	// it (a negative or NaN delta, Sub, Scale, AbsorbCountMin, ConcatColumns)
+	// and only a full re-score (Merge, UnmarshalBinary) sets it again.
+	scoresLow bool
+	// idx is UpdateBatch's depth x trackerChunk matrix of flat counter
+	// indices (row r of the current chunk at idx[r*trackerChunk:]), allocated
+	// on the first update so trackers that only merge never carry it.
+	idx []uint64
+	// oneKey/oneDelta back the per-item Update, which is a len-1 UpdateBatch.
+	oneKey   [1]uint64
+	oneDelta [1]float64
 }
 
-type candidate struct {
-	item  uint64
-	count float64
-	index int
-}
-
-type candidateHeap []*candidate
-
-func (h candidateHeap) Len() int           { return len(h) }
-func (h candidateHeap) Less(i, j int) bool { return h[i].count < h[j].count }
-func (h candidateHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i]; h[i].index = i; h[j].index = j }
-func (h *candidateHeap) Push(x interface{}) {
-	c := x.(*candidate)
-	c.index = len(*h)
-	*h = append(*h, c)
-}
-func (h *candidateHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	c := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return c
-}
+// trackerChunk is how many updates UpdateBatch hashes at a time. At 8 bytes
+// per row per key the index matrix is 2 KiB per row — 8 KiB at the daemon's
+// depth 4, L1-resident next to the chunk's 4 KiB of keys and deltas.
+const trackerChunk = 256
 
 // NewHeavyHitterTracker creates a tracker that keeps the k items with the
 // largest estimated counts, backed by a Count-Min of the given dimensions.
@@ -449,63 +440,90 @@ func NewHeavyHitterTracker(r *xrand.Rand, width, depth, k int) *HeavyHitterTrack
 	return newHeavyHitterTracker(NewCountMin(r, width, depth), k)
 }
 
-// newHeavyHitterTracker wraps an existing Count-Min in an empty tracker; the
-// shared construction path of NewHeavyHitterTracker and UnmarshalBinary.
+// newHeavyHitterTracker wraps an existing (linear) Count-Min in an empty
+// tracker; the shared construction path of NewHeavyHitterTracker, Clone and
+// UnmarshalBinary. An empty store has no score to go stale, so the latch
+// starts set.
 func newHeavyHitterTracker(cm *CountMin, k int) *HeavyHitterTracker {
-	h := &HeavyHitterTracker{
-		cm:         cm,
-		k:          k,
-		candidates: &candidateHeap{},
-		inHeap:     make(map[uint64]*candidate),
-	}
-	heap.Init(h.candidates)
-	return h
+	return &HeavyHitterTracker{cm: cm, k: k, cands: NewCandidateSet(k), scoresLow: true}
 }
 
-// Update processes one update and refreshes the candidate heap.
+// Update processes one update and refreshes the candidate heap. It is a
+// len-1 UpdateBatch.
 func (t *HeavyHitterTracker) Update(item uint64, delta float64) {
-	t.cm.Update(item, delta)
-	est := t.cm.Estimate(item)
-	if c, ok := t.inHeap[item]; ok {
-		c.count = est
-		heap.Fix(t.candidates, c.index)
-		return
-	}
-	t.offer(item, est)
+	t.oneKey[0] = item
+	t.oneDelta[0] = delta
+	t.UpdateBatch(t.oneKey[:], t.oneDelta[:])
 }
 
-// UpdateBatch processes the updates in order. The heap decision for item i
-// must see the sketch state after updates 0..i only — batching the counter
-// writes ahead of the estimates would let later updates leak into earlier
-// candidates' scores — so the tracker necessarily stays per-item; the method
-// exists so the tracker satisfies the engine's batched LinearSketch contract
-// with semantics identical to the scalar path. The slices must have equal
-// length.
+// UpdateBatch processes the updates in order, equivalent to (and
+// bit-identical with, counters, total mass and candidate heap alike) a loop
+// of "add delta to the item's counters, estimate the item, offer it to the
+// candidate store". Only the heap decision is inherently per-item — it must
+// see the sketch state after updates 0..i and no later — and the kernel
+// keeps exactly that while batching everything around it:
+//
+//  1. Hash once. Each chunk of trackerChunk keys goes through every row's
+//     batch kernel once, into a matrix of flat counter indices.
+//  2. Add and read in one walk. Item by item, delta i is added to the item's
+//     depth counters and the minimum of the values just written is taken
+//     with the same `<` Estimate uses. That minimum is Estimate(item) after
+//     updates 0..i, so nothing is hashed twice. Every counter still receives
+//     its deltas in stream order, and the mass is summed in stream order.
+//  3. Floor gate. Say the store is full, the estimate is at or below the
+//     store's minimum score (its floor), and every stored score is a lower
+//     bound on its item's current estimate (the scoresLow latch). Were the
+//     item stored, its score would lie between the floor and the estimate,
+//     so all three are equal and re-scoring it moves nothing; were it not,
+//     Offer would turn it away. Either way the store stays as it is, so the
+//     key lookup is skipped. With the latch cleared every item pays the
+//     lookup, as it always did: the gate is a shortcut, never a condition of
+//     exactness.
+//
+// The slices must have equal length; the tracker does not retain them.
 func (t *HeavyHitterTracker) UpdateBatch(items []uint64, deltas []float64) {
 	if len(items) != len(deltas) {
 		panic(fmt.Sprintf("sketch: HeavyHitterTracker.UpdateBatch length mismatch (%d items, %d deltas)", len(items), len(deltas)))
 	}
-	for i, item := range items {
-		t.Update(item, deltas[i])
+	cm := t.cm
+	if t.idx == nil {
+		t.idx = make([]uint64, cm.depth*trackerChunk)
 	}
-}
-
-// offer inserts a new candidate with the given estimate, evicting the current
-// minimum if the heap is full and the newcomer scores higher.
-func (t *HeavyHitterTracker) offer(item uint64, est float64) {
-	if t.candidates.Len() < t.k {
-		c := &candidate{item: item, count: est}
-		heap.Push(t.candidates, c)
-		t.inHeap[item] = c
-		return
+	idx, counts, mass, low := t.idx, cm.counts, cm.totalMass, t.scoresLow
+	for len(items) > 0 {
+		n := min(len(items), trackerChunk)
+		for r := 0; r < cm.depth; r++ {
+			row := idx[r*trackerChunk : r*trackerChunk+n]
+			hashRow(cm.hashes[r], cm.width, items[:n], row)
+			if off := uint64(r * cm.width); off != 0 {
+				for i := range row {
+					row[i] += off
+				}
+			}
+		}
+		for i, d := range deltas[:n] {
+			est := math.Inf(1)
+			for j := i; j < len(idx); j += trackerChunk {
+				v := counts[idx[j]] + d
+				counts[idx[j]] = v
+				if v < est {
+					est = v
+				}
+			}
+			mass += d
+			if !(d >= 0) {
+				low = false
+			}
+			if low {
+				if floor, full := t.cands.Floor(); full && est <= floor {
+					continue
+				}
+			}
+			t.cands.Offer(items[i], est)
+		}
+		items, deltas = items[n:], deltas[n:]
 	}
-	if min := (*t.candidates)[0]; est > min.count {
-		heap.Pop(t.candidates)
-		delete(t.inHeap, min.item)
-		c := &candidate{item: item, count: est}
-		heap.Push(t.candidates, c)
-		t.inHeap[item] = c
-	}
+	cm.totalMass, t.scoresLow = mass, low
 }
 
 // Estimate returns the sketch estimate for an item.
@@ -549,6 +567,7 @@ func (t *HeavyHitterTracker) AbsorbCountMin(cm *CountMin) error {
 	if err := t.cm.CompatibleWith(cm); err != nil {
 		return err
 	}
+	t.scoresLow = false
 	return t.cm.Merge(cm)
 }
 
@@ -556,38 +575,23 @@ func (t *HeavyHitterTracker) AbsorbCountMin(cm *CountMin) error {
 // functions, suitable for sketching a disjoint part of the stream and
 // merging back (the sharded-ingestion pattern of internal/engine).
 func (t *HeavyHitterTracker) Clone() *HeavyHitterTracker {
-	out := &HeavyHitterTracker{
-		cm:         t.cm.Clone(),
-		k:          t.k,
-		candidates: &candidateHeap{},
-		inHeap:     make(map[uint64]*candidate),
-	}
-	heap.Init(out.candidates)
-	return out
+	return newHeavyHitterTracker(t.cm.Clone(), t.k)
 }
 
 // Merge folds other into t. The Count-Min counters add exactly (linearity),
 // so estimates after the merge equal those of a single tracker fed both
 // streams. The candidate sets are unioned and re-scored against the merged
-// counters, keeping the k largest: a candidate heavy anywhere stays a
-// candidate, which is the standard distributed top-k reduction.
+// counters (t's in heap order, then other's), keeping the k largest: a
+// candidate heavy anywhere stays a candidate, which is the standard
+// distributed top-k reduction.
 func (t *HeavyHitterTracker) Merge(other *HeavyHitterTracker) error {
 	if err := t.cm.Merge(other.cm); err != nil {
 		return err
 	}
-	union := make(map[uint64]struct{}, len(t.inHeap)+len(other.inHeap))
-	for item := range t.inHeap {
-		union[item] = struct{}{}
-	}
-	for item := range other.inHeap {
-		union[item] = struct{}{}
-	}
-	t.candidates = &candidateHeap{}
-	t.inHeap = make(map[uint64]*candidate, t.k)
-	heap.Init(t.candidates)
-	for item := range union {
-		t.offer(item, t.cm.Estimate(item))
-	}
+	items := other.cands.AppendItems(t.cands.AppendItems(nil))
+	t.cands = NewCandidateSet(t.k)
+	t.AbsorbCandidates(items)
+	t.scoresLow = true
 	return nil
 }
 
@@ -595,11 +599,7 @@ func (t *HeavyHitterTracker) Merge(other *HeavyHitterTracker) error {
 // counters plus the current candidate set (re-scored lazily at report
 // time, like every other tracker read).
 func (t *HeavyHitterTracker) Copy() *HeavyHitterTracker {
-	out := newHeavyHitterTracker(t.cm.Copy(), t.k)
-	for _, c := range *t.candidates {
-		out.offer(c.item, c.count)
-	}
-	return out
+	return &HeavyHitterTracker{cm: t.cm.Copy(), k: t.k, cands: t.cands.Copy(), scoresLow: t.scoresLow}
 }
 
 // Sub subtracts other's backing counters from t — the inverse of Merge at
@@ -610,12 +610,16 @@ func (t *HeavyHitterTracker) Copy() *HeavyHitterTracker {
 // as one tracker-shaped delta: the counters are exactly the delta stream's,
 // and the candidate items ride along so the receiving peer can learn them.
 func (t *HeavyHitterTracker) Sub(other *HeavyHitterTracker) error {
+	t.scoresLow = false
 	return t.cm.Sub(other.cm)
 }
 
 // Scale multiplies the backing counters by c (candidates re-score against
 // the scaled counters at report time).
-func (t *HeavyHitterTracker) Scale(c float64) { t.cm.Scale(c) }
+func (t *HeavyHitterTracker) Scale(c float64) {
+	t.scoresLow = false
+	t.cm.Scale(c)
+}
 
 // TopK returns the current candidate set sorted by decreasing estimate.
 // Candidates are re-scored against the sketch at report time, so the counts
@@ -623,8 +627,8 @@ func (t *HeavyHitterTracker) Scale(c float64) { t.cm.Scale(c) }
 // they date from each item's last update) and agree with what a merge of
 // sharded trackers would report for the same candidate.
 func (t *HeavyHitterTracker) TopK() []stream.ItemCount {
-	out := make([]stream.ItemCount, 0, t.candidates.Len())
-	for _, c := range *t.candidates {
+	out := make([]stream.ItemCount, 0, t.cands.Len())
+	for _, c := range t.cands.heap {
 		out = append(out, stream.ItemCount{Item: c.item, Count: int64(t.cm.Estimate(c.item) + 0.5)})
 	}
 	stream.SortItemCounts(out)
@@ -636,7 +640,7 @@ func (t *HeavyHitterTracker) TopK() []stream.ItemCount {
 func (t *HeavyHitterTracker) HeavyHitters(phi float64) []stream.ItemCount {
 	threshold := phi * t.cm.TotalMass()
 	var out []stream.ItemCount
-	for _, c := range *t.candidates {
+	for _, c := range t.cands.heap {
 		if est := t.cm.Estimate(c.item); est >= threshold {
 			out = append(out, stream.ItemCount{Item: c.item, Count: int64(est + 0.5)})
 		}
@@ -668,11 +672,9 @@ func (t *HeavyHitterTracker) ScatterColumns(items []uint64, deltas []float64, sc
 	}
 	cm := t.cm
 	buckets := sc.bucketScratch(len(items))
-	w := uint64(cm.width)
 	for r := 0; r < cm.depth; r++ {
-		hashing.HashBatch(cm.hashes[r], items, buckets)
+		hashRow(cm.hashes[r], cm.width, items, buckets)
 		for i, b := range buckets {
-			b %= w
 			sc.route(r, b, deltas[i])
 			if r == 0 {
 				sc.routeCandidate(items[i], b)
@@ -693,6 +695,7 @@ func (t *HeavyHitterTracker) AppendColumnSlice(dst []float64, shard, shards int)
 // slices. Candidates are delivered separately via AbsorbCandidates once the
 // counters are in place, so they score against the full sketch.
 func (t *HeavyHitterTracker) ConcatColumns(slices [][]float64, mass float64) error {
+	t.scoresLow = false
 	return t.cm.ConcatColumns(slices, mass)
 }
 
@@ -701,11 +704,7 @@ func (t *HeavyHitterTracker) ColumnMass() float64 { return t.cm.TotalMass() }
 
 // CandidateItems returns the tracked candidate keys (unordered).
 func (t *HeavyHitterTracker) CandidateItems() []uint64 {
-	out := make([]uint64, 0, t.candidates.Len())
-	for _, c := range *t.candidates {
-		out = append(out, c.item)
-	}
-	return out
+	return t.cands.AppendItems(make([]uint64, 0, t.cands.Len()))
 }
 
 // CandidateCap returns the candidate capacity k.
@@ -717,13 +716,7 @@ func (t *HeavyHitterTracker) CandidateCap() int { return t.k }
 // engine's partitioned snapshot assembly).
 func (t *HeavyHitterTracker) AbsorbCandidates(items []uint64) {
 	for _, item := range items {
-		est := t.cm.Estimate(item)
-		if c, ok := t.inHeap[item]; ok {
-			c.count = est
-			heap.Fix(t.candidates, c.index)
-			continue
-		}
-		t.offer(item, est)
+		t.cands.Offer(item, t.cm.Estimate(item))
 	}
 }
 

@@ -258,11 +258,3 @@ func BenchmarkDyadicUpdate(b *testing.B) {
 		d.Update(uint64(i)&((1<<20)-1), 1)
 	}
 }
-
-func BenchmarkHeavyHitterTrackerUpdate(b *testing.B) {
-	tr := NewHeavyHitterTracker(xrand.New(1), 1024, 4, 100)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.Update(uint64(i%10000), 1)
-	}
-}

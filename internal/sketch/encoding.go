@@ -406,10 +406,7 @@ func (t *HeavyHitterTracker) MarshalBinary() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	items := make([]uint64, 0, t.candidates.Len())
-	for _, c := range *t.candidates {
-		items = append(items, c.item)
-	}
+	items := t.CandidateItems()
 	sort.Slice(items, func(i, j int) bool { return items[i] < items[j] })
 	w := writer{buf: make([]byte, 0, 6+4+4+len(cmBytes)+4+8*len(items))}
 	w.header(kindTracker)
@@ -442,6 +439,11 @@ func (t *HeavyHitterTracker) UnmarshalBinary(data []byte) error {
 	if err := cm.UnmarshalBinary(cmBytes); err != nil {
 		return fmt.Errorf("sketch: HeavyHitterTracker: embedded sketch: %w", err)
 	}
+	if cm.conservative {
+		// No constructor builds one, and the tracker's update kernel adds
+		// linearly; refuse rather than ingest under the wrong rule.
+		return fmt.Errorf("sketch: HeavyHitterTracker: embedded sketch uses conservative update, which is not linear")
+	}
 	n := r.u32()
 	if r.err == nil && uint64(n) > uint64(k) {
 		r.fail("HeavyHitterTracker: %d candidates exceed capacity %d", n, k)
@@ -460,9 +462,7 @@ func (t *HeavyHitterTracker) UnmarshalBinary(data []byte) error {
 		return err
 	}
 	out := newHeavyHitterTracker(cm, int(k))
-	for _, item := range items {
-		out.offer(item, cm.Estimate(item))
-	}
+	out.AbsorbCandidates(items)
 	*t = *out
 	return nil
 }

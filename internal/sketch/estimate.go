@@ -108,12 +108,11 @@ func (cm *CountMin) EstimateBatchWith(items []uint64, dst []float64, sc *Estimat
 	for i := range dst {
 		dst[i] = math.Inf(1)
 	}
-	w := uint64(cm.width)
 	for r := 0; r < cm.depth; r++ {
-		hashing.HashBatch(cm.hashes[r], items, buckets)
+		hashRow(cm.hashes[r], cm.width, items, buckets)
 		row := cm.row(r)
 		for i, b := range buckets {
-			if v := row[b%w]; v < dst[i] {
+			if v := row[b]; v < dst[i] {
 				dst[i] = v
 			}
 		}
@@ -146,13 +145,12 @@ func (cs *CountSketch) EstimateBatchWith(items []uint64, dst []float64, sc *Esti
 	buckets := sc.bucketColumn(len(items))
 	signs := sc.signColumn(len(items))
 	ests := sc.estMatrix(len(items) * depth)
-	w := uint64(cs.width)
 	for r := 0; r < depth; r++ {
-		hashing.HashBatch(cs.hashes[r], items, buckets)
+		hashRow(cs.hashes[r], cs.width, items, buckets)
 		hashing.SignBatch(cs.signs[r], items, signs)
 		row := cs.row(r)
 		for i, b := range buckets {
-			ests[i*depth+r] = signs[i] * row[b%w]
+			ests[i*depth+r] = signs[i] * row[b]
 		}
 	}
 	for i := range items {

@@ -81,6 +81,28 @@ func TestCountMinEstimateBatchMatchesScalar(t *testing.T) {
 	}
 }
 
+// TestEstimateBatchWhereHashRangeExceedsWidth pins the one configuration in
+// which hashRow still divides: multiply-shift rounds its range up to a power
+// of two, so at any other width the batch kernels' buckets must be reduced
+// modulo the width exactly as the scalar bucket() does. Width 128 rides along
+// as the neighbouring case where the range is the width and nothing divides.
+func TestEstimateBatchWhereHashRangeExceedsWidth(t *testing.T) {
+	r := xrand.New(34)
+	for _, width := range []int{3, 100, 128, 1000} {
+		cm := NewCountMin(xrand.New(r.Uint64()), width, 4, WithCountMinHashFamily(hashing.FamilyMultiplyShift))
+		cs := NewCountSketch(xrand.New(r.Uint64()), width, 5, WithCountSketchHashFamily(hashing.FamilyMultiplyShift))
+		if exceeds := cm.hashes[0].Range() > uint64(width); exceeds != (width != 128) {
+			t.Fatalf("width %d: multiply-shift range is %d, the test's premise is broken", width, cm.hashes[0].Range())
+		}
+		items, deltas := randomColumns(r, 2000)
+		cm.UpdateBatch(items, deltas)
+		cs.UpdateBatch(items, deltas)
+		keys := queryKeys(r, items, 700)
+		requireBatchMatchesScalar(t, cm, keys)
+		requireBatchMatchesScalar(t, cs, keys)
+	}
+}
+
 // TestCountSketchEstimateBatchMatchesScalar covers the signed median path,
 // including even depths (median averages the two middle row values).
 func TestCountSketchEstimateBatchMatchesScalar(t *testing.T) {
