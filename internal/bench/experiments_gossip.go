@@ -19,9 +19,10 @@ import (
 // round. The exactness column reports, per strategy, the maximum estimate
 // deviation of any node's converged sketch from the single-threaded
 // reference after the final round — linearity says it must always read 0.
-// The shipped deltas really cross the codec: every frame is Marshal ->
-// EncodeDelta -> DecodeDelta -> Unmarshal -> Merge, exactly the path
-// sketchd's /v1/delta payload takes.
+// The shipped deltas really cross the codec: every frame is AppendDeltaSince
+// (the one-pass encode of own - shipped, byte for byte the envelope of the
+// marshalled difference) -> DecodeDelta -> Unmarshal -> Merge, exactly the
+// path sketchd's /v1/delta payload takes.
 func RunE14DeltaGossip(cfg Config) []Table {
 	universe := uint64(1 << 20)
 	length := 2_000_000
@@ -95,15 +96,9 @@ func RunE14DeltaGossip(cfg Config) []Table {
 					panic(fmt.Sprintf("bench: E14 marshal: %v", err))
 				}
 				if deltas {
-					diff := own[i].Copy()
-					if err := diff.Sub(shipped[i]); err != nil {
-						panic(fmt.Sprintf("bench: E14 sub: %v", err))
+					if wire, err = own[i].AppendDeltaSince(nil, shipped[i]); err != nil {
+						panic(fmt.Sprintf("bench: E14 encode delta: %v", err))
 					}
-					diffDense, err := diff.MarshalBinary()
-					if err != nil {
-						panic(fmt.Sprintf("bench: E14 marshal delta: %v", err))
-					}
-					wire = sketch.EncodeDelta(diffDense)
 				} else {
 					wire = dense
 				}

@@ -184,17 +184,21 @@ func TestE14DeltaGossipExactAndSmaller(t *testing.T) {
 }
 
 // TestE2MultiplyShiftFastest: the multiply-shift hash family should give the
-// highest update throughput among the Count-Min variants.
+// highest update throughput among the Count-Min variants. A quick-mode rate
+// is a few milliseconds of wall clock, which one descheduling halves, so each
+// family is given its best of three runs: noise only ever slows a run down.
 func TestE2MultiplyShiftFastest(t *testing.T) {
-	tbl := RunE2Throughput(Config{Seed: 23, Quick: true})[0]
 	var mulshift, poly4 float64
-	for _, row := range tbl.Rows {
-		rate := parseCell(t, row[2])
-		switch row[0] {
-		case "count-min/mulshift":
-			mulshift = rate
-		case "count-min/poly4":
-			poly4 = rate
+	for run := 0; run < 3; run++ {
+		tbl := RunE2Throughput(Config{Seed: 23, Quick: true})[0]
+		for _, row := range tbl.Rows {
+			rate := parseCell(t, row[2])
+			switch row[0] {
+			case "count-min/mulshift":
+				mulshift = max(mulshift, rate)
+			case "count-min/poly4":
+				poly4 = max(poly4, rate)
+			}
 		}
 	}
 	if mulshift <= poly4 {

@@ -159,15 +159,20 @@ func (n *Node) Kill() {
 }
 
 // Stop sends SIGTERM and waits for the daemon's graceful shutdown (final
-// delta push, shutdown snapshot).
+// delta push, shutdown snapshot, invariant check), which must end in a clean
+// exit: sketchd exits non-zero when Server.Close reports an error.
 func (n *Node) Stop() {
 	n.t.Helper()
 	if n.cmd == nil {
 		return
 	}
-	n.cmd.Process.Signal(syscall.SIGTERM)
+	cmd := n.cmd
+	cmd.Process.Signal(syscall.SIGTERM)
 	if !n.reap(15 * time.Second) {
 		n.t.Fatalf("%s: did not exit after SIGTERM", n.Name)
+	}
+	if code := cmd.ProcessState.ExitCode(); code != 0 {
+		n.t.Fatalf("%s: exited with status %d after SIGTERM (log: %s)", n.Name, code, n.logPath)
 	}
 }
 

@@ -173,4 +173,12 @@ func TestSoakKillRestartBootstrapMesh(t *testing.T) {
 			t.Fatalf("%s: dense query diverged from the reference\n got: %s\nwant: %s", n.Name, got, want)
 		}
 	}
+
+	// A graceful stop runs each daemon's own invariant check — after all the
+	// kills, resyncs and replace frames above, the empty baseline its peer
+	// links share still holds no mass and no counter — and fails on a
+	// non-zero exit.
+	for _, n := range nodes {
+		n.Stop()
+	}
 }

@@ -21,8 +21,15 @@
 // goroutine that, every GossipEvery, ships each peer the delta between the
 // daemon's current locally ingested state and the last state that peer
 // acknowledged. Deltas are mostly zero counters and travel in the
-// compressed KindDelta envelope (sketch.EncodeDelta); POST /v1/delta folds
-// them in idempotently: the receiver keeps a per-sender generation
+// compressed KindDelta envelope. A tick cuts the local state once and
+// encodes once per distinct baseline — in a settled mesh every peer holds
+// the same one, so every peer is posted the same bytes — and the encode is
+// one pass over the two counter arrays straight into the frame buffer
+// (HeavyHitterTracker.AppendDeltaSince): no copy of the sketch, no
+// difference sketch and no dense encoding are ever built. POST /v1/delta
+// expands the envelope into a pooled buffer, validates the whole payload
+// (non-finite counters included) before anything is touched, and folds
+// it in idempotently: the receiver keeps a per-sender generation
 // watermark, so retried or reordered frames are acknowledged without being
 // applied twice, and frames from a diverged sender are refused (409) and
 // re-aligned with a reset frame rather than double-counted. Only locally
@@ -68,5 +75,7 @@
 // Incompatible peers are rejected, not absorbed: /v1/merge verifies that the
 // posted sketch shares the daemon's dimensions, hash seed and family, and
 // answers 4xx (with the decoder's message) on any mismatch or malformed
-// payload.
+// payload. The sketch decoder itself refuses a NaN or ±Inf counter or total
+// mass, so /v1/merge, /v1/delta, bootstrap transfers and snapshot recovery
+// all turn a poisoned sketch away with nothing touched.
 package server

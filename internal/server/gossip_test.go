@@ -5,12 +5,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -170,6 +173,11 @@ func TestGossipTrioConvergence(t *testing.T) {
 		if len(stats.Watermarks) != 2 {
 			t.Fatalf("node %s tracks %d sender watermarks, want 2", node.url, len(stats.Watermarks))
 		}
+		// Both of the node's links started from one shared empty baseline,
+		// which nothing may have written to.
+		if err := node.srv.checkInvariants(); err != nil {
+			t.Fatalf("node %s: %v", node.url, err)
+		}
 	}
 }
 
@@ -194,19 +202,33 @@ func TestGossipDeltaSmallerThanSnapshot(t *testing.T) {
 	}
 	waitForMass(t, nodes[1], 20_000)
 
-	before, err := nodes[0].client.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
+	// The receiver applies a frame before the sender hears the ack and
+	// accounts for it, so the sender's own counters are what to wait on:
+	// caught up means every local generation is acked and counted.
+	senderCaughtUp := func() Stats {
+		t.Helper()
+		deadline := time.Now().Add(30 * time.Second)
+		for {
+			stats, err := nodes[0].client.Stats(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p := stats.Peers[0]; p.LagGens == 0 && !p.Pending && p.FramesAcked > 0 {
+				return stats
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("sender never accounted for its acked frames: %+v", stats.Peers[0])
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
 	}
+	before := senderCaughtUp()
 	tail := []engine.Update{{Item: 1, Delta: 5}, {Item: 2, Delta: 7}}
 	if err := nodes[0].client.Update(ctx, tail); err != nil {
 		t.Fatal(err)
 	}
 	waitForMass(t, nodes[1], 20_012)
-	after, err := nodes[0].client.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	after := senderCaughtUp()
 
 	snapshot, err := nodes[0].client.Snapshot(ctx)
 	if err != nil {
@@ -552,5 +574,187 @@ func TestWatermarksIgnoredWithoutSnapshot(t *testing.T) {
 	}
 	if len(stats.Watermarks) != 0 {
 		t.Fatalf("blank daemon loaded stale watermarks: %v", stats.Watermarks)
+	}
+}
+
+// deltaRecorder fronts a daemon: it keeps every /v1/delta body posted at it
+// and, while failing is set, answers 503 in the daemon's place.
+type deltaRecorder struct {
+	next    http.Handler
+	failing atomic.Bool
+	mu      sync.Mutex
+	bodies  [][]byte
+}
+
+func (d *deltaRecorder) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.URL.Path == "/v1/delta" {
+		body, _ := io.ReadAll(r.Body)
+		d.mu.Lock()
+		d.bodies = append(d.bodies, body)
+		d.mu.Unlock()
+		if d.failing.Load() {
+			http.Error(w, "down for the test", http.StatusServiceUnavailable)
+			return
+		}
+		r.Body = io.NopCloser(bytes.NewReader(body))
+	}
+	d.next.ServeHTTP(w, r)
+}
+
+func (d *deltaRecorder) frames() [][]byte {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return append([][]byte(nil), d.bodies...)
+}
+
+// TestGossipSharesOneFramePerBaseline drives a sender's ticks by hand against
+// two recorded peers. Peers on one baseline are posted the same bytes, encoded
+// once; a peer that missed its acks is retried verbatim and then shipped its
+// own window from the older baseline; and everyone ends up holding exactly
+// the reference counters.
+func TestGossipSharesOneFramePerBaseline(t *testing.T) {
+	cfg := Config{Width: 512, Depth: 4, K: 16, Seed: 41}
+	ctx := context.Background()
+	var recs [2]*deltaRecorder
+	var clients [2]*Client
+	cfgA := cfg
+	for i := range recs {
+		srv, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs[i] = &deltaRecorder{next: srv.Handler()}
+		hs := httptest.NewServer(recs[i])
+		t.Cleanup(func() { hs.Close(); srv.Close() })
+		clients[i] = NewClient(hs.URL, hs.Client())
+		cfgA.Peers = append(cfgA.Peers, hs.URL)
+	}
+	cfgA.NodeID = "node-a"
+	cfgA.GossipEvery = time.Hour // the test is the ticker
+	a, clientA := testDaemon(t, cfgA)
+
+	reference := sketch.NewHeavyHitterTracker(xrand.New(cfg.Seed), cfg.Width, cfg.Depth, cfg.K)
+	r := xrand.New(7)
+	wave := func() {
+		t.Helper()
+		updates := make([]engine.Update, 300)
+		for i := range updates {
+			updates[i] = engine.Update{Item: uint64(r.Intn(2000)), Delta: float64(1 + r.Intn(5))}
+			reference.Update(updates[i].Item, updates[i].Delta)
+		}
+		if err := clientA.Update(ctx, updates); err != nil {
+			t.Fatal(err)
+		}
+		a.gossipPush(ctx, true) // past the backoff a refused frame earns
+	}
+	b, c := recs[0], recs[1]
+
+	wave() // tick 1: both peers on the empty baseline
+	wave() // tick 2: both on tick 1's cut
+	c.failing.Store(true)
+	wave() // tick 3: c's frame goes unacked and is kept
+	wave() // tick 4: c is retried (and refused again); b moves on
+	c.failing.Store(false)
+	wave() // tick 5: c is retried, acked, then shipped ticks 4-5 in one frame
+
+	fb, fc := b.frames(), c.frames()
+	if len(fb) != 5 || len(fc) != 6 {
+		t.Fatalf("b was posted %d frames and c %d, want 5 and 6", len(fb), len(fc))
+	}
+	for tick := 0; tick < 3; tick++ {
+		if !bytes.Equal(fb[tick], fc[tick]) {
+			t.Errorf("tick %d: peers on one baseline were posted different bytes", tick+1)
+		}
+	}
+	if !bytes.Equal(fc[3], fc[2]) || !bytes.Equal(fc[4], fc[2]) {
+		t.Error("the unacked frame was not retried verbatim")
+	}
+	own, err := DecodeDeltaFrame(fc[5])
+	if err != nil {
+		t.Fatal(err)
+	}
+	missed, _ := DecodeDeltaFrame(fc[2])
+	latest, _ := DecodeDeltaFrame(fb[4])
+	if own.FromGen != missed.ToGen || own.ToGen != latest.ToGen || latest.FromGen == own.FromGen {
+		t.Errorf("c's catch-up frame covers (%d, %d]; want from its retried frame's %d to b's latest %d, a window of its own (b's starts at %d)",
+			own.FromGen, own.ToGen, missed.ToGen, latest.ToGen, latest.FromGen)
+	}
+
+	items := make([]uint64, 2000)
+	for i := range items {
+		items[i] = uint64(i)
+	}
+	for i, client := range clients {
+		stats, err := client.Stats(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.TotalMass != reference.TotalMass() || stats.DeltasApplied != 5-int64(i) || stats.DeltasDuplicate != 0 {
+			t.Fatalf("peer %d: total mass %v (want %v), %d deltas applied, %d duplicate", i, stats.TotalMass, reference.TotalMass(), stats.DeltasApplied, stats.DeltasDuplicate)
+		}
+		estimates, err := client.QueryBatch(ctx, items)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, item := range items {
+			if want := reference.Estimate(item); estimates[j] != want {
+				t.Fatalf("peer %d: estimate(%d) = %v, reference %v", i, item, estimates[j], want)
+			}
+		}
+	}
+}
+
+// TestEncodeFrameMatchesSeedChain: the frame built in place around the
+// streamed payload is, byte for byte, the frame the replicator used to
+// assemble from a copied, subtracted, densely marshalled and then compressed
+// difference sketch — for a window delta and for a replace frame.
+func TestEncodeFrameMatchesSeedChain(t *testing.T) {
+	cfg := Config{Width: 256, Depth: 3, K: 8, Seed: 5, NodeID: "node-a"}
+	s, _ := testDaemon(t, cfg)
+	local := sketch.NewHeavyHitterTracker(xrand.New(cfg.Seed), cfg.Width, cfg.Depth, cfg.K)
+	for i := uint64(0); i < 500; i++ {
+		local.Update(i%97, float64(1+i%3))
+	}
+	base := local.Copy()
+	for i := uint64(0); i < 40; i++ {
+		local.Update(i%11, 2)
+	}
+	for name, tc := range map[string]struct {
+		frame DeltaFrame
+		base  *sketch.HeavyHitterTracker
+	}{
+		"window":  {DeltaFrame{Sender: cfg.NodeID, FromGen: 3, ToGen: 9}, base},
+		"replace": {DeltaFrame{Sender: cfg.NodeID, ToGen: 9, Replace: true}, s.proto},
+	} {
+		got, err := s.encodeFrame(tc.frame, local, tc.base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A window shipped the subtracted copy; a replace shipped local as
+		// it stood.
+		delta := local
+		if !tc.frame.Replace {
+			delta = local.Copy()
+			if err := delta.Sub(tc.base); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := tc.frame
+		want.Payload = deltaPayloadFor(t, delta)
+		if !bytes.Equal(got, AppendDeltaFrame(nil, want)) {
+			t.Errorf("%s frame differs from the seed chain's", name)
+		}
+	}
+
+	// One tick's cut encodes a baseline once, however many peers are on it.
+	cut := &gossipCut{local: local, gen: 9}
+	first, err := s.deltaFrame(cut, base, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, _ := s.deltaFrame(cut, base, 3)
+	other, _ := s.deltaFrame(cut, s.proto, 0)
+	if &first[0] != &again[0] || &first[0] == &other[0] || len(cut.frames) != 2 {
+		t.Errorf("a cut asked for baselines (base, base, empty) holds %d frames; want 2, the first one shared", len(cut.frames))
 	}
 }

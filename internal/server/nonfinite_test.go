@@ -11,6 +11,9 @@ import (
 	"net"
 	"strings"
 	"testing"
+
+	"repro/internal/sketch"
+	"repro/internal/xrand"
 )
 
 // nonFinite lists delta bit patterns the update decode boundary must refuse:
@@ -44,10 +47,12 @@ func TestDecodeBatchColumnsRefusesNonFinite(t *testing.T) {
 
 // TestNonFiniteDeltaTouchesNothing drives one poisoned batch down every
 // update path of a live daemon — SKB1 POST, JSON POST, SKS1 data frame — and
-// requires a refusal each time with no counter, mass, generation or stream
-// watermark moved.
+// one poisoned sketch down both replica paths — a /v1/merge body, a /v1/delta
+// frame — and requires a refusal each time with no counter, mass, generation
+// or watermark moved.
 func TestNonFiniteDeltaTouchesNothing(t *testing.T) {
-	_, client, addr := streamDaemon(t, Config{Width: 256, Depth: 3, K: 8, Seed: 4})
+	cfg := Config{Width: 256, Depth: 3, K: 8, Seed: 4}
+	_, client, addr := streamDaemon(t, cfg)
 	ctx := context.Background()
 	items := []uint64{10, 11, 12}
 
@@ -57,8 +62,11 @@ func TestNonFiniteDeltaTouchesNothing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.TotalMass != 0 || st.Updates != 0 || st.Batches != 0 {
-			t.Fatalf("%s: stats moved: total_mass %v, updates %d, batches %d", step, st.TotalMass, st.Updates, st.Batches)
+		if st.TotalMass != 0 || st.Updates != 0 || st.Batches != 0 || st.Gen != 0 {
+			t.Fatalf("%s: stats moved: total_mass %v, updates %d, batches %d, gen %d", step, st.TotalMass, st.Updates, st.Batches, st.Gen)
+		}
+		if st.Merges != 0 || st.DeltasApplied != 0 || len(st.Watermarks) != 0 {
+			t.Fatalf("%s: replica state moved: merges %d, deltas_applied %d, watermarks %v", step, st.Merges, st.DeltasApplied, st.Watermarks)
 		}
 		ests, err := client.Query(ctx, items...)
 		if err != nil {
@@ -115,4 +123,55 @@ func TestNonFiniteDeltaTouchesNothing(t *testing.T) {
 		conn.Close()
 	}
 	requireUntouched("after stream frames")
+
+	// A peer's sketch with one poisoned word: a counter or the total mass, in
+	// a full tracker encoding or a bare Count-Min one (both of which /v1/merge
+	// takes). The honest words around it are real mass the refusal must not
+	// let in.
+	honest := sketch.NewHeavyHitterTracker(xrand.New(cfg.Seed), cfg.Width, cfg.Depth, cfg.K)
+	honest.UpdateBatch(items, []float64{5, 6, 7})
+	tracker, err := honest.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare, err := honest.Backing().MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const trackerLead = 14            // tracker header ahead of the embedded Count-Min
+	const massAt, countersAt = 24, 32 // within a Count-Min encoding
+	poisoned := func(enc []byte, at int, bad float64) []byte {
+		out := append([]byte(nil), enc...)
+		binary.BigEndian.PutUint64(out[at:], math.Float64bits(bad))
+		return out
+	}
+	for _, bad := range nonFinite {
+		for name, body := range map[string][]byte{
+			"tracker counter":  poisoned(tracker, trackerLead+countersAt+8*17, bad),
+			"tracker mass":     poisoned(tracker, trackerLead+massAt, bad),
+			"CountMin counter": poisoned(bare, countersAt, bad),
+			"CountMin mass":    poisoned(bare, massAt, bad),
+		} {
+			status, envelope := rawRequest(t, client, "POST", "/v1/merge", contentTypeSnapshot, string(body), "")
+			if status != 400 || !strings.Contains(envelope, "not finite") {
+				t.Fatalf("/v1/merge, %s bits %#x: status %d, body %s", name, math.Float64bits(bad), status, envelope)
+			}
+			if !strings.HasPrefix(name, "tracker") {
+				continue // a delta frame's payload is always a tracker
+			}
+			frame := AppendDeltaFrame(nil, DeltaFrame{Sender: "poisoner", ToGen: 1, Payload: sketch.EncodeDelta(body)})
+			status, envelope = rawRequest(t, client, "POST", "/v1/delta", contentTypeDelta, string(frame), "")
+			if status != 400 || !strings.Contains(envelope, "not finite") {
+				t.Fatalf("/v1/delta, %s bits %#x: status %d, body %s", name, math.Float64bits(bad), status, envelope)
+			}
+		}
+	}
+	requireUntouched("after poisoned merge bodies and delta frames")
+
+	// The same frame without the poison is applied: the refusals above were
+	// about the one word.
+	frame := AppendDeltaFrame(nil, DeltaFrame{Sender: "poisoner", ToGen: 1, Payload: sketch.EncodeDelta(tracker)})
+	if status, envelope := rawRequest(t, client, "POST", "/v1/delta", contentTypeDelta, string(frame), ""); status != 200 {
+		t.Fatalf("honest delta frame: status %d, body %s", status, envelope)
+	}
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -376,6 +377,10 @@ type Server struct {
 	// maxDeltaInner caps the declared inner length of /v1/delta envelopes
 	// (a small multiple of this daemon's own dense encoding size).
 	maxDeltaInner int
+	// deltaScratch pools the *[]byte buffers /v1/delta envelopes are expanded
+	// into. A buffer is out of the pool only between the expansion and the
+	// decode that copies the counters out of it.
+	deltaScratch sync.Pool
 
 	updates, batches, merges, snapshots            atomic.Int64
 	deltasApplied, deltasDuplicate, deltasRejected atomic.Int64
@@ -398,6 +403,10 @@ type Server struct {
 	// replicator goroutine mutates them, /v1/stats reads them).
 	peerMu sync.Mutex
 	peers  []*peerState
+	// lastFrameLen is the size of the last delta frame encoded, which sizes
+	// the next one's buffer. Only gossipPush touches it, and that runs on the
+	// replicator goroutine and then, once that has exited, in Close.
+	lastFrameLen int
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -412,7 +421,7 @@ type peerState struct {
 	url    string
 	client *Client
 
-	baseline     *sketch.HeavyHitterTracker // local state as of the last ack
+	baseline     *sketch.HeavyHitterTracker // local state as of the last ack; read-only, shared between peers
 	baseGen      int64                      // localGen the baseline was cut at
 	pending      []byte                     // un-acked frame, retried verbatim
 	pendingLocal *sketch.HeavyHitterTracker
@@ -527,7 +536,7 @@ func New(cfg Config) (*Server, error) {
 		s.peers = append(s.peers, &peerState{
 			url:      url,
 			client:   NewClient(url, &http.Client{Timeout: 10 * time.Second}),
-			baseline: proto.Clone(),
+			baseline: proto, // the empty baseline: only ever read
 		})
 	}
 
@@ -666,10 +675,31 @@ func (s *Server) Close() error {
 	s.engRetired.Store(true) // fences the lock-free epoch fast path too
 	_, err := s.eng.Close()
 	s.snapMu.Unlock()
+	if err == nil {
+		err = s.checkInvariants()
+	}
 	if err != nil && saveErr == nil {
 		saveErr = err
 	}
 	return saveErr
+}
+
+// checkInvariants verifies what must hold of a daemon whenever it is looked
+// at; Close reports a violation, which makes sketchd exit non-zero. Today
+// that is one property: proto — the prototype every replica was cloned from,
+// and the empty baseline every peer link starts from and resyncs to — is
+// still empty. Baselines are shared and only ever read; a write through one
+// would corrupt every frame cut against it from then on.
+func (s *Server) checkInvariants() error {
+	if mass := s.proto.TotalMass(); mass != 0 {
+		return fmt.Errorf("server: invariant violated: the shared empty baseline holds total mass %v", mass)
+	}
+	for i, v := range s.proto.Backing().CounterData() {
+		if v != 0 {
+			return fmt.Errorf("server: invariant violated: the shared empty baseline holds %v in counter %d", v, i)
+		}
+	}
+	return nil
 }
 
 // ErrServerClosed is returned by Close after the first call.
@@ -886,9 +916,20 @@ func (s *Server) encodedSnapshotLocked() ([]byte, error) {
 }
 
 // readBody drains a size-capped request body. Over-limit bodies answer 413;
-// any other read failure (client disconnect, bad framing) answers 400.
+// any other read failure (client disconnect, bad framing, a body shorter than
+// it declared) answers 400. A declared length within the cap is read into one
+// allocation of that size; a chunked body, or one declared over the cap, goes
+// through the capped reader's growing buffer.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	var data []byte
+	var err error
+	if n := r.ContentLength; n >= 0 && n <= s.cfg.MaxBodyBytes {
+		data = make([]byte, n)
+		_, err = io.ReadFull(body, data)
+	} else {
+		data, err = io.ReadAll(body)
+	}
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -1137,13 +1178,7 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	// malformed bytes before any counter is touched.
 	var src *sketch.HeavyHitterTracker
 	if !frame.Reset {
-		inner, err := sketch.DecodeDeltaLimit(frame.Payload, s.maxDeltaInner)
-		if err != nil {
-			s.deltasRejected.Add(1)
-			writeErr(w, r, http.StatusBadRequest, "delta payload: %v", err)
-			return
-		}
-		if src, err = s.eng.DecodeReplica(inner); err != nil {
+		if src, err = s.decodeDeltaPayload(frame.Payload); err != nil {
 			s.deltasRejected.Add(1)
 			writeErr(w, r, http.StatusBadRequest, "delta payload: %v", err)
 			return
@@ -1339,6 +1374,24 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// decodeDeltaPayload expands a frame's KindDelta envelope into a pooled
+// buffer and decodes the tracker inside it. The tracker owns its memory — the
+// decoder copies every counter and candidate out — so the buffer goes back to
+// the pool before this returns.
+func (s *Server) decodeDeltaPayload(payload []byte) (*sketch.HeavyHitterTracker, error) {
+	scratch, _ := s.deltaScratch.Get().(*[]byte)
+	if scratch == nil {
+		scratch = new([]byte)
+	}
+	defer s.deltaScratch.Put(scratch)
+	inner, err := sketch.DecodeDeltaInto(*scratch, payload, s.maxDeltaInner)
+	if err != nil {
+		return nil, err
+	}
+	*scratch = inner // the expansion may have outgrown the pooled buffer: keep the larger
+	return s.eng.DecodeReplica(inner)
+}
+
 // conflictDetailReplace is the machine-readable detail attached to a 409
 // watermark conflict when this receiver can apply a lossless replace frame
 // from that sender instead of a destructive reset.
@@ -1415,9 +1468,63 @@ func (s *Server) gossipPush(ctx context.Context, ignoreBackoff bool) {
 		}
 		return
 	}
+	cut := &gossipCut{local: local, gen: gen}
 	for _, p := range targets {
-		s.pushPeer(ctx, p, local, gen)
+		s.pushPeer(ctx, p, cut)
 	}
+}
+
+// gossipCut is one tick's cut of the local sketch together with the delta
+// frames encoded against it so far. In a settled mesh every peer acked the
+// previous tick and so holds the same baseline: the tick encodes one frame
+// and every peer is posted the same bytes.
+type gossipCut struct {
+	local  *sketch.HeavyHitterTracker
+	gen    int64
+	frames []cutFrame
+}
+
+// cutFrame is the encoded frame (never written again once built) shipping a
+// cut's local state minus one baseline.
+type cutFrame struct {
+	base    *sketch.HeavyHitterTracker
+	baseGen int64
+	frame   []byte
+}
+
+// deltaFrame returns the frame that takes a peer from (base, baseGen) to the
+// cut, encoding it the first time that baseline is asked for.
+func (s *Server) deltaFrame(cut *gossipCut, base *sketch.HeavyHitterTracker, baseGen int64) ([]byte, error) {
+	for _, f := range cut.frames {
+		if f.base == base && f.baseGen == baseGen {
+			return f.frame, nil
+		}
+	}
+	frame, err := s.encodeFrame(DeltaFrame{Sender: s.cfg.NodeID, FromGen: uint64(baseGen), ToGen: uint64(cut.gen)}, cut.local, base)
+	if err != nil {
+		return nil, err
+	}
+	cut.frames = append(cut.frames, cutFrame{base: base, baseGen: baseGen, frame: frame})
+	return frame, nil
+}
+
+// encodeFrame builds frame f around the payload local − base in one pass and
+// one buffer: the header, then the envelope streamed straight off the two
+// counter arrays (no difference sketch, no dense encoding), then the
+// payload's length patched in behind the header. By linearity the payload is
+// a valid sketch of exactly the updates ingested between the two cuts; with
+// the empty baseline it is local itself, a replace frame's payload.
+func (s *Server) encodeFrame(f DeltaFrame, local, base *sketch.HeavyHitterTracker) ([]byte, error) {
+	buf := make([]byte, 0, s.lastFrameLen+s.lastFrameLen/8+256)
+	buf = appendDeltaFrameHeader(buf, f)
+	lenAt := len(buf)
+	buf, err := local.AppendDeltaSince(append(buf, 0, 0, 0, 0), base)
+	if err != nil {
+		return nil, err
+	}
+	binary.BigEndian.PutUint32(buf[lenAt:], uint32(len(buf)-lenAt-4))
+	s.lastFrameLen = len(buf)
+	return buf, nil
 }
 
 // gossipTargets returns the peers that lag the current local generation or
@@ -1484,7 +1591,8 @@ func (s *Server) localSnapshot() (*sketch.HeavyHitterTracker, int64, error) {
 // pushPeer ships one peer its delta: first any un-acked frame verbatim
 // (the watermark makes redelivery idempotent), then the difference between
 // the current local state and the peer's acknowledged baseline.
-func (s *Server) pushPeer(ctx context.Context, p *peerState, local *sketch.HeavyHitterTracker, gen int64) {
+func (s *Server) pushPeer(ctx context.Context, p *peerState, cut *gossipCut) {
+	local, gen := cut.local, cut.gen
 	s.peerMu.Lock()
 	pending, pendingLocal, pendingGen := p.pending, p.pendingLocal, p.pendingGen
 	baseline, baseGen := p.baseline, p.baseGen
@@ -1534,24 +1642,13 @@ func (s *Server) pushPeer(ctx context.Context, p *peerState, local *sketch.Heavy
 		return // the peer already has every locally ingested update
 	}
 
-	// delta = local now - local as of the last ack: a valid sketch of
-	// exactly the updates ingested here since then (linearity).
-	delta := local.Copy()
-	if err := delta.Sub(baseline); err != nil {
-		s.cfg.Logf("server: computing delta for %s: %v", p.url, err)
-		return
-	}
-	inner, err := delta.MarshalBinary()
+	// local now - local as of the last ack, shared with every other peer
+	// that acked the same cut.
+	frame, err := s.deltaFrame(cut, baseline, baseGen)
 	if err != nil {
 		s.cfg.Logf("server: encoding delta for %s: %v", p.url, err)
 		return
 	}
-	frame := AppendDeltaFrame(nil, DeltaFrame{
-		Sender:  s.cfg.NodeID,
-		FromGen: uint64(baseGen),
-		ToGen:   uint64(gen),
-		Payload: sketch.EncodeDelta(inner),
-	})
 
 	resp, err := p.client.pushDeltaRaw(ctx, frame)
 	switch {
@@ -1624,17 +1721,11 @@ func (s *Server) resolveConflict(ctx context.Context, p *peerState, local *sketc
 // no local mass is lost and none is double-counted, regardless of how the
 // two sides' windows diverged.
 func (s *Server) resyncPeerReplace(ctx context.Context, p *peerState, local *sketch.HeavyHitterTracker, gen int64) {
-	inner, err := local.MarshalBinary()
+	frame, err := s.encodeFrame(DeltaFrame{Sender: s.cfg.NodeID, ToGen: uint64(gen), Replace: true}, local, s.proto)
 	if err != nil {
 		s.cfg.Logf("server: encoding replace frame for %s: %v", p.url, err)
 		return
 	}
-	frame := AppendDeltaFrame(nil, DeltaFrame{
-		Sender:  s.cfg.NodeID,
-		ToGen:   uint64(gen),
-		Replace: true,
-		Payload: sketch.EncodeDelta(inner),
-	})
 	resp, err := p.client.pushDeltaRaw(ctx, frame)
 	switch {
 	case err == nil && !resp.Applied && resp.Watermark != uint64(gen):
@@ -1695,7 +1786,7 @@ func (s *Server) resyncRestartedSender(ctx context.Context, p *peerState, local 
 	}
 	s.peerMu.Lock()
 	p.pending, p.pendingLocal = nil, nil
-	p.baseline, p.baseGen = s.proto.Clone(), 0
+	p.baseline, p.baseGen = s.proto, 0
 	if err != nil {
 		p.lastErr = err.Error() // the next frame will conflict and retry the resync
 		p.failStreak++

@@ -1,10 +1,12 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -586,5 +588,73 @@ func TestPartitionModeOverTheWire(t *testing.T) {
 	}
 	if partStats.TotalMass != reference.TotalMass() {
 		t.Fatalf("partitioned total mass %v != reference %v", partStats.TotalMass, reference.TotalMass())
+	}
+}
+
+// TestRequestBodySizing: a body is read into one allocation of its declared
+// length when that is within MaxBodyBytes and through the capped reader
+// otherwise, and the answers do not depend on which: over the cap is 413
+// whether declared or chunked, a body shorter than it declared is 400, and
+// neither touches the sketch.
+func TestRequestBodySizing(t *testing.T) {
+	_, client := testDaemon(t, Config{Width: 128, Depth: 3, K: 8, MaxBodyBytes: 1024})
+	ctx := context.Background()
+	small := AppendBatch(nil, []engine.Update{{Item: 1, Delta: 2}})
+	big := AppendBatch(nil, make([]engine.Update, 200)) // 3.2 kB of records
+
+	post := func(body io.Reader) int {
+		t.Helper()
+		resp, err := http.Post(client.base+"/v1/update", contentTypeBatch, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	// An io.Reader the client cannot size goes out chunked.
+	chunked := func(b []byte) io.Reader { return struct{ io.Reader }{bytes.NewReader(b)} }
+
+	if got := post(bytes.NewReader(big)); got != http.StatusRequestEntityTooLarge {
+		t.Errorf("declared over the cap: HTTP %d, want 413", got)
+	}
+	if got := post(chunked(big)); got != http.StatusRequestEntityTooLarge {
+		t.Errorf("chunked over the cap: HTTP %d, want 413", got)
+	}
+
+	// Declare the whole batch, send half of it, and half-close.
+	conn, err := net.Dial("tcp", strings.TrimPrefix(client.base, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	fmt.Fprintf(conn, "POST /v1/update HTTP/1.1\r\nHost: sketchd\r\nContent-Type: %s\r\nContent-Length: %d\r\n\r\n", contentTypeBatch, len(small))
+	conn.Write(small[:len(small)/2])
+	conn.(*net.TCPConn).CloseWrite()
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("body shorter than declared: HTTP %d, want 400", resp.StatusCode)
+	}
+
+	stats, err := client.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.TotalMass != 0 || stats.Updates != 0 || stats.Batches != 0 {
+		t.Fatalf("refused bodies moved the sketch: total_mass %v, updates %d, batches %d", stats.TotalMass, stats.Updates, stats.Batches)
+	}
+
+	// Within the cap both framings are accepted.
+	if got := post(bytes.NewReader(small)); got != http.StatusOK {
+		t.Errorf("declared within the cap: HTTP %d, want 200", got)
+	}
+	if got := post(chunked(small)); got != http.StatusOK {
+		t.Errorf("chunked within the cap: HTTP %d, want 200", got)
+	}
+	if stats, err = client.Stats(ctx); err != nil || stats.TotalMass != 4 {
+		t.Fatalf("after two accepted bodies: total_mass %v, err %v, want 4", stats.TotalMass, err)
 	}
 }

@@ -407,8 +407,8 @@ var errNonFiniteDelta = errors.New("delta is not finite")
 //	fromGen    uint64  sender-local generation of the last acked frame
 //	toGen      uint64  sender-local generation this frame advances to
 //	payloadLen uint32
-//	payload    payloadLen bytes: a sketch KindDelta envelope wrapping the
-//	           encoded difference sketch (must be empty on reset frames)
+//	payload    payloadLen bytes: a sketch KindDelta envelope of the
+//	           difference sketch's encoding (must be empty on reset frames)
 //
 // A frame covers the sender-local generation window (fromGen, toGen]. The
 // receiver keeps one watermark per sender — the toGen of the newest frame it
@@ -462,6 +462,15 @@ type DeltaFrame struct {
 // AppendDeltaFrame appends the binary encoding of a delta frame to buf and
 // returns the extended slice.
 func AppendDeltaFrame(buf []byte, f DeltaFrame) []byte {
+	buf = appendDeltaFrameHeader(buf, f)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(f.Payload)))
+	return append(buf, f.Payload...)
+}
+
+// appendDeltaFrameHeader appends everything of f's encoding ahead of
+// payloadLen, for a caller that appends the payload in place and patches its
+// length in afterwards (see Server.encodeFrame).
+func appendDeltaFrameHeader(buf []byte, f DeltaFrame) []byte {
 	buf = append(buf, deltaMagic[:]...)
 	buf = append(buf, deltaFrameVersion)
 	var flags byte
@@ -475,10 +484,7 @@ func AppendDeltaFrame(buf []byte, f DeltaFrame) []byte {
 	buf = binary.BigEndian.AppendUint16(buf, uint16(len(f.Sender)))
 	buf = append(buf, f.Sender...)
 	buf = binary.BigEndian.AppendUint64(buf, f.FromGen)
-	buf = binary.BigEndian.AppendUint64(buf, f.ToGen)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(f.Payload)))
-	buf = append(buf, f.Payload...)
-	return buf
+	return binary.BigEndian.AppendUint64(buf, f.ToGen)
 }
 
 // DecodeDeltaFrame parses a delta frame, validating the structural

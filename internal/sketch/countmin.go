@@ -312,16 +312,25 @@ func (cm *CountMin) Merge(other *CountMin) error {
 // sums are exact in float64), Sub(b) followed by Merge(b) restores cm bit
 // for bit.
 func (cm *CountMin) Sub(other *CountMin) error {
+	if err := cm.subtractable(other); err != nil {
+		return err
+	}
+	for i, v := range other.counts {
+		cm.counts[i] -= v
+	}
+	cm.totalMass -= other.totalMass
+	return nil
+}
+
+// subtractable returns nil when cm - other is defined counter for counter:
+// equal dimensions, and both sketches linear.
+func (cm *CountMin) subtractable(other *CountMin) error {
 	if cm.width != other.width || cm.depth != other.depth {
 		return fmt.Errorf("sketch: cannot subtract CountMin of different dimensions")
 	}
 	if cm.conservative || other.conservative {
 		return fmt.Errorf("sketch: conservative-update CountMin sketches are not linear and cannot be subtracted")
 	}
-	for i, v := range other.counts {
-		cm.counts[i] -= v
-	}
-	cm.totalMass -= other.totalMass
 	return nil
 }
 

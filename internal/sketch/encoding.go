@@ -4,7 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"repro/internal/hashing"
 )
@@ -116,10 +117,12 @@ func (w *writer) u8(v uint8)    { w.buf = append(w.buf, v) }
 func (w *writer) u32(v uint32)  { w.buf = binary.BigEndian.AppendUint32(w.buf, v) }
 func (w *writer) u64(v uint64)  { w.buf = binary.BigEndian.AppendUint64(w.buf, v) }
 func (w *writer) f64(v float64) { w.u64(math.Float64bits(v)) }
-func (w *writer) header(kind uint8) {
-	w.buf = append(w.buf, encodingMagic[:]...)
-	w.u8(encodingVersion)
-	w.u8(kind)
+
+func (w *writer) header(kind uint8) { w.buf = appendHeader(w.buf, kind) }
+
+// appendHeader appends the fixed header of an encoding of the given kind.
+func appendHeader(dst []byte, kind uint8) []byte {
+	return append(append(dst, encodingMagic[:]...), encodingVersion, kind)
 }
 
 // reader consumes big-endian primitives, remembering the first error so call
@@ -241,30 +244,62 @@ func (r *reader) checkFamily(name string, f hashing.Family) {
 	}
 }
 
+// float64ExpMask selects a float64's exponent field; all ones there means
+// NaN or ±Inf.
+const float64ExpMask = 0x7ff << 52
+
+// counters decodes the rest of the buffer — which checkPayload has already
+// proven to be exactly len(dst) words — into dst in one sweep. A NaN or ±Inf
+// counter fails the decode: one poisoned counter would otherwise survive
+// every later merge and replicate to every peer.
+func (r *reader) counters(name string, dst []float64) {
+	if r.err != nil {
+		return
+	}
+	buf := r.buf[:8*len(dst)]
+	for i := range dst {
+		w := binary.BigEndian.Uint64(buf[8*i:])
+		if w&float64ExpMask == float64ExpMask {
+			r.fail("%s: counter %d is not finite", name, i)
+			return
+		}
+		dst[i] = math.Float64frombits(w)
+	}
+	r.buf = r.buf[len(buf):]
+}
+
 // CountMin ------------------------------------------------------------------
 
 // MarshalBinary encodes the sketch: a versioned header carrying the family,
 // conservative flag, width, depth and hash seed, followed by the total mass
 // and the d x w counter matrix.
 func (cm *CountMin) MarshalBinary() ([]byte, error) {
-	w := writer{buf: make([]byte, 0, 6+1+1+4+4+8+8+8*cm.width*cm.depth)}
-	w.header(kindCountMin)
-	w.u8(uint8(cm.family))
-	if cm.conservative {
-		w.u8(1)
-	} else {
-		w.u8(0)
-	}
-	w.u32(uint32(cm.width))
-	w.u32(uint32(cm.depth))
-	w.u64(cm.seed)
-	w.f64(cm.totalMass)
+	buf := make([]byte, 0, countMinHeaderLen+8*cm.width*cm.depth)
+	w := writer{buf: cm.appendEncodingHeader(buf, cm.totalMass)}
 	// The flat counter array is row-major, so this emits exactly the same
 	// row-by-row byte stream as the pre-flat [][]float64 layout did.
 	for _, v := range cm.counts {
 		w.f64(v)
 	}
 	return w.buf, nil
+}
+
+// countMinHeaderLen is how many bytes of a Count-Min encoding precede the
+// counters.
+const countMinHeaderLen = 6 + 1 + 1 + 4 + 4 + 8 + 8
+
+// appendEncodingHeader appends everything MarshalBinary puts ahead of the
+// counters, with the given total mass.
+func (cm *CountMin) appendEncodingHeader(dst []byte, totalMass float64) []byte {
+	var conservative uint8
+	if cm.conservative {
+		conservative = 1
+	}
+	dst = append(appendHeader(dst, kindCountMin), uint8(cm.family), conservative)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(cm.width))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(cm.depth))
+	dst = binary.BigEndian.AppendUint64(dst, cm.seed)
+	return binary.BigEndian.AppendUint64(dst, math.Float64bits(totalMass))
 }
 
 // UnmarshalBinary decodes a sketch produced by MarshalBinary, reconstructing
@@ -287,11 +322,12 @@ func (cm *CountMin) UnmarshalBinary(data []byte) error {
 	if r.err != nil {
 		return r.err
 	}
+	if math.Float64bits(totalMass)&float64ExpMask == float64ExpMask {
+		return fmt.Errorf("sketch: CountMin: total mass is not finite")
+	}
 	out := newCountMinFromSeed(seed, int(width), int(depth), family, conservative)
 	out.totalMass = totalMass
-	for i := range out.counts {
-		out.counts[i] = r.f64()
-	}
+	r.counters("CountMin", out.counts)
 	if err := r.done("CountMin"); err != nil {
 		return err
 	}
@@ -334,9 +370,7 @@ func (cs *CountSketch) UnmarshalBinary(data []byte) error {
 		return r.err
 	}
 	out := newCountSketchFromSeed(seed, int(width), int(depth), family)
-	for i := range out.counts {
-		out.counts[i] = r.f64()
-	}
+	r.counters("CountSketch", out.counts)
 	if err := r.done("CountSketch"); err != nil {
 		return err
 	}
@@ -406,18 +440,33 @@ func (t *HeavyHitterTracker) MarshalBinary() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	items := t.CandidateItems()
-	sort.Slice(items, func(i, j int) bool { return items[i] < items[j] })
-	w := writer{buf: make([]byte, 0, 6+4+4+len(cmBytes)+4+8*len(items))}
-	w.header(kindTracker)
-	w.u32(uint32(t.k))
-	w.u32(uint32(len(cmBytes)))
-	w.buf = append(w.buf, cmBytes...)
+	items := t.sortedCandidates()
+	buf := make([]byte, 0, trackerHeaderLen+len(cmBytes)+4+8*len(items))
+	w := writer{buf: append(t.appendEncodingHeader(buf, len(cmBytes)), cmBytes...)}
 	w.u32(uint32(len(items)))
 	for _, item := range items {
 		w.u64(item)
 	}
 	return w.buf, nil
+}
+
+// trackerHeaderLen is how many bytes of a tracker encoding precede the
+// embedded Count-Min.
+const trackerHeaderLen = 6 + 4 + 4
+
+// appendEncodingHeader appends everything MarshalBinary puts ahead of the
+// embedded Count-Min encoding, which is cmLen bytes long.
+func (t *HeavyHitterTracker) appendEncodingHeader(dst []byte, cmLen int) []byte {
+	dst = binary.BigEndian.AppendUint32(appendHeader(dst, kindTracker), uint32(t.k))
+	return binary.BigEndian.AppendUint32(dst, uint32(cmLen))
+}
+
+// sortedCandidates returns the candidate keys in ascending order, the order
+// they are encoded in.
+func (t *HeavyHitterTracker) sortedCandidates() []uint64 {
+	items := t.CandidateItems()
+	slices.Sort(items)
+	return items
 }
 
 // UnmarshalBinary decodes a tracker produced by MarshalBinary: the embedded
@@ -557,9 +606,9 @@ func (t *IBLT) MarshalBinary() ([]byte, error) {
 // The dense encodings above ship every counter, zero or not — the right call
 // for full snapshots, and the wrong one for snapshot *differences*, which by
 // linearity are valid sketches whose counters are almost all zero (only the
-// buckets touched since the previous snapshot are nonzero). EncodeDelta
-// wraps any encoded sketch in a KindDelta envelope whose payload is a
-// byte-level zero-run-length compression of the inner encoding:
+// buckets touched since the previous snapshot are nonzero). A KindDelta
+// envelope carries a byte-level zero-run-length compression of an inner
+// encoding:
 //
 //	magic   [4]byte  "SKC1"
 //	version uint8    encodingVersion
@@ -568,53 +617,231 @@ func (t *IBLT) MarshalBinary() ([]byte, error) {
 //	tokens           repeated (zeroRun uvarint, litLen uvarint, lit bytes)
 //
 // Each token says "rawLen bytes continue with zeroRun zeros, then litLen
-// literal bytes". Zero counters are eight zero bytes, so a sparse delta
-// compresses by roughly the fraction of untouched counters; a dense sketch
-// round-trips with only a few bytes of overhead. The scheme is agnostic to
-// the inner kind — Count-Min, tracker, dyadic and every future family get
-// sparse deltas for free, and the inner bytes come back verbatim, so the
-// decoded sketch is bit-identical.
+// literal bytes". A literal ends at the next run of >= 4 zeros (shorter zero
+// gaps cost less as literals than as a fresh token pair) or at the end of the
+// input, so the token stream is a pure function of the inner bytes. Zero
+// counters are eight zero bytes, so a sparse delta compresses by roughly the
+// fraction of untouched counters; a dense sketch round-trips with only a few
+// bytes of overhead. The scheme is agnostic to the inner kind — Count-Min,
+// tracker, dyadic and every future family get sparse deltas for free, and the
+// inner bytes come back verbatim, so the decoded sketch is bit-identical.
+//
+// There is one encoder, tokenWriter, and it streams: it is fed the inner
+// encoding piece by piece and never needs it in one buffer. EncodeDelta feeds
+// it an encoding that already exists; AppendDeltaSince (Count-Min and
+// tracker) feeds it the difference of two sketches counter by counter, so the
+// replicator's per-tick delta is cut, encoded and framed in one pass with no
+// difference sketch and no dense encoding in between. On the way back
+// DecodeDeltaInto expands an envelope into a buffer the caller keeps.
+
+// tokenWriter emits the token stream of an inner encoding it is fed in order,
+// as bytes or as 8-byte big-endian words in any mix and at any alignment. At
+// every point the inner bytes seen so far end in exactly one of: a zero run
+// with no literal open (zeros), or an open literal followed by fewer than 4
+// zeros that may yet turn out to be inside it (gap).
+type tokenWriter struct {
+	out   []byte
+	zeros uint64 // zero run ahead of the next literal; open is false
+	open  bool   // a literal is open: its length byte sits at out[at]
+	at    int
+	gap   int // zeros seen since the open literal's last byte, < 4
+}
+
+// zeroRun feeds n zero bytes.
+func (e *tokenWriter) zeroRun(n int) {
+	if !e.open {
+		e.zeros += uint64(n)
+		return
+	}
+	if e.gap += n; e.gap >= 4 {
+		e.closeLiteral()
+		e.zeros, e.gap = uint64(e.gap), 0
+	}
+}
+
+// extendLiteral gets the writer ready for literal bytes to be appended to
+// out: it opens a literal behind the pending zero run, or takes the undecided
+// gap into the open one.
+func (e *tokenWriter) extendLiteral() {
+	if e.open {
+		e.out = append(e.out, "\x00\x00\x00"[:e.gap]...)
+		e.gap = 0
+		return
+	}
+	e.out = binary.AppendUvarint(e.out, e.zeros)
+	e.at = len(e.out)
+	e.out = append(e.out, 0) // the literal's length, patched when it closes
+	e.zeros, e.open = 0, true
+}
+
+// closeLiteral writes the open literal's length ahead of its bytes. One byte
+// was reserved; a literal of 128 bytes or more moves up to make room.
+func (e *tokenWriter) closeLiteral() {
+	n := len(e.out) - e.at - 1
+	if n < 0x80 {
+		e.out[e.at] = byte(n)
+	} else {
+		var v [binary.MaxVarintLen64]byte
+		k := binary.PutUvarint(v[:], uint64(n))
+		e.out = append(e.out, v[1:k]...)
+		copy(e.out[e.at+k:], e.out[e.at+1:e.at+1+n])
+		copy(e.out[e.at:], v[:k])
+	}
+	e.open = false
+}
+
+// byte feeds one inner byte.
+func (e *tokenWriter) byte(b byte) {
+	if b == 0 {
+		e.zeroRun(1)
+		return
+	}
+	e.extendLiteral()
+	e.out = append(e.out, b)
+}
+
+// word feeds the 8 big-endian bytes of w, a run of zero or nonzero bytes at a
+// time — at most a handful of steps however the input is aligned. A word that
+// is a few nonzero bytes and then 4 or more zeros, with no literal open, is a
+// whole token and is written as one: that is an aligned small-integer float64
+// after any zero-ended word, so nearly every counter this system ships.
+func (e *tokenWriter) word(w uint64) {
+	const lo, hi = 0x0101010101010101, 0x8080808080808080
+	if w == 0 {
+		e.zeroRun(8)
+		return
+	}
+	// Bit 7 of each byte of nz says that byte of w is nonzero.
+	nz := (w | ((w | hi) - lo)) & hi
+	if tz := bits.TrailingZeros64(nz) >> 3; tz >= 4 && !e.open && nz == hi<<(8*tz) {
+		out := append(binary.AppendUvarint(e.out, e.zeros), byte(8-tz))
+		e.out = binary.BigEndian.AppendUint64(out, w)[:len(out)+8-tz]
+		e.zeros = uint64(tz)
+		return
+	}
+	// Consumed bytes are shifted out at the top, so what is left of w always
+	// ends in zero bytes.
+	for left := 8; left > 0; {
+		if nz == 0 {
+			e.zeroRun(left)
+			return
+		}
+		if z := bits.LeadingZeros64(nz) >> 3; z > 0 {
+			e.zeroRun(z)
+			w, nz, left = w<<(8*z), nz<<(8*z), left-z
+		}
+		n := bits.LeadingZeros64(^nz&hi) >> 3
+		e.extendLiteral()
+		e.out = binary.BigEndian.AppendUint64(e.out, w)[:len(e.out)+n]
+		w, nz, left = w<<(8*n), nz<<(8*n), left-n
+	}
+}
+
+// bytes feeds a stretch of the inner encoding, eight bytes at a time. Every
+// word is started on a nonzero byte: counters are 8-byte values that lead
+// with their nonzero bytes, so wherever they sit in p the words fall into
+// step with them and take word's whole-token path.
+func (e *tokenWriter) bytes(p []byte) {
+	for len(p) >= 8 {
+		w := binary.BigEndian.Uint64(p)
+		if z := bits.LeadingZeros64(w) >> 3; z > 0 {
+			e.zeroRun(z)
+			p = p[z:]
+			continue
+		}
+		e.word(w)
+		p = p[8:]
+	}
+	for _, b := range p {
+		e.byte(b)
+	}
+}
+
+// finish ends the input — which ends an open literal, wherever it stands —
+// and returns the output.
+func (e *tokenWriter) finish() []byte {
+	if e.open {
+		e.closeLiteral()
+		e.zeros = uint64(e.gap)
+	}
+	if e.zeros > 0 {
+		e.out = append(binary.AppendUvarint(e.out, e.zeros), 0)
+	}
+	return e.out
+}
+
+// appendDeltaHeader appends a KindDelta envelope's fixed header, declaring an
+// inner encoding of rawLen bytes.
+func appendDeltaHeader(dst []byte, rawLen int) []byte {
+	return binary.BigEndian.AppendUint32(appendHeader(dst, kindDelta), uint32(rawLen))
+}
 
 // EncodeDelta wraps an encoded sketch (the output of any MarshalBinary) in
 // the compressed KindDelta envelope. Use it when the sketch is a snapshot
 // difference: mostly-zero counters compress to a small fraction of the dense
 // size.
 func EncodeDelta(inner []byte) []byte {
-	w := writer{buf: make([]byte, 0, 6+4+binary.MaxVarintLen64+len(inner)/4)}
-	w.header(kindDelta)
-	w.u32(uint32(len(inner)))
-	var varint [binary.MaxVarintLen64]byte
-	putUvarint := func(v uint64) {
-		w.buf = append(w.buf, varint[:binary.PutUvarint(varint[:], v)]...)
-	}
-	for i := 0; i < len(inner); {
-		zeros := i
-		for zeros < len(inner) && inner[zeros] == 0 {
-			zeros++
+	dst := make([]byte, 0, 6+4+binary.MaxVarintLen64+len(inner)/4)
+	e := tokenWriter{out: appendDeltaHeader(dst, len(inner))}
+	e.bytes(inner)
+	return e.finish()
+}
+
+// feedDeltaSince feeds e the encoding of the difference cm - base: cm's
+// header with the difference of the masses, then each counter's difference
+// in order, runs of unchanged counters going in as one zero run each.
+func (cm *CountMin) feedDeltaSince(e *tokenWriter, base *CountMin) {
+	var head [countMinHeaderLen]byte
+	e.bytes(cm.appendEncodingHeader(head[:0], cm.totalMass-base.totalMass))
+	zeros := 0
+	for i, v := range cm.counts {
+		w := math.Float64bits(v - base.counts[i])
+		if w == 0 {
+			zeros += 8
+			continue
 		}
-		lit := zeros
-		// A literal run ends at the next stretch of >= 4 zeros (shorter zero
-		// gaps cost less as literals than as a fresh token pair).
-		for lit < len(inner) {
-			if inner[lit] == 0 {
-				end := lit
-				for end < len(inner) && inner[end] == 0 {
-					end++
-				}
-				if end-lit >= 4 || end == len(inner) {
-					break
-				}
-				lit = end
-				continue
-			}
-			lit++
-		}
-		putUvarint(uint64(zeros - i))
-		putUvarint(uint64(lit - zeros))
-		w.buf = append(w.buf, inner[zeros:lit]...)
-		i = lit
+		e.zeroRun(zeros)
+		zeros = 0
+		e.word(w)
 	}
-	return w.buf
+	e.zeroRun(zeros)
+}
+
+// AppendDeltaSince appends to dst the KindDelta envelope of the difference
+// cm - base, byte for byte what EncodeDelta makes of the MarshalBinary of a
+// Copy of cm after Sub(base), without building any of the three: no copy, no
+// difference sketch, no dense encoding. base must share cm's hash functions;
+// like Sub, only dimensions and linearity are checked, and on error dst comes
+// back as it was. An empty base (a Clone) makes the envelope of cm itself.
+func (cm *CountMin) AppendDeltaSince(dst []byte, base *CountMin) ([]byte, error) {
+	if err := cm.subtractable(base); err != nil {
+		return dst, err
+	}
+	e := tokenWriter{out: appendDeltaHeader(dst, countMinHeaderLen+8*len(cm.counts))}
+	cm.feedDeltaSince(&e, base)
+	return e.finish(), nil
+}
+
+// AppendDeltaSince is CountMin.AppendDeltaSince for a tracker: the envelope
+// of t - base as Sub defines it — the difference of the backing counters with
+// t's own candidates riding along — in one pass over the two counter arrays.
+// It is the replicator's whole encode step, and into a dst of enough capacity
+// it allocates only the sorted candidate keys, whatever the width.
+func (t *HeavyHitterTracker) AppendDeltaSince(dst []byte, base *HeavyHitterTracker) ([]byte, error) {
+	if err := t.cm.subtractable(base.cm); err != nil {
+		return dst, err
+	}
+	items := t.sortedCandidates()
+	cmLen := countMinHeaderLen + 8*len(t.cm.counts)
+	e := tokenWriter{out: appendDeltaHeader(dst, trackerHeaderLen+cmLen+4+8*len(items))}
+	var head [trackerHeaderLen]byte
+	e.bytes(t.appendEncodingHeader(head[:0], cmLen))
+	t.cm.feedDeltaSince(&e, base.cm)
+	e.bytes(binary.BigEndian.AppendUint32(head[:0], uint32(len(items))))
+	for _, item := range items {
+		e.word(item)
+	}
+	return e.finish(), nil
 }
 
 // maxDeltaInner is the default DecodeDelta bound on the declared inner
@@ -638,6 +865,15 @@ func DecodeDelta(data []byte) ([]byte, error) {
 // own sketch's dense encoding size, so a forged header cannot demand more
 // memory than a legitimate peer ever would.
 func DecodeDeltaLimit(data []byte, maxInner int) ([]byte, error) {
+	return DecodeDeltaInto(nil, data, maxInner)
+}
+
+// DecodeDeltaInto is DecodeDeltaLimit decoding into buf's backing array when
+// the declared inner length fits its capacity (whatever buf held is cleared
+// first) and into a fresh allocation when it does not. The result shares no
+// memory with data. On error it returns nil; buf is the caller's to reuse
+// either way.
+func DecodeDeltaInto(buf, data []byte, maxInner int) ([]byte, error) {
 	r := reader{buf: data}
 	if !r.expectHeader(kindDelta, "Delta") {
 		return nil, r.err
@@ -652,32 +888,41 @@ func DecodeDeltaLimit(data []byte, maxInner int) ([]byte, error) {
 	if rawLen > uint32(maxInner) {
 		return nil, fmt.Errorf("sketch: Delta: inner length %d exceeds limit %d", rawLen, maxInner)
 	}
-	inner := make([]byte, 0, rawLen)
-	buf := r.buf
-	for len(buf) > 0 {
-		zeros, n := binary.Uvarint(buf)
+	// The zero runs are the cleared buffer showing through: only literals are
+	// written.
+	var inner []byte
+	if uint64(cap(buf)) >= uint64(rawLen) {
+		inner = buf[:rawLen]
+		clear(inner)
+	} else {
+		inner = make([]byte, rawLen)
+	}
+	pos, tokens := uint64(0), r.buf
+	for len(tokens) > 0 {
+		zeros, n := binary.Uvarint(tokens)
 		if n <= 0 {
 			return nil, fmt.Errorf("sketch: Delta: malformed zero-run length")
 		}
-		buf = buf[n:]
-		lit, n := binary.Uvarint(buf)
+		tokens = tokens[n:]
+		lit, n := binary.Uvarint(tokens)
 		if n <= 0 {
 			return nil, fmt.Errorf("sketch: Delta: malformed literal length")
 		}
-		buf = buf[n:]
-		remaining := uint64(rawLen) - uint64(len(inner))
+		tokens = tokens[n:]
+		remaining := uint64(rawLen) - pos
 		if zeros > remaining || lit > remaining-zeros {
 			return nil, fmt.Errorf("sketch: Delta: token overruns declared inner length %d", rawLen)
 		}
-		if uint64(len(buf)) < lit {
-			return nil, fmt.Errorf("sketch: Delta: truncated literal run (need %d bytes, have %d)", lit, len(buf))
+		if uint64(len(tokens)) < lit {
+			return nil, fmt.Errorf("sketch: Delta: truncated literal run (need %d bytes, have %d)", lit, len(tokens))
 		}
-		inner = append(inner, make([]byte, zeros)...)
-		inner = append(inner, buf[:lit]...)
-		buf = buf[lit:]
+		pos += zeros
+		copy(inner[pos:], tokens[:lit])
+		pos += lit
+		tokens = tokens[lit:]
 	}
-	if uint32(len(inner)) != rawLen {
-		return nil, fmt.Errorf("sketch: Delta: payload decompresses to %d bytes, header claims %d", len(inner), rawLen)
+	if pos != uint64(rawLen) {
+		return nil, fmt.Errorf("sketch: Delta: payload decompresses to %d bytes, header claims %d", pos, rawLen)
 	}
 	return inner, nil
 }

@@ -2,6 +2,8 @@ package sketch
 
 import (
 	"bytes"
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/hashing"
@@ -539,5 +541,65 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 	w.u64(0)       // totalMass
 	if err := target.UnmarshalBinary(w.buf); err == nil {
 		t.Error("petabyte-scale header on a 32-byte buffer: expected error, got nil")
+	}
+}
+
+// TestUnmarshalRefusesNonFiniteCounters: a NaN or ±Inf in any counter, or in
+// the Count-Min's total mass, fails the decode of every family that carries
+// float64 counters and leaves the target as it was; finite extremes decode.
+func TestUnmarshalRefusesNonFiniteCounters(t *testing.T) {
+	poison := []float64{
+		math.Inf(1), math.Inf(-1), math.NaN(),
+		math.Float64frombits(0x7ff0000000000001), // signalling NaN
+		math.Float64frombits(0xfff8000000000000), // negative quiet NaN
+	}
+	for name, build := range map[string]func(v float64) (codec, codec){
+		"CountMin counter": func(v float64) (codec, codec) {
+			cm := NewCountMin(xrand.New(1), 8, 2)
+			cm.counts[len(cm.counts)-1] = v
+			return cm, cm.Clone()
+		},
+		"CountMin mass": func(v float64) (codec, codec) {
+			cm := NewCountMin(xrand.New(1), 8, 2)
+			cm.totalMass = v
+			return cm, cm.Clone()
+		},
+		"CountSketch": func(v float64) (codec, codec) {
+			cs := NewCountSketch(xrand.New(1), 8, 3)
+			cs.counts[0] = v
+			return cs, cs.Clone()
+		},
+		"Tracker": func(v float64) (codec, codec) {
+			tr := NewHeavyHitterTracker(xrand.New(1), 8, 2, 4)
+			tr.cm.counts[3] = v
+			return tr, tr.Clone()
+		},
+		"Dyadic": func(v float64) (codec, codec) {
+			dy := NewDyadic(xrand.New(1), 4, 8, 2)
+			dy.levels[2].counts[5] = v
+			return dy, dy.Clone()
+		},
+	} {
+		for _, v := range poison {
+			src, target := build(v)
+			data, err := src.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			before, _ := target.MarshalBinary()
+			if err := target.UnmarshalBinary(data); err == nil || !strings.Contains(err.Error(), "not finite") {
+				t.Errorf("%s = %#x: err = %v, want a not-finite refusal", name, math.Float64bits(v), err)
+			}
+			if after, _ := target.MarshalBinary(); !bytes.Equal(before, after) {
+				t.Errorf("%s = %#x: the refused decode changed its target", name, math.Float64bits(v))
+			}
+		}
+		for _, v := range []float64{math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64, math.Copysign(0, -1)} {
+			src, target := build(v)
+			data, _ := src.MarshalBinary()
+			if err := target.UnmarshalBinary(data); err != nil {
+				t.Errorf("%s = %v: finite value refused: %v", name, v, err)
+			}
+		}
 	}
 }

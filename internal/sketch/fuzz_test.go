@@ -3,6 +3,7 @@ package sketch
 import (
 	"bytes"
 	"encoding"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -21,6 +22,8 @@ import (
 //     original bytes may differ from the first re-encoding only in
 //     non-canonical freedom the format allows, e.g. a conservative-flag
 //     byte of 2 or duplicate candidate items; one decode normalizes that.)
+//  3. no poison — an accepted float-counter sketch holds only finite
+//     counters and mass: a NaN or ±Inf would survive every later merge.
 //
 // The corpus is seeded with the golden fixtures, so the fuzzer starts from
 // every family's real wire format and mutates inward.
@@ -58,10 +61,30 @@ func seedGoldenCorpus(f *testing.F) {
 	}
 }
 
+// floatCounters returns every float64 counter (and mass) a decoded sketch
+// holds; nil for the families that count in integers or bits.
+func floatCounters(s codec) []float64 {
+	switch s := s.(type) {
+	case *CountMin:
+		return append(s.counts[:len(s.counts):len(s.counts)], s.totalMass)
+	case *CountSketch:
+		return s.counts
+	case *HeavyHitterTracker:
+		return floatCounters(s.cm)
+	case *Dyadic:
+		var all []float64
+		for _, cm := range s.levels {
+			all = append(all, floatCounters(cm)...)
+		}
+		return all
+	}
+	return nil
+}
+
 // FuzzUnmarshalBinary throws arbitrary bytes at every family's decoder.
 // PeekKind must classify or reject without panicking; each decoder must
-// either error or produce a sketch whose re-encoding is a stable fixed
-// point.
+// either error or produce a sketch of finite counters whose re-encoding is a
+// stable fixed point.
 func FuzzUnmarshalBinary(f *testing.F) {
 	seedGoldenCorpus(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -70,6 +93,11 @@ func FuzzUnmarshalBinary(f *testing.F) {
 			s := fresh()
 			if err := s.UnmarshalBinary(data); err != nil {
 				continue // rejected: fine, as long as it didn't panic
+			}
+			for i, v := range floatCounters(s) {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Fatalf("%s: decoded with non-finite counter %d = %v", name, i, v)
+				}
 			}
 			enc1, err := s.MarshalBinary()
 			if err != nil {
@@ -92,8 +120,9 @@ func FuzzUnmarshalBinary(f *testing.F) {
 
 // FuzzDecodeDelta attacks the zero-RLE delta envelope: arbitrary bytes must
 // decode-or-error without panicking (with a tight inner-length cap so a
-// forged header cannot demand gigabytes), and any recovered inner encoding
-// must survive EncodeDelta/DecodeDelta verbatim.
+// forged header cannot demand gigabytes), decoding into a dirty, oversized
+// reused buffer must give what a fresh decode gives (errors included), and
+// any recovered inner encoding must survive EncodeDelta/DecodeDelta verbatim.
 func FuzzDecodeDelta(f *testing.F) {
 	seedGoldenCorpus(f)
 	// Also seed well-formed envelopes so the fuzzer sees the real format,
@@ -104,8 +133,19 @@ func FuzzDecodeDelta(f *testing.F) {
 			f.Add(EncodeDelta(data))
 		}
 	}
+	dirty := make([]byte, 1<<16) // larger than most inner encodings the corpus yields, smaller than some
 	f.Fuzz(func(t *testing.T, data []byte) {
 		inner, err := DecodeDeltaLimit(data, 1<<20)
+		for i := range dirty {
+			dirty[i] = 0xA5
+		}
+		reused, reusedErr := DecodeDeltaInto(dirty, data, 1<<20)
+		if (err == nil) != (reusedErr == nil) || (err != nil && err.Error() != reusedErr.Error()) {
+			t.Fatalf("fresh decode says %v, decode into a reused buffer says %v", err, reusedErr)
+		}
+		if !bytes.Equal(inner, reused) {
+			t.Fatalf("decode into a dirty buffer differs from a fresh decode (%d vs %d bytes)", len(reused), len(inner))
+		}
 		if err != nil {
 			return
 		}
