@@ -80,12 +80,16 @@
 // families via NewCountMin/NewCountSketch/NewTracker/NewDyadic, or a
 // caller's own — gets all of this through NewLinear.
 //
-// Linearity also runs in reverse: DeltaSnapshot subtracts a retained
-// baseline from the current barrier snapshot, yielding a sketch of exactly
-// the updates absorbed since the baseline was cut. That difference is what
-// gossiping sketchd peers ship instead of full state (internal/server's
-// replicator): mostly-zero counters compress well, and the receiving peer
-// folds the delta in with the ordinary exact merge. The subtraction happens
-// after the barrier releases the workers, so keeping deltas flowing costs
-// the ingestion hot path nothing.
+// What the engine is, then, is three things and no more: local ingest
+// (producer handles into the shards), the barrier Snapshot, and the
+// epoch-pinned read path over it (ReadSnapshot/EstimateBatch, see read.go).
+// It holds the updates ingested through its own producers and nothing else.
+// A sketch that arrives from outside — a peer's snapshot or gossip delta, a
+// recovered file — passes DecodeReplica, the compatibility gatekeeper, and
+// stays with the caller: by the law above the sum can be taken whenever it
+// is needed (internal/server keeps one such "foreign" sketch and adds it to
+// the engine's snapshot when it serves). The same law makes the difference
+// of two snapshots a sketch of exactly the updates between them, which is
+// what gossiping sketchd peers ship; that too is cut by the caller, from
+// snapshots it retains, and costs the ingestion hot path nothing.
 package engine

@@ -35,7 +35,7 @@ type Config struct {
 	// partition.go. Reads are bit-identical between the modes for the same
 	// stream and seed. Only the column-partitionable families support it
 	// (CountMin without conservative update, CountSketch, Dyadic, the
-	// heavy-hitter tracker); the generic New refuses it.
+	// heavy-hitter tracker); NewLinear refuses it for any other type.
 	Partition bool
 }
 
@@ -54,16 +54,6 @@ func (c Config) withDefaults() Config {
 
 // ErrClosed is returned by operations on an engine after Close.
 var ErrClosed = errors.New("engine: closed")
-
-// ErrNoCodec is returned by SnapshotEncoded and MergeEncoded on engines
-// built with New directly: only the convenience constructors know how to
-// serialize their concrete replica type. Register one with WithCodec.
-var ErrNoCodec = errors.New("engine: replica type has no binary codec registered")
-
-// ErrNoDelta is returned by DeltaSnapshot on engines built with New
-// directly and no subtraction registered via WithDelta. The convenience
-// constructors register the replica type's Sub automatically.
-var ErrNoDelta = errors.New("engine: replica type has no subtraction registered")
 
 // batch is a pair of parallel key/delta columns — the unit of work handed to
 // a shard. Columns, not records: the worker passes them straight to the
@@ -85,7 +75,7 @@ type op struct {
 }
 
 // shard is one worker goroutine and its private sketch replica.
-type shard[S any] struct {
+type shard[S LinearSketch[S]] struct {
 	ch      chan op
 	replica S
 	done    chan struct{}
@@ -97,31 +87,27 @@ type shard[S any] struct {
 //
 // Ingestion is multi-producer: any number of goroutines may feed the engine
 // concurrently, each through its own handle from Producer (the handle owns a
-// private batch buffer, so the hot path shares no locks). Snapshot, Absorb
-// and the encoded variants are safe to call while producers are ingesting;
-// they cut a consistent barrier across the shard queues. The engine-level
+// private batch buffer, so the hot path shares no locks). Snapshot and
+// ReadSnapshot are safe to call while producers are ingesting; they cut a
+// consistent barrier across the shard queues. The engine-level
 // Update/UpdateBatch/UpdateColumns/Flush methods are a convenience for single-goroutine
 // callers — they ride the engine's own producer handle and must not be used
 // concurrently (with each other or with Snapshot/Close); concurrent
 // ingesters take handles instead.
-type Engine[S any] struct {
+type Engine[S LinearSketch[S]] struct {
 	cfg    Config
 	shards []*shard[S]
 
-	newReplica func() S
-	apply      func(S, []uint64, []float64)
-	merge      func(dst, src S) error
-	sub        func(dst, src S) error // nil unless registered via WithDelta
-
-	// encode/decode translate a replica to and from the versioned binary
-	// sketch encoding; nil unless registered via WithCodec.
-	encode func(S) ([]byte, error)
+	// proto is the prototype every replica is cloned from; only ever read.
+	proto S
+	// decode deserializes a replica and rejects one incompatible with proto
+	// (see DecodeReplica).
 	decode func([]byte) (S, error)
 
 	free chan batch // recycled column pairs, shared by all producers
 
 	// mu serializes the engine's structural transitions — producer
-	// registration, barriers (Snapshot/Absorb) and the Close handshake. The
+	// registration, barriers (Snapshot) and the Close handshake. The
 	// ingestion hot path never touches it: producers talk straight to the
 	// shard channels.
 	mu        sync.Mutex
@@ -137,9 +123,9 @@ type Engine[S any] struct {
 	// the snapshot's side of every cut. Producers only ever share it read-read
 	// on the hot path.
 	dispatchMu sync.RWMutex
-	// writeGen counts dispatched batches (and absorbed replicas): it is the
-	// engine's write generation. A published read epoch whose gen equals
-	// writeGen is current; any later dispatch invalidates it by bumping.
+	// writeGen counts dispatched batches: it is the engine's write generation.
+	// A published read epoch whose gen equals writeGen is current; any later
+	// dispatch invalidates it by bumping.
 	writeGen atomic.Uint64
 	// cutGen is writeGen captured at the last barrier cut — the generation of
 	// the state a snapshot taken at that barrier observes. Guarded by e.mu
@@ -161,37 +147,6 @@ type Engine[S any] struct {
 	def *Producer[S] // backs the engine-level convenience ingestion methods
 }
 
-// New creates an engine over an arbitrary replica type. newReplica must
-// return an empty replica sharing hash functions with every other replica it
-// returns (for the sketch types, a closure over prototype.Clone()); apply
-// folds a batch of updates — parallel key/delta columns — into a replica;
-// merge adds src into dst.
-func New[S any](cfg Config, newReplica func() S, apply func(S, []uint64, []float64), merge func(dst, src S) error) *Engine[S] {
-	cfg = cfg.withDefaults()
-	if cfg.Partition {
-		panic("engine: partition mode needs a column-partitionable family; build with NewLinear or a family constructor")
-	}
-	e := &Engine[S]{
-		cfg:        cfg,
-		shards:     make([]*shard[S], cfg.Workers),
-		newReplica: newReplica,
-		apply:      apply,
-		merge:      merge,
-		free:       make(chan batch, cfg.Workers*cfg.QueueDepth+1),
-	}
-	for i := range e.shards {
-		sh := &shard[S]{
-			ch:      make(chan op, cfg.QueueDepth),
-			replica: newReplica(),
-			done:    make(chan struct{}),
-		}
-		e.shards[i] = sh
-		go e.run(sh)
-	}
-	e.def = e.Producer()
-	return e
-}
-
 // run is the worker loop: apply batches in arrival order, honor barriers.
 func (e *Engine[S]) run(sh *shard[S]) {
 	defer close(sh.done)
@@ -201,7 +156,7 @@ func (e *Engine[S]) run(sh *shard[S]) {
 			<-o.resume
 			continue
 		}
-		e.apply(sh.replica, o.b.items, o.b.deltas)
+		sh.replica.UpdateBatch(o.b.items, o.b.deltas)
 		// Recycle the columns if the free list has room; drop them otherwise.
 		select {
 		case e.free <- batch{items: o.b.items[:0], deltas: o.b.deltas[:0]}:
@@ -228,7 +183,7 @@ func (e *Engine[S]) run(sh *shard[S]) {
 // columns, UpdateColumns bulk-copies caller columns, and a full buffer is
 // handed to a shard whole, where it flows unchanged into the replica's
 // batched update path.
-type Producer[S any] struct {
+type Producer[S LinearSketch[S]] struct {
 	e      *Engine[S]
 	cur    batch
 	next   int
@@ -509,10 +464,10 @@ func (e *Engine[S]) snapshotLocked() (S, error) {
 	if e.part != nil {
 		return e.partSnapshot()
 	}
-	out := e.newReplica()
+	out := e.proto.Clone()
 	err := e.barrier(func() error {
 		for i, sh := range e.shards {
-			if mergeErr := e.merge(out, sh.replica); mergeErr != nil {
+			if mergeErr := out.Merge(sh.replica); mergeErr != nil {
 				return fmt.Errorf("engine: merging shard %d: %w", i, mergeErr)
 			}
 		}
@@ -524,160 +479,14 @@ func (e *Engine[S]) snapshotLocked() (S, error) {
 	return out, nil
 }
 
-// WithCodec registers encode/decode functions translating the replica type
-// to and from its binary sketch encoding, enabling SnapshotEncoded and
-// MergeEncoded. The convenience constructors register codecs automatically;
-// callers of the generic New can supply their own. Returns the engine for
-// chaining.
-func (e *Engine[S]) WithCodec(encode func(S) ([]byte, error), decode func([]byte) (S, error)) *Engine[S] {
-	e.encode = encode
-	e.decode = decode
-	return e
-}
-
-// WithDelta registers a subtraction function (dst -= src, counter-wise),
-// enabling DeltaSnapshot. The convenience constructors register the replica
-// type's Sub automatically. Returns the engine for chaining.
-func (e *Engine[S]) WithDelta(sub func(dst, src S) error) *Engine[S] {
-	e.sub = sub
-	return e
-}
-
-// DeltaSnapshot returns the current exact snapshot (see Snapshot) together
-// with its counter-wise difference from baseline: by linearity the delta is
-// itself a valid sketch — of exactly the updates the engine has absorbed
-// since baseline was cut — so it can be shipped to a peer that already
-// holds baseline and folded in with an ordinary merge. baseline must be a
-// replica sharing the engine's hash functions (an earlier DeltaSnapshot's
-// snap, or an empty clone for "everything so far"); it is read, never
-// written.
-//
-// The barrier stalls producers only for the merge of the shard replicas,
-// exactly as Snapshot does; the subtraction runs after the workers have
-// resumed, so retaining a baseline costs the hot path nothing. Callers that
-// gossip on a timer keep the returned snap as the next tick's baseline —
-// the delta then telescopes: baseline + delta equals snap counter for
-// counter (bit for bit whenever counter sums are exact in float64, e.g.
-// integer-valued streams).
-func (e *Engine[S]) DeltaSnapshot(baseline S) (snap, delta S, err error) {
-	var zero S
-	if e.sub == nil {
-		return zero, zero, ErrNoDelta
-	}
-	snap, err = e.Snapshot()
-	if err != nil {
-		return zero, zero, err
-	}
-	delta = e.newReplica()
-	if err = e.merge(delta, snap); err != nil {
-		return zero, zero, fmt.Errorf("engine: copying snapshot for delta: %w", err)
-	}
-	if err = e.sub(delta, baseline); err != nil {
-		return zero, zero, fmt.Errorf("engine: subtracting delta baseline: %w", err)
-	}
-	return snap, delta, nil
-}
-
-// DecodeReplica decodes a serialized replica with the engine's registered
-// codec — the same decoder MergeEncoded trusts as the gatekeeper for
-// incompatible sketches — without folding it in. Transports use it when
-// they need the decoded replica itself (to account for it separately, then
-// Absorb it). It requires a codec (ErrNoCodec otherwise).
+// DecodeReplica deserializes a replica with the decoder the engine was built
+// with — the gatekeeper that rejects malformed bytes and sketches whose seed,
+// shape or kind differ from the engine's own — without folding it in. The
+// engine ingests local updates only: a transport that receives a sketch from
+// outside decodes it here and keeps it beside the engine, adding it to a
+// Snapshot when the sum is needed.
 func (e *Engine[S]) DecodeReplica(data []byte) (S, error) {
-	var zero S
-	if e.decode == nil {
-		return zero, ErrNoCodec
-	}
 	return e.decode(data)
-}
-
-// Absorb folds an externally built replica — a peer process's deserialized
-// snapshot, a recovered on-disk shard — into the engine without stopping
-// ingestion. Linearity makes this exact: absorbing src is indistinguishable
-// from having ingested src's stream through the engine itself. src must
-// share hash functions with the engine's replicas; the merge function is
-// responsible for rejecting incompatible sketches. Like Snapshot, Absorb is
-// safe to call while producers are ingesting.
-func (e *Engine[S]) Absorb(src S) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
-		return ErrClosed
-	}
-	e.def.Flush()
-	if e.part != nil {
-		return e.partAbsorb(src)
-	}
-	return e.barrier(func() error {
-		if err := e.merge(e.shards[0].replica, src); err != nil {
-			return fmt.Errorf("engine: absorbing replica: %w", err)
-		}
-		// An absorb changes the readable state like a dispatch does: bump the
-		// write generation (inside the barrier, so no reader can publish an
-		// epoch that includes the absorbed mass under the old gen or vice
-		// versa) to invalidate any pinned read epoch.
-		e.writeGen.Add(1)
-		return nil
-	})
-}
-
-// AbsorbSub is Absorb with the sign flipped: it subtracts an externally
-// built replica from the engine without stopping ingestion. Linearity makes
-// the subtraction exact too — replication transports use it to retract mass
-// they previously absorbed from a peer before re-absorbing that peer's
-// authoritative full state, so a resynchronization never double-counts.
-// It requires a subtraction registered via WithDelta (ErrNoDelta otherwise).
-func (e *Engine[S]) AbsorbSub(src S) error {
-	if e.sub == nil {
-		return ErrNoDelta
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
-		return ErrClosed
-	}
-	e.def.Flush()
-	if e.part != nil {
-		return e.partAbsorbSub(src)
-	}
-	return e.barrier(func() error {
-		if err := e.sub(e.shards[0].replica, src); err != nil {
-			return fmt.Errorf("engine: subtracting replica: %w", err)
-		}
-		// Same epoch discipline as Absorb: the readable state changed, so
-		// bump the write generation inside the barrier.
-		e.writeGen.Add(1)
-		return nil
-	})
-}
-
-// MergeEncoded decodes a serialized replica (for example the bytes of a
-// peer's snapshot) and folds it in via Absorb. It requires a codec
-// (ErrNoCodec otherwise) and returns the decoder's error verbatim on
-// malformed or incompatible input, leaving the engine state untouched.
-func (e *Engine[S]) MergeEncoded(data []byte) error {
-	if e.decode == nil {
-		return ErrNoCodec
-	}
-	src, err := e.decode(data)
-	if err != nil {
-		return err
-	}
-	return e.Absorb(src)
-}
-
-// SnapshotEncoded returns the exact merged snapshot (see Snapshot) in the
-// replica type's versioned binary encoding, ready to ship to a peer or to
-// disk. It requires a codec (ErrNoCodec otherwise).
-func (e *Engine[S]) SnapshotEncoded() ([]byte, error) {
-	if e.encode == nil {
-		return nil, ErrNoCodec
-	}
-	snap, err := e.Snapshot()
-	if err != nil {
-		return nil, err
-	}
-	return e.encode(snap)
 }
 
 // Close flushes the engine's own handle, waits for every Producer handle to
@@ -708,9 +517,9 @@ func (e *Engine[S]) Close() (S, error) {
 	for _, sh := range e.shards {
 		<-sh.done
 	}
-	out := e.newReplica()
+	out := e.proto.Clone()
 	for i, sh := range e.shards {
-		if err := e.merge(out, sh.replica); err != nil {
+		if err := out.Merge(sh.replica); err != nil {
 			return zero, fmt.Errorf("engine: merging shard %d: %w", i, err)
 		}
 	}
@@ -723,9 +532,7 @@ func (e *Engine[S]) Close() (S, error) {
 // engine: batch-updatable (parallel key/delta columns — the shard workers
 // hand whole batches to UpdateBatch, which is where the vectorizable hash
 // kernels live), clonable (empty replica, same hash functions), mergeable
-// and subtractable (exact counter addition and its inverse, which is what
-// DeltaSnapshot ships between gossiping peers) and serializable (the
-// versioned binary encoding).
+// (exact counter addition) and serializable (the versioned binary encoding).
 // Every linear family in internal/sketch — CountMin, CountSketch, the
 // heavy-hitter tracker, the dyadic hierarchy — satisfies it; NewLinear turns
 // any of them, or a caller's own type, into an engine.
@@ -734,15 +541,13 @@ type LinearSketch[S any] interface {
 	UpdateBatch(items []uint64, deltas []float64)
 	Clone() S
 	Merge(src S) error
-	Sub(src S) error
 	MarshalBinary() ([]byte, error)
 }
 
 // NewLinear builds an engine whose shards are clones of proto (sharing its
-// hash functions; proto itself is never written to), with the replica's own
-// MarshalBinary as the snapshot encoder. decode reverses it: it must
-// deserialize a replica and reject sketches incompatible with proto — the
-// engine trusts it as the gatekeeper for MergeEncoded.
+// hash functions; proto itself is never written to). decode reverses the
+// replica's MarshalBinary: it must deserialize a replica and reject sketches
+// incompatible with proto — DecodeReplica trusts it as the gatekeeper.
 //
 // With cfg.Partition set, the workers own column slices of one logical
 // sketch instead of full clones; proto must then implement
@@ -751,22 +556,24 @@ type LinearSketch[S any] interface {
 // replica mode for the same stream and seed.
 func NewLinear[S LinearSketch[S]](cfg Config, proto S, decode func([]byte) (S, error)) *Engine[S] {
 	cfg = cfg.withDefaults()
-	var e *Engine[S]
+	e := &Engine[S]{cfg: cfg, proto: proto, decode: decode}
 	if cfg.Partition {
-		e = newPartitioned(cfg, proto)
+		e.startPartitioned()
 	} else {
-		e = New(cfg,
-			func() S { return proto.Clone() },
-			func(s S, items []uint64, deltas []float64) { s.UpdateBatch(items, deltas) },
-			func(dst, src S) error { return dst.Merge(src) },
-		)
+		e.shards = make([]*shard[S], cfg.Workers)
+		e.free = make(chan batch, cfg.Workers*cfg.QueueDepth+1)
+		for i := range e.shards {
+			sh := &shard[S]{
+				ch:      make(chan op, cfg.QueueDepth),
+				replica: proto.Clone(),
+				done:    make(chan struct{}),
+			}
+			e.shards[i] = sh
+			go e.run(sh)
+		}
 	}
-	return e.WithCodec(
-		func(s S) ([]byte, error) { return s.MarshalBinary() },
-		decode,
-	).WithDelta(
-		func(dst, src S) error { return dst.Sub(src) },
-	)
+	e.def = e.Producer()
+	return e
 }
 
 // NewCountMin builds an engine over Count-Min replicas. proto must not use

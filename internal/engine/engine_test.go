@@ -190,84 +190,6 @@ func TestSnapshotDuringConcurrentIngest(t *testing.T) {
 	}
 }
 
-// TestDeltaSnapshotTelescopes: DeltaSnapshot against a retained baseline
-// must yield deltas that (a) summarize exactly the updates between the two
-// cuts and (b) telescope — baseline plus delta equals the new snapshot
-// counter for counter. This is the gossip replicator's contract.
-func TestDeltaSnapshotTelescopes(t *testing.T) {
-	proto := sketch.NewCountMin(xrand.New(41), 512, 4)
-	eng := NewCountMin(Config{Workers: 3, BatchSize: 64}, proto)
-	s := newZipf(43, 1<<14, 30_000)
-
-	baseline := proto.Clone() // empty: the first delta is "everything so far"
-	reference := proto.Clone()
-	cut := len(s.Updates) / 3
-
-	ingest := func(updates []stream.Update) {
-		for _, u := range updates {
-			eng.Update(u.Item, float64(u.Delta))
-			reference.Update(u.Item, float64(u.Delta))
-		}
-		eng.Flush()
-	}
-
-	ingest(s.Updates[:cut])
-	snap1, delta1, err := eng.DeltaSnapshot(baseline)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// First delta from an empty baseline is the full state.
-	if !countersEqual(delta1.Counters(), snap1.Counters()) {
-		t.Fatal("first delta from an empty baseline differs from the snapshot")
-	}
-
-	ingest(s.Updates[cut:])
-	snap2, delta2, err := eng.DeltaSnapshot(snap1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !countersEqual(snap2.Counters(), reference.Counters()) {
-		t.Fatal("second snapshot differs from the single-threaded reference")
-	}
-	// The tail-only sketch must equal the second delta exactly.
-	tail := proto.Clone()
-	for _, u := range s.Updates[cut:] {
-		tail.Update(u.Item, float64(u.Delta))
-	}
-	if !countersEqual(delta2.Counters(), tail.Counters()) {
-		t.Fatal("delta between cuts differs from the tail-only sketch")
-	}
-	// Telescoping: a peer that folded delta1 then delta2 holds snap2.
-	peer := proto.Clone()
-	if err := peer.Merge(delta1); err != nil {
-		t.Fatal(err)
-	}
-	if err := peer.Merge(delta2); err != nil {
-		t.Fatal(err)
-	}
-	if !countersEqual(peer.Counters(), snap2.Counters()) {
-		t.Fatal("baseline + deltas do not reconstruct the snapshot")
-	}
-	if _, err := eng.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestDeltaSnapshotRequiresRegistration: engines built with the generic New
-// and no WithDelta must refuse DeltaSnapshot with ErrNoDelta.
-func TestDeltaSnapshotRequiresRegistration(t *testing.T) {
-	proto := sketch.NewCountMin(xrand.New(47), 64, 2)
-	eng := New(Config{Workers: 1},
-		func() *sketch.CountMin { return proto.Clone() },
-		func(s *sketch.CountMin, items []uint64, deltas []float64) { s.UpdateBatch(items, deltas) },
-		func(dst, src *sketch.CountMin) error { return dst.Merge(src) },
-	)
-	defer eng.Close()
-	if _, _, err := eng.DeltaSnapshot(proto.Clone()); err != ErrNoDelta {
-		t.Fatalf("DeltaSnapshot without WithDelta: got %v, want ErrNoDelta", err)
-	}
-}
-
 // TestDyadicEngineIsExact: the NewDyadic constructor — levels are CountMins,
 // so the clone/merge law applies level-wise and the sharded hierarchy
 // answers quantile and range queries exactly like the single-threaded one.
@@ -314,9 +236,9 @@ func TestDyadicEngineIsExact(t *testing.T) {
 	}
 }
 
-// TestDyadicEngineWireMerge: the Dyadic codec registered by NewDyadic —
-// SnapshotEncoded bytes from one engine fold into another via MergeEncoded,
-// and incompatible hierarchies are refused.
+// TestDyadicEngineWireMerge: the Dyadic decoder NewDyadic installs — one
+// engine's encoded snapshot passes another's DecodeReplica and merges into its
+// snapshot exactly, and incompatible hierarchies are refused.
 func TestDyadicEngineWireMerge(t *testing.T) {
 	proto := sketch.NewDyadic(xrand.New(27), 10, 128, 3)
 	single := proto.Clone()
@@ -333,18 +255,15 @@ func TestDyadicEngineWireMerge(t *testing.T) {
 			engB.Update(u.Item, float64(u.Delta))
 		}
 	}
-	wire, err := engB.SnapshotEncoded()
-	if err != nil {
-		t.Fatal(err)
-	}
+	wire := snapshotBytes(t, engB)
 	if _, err := engB.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := engA.MergeEncoded(wire); err != nil {
 		t.Fatal(err)
 	}
 	merged, err := engA.Close()
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mergeOverWire(engA, merged, wire); err != nil {
 		t.Fatal(err)
 	}
 	for item := uint64(0); item < 1<<10; item += 7 {
@@ -359,14 +278,14 @@ func TestDyadicEngineWireMerge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := engC.MergeEncoded(foreign); err == nil {
+	if _, err := engC.DecodeReplica(foreign); err == nil {
 		t.Error("foreign hash seeds: expected error")
 	}
 	wrongU, err := sketch.NewDyadic(xrand.New(27), 11, 128, 3).MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := engC.MergeEncoded(wrongU); err == nil {
+	if _, err := engC.DecodeReplica(wrongU); err == nil {
 		t.Error("mismatched universe: expected error")
 	}
 	if _, err := engC.Close(); err != nil {
@@ -558,39 +477,9 @@ func TestUpdateColumnsLengthMismatchPanics(t *testing.T) {
 	eng.UpdateColumns(make([]uint64, 3), make([]float64, 2))
 }
 
-// TestAbsorbIsExact: folding an externally built replica into a running
-// engine must be indistinguishable from having ingested its stream directly.
-func TestAbsorbIsExact(t *testing.T) {
-	proto := sketch.NewCountMin(xrand.New(11), 256, 4)
-	single := proto.Clone()
-	s := newZipf(12, 1<<12, 40_000)
-	half := len(s.Updates) / 2
-
-	external := proto.Clone()
-	eng := NewCountMin(Config{Workers: 3, BatchSize: 100}, proto)
-	for i, u := range s.Updates {
-		single.Update(u.Item, float64(u.Delta))
-		if i < half {
-			eng.Update(u.Item, float64(u.Delta))
-		} else {
-			external.Update(u.Item, float64(u.Delta))
-		}
-	}
-	if err := eng.Absorb(external); err != nil {
-		t.Fatal(err)
-	}
-	merged, err := eng.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !countersEqual(single.Counters(), merged.Counters()) {
-		t.Fatal("absorbed engine differs from single-threaded sketch")
-	}
-}
-
-// TestMergeEncodedAndSnapshotEncoded: the wire-format path through the
-// engine — SnapshotEncoded bytes from one engine fold into another via
-// MergeEncoded, reproducing the single-threaded sketch exactly.
+// TestMergeEncodedAndSnapshotEncoded: the wire-format path between two
+// engines — one's encoded snapshot, decoded by the other's DecodeReplica and
+// merged into its snapshot, reproduces the single-threaded sketch exactly.
 func TestMergeEncodedAndSnapshotEncoded(t *testing.T) {
 	proto := sketch.NewCountMin(xrand.New(13), 256, 4)
 	single := proto.Clone()
@@ -607,18 +496,15 @@ func TestMergeEncodedAndSnapshotEncoded(t *testing.T) {
 			engB.Update(u.Item, float64(u.Delta))
 		}
 	}
-	wire, err := engB.SnapshotEncoded()
-	if err != nil {
-		t.Fatal(err)
-	}
+	wire := snapshotBytes(t, engB)
 	if _, err := engB.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := engA.MergeEncoded(wire); err != nil {
 		t.Fatal(err)
 	}
 	merged, err := engA.Close()
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mergeOverWire(engA, merged, wire); err != nil {
 		t.Fatal(err)
 	}
 	if !countersEqual(single.Counters(), merged.Counters()) {
@@ -626,8 +512,8 @@ func TestMergeEncodedAndSnapshotEncoded(t *testing.T) {
 	}
 }
 
-// TestMergeEncodedRejectsIncompatible: wrong dimensions and foreign seeds
-// must be refused with an error, leaving the engine usable.
+// TestMergeEncodedRejectsIncompatible: DecodeReplica must refuse wrong
+// dimensions, foreign seeds and junk with an error, leaving the engine usable.
 func TestMergeEncodedRejectsIncompatible(t *testing.T) {
 	proto := sketch.NewCountMin(xrand.New(15), 256, 4)
 	eng := NewCountMin(Config{Workers: 2}, proto)
@@ -636,17 +522,17 @@ func TestMergeEncodedRejectsIncompatible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.MergeEncoded(wrongDims); err == nil {
+	if _, err := eng.DecodeReplica(wrongDims); err == nil {
 		t.Error("mismatched dimensions: expected error")
 	}
 	wrongSeed, err := sketch.NewCountMin(xrand.New(16), 256, 4).MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.MergeEncoded(wrongSeed); err == nil {
+	if _, err := eng.DecodeReplica(wrongSeed); err == nil {
 		t.Error("foreign hash seed: expected error")
 	}
-	if err := eng.MergeEncoded([]byte("junk")); err == nil {
+	if _, err := eng.DecodeReplica([]byte("junk")); err == nil {
 		t.Error("junk bytes: expected error")
 	}
 	// Still alive.
@@ -655,14 +541,14 @@ func TestMergeEncodedRejectsIncompatible(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The CountSketch codec enforces the same compatibility contract.
+	// The CountSketch decoder enforces the same compatibility contract.
 	csProto := sketch.NewCountSketch(xrand.New(15), 256, 5)
 	csEng := NewCountSketch(Config{Workers: 2}, csProto)
 	foreign, err := sketch.NewCountSketch(xrand.New(99), 256, 5).MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := csEng.MergeEncoded(foreign); err == nil {
+	if _, err := csEng.DecodeReplica(foreign); err == nil {
 		t.Error("CountSketch foreign hash seed: expected error")
 	}
 	if _, err := csEng.Close(); err != nil {
@@ -670,36 +556,9 @@ func TestMergeEncodedRejectsIncompatible(t *testing.T) {
 	}
 }
 
-// TestNoCodec: engines built with the generic New have no codec and must say
-// so rather than guess.
-func TestNoCodec(t *testing.T) {
-	eng := New(Config{Workers: 1},
-		func() map[uint64]float64 { return map[uint64]float64{} },
-		func(m map[uint64]float64, items []uint64, deltas []float64) {
-			for i, item := range items {
-				m[item] += deltas[i]
-			}
-		},
-		func(dst, src map[uint64]float64) error {
-			for k, v := range src {
-				dst[k] += v
-			}
-			return nil
-		},
-	)
-	if _, err := eng.SnapshotEncoded(); err != ErrNoCodec {
-		t.Fatalf("SnapshotEncoded: got %v, want ErrNoCodec", err)
-	}
-	if err := eng.MergeEncoded([]byte{1}); err != ErrNoCodec {
-		t.Fatalf("MergeEncoded: got %v, want ErrNoCodec", err)
-	}
-	if _, err := eng.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestTrackerMergeEncodedAcceptsBareCountMin: a tracker engine must fold in
-// both full tracker snapshots and bare Count-Min counters.
+// TestTrackerMergeEncodedAcceptsBareCountMin: a tracker engine's decoder must
+// accept both full tracker snapshots and bare Count-Min counters, each merging
+// exactly into the engine's snapshot.
 func TestTrackerMergeEncodedAcceptsBareCountMin(t *testing.T) {
 	proto := sketch.NewHeavyHitterTracker(xrand.New(17), 512, 4, 16)
 	eng := NewTracker(Config{Workers: 2}, proto)
@@ -714,26 +573,21 @@ func TestTrackerMergeEncodedAcceptsBareCountMin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.MergeEncoded(trackerBytes); err != nil {
-		t.Fatal(err)
-	}
 	snap, err := eng.Snapshot()
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mergeOverWire(eng, snap, trackerBytes); err != nil {
 		t.Fatal(err)
 	}
 	if got := snap.Estimate(5); got != 7 {
 		t.Fatalf("estimate(5) = %v after tracker merge, want 7", got)
 	}
 
-	// Bare Count-Min from the tracker engine's own snapshot? A CountMin
-	// sharing the seed: absorb doubles item 9's count.
+	// A bare CountMin sharing the seed: merging it adds to item 9's count.
 	cm := sketch.NewCountMin(xrand.New(17), 512, 4)
 	cm.Update(9, 1)
-	if err := eng.MergeEncoded(mustMarshal(t, cm)); err != nil {
-		t.Fatal(err)
-	}
-	snap, err = eng.Snapshot()
-	if err != nil {
+	if err := mergeOverWire(eng, snap, mustMarshal(t, cm)); err != nil {
 		t.Fatal(err)
 	}
 	if got := snap.Estimate(9); got != 3 {
@@ -742,6 +596,30 @@ func TestTrackerMergeEncodedAcceptsBareCountMin(t *testing.T) {
 	if _, err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// snapshotBytes cuts eng's snapshot and encodes it — what a transport ships.
+func snapshotBytes[S LinearSketch[S]](t *testing.T, eng *Engine[S]) []byte {
+	t.Helper()
+	snap, err := eng.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := snap.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// mergeOverWire folds encoded replica bytes into dst the way a transport
+// does: eng's DecodeReplica is the gatekeeper, the sketch's own Merge the sum.
+func mergeOverWire[S LinearSketch[S]](eng *Engine[S], dst S, data []byte) error {
+	src, err := eng.DecodeReplica(data)
+	if err != nil {
+		return err
+	}
+	return dst.Merge(src)
 }
 
 func mustMarshal(t *testing.T, cm *sketch.CountMin) []byte {
@@ -776,54 +654,5 @@ func TestClosedEngineErrors(t *testing.T) {
 	}
 	if _, err := eng.Snapshot(); err != ErrClosed {
 		t.Fatalf("Snapshot after Close: got %v, want ErrClosed", err)
-	}
-}
-
-// TestAbsorbSubIsExact: AbsorbSub is Absorb's linear inverse — absorbing an
-// external sketch and then subtracting it back leaves the engine's counters
-// exactly where the engine's own stream put them.
-func TestAbsorbSubIsExact(t *testing.T) {
-	proto := sketch.NewCountMin(xrand.New(61), 256, 4)
-	s := newZipf(62, 1<<12, 40_000)
-	half := len(s.Updates) / 2
-
-	own := proto.Clone()
-	external := proto.Clone()
-	eng := NewCountMin(Config{Workers: 3, BatchSize: 100}, proto)
-	for i, u := range s.Updates {
-		if i < half {
-			own.Update(u.Item, float64(u.Delta))
-			eng.Update(u.Item, float64(u.Delta))
-		} else {
-			external.Update(u.Item, float64(u.Delta))
-		}
-	}
-	if err := eng.Absorb(external); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.AbsorbSub(external); err != nil {
-		t.Fatal(err)
-	}
-	merged, err := eng.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !countersEqual(own.Counters(), merged.Counters()) {
-		t.Fatal("absorb+absorbSub round trip changed the counters")
-	}
-}
-
-// TestAbsorbSubRequiresDelta: engines without a registered subtraction must
-// refuse AbsorbSub with ErrNoDelta before touching a counter.
-func TestAbsorbSubRequiresDelta(t *testing.T) {
-	proto := sketch.NewCountMin(xrand.New(63), 64, 2)
-	eng := New(Config{Workers: 1},
-		func() *sketch.CountMin { return proto.Clone() },
-		func(s *sketch.CountMin, items []uint64, deltas []float64) { s.UpdateBatch(items, deltas) },
-		func(dst, src *sketch.CountMin) error { return dst.Merge(src) },
-	)
-	defer eng.Close()
-	if err := eng.AbsorbSub(proto.Clone()); err != ErrNoDelta {
-		t.Fatalf("AbsorbSub without WithDelta: got %v, want ErrNoDelta", err)
 	}
 }

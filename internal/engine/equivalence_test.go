@@ -16,12 +16,13 @@ import (
 // stream and seed, every counter-derived read must match replica mode and the
 // single-threaded sketch exactly. These tests pin that with randomized
 // configurations — family, shape, worker count, batch size, update schedule
-// (including negative deltas) and mid-stream Snapshot/DeltaSnapshot cuts.
+// (including negative deltas) and mid-stream Snapshot cuts, each with the
+// delta against the previous cut.
 // Deltas are halves, so float64 counter sums are exact and "equal" means
 // bit-for-bit, not within-epsilon.
 
 // schedule is one randomized trial: a stream plus the positions (in updates
-// applied) at which each mode must cut a Snapshot and a DeltaSnapshot.
+// applied) at which each mode must cut a Snapshot and its delta.
 type schedule struct {
 	items  []uint64
 	deltas []float64
@@ -62,13 +63,30 @@ type modeRun[S any] struct {
 	final  S
 }
 
-// runEngine drives one engine through the schedule, cutting
-// Snapshot+DeltaSnapshot at exactly each cut position (baseline = previous
-// cut's snapshot, initially the empty prototype). The stream is fed in
-// segments ending at the cuts so every mode snapshots after the same number
-// of applied updates; within a segment the engine batches by its own
-// BatchSize.
-func runEngine[S LinearSketch[S]](t *testing.T, eng *Engine[S], proto S, s schedule) modeRun[S] {
+// cutDelta encodes snap − base, the window between two cuts.
+type cutDelta[S any] func(snap, base S) ([]byte, error)
+
+// subDelta is the cutDelta of a family without a streamed cutter: the
+// sketch's own Copy and Sub, then the plain encoding.
+func subDelta[S interface {
+	LinearSketch[S]
+	Copy() S
+	Sub(S) error
+}](snap, base S) ([]byte, error) {
+	d := snap.Copy()
+	if err := d.Sub(base); err != nil {
+		return nil, err
+	}
+	return d.MarshalBinary()
+}
+
+// runEngine drives one engine through the schedule, cutting a Snapshot and
+// its delta at exactly each cut position (baseline = previous cut's snapshot,
+// initially the empty prototype) — the way the daemon's replicator cuts a
+// frame. The stream is fed in segments ending at the cuts so every mode
+// snapshots after the same number of applied updates; within a segment the
+// engine batches by its own BatchSize.
+func runEngine[S LinearSketch[S]](t *testing.T, eng *Engine[S], proto S, s schedule, delta cutDelta[S]) modeRun[S] {
 	t.Helper()
 	var run modeRun[S]
 	baseline := proto.Clone()
@@ -79,17 +97,17 @@ func runEngine[S LinearSketch[S]](t *testing.T, eng *Engine[S], proto S, s sched
 		if cut == len(s.items) {
 			break
 		}
-		snap, delta, err := eng.DeltaSnapshot(baseline)
+		snap, err := eng.Snapshot()
 		if err != nil {
-			t.Fatalf("delta snapshot at %d: %v", cut, err)
+			t.Fatalf("snapshot at %d: %v", cut, err)
 		}
 		sb, err := snap.MarshalBinary()
 		if err != nil {
 			t.Fatalf("marshal snapshot: %v", err)
 		}
-		db, err := delta.MarshalBinary()
+		db, err := delta(snap, baseline)
 		if err != nil {
-			t.Fatalf("marshal delta: %v", err)
+			t.Fatalf("delta at %d: %v", cut, err)
 		}
 		run.snaps = append(run.snaps, sb)
 		run.deltas = append(run.deltas, db)
@@ -104,9 +122,9 @@ func runEngine[S LinearSketch[S]](t *testing.T, eng *Engine[S], proto S, s sched
 }
 
 // runReference replays the schedule single-threaded on a bare sketch,
-// producing the same cut artifacts. copy and sub work around the lack of
-// method constraints for Copy in LinearSketch.
-func runReference[S LinearSketch[S]](t *testing.T, proto S, s schedule, cp func(S) S) modeRun[S] {
+// producing the same cut artifacts. cp works around the lack of a Copy
+// method in LinearSketch.
+func runReference[S LinearSketch[S]](t *testing.T, proto S, s schedule, cp func(S) S, delta cutDelta[S]) modeRun[S] {
 	t.Helper()
 	var run modeRun[S]
 	ref := proto.Clone()
@@ -116,17 +134,13 @@ func runReference[S LinearSketch[S]](t *testing.T, proto S, s schedule, cp func(
 		ref.Update(s.items[i], s.deltas[i])
 		for next < len(s.cuts) && i+1 >= s.cuts[next] {
 			snap := cp(ref)
-			delta := cp(ref)
-			if err := delta.Sub(baseline); err != nil {
-				t.Fatalf("reference sub: %v", err)
-			}
 			sb, err := snap.MarshalBinary()
 			if err != nil {
 				t.Fatalf("marshal reference snapshot: %v", err)
 			}
-			db, err := delta.MarshalBinary()
+			db, err := delta(snap, baseline)
 			if err != nil {
-				t.Fatalf("marshal reference delta: %v", err)
+				t.Fatalf("reference delta: %v", err)
 			}
 			run.snaps = append(run.snaps, sb)
 			run.deltas = append(run.deltas, db)
@@ -207,23 +221,24 @@ func TestCrossModeEquivalence(t *testing.T) {
 		switch family {
 		case 0:
 			proto := sketch.NewCountMin(xrand.New(seed), width, depth)
-			ref := runReference(t, proto, sched, func(s *sketch.CountMin) *sketch.CountMin { return s.Copy() })
-			rep := runEngine(t, NewCountMin(repCfg, proto), proto, sched)
-			part := runEngine(t, NewCountMin(partCfg, proto), proto, sched)
+			delta := func(snap, base *sketch.CountMin) ([]byte, error) { return snap.AppendDeltaSince(nil, base) }
+			ref := runReference(t, proto, sched, func(s *sketch.CountMin) *sketch.CountMin { return s.Copy() }, delta)
+			rep := runEngine(t, NewCountMin(repCfg, proto), proto, sched, delta)
+			part := runEngine(t, NewCountMin(partCfg, proto), proto, sched, delta)
 			checkRuns(t, label, ref, rep, part, bytesEqualFinal)
 		case 1:
 			proto := sketch.NewCountSketch(xrand.New(seed), width, depth)
-			ref := runReference(t, proto, sched, func(s *sketch.CountSketch) *sketch.CountSketch { return s.Copy() })
-			rep := runEngine(t, NewCountSketch(repCfg, proto), proto, sched)
-			part := runEngine(t, NewCountSketch(partCfg, proto), proto, sched)
+			ref := runReference(t, proto, sched, func(s *sketch.CountSketch) *sketch.CountSketch { return s.Copy() }, subDelta)
+			rep := runEngine(t, NewCountSketch(repCfg, proto), proto, sched, subDelta)
+			part := runEngine(t, NewCountSketch(partCfg, proto), proto, sched, subDelta)
 			checkRuns(t, label, ref, rep, part, bytesEqualFinal)
 		case 2:
 			logU := 6 + int(r.Uint64n(6))
 			sched := randomSchedule(r, uint64(1)<<logU, n, 3)
 			proto := sketch.NewDyadic(xrand.New(seed), logU, width, depth)
-			ref := runReference(t, proto, sched, func(s *sketch.Dyadic) *sketch.Dyadic { return s.Copy() })
-			rep := runEngine(t, NewDyadic(repCfg, proto), proto, sched)
-			part := runEngine(t, NewDyadic(partCfg, proto), proto, sched)
+			ref := runReference(t, proto, sched, func(s *sketch.Dyadic) *sketch.Dyadic { return s.Copy() }, subDelta)
+			rep := runEngine(t, NewDyadic(repCfg, proto), proto, sched, subDelta)
+			part := runEngine(t, NewDyadic(partCfg, proto), proto, sched, subDelta)
 			checkRuns(t, label, ref, rep, part, bytesEqualFinal)
 		case 3:
 			k := 4 + int(r.Uint64n(12))
@@ -257,12 +272,12 @@ func runTrackerEngine(t *testing.T, eng *Engine[*sketch.HeavyHitterTracker], pro
 		if cut == len(s.items) {
 			break
 		}
-		snap, delta, err := eng.DeltaSnapshot(baseline)
+		snap, err := eng.Snapshot()
 		if err != nil {
-			t.Fatalf("tracker delta snapshot: %v", err)
+			t.Fatalf("tracker snapshot: %v", err)
 		}
 		run.snaps = append(run.snaps, snap)
-		run.deltas = append(run.deltas, delta)
+		run.deltas = append(run.deltas, trackerDelta(t, eng, snap, baseline))
 		baseline = snap
 	}
 	final, err := eng.Close()
@@ -271,6 +286,26 @@ func runTrackerEngine(t *testing.T, eng *Engine[*sketch.HeavyHitterTracker], pro
 	}
 	run.final = final
 	return run
+}
+
+// trackerDelta cuts snap − baseline the way the daemon's replicator does
+// (AppendDeltaSince) and decodes it the way its receiver does (the envelope
+// expanded, then the engine's DecodeReplica).
+func trackerDelta(t *testing.T, eng *Engine[*sketch.HeavyHitterTracker], snap, baseline *sketch.HeavyHitterTracker) *sketch.HeavyHitterTracker {
+	t.Helper()
+	wire, err := snap.AppendDeltaSince(nil, baseline)
+	if err != nil {
+		t.Fatalf("tracker delta: %v", err)
+	}
+	inner, err := sketch.DecodeDelta(wire)
+	if err != nil {
+		t.Fatalf("tracker delta envelope: %v", err)
+	}
+	delta, err := eng.DecodeReplica(inner)
+	if err != nil {
+		t.Fatalf("tracker delta decode: %v", err)
+	}
+	return delta
 }
 
 func runTrackerReference(t *testing.T, proto *sketch.HeavyHitterTracker, s schedule) trackerRun {

@@ -64,14 +64,11 @@ type colShard struct {
 }
 
 // candidateSketch is the optional extra contract of families that carry a
-// candidate set beside their counters (the heavy-hitter tracker): expose the
-// tracked keys, absorb keys re-scored against the current counters, and name
-// the capacity. Estimate scores absorbed replicas' candidates.
+// candidate set beside their counters (the heavy-hitter tracker): absorb keys
+// re-scored against the current counters, and name the capacity.
 type candidateSketch interface {
-	CandidateItems() []uint64
 	AbsorbCandidates(items []uint64)
 	CandidateCap() int
-	Estimate(item uint64) float64
 }
 
 // partition is the partition-mode state of an Engine (nil in replica mode).
@@ -91,38 +88,26 @@ type partition[S any] struct {
 	free chan colBatch // recycled scatter buffers, shared by all producers
 
 	candCap int // > 0 when the family tracks candidates
-
-	// extraCands holds candidate keys learned from absorbed replicas (e.g.
-	// gossip peers' trackers), scored by the source's own estimate; snapshot
-	// assembly merges them with the shard candidates and re-scores. Guarded
-	// by the engine mu: only the barrier paths touch it.
-	extraCands *sketch.CandidateSet
 }
 
-// newPartitioned builds a partition-mode engine over clones of proto. The
-// family must implement sketch.ColumnSketch; refusing here beats silently
-// serving a mode the family cannot honor.
-func newPartitioned[S LinearSketch[S]](cfg Config, proto S) *Engine[S] {
-	cf, ok := any(proto).(sketch.ColumnSketch)
+// startPartitioned installs the partition-mode state and starts the column
+// workers. The family must implement sketch.ColumnSketch; refusing here beats
+// silently serving a mode the family cannot honor.
+func (e *Engine[S]) startPartitioned() {
+	cfg := e.cfg
+	cf, ok := any(e.proto).(sketch.ColumnSketch)
 	if !ok {
-		panic(fmt.Sprintf("engine: %T has no column-slice view and cannot be partitioned; use replica mode", proto))
+		panic(fmt.Sprintf("engine: %T has no column-slice view and cannot be partitioned; use replica mode", e.proto))
 	}
 	shape := cf.ColumnShape()
-	e := &Engine[S]{
-		cfg:        cfg,
-		newReplica: func() S { return proto.Clone() },
-		apply:      func(s S, items []uint64, deltas []float64) { s.UpdateBatch(items, deltas) },
-		merge:      func(dst, src S) error { return dst.Merge(src) },
-	}
 	pt := &partition[S]{
 		shape:   shape,
 		scatter: cf.ScatterColumns,
 		free:    make(chan colBatch, cfg.Workers*(cfg.QueueDepth+1)),
 		shards:  make([]*colShard, cfg.Workers),
 	}
-	if cs, ok := any(proto).(candidateSketch); ok {
+	if cs, ok := any(e.proto).(candidateSketch); ok {
 		pt.candCap = cs.CandidateCap()
-		pt.extraCands = sketch.NewCandidateSet(pt.candCap)
 	}
 	for j := range pt.shards {
 		lo, hi := shape.Range(j, cfg.Workers)
@@ -142,8 +127,6 @@ func newPartitioned[S LinearSketch[S]](cfg Config, proto S) *Engine[S] {
 	for _, sh := range pt.shards {
 		go e.runCol(sh)
 	}
-	e.def = e.Producer()
-	return e
 }
 
 // runCol is the partition-mode worker loop: scatter-add each batch's
@@ -230,9 +213,6 @@ func (e *Engine[S]) partSnapshot() (S, error) {
 				candKeys = sh.cands.AppendItems(candKeys)
 			}
 		}
-		if pt.extraCands != nil {
-			candKeys = pt.extraCands.AppendItems(candKeys)
-		}
 		return nil
 	})
 	if err != nil {
@@ -246,7 +226,7 @@ func (e *Engine[S]) partSnapshot() (S, error) {
 // assembled sketch.
 func (e *Engine[S]) assemble(slices [][]float64, mass float64, candKeys []uint64) (S, error) {
 	var zero S
-	out := e.newReplica()
+	out := e.proto.Clone()
 	cf, ok := any(out).(sketch.ColumnSketch)
 	if !ok {
 		return zero, fmt.Errorf("engine: %T lost its column-slice view", out)
@@ -260,86 +240,6 @@ func (e *Engine[S]) assemble(slices [][]float64, mass float64, candKeys []uint64
 		}
 	}
 	return out, nil
-}
-
-// partAbsorb folds a full replica into the column shards: slice src's
-// counters with the same ranges the shards own and add them in place under
-// the barrier; src's mass lands on shard 0 (so the shard masses keep summing
-// to the stream's), and src's candidate keys are retained scored by src's
-// own estimates. Caller holds e.mu and has flushed the engine handle.
-func (e *Engine[S]) partAbsorb(src S) error {
-	pt := e.part
-	cf, ok := any(src).(sketch.ColumnSketch)
-	if !ok {
-		return fmt.Errorf("engine: %T cannot be absorbed into a partitioned engine", src)
-	}
-	if got := cf.ColumnShape(); got != pt.shape {
-		return fmt.Errorf("engine: cannot absorb replica of shape %dx%d into partitioned engine of shape %dx%d",
-			got.Rows, got.Width, pt.shape.Rows, pt.shape.Width)
-	}
-	var scratch []float64
-	err := e.barrier(func() error {
-		for j, sh := range pt.shards {
-			if len(sh.counts) == 0 {
-				continue
-			}
-			scratch = cf.AppendColumnSlice(scratch[:0], j, len(pt.shards))
-			for i, v := range scratch {
-				sh.counts[i] += v
-			}
-		}
-		pt.shards[0].mass += cf.ColumnMass()
-		// Like the replica-mode Absorb: the readable state changed, so bump
-		// the write generation inside the barrier to invalidate pinned read
-		// epochs atomically with the absorb itself.
-		e.writeGen.Add(1)
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	if pt.extraCands != nil {
-		if cs, ok := any(src).(candidateSketch); ok {
-			for _, key := range cs.CandidateItems() {
-				pt.extraCands.Offer(key, cs.Estimate(key))
-			}
-		}
-	}
-	return nil
-}
-
-// partAbsorbSub is partAbsorb with the sign flipped: slice src's counters
-// with the shard-owned ranges and subtract them in place under the barrier;
-// src's mass comes off shard 0. Candidate keys offered by an earlier absorb
-// of the same replica are NOT retracted — candidate sets are heuristic
-// (scores are re-estimated against the live counters at query time), so a
-// stale candidate costs a lookup, never correctness. Caller holds e.mu and
-// has flushed the engine handle.
-func (e *Engine[S]) partAbsorbSub(src S) error {
-	pt := e.part
-	cf, ok := any(src).(sketch.ColumnSketch)
-	if !ok {
-		return fmt.Errorf("engine: %T cannot be subtracted from a partitioned engine", src)
-	}
-	if got := cf.ColumnShape(); got != pt.shape {
-		return fmt.Errorf("engine: cannot subtract replica of shape %dx%d from partitioned engine of shape %dx%d",
-			got.Rows, got.Width, pt.shape.Rows, pt.shape.Width)
-	}
-	var scratch []float64
-	return e.barrier(func() error {
-		for j, sh := range pt.shards {
-			if len(sh.counts) == 0 {
-				continue
-			}
-			scratch = cf.AppendColumnSlice(scratch[:0], j, len(pt.shards))
-			for i, v := range scratch {
-				sh.counts[i] -= v
-			}
-		}
-		pt.shards[0].mass -= cf.ColumnMass()
-		e.writeGen.Add(1)
-		return nil
-	})
 }
 
 // partClose drains and stops the column workers (the producers are already
@@ -362,9 +262,6 @@ func (e *Engine[S]) partClose() (S, error) {
 		if sh.cands != nil {
 			candKeys = sh.cands.AppendItems(candKeys)
 		}
-	}
-	if pt.extraCands != nil {
-		candKeys = pt.extraCands.AppendItems(candKeys)
 	}
 	return e.assemble(slices, mass, candKeys)
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"repro/internal/sketch"
@@ -49,10 +48,7 @@ func TestPartitionGoldenSnapshotBytes(t *testing.T) {
 		{"countmin.golden", func(cfg Config) []byte {
 			eng := NewCountMin(cfg, cm)
 			eng.UpdateColumns(items, deltas)
-			out, err := eng.SnapshotEncoded()
-			if err != nil {
-				t.Fatalf("countmin snapshot: %v", err)
-			}
+			out := snapshotBytes(t, eng)
 			if _, err := eng.Close(); err != nil {
 				t.Fatalf("countmin close: %v", err)
 			}
@@ -61,10 +57,7 @@ func TestPartitionGoldenSnapshotBytes(t *testing.T) {
 		{"countsketch.golden", func(cfg Config) []byte {
 			eng := NewCountSketch(cfg, cs)
 			eng.UpdateColumns(items, deltas)
-			out, err := eng.SnapshotEncoded()
-			if err != nil {
-				t.Fatalf("countsketch snapshot: %v", err)
-			}
+			out := snapshotBytes(t, eng)
 			if _, err := eng.Close(); err != nil {
 				t.Fatalf("countsketch close: %v", err)
 			}
@@ -73,10 +66,7 @@ func TestPartitionGoldenSnapshotBytes(t *testing.T) {
 		{"dyadic.golden", func(cfg Config) []byte {
 			eng := NewDyadic(cfg, dy)
 			eng.UpdateColumns(dyItems, deltas)
-			out, err := eng.SnapshotEncoded()
-			if err != nil {
-				t.Fatalf("dyadic snapshot: %v", err)
-			}
+			out := snapshotBytes(t, eng)
 			if _, err := eng.Close(); err != nil {
 				t.Fatalf("dyadic close: %v", err)
 			}
@@ -100,100 +90,6 @@ func TestPartitionGoldenSnapshotBytes(t *testing.T) {
 		if !bytes.Equal(partBytes, want) {
 			t.Errorf("%s: partition-mode snapshot differs from golden fixture (%d vs %d bytes)", tc.file, len(partBytes), len(want))
 		}
-	}
-}
-
-// TestPartitionAbsorbExact: absorbing an externally built replica into a
-// partitioned engine must be indistinguishable from having ingested its
-// stream — the linearity law Absorb rests on, now crossing representations
-// (full replica folded into column slices).
-func TestPartitionAbsorbExact(t *testing.T) {
-	proto := sketch.NewCountMin(xrand.New(51), 128, 4)
-	s1 := newZipf(52, 1<<12, 30_000)
-	s2 := newZipf(53, 1<<12, 30_000)
-
-	single := proto.Clone()
-	for _, u := range s1.Updates {
-		single.Update(u.Item, float64(u.Delta))
-	}
-	for _, u := range s2.Updates {
-		single.Update(u.Item, float64(u.Delta))
-	}
-
-	eng := NewCountMin(Config{Workers: 4, BatchSize: 256, Partition: true}, proto)
-	for _, u := range s1.Updates {
-		eng.Update(u.Item, float64(u.Delta))
-	}
-	external := proto.Clone()
-	for _, u := range s2.Updates {
-		external.Update(u.Item, float64(u.Delta))
-	}
-	if err := eng.Absorb(external); err != nil {
-		t.Fatalf("absorb: %v", err)
-	}
-	merged, err := eng.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !countersEqual(single.Counters(), merged.Counters()) {
-		t.Fatal("absorbed counters differ from single-threaded combined stream")
-	}
-	if single.TotalMass() != merged.TotalMass() {
-		t.Fatalf("total mass %v != %v", merged.TotalMass(), single.TotalMass())
-	}
-}
-
-// TestPartitionAbsorbShapeMismatch: a replica of the wrong shape must be
-// refused with a diagnostic, not scatter garbage into the slices.
-func TestPartitionAbsorbShapeMismatch(t *testing.T) {
-	proto := sketch.NewCountMin(xrand.New(61), 128, 4)
-	eng := NewCountMin(Config{Workers: 2, Partition: true}, proto)
-	defer eng.Close()
-	wrong := sketch.NewCountMin(xrand.New(62), 64, 4)
-	err := eng.Absorb(wrong)
-	if err == nil {
-		t.Fatal("absorbing a mis-shaped replica succeeded")
-	}
-	if !strings.Contains(err.Error(), "shape") {
-		t.Fatalf("unhelpful error: %v", err)
-	}
-}
-
-// TestPartitionTrackerAbsorbCandidates: candidates of an absorbed tracker
-// replica must survive into subsequent snapshots (via the engine's extra
-// candidate set), scored against the combined counters.
-func TestPartitionTrackerAbsorbCandidates(t *testing.T) {
-	proto := sketch.NewHeavyHitterTracker(xrand.New(71), 64, 3, 8)
-	eng := NewTracker(Config{Workers: 3, BatchSize: 32, Partition: true}, proto)
-
-	// The engine's own stream never sees item 7; the absorbed replica is
-	// dominated by it.
-	for i := 0; i < 1000; i++ {
-		eng.Update(uint64(100+i%50), 1)
-	}
-	external := proto.Clone()
-	for i := 0; i < 5000; i++ {
-		external.Update(7, 1)
-	}
-	if err := eng.Absorb(external); err != nil {
-		t.Fatalf("absorb: %v", err)
-	}
-	snap, err := eng.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	found := false
-	for _, ic := range snap.TopK() {
-		if ic.Item == 7 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("absorbed heavy hitter 7 missing from TopK %v", snap.TopK())
-	}
-	if got := snap.Estimate(7); got < 5000 {
-		t.Fatalf("estimate(7) = %v, want >= 5000", got)
 	}
 }
 
@@ -249,57 +145,23 @@ func TestModeAndCounterWords(t *testing.T) {
 	part.Close()
 }
 
-// TestGenericNewRejectsPartition: the generic New has no column view of its
-// replica type, so asking it for partition mode must fail loudly at
-// construction, not degrade to replicas.
+// plainSketch satisfies LinearSketch but has no column-slice view.
+type plainSketch []float64
+
+func (p plainSketch) Update(uint64, float64)          {}
+func (p plainSketch) UpdateBatch([]uint64, []float64) {}
+func (p plainSketch) Clone() plainSketch              { return make(plainSketch, len(p)) }
+func (p plainSketch) Merge(plainSketch) error         { return nil }
+func (p plainSketch) MarshalBinary() ([]byte, error)  { return nil, nil }
+
+// TestGenericNewRejectsPartition: NewLinear has no column view of a replica
+// type outside sketch.ColumnSketch, so asking it for partition mode must fail
+// loudly at construction, not degrade to replicas.
 func TestGenericNewRejectsPartition(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("New with Partition did not panic")
+			t.Fatal("NewLinear with Partition over a non-column type did not panic")
 		}
 	}()
-	New(Config{Workers: 2, Partition: true},
-		func() []float64 { return make([]float64, 8) },
-		func(s []float64, items []uint64, deltas []float64) {},
-		func(dst, src []float64) error { return nil },
-	)
-}
-
-// TestPartitionAbsorbSubExact: AbsorbSub in key-partitioned mode — the
-// column-sliced subtraction undoes partAbsorb exactly, leaving the shared
-// sketch equal to the engine's own stream alone.
-func TestPartitionAbsorbSubExact(t *testing.T) {
-	proto := sketch.NewCountMin(xrand.New(71), 128, 4)
-	s1 := newZipf(72, 1<<12, 30_000)
-	s2 := newZipf(73, 1<<12, 30_000)
-
-	own := proto.Clone()
-	for _, u := range s1.Updates {
-		own.Update(u.Item, float64(u.Delta))
-	}
-	external := proto.Clone()
-	for _, u := range s2.Updates {
-		external.Update(u.Item, float64(u.Delta))
-	}
-
-	eng := NewCountMin(Config{Workers: 4, BatchSize: 256, Partition: true}, proto)
-	for _, u := range s1.Updates {
-		eng.Update(u.Item, float64(u.Delta))
-	}
-	if err := eng.Absorb(external); err != nil {
-		t.Fatalf("absorb: %v", err)
-	}
-	if err := eng.AbsorbSub(external); err != nil {
-		t.Fatalf("absorbSub: %v", err)
-	}
-	merged, err := eng.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !countersEqual(own.Counters(), merged.Counters()) {
-		t.Fatal("partitioned absorb+absorbSub round trip changed the counters")
-	}
-	if own.TotalMass() != merged.TotalMass() {
-		t.Fatalf("total mass %v != %v", merged.TotalMass(), own.TotalMass())
-	}
+	NewLinear(Config{Workers: 2, Partition: true}, make(plainSketch, 8), nil)
 }

@@ -22,14 +22,14 @@ import (
 
 // readEpoch is one published read generation: an immutable snapshot and the
 // write generation it observed. Shared by any number of readers.
-type readEpoch[S any] struct {
+type readEpoch[S LinearSketch[S]] struct {
 	gen  uint64
 	snap S
 }
 
 // Generation returns the engine's current write generation: the number of
-// dispatched batches plus absorbed replicas. A read epoch stamped with this
-// value reflects every flushed write.
+// dispatched batches. A read epoch stamped with this value reflects every
+// flushed write.
 func (e *Engine[S]) Generation() uint64 { return e.writeGen.Load() }
 
 // EpochHits returns how many reads were answered from a pinned epoch without
@@ -51,7 +51,7 @@ func (e *Engine[S]) EpochMisses() int64 { return e.epochMisses.Load() }
 //
 // The returned generation makes reads exact in the presence of racing
 // ingest: a snapshot at generation g holds precisely the first g dispatched
-// batches (plus absorbed replicas), nothing more, nothing less.
+// batches, nothing more, nothing less.
 func (e *Engine[S]) ReadSnapshot() (S, uint64, error) {
 	var zero S
 	if e.readClosed.Load() {

@@ -166,8 +166,8 @@ func TestReadSnapshotPinsEpoch(t *testing.T) {
 }
 
 // TestEngineEstimateBatchMatchesEpoch: the pooled-scratch batch path answers
-// exactly what the pinned snapshot answers, for concurrent readers, and the
-// absorb path invalidates the epoch.
+// exactly what the pinned snapshot answers, for concurrent readers, and a
+// dispatch invalidates the epoch.
 func TestEngineEstimateBatchMatchesEpoch(t *testing.T) {
 	proto := sketch.NewCountMin(xrand.New(65), 256, 4)
 	eng := NewCountMin(Config{Workers: 2, BatchSize: 64}, proto)
@@ -219,23 +219,20 @@ func TestEngineEstimateBatchMatchesEpoch(t *testing.T) {
 	}
 	wg.Wait()
 
-	// Absorbing a replica must invalidate the pinned epoch.
-	other := proto.Clone()
-	other.Update(7, 3)
-	if err := eng.Absorb(other); err != nil {
-		t.Fatalf("Absorb: %v", err)
-	}
+	// A dispatch must invalidate the pinned epoch.
+	eng.Update(7, 3)
+	eng.Flush()
 	dst := make([]float64, 1)
 	g, err := eng.EstimateBatch([]uint64{7}, dst)
 	if err != nil {
-		t.Fatalf("EstimateBatch after Absorb: %v", err)
+		t.Fatalf("EstimateBatch after dispatch: %v", err)
 	}
 	if g != gen+1 {
-		t.Fatalf("gen after Absorb: %d, want %d", g, gen+1)
+		t.Fatalf("gen after dispatch: %d, want %d", g, gen+1)
 	}
 	want := snap.Estimate(7) + 3
 	if dst[0] != want {
-		t.Fatalf("estimate after Absorb: %v, want %v", dst[0], want)
+		t.Fatalf("estimate after dispatch: %v, want %v", dst[0], want)
 	}
 }
 

@@ -269,18 +269,16 @@ func (s *Server) handleBootstrap(w http.ResponseWriter, r *http.Request) {
 	s.snapMu.Lock()
 	if s.engClosed || s.closed.Load() {
 		s.snapMu.Unlock()
-		writeErr(w, r, http.StatusServiceUnavailable, "server is shutting down")
+		writeErr(w, http.StatusServiceUnavailable, "server is shutting down")
 		return
 	}
-	gGlobal := s.gen.Load()
 	gLocal := s.localGen.Load()
-	snap, local, err := s.eng.DeltaSnapshot(s.foreign)
+	local, err := s.eng.Snapshot()
 	if err != nil {
 		s.snapMu.Unlock()
-		writeSnapshotErr(w, r, err)
+		writeSnapshotErr(w, err)
 		return
 	}
-	s.snapCache, s.snapGen = snap, gGlobal
 	payload := BootstrapPayload{
 		NodeID:     s.cfg.NodeID,
 		LocalGen:   uint64(gLocal),
@@ -300,7 +298,12 @@ func (s *Server) handleBootstrap(w http.ResponseWriter, r *http.Request) {
 		payload.Senders[s.cfg.NodeID], err = local.MarshalBinary()
 	}
 	if err == nil {
-		payload.Snapshot, err = snap.MarshalBinary()
+		// The cut is this call's own and is encoded above, so the full state
+		// is composed in place: one engine snapshot serves both sections.
+		err = local.Merge(s.foreign)
+	}
+	if err == nil {
+		payload.Snapshot, err = local.MarshalBinary()
 	}
 	s.snapMu.Unlock()
 
@@ -309,7 +312,7 @@ func (s *Server) handleBootstrap(w http.ResponseWriter, r *http.Request) {
 		body, err = AppendBootstrapResponse(nil, payload)
 	}
 	if err != nil {
-		writeErr(w, r, http.StatusInternalServerError, "assembling bootstrap response: %v", err)
+		writeErr(w, http.StatusInternalServerError, "assembling bootstrap response: %v", err)
 		return
 	}
 	s.snapshots.Add(1)
@@ -380,7 +383,7 @@ func (s *Server) bootstrapFrom(src string) error {
 }
 
 // installBootstrap absorbs a decoded state transfer: the snapshot becomes
-// engine + foreign mass (gossip never re-ships it), the watermarks and
+// foreign mass (gossip never re-ships it), the watermarks and
 // per-sender trackers are installed verbatim (minus this node's own id — a
 // node never receives deltas from itself). Decoding happens before the
 // barrier lock; the engine's registered decoder rejects incompatible seeds
@@ -408,11 +411,8 @@ func (s *Server) installBootstrap(p *BootstrapPayload) error {
 	if s.engClosed || s.closed.Load() {
 		return ErrServerClosed
 	}
-	if err := s.eng.Absorb(snapSketch); err != nil {
+	if err := s.mergeForeign(snapSketch); err != nil {
 		return fmt.Errorf("absorbing bootstrap snapshot: %w", err)
-	}
-	if err := s.foreign.Merge(snapSketch); err != nil {
-		return fmt.Errorf("tracking bootstrap snapshot as foreign: %w", err)
 	}
 	for id, tr := range trackers {
 		s.senders[id] = tr

@@ -33,11 +33,14 @@
 // watermark, so retried or reordered frames are acknowledged without being
 // applied twice, and frames from a diverged sender are refused (409) and
 // re-aligned with a reset frame rather than double-counted. Only locally
-// ingested mass is gossiped — absorbed merges, applied deltas and recovered
-// snapshots are tracked in a separate "foreign" sketch and subtracted from
-// every shipment — so a full mesh converges to exactly the global sketch
-// with no relaying and no double-counting. See docs/CLUSTER.md for the
-// operator guide and DeltaFrame in wire.go for the protocol.
+// ingested mass is gossiped: the engine holds nothing else. Merges, applied
+// deltas, bootstrap transfers and recovered snapshots live in one separate
+// "foreign" sketch (Server.mergeForeign is its only writer), which is added
+// to the engine's snapshot in exactly one place, when the served state is
+// composed (snapshotLocked) — so a full mesh converges to exactly the
+// global sketch with no relaying, no double-counting and nothing to
+// subtract back out. See docs/CLUSTER.md for the operator guide and
+// DeltaFrame in wire.go for the protocol.
 //
 // Ingestion is concurrent end to end, and batch-first. Every /v1/update
 // handler routes its batch through one of Config.Producers engine producer

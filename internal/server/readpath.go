@@ -130,11 +130,11 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	case isBinary:
 	case ct == "" || strings.HasPrefix(ct, contentTypeJSON):
 		if err := json.Unmarshal(data, &req); err != nil {
-			writeErr(w, r, http.StatusBadRequest, "decoding JSON key batch: %v", err)
+			writeErr(w, http.StatusBadRequest, "decoding JSON key batch: %v", err)
 			return
 		}
 	default:
-		writeErr(w, r, http.StatusUnsupportedMediaType, "unsupported Content-Type %q (want %s or %s)",
+		writeErr(w, http.StatusUnsupportedMediaType, "unsupported Content-Type %q (want %s or %s)",
 			ct, contentTypeJSON, contentTypeKeys)
 		return
 	}
@@ -147,20 +147,20 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 		var err error
 		lane.keys, err = DecodeKeyColumns(data, lane.keys)
 		if err != nil {
-			writeErr(w, r, http.StatusBadRequest, "%v", err)
+			writeErr(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 	} else {
 		lane.keys = append(lane.keys, req.Keys...)
 	}
 	if len(lane.keys) == 0 {
-		writeErr(w, r, http.StatusBadRequest, `empty key batch: POST {"keys":[...]} or an SKQ1 key column`)
+		writeErr(w, http.StatusBadRequest, `empty key batch: POST {"keys":[...]} or an SKQ1 key column`)
 		return
 	}
 
 	ep, err := s.readEpochSnap()
 	if err != nil {
-		writeSnapshotErr(w, r, err)
+		writeSnapshotErr(w, err)
 		return
 	}
 	if cap(lane.ests) < len(lane.keys) {

@@ -65,7 +65,7 @@ func queryInt(w http.ResponseWriter, r *http.Request, name string, dst *int) boo
 	}
 	n, err := strconv.Atoi(v)
 	if err != nil || n < 1 {
-		writeErr(w, r, http.StatusBadRequest, "bad %s %q: want a positive integer", name, v)
+		writeErr(w, http.StatusBadRequest, "bad %s %q: want a positive integer", name, v)
 		return false
 	}
 	*dst = n
@@ -97,12 +97,12 @@ func (s *Server) handleRecover(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if ct := r.Header.Get("Content-Type"); ct != "" && !strings.HasPrefix(ct, contentTypeJSON) {
-			writeErr(w, r, http.StatusUnsupportedMediaType, "unsupported Content-Type %q (want %s)", ct, contentTypeJSON)
+			writeErr(w, http.StatusUnsupportedMediaType, "unsupported Content-Type %q (want %s)", ct, contentTypeJSON)
 			return
 		}
 		if len(data) > 0 {
 			if err := json.Unmarshal(data, &req); err != nil {
-				writeErr(w, r, http.StatusBadRequest, "decoding recover request: %v", err)
+				writeErr(w, http.StatusBadRequest, "decoding recover request: %v", err)
 				return
 			}
 		}
@@ -118,7 +118,7 @@ func (s *Server) handleRecover(w http.ResponseWriter, r *http.Request) {
 		req.Algo = s.cfg.RecoverAlgos[0]
 	}
 	if recovererFor(req.Algo, 1) == nil || !s.algoEnabled(req.Algo) {
-		writeErrDetail(w, r, http.StatusBadRequest,
+		writeErrDetail(w, http.StatusBadRequest,
 			"enabled algorithms: "+strings.Join(s.cfg.RecoverAlgos, ", "),
 			"unknown or disabled recovery algorithm %q", req.Algo)
 		return
@@ -127,7 +127,7 @@ func (s *Server) handleRecover(w http.ResponseWriter, r *http.Request) {
 		req.K = min(s.cfg.K, s.cfg.RecoverMaxK)
 	}
 	if req.K < 1 || req.K > s.cfg.RecoverMaxK {
-		writeErrDetail(w, r, http.StatusBadRequest,
+		writeErrDetail(w, http.StatusBadRequest,
 			"accepted range: 1 <= k <= "+strconv.Itoa(s.cfg.RecoverMaxK),
 			"k %d out of range (this daemon caps recovery at k = %d)", req.K, s.cfg.RecoverMaxK)
 		return
@@ -136,7 +136,7 @@ func (s *Server) handleRecover(w http.ResponseWriter, r *http.Request) {
 		req.Universe = s.cfg.RecoverUniverse
 	}
 	if req.Universe < 1 || req.Universe > MaxRecoverUniverse {
-		writeErrDetail(w, r, http.StatusBadRequest,
+		writeErrDetail(w, http.StatusBadRequest,
 			"accepted range: 1 <= universe <= "+strconv.Itoa(MaxRecoverUniverse),
 			"universe %d out of range", req.Universe)
 		return
@@ -147,17 +147,17 @@ func (s *Server) handleRecover(w http.ResponseWriter, r *http.Request) {
 
 	snap, gen, err := s.snapshotGen()
 	if err != nil {
-		writeSnapshotErr(w, r, err)
+		writeSnapshotErr(w, err)
 		return
 	}
 	m, err := engine.NewTrackerMeasurement(snap, req.Universe)
 	if err != nil {
-		writeErr(w, r, http.StatusInternalServerError, "building measurement: %v", err)
+		writeErr(w, http.StatusInternalServerError, "building measurement: %v", err)
 		return
 	}
 	xhat, err := recovererFor(req.Algo, req.Iters).Recover(m, m.Measurements(), req.K)
 	if err != nil {
-		writeErr(w, r, http.StatusInternalServerError, "recovery failed: %v", err)
+		writeErr(w, http.StatusInternalServerError, "recovery failed: %v", err)
 		return
 	}
 
@@ -201,12 +201,12 @@ func (s *Server) handleSetQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if ct := r.Header.Get("Content-Type"); ct != "" && !strings.HasPrefix(ct, contentTypeJSON) {
-		writeErr(w, r, http.StatusUnsupportedMediaType, "unsupported Content-Type %q (want %s)", ct, contentTypeJSON)
+		writeErr(w, http.StatusUnsupportedMediaType, "unsupported Content-Type %q (want %s)", ct, contentTypeJSON)
 		return
 	}
 	var req SetQueryRequest
 	if err := json.Unmarshal(data, &req); err != nil {
-		writeErr(w, r, http.StatusBadRequest, "decoding setquery request: %v", err)
+		writeErr(w, http.StatusBadRequest, "decoding setquery request: %v", err)
 		return
 	}
 	if v := r.URL.Query().Get("estimator"); v != "" {
@@ -216,16 +216,16 @@ func (s *Server) handleSetQuery(w http.ResponseWriter, r *http.Request) {
 		req.Estimator = "isolate"
 	}
 	if req.Estimator != "isolate" && req.Estimator != "min" {
-		writeErrDetail(w, r, http.StatusBadRequest, "supported estimators: isolate, min",
+		writeErrDetail(w, http.StatusBadRequest, "supported estimators: isolate, min",
 			"unknown estimator %q for /v1/setquery", req.Estimator)
 		return
 	}
 	if len(req.Support) == 0 {
-		writeErr(w, r, http.StatusBadRequest, "empty support: POST {\"support\": [items...]}")
+		writeErr(w, http.StatusBadRequest, "empty support: POST {\"support\": [items...]}")
 		return
 	}
 	if len(req.Support) > MaxSetQuerySupport {
-		writeErrDetail(w, r, http.StatusBadRequest,
+		writeErrDetail(w, http.StatusBadRequest,
 			"accepted range: 1 <= len(support) <= "+strconv.Itoa(MaxSetQuerySupport),
 			"support has %d items (max %d)", len(req.Support), MaxSetQuerySupport)
 		return
@@ -233,7 +233,7 @@ func (s *Server) handleSetQuery(w http.ResponseWriter, r *http.Request) {
 	seen := make(map[uint64]bool, len(req.Support))
 	for _, item := range req.Support {
 		if seen[item] {
-			writeErr(w, r, http.StatusBadRequest, "malformed support: item %d appears more than once", item)
+			writeErr(w, http.StatusBadRequest, "malformed support: item %d appears more than once", item)
 			return
 		}
 		seen[item] = true
@@ -241,7 +241,7 @@ func (s *Server) handleSetQuery(w http.ResponseWriter, r *http.Request) {
 
 	snap, gen, err := s.snapshotGen()
 	if err != nil {
-		writeSnapshotErr(w, r, err)
+		writeSnapshotErr(w, err)
 		return
 	}
 	resp := SetQueryResponse{
@@ -318,12 +318,12 @@ func (s *Server) handleSpectrum(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if ct := r.Header.Get("Content-Type"); ct != "" && !strings.HasPrefix(ct, contentTypeJSON) {
-		writeErr(w, r, http.StatusUnsupportedMediaType, "unsupported Content-Type %q (want %s)", ct, contentTypeJSON)
+		writeErr(w, http.StatusUnsupportedMediaType, "unsupported Content-Type %q (want %s)", ct, contentTypeJSON)
 		return
 	}
 	var req SpectrumRequest
 	if err := json.Unmarshal(data, &req); err != nil {
-		writeErr(w, r, http.StatusBadRequest, "decoding spectrum request: %v", err)
+		writeErr(w, http.StatusBadRequest, "decoding spectrum request: %v", err)
 		return
 	}
 	if v := r.URL.Query().Get("algo"); v != "" {
@@ -336,39 +336,39 @@ func (s *Server) handleSpectrum(w http.ResponseWriter, r *http.Request) {
 		req.Algo = "exact"
 	}
 	if req.Algo != "exact" && req.Algo != "robust" {
-		writeErrDetail(w, r, http.StatusBadRequest, "supported algorithms: exact, robust",
+		writeErrDetail(w, http.StatusBadRequest, "supported algorithms: exact, robust",
 			"unknown spectrum algorithm %q", req.Algo)
 		return
 	}
 	n := len(req.Signal)
 	switch {
 	case n == 0:
-		writeErr(w, r, http.StatusBadRequest, "empty signal: POST {\"signal\": [samples...], \"k\": ...}")
+		writeErr(w, http.StatusBadRequest, "empty signal: POST {\"signal\": [samples...], \"k\": ...}")
 		return
 	case n&(n-1) != 0:
-		writeErr(w, r, http.StatusBadRequest, "signal length %d is not a power of two", n)
+		writeErr(w, http.StatusBadRequest, "signal length %d is not a power of two", n)
 		return
 	case n > MaxSpectrumLen:
-		writeErrDetail(w, r, http.StatusBadRequest,
+		writeErrDetail(w, http.StatusBadRequest,
 			"accepted range: len(signal) <= "+strconv.Itoa(MaxSpectrumLen),
 			"signal has %d samples (max %d)", n, MaxSpectrumLen)
 		return
 	}
 	if req.SignalImag != nil && len(req.SignalImag) != n {
-		writeErr(w, r, http.StatusBadRequest, "signal_imag has %d samples, signal has %d", len(req.SignalImag), n)
+		writeErr(w, http.StatusBadRequest, "signal_imag has %d samples, signal has %d", len(req.SignalImag), n)
 		return
 	}
 	if req.K < 1 || req.K > n/2 {
-		writeErrDetail(w, r, http.StatusBadRequest, "accepted range: 1 <= k <= len(signal)/2",
+		writeErrDetail(w, http.StatusBadRequest, "accepted range: 1 <= k <= len(signal)/2",
 			"k %d out of range for a %d-sample signal", req.K, n)
 		return
 	}
 	if req.Rounds < 0 || req.Rounds > 64 {
-		writeErr(w, r, http.StatusBadRequest, "rounds %d out of range (max 64)", req.Rounds)
+		writeErr(w, http.StatusBadRequest, "rounds %d out of range (max 64)", req.Rounds)
 		return
 	}
 	if req.BucketFactor < 0 || req.BucketFactor > 64 {
-		writeErr(w, r, http.StatusBadRequest, "bucket_factor %d out of range (max 64)", req.BucketFactor)
+		writeErr(w, http.StatusBadRequest, "bucket_factor %d out of range (max 64)", req.BucketFactor)
 		return
 	}
 
@@ -393,7 +393,7 @@ func (s *Server) handleSpectrum(w http.ResponseWriter, r *http.Request) {
 		// The signal parsed fine but the transform could not isolate k
 		// frequencies (too dense a spectrum, adversarial collisions): the
 		// request is well-formed yet unprocessable.
-		writeErrDetail(w, r, http.StatusUnprocessableEntity,
+		writeErrDetail(w, http.StatusUnprocessableEntity,
 			"try algo=robust, a smaller k, or a longer window",
 			"sparse transform failed: %v", err)
 		return

@@ -358,13 +358,15 @@ func TestErrorEnvelopeOnEveryRoute(t *testing.T) {
 		})
 	}
 
-	// Legacy escape hatch: Accept: text/plain gets the old plain-text body.
+	// There is no plain-text escape hatch: a text/plain Accept still gets the
+	// envelope.
 	status, body := rawRequest(t, client, "GET", "/v1/query", "", "", "text/plain")
 	if status != http.StatusBadRequest {
-		t.Fatalf("legacy request status %d, want 400", status)
+		t.Fatalf("text/plain request status %d, want 400", status)
 	}
-	if strings.Contains(body, "{") {
-		t.Fatalf("Accept: text/plain still got JSON: %s", body)
+	var resp errorResponse
+	if err := json.Unmarshal([]byte(body), &resp); err != nil || resp.Error.Code != "invalid_argument" {
+		t.Fatalf("Accept: text/plain did not get the JSON envelope: %v (%s)", err, body)
 	}
 }
 

@@ -273,9 +273,8 @@ type ingestLane struct {
 //	GET  /v1/healthz   liveness
 //
 // All failures share one JSON error envelope {"error": {"code", "message",
-// "detail"}} (legacy plain-text bodies behind Accept: text/plain), and every
-// read response carries the write generation gen of the barrier snapshot
-// that answered it.
+// "detail"}}, and every read response carries the write generation gen of
+// the barrier snapshot that answered it.
 //
 // Ingestion is concurrent end to end: each /v1/update handler routes its
 // batch through one of Config.Producers engine producer handles (round-robin
@@ -316,9 +315,9 @@ type Server struct {
 	localGen atomic.Int64
 
 	// snapMu is the narrow barrier lock: it serializes engine barrier
-	// operations (Snapshot/Absorb/Close) and guards the snapshot cache, the
-	// foreign tracker and the watermark map. The /v1/update hot path never
-	// takes it.
+	// operations (Snapshot/Close) and guards the snapshot cache, the foreign
+	// sketch, the sender trackers and the watermark map. The /v1/update hot
+	// path never takes it.
 	snapMu    sync.Mutex
 	engClosed bool // the engine is gone: snapshots (and so reads) fail too
 	snapGen   int64
@@ -334,11 +333,13 @@ type Server struct {
 	// carried (mean batch size = batchKeys / batchQueries).
 	epochHits, epochMisses  atomic.Int64
 	batchQueries, batchKeys atomic.Int64
-	// foreign accumulates every sketch absorbed from outside the local
-	// stream: recovered snapshots, /v1/merge bodies and applied /v1/delta
-	// payloads. The replicator ships (engine snapshot - foreign), i.e. the
-	// sketch of locally ingested updates only — peers receive each node's
-	// own mass exactly once, never a relayed copy of their own.
+	// foreign is the only home of mass that was not ingested here: recovered
+	// snapshots, /v1/merge bodies, applied /v1/delta payloads and bootstrap
+	// transfers, all added by mergeForeign. The engine holds the locally
+	// ingested updates and nothing else, so the served state is
+	// engine snapshot + foreign (composed in snapshotLocked) and the
+	// replicator ships the engine snapshot as it is — peers receive each
+	// node's own mass exactly once, never a relayed copy of their own.
 	foreign *sketch.HeavyHitterTracker
 	// watermarks maps a sender's NodeID to the toGen of the newest delta
 	// frame applied from it; the receiver-side half of the idempotency
@@ -410,6 +411,13 @@ type Server struct {
 
 	stop chan struct{}
 	wg   sync.WaitGroup
+
+	// foreignMerges counts mergeForeign calls; while it is zero foreign is
+	// empty and snapshotLocked serves the engine snapshot as cut. Guarded by
+	// snapMu. It sits last because the hot atomics above share this struct:
+	// declared beside foreign it shifted them, and stream_bulk's write_p99_ms
+	// read 2.90 ms against 2.22 ms on a path that never touches the field.
+	foreignMerges int64
 }
 
 // peerState is the sender-side replication state for one gossip peer: the
@@ -442,7 +450,7 @@ type peerState struct {
 func methodNotAllowed(allow string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Allow", allow)
-		writeErr(w, r, http.StatusMethodNotAllowed, "method %s not allowed on %s (allow: %s)", r.Method, r.URL.Path, allow)
+		writeErr(w, http.StatusMethodNotAllowed, "method %s not allowed on %s (allow: %s)", r.Method, r.URL.Path, allow)
 	}
 }
 
@@ -505,10 +513,7 @@ func New(cfg Config) (*Server, error) {
 			// with /v1/snapshot -> /v1/merge (see docs/CLUSTER.md).
 			src, err := s.eng.DecodeReplica(data)
 			if err == nil {
-				err = s.eng.Absorb(src)
-			}
-			if err == nil {
-				err = s.foreign.Merge(src)
+				err = s.mergeForeign(src) // nothing else holds s yet
 			}
 			if err != nil {
 				s.eng.Close() // don't leak the worker goroutines
@@ -592,7 +597,7 @@ func New(cfg Config) (*Server, error) {
 		s.mux.HandleFunc(path, methodNotAllowed(allow))
 	}
 	s.mux.HandleFunc("/v1/", func(w http.ResponseWriter, r *http.Request) {
-		writeErr(w, r, http.StatusNotFound, "no such endpoint %s (see docs/API.md)", r.URL.Path)
+		writeErr(w, http.StatusNotFound, "no such endpoint %s (see docs/API.md)", r.URL.Path)
 	})
 
 	if cfg.SnapshotDir != "" && cfg.SnapshotEvery > 0 {
@@ -617,7 +622,7 @@ func New(cfg Config) (*Server, error) {
 func (s *Server) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if s.bootstrapping.Load() && bootstrapGated(r.URL.Path) {
-			writeErrDetail(w, r, http.StatusServiceUnavailable, "bootstrap_pending",
+			writeErrDetail(w, http.StatusServiceUnavailable, "bootstrap_pending",
 				"bootstrap in progress: state transfer from peers is not complete yet")
 			return
 		}
@@ -861,7 +866,8 @@ func (s *Server) ingestColumns(lane *ingestLane) {
 	s.localGen.Add(1) // local ingestion: this batch is ours to gossip
 }
 
-// snapshotLocked returns a consistent barrier snapshot of the engine,
+// snapshotLocked returns the served state — a consistent barrier snapshot of
+// the engine plus the foreign sketch, the one place the two are summed —
 // reusing the cached one when no write has happened since it was taken.
 // Callers must hold s.snapMu.
 //
@@ -882,8 +888,25 @@ func (s *Server) snapshotLocked() (*sketch.HeavyHitterTracker, error) {
 	if err != nil {
 		return nil, err
 	}
+	if s.foreignMerges > 0 {
+		if err := snap.Merge(s.foreign); err != nil {
+			return nil, fmt.Errorf("server: adding foreign mass to the snapshot: %w", err)
+		}
+	}
 	s.snapCache, s.snapGen = snap, g
 	return snap, nil
+}
+
+// mergeForeign adds a sketch that arrived from outside the local stream to
+// the foreign sketch. src must have passed DecodeReplica (or be derived from
+// sketches that did), so the merge cannot fail on shape or seed. Callers hold
+// s.snapMu and bump gen once the rest of their bookkeeping is done.
+func (s *Server) mergeForeign(src *sketch.HeavyHitterTracker) error {
+	if err := s.foreign.Merge(src); err != nil {
+		return err
+	}
+	s.foreignMerges++
+	return nil
 }
 
 // snapshot is snapshotLocked behind the barrier lock, for read handlers.
@@ -933,9 +956,9 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool)
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			writeErr(w, r, http.StatusRequestEntityTooLarge, "reading body: %v", err)
+			writeErr(w, http.StatusRequestEntityTooLarge, "reading body: %v", err)
 		} else {
-			writeErr(w, r, http.StatusBadRequest, "reading body: %v", err)
+			writeErr(w, http.StatusBadRequest, "reading body: %v", err)
 		}
 		return nil, false
 	}
@@ -959,11 +982,11 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	case isBinary:
 	case ct == "" || strings.HasPrefix(ct, contentTypeJSON):
 		if err := json.Unmarshal(data, &req); err != nil {
-			writeErr(w, r, http.StatusBadRequest, "decoding JSON updates: %v", err)
+			writeErr(w, http.StatusBadRequest, "decoding JSON updates: %v", err)
 			return
 		}
 	default:
-		writeErr(w, r, http.StatusUnsupportedMediaType, "unsupported Content-Type %q (want %s or %s)",
+		writeErr(w, http.StatusUnsupportedMediaType, "unsupported Content-Type %q (want %s or %s)",
 			ct, contentTypeJSON, contentTypeBatch)
 		return
 	}
@@ -975,7 +998,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	// retires the lanes, so observing false here guarantees the handle is
 	// live and this flush lands before the final snapshot.
 	if s.closed.Load() {
-		writeErr(w, r, http.StatusServiceUnavailable, "server is shutting down")
+		writeErr(w, http.StatusServiceUnavailable, "server is shutting down")
 		return
 	}
 	lane.items, lane.deltas = lane.items[:0], lane.deltas[:0]
@@ -983,7 +1006,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		var err error
 		lane.items, lane.deltas, err = DecodeBatchColumns(data, lane.items, lane.deltas)
 		if err != nil {
-			writeErr(w, r, http.StatusBadRequest, "%v", err)
+			writeErr(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 	} else {
@@ -1003,14 +1026,14 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	raw := r.URL.Query()["item"]
 	if len(raw) == 0 {
-		writeErr(w, r, http.StatusBadRequest, "missing item parameter (repeatable): /v1/query?item=7&item=8")
+		writeErr(w, http.StatusBadRequest, "missing item parameter (repeatable): /v1/query?item=7&item=8")
 		return
 	}
 	items := make([]uint64, len(raw))
 	for i, v := range raw {
 		item, err := strconv.ParseUint(v, 10, 64)
 		if err != nil {
-			writeErr(w, r, http.StatusBadRequest, "bad item %q: %v", v, err)
+			writeErr(w, http.StatusBadRequest, "bad item %q: %v", v, err)
 			return
 		}
 		items[i] = item
@@ -1018,14 +1041,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// ?estimator= is shared across the read endpoints; the point-query path
 	// supports the sketch's native estimator only.
 	if est := r.URL.Query().Get("estimator"); est != "" && est != "min" {
-		writeErrDetail(w, r, http.StatusBadRequest, "supported estimators: min",
+		writeErrDetail(w, http.StatusBadRequest, "supported estimators: min",
 			"unknown estimator %q for /v1/query", est)
 		return
 	}
 
 	ep, err := s.readEpochSnap()
 	if err != nil {
-		writeSnapshotErr(w, r, err)
+		writeSnapshotErr(w, err)
 		return
 	}
 	resp := QueryResponse{Estimates: make([]Estimate, len(items)), Gen: ep.gen}
@@ -1040,7 +1063,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	if v := r.URL.Query().Get("k"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 1 {
-			writeErr(w, r, http.StatusBadRequest, "bad k %q: want a positive integer", v)
+			writeErr(w, http.StatusBadRequest, "bad k %q: want a positive integer", v)
 			return
 		}
 		k = n
@@ -1049,7 +1072,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	if v := r.URL.Query().Get("phi"); v != "" {
 		f, err := strconv.ParseFloat(v, 64)
 		if err != nil || f < 0 || f > 1 {
-			writeErr(w, r, http.StatusBadRequest, "bad phi %q: want a fraction in [0,1]", v)
+			writeErr(w, http.StatusBadRequest, "bad phi %q: want a fraction in [0,1]", v)
 			return
 		}
 		phi = f
@@ -1057,7 +1080,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 
 	ep, err := s.readEpochSnap()
 	if err != nil {
-		writeSnapshotErr(w, r, err)
+		writeSnapshotErr(w, err)
 		return
 	}
 	// The ranked candidate list is computed once per epoch and shared by
@@ -1085,7 +1108,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	data, err := s.encodedSnapshotLocked()
 	s.snapMu.Unlock()
 	if err != nil {
-		writeSnapshotErr(w, r, err)
+		writeSnapshotErr(w, err)
 		return
 	}
 	s.snapshots.Add(1)
@@ -1101,11 +1124,11 @@ func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if len(data) == 0 {
-		writeErr(w, r, http.StatusBadRequest, "empty body: POST the bytes of a peer's /v1/snapshot")
+		writeErr(w, http.StatusBadRequest, "empty body: POST the bytes of a peer's /v1/snapshot")
 		return
 	}
 	if s.closed.Load() {
-		writeErr(w, r, http.StatusServiceUnavailable, "server is shutting down")
+		writeErr(w, http.StatusServiceUnavailable, "server is shutting down")
 		return
 	}
 
@@ -1122,16 +1145,14 @@ func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
 		// be acknowledged after the recovery file was written and then lost.
 		if s.engClosed || s.closed.Load() {
 			err = ErrServerClosed
-		} else if err = s.eng.Absorb(src); err == nil {
+		} else if err = s.mergeForeign(src); err == nil {
 			// Merged snapshots are foreign mass: the gossip replicator must
 			// not ship them back out as if this daemon had ingested them.
-			if err = s.foreign.Merge(src); err == nil {
-				s.gen.Add(1)
-				s.merges.Add(1)
-				var snap *sketch.HeavyHitterTracker
-				if snap, err = s.snapshotLocked(); err == nil {
-					mass = snap.TotalMass()
-				}
+			s.gen.Add(1)
+			s.merges.Add(1)
+			var snap *sketch.HeavyHitterTracker
+			if snap, err = s.snapshotLocked(); err == nil {
+				mass = snap.TotalMass()
 			}
 		}
 		s.snapMu.Unlock()
@@ -1141,11 +1162,11 @@ func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
 		s.cfg.Logf("server: merge rejected: %v", err)
 		switch {
 		case errors.Is(err, engine.ErrClosed), errors.Is(err, ErrServerClosed):
-			writeErr(w, r, http.StatusServiceUnavailable, "server is shutting down")
+			writeErr(w, http.StatusServiceUnavailable, "server is shutting down")
 		default:
 			// Everything else means the posted bytes were malformed or came
 			// from an incompatible sketch — the peer's fault, a 4xx.
-			writeErr(w, r, http.StatusBadRequest, "%v", err)
+			writeErr(w, http.StatusBadRequest, "%v", err)
 		}
 		return
 	}
@@ -1165,11 +1186,11 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	frame, err := DecodeDeltaFrame(data)
 	if err != nil {
 		s.deltasRejected.Add(1)
-		writeErr(w, r, http.StatusBadRequest, "%v", err)
+		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if s.closed.Load() {
-		writeErr(w, r, http.StatusServiceUnavailable, "server is shutting down")
+		writeErr(w, http.StatusServiceUnavailable, "server is shutting down")
 		return
 	}
 
@@ -1180,7 +1201,7 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	if !frame.Reset {
 		if src, err = s.decodeDeltaPayload(frame.Payload); err != nil {
 			s.deltasRejected.Add(1)
-			writeErr(w, r, http.StatusBadRequest, "delta payload: %v", err)
+			writeErr(w, http.StatusBadRequest, "delta payload: %v", err)
 			return
 		}
 	}
@@ -1188,7 +1209,7 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	s.snapMu.Lock()
 	if s.engClosed || s.closed.Load() {
 		s.snapMu.Unlock()
-		writeErr(w, r, http.StatusServiceUnavailable, "server is shutting down")
+		writeErr(w, http.StatusServiceUnavailable, "server is shutting down")
 		return
 	}
 	mark := s.watermarks[frame.Sender]
@@ -1204,7 +1225,7 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 			// not the sender actually restarted.
 			s.snapMu.Unlock()
 			s.deltasRejected.Add(1)
-			writeErrDetail(w, r, http.StatusConflict, conflictDetailReplace,
+			writeErrDetail(w, http.StatusConflict, conflictDetailReplace,
 				"refusing reset-to-0 from %q: this node's watermark %d was installed by a bootstrap transfer; send a replace frame instead",
 				frame.Sender, mark)
 			return
@@ -1262,7 +1283,7 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 		if tr == nil {
 			s.snapMu.Unlock()
 			s.deltasRejected.Add(1)
-			writeErr(w, r, http.StatusConflict,
+			writeErr(w, http.StatusConflict,
 				"cannot apply replace frame from %q: received mass is untracked on this node (recovered without a consistent sender sidecar); use a reset resync",
 				frame.Sender)
 			return
@@ -1282,23 +1303,15 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 				s.snapMu.Unlock()
 				s.cfg.Logf("server: replace frame from %q rejected: %v", frame.Sender, err)
 				s.deltasRejected.Add(1)
-				writeErr(w, r, http.StatusBadRequest, "%v", err)
+				writeErr(w, http.StatusBadRequest, "%v", err)
 				return
 			}
 		}
-		err := s.eng.Absorb(apply)
-		if err == nil {
-			err = s.foreign.Merge(apply)
-		}
-		if err != nil {
+		if err := s.mergeForeign(apply); err != nil {
 			s.snapMu.Unlock()
 			s.cfg.Logf("server: replace frame from %q rejected: %v", frame.Sender, err)
 			s.deltasRejected.Add(1)
-			if errors.Is(err, engine.ErrClosed) {
-				writeErr(w, r, http.StatusServiceUnavailable, "server is shutting down")
-			} else {
-				writeErr(w, r, http.StatusBadRequest, "%v", err)
-			}
+			writeErr(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 		// The mark may move *down* here: a hearsay mark was installed by a
@@ -1329,25 +1342,17 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 		if replaceOK {
 			detail = conflictDetailReplace
 		}
-		writeErrDetail(w, r, http.StatusConflict, detail,
+		writeErrDetail(w, http.StatusConflict, detail,
 			"stale watermark for sender %q: frame covers generations (%d, %d], receiver watermark is %d",
 			frame.Sender, frame.FromGen, frame.ToGen, mark)
 
 	default:
-		err := s.eng.Absorb(src)
-		if err == nil {
-			// Applied deltas are foreign mass — never gossiped onward.
-			err = s.foreign.Merge(src)
-		}
-		if err != nil {
+		// Applied deltas are foreign mass — never gossiped onward.
+		if err := s.mergeForeign(src); err != nil {
 			s.snapMu.Unlock()
 			s.cfg.Logf("server: delta from %q rejected: %v", frame.Sender, err)
 			s.deltasRejected.Add(1)
-			if errors.Is(err, engine.ErrClosed) {
-				writeErr(w, r, http.StatusServiceUnavailable, "server is shutting down")
-			} else {
-				writeErr(w, r, http.StatusBadRequest, "%v", err)
-			}
+			writeErr(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 		replaceOK := false
@@ -1565,26 +1570,25 @@ func (s *Server) backoffFor(streak int) time.Duration {
 	return d
 }
 
-// localSnapshot cuts the sketch of *locally ingested* updates: the engine's
-// exact barrier snapshot minus the foreign tracker (everything absorbed from
-// peers, merges and recovery). It refreshes the read-path snapshot cache on
-// the way, and returns the local write generation the cut covers.
+// localSnapshot cuts the sketch of *locally ingested* updates — the engine's
+// barrier snapshot, since foreign mass never enters the engine — and returns
+// it with the local write generation the cut covers. The replicator retains
+// the snapshot as a peer baseline, so it must never become the object foreign
+// is merged into: the read path's cache is cut separately.
 func (s *Server) localSnapshot() (*sketch.HeavyHitterTracker, int64, error) {
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
 	if s.engClosed {
 		return nil, 0, ErrServerClosed
 	}
-	// Both generations load before the barrier, so the snapshot covers at
-	// least everything they count (late-racing writes land in the snapshot
+	// The generation loads before the barrier, so the snapshot covers at
+	// least everything it counts (late-racing writes land in the snapshot
 	// too — harmless, the retained baseline keeps them from shipping twice).
-	gGlobal := s.gen.Load()
 	gLocal := s.localGen.Load()
-	snap, local, err := s.eng.DeltaSnapshot(s.foreign)
+	local, err := s.eng.Snapshot()
 	if err != nil {
 		return nil, 0, err
 	}
-	s.snapCache, s.snapGen = snap, gGlobal
 	return local, gLocal, nil
 }
 
@@ -1601,36 +1605,12 @@ func (s *Server) pushPeer(ctx context.Context, p *peerState, cut *gossipCut) {
 
 	if pending != nil {
 		resp, err := p.client.pushDeltaRaw(ctx, pending)
-		switch {
-		case err == nil && !resp.Applied && resp.Watermark > uint64(pendingGen):
-			// The receiver's watermark outruns the frame's window. On a
-			// never-acked link that means we restarted and it remembers the
-			// previous incarnation. After a successful ack it means the
-			// *receiver's* mark jumped past us (it bootstrapped and
-			// installed marks from a peer ahead of this link) — resetting
-			// to zero there would re-ship mass its counters already hold,
-			// so resolve the divergence instead.
-			if everAcked {
-				s.resolveConflict(ctx, p, local, gen, resp.CanReplace)
-				return
-			}
-			s.resyncRestartedSender(ctx, p, local, gen)
-			return
-		case err == nil:
-			s.peerMu.Lock()
-			p.baseline, p.baseGen = pendingLocal, pendingGen
-			p.pending, p.pendingLocal = nil, nil
-			p.framesAcked++
-			p.bytesShipped += int64(len(pending))
-			p.lastErr = ""
-			p.failStreak, p.nextAttempt = 0, time.Time{}
+		switch outcome, canReplace := classifyPush(resp, err, pendingGen, true); outcome {
+		case pushAcked:
+			s.peerAcked(p, pendingLocal, pendingGen, len(pending))
 			baseline, baseGen = pendingLocal, pendingGen
-			s.peerMu.Unlock()
-		case isWatermarkConflict(err) && !everAcked:
-			s.resyncRestartedSender(ctx, p, local, gen)
-			return
-		case isWatermarkConflict(err):
-			s.resolveConflict(ctx, p, local, gen, conflictAllowsReplace(err))
+		case pushDiverged:
+			s.resolveConflict(ctx, p, local, gen, everAcked, canReplace)
 			return
 		default:
 			s.peerFailed(p, err)
@@ -1651,33 +1631,11 @@ func (s *Server) pushPeer(ctx context.Context, p *peerState, cut *gossipCut) {
 	}
 
 	resp, err := p.client.pushDeltaRaw(ctx, frame)
-	switch {
-	case err == nil && !resp.Applied:
-		// A fresh frame (not a retry) was acked without being applied: the
-		// receiver's watermark already covers our window. On a never-acked
-		// link that means it remembers a previous incarnation of this node
-		// id — we restarted, and the no-op ack would otherwise advance the
-		// baseline and post-restart mass would silently never replicate.
-		// After a successful ack it means the receiver's own mark jumped
-		// (it bootstrapped) — resolve the divergence without a destructive
-		// reset-to-zero.
-		if everAcked {
-			s.resolveConflict(ctx, p, local, gen, resp.CanReplace)
-			return
-		}
-		s.resyncRestartedSender(ctx, p, local, gen)
-	case err == nil:
-		s.peerMu.Lock()
-		p.baseline, p.baseGen = local, gen
-		p.framesAcked++
-		p.bytesShipped += int64(len(frame))
-		p.lastErr = ""
-		p.failStreak, p.nextAttempt = 0, time.Time{}
-		s.peerMu.Unlock()
-	case isWatermarkConflict(err) && !everAcked:
-		s.resyncRestartedSender(ctx, p, local, gen)
-	case isWatermarkConflict(err):
-		s.resolveConflict(ctx, p, local, gen, conflictAllowsReplace(err))
+	switch outcome, canReplace := classifyPush(resp, err, gen, false); outcome {
+	case pushAcked:
+		s.peerAcked(p, local, gen, len(frame))
+	case pushDiverged:
+		s.resolveConflict(ctx, p, local, gen, everAcked, canReplace)
 	default:
 		// Transport failure or 5xx: the outcome is unknown, so keep the
 		// frame and retry it verbatim next tick (after the backoff window).
@@ -1690,29 +1648,93 @@ func (s *Server) pushPeer(ctx context.Context, p *peerState, cut *gossipCut) {
 	}
 }
 
-// peerFailed records a transport failure on a peer link: the error is
-// surfaced in /v1/stats and the next attempt is pushed out by an
-// exponentially growing backoff window.
-func (s *Server) peerFailed(p *peerState, err error) {
-	s.peerMu.Lock()
+// pushOutcome is what a peer's answer to a window frame means for the link.
+type pushOutcome int
+
+const (
+	pushFailed   pushOutcome = iota // transport failure or 5xx: outcome unknown
+	pushAcked                       // the peer holds everything up to the frame's toGen
+	pushDiverged                    // the two sides disagree about what has been shipped
+)
+
+// classifyPush sorts the answer to a window frame ending at generation gen.
+// A 409 is a divergence, carrying the receiver's replace offer in its detail.
+// So is a 200 that did not apply the frame — the receiver's watermark already
+// covers the window, so believing the no-op ack would advance the baseline
+// over mass that never replicated — with one exception: a retried frame
+// acked at (or below) its own toGen is just its lost ack arriving.
+func classifyPush(resp DeltaResponse, err error, gen int64, retry bool) (outcome pushOutcome, canReplace bool) {
+	switch {
+	case err == nil && !resp.Applied && (!retry || resp.Watermark > uint64(gen)):
+		return pushDiverged, resp.CanReplace
+	case err == nil:
+		return pushAcked, false
+	case isWatermarkConflict(err):
+		return pushDiverged, conflictAllowsReplace(err)
+	default:
+		return pushFailed, false
+	}
+}
+
+// noteOutcome records how a round trip to the peer ended: nil clears the
+// failure backoff; an error is surfaced in /v1/stats and pushes the next
+// attempt out by an exponentially growing window. Caller holds s.peerMu.
+func (s *Server) noteOutcome(p *peerState, err error) {
+	if err == nil {
+		p.lastErr = ""
+		p.failStreak, p.nextAttempt = 0, time.Time{}
+		return
+	}
 	p.lastErr = err.Error()
 	p.failStreak++
 	p.nextAttempt = time.Now().Add(s.backoffFor(p.failStreak))
+}
+
+// rebase moves the link to (baseline, gen) — what the peer now holds of this
+// node — dropping any retained frame, and notes the outcome of the round trip
+// that got it there. Caller holds s.peerMu.
+func (s *Server) rebase(p *peerState, baseline *sketch.HeavyHitterTracker, gen int64, err error) {
+	p.pending, p.pendingLocal = nil, nil
+	p.baseline, p.baseGen = baseline, gen
+	s.noteOutcome(p, err)
+}
+
+// peerAcked records a delivered counter-carrying frame of frameLen bytes that
+// took the peer to (baseline, gen). Reset frames ship nothing and do not
+// count: everAcked must stay false on a link that was only ever reset.
+func (s *Server) peerAcked(p *peerState, baseline *sketch.HeavyHitterTracker, gen int64, frameLen int) {
+	s.peerMu.Lock()
+	p.framesAcked++
+	p.bytesShipped += int64(frameLen)
+	s.rebase(p, baseline, gen, nil)
 	s.peerMu.Unlock()
 }
 
-// resolveConflict re-aligns a peer whose watermark diverged from our
-// generation sequence mid-session (typically: the peer wiped its disk and
-// bootstrapped, installing watermarks for us that no longer match what we
-// shipped it directly). When the peer tracks our received mass it accepts a
-// lossless replace frame; otherwise fall back to the legacy reset, which
-// drops un-acked local mass from gossip rather than risk double-counting.
-func (s *Server) resolveConflict(ctx context.Context, p *peerState, local *sketch.HeavyHitterTracker, gen int64, canReplace bool) {
-	if canReplace {
+// peerFailed records a transport failure on a peer link.
+func (s *Server) peerFailed(p *peerState, err error) {
+	s.peerMu.Lock()
+	s.noteOutcome(p, err)
+	s.peerMu.Unlock()
+}
+
+// resolveConflict re-aligns a link whose two ends disagree about what has
+// been shipped. On a never-acked link the peer remembers a previous
+// incarnation of this node id: we restarted. After a successful ack it is the
+// *peer's* mark that jumped (typically it wiped its disk and bootstrapped,
+// installing watermarks for us that no longer match what we shipped it
+// directly) — resetting to zero there would re-ship mass its counters
+// already hold, so when the peer tracks our received mass it gets a lossless
+// replace frame; otherwise fall back to the legacy reset, which drops
+// un-acked local mass from gossip rather than risk double-counting.
+func (s *Server) resolveConflict(ctx context.Context, p *peerState, local *sketch.HeavyHitterTracker, gen int64, everAcked, canReplace bool) {
+	switch {
+	case !everAcked:
+		s.resyncRestartedSender(ctx, p, local, gen)
+	case canReplace:
 		s.resyncPeerReplace(ctx, p, local, gen)
-		return
+	default:
+		s.resyncPeer(ctx, p, local, gen)
 	}
-	s.resyncPeer(ctx, p, local, gen)
 }
 
 // resyncPeerReplace heals a diverged peer exactly: ship our entire local
@@ -1740,14 +1762,7 @@ func (s *Server) resyncPeerReplace(ctx context.Context, p *peerState, local *ske
 		// Applied — or duplicate-acked exactly at gen because our previous
 		// replace's ack was lost, which still means the peer holds everything
 		// the cut covers. Either way `local` is now the peer's record of us.
-		s.peerMu.Lock()
-		p.pending, p.pendingLocal = nil, nil
-		p.baseline, p.baseGen = local, gen
-		p.framesAcked++
-		p.bytesShipped += int64(len(frame))
-		p.lastErr = ""
-		p.failStreak, p.nextAttempt = 0, time.Time{}
-		s.peerMu.Unlock()
+		s.peerAcked(p, local, gen, len(frame))
 		s.cfg.Logf("server: peer %s diverged: healed with a replace frame at generation %d", p.url, gen)
 	case isWatermarkConflict(err):
 		// The peer refused the replace (its trackers are unusable after a
@@ -1785,16 +1800,7 @@ func (s *Server) resyncRestartedSender(ctx context.Context, p *peerState, local 
 		return
 	}
 	s.peerMu.Lock()
-	p.pending, p.pendingLocal = nil, nil
-	p.baseline, p.baseGen = s.proto, 0
-	if err != nil {
-		p.lastErr = err.Error() // the next frame will conflict and retry the resync
-		p.failStreak++
-		p.nextAttempt = time.Now().Add(s.backoffFor(p.failStreak))
-	} else {
-		p.lastErr = ""
-		p.failStreak, p.nextAttempt = 0, time.Time{}
-	}
+	s.rebase(p, s.proto, 0, err) // on failure the next frame will conflict and retry the resync
 	s.peerMu.Unlock()
 	s.cfg.Logf("server: peer %s remembers a previous incarnation of %q: watermark reset to 0, re-shipping local state", p.url, s.cfg.NodeID)
 }
@@ -1814,16 +1820,7 @@ func (s *Server) resyncPeer(ctx context.Context, p *peerState, local *sketch.Hea
 	})
 	_, err := p.client.pushDeltaRaw(ctx, frame)
 	s.peerMu.Lock()
-	p.pending, p.pendingLocal = nil, nil
-	p.baseline, p.baseGen = local, gen
-	if err != nil {
-		p.lastErr = err.Error() // next tick's frame will conflict and resync again
-		p.failStreak++
-		p.nextAttempt = time.Now().Add(s.backoffFor(p.failStreak))
-	} else {
-		p.lastErr = ""
-		p.failStreak, p.nextAttempt = 0, time.Time{}
-	}
+	s.rebase(p, local, gen, err) // on failure next tick's frame will conflict and resync again
 	s.peerMu.Unlock()
 	s.cfg.Logf("server: gossip watermark conflict with %s: reset to local generation %d", p.url, gen)
 }
@@ -1892,7 +1889,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	s.peerMu.Unlock()
 	snap, snapGen, err := s.snapshotGen()
 	if err != nil {
-		writeSnapshotErr(w, r, err)
+		writeSnapshotErr(w, err)
 		return
 	}
 	stats.Gen = snapGen
@@ -1919,12 +1916,12 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 // writeSnapshotErr maps engine snapshot failures to HTTP statuses.
-func writeSnapshotErr(w http.ResponseWriter, r *http.Request, err error) {
+func writeSnapshotErr(w http.ResponseWriter, err error) {
 	if errors.Is(err, ErrServerClosed) || errors.Is(err, engine.ErrClosed) {
-		writeErr(w, r, http.StatusServiceUnavailable, "server is shutting down")
+		writeErr(w, http.StatusServiceUnavailable, "server is shutting down")
 		return
 	}
-	writeErr(w, r, http.StatusInternalServerError, "%v", err)
+	writeErr(w, http.StatusInternalServerError, "%v", err)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {
@@ -1935,36 +1932,19 @@ func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 
 // writeErr answers a failure with the unified JSON error envelope
 // {"error": {"code", "message", "detail"}}; the code is derived from the
-// HTTP status. Clients that ask for Accept: text/plain get the legacy
-// plain-text body instead.
-func writeErr(w http.ResponseWriter, r *http.Request, status int, format string, args ...interface{}) {
-	writeErrDetail(w, r, status, "", format, args...)
+// HTTP status.
+func writeErr(w http.ResponseWriter, status int, format string, args ...interface{}) {
+	writeErrDetail(w, status, "", format, args...)
 }
 
 // writeErrDetail is writeErr with an extra machine-readable detail string
 // (remediation hints: enabled algorithms, accepted ranges).
-func writeErrDetail(w http.ResponseWriter, r *http.Request, status int, detail, format string, args ...interface{}) {
-	msg := fmt.Sprintf(format, args...)
-	if r != nil && wantsPlainText(r) {
-		http.Error(w, msg, status)
-		return
-	}
+func writeErrDetail(w http.ResponseWriter, status int, detail, format string, args ...interface{}) {
 	writeJSON(w, status, errorResponse{Error: ErrorDetail{
 		Code:    codeForStatus(status),
-		Message: msg,
+		Message: fmt.Sprintf(format, args...),
 		Detail:  detail,
 	}})
-}
-
-// wantsPlainText reports whether the client explicitly opted into the legacy
-// plain-text error bodies with an Accept: text/plain header.
-func wantsPlainText(r *http.Request) bool {
-	for _, part := range strings.Split(r.Header.Get("Accept"), ",") {
-		if mediaType := strings.TrimSpace(strings.SplitN(part, ";", 2)[0]); mediaType == "text/plain" {
-			return true
-		}
-	}
-	return false
 }
 
 // codeForStatus maps an HTTP status to the stable error code of the envelope.

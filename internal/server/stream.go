@@ -399,7 +399,7 @@ func (s *Server) ServeStream(ln net.Listener) error {
 // which still preserves exactly-once — only latency suffers).
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	if ct := r.Header.Get("Content-Type"); ct != "" && !strings.HasPrefix(ct, contentTypeStream) {
-		writeErr(w, r, http.StatusUnsupportedMediaType, "unsupported Content-Type %q (want %s)", ct, contentTypeStream)
+		writeErr(w, http.StatusUnsupportedMediaType, "unsupported Content-Type %q (want %s)", ct, contentTypeStream)
 		return
 	}
 	rc := http.NewResponseController(w)
@@ -409,7 +409,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		rc.SetWriteDeadline(time.Now())
 	}
 	if !s.registerStreamConn(c) {
-		writeErr(w, r, http.StatusServiceUnavailable, "server is shutting down")
+		writeErr(w, http.StatusServiceUnavailable, "server is shutting down")
 		return
 	}
 	defer s.unregisterStreamConn(c)

@@ -197,8 +197,6 @@ type ErrorDetail struct {
 
 // errorResponse is the JSON body of every non-2xx answer:
 // {"error": {"code": ..., "message": ..., "detail": ...}}.
-// Clients that send Accept: text/plain get the legacy plain-text body
-// instead, so curl transcripts from before the envelope still read sensibly.
 type errorResponse struct {
 	Error ErrorDetail `json:"error"`
 }

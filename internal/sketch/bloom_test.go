@@ -1,7 +1,9 @@
 package sketch
 
 import (
+	"encoding/binary"
 	"testing"
+	"time"
 
 	"repro/internal/xrand"
 )
@@ -126,5 +128,55 @@ func TestSpectralBloomPanics(t *testing.T) {
 			}()
 			f()
 		}()
+	}
+}
+
+// forgedBloomBody is a well-formed one-word filter encoding that claims k
+// hash functions (the input FuzzUnmarshalBinary found with k = 800M).
+func forgedBloomBody(t *testing.T, k uint32) []byte {
+	t.Helper()
+	body, err := NewBloomFilter(xrand.New(1), 64, 1).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.BigEndian.PutUint32(body[6+8:], k) // header, bit count, then k
+	return body
+}
+
+// TestBloomDecoderCapsHashCount: the decoder builds every hash function
+// before it reads a payload byte, so a forged hash count must be refused
+// before that work is done — and a legitimate filter must still round-trip.
+func TestBloomDecoderCapsHashCount(t *testing.T) {
+	for _, k := range []uint32{65, 800_000_000, 1 << 30} {
+		start := time.Now()
+		var bf BloomFilter
+		if err := bf.UnmarshalBinary(forgedBloomBody(t, k)); err == nil {
+			t.Fatalf("k=%d over 64 bits decoded", k)
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Fatalf("refusing k=%d took %v", k, d)
+		}
+	}
+	var edge BloomFilter
+	if err := edge.UnmarshalBinary(forgedBloomBody(t, 64)); err != nil {
+		t.Fatalf("k=64 over 64 bits refused: %v", err)
+	}
+
+	legit := NewBloomFilter(xrand.New(2), 997, 7)
+	for i := uint64(0); i < 100; i++ {
+		legit.Add(i)
+	}
+	enc, err := legit.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back BloomFilter
+	if err := back.UnmarshalBinary(enc); err != nil {
+		t.Fatalf("legitimate filter refused: %v", err)
+	}
+	for i := uint64(0); i < 100; i++ {
+		if !back.Contains(i) {
+			t.Fatalf("decoded filter lost item %d", i)
+		}
 	}
 }

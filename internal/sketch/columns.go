@@ -169,9 +169,7 @@ func (sc *ColumnScatter) keyScratch(n int) []uint64 {
 
 // ColumnSketch is the contract a family satisfies to ride the engine's
 // key-partitioned mode: name its geometry, route update batches to column
-// shards, slice an existing sketch's counters for one shard (how absorbed
-// replicas are folded into partitioned state), and reassemble a full sketch
-// from per-shard slices. ConcatColumns overwrites the receiver's counters —
+// shards, and reassemble a full sketch from per-shard slices. ConcatColumns overwrites the receiver's counters —
 // it is called on a fresh clone — and sets its mass accounting from the
 // summed shard masses; families without mass ignore the argument.
 //
@@ -180,13 +178,11 @@ func (sc *ColumnScatter) keyScratch(n int) []uint64 {
 type ColumnSketch interface {
 	ColumnShape() ColumnShape
 	ScatterColumns(items []uint64, deltas []float64, sc *ColumnScatter)
-	AppendColumnSlice(dst []float64, shard, shards int) []float64
 	ConcatColumns(slices [][]float64, mass float64) error
-	ColumnMass() float64
 }
 
 // appendColumnSlice copies columns [lo, hi) of every row of a flat row-major
-// counter array — the shared kernel behind the families' AppendColumnSlice.
+// counter array: the slice a partitioned engine's shard holds of it.
 func appendColumnSlice(dst, counts []float64, width, rows, lo, hi int) []float64 {
 	for r := 0; r < rows; r++ {
 		dst = append(dst, counts[r*width+lo:r*width+hi]...)

@@ -451,7 +451,3 @@ func (cm *CountMin) ConcatColumns(slices [][]float64, mass float64) error {
 	cm.totalMass = mass
 	return nil
 }
-
-// ColumnMass returns the mass a partitioned engine must account for when
-// absorbing this sketch into column shards.
-func (cm *CountMin) ColumnMass() float64 { return cm.totalMass }

@@ -351,21 +351,11 @@ func (cs *CountSketch) ScatterColumns(items []uint64, deltas []float64, sc *Colu
 	}
 }
 
-// AppendColumnSlice appends the row-major counters of the columns shard j of
-// n owns and returns the extended slice.
-func (cs *CountSketch) AppendColumnSlice(dst []float64, shard, shards int) []float64 {
-	lo, hi := cs.ColumnShape().Range(shard, shards)
-	return appendColumnSlice(dst, cs.counts, cs.width, cs.depth, lo, hi)
-}
-
 // ConcatColumns overwrites the counters from per-shard column slices. The
 // mass argument is ignored: Count-Sketch keeps no mass accounting.
 func (cs *CountSketch) ConcatColumns(slices [][]float64, _ float64) error {
 	return concatColumnSlices(cs.counts, slices, cs.ColumnShape())
 }
-
-// ColumnMass returns 0: Count-Sketch keeps no mass accounting.
-func (cs *CountSketch) ColumnMass() float64 { return 0 }
 
 // median returns the median of values; for even counts it averages the two
 // middle elements, which keeps the estimator unbiased. The input slice is

@@ -360,18 +360,8 @@ func (d *Dyadic) ScatterColumns(items []uint64, deltas []float64, sc *ColumnScat
 	}
 }
 
-// AppendColumnSlice appends the counters of the columns shard j of n owns,
-// level-major (each level's rows in order), and returns the extended slice.
-func (d *Dyadic) AppendColumnSlice(dst []float64, shard, shards int) []float64 {
-	lo, hi := d.ColumnShape().Range(shard, shards)
-	for _, cm := range d.levels {
-		dst = appendColumnSlice(dst, cm.counts, cm.width, cm.depth, lo, hi)
-	}
-	return dst
-}
-
 // ConcatColumns overwrites every level's counters from per-shard column
-// slices (level-major rows, the inverse of AppendColumnSlice) and sets each
+// slices (level-major: each level's rows in order) and sets each
 // level's total mass to the summed shard masses — every level sees every
 // delta once, so the per-level masses are all the stream's total.
 func (d *Dyadic) ConcatColumns(slices [][]float64, mass float64) error {
@@ -395,10 +385,6 @@ func (d *Dyadic) ConcatColumns(slices [][]float64, mass float64) error {
 	}
 	return nil
 }
-
-// ColumnMass returns the mass a partitioned engine must account for when
-// absorbing this hierarchy (every level carries the same total).
-func (d *Dyadic) ColumnMass() float64 { return d.levels[0].totalMass }
 
 // HeavyHitterTracker combines a Count-Min sketch with a candidate heap so
 // that heavy hitters can be reported after a single pass without a second

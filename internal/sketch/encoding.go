@@ -410,6 +410,13 @@ func (bf *BloomFilter) UnmarshalBinary(data []byte) error {
 	if r.err == nil && (m < 1 || m > 1<<36) {
 		r.fail("BloomFilter: bit count %d out of range", m)
 	}
+	// Each hash function is constructed before a payload byte is read, so the
+	// body must pay for k: more hashes than bits (64 for the smallest
+	// filters) is no filter anyone sized, and 2^30 of them behind a 42-byte
+	// body is minutes of work.
+	if r.err == nil && uint64(k) > max(64, m) {
+		r.fail("BloomFilter: %d hash functions for %d bits", k, m)
+	}
 	r.checkPayload("BloomFilter", (m+63)/64)
 	if r.err != nil {
 		return r.err
