@@ -1,6 +1,8 @@
 package hashing
 
 import (
+	"fmt"
+	"math/bits"
 	"testing"
 
 	"repro/internal/xrand"
@@ -185,5 +187,145 @@ func BenchmarkPolySignBatch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		SignBatch(s, keys, dst)
+	}
+}
+
+func BenchmarkRowsBatch(b *testing.B) {
+	for _, width := range []int{4096, 65536} {
+		b.Run(fmt.Sprintf("w%d", width), func(b *testing.B) {
+			r := xrand.New(1)
+			hashers := make([]Hasher, 4)
+			for i := range hashers {
+				hashers[i] = NewHasher(FamilyPoly2, r, uint64(width))
+			}
+			rows := NewRows(hashers, width)
+			keys := randomKeys(xrand.New(1), benchBatchLen)
+			const chunk = 256
+			dst := make([]uint64, 4*chunk)
+			b.SetBytes(8 * benchBatchLen)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := 0; j < len(keys); j += chunk {
+					rows.Index(keys[j:j+chunk], dst, chunk)
+				}
+			}
+		})
+	}
+}
+
+// Row-set kernel ---------------------------------------------------------------
+
+// edgeKeys are the keys the Mersenne reduction treats specially — the
+// residues around p = 2^61-1, the first key needing the fold's carry, and the
+// largest key — ahead of n random ones.
+func edgeKeys(r *xrand.Rand, n int) []uint64 {
+	const p = MersennePrime61
+	return append([]uint64{0, 1, p - 1, p, p + 1, 1 << 61, 1<<64 - 1}, randomKeys(r, n)...)
+}
+
+// requireRowsMatchScalar checks Index against the definition it documents,
+// computed with the scalar Hash of each row.
+func requireRowsMatchScalar(t *testing.T, name string, hashers []Hasher, width int, keys []uint64) {
+	t.Helper()
+	rows := NewRows(hashers, width)
+	for _, stride := range []int{len(keys), len(keys) + 3} {
+		dst := make([]uint64, len(hashers)*stride)
+		rows.Index(keys, dst, stride)
+		for r, h := range hashers {
+			for i, k := range keys {
+				want := uint64(r)*uint64(width) + h.Hash(k)%uint64(width)
+				if got := dst[r*stride+i]; got != want {
+					t.Fatalf("%s stride %d: row %d key %d (%#x): index %d, scalar %d", name, stride, r, i, k, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestRowsIndexMatchesScalar runs the row-set kernel against scalar Hash for
+// every family, depths on both sides of the four-row unrolling, and widths on
+// both sides of the power-of-two condition, and pins which loop each shape
+// takes: the fused one exactly for pairwise polynomial rows over a
+// power-of-two width.
+func TestRowsIndexMatchesScalar(t *testing.T) {
+	keys := edgeKeys(xrand.New(17), 300)
+	for _, f := range []Family{FamilyPoly2, FamilyPoly4, FamilyMultiplyShift, FamilyTabulation} {
+		for depth := 1; depth <= 8; depth++ {
+			for _, width := range []int{1, 3, 1000, 4096, 65536} {
+				r := xrand.New(uint64(100*depth + width))
+				hashers := make([]Hasher, depth)
+				for i := range hashers {
+					hashers[i] = NewHasher(f, r, uint64(width))
+				}
+				name := fmt.Sprintf("%s/d%d/w%d", f, depth, width)
+				requireRowsMatchScalar(t, name, hashers, width, keys)
+				requireRowsMatchScalar(t, name+"/one-key", hashers, width, keys[3:4])
+				fused := NewRows(hashers, width).poly != nil
+				if want := f == FamilyPoly2 && width&(width-1) == 0; fused != want {
+					t.Fatalf("%s: fused loop taken = %v, want %v", name, fused, want)
+				}
+			}
+		}
+	}
+}
+
+// TestRowsMixedRowsTakeGenericLoop: one row of another family, degree or
+// range disqualifies the whole set from the fused loop, and the generic loop
+// still matches scalar Hash — including a range wider than the width, which
+// reduces modulo the width.
+func TestRowsMixedRowsTakeGenericLoop(t *testing.T) {
+	const width = 1024
+	keys := edgeKeys(xrand.New(19), 300)
+	r := xrand.New(23)
+	poly2 := func() Hasher { return NewPolyHash(r, 2, width) }
+	for name, hashers := range map[string][]Hasher{
+		"tabulation-row":  {poly2(), poly2(), NewTabulation(r, width), poly2()},
+		"poly4-row":       {poly2(), NewPolyHash(r, 4, width), poly2(), poly2(), poly2()},
+		"poly1-row":       {NewPolyHash(r, 1, width), poly2()},
+		"wider-range-row": {poly2(), poly2(), poly2(), NewPolyHash(r, 2, 2*width)},
+		"odd-range-row":   {poly2(), NewPolyHash(r, 2, 3*width+1)},
+		"multiply-shift":  {NewMultiplyShift(r, width), poly2()},
+		"foreign-hasher":  {poly2(), constHasher{v: 5000, m: 8192}},
+	} {
+		if NewRows(hashers, width).poly != nil {
+			t.Fatalf("%s: a mixed row set took the fused loop", name)
+		}
+		requireRowsMatchScalar(t, name, hashers, width, keys)
+	}
+}
+
+// refAffine61 is the polynomial family's Horner step as it was first written:
+// reduce the product, add, reduce again.
+func refAffine61(a, x, b uint64) uint64 {
+	hi, lo := bits.Mul64(a, x)
+	return mod61(mod61((hi<<3|lo>>61)+(lo&MersennePrime61)) + b)
+}
+
+// TestAffine61MatchesTwoReductions checks the one-reduction step against the
+// two-reduction form on every combination of extremal operands (p-1 in each
+// position included) and on over a million random ones.
+func TestAffine61MatchesTwoReductions(t *testing.T) {
+	const p = MersennePrime61
+	edges := []uint64{0, 1, 2, 3, 1 << 30, 1<<60 - 1, 1 << 60, 1<<60 + 1, p - 3, p - 2, p - 1}
+	for _, a := range edges {
+		for _, x := range edges {
+			for _, b := range edges {
+				if got, want := affine61(a, x, b), refAffine61(a, x, b); got != want {
+					t.Fatalf("affine61(%d, %d, %d) = %d, two reductions give %d", a, x, b, got, want)
+				}
+			}
+		}
+	}
+	r := xrand.New(29)
+	for i := 0; i < 1<<20; i++ {
+		a, x, b := r.Uint64n(p), r.Uint64n(p), r.Uint64n(p)
+		if i%8 == 0 {
+			a = edges[r.Uint64n(uint64(len(edges)))] // random against extremal, too
+		}
+		got, want := affine61(a, x, b), refAffine61(a, x, b)
+		if got != want || got >= p {
+			t.Fatalf("affine61(%d, %d, %d) = %d, two reductions give %d", a, x, b, got, want)
+		}
 	}
 }

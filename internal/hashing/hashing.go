@@ -14,7 +14,9 @@
 // Every family also implements the batched contracts of batch.go
 // (BatchHasher.HashBatch, BatchSignHasher.SignBatch): devirtualized loop
 // kernels that map a whole column of keys per call, bit-identically to the
-// scalar methods. The sketches' UpdateBatch hot paths are built on them.
+// scalar methods. Rows, in the same file, compiles all the row hashers of one
+// sketch into a single kernel that yields flat counter indices; the sketches'
+// batched hot paths are built on it.
 package hashing
 
 import (
@@ -42,17 +44,6 @@ type SignHasher interface {
 	Sign(key uint64) float64
 }
 
-// mulmod61 computes (a*b) mod (2^61-1) for a, b < 2^61 using a 128-bit
-// intermediate product. Because 2^61 ≡ 1 (mod p), the 122-bit product
-// q*2^61 + r reduces to q + r.
-func mulmod61(a, b uint64) uint64 {
-	hi, lo := bits.Mul64(a, b)
-	// a, b < 2^61 so hi < 2^58 and q = hi<<3 | lo>>61 fits in a uint64.
-	q := hi<<3 | lo>>61
-	r := lo & MersennePrime61
-	return mod61(q + r)
-}
-
 // mod61 reduces x modulo 2^61-1. The input may be any uint64.
 func mod61(x uint64) uint64 {
 	x = (x & MersennePrime61) + (x >> 61)
@@ -61,6 +52,28 @@ func mod61(x uint64) uint64 {
 	}
 	return x
 }
+
+// affine61 computes (a*x + b) mod (2^61-1) for a, x, b < 2^61 with a single
+// reduction: one Horner step of the polynomial family. The 122-bit product
+// splits as q*2^61 + r with q, r < 2^61, and 2^61 ≡ 1 (mod p), so
+// a*x + b ≡ q + r + b, a sum below 3*2^61 < 2^63. One fold leaves at most
+// p + 3 < 2p and one conditional subtraction lands in [0, p). A residue class
+// has one member there, so this is bit for bit what reducing the product and
+// then the sum separately returns — mod61(mod61(q+r) + b), the form the
+// family was written in first — at about 60% of the instructions.
+func affine61(a, x, b uint64) uint64 {
+	hi, lo := bits.Mul64(a, x)
+	// a, x < 2^61 so hi < 2^58 and q = hi<<3 | lo>>61 fits in a uint64.
+	s := (hi<<3 | lo>>61) + (lo & MersennePrime61) + b
+	s = (s & MersennePrime61) + (s >> 61)
+	if s >= MersennePrime61 {
+		s -= MersennePrime61
+	}
+	return s
+}
+
+// mulmod61 computes (a*b) mod (2^61-1) for a, b < 2^61.
+func mulmod61(a, b uint64) uint64 { return affine61(a, b, 0) }
 
 // PolyHash is a k-wise independent hash family over the field GF(2^61-1),
 // evaluated with Horner's rule: h(x) = (a_{k-1} x^{k-1} + ... + a_0) mod p,
@@ -102,7 +115,7 @@ func (p *PolyHash) raw(key uint64) uint64 {
 	x := mod61(key)
 	acc := uint64(0)
 	for i := len(p.coeffs) - 1; i >= 0; i-- {
-		acc = mod61(mulmod61(acc, x) + p.coeffs[i])
+		acc = affine61(acc, x, p.coeffs[i])
 	}
 	return acc
 }

@@ -116,10 +116,11 @@ func wantsEstimateColumn(r *http.Request) bool {
 // batched estimation kernels from the pinned read epoch — one epoch load for
 // the entire column, estimates bit-identical to the per-key GET form.
 func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
-	data, ok := s.readBody(w, r)
+	body, ok := s.readPooledBody(w, r)
 	if !ok {
 		return
 	}
+	defer body.release()
 	// JSON parses before the lane lock (the parse allocates its own request
 	// struct anyway); the binary key column decodes under the lock, straight
 	// into the lane's reusable column — one bounds-checked scan.
@@ -129,7 +130,9 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case isBinary:
 	case ct == "" || strings.HasPrefix(ct, contentTypeJSON):
-		if err := json.Unmarshal(data, &req); err != nil {
+		err := json.Unmarshal(body.data, &req)
+		body.release()
+		if err != nil {
 			writeErr(w, http.StatusBadRequest, "decoding JSON key batch: %v", err)
 			return
 		}
@@ -145,7 +148,8 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	lane.keys = lane.keys[:0]
 	if isBinary {
 		var err error
-		lane.keys, err = DecodeKeyColumns(data, lane.keys)
+		lane.keys, err = DecodeKeyColumns(body.data, lane.keys)
+		body.release()
 		if err != nil {
 			writeErr(w, http.StatusBadRequest, "%v", err)
 			return

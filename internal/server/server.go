@@ -382,6 +382,9 @@ type Server struct {
 	// into. A buffer is out of the pool only between the expansion and the
 	// decode that copies the counters out of it.
 	deltaScratch sync.Pool
+	// bodyScratch pools the *[]byte buffers the binary-capable /v1/update and
+	// POST /v1/query bodies are read into (see pooledBody).
+	bodyScratch sync.Pool
 
 	updates, batches, merges, snapshots            atomic.Int64
 	deltasApplied, deltasDuplicate, deltasRejected atomic.Int64
@@ -944,11 +947,20 @@ func (s *Server) encodedSnapshotLocked() ([]byte, error) {
 // allocation of that size; a chunked body, or one declared over the cap, goes
 // through the capped reader's growing buffer.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	return s.readBodyInto(w, r, nil)
+}
+
+// readBodyInto is readBody reading a declared length into buf's storage when
+// it is large enough, instead of allocating (and zeroing) that many bytes.
+func (s *Server) readBodyInto(w http.ResponseWriter, r *http.Request, buf []byte) ([]byte, bool) {
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	var data []byte
 	var err error
 	if n := r.ContentLength; n >= 0 && n <= s.cfg.MaxBodyBytes {
-		data = make([]byte, n)
+		if int64(cap(buf)) < n {
+			buf = make([]byte, n)
+		}
+		data = buf[:n]
 		_, err = io.ReadFull(body, data)
 	} else {
 		data, err = io.ReadAll(body)
@@ -965,11 +977,46 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool)
 	return data, true
 }
 
+// pooledBody is a request body read into a buffer from Server.bodyScratch.
+// The handler releases it as soon as the decode has copied everything it
+// needs out of data — the JSON parse, or the column decode under the lane
+// lock — and defers a second release for the paths that return before that.
+type pooledBody struct {
+	data []byte
+	buf  *[]byte
+	pool *sync.Pool
+}
+
+// readPooledBody is readBody into a pooled buffer.
+func (s *Server) readPooledBody(w http.ResponseWriter, r *http.Request) (pooledBody, bool) {
+	buf, _ := s.bodyScratch.Get().(*[]byte)
+	if buf == nil {
+		buf = new([]byte)
+	}
+	data, ok := s.readBodyInto(w, r, *buf)
+	if !ok {
+		s.bodyScratch.Put(buf)
+		return pooledBody{}, false
+	}
+	*buf = data // a body that outgrew the pooled buffer leaves the larger one behind
+	return pooledBody{data: data, buf: buf, pool: &s.bodyScratch}, true
+}
+
+// release returns the buffer to the pool; data must not be used afterwards.
+// Releasing twice is a no-op.
+func (b *pooledBody) release() {
+	if b.buf != nil {
+		b.pool.Put(b.buf)
+		b.data, b.buf = nil, nil
+	}
+}
+
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
-	data, ok := s.readBody(w, r)
+	body, ok := s.readPooledBody(w, r)
 	if !ok {
 		return
 	}
+	defer body.release()
 	// JSON parses before the lane lock (the parse allocates its own request
 	// struct, so overlapping parses on one lane cost nothing); the binary
 	// format decodes under the lock, straight into the lane's reusable
@@ -981,7 +1028,9 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case isBinary:
 	case ct == "" || strings.HasPrefix(ct, contentTypeJSON):
-		if err := json.Unmarshal(data, &req); err != nil {
+		err := json.Unmarshal(body.data, &req)
+		body.release()
+		if err != nil {
 			writeErr(w, http.StatusBadRequest, "decoding JSON updates: %v", err)
 			return
 		}
@@ -1004,7 +1053,8 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	lane.items, lane.deltas = lane.items[:0], lane.deltas[:0]
 	if isBinary {
 		var err error
-		lane.items, lane.deltas, err = DecodeBatchColumns(data, lane.items, lane.deltas)
+		lane.items, lane.deltas, err = DecodeBatchColumns(body.data, lane.items, lane.deltas)
+		body.release()
 		if err != nil {
 			writeErr(w, http.StatusBadRequest, "%v", err)
 			return

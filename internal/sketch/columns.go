@@ -2,7 +2,6 @@ package sketch
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 )
 
@@ -21,7 +20,7 @@ import (
 // The types below are the sketch-side half of that contract, consumed by
 // internal/engine's partition mode: ColumnShape names the geometry and the
 // bucket->shard map, ColumnScatter turns a key/delta batch into per-shard
-// scatter columns (hashing through the same batch kernels UpdateBatch uses),
+// scatter columns (hashing through the same row-set kernel UpdateBatch uses),
 // and each family implements ColumnSketch to route, slice and reassemble its
 // own counters.
 
@@ -73,11 +72,12 @@ type ColumnScatter struct {
 	CandKeys [][]uint64
 	CandIdx  [][]uint32
 
-	// Reusable hash scratch for the family's ScatterColumns (grown to the
-	// largest batch seen, zero allocations steady-state).
-	buckets []uint64
-	signs   []float64
-	keys    []uint64
+	// Reusable hash scratch for the family's ScatterColumns (zero allocations
+	// steady-state): the index matrix (see indexRows), a chunk's signs, and
+	// the dyadic hierarchy's shifted keys.
+	idx   []uint64
+	signs []float64
+	keys  []uint64
 }
 
 // NewColumnScatter builds a scatter for the given geometry and shard count.
@@ -141,14 +141,6 @@ func (sc *ColumnScatter) routeCandidate(key uint64, bucket uint64) {
 	j := ((int(bucket)+1)*len(sc.lo) - 1) / sc.shape.Width
 	sc.CandKeys[j] = append(sc.CandKeys[j], key)
 	sc.CandIdx[j] = append(sc.CandIdx[j], uint32(int(bucket)-sc.lo[j]))
-}
-
-// bucketScratch returns the reusable bucket column, grown to n entries.
-func (sc *ColumnScatter) bucketScratch(n int) []uint64 {
-	if cap(sc.buckets) < n {
-		sc.buckets = make([]uint64, n)
-	}
-	return sc.buckets[:n]
 }
 
 // signScratch returns the reusable sign column, grown to n entries.
@@ -220,53 +212,126 @@ func concatColumnSlices(counts []float64, slices [][]float64, shape ColumnShape)
 // exactly as they always have (the golden tracker fixtures encode the
 // resulting sets) — but on a concrete slice: no interface dispatch, and an
 // eviction reuses the evicted entry's storage instead of allocating a node.
+//
+// The index is a small open-addressed table rather than a Go map: slots[s]
+// holds a heap position plus one (zero is an empty slot), a key probes
+// linearly from its home slot, and a removal shifts the run behind it back so
+// no tombstones are left. The table always has at least four slots per held
+// key, so probe runs stay a slot or two long. Every heap entry carries the
+// slot that points at it, which makes a sift swap two stores into the table
+// with nothing hashed; only Offer's lookup, an eviction and a table doubling
+// hash keys.
 type CandidateSet struct {
-	cap  int
-	heap []candidate
-	pos  map[uint64]int // key -> index in heap
+	cap   int
+	heap  []candidate
+	slots []uint32 // len a power of two, >= 4*len(heap)
+	shift uint     // 64 - log2(len(slots)): home slot = key*phi >> shift
 }
 
 type candidate struct {
 	item  uint64
 	score float64
+	slot  uint32 // slots[slot] == this entry's heap position + 1
 }
 
-// NewCandidateSet builds an empty set keeping the given number of keys.
+// maxCandidates bounds the capacity so heap positions and slot numbers fit
+// the table's 32-bit words (the decoders' dimension cap is the same 2^30).
+const maxCandidates = 1 << 30
+
+// NewCandidateSet builds an empty set keeping the given number of keys. The
+// index starts small and doubles as keys arrive, so a large capacity costs
+// nothing until it is used.
 func NewCandidateSet(capacity int) *CandidateSet {
-	if capacity < 1 {
-		panic("sketch: NewCandidateSet requires capacity >= 1")
+	if capacity < 1 || capacity > maxCandidates {
+		panic(fmt.Sprintf("sketch: NewCandidateSet requires 1 <= capacity <= %d (got %d)", maxCandidates, capacity))
 	}
-	return &CandidateSet{cap: capacity, pos: make(map[uint64]int)}
+	return &CandidateSet{cap: capacity, slots: make([]uint32, 8), shift: 64 - 3}
 }
 
 // Offer records the key with the given score, evicting the current minimum
 // when the set is full and the newcomer scores higher.
 func (c *CandidateSet) Offer(key uint64, score float64) {
-	if i, ok := c.pos[key]; ok {
+	s, held := c.find(key)
+	if held {
+		i := int(c.slots[s]) - 1
 		c.heap[i].score = score
 		if !c.down(i, len(c.heap)) { // heap.Fix
 			c.up(i)
 		}
 		return
 	}
-	if n := len(c.heap); n >= c.cap {
+	n := len(c.heap)
+	switch {
+	case n >= c.cap:
 		if score <= c.heap[0].score {
 			return
 		}
 		c.swap(0, n-1) // heap.Pop
 		c.down(0, n-1)
-		delete(c.pos, c.heap[n-1].item)
+		c.unindex(c.heap[n-1].slot)
 		c.heap = c.heap[:n-1]
+		s, _ = c.find(key) // the removal may have moved the probe run's end
+	case 4*(n+1) > len(c.slots):
+		c.grow()
+		s, _ = c.find(key)
 	}
-	c.heap = append(c.heap, candidate{item: key, score: score}) // heap.Push
-	c.pos[key] = len(c.heap) - 1
+	c.heap = append(c.heap, candidate{item: key, score: score, slot: s}) // heap.Push
+	c.slots[s] = uint32(len(c.heap))
 	c.up(len(c.heap) - 1)
+}
+
+// home returns the slot a key's probe run starts at (Fibonacci hashing: the
+// top bits of key times 2^64/phi).
+func (c *CandidateSet) home(key uint64) uint32 {
+	return uint32(key * 0x9E3779B97F4A7C15 >> c.shift)
+}
+
+// find probes for key: the slot holding its heap position and true, or the
+// empty slot ending its probe run — where it would be indexed — and false.
+// The table is never more than a quarter full, so the run ends.
+func (c *CandidateSet) find(key uint64) (slot uint32, held bool) {
+	mask := uint32(len(c.slots) - 1)
+	for s := c.home(key); ; s = (s + 1) & mask {
+		p := c.slots[s]
+		if p == 0 {
+			return s, false
+		}
+		if c.heap[p-1].item == key {
+			return s, true
+		}
+	}
+}
+
+// unindex empties slot i and closes the gap: each entry further along the
+// run moves back into the hole if its own probe run passes through it (its
+// home is not after the hole), which leaves every remaining key reachable
+// from its home with no empty slot in between.
+func (c *CandidateSet) unindex(i uint32) {
+	mask := uint32(len(c.slots) - 1)
+	for j := (i + 1) & mask; c.slots[j] != 0; j = (j + 1) & mask {
+		p := c.slots[j]
+		if (j-c.home(c.heap[p-1].item))&mask >= (j-i)&mask {
+			c.slots[i], c.heap[p-1].slot = p, i
+			i = j
+		}
+	}
+	c.slots[i] = 0
+}
+
+// grow doubles the table and re-indexes every held key.
+func (c *CandidateSet) grow() {
+	c.slots = make([]uint32, 2*len(c.slots))
+	c.shift--
+	for i := range c.heap {
+		s, _ := c.find(c.heap[i].item)
+		c.slots[s], c.heap[i].slot = uint32(i+1), s
+	}
 }
 
 func (c *CandidateSet) swap(i, j int) {
 	h := c.heap
 	h[i], h[j] = h[j], h[i]
-	c.pos[h[i].item], c.pos[h[j].item] = i, j
+	c.slots[h[i].slot], c.slots[h[j].slot] = uint32(i+1), uint32(j+1)
 }
 
 func (c *CandidateSet) up(j int) {
@@ -321,8 +386,14 @@ func (c *CandidateSet) AppendItems(dst []uint64) []uint64 {
 	return dst
 }
 
+// Reset empties the set in place, keeping its storage.
+func (c *CandidateSet) Reset() {
+	c.heap = c.heap[:0]
+	clear(c.slots)
+}
+
 // Copy returns an independent set holding the same keys and scores in the
 // same heap order.
 func (c *CandidateSet) Copy() *CandidateSet {
-	return &CandidateSet{cap: c.cap, heap: slices.Clone(c.heap), pos: maps.Clone(c.pos)}
+	return &CandidateSet{cap: c.cap, heap: slices.Clone(c.heap), slots: slices.Clone(c.slots), shift: c.shift}
 }

@@ -16,9 +16,9 @@ import (
 // least 1-delta when w = ceil(e/eps) and d = ceil(ln(1/delta)).
 //
 // The counters live in one flat contiguous array (row r occupies
-// counts[r*width : (r+1)*width]), so the batched update path walks memory
-// row-by-row with no pointer chasing, and UpdateBatch drives each row through
-// the devirtualized hash kernels of internal/hashing. The batch path is
+// counts[r*width : (r+1)*width]), and every batched path hashes through the
+// row-set kernel of internal/hashing, which turns a chunk of keys into flat
+// indices into that array for all rows at once. The batch path is
 // bit-identical to per-item updates: for any one counter, the same deltas
 // arrive in the same stream order either way.
 type CountMin struct {
@@ -26,6 +26,9 @@ type CountMin struct {
 	depth  int
 	counts []float64 // flat, row-major: row r at counts[r*width:(r+1)*width]
 	hashes []hashing.Hasher
+	// rows is the row-set kernel over hashes: what every batched path hashes
+	// with. Immutable, shared with clones like the hashers themselves.
+	rows *hashing.Rows
 	// conservative enables conservative update (only raise the counters that
 	// are below the new lower bound); only valid for non-negative deltas.
 	conservative bool
@@ -36,15 +39,15 @@ type CountMin struct {
 	seed   uint64
 	family hashing.Family
 
-	// bucketScratch is the reusable per-sketch bucket column for UpdateBatch
-	// (grown once to the largest batch seen, zero allocations steady-state).
-	// It makes writes single-goroutine, like the counters themselves; reads
-	// (Estimate) never touch it, so snapshots stay safe to query concurrently.
-	bucketScratch []uint64
+	// idxScratch is the reusable index matrix of UpdateBatch (see indexRows;
+	// zero allocations steady-state). It makes writes single-goroutine, like
+	// the counters themselves; reads (Estimate) never touch it, so snapshots
+	// stay safe to query concurrently.
+	idxScratch []uint64
 	// oneKey/oneDelta back the per-item Update, which is a len-1 UpdateBatch.
 	oneKey   [1]uint64
 	oneDelta [1]float64
-	// estScratch backs EstimateBatch (see estimate.go) the way bucketScratch
+	// estScratch backs EstimateBatch (see estimate.go) the way idxScratch
 	// backs UpdateBatch: sketch-owned, grown once, zero allocations
 	// steady-state, single goroutine at a time. Concurrent readers use
 	// EstimateBatchWith with their own scratch instead.
@@ -101,6 +104,7 @@ func newCountMinFromSeed(seed uint64, width, depth int, family hashing.Family, c
 	for i := 0; i < depth; i++ {
 		cm.hashes[i] = hashing.NewHasher(family, hr, uint64(width))
 	}
+	cm.rows = hashing.NewRows(cm.hashes, width)
 	return cm
 }
 
@@ -139,26 +143,24 @@ func (cm *CountMin) bucket(row int, item uint64) int {
 	return int(cm.hashes[row].Hash(item) % uint64(cm.width))
 }
 
-// hashRow writes the bucket of every key in one row to dst, in [0, width):
-// the family's batch kernel, plus a modulo pass only when the hash range is
-// not the width itself — multiply-shift at a width that is not a power of
-// two (its range rounds up). Every batched read and write path hashes its
-// rows through here, so bucket columns index a row directly.
-func hashRow(h hashing.Hasher, width int, keys, dst []uint64) {
-	hashing.HashBatch(h, keys, dst)
-	if w := uint64(width); h.Range() != w {
-		for i := range dst[:len(keys)] {
-			dst[i] %= w
-		}
-	}
-}
+// indexChunk is how many keys the batched paths hash at a time. At 8 bytes
+// per row per key the index matrix is 2 KiB per row — 8 KiB at the daemon's
+// depth 4, L1-resident next to the chunk's 4 KiB of keys and deltas — so the
+// pass that walks the counters finds the indices where the hash pass left
+// them.
+const indexChunk = 256
 
-// buckets returns the reusable bucket column, grown to hold n entries.
-func (cm *CountMin) buckets(n int) []uint64 {
-	if cap(cm.bucketScratch) < n {
-		cm.bucketScratch = make([]uint64, n)
+// indexRows returns the index matrix for a batch of n keys over depth rows,
+// reusing *buf, and its row stride: row r of the matrix hashing.Rows.Index
+// fills is idx[r*stride:], and a batch longer than the stride goes through
+// stride keys at a time. Batches shorter than indexChunk get a matrix their
+// own size, so a sketch fed one update at a time carries depth words.
+func indexRows(buf *[]uint64, depth, n int) (idx []uint64, stride int) {
+	stride = min(n, indexChunk)
+	if cap(*buf) < depth*stride {
+		*buf = make([]uint64, depth*stride)
 	}
-	return cm.bucketScratch[:n]
+	return (*buf)[:depth*stride], stride
 }
 
 // Update adds delta to the item's count. Negative deltas are allowed only
@@ -170,12 +172,12 @@ func (cm *CountMin) Update(item uint64, delta float64) {
 }
 
 // UpdateBatch adds deltas[i] to items[i]'s count for every i, equivalent to
-// (and bit-identical with) calling Update item by item but driven through the
-// batched hash kernels: each row hashes the whole key column in one
-// devirtualized loop, then scatters the deltas into that row's contiguous
-// counters. The scratch column is reused across calls, so steady-state
-// ingestion does not allocate. The slices must have equal length; the sketch
-// does not retain them.
+// (and bit-identical with) calling Update item by item: chunk by chunk, the
+// row-set kernel hashes the keys into every row's counter indices in one
+// pass, then each row scatters the chunk's deltas into its counters. The
+// index matrix is reused across calls, so steady-state ingestion does not
+// allocate. The slices must have equal length; the sketch does not retain
+// them.
 func (cm *CountMin) UpdateBatch(items []uint64, deltas []float64) {
 	if len(items) != len(deltas) {
 		panic(fmt.Sprintf("sketch: CountMin.UpdateBatch length mismatch (%d items, %d deltas)", len(items), len(deltas)))
@@ -191,16 +193,21 @@ func (cm *CountMin) UpdateBatch(items []uint64, deltas []float64) {
 		}
 		return
 	}
-	buckets := cm.buckets(len(items))
-	for r := 0; r < cm.depth; r++ {
-		hashRow(cm.hashes[r], cm.width, items, buckets)
-		row := cm.row(r)
-		for i, b := range buckets {
-			row[b] += deltas[i]
-		}
-	}
 	for _, d := range deltas {
 		cm.totalMass += d
+	}
+	counts := cm.counts
+	idx, stride := indexRows(&cm.idxScratch, cm.depth, len(items))
+	for len(items) > 0 {
+		n := min(len(items), stride)
+		cm.rows.Index(items[:n], idx, stride)
+		ds := deltas[:n]
+		for r := 0; r < cm.depth; r++ {
+			for i, j := range idx[r*stride:][:n] {
+				counts[j] += ds[i]
+			}
+		}
+		items, deltas = items[n:], deltas[n:]
 	}
 }
 
@@ -357,6 +364,7 @@ func (cm *CountMin) Clone() *CountMin {
 		depth:        cm.depth,
 		counts:       make([]float64, len(cm.counts)),
 		hashes:       cm.hashes,
+		rows:         cm.rows,
 		conservative: cm.conservative,
 		seed:         cm.seed,
 		family:       cm.family,
@@ -406,7 +414,7 @@ func (cm *CountMin) ColumnShape() ColumnShape {
 	return ColumnShape{Rows: cm.depth, Width: cm.width}
 }
 
-// ScatterColumns hashes a key/delta batch through the same batch kernels
+// ScatterColumns hashes a key/delta batch through the same row-set kernel
 // UpdateBatch uses and routes each row's counter increment to the shard
 // owning its bucket's column, plus the batch's delta mass. It reads only the
 // shared hash functions and the scatter's own scratch, so any number of
@@ -420,15 +428,35 @@ func (cm *CountMin) ScatterColumns(items []uint64, deltas []float64, sc *ColumnS
 	if cm.conservative {
 		panic("sketch: conservative-update CountMin is not linear and cannot be column-partitioned")
 	}
-	buckets := sc.bucketScratch(len(items))
-	for r := 0; r < cm.depth; r++ {
-		hashRow(cm.hashes[r], cm.width, items, buckets)
-		for i, b := range buckets {
-			sc.route(r, b, deltas[i])
-		}
-	}
+	cm.scatter(items, deltas, sc, 0, false)
 	for _, d := range deltas {
 		sc.Mass += d
+	}
+}
+
+// scatter routes the increments of one key/delta batch: cm's row r is row
+// firstRow+r of the scatter's geometry (the dyadic hierarchy stacks its
+// levels), and with candidates set every key also goes down the candidate
+// lane with its row-0 bucket (the heavy-hitter tracker). Each shard's lists
+// receive a chunk's rows one after another, so any one counter still gets its
+// increments in stream order.
+func (cm *CountMin) scatter(items []uint64, deltas []float64, sc *ColumnScatter, firstRow int, candidates bool) {
+	idx, stride := indexRows(&sc.idx, cm.depth, len(items))
+	for len(items) > 0 {
+		n := min(len(items), stride)
+		cm.rows.Index(items[:n], idx, stride)
+		for r := 0; r < cm.depth; r++ {
+			off := uint64(r * cm.width)
+			for i, j := range idx[r*stride:][:n] {
+				sc.route(firstRow+r, j-off, deltas[i])
+			}
+		}
+		if candidates {
+			for i, bucket := range idx[:n] { // row 0: the index is the bucket
+				sc.routeCandidate(items[i], bucket)
+			}
+		}
+		items, deltas = items[n:], deltas[n:]
 	}
 }
 

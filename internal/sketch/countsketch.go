@@ -19,25 +19,26 @@ import (
 // sensing with sparse matrices [CM06].
 //
 // Like CountMin, the counters are one flat contiguous array (row r at
-// counts[r*width:(r+1)*width]) and UpdateBatch drives each row through the
-// batched hash and sign kernels of internal/hashing, bit-identical to the
-// per-item path.
+// counts[r*width:(r+1)*width]); the batched paths hash through the row-set
+// kernel of internal/hashing and sign through its per-row sign kernels,
+// bit-identical to the per-item path.
 type CountSketch struct {
 	width  int
 	depth  int
 	counts []float64 // flat, row-major: row r at counts[r*width:(r+1)*width]
 	hashes []hashing.Hasher
+	rows   *hashing.Rows // the row-set kernel over hashes, shared with clones
 	signs  []hashing.SignHasher
 	// seed and family fully determine the hash and sign functions (drawn in a
 	// fixed order from xrand.New(seed)); see MarshalBinary.
 	seed   uint64
 	family hashing.Family
 
-	// bucketScratch/signScratch are the reusable per-sketch columns for
-	// UpdateBatch (zero allocations steady-state). Writes are single-goroutine
-	// like the counters; reads never touch them.
-	bucketScratch []uint64
-	signScratch   []float64
+	// idxScratch/signScratch are the reusable index matrix (see indexRows)
+	// and sign column of UpdateBatch (zero allocations steady-state). Writes
+	// are single-goroutine like the counters; reads never touch them.
+	idxScratch  []uint64
+	signScratch []float64
 	// oneKey/oneDelta back the per-item Update, which is a len-1 UpdateBatch.
 	oneKey   [1]uint64
 	oneDelta [1]float64
@@ -89,6 +90,7 @@ func newCountSketchFromSeed(seed uint64, width, depth int, family hashing.Family
 		cs.hashes[i] = hashing.NewHasher(family, hr, uint64(width))
 		cs.signs[i] = hashing.NewSigner(family, hr)
 	}
+	cs.rows = hashing.NewRows(cs.hashes, width)
 	return cs
 }
 
@@ -128,15 +130,6 @@ func (cs *CountSketch) bucket(row int, item uint64) int {
 	return int(cs.hashes[row].Hash(item) % uint64(cs.width))
 }
 
-// scratch returns the reusable bucket and sign columns, grown to n entries.
-func (cs *CountSketch) scratch(n int) ([]uint64, []float64) {
-	if cap(cs.bucketScratch) < n {
-		cs.bucketScratch = make([]uint64, n)
-		cs.signScratch = make([]float64, n)
-	}
-	return cs.bucketScratch[:n], cs.signScratch[:n]
-}
-
 // Update adds delta to the item's count. Deltas of any sign are supported
 // (turnstile model). It is a len-1 UpdateBatch.
 func (cs *CountSketch) Update(item uint64, delta float64) {
@@ -146,11 +139,12 @@ func (cs *CountSketch) Update(item uint64, delta float64) {
 }
 
 // UpdateBatch adds deltas[i] to items[i]'s count for every i, equivalent to
-// (and bit-identical with) per-item Update calls: each row hashes and signs
-// the whole key column through the batched kernels, then scatters the signed
-// deltas into that row's contiguous counters. The scratch columns are reused
-// across calls, so steady-state ingestion does not allocate. The slices must
-// have equal length; the sketch does not retain them.
+// (and bit-identical with) per-item Update calls: chunk by chunk, the row-set
+// kernel hashes the keys into every row's counter indices, then each row
+// signs the chunk and scatters the signed deltas into its counters. The
+// scratch is reused across calls, so steady-state ingestion does not
+// allocate. The slices must have equal length; the sketch does not retain
+// them.
 func (cs *CountSketch) UpdateBatch(items []uint64, deltas []float64) {
 	if len(items) != len(deltas) {
 		panic(fmt.Sprintf("sketch: CountSketch.UpdateBatch length mismatch (%d items, %d deltas)", len(items), len(deltas)))
@@ -158,14 +152,22 @@ func (cs *CountSketch) UpdateBatch(items []uint64, deltas []float64) {
 	if len(items) == 0 {
 		return
 	}
-	buckets, signs := cs.scratch(len(items))
-	for r := 0; r < cs.depth; r++ {
-		hashRow(cs.hashes[r], cs.width, items, buckets)
-		hashing.SignBatch(cs.signs[r], items, signs)
-		row := cs.row(r)
-		for i, b := range buckets {
-			row[b] += signs[i] * deltas[i]
+	counts := cs.counts
+	idx, stride := indexRows(&cs.idxScratch, cs.depth, len(items))
+	if cap(cs.signScratch) < stride {
+		cs.signScratch = make([]float64, stride)
+	}
+	signs := cs.signScratch[:stride]
+	for len(items) > 0 {
+		n := min(len(items), stride)
+		cs.rows.Index(items[:n], idx, stride)
+		for r := 0; r < cs.depth; r++ {
+			hashing.SignBatch(cs.signs[r], items[:n], signs)
+			for i, j := range idx[r*stride:][:n] {
+				counts[j] += signs[i] * deltas[i]
+			}
 		}
+		items, deltas = items[n:], deltas[n:]
 	}
 }
 
@@ -279,6 +281,7 @@ func (cs *CountSketch) Clone() *CountSketch {
 		depth:  cs.depth,
 		counts: make([]float64, len(cs.counts)),
 		hashes: cs.hashes,
+		rows:   cs.rows,
 		signs:  cs.signs,
 		seed:   cs.seed,
 		family: cs.family,
@@ -331,23 +334,28 @@ func (cs *CountSketch) ColumnShape() ColumnShape {
 	return ColumnShape{Rows: cs.depth, Width: cs.width}
 }
 
-// ScatterColumns hashes and signs a key/delta batch through the batch
-// kernels and routes each row's signed increment to the shard owning its
-// bucket's column. Only the shared hash/sign functions and the scatter's
+// ScatterColumns hashes and signs a key/delta batch through the same kernels
+// UpdateBatch uses and routes each row's signed increment to the shard owning
+// its bucket's column. Only the shared hash/sign functions and the scatter's
 // scratch are touched, so producers scatter through one prototype
 // concurrently.
 func (cs *CountSketch) ScatterColumns(items []uint64, deltas []float64, sc *ColumnScatter) {
 	if len(items) != len(deltas) {
 		panic(fmt.Sprintf("sketch: CountSketch.ScatterColumns length mismatch (%d items, %d deltas)", len(items), len(deltas)))
 	}
-	buckets := sc.bucketScratch(len(items))
-	signs := sc.signScratch(len(items))
-	for r := 0; r < cs.depth; r++ {
-		hashRow(cs.hashes[r], cs.width, items, buckets)
-		hashing.SignBatch(cs.signs[r], items, signs)
-		for i, b := range buckets {
-			sc.route(r, b, signs[i]*deltas[i])
+	idx, stride := indexRows(&sc.idx, cs.depth, len(items))
+	signs := sc.signScratch(stride)
+	for len(items) > 0 {
+		n := min(len(items), stride)
+		cs.rows.Index(items[:n], idx, stride)
+		for r := 0; r < cs.depth; r++ {
+			hashing.SignBatch(cs.signs[r], items[:n], signs)
+			off := uint64(r * cs.width)
+			for i, j := range idx[r*stride:][:n] {
+				sc.route(r, j-off, signs[i]*deltas[i])
+			}
 		}
+		items, deltas = items[n:], deltas[n:]
 	}
 }
 

@@ -36,14 +36,41 @@
 //
 // The update path is batch-first: counters live in one flat row-major array
 // (row stride = width) and every family exposes UpdateBatch (AddBatch for
-// the Bloom filter), which applies a whole column of keys and deltas per
-// hash row through the batched kernels of internal/hashing, reusing a
-// per-sketch scratch column so steady-state ingestion does not allocate.
-// Batched ingestion is bit-identical to per-item ingestion — for any one
-// counter the same deltas arrive in the same stream order — and per-item
-// Update survives as a len-1 batch. The HeavyHitterTracker batches the same
-// way up to its candidate heap, whose decision alone is per-item: it hashes
-// a chunk once per row, reads each item's estimate off the counters it has
-// just added to, and consults the heap only for items that can clear its
-// floor (see HeavyHitterTracker.UpdateBatch).
+// the Bloom filter), which applies a whole column of keys and deltas, reusing
+// per-sketch scratch so steady-state ingestion does not allocate. Batched
+// ingestion is bit-identical to per-item ingestion — for any one counter the
+// same deltas arrive in the same stream order — and per-item Update survives
+// as a len-1 batch. Three pieces carry the hot path:
+//
+//   - The row-set kernel. Each flat-counter sketch compiles its row hashers
+//     into one hashing.Rows at construction (shared with its clones), and
+//     every batched path — UpdateBatch, EstimateBatchWith, ScatterColumns,
+//     the dyadic levels — calls Rows.Index on indexChunk keys at a time to
+//     get every row's flat counter indices in one pass, then walks the
+//     counters row by row off that L1-resident matrix. The default rows
+//     (pairwise polynomial, power-of-two width) take the kernel's fused
+//     loop, which reduces a*x + b mod 2^61-1 once rather than twice. One
+//     reduction suffices because the folded sum is below 2^63, so a fold and
+//     a conditional subtraction reach the canonical residue — the same
+//     bucket, not a new hash family: no fixture or seed changes.
+//
+//   - The tracker's two-pass chunk. HeavyHitterTracker.UpdateBatch hashes a
+//     chunk once, then runs a counter pass (add each delta to the item's
+//     counters, keep the minimum of the values written: the item's estimate
+//     after its own update) and a candidate pass over those estimates in
+//     item order (floor gate, then Offer). Only the heap decision is
+//     per-item, and it may run after the chunk's adds because Offer is
+//     counter-blind: it reads and writes the candidate store alone, so
+//     deferring it changes neither what the store sees nor what the counters
+//     receive.
+//
+//   - The table-indexed heap. CandidateSet is a flat min-heap with
+//     container/heap's exact sift order, indexed by an open-addressed table
+//     (linear probing, backward-shift delete, at least four slots per key)
+//     whose slot numbers ride in the heap entries: a sift swap stores two
+//     table words and hashes nothing.
+//
+// tracker_oracle_test.go holds the tracker as the seed wrote it — hash per
+// row to add, hash again to estimate, a map of heap nodes — and checks
+// counters, mass and heap order against it after every batch.
 package sketch

@@ -340,20 +340,13 @@ func (d *Dyadic) ScatterColumns(items []uint64, deltas []float64, sc *ColumnScat
 	depth := d.levels[0].depth
 	prefixes := sc.keyScratch(len(items))
 	copy(prefixes, items)
-	buckets := sc.bucketScratch(len(items))
 	for l := 0; l <= d.logU; l++ {
 		if l > 0 {
 			for i := range prefixes {
 				prefixes[i] >>= 1
 			}
 		}
-		cm := d.levels[l]
-		for r := 0; r < depth; r++ {
-			hashRow(cm.hashes[r], cm.width, prefixes, buckets)
-			for i, b := range buckets {
-				sc.route(l*depth+r, b, deltas[i])
-			}
-		}
+		d.levels[l].scatter(prefixes, deltas, sc, l*depth, false)
 	}
 	for _, dl := range deltas {
 		sc.Mass += dl
@@ -403,19 +396,20 @@ type HeavyHitterTracker struct {
 	// it (a negative or NaN delta, Sub, Scale, AbsorbCountMin, ConcatColumns)
 	// and only a full re-score (Merge, UnmarshalBinary) sets it again.
 	scoresLow bool
-	// idx is UpdateBatch's depth x trackerChunk matrix of flat counter
-	// indices (row r of the current chunk at idx[r*trackerChunk:]), allocated
-	// on the first update so trackers that only merge never carry it.
+	// idx and est are UpdateBatch's scratch: the chunk's index matrix (see
+	// indexRows) and the estimate each item of the chunk had right after its
+	// own update. Allocated on the first update, so trackers that only merge
+	// never carry them.
 	idx []uint64
+	est []float64
+	// unionKeys is Merge's scratch for the candidate union, and candScores
+	// AbsorbCandidates' for the estimates it offers.
+	unionKeys  []uint64
+	candScores []float64
 	// oneKey/oneDelta back the per-item Update, which is a len-1 UpdateBatch.
 	oneKey   [1]uint64
 	oneDelta [1]float64
 }
-
-// trackerChunk is how many updates UpdateBatch hashes at a time. At 8 bytes
-// per row per key the index matrix is 2 KiB per row — 8 KiB at the daemon's
-// depth 4, L1-resident next to the chunk's 4 KiB of keys and deltas.
-const trackerChunk = 256
 
 // NewHeavyHitterTracker creates a tracker that keeps the k items with the
 // largest estimated counts, backed by a Count-Min of the given dimensions.
@@ -447,69 +441,134 @@ func (t *HeavyHitterTracker) Update(item uint64, delta float64) {
 // of "add delta to the item's counters, estimate the item, offer it to the
 // candidate store". Only the heap decision is inherently per-item — it must
 // see the sketch state after updates 0..i and no later — and the kernel
-// keeps exactly that while batching everything around it:
+// keeps exactly that while batching everything around it. Each chunk of
+// indexChunk updates goes through three steps:
 //
-//  1. Hash once. Each chunk of trackerChunk keys goes through every row's
-//     batch kernel once, into a matrix of flat counter indices.
-//  2. Add and read in one walk. Item by item, delta i is added to the item's
-//     depth counters and the minimum of the values just written is taken
-//     with the same `<` Estimate uses. That minimum is Estimate(item) after
-//     updates 0..i, so nothing is hashed twice. Every counter still receives
-//     its deltas in stream order, and the mass is summed in stream order.
-//  3. Floor gate. Say the store is full, the estimate is at or below the
-//     store's minimum score (its floor), and every stored score is a lower
-//     bound on its item's current estimate (the scoresLow latch). Were the
-//     item stored, its score would lie between the floor and the estimate,
-//     so all three are equal and re-scoring it moves nothing; were it not,
-//     Offer would turn it away. Either way the store stays as it is, so the
-//     key lookup is skipped. With the latch cleared every item pays the
-//     lookup, as it always did: the gate is a shortcut, never a condition of
-//     exactness.
+//  1. Hash once. The row-set kernel turns the chunk's keys into a matrix of
+//     flat counter indices, every row in one pass.
+//  2. Counter pass (addAndMin). Item by item, delta i is added to the item's
+//     depth counters and the minimum of the values just written, taken with
+//     the same `<` Estimate uses, is kept in est[i]. That minimum is
+//     Estimate(item) after updates 0..i, so nothing is hashed or read twice.
+//     Every counter still receives its deltas in stream order, and the mass
+//     is summed in stream order. The loop makes no calls and touches no heap.
+//  3. Candidate pass. In item order again, est[i] is offered to the store.
+//     Running it after the whole chunk's counter pass instead of interleaved
+//     changes nothing: Offer reads and writes the store only, never a
+//     counter, and est[i] was fixed in step 2 — so the store sees the same
+//     (key, score) sequence and the counters the same adds.
+//
+// The candidate pass skips most items through the floor gate. Say the store
+// is full, the estimate is at or below the store's minimum score (its floor),
+// and every stored score is a lower bound on its item's current estimate (the
+// scoresLow latch). Were the item stored, its score would lie between the
+// floor and the estimate, so all three are equal and re-scoring it moves
+// nothing; were it not, Offer would turn it away. Either way the store stays
+// as it is, so the key lookup is skipped. The first delta that is not >= 0
+// clears the latch for its own item and every later one; with the latch
+// cleared every item pays the lookup, as it always did: the gate is a
+// shortcut, never a condition of exactness.
 //
 // The slices must have equal length; the tracker does not retain them.
 func (t *HeavyHitterTracker) UpdateBatch(items []uint64, deltas []float64) {
 	if len(items) != len(deltas) {
 		panic(fmt.Sprintf("sketch: HeavyHitterTracker.UpdateBatch length mismatch (%d items, %d deltas)", len(items), len(deltas)))
 	}
-	cm := t.cm
-	if t.idx == nil {
-		t.idx = make([]uint64, cm.depth*trackerChunk)
+	cm, cands := t.cm, t.cands
+	idx, stride := indexRows(&t.idx, cm.depth, len(items))
+	if cap(t.est) < stride {
+		t.est = make([]float64, stride)
 	}
-	idx, counts, mass, low := t.idx, cm.counts, cm.totalMass, t.scoresLow
 	for len(items) > 0 {
-		n := min(len(items), trackerChunk)
-		for r := 0; r < cm.depth; r++ {
-			row := idx[r*trackerChunk : r*trackerChunk+n]
-			hashRow(cm.hashes[r], cm.width, items[:n], row)
-			if off := uint64(r * cm.width); off != 0 {
-				for i := range row {
-					row[i] += off
-				}
-			}
+		n := min(len(items), stride)
+		est := t.est[:n]
+		cm.rows.Index(items[:n], idx, stride)
+		mass, unsigned := addAndMin(cm.counts, idx, stride, deltas[:n], est, cm.totalMass)
+		cm.totalMass = mass
+		gated := 0
+		if t.scoresLow {
+			gated = unsigned
+			t.scoresLow = unsigned == n
 		}
-		for i, d := range deltas[:n] {
-			est := math.Inf(1)
-			for j := i; j < len(idx); j += trackerChunk {
-				v := counts[idx[j]] + d
-				counts[idx[j]] = v
-				if v < est {
-					est = v
-				}
+		floor, full := cands.Floor()
+		for i, e := range est[:gated] {
+			if full && e <= floor {
+				continue
 			}
-			mass += d
-			if !(d >= 0) {
-				low = false
-			}
-			if low {
-				if floor, full := t.cands.Floor(); full && est <= floor {
-					continue
-				}
-			}
-			t.cands.Offer(items[i], est)
+			cands.Offer(items[i], e)
+			floor, full = cands.Floor() // only an Offer moves it
+		}
+		for i := gated; i < n; i++ {
+			cands.Offer(items[i], est[i])
 		}
 		items, deltas = items[n:], deltas[n:]
 	}
-	cm.totalMass, t.scoresLow = mass, low
+}
+
+// addAndMin is the counter pass of UpdateBatch over one chunk: for every i it
+// adds deltas[i] to the counters idx[r*stride+i] of each row r and stores the
+// minimum of the values written in est[i] — folded with `<` from +Inf, as
+// Estimate folds the rows. It returns the mass with the deltas added in
+// order, and how many leading deltas are >= 0 (len(deltas) when all are; NaN
+// is not).
+//
+// The daemon's depth of 4 gets its own loop. The index rows are sliced to the
+// chunk, so the only bounds checks left are the counter accesses themselves,
+// and the four values stay in registers from the add to the minimum. The
+// minimum is the builtin's, a branch-free instruction sequence where the fold
+// would mispredict about once per item. The two differ only around NaN (the
+// builtin propagates one, the fold steps over it) and signed zeros (the
+// builtin orders -0 below +0, the fold keeps whichever came first), and both
+// cases leave the builtin's result NaN or zero: those items, and only those,
+// are folded again by definition.
+func addAndMin(counts []float64, idx []uint64, stride int, deltas, est []float64, mass float64) (float64, int) {
+	n := len(deltas)
+	est = est[:n]
+	unsigned := n
+	if len(idx) == 4*stride {
+		i0, i1, i2, i3 := idx[:n], idx[stride:][:n], idx[2*stride:][:n], idx[3*stride:][:n]
+		for i, d := range deltas {
+			v0 := counts[i0[i]] + d
+			counts[i0[i]] = v0
+			v1 := counts[i1[i]] + d
+			counts[i1[i]] = v1
+			v2 := counts[i2[i]] + d
+			counts[i2[i]] = v2
+			v3 := counts[i3[i]] + d
+			counts[i3[i]] = v3
+			e := min(v0, v1, v2, v3)
+			if e == 0 || e != e {
+				e = math.Inf(1)
+				for _, v := range [...]float64{v0, v1, v2, v3} {
+					if v < e {
+						e = v
+					}
+				}
+			}
+			est[i] = e
+			mass += d
+			if !(d >= 0) && i < unsigned {
+				unsigned = i
+			}
+		}
+		return mass, unsigned
+	}
+	for i, d := range deltas {
+		e := math.Inf(1)
+		for j := i; j < len(idx); j += stride {
+			v := counts[idx[j]] + d
+			counts[idx[j]] = v
+			if v < e {
+				e = v
+			}
+		}
+		est[i] = e
+		mass += d
+		if !(d >= 0) && i < unsigned {
+			unsigned = i
+		}
+	}
+	return mass, unsigned
 }
 
 // Estimate returns the sketch estimate for an item.
@@ -574,9 +633,9 @@ func (t *HeavyHitterTracker) Merge(other *HeavyHitterTracker) error {
 	if err := t.cm.Merge(other.cm); err != nil {
 		return err
 	}
-	items := other.cands.AppendItems(t.cands.AppendItems(nil))
-	t.cands = NewCandidateSet(t.k)
-	t.AbsorbCandidates(items)
+	t.unionKeys = other.cands.AppendItems(t.cands.AppendItems(t.unionKeys[:0]))
+	t.cands.Reset()
+	t.AbsorbCandidates(t.unionKeys)
 	t.scoresLow = true
 	return nil
 }
@@ -656,17 +715,7 @@ func (t *HeavyHitterTracker) ScatterColumns(items []uint64, deltas []float64, sc
 	if len(items) != len(deltas) {
 		panic(fmt.Sprintf("sketch: HeavyHitterTracker.ScatterColumns length mismatch (%d items, %d deltas)", len(items), len(deltas)))
 	}
-	cm := t.cm
-	buckets := sc.bucketScratch(len(items))
-	for r := 0; r < cm.depth; r++ {
-		hashRow(cm.hashes[r], cm.width, items, buckets)
-		for i, b := range buckets {
-			sc.route(r, b, deltas[i])
-			if r == 0 {
-				sc.routeCandidate(items[i], b)
-			}
-		}
-	}
+	t.cm.scatter(items, deltas, sc, 0, true)
 	for _, dl := range deltas {
 		sc.Mass += dl
 	}
@@ -701,8 +750,13 @@ func (t *HeavyHitterTracker) CandidateCap() int { return t.k }
 // exposed for callers that carry candidate keys outside a tracker (the
 // engine's partitioned snapshot assembly).
 func (t *HeavyHitterTracker) AbsorbCandidates(items []uint64) {
-	for _, item := range items {
-		t.cands.Offer(item, t.cm.Estimate(item))
+	if cap(t.candScores) < len(items) {
+		t.candScores = make([]float64, len(items))
+	}
+	scores := t.candScores[:len(items)]
+	t.cm.EstimateBatch(items, scores)
+	for i, item := range items {
+		t.cands.Offer(item, scores[i])
 	}
 }
 

@@ -8,12 +8,12 @@ import (
 )
 
 // Batched point queries. UpdateBatch made the write path a sparse
-// matrix-vector product driven through the devirtualized hash kernels of
+// matrix-vector product driven through the row-set kernel of
 // internal/hashing; EstimateBatch is the same move applied to reads. A point
-// query touches one counter per row, so a batch of point queries is, per row,
-// one batched hash pass over the key column followed by a gather from that
-// row's contiguous counters — instead of interface-dispatched per-key hashing
-// with a strided walk down the rows.
+// query touches one counter per row, so a batch of point queries is, chunk by
+// chunk, one hash pass that yields every row's counter indices followed by a
+// gather per row — instead of interface-dispatched per-key hashing with a
+// strided walk down the rows.
 //
 // The batched estimates are defined to be bit-identical to the scalar ones:
 // Count-Min takes the same min-of-rows with the same `<` comparison,
@@ -33,24 +33,17 @@ import (
 //     EstimateScratch. This is what the engine's epoch-pinned read cache
 //     uses: many readers, one shared snapshot, a scratch pool.
 
-// EstimateScratch holds the reusable columns a batched estimate needs: one
-// bucket column, one sign column (Count-Sketch only) and one key-major
-// n x depth estimate matrix (Count-Sketch's per-key median input). It grows
-// to the largest (batch, depth) seen and is then allocation-free. The zero
-// value is ready to use. A scratch must not be shared by concurrent readers;
-// give each reader its own (they are small) or pool them.
+// EstimateScratch holds the reusable scratch a batched estimate needs: the
+// index matrix (see indexRows), and for Count-Sketch one chunk's sign column
+// and key-major keys x depth estimate matrix (the per-key median input). It
+// grows to the deepest sketch seen, at most indexChunk keys wide, and is then
+// allocation-free. The zero value is ready to use. A scratch must not be
+// shared by concurrent readers; give each reader its own (they are small) or
+// pool them.
 type EstimateScratch struct {
-	buckets []uint64
-	signs   []float64
-	ests    []float64
-}
-
-// bucketColumn returns the scratch's bucket column, grown to n entries.
-func (sc *EstimateScratch) bucketColumn(n int) []uint64 {
-	if cap(sc.buckets) < n {
-		sc.buckets = make([]uint64, n)
-	}
-	return sc.buckets[:n]
+	idx   []uint64
+	signs []float64
+	ests  []float64
 }
 
 // signColumn returns the scratch's sign column, grown to n entries.
@@ -84,12 +77,12 @@ type BatchEstimator interface {
 // CountMin --------------------------------------------------------------------
 
 // EstimateBatch writes the estimated count of items[i] to dst[i] for every i,
-// equivalent to (and bit-identical with) calling Estimate item by item: each
-// row hashes the whole key column through the batched kernels, then folds
-// that row's counters into the running minima. The sketch-owned scratch is
-// reused across calls, so steady-state querying does not allocate; like
-// UpdateBatch it makes the call single-goroutine. The slices must have equal
-// length; the sketch does not retain them.
+// equivalent to (and bit-identical with) calling Estimate item by item: the
+// row-set kernel hashes a chunk of keys into every row's counter indices,
+// then each row folds its counters into the running minima. The sketch-owned
+// scratch is reused across calls, so steady-state querying does not allocate;
+// like UpdateBatch it makes the call single-goroutine. The slices must have
+// equal length; the sketch does not retain them.
 func (cm *CountMin) EstimateBatch(items []uint64, dst []float64) {
 	cm.EstimateBatchWith(items, dst, &cm.estScratch)
 }
@@ -104,29 +97,47 @@ func (cm *CountMin) EstimateBatchWith(items []uint64, dst []float64, sc *Estimat
 	if len(items) == 0 {
 		return
 	}
-	buckets := sc.bucketColumn(len(items))
 	for i := range dst {
 		dst[i] = math.Inf(1)
 	}
-	for r := 0; r < cm.depth; r++ {
-		hashRow(cm.hashes[r], cm.width, items, buckets)
-		row := cm.row(r)
-		for i, b := range buckets {
-			if v := row[b]; v < dst[i] {
-				dst[i] = v
+	counts := cm.counts
+	idx, stride := indexRows(&sc.idx, cm.depth, len(items))
+	for len(items) > 0 {
+		n := min(len(items), stride)
+		cm.rows.Index(items[:n], idx, stride)
+		out := dst[:n]
+		// Each row folds in with the builtin minimum, which does not branch
+		// on the data. It parts from Estimate's `<` fold only around NaN and
+		// signed zeros (see addAndMin), and then leaves NaN or zero behind:
+		// those keys are folded again by definition.
+		for r := 0; r < cm.depth; r++ {
+			for i, j := range idx[r*stride:][:n] {
+				out[i] = min(out[i], counts[j])
 			}
 		}
+		for i, e := range out {
+			if e == 0 || e != e {
+				e = math.Inf(1)
+				for j := i; j < len(idx); j += stride {
+					if v := counts[idx[j]]; v < e {
+						e = v
+					}
+				}
+				out[i] = e
+			}
+		}
+		items, dst = items[n:], dst[n:]
 	}
 }
 
 // CountSketch -----------------------------------------------------------------
 
 // EstimateBatch writes the estimated count of items[i] to dst[i] for every i,
-// equivalent to (and bit-identical with) per-item Estimate calls: each row
-// hashes and signs the whole key column through the batched kernels and
-// gathers its sign-corrected counters into a key-major estimate matrix, then
-// each key's fixed-depth slice goes through the same in-place median the
-// scalar path uses — no sort allocation. Sketch-owned scratch, reused across
+// equivalent to (and bit-identical with) per-item Estimate calls: chunk by
+// chunk, the row-set kernel hashes the keys, each row signs them and gathers
+// its sign-corrected counters into a key-major estimate matrix, then each
+// key's fixed-depth slice goes through the same in-place median the scalar
+// path uses — no sort allocation. Sketch-owned scratch, reused across
 // calls: zero allocations steady-state, single goroutine at a time.
 func (cs *CountSketch) EstimateBatch(items []uint64, dst []float64) {
 	cs.EstimateBatchWith(items, dst, &cs.estScratch)
@@ -141,20 +152,23 @@ func (cs *CountSketch) EstimateBatchWith(items []uint64, dst []float64, sc *Esti
 	if len(items) == 0 {
 		return
 	}
-	depth := cs.depth
-	buckets := sc.bucketColumn(len(items))
-	signs := sc.signColumn(len(items))
-	ests := sc.estMatrix(len(items) * depth)
-	for r := 0; r < depth; r++ {
-		hashRow(cs.hashes[r], cs.width, items, buckets)
-		hashing.SignBatch(cs.signs[r], items, signs)
-		row := cs.row(r)
-		for i, b := range buckets {
-			ests[i*depth+r] = signs[i] * row[b]
+	depth, counts := cs.depth, cs.counts
+	idx, stride := indexRows(&sc.idx, depth, len(items))
+	signs := sc.signColumn(stride)
+	ests := sc.estMatrix(stride * depth)
+	for len(items) > 0 {
+		n := min(len(items), stride)
+		cs.rows.Index(items[:n], idx, stride)
+		for r := 0; r < depth; r++ {
+			hashing.SignBatch(cs.signs[r], items[:n], signs)
+			for i, j := range idx[r*stride:][:n] {
+				ests[i*depth+r] = signs[i] * counts[j]
+			}
 		}
-	}
-	for i := range items {
-		dst[i] = median(ests[i*depth : (i+1)*depth])
+		for i := range dst[:n] {
+			dst[i] = median(ests[i*depth : (i+1)*depth])
+		}
+		items, dst = items[n:], dst[n:]
 	}
 }
 

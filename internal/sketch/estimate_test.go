@@ -81,8 +81,25 @@ func TestCountMinEstimateBatchMatchesScalar(t *testing.T) {
 	}
 }
 
+// TestCountMinEstimateBatchOddCounters: the batched minimum and the scalar
+// `<` fold agree bit for bit on counters where a minimum instruction and the
+// fold part ways: NaN, signed zeros, infinities.
+func TestCountMinEstimateBatchOddCounters(t *testing.T) {
+	odd := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1), 1, -1, 5e-324}
+	r := xrand.New(35)
+	for _, depth := range []int{1, 2, 4, 5} {
+		cm := NewCountMin(xrand.New(r.Uint64()), 8, depth) // narrow: every mix of odd values gets queried
+		for trial := 0; trial < 50; trial++ {
+			for i := range cm.counts {
+				cm.counts[i] = odd[r.Uint64n(uint64(len(odd)))]
+			}
+			requireBatchMatchesScalar(t, cm, queryKeys(r, []uint64{7}, 700))
+		}
+	}
+}
+
 // TestEstimateBatchWhereHashRangeExceedsWidth pins the one configuration in
-// which hashRow still divides: multiply-shift rounds its range up to a power
+// which the row-set kernel still divides: multiply-shift rounds its range up to a power
 // of two, so at any other width the batch kernels' buckets must be reduced
 // modulo the width exactly as the scalar bucket() does. Width 128 rides along
 // as the neighbouring case where the range is the width and nothing divides.

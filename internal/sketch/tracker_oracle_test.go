@@ -177,12 +177,34 @@ func requireSameTracker(t *testing.T, step string, got *HeavyHitterTracker, want
 		if g.item != c.item || math.Float64bits(g.score) != math.Float64bits(c.count) {
 			t.Fatalf("%s: heap[%d] = (%d, %v), reference (%d, %v)", step, i, g.item, g.score, c.item, c.count)
 		}
-		if got.cands.pos[g.item] != i {
-			t.Fatalf("%s: index says item %d sits at %d, heap has it at %d", step, g.item, got.cands.pos[g.item], i)
+	}
+	requireCandidateIndex(t, step, got.cands)
+}
+
+// requireCandidateIndex asserts the store's key index describes its heap:
+// every heap entry's slot points back at the entry, a probe for its key ends
+// on that slot, no other slot is live, and the table keeps four slots per key.
+func requireCandidateIndex(t *testing.T, step string, c *CandidateSet) {
+	t.Helper()
+	for i, g := range c.heap {
+		if p := c.slots[g.slot]; int(p) != i+1 {
+			t.Fatalf("%s: index says item %d sits at %d, heap has it at %d", step, g.item, int(p)-1, i)
+		}
+		if s, held := c.find(g.item); !held || s != g.slot {
+			t.Fatalf("%s: probing for item %d ends at slot %d (held %v), its entry is indexed at %d", step, g.item, s, held, g.slot)
 		}
 	}
-	if len(got.cands.pos) != len(got.cands.heap) {
-		t.Fatalf("%s: index holds %d keys for %d heap entries", step, len(got.cands.pos), len(got.cands.heap))
+	live := 0
+	for _, p := range c.slots {
+		if p != 0 {
+			live++
+		}
+	}
+	if live != len(c.heap) {
+		t.Fatalf("%s: index holds %d keys for %d heap entries", step, live, len(c.heap))
+	}
+	if len(c.slots) < 4*len(c.heap) || len(c.slots)&(len(c.slots)-1) != 0 {
+		t.Fatalf("%s: %d slots for %d heap entries", step, len(c.slots), len(c.heap))
 	}
 }
 
