@@ -68,7 +68,6 @@ func RunE16PartitionMode(cfg Config) []Table {
 			partition bool
 		}{{"replica", false}, {"partition", true}} {
 			eng := engine.NewCountMin(engine.Config{Workers: workers, BatchSize: batchSize, Partition: mode.partition}, proto)
-			words := eng.CounterWords()
 			ingestSecs := timeIt(func() {
 				for start := 0; start < len(items); start += batchSize {
 					end := min(start+batchSize, len(items))
@@ -84,6 +83,9 @@ func RunE16PartitionMode(cfg Config) []Table {
 					}
 				})
 			}
+			// Read after the snapshots' barriers: a replica exists once its
+			// worker has applied a batch, and by now every worker has.
+			words := eng.CounterWords()
 			merged, err := eng.Close()
 			if err != nil {
 				panic(fmt.Sprintf("bench: E16 engine close: %v", err))

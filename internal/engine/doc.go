@@ -12,8 +12,9 @@
 // provided every term is computed with the same hash functions. In the
 // default *replica* mode the engine exploits this twice. On the consumer
 // side, each of N worker goroutines owns a private replica of a prototype
-// sketch (created with Clone, so all replicas share the prototype's hash
-// seeds); batches fan across the workers and the replicas fold back together
+// sketch (created with Clone when the worker's first batch arrives, so all
+// replicas share the prototype's hash seeds and an idle worker holds no
+// counters); batches fan across the workers and the replicas fold back together
 // with Merge when a snapshot is requested. On the producer side, any number
 // of goroutines ingest concurrently, each through its own handle from
 // Engine.Producer: a handle owns a private batch buffer and a private
@@ -27,7 +28,8 @@
 // per-row median estimator of Count-Sketch and the row-minimum estimator of
 // Count-Min are evaluated on identical counter matrices.
 //
-// Replica mode buys merge-free ingestion with workers x sketch-size memory.
+// Replica mode buys merge-free ingestion with up to workers x sketch-size
+// memory: one clone per worker that has received a batch.
 // *Partition* mode (Config.Partition, families implementing
 // sketch.ColumnSketch via NewLinear or the family constructors) spends the
 // memory differently: the workers jointly own ONE copy of the logical

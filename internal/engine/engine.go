@@ -31,7 +31,7 @@ type Config struct {
 	QueueDepth int
 	// Partition selects key-partitioned sharding: the workers own column
 	// slices of ONE logical sketch (memory ~1x) instead of full replicas
-	// (memory ~workers x), and snapshots concatenate instead of merge; see
+	// (memory up to workers x), and snapshots concatenate instead of merge; see
 	// partition.go. Reads are bit-identical between the modes for the same
 	// stream and seed. Only the column-partitionable families support it
 	// (CountMin without conservative update, CountSketch, Dyadic, the
@@ -74,10 +74,16 @@ type op struct {
 	resume <-chan struct{} // worker blocks here until the merge has read its replica
 }
 
-// shard is one worker goroutine and its private sketch replica.
+// shard is one worker goroutine and its private sketch replica. The replica
+// exists only once the shard holds mass: the worker clones it from the
+// prototype when its first batch arrives and then sets live. Barrier callers
+// and Close read replica after the worker has parked or exited (the
+// ready/resume and done channels order that); CounterWords reads live alone,
+// at any time.
 type shard[S LinearSketch[S]] struct {
 	ch      chan op
 	replica S
+	live    atomic.Bool
 	done    chan struct{}
 }
 
@@ -155,6 +161,10 @@ func (e *Engine[S]) run(sh *shard[S]) {
 			o.ready <- struct{}{}
 			<-o.resume
 			continue
+		}
+		if !sh.live.Load() {
+			sh.replica = e.proto.Clone()
+			sh.live.Store(true)
 		}
 		sh.replica.UpdateBatch(o.b.items, o.b.deltas)
 		// Recycle the columns if the free list has room; drop them otherwise.
@@ -384,9 +394,10 @@ func (e *Engine[S]) Mode() string {
 }
 
 // CounterWords returns the number of resident sketch counters across all
-// shards — workers x sketch size in replica mode, exactly the sketch size in
-// partition mode (the memory claim E16 measures). Engines over types without
-// a known size report 0.
+// shards — the sketch size times the workers that have received a batch (up
+// to workers x) in replica mode, exactly the sketch size in partition mode
+// (the memory claim E16 measures). Engines over types without a known size
+// report 0.
 func (e *Engine[S]) CounterWords() int {
 	if e.part != nil {
 		n := 0
@@ -396,7 +407,7 @@ func (e *Engine[S]) CounterWords() int {
 		return n
 	}
 	per := 0
-	switch s := any(e.shards[0].replica).(type) {
+	switch s := any(e.proto).(type) {
 	case interface{ Size() int }:
 		per = s.Size()
 	case interface{ SizeCounters() int }:
@@ -404,7 +415,13 @@ func (e *Engine[S]) CounterWords() int {
 	case interface{ SpaceCounters() int }:
 		per = s.SpaceCounters()
 	}
-	return per * len(e.shards)
+	live := 0
+	for _, sh := range e.shards {
+		if sh.live.Load() {
+			live++
+		}
+	}
+	return per * live
 }
 
 // barrier enqueues a sync token on every shard, waits until all workers have
@@ -465,18 +482,24 @@ func (e *Engine[S]) snapshotLocked() (S, error) {
 		return e.partSnapshot()
 	}
 	out := e.proto.Clone()
-	err := e.barrier(func() error {
-		for i, sh := range e.shards {
-			if mergeErr := out.Merge(sh.replica); mergeErr != nil {
-				return fmt.Errorf("engine: merging shard %d: %w", i, mergeErr)
-			}
-		}
-		return nil
-	})
-	if err != nil {
+	if err := e.barrier(func() error { return e.mergeLive(out) }); err != nil {
 		return zero, err
 	}
 	return out, nil
+}
+
+// mergeLive adds every shard that holds mass into out. The workers must be
+// parked at a barrier or have exited.
+func (e *Engine[S]) mergeLive(out S) error {
+	for i, sh := range e.shards {
+		if !sh.live.Load() {
+			continue
+		}
+		if err := out.Merge(sh.replica); err != nil {
+			return fmt.Errorf("engine: merging shard %d: %w", i, err)
+		}
+	}
+	return nil
 }
 
 // DecodeReplica deserializes a replica with the decoder the engine was built
@@ -518,10 +541,8 @@ func (e *Engine[S]) Close() (S, error) {
 		<-sh.done
 	}
 	out := e.proto.Clone()
-	for i, sh := range e.shards {
-		if err := out.Merge(sh.replica); err != nil {
-			return zero, fmt.Errorf("engine: merging shard %d: %w", i, err)
-		}
+	if err := e.mergeLive(out); err != nil {
+		return zero, err
 	}
 	return out, nil
 }
@@ -544,8 +565,9 @@ type LinearSketch[S any] interface {
 	MarshalBinary() ([]byte, error)
 }
 
-// NewLinear builds an engine whose shards are clones of proto (sharing its
-// hash functions; proto itself is never written to). decode reverses the
+// NewLinear builds an engine whose shards each clone proto when their first
+// batch arrives (sharing its hash functions; proto itself is never written to,
+// so a counter-less sketch.Prototype serves). decode reverses the
 // replica's MarshalBinary: it must deserialize a replica and reject sketches
 // incompatible with proto — DecodeReplica trusts it as the gatekeeper.
 //
@@ -564,9 +586,8 @@ func NewLinear[S LinearSketch[S]](cfg Config, proto S, decode func([]byte) (S, e
 		e.free = make(chan batch, cfg.Workers*cfg.QueueDepth+1)
 		for i := range e.shards {
 			sh := &shard[S]{
-				ch:      make(chan op, cfg.QueueDepth),
-				replica: proto.Clone(),
-				done:    make(chan struct{}),
+				ch:   make(chan op, cfg.QueueDepth),
+				done: make(chan struct{}),
 			}
 			e.shards[i] = sh
 			go e.run(sh)

@@ -120,8 +120,9 @@ func TestPartitionMoreWorkersThanColumns(t *testing.T) {
 }
 
 // TestModeAndCounterWords pins the memory claim E16 measures: replica mode
-// holds workers x sketch-size counters, partition mode exactly sketch-size,
-// in both cases reported by CounterWords.
+// holds sketch-size counters per worker that has seen a batch — none before
+// any ingest, workers x once every worker has — partition mode exactly
+// sketch-size, in both cases reported by CounterWords.
 func TestModeAndCounterWords(t *testing.T) {
 	proto := sketch.NewCountMin(xrand.New(91), 256, 4)
 	size := 256 * 4
@@ -129,6 +130,16 @@ func TestModeAndCounterWords(t *testing.T) {
 	rep := NewCountMin(Config{Workers: 4}, proto)
 	if got := rep.Mode(); got != "replica" {
 		t.Fatalf("Mode() = %q, want replica", got)
+	}
+	if got := rep.CounterWords(); got != 0 {
+		t.Fatalf("replica CounterWords() before any ingest = %d, want 0", got)
+	}
+	for i := 0; i < 4; i++ { // one flush per worker, round-robin
+		rep.Update(uint64(i), 1)
+		rep.Flush()
+	}
+	if _, err := rep.Snapshot(); err != nil { // the barrier: every batch is applied
+		t.Fatal(err)
 	}
 	if got := rep.CounterWords(); got != 4*size {
 		t.Fatalf("replica CounterWords() = %d, want %d", got, 4*size)

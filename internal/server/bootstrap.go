@@ -297,7 +297,7 @@ func (s *Server) handleBootstrap(w http.ResponseWriter, r *http.Request) {
 	if err == nil {
 		payload.Senders[s.cfg.NodeID], err = local.MarshalBinary()
 	}
-	if err == nil {
+	if err == nil && s.foreign != nil {
 		// The cut is this call's own and is encoded above, so the full state
 		// is composed in place: one engine snapshot serves both sections.
 		err = local.Merge(s.foreign)

@@ -27,20 +27,28 @@
 // one pass over the two counter arrays straight into the frame buffer
 // (HeavyHitterTracker.AppendDeltaSince): no copy of the sketch, no
 // difference sketch and no dense encoding are ever built. POST /v1/delta
-// expands the envelope into a pooled buffer, validates the whole payload
-// (non-finite counters included) before anything is touched, and folds
-// it in idempotently: the receiver keeps a per-sender generation
+// reads the frame and expands its envelope into pooled buffers, validates
+// the whole payload (non-finite counters included) before anything is
+// touched, and folds it in idempotently: the receiver keeps a per-sender generation
 // watermark, so retried or reordered frames are acknowledged without being
 // applied twice, and frames from a diverged sender are refused (409) and
 // re-aligned with a reset frame rather than double-counted. Only locally
 // ingested mass is gossiped: the engine holds nothing else. Merges, applied
 // deltas, bootstrap transfers and recovered snapshots live in one separate
-// "foreign" sketch (Server.mergeForeign is its only writer), which is added
-// to the engine's snapshot in exactly one place, when the served state is
-// composed (snapshotLocked) — so a full mesh converges to exactly the
-// global sketch with no relaying, no double-counting and nothing to
-// subtract back out. See docs/CLUSTER.md for the operator guide and
-// DeltaFrame in wire.go for the protocol.
+// "foreign" sketch (Server.mergeForeign is its only writer, and allocates it
+// on first use), which is added to the engine's snapshot in exactly one
+// place, when the served state is composed (snapshotLocked) — so a full mesh
+// converges to exactly the global sketch with no relaying, no
+// double-counting and nothing to subtract back out. See docs/CLUSTER.md for
+// the operator guide and DeltaFrame in wire.go for the protocol.
+//
+// Counter arrays exist only where mass is. The daemon's prototype
+// (sketch.Prototype) carries shape and hash functions and no counters; engine
+// replicas, the foreign sketch and the per-sender trackers are cloned from it
+// when their first batch, merge or window frame arrives, and it stands in
+// for the empty sketch wherever one is only read — the baseline of a peer
+// link nothing was acked on, the tracker of a sender that was reset to zero.
+// /v1/stats reports what is resident (resident_sketches).
 //
 // Ingestion is concurrent end to end, and batch-first. Every /v1/update
 // handler routes its batch through one of Config.Producers engine producer

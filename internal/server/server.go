@@ -13,6 +13,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -284,7 +285,13 @@ type ingestLane struct {
 // until the write generation moves; snapshot, merge and stats share one
 // narrow barrier lock that the update hot path never touches.
 type Server struct {
-	cfg   Config
+	cfg Config
+	// proto is the counter-less prototype (sketch.Prototype): shape and hash
+	// functions only. Replicas, foreign and the sender trackers are cloned from
+	// it when they first receive mass, and it stands for the empty sketch where
+	// one is only read — the baseline of a link nothing was acked on, the
+	// tracker of a sender nothing was applied from. Nothing can be counted into
+	// it (see checkInvariants).
 	proto *sketch.HeavyHitterTracker
 	mux   *http.ServeMux
 
@@ -303,9 +310,10 @@ type Server struct {
 	// retired handle.
 	closed atomic.Bool
 
-	// gen counts acknowledged writes (updates, merges and applied deltas);
-	// snapGen records the write generation snapCache was taken at, so read
-	// endpoints reuse one barrier snapshot until the state actually changes.
+	// gen counts acknowledged writes (updates, merges, applied delta and
+	// replace frames, an installed bootstrap transfer); snapGen records the
+	// write generation snapCache was taken at, so read endpoints reuse one
+	// barrier snapshot until the state actually changes.
 	gen atomic.Int64
 	// localGen counts acknowledged *locally ingested* batches only — the
 	// generation currency of the gossip protocol. Deltas ship the window
@@ -335,11 +343,13 @@ type Server struct {
 	batchQueries, batchKeys atomic.Int64
 	// foreign is the only home of mass that was not ingested here: recovered
 	// snapshots, /v1/merge bodies, applied /v1/delta payloads and bootstrap
-	// transfers, all added by mergeForeign. The engine holds the locally
-	// ingested updates and nothing else, so the served state is
-	// engine snapshot + foreign (composed in snapshotLocked) and the
-	// replicator ships the engine snapshot as it is — peers receive each
-	// node's own mass exactly once, never a relayed copy of their own.
+	// transfers, all added by mergeForeign, which allocates it on the first
+	// one. It is nil until then, and snapshotLocked and handleBootstrap serve
+	// the engine snapshot as cut. The engine holds the locally ingested
+	// updates and nothing else, so the served state is engine snapshot +
+	// foreign and the replicator ships the engine snapshot as it is — peers
+	// receive each node's own mass exactly once, never a relayed copy of their
+	// own.
 	foreign *sketch.HeavyHitterTracker
 	// watermarks maps a sender's NodeID to the toGen of the newest delta
 	// frame applied from it; the receiver-side half of the idempotency
@@ -350,8 +360,10 @@ type Server struct {
 	// (lossless resync after a watermark divergence) exact. An entry exists
 	// iff the tracker provably covers all of that sender's mass in the
 	// counters; untracked (below) blocks creating entries for senders whose
-	// mass may already sit unattributed in a recovered snapshot. Guarded by
-	// snapMu, like watermarks.
+	// mass may already sit unattributed in a recovered snapshot. A sender that
+	// is tracked but has landed nothing yet maps to proto, and gets a tracker
+	// of its own when its first window frame is applied. Guarded by snapMu,
+	// like watermarks.
 	senders map[string]*sketch.HeavyHitterTracker
 	// untracked is set when this daemon recovered a snapshot without a
 	// CRC-consistent sender sidecar: the counters then contain foreign mass
@@ -382,8 +394,8 @@ type Server struct {
 	// into. A buffer is out of the pool only between the expansion and the
 	// decode that copies the counters out of it.
 	deltaScratch sync.Pool
-	// bodyScratch pools the *[]byte buffers the binary-capable /v1/update and
-	// POST /v1/query bodies are read into (see pooledBody).
+	// bodyScratch pools the *[]byte buffers the /v1/update, POST /v1/query and
+	// /v1/delta bodies are read into (see pooledBody).
 	bodyScratch sync.Pool
 
 	updates, batches, merges, snapshots            atomic.Int64
@@ -414,13 +426,6 @@ type Server struct {
 
 	stop chan struct{}
 	wg   sync.WaitGroup
-
-	// foreignMerges counts mergeForeign calls; while it is zero foreign is
-	// empty and snapshotLocked serves the engine snapshot as cut. Guarded by
-	// snapMu. It sits last because the hot atomics above share this struct:
-	// declared beside foreign it shifted them, and stream_bulk's write_p99_ms
-	// read 2.90 ms against 2.22 ms on a path that never touches the field.
-	foreignMerges int64
 }
 
 // peerState is the sender-side replication state for one gossip peer: the
@@ -467,12 +472,11 @@ func New(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("server: unknown recovery algorithm %q in RecoverAlgos (known: %s)", algo, strings.Join(recoverAlgoNames, ", "))
 		}
 	}
-	proto := sketch.NewHeavyHitterTracker(xrand.New(cfg.Seed), cfg.Width, cfg.Depth, cfg.K)
+	proto := sketch.NewHeavyHitterTracker(xrand.New(cfg.Seed), cfg.Width, cfg.Depth, cfg.K).Prototype()
 	s := &Server{
 		cfg:             cfg,
 		proto:           proto,
 		eng:             engine.NewTracker(cfg.Engine, proto),
-		foreign:         proto.Clone(),
 		watermarks:      make(map[string]uint64),
 		senders:         make(map[string]*sketch.HeavyHitterTracker),
 		hearsay:         make(map[string]bool),
@@ -696,16 +700,12 @@ func (s *Server) Close() error {
 // at; Close reports a violation, which makes sketchd exit non-zero. Today
 // that is one property: proto — the prototype every replica was cloned from,
 // and the empty baseline every peer link starts from and resyncs to — is
-// still empty. Baselines are shared and only ever read; a write through one
-// would corrupt every frame cut against it from then on.
+// still empty. It is shared and only ever read; a write through it would
+// corrupt every frame cut against it from then on, so it has no counters to
+// write to, and that is what is checked.
 func (s *Server) checkInvariants() error {
-	if mass := s.proto.TotalMass(); mass != 0 {
-		return fmt.Errorf("server: invariant violated: the shared empty baseline holds total mass %v", mass)
-	}
-	for i, v := range s.proto.Backing().CounterData() {
-		if v != 0 {
-			return fmt.Errorf("server: invariant violated: the shared empty baseline holds %v in counter %d", v, i)
-		}
+	if n, mass := len(s.proto.Backing().CounterData()), s.proto.TotalMass(); n != 0 || mass != 0 {
+		return fmt.Errorf("server: invariant violated: the shared empty baseline holds %d counters and total mass %v", n, mass)
 	}
 	return nil
 }
@@ -891,7 +891,7 @@ func (s *Server) snapshotLocked() (*sketch.HeavyHitterTracker, error) {
 	if err != nil {
 		return nil, err
 	}
-	if s.foreignMerges > 0 {
+	if s.foreign != nil {
 		if err := snap.Merge(s.foreign); err != nil {
 			return nil, fmt.Errorf("server: adding foreign mass to the snapshot: %w", err)
 		}
@@ -905,11 +905,10 @@ func (s *Server) snapshotLocked() (*sketch.HeavyHitterTracker, error) {
 // sketches that did), so the merge cannot fail on shape or seed. Callers hold
 // s.snapMu and bump gen once the rest of their bookkeeping is done.
 func (s *Server) mergeForeign(src *sketch.HeavyHitterTracker) error {
-	if err := s.foreign.Merge(src); err != nil {
-		return err
+	if s.foreign == nil {
+		s.foreign = s.proto.Clone()
 	}
-	s.foreignMerges++
-	return nil
+	return s.foreign.Merge(src)
 }
 
 // snapshot is snapshotLocked behind the barrier lock, for read handlers.
@@ -1229,11 +1228,16 @@ func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
 // a diverged sender (one side restarted) is refused with 409 rather than
 // risk double-counting — the sender then re-aligns with a reset frame.
 func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
-	data, ok := s.readBody(w, r)
+	// A window frame is most of a megabyte at the daemon's default shape, once
+	// per tick per sender: read it into a pooled buffer. Only frame.Payload
+	// aliases the buffer (the sender id is copied out), and the payload decode
+	// below copies every counter out of it in turn.
+	body, ok := s.readPooledBody(w, r)
 	if !ok {
 		return
 	}
-	frame, err := DecodeDeltaFrame(data)
+	defer body.release()
+	frame, err := DecodeDeltaFrame(body.data)
 	if err != nil {
 		s.deltasRejected.Add(1)
 		writeErr(w, http.StatusBadRequest, "%v", err)
@@ -1255,6 +1259,8 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	frame.Payload = nil
+	body.release()
 
 	s.snapMu.Lock()
 	if s.engClosed || s.closed.Load() {
@@ -1294,11 +1300,11 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 			// — even when older, unattributed mass from a previous epoch
 			// sits in the counters (that mass is settled history a replace
 			// must never subtract).
-			s.senders[frame.Sender] = s.proto.Clone()
+			s.senders[frame.Sender] = s.proto
 		} else {
 			// A reset that keeps history (resyncPeer) drops a window that
 			// never entered our counters, so an existing tracker stays
-			// exact; lazily create one where that is provably sound.
+			// exact; start tracking where that is provably sound.
 			s.senderTracker(frame.Sender)
 		}
 		replaceOK := s.canReplace(frame.Sender)
@@ -1407,6 +1413,12 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 		}
 		replaceOK := false
 		if tr := s.senderTracker(frame.Sender); tr != nil {
+			if tr == s.proto {
+				// The sender's first mass: from here on it has a tracker of
+				// its own.
+				tr = s.proto.Clone()
+				s.senders[frame.Sender] = tr
+			}
 			if err := tr.Merge(src); err != nil {
 				// Cannot happen for sketches the engine decoded, but if the
 				// tracker ever falls out of sync the only safe posture is to
@@ -1452,11 +1464,12 @@ func (s *Server) decodeDeltaPayload(payload []byte) (*sketch.HeavyHitterTracker,
 // from that sender instead of a destructive reset.
 const conflictDetailReplace = "resync=replace"
 
-// senderTracker returns the tracker of mass received from sender, lazily
-// creating one when that is provably sound: with untracked false, every
-// sender with mass in the counters already has an entry, so an absent entry
-// means this sender has contributed nothing yet and an empty tracker is
-// exact. Returns nil when no sound tracker exists. Caller holds s.snapMu.
+// senderTracker returns the tracker of mass received from sender, starting to
+// track it when that is provably sound: with untracked false, every sender
+// with mass in the counters already has an entry, so an absent entry means
+// this sender has contributed nothing yet and the empty tracker — proto, read
+// only; see Server.senders — is exact. Returns nil when no sound tracker
+// exists. Caller holds s.snapMu.
 func (s *Server) senderTracker(sender string) *sketch.HeavyHitterTracker {
 	if tr, ok := s.senders[sender]; ok {
 		return tr
@@ -1464,9 +1477,8 @@ func (s *Server) senderTracker(sender string) *sketch.HeavyHitterTracker {
 	if s.untracked {
 		return nil
 	}
-	tr := s.proto.Clone()
-	s.senders[sender] = tr
-	return tr
+	s.senders[sender] = s.proto
+	return s.proto
 }
 
 // canReplace reports whether a replace frame from sender would be accepted.
@@ -1898,7 +1910,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Workers:         s.eng.Workers(),
 		Producers:       len(s.lanes),
 		Mode:            s.eng.Mode(),
-		CounterWords:    s.eng.CounterWords(),
 		Updates:         s.updates.Load(),
 		Batches:         s.batches.Load(),
 		Merges:          s.merges.Load(),
@@ -1920,8 +1931,14 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	stats.StreamSessions = len(s.streamSessions)
 	s.streamMu.Unlock()
 	gen := s.localGen.Load()
+	var baselines []*sketch.HeavyHitterTracker
 	s.peerMu.Lock()
 	for _, p := range s.peers {
+		for _, held := range []*sketch.HeavyHitterTracker{p.baseline, p.pendingLocal} {
+			if held != nil && held != s.proto && !slices.Contains(baselines, held) {
+				baselines = append(baselines, held)
+			}
+		}
 		stat := PeerStat{
 			URL:          p.url,
 			AckedGen:     p.baseGen,
@@ -1937,6 +1954,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		stats.Peers = append(stats.Peers, stat)
 	}
 	s.peerMu.Unlock()
+	stats.Resident.Baselines = len(baselines)
 	snap, snapGen, err := s.snapshotGen()
 	if err != nil {
 		writeSnapshotErr(w, err)
@@ -1944,7 +1962,25 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	stats.Gen = snapGen
 	stats.TotalMass = snap.TotalMass()
+	// Read behind the snapshot's barrier, so every acknowledged batch has
+	// reached its worker and the count covers the replica it brought in.
+	stats.CounterWords = s.eng.CounterWords()
+	stats.Resident.Replicas = stats.CounterWords / (s.cfg.Width * s.cfg.Depth)
 	s.snapMu.Lock()
+	if s.foreign != nil {
+		stats.Resident.Foreign = 1
+	}
+	for _, tr := range s.senders {
+		if tr != s.proto {
+			stats.Resident.Senders++
+		}
+	}
+	if s.snapCache != nil {
+		stats.Resident.Epoch = 1
+	}
+	if ep := s.epoch.Load(); ep != nil && ep.snap != s.snapCache {
+		stats.Resident.Epoch++ // readers still pin the snapshot before the cache's
+	}
 	if len(s.watermarks) > 0 {
 		stats.Watermarks = make(map[string]uint64, len(s.watermarks))
 		for sender, mark := range s.watermarks {

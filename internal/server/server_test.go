@@ -533,6 +533,22 @@ func TestPartitionModeOverTheWire(t *testing.T) {
 	_, repClient := testDaemon(t, repCfg)
 	_, partClient := testDaemon(t, partCfg)
 	ctx := context.Background()
+	size := base.Width * base.Depth
+
+	// Before any ingest a replica daemon holds no counters at all; the
+	// partitioned one owns its column slices from the start.
+	for _, c := range []struct {
+		client *Client
+		words  int
+	}{{repClient, 0}, {partClient, size}} {
+		stats, err := c.client.Stats(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.CounterWords != c.words {
+			t.Fatalf("%s counter_words before any ingest = %d, want %d", stats.Mode, stats.CounterWords, c.words)
+		}
+	}
 
 	reference := sketch.NewHeavyHitterTracker(xrand.New(base.Seed), base.Width, base.Depth, base.K)
 	s := stream.Zipf(xrand.New(171), 1<<14, 40_000, 1.1)
@@ -579,12 +595,12 @@ func TestPartitionModeOverTheWire(t *testing.T) {
 	if repStats.Mode != "replica" || partStats.Mode != "partition" {
 		t.Fatalf("modes = %q / %q, want replica / partition", repStats.Mode, partStats.Mode)
 	}
-	size := base.Width * base.Depth
-	if partStats.CounterWords != size {
-		t.Fatalf("partition counter_words = %d, want %d", partStats.CounterWords, size)
+	if partStats.CounterWords != size || partStats.Resident.Replicas != 1 {
+		t.Fatalf("partition counter_words = %d (%d replicas), want %d (1)", partStats.CounterWords, partStats.Resident.Replicas, size)
 	}
-	if repStats.CounterWords != 4*size {
-		t.Fatalf("replica counter_words = %d, want %d", repStats.CounterWords, 4*size)
+	// ~200 batches round-robin over 4 workers: every one has seen a batch.
+	if repStats.CounterWords != 4*size || repStats.Resident.Replicas != 4 {
+		t.Fatalf("replica counter_words = %d (%d replicas), want %d (4)", repStats.CounterWords, repStats.Resident.Replicas, 4*size)
 	}
 	if partStats.TotalMass != reference.TotalMass() {
 		t.Fatalf("partitioned total mass %v != reference %v", partStats.TotalMass, reference.TotalMass())

@@ -128,6 +128,23 @@ type PeerStat struct {
 	BackoffMs int64 `json:"peer_backoff_ms,omitempty"`
 }
 
+// ResidentSketches counts the full-size counter arrays a daemon holds, by
+// owner; multiply the sum by width x depth x 8 bytes for its sketch memory.
+// Each exists only once it holds mass: Replicas are the engine workers that
+// have received a batch (1 in partition mode), Foreign is 1 once anything has
+// been merged, applied or recovered from outside, Senders are the gossip
+// senders a window frame has been applied from, Epoch the snapshots the read
+// path pins (the cached one, plus its predecessor while readers still hold
+// it), Baselines the distinct local cuts retained for peers that acked or are
+// owed a retry.
+type ResidentSketches struct {
+	Replicas  int `json:"replicas"`
+	Foreign   int `json:"foreign"`
+	Senders   int `json:"senders"`
+	Epoch     int `json:"epoch"`
+	Baselines int `json:"baselines"`
+}
+
 // Stats is the JSON body of GET /v1/stats.
 type Stats struct {
 	Gen       int64 `json:"gen"`
@@ -136,17 +153,21 @@ type Stats struct {
 	K         int   `json:"k"`
 	Workers   int   `json:"workers"`
 	Producers int   `json:"producers"`
-	// Mode is the engine sharding mode: "replica" (each worker holds a full
-	// sketch clone) or "partition" (workers share one column-partitioned
-	// copy); CounterWords is the resident counter footprint that choice
-	// implies, summed across shards.
-	Mode         string  `json:"mode"`
-	CounterWords int     `json:"counter_words"`
-	Updates      int64   `json:"updates"`
-	Batches      int64   `json:"batches"`
-	Merges       int64   `json:"merges"`
-	Snapshots    int64   `json:"snapshots"`
-	TotalMass    float64 `json:"total_mass"`
+	// Mode is the engine sharding mode: "replica" (each worker that has
+	// received a batch holds a full sketch clone) or "partition" (workers
+	// share one column-partitioned copy); CounterWords is the engine's
+	// resident counters under that choice, summed across shards — in replica
+	// mode width x depth per worker that holds mass, 0 on a daemon that has
+	// ingested nothing. Resident counts every width x depth counter array
+	// the daemon holds, the engine's included.
+	Mode         string           `json:"mode"`
+	CounterWords int              `json:"counter_words"`
+	Resident     ResidentSketches `json:"resident_sketches"`
+	Updates      int64            `json:"updates"`
+	Batches      int64            `json:"batches"`
+	Merges       int64            `json:"merges"`
+	Snapshots    int64            `json:"snapshots"`
+	TotalMass    float64          `json:"total_mass"`
 
 	// Delta-replication counters: frames this daemon has applied, absorbed
 	// idempotently (retries of already-applied frames) and rejected at

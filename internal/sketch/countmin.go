@@ -355,20 +355,32 @@ func (cm *CountMin) Scale(c float64) {
 	cm.totalMass *= c
 }
 
-// Clone returns an empty sketch sharing cm's hash functions, suitable for
-// sketching a second stream and then merging or taking inner products. The
-// clone gets its own counters and scratch, so clones ingest concurrently.
-func (cm *CountMin) Clone() *CountMin {
+// Prototype returns cm's shape and hash functions without any counters: the
+// template a holder keeps to Clone from, at a few words instead of
+// width x depth. It stands for the empty sketch wherever one is only read —
+// Clone, CompatibleWith, MarshalBinary (all-zero counters), the base of
+// AppendDeltaSince, the argument of Merge or Sub — and any attempt to count
+// into it or estimate from it is an index panic rather than a silent write to
+// something shared.
+func (cm *CountMin) Prototype() *CountMin {
 	return &CountMin{
 		width:        cm.width,
 		depth:        cm.depth,
-		counts:       make([]float64, len(cm.counts)),
 		hashes:       cm.hashes,
 		rows:         cm.rows,
 		conservative: cm.conservative,
 		seed:         cm.seed,
 		family:       cm.family,
 	}
+}
+
+// Clone returns an empty sketch sharing cm's hash functions, suitable for
+// sketching a second stream and then merging or taking inner products. The
+// clone gets its own counters and scratch, so clones ingest concurrently.
+func (cm *CountMin) Clone() *CountMin {
+	out := cm.Prototype()
+	out.counts = make([]float64, cm.width*cm.depth)
+	return out
 }
 
 // Copy returns a deep copy of cm: same hash functions, its own counters

@@ -155,6 +155,18 @@ func TestAppendDeltaSinceMatchesSeedChain(t *testing.T) {
 						if got, err := local.cm.AppendDeltaSince(nil, base.cm); err != nil || !bytes.Equal(got, encodeDeltaOracle(dense)) {
 							t.Fatalf("%s: Count-Min one-pass envelope differs from the seed chain's (err %v)", name, err)
 						}
+						if !midStream {
+							// The counter-less prototype is the same empty base, and
+							// against either the envelope is that of local itself.
+							whole, _ := local.MarshalBinary()
+							got, err := local.AppendDeltaSince(nil, local.Prototype())
+							if err != nil || !bytes.Equal(got, want) || !bytes.Equal(got, EncodeDelta(whole)) {
+								t.Fatalf("%s: envelope against the prototype differs from the one against an empty clone (err %v)", name, err)
+							}
+							if got, err := local.cm.AppendDeltaSince(nil, local.cm.Prototype()); err != nil || !bytes.Equal(got, encodeDeltaOracle(dense)) {
+								t.Fatalf("%s: Count-Min envelope against the prototype differs (err %v)", name, err)
+							}
+						}
 						// And it decodes to the difference tracker.
 						inner, err := DecodeDelta(want)
 						if err != nil {
@@ -172,6 +184,64 @@ func TestAppendDeltaSinceMatchesSeedChain(t *testing.T) {
 			}
 		}
 	}
+
+	// Counters no decoder would accept still encode alike against both empty
+	// bases: v - 0 is v bit for bit, the sign of zero and NaN included.
+	odd := NewHeavyHitterTracker(xrand.New(5), 53, 3, 4)
+	copy(odd.cm.counts, []float64{math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1), 5e-324, -5e-324, 1})
+	odd.cm.totalMass = math.Copysign(0, -1)
+	whole, _ := odd.MarshalBinary()
+	got, err := odd.AppendDeltaSince(nil, odd.Prototype())
+	if err != nil || !bytes.Equal(got, trackerDeltaOracle(t, odd, odd.Clone())) || !bytes.Equal(got, EncodeDelta(whole)) {
+		t.Fatalf("odd counters: envelope against the prototype differs from the one against an empty clone (err %v)", err)
+	}
+}
+
+// TestPrototypeStandsForTheEmptySketch: a prototype holds no counters, clones
+// to a full-size empty sketch, encodes as one, and refuses to be counted into.
+func TestPrototypeStandsForTheEmptySketch(t *testing.T) {
+	full := NewHeavyHitterTracker(xrand.New(3), 128, 4, 8)
+	feed(full, xrand.New(4), 500, 1000, deltaShapes[0].delta)
+	proto := full.Prototype()
+	if n := len(proto.Backing().CounterData()); n != 0 || proto.TotalMass() != 0 || len(proto.TopK()) != 0 {
+		t.Fatalf("prototype holds %d counters, mass %v, %d candidates; want none", n, proto.TotalMass(), len(proto.TopK()))
+	}
+	if err := full.CompatibleWith(proto); err != nil {
+		t.Fatal(err)
+	}
+	clone := proto.Clone()
+	if got := clone.Backing().CounterData(); len(got) != 128*4 || clone.SpaceCounters() != 128*4 {
+		t.Fatalf("clone of the prototype has %d counters, want %d", len(got), 128*4)
+	}
+	for i, v := range clone.Backing().CounterData() {
+		if v != 0 {
+			t.Fatalf("clone of the prototype holds %v in counter %d", v, i)
+		}
+	}
+	want, _ := full.Clone().MarshalBinary()
+	for name, empty := range map[string]*HeavyHitterTracker{"prototype": proto, "its clone": clone} {
+		if got, err := empty.MarshalBinary(); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%s does not encode as the empty tracker (err %v)", name, err)
+		}
+	}
+	// Merging it in adds nothing; a clone of it counts like any other.
+	before, _ := full.MarshalBinary()
+	if err := full.Merge(proto); err != nil {
+		t.Fatal(err)
+	}
+	if after, _ := full.MarshalBinary(); !bytes.Equal(after, before) {
+		t.Fatal("merging the prototype in changed the tracker")
+	}
+	clone.Update(7, 1)
+	if clone.Estimate(7) != 1 {
+		t.Fatalf("clone of the prototype estimates %v after one update, want 1", clone.Estimate(7))
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("updating the prototype did not panic")
+		}
+	}()
+	proto.Update(7, 1)
 }
 
 // TestAppendDeltaSinceRejectsWhatSubRejects: mismatched dimensions and
@@ -314,7 +384,9 @@ func TestAppendDeltaSinceAllocs(t *testing.T) {
 
 // BenchmarkTrackerDeltaBatch measures the replicator's encode step on the
 // daemon's shape: a 65536x4 tracker, k=64, the envelope of the 2^19 Zipf(1.1)
-// updates that arrived since the baseline, appended into a warm buffer.
+// updates that arrived since the baseline, appended into a warm buffer — and,
+// as since-prototype, the whole tracker against the counter-less empty base,
+// a replace frame's and a first window's payload.
 func BenchmarkTrackerDeltaBatch(b *testing.B) {
 	const window = 1 << 19
 	z := xrand.NewZipf(xrand.New(1), 1<<20, 1.1)
@@ -328,14 +400,21 @@ func BenchmarkTrackerDeltaBatch(b *testing.B) {
 	local.UpdateBatch(items[:window], deltas[:window])
 	base := local.Copy()
 	local.UpdateBatch(items[window:], deltas[window:])
-	dst, err := local.AppendDeltaSince(nil, base)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(dst)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst, _ = local.AppendDeltaSince(dst[:0], base)
+	for _, bc := range []struct {
+		name string
+		base *HeavyHitterTracker
+	}{{"since-copy", base}, {"since-prototype", local.Prototype()}} {
+		b.Run(bc.name, func(b *testing.B) {
+			dst, err := local.AppendDeltaSince(nil, bc.base)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(len(dst)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				dst, _ = local.AppendDeltaSince(dst[:0], bc.base)
+			}
+		})
 	}
 }

@@ -623,6 +623,14 @@ func (t *HeavyHitterTracker) Clone() *HeavyHitterTracker {
 	return newHeavyHitterTracker(t.cm.Clone(), t.k)
 }
 
+// Prototype returns an empty tracker over the backing Count-Min's Prototype:
+// shape, hash functions and k, no counters. See CountMin.Prototype for what
+// it can stand in for; it is what the engine and the daemon hold to clone
+// replicas from and to cut deltas against.
+func (t *HeavyHitterTracker) Prototype() *HeavyHitterTracker {
+	return newHeavyHitterTracker(t.cm.Prototype(), t.k)
+}
+
 // Merge folds other into t. The Count-Min counters add exactly (linearity),
 // so estimates after the merge equal those of a single tracker fed both
 // streams. The candidate sets are unioned and re-scored against the merged

@@ -276,6 +276,10 @@ func (r *reader) counters(name string, dst []float64) {
 func (cm *CountMin) MarshalBinary() ([]byte, error) {
 	buf := make([]byte, 0, countMinHeaderLen+8*cm.width*cm.depth)
 	w := writer{buf: cm.appendEncodingHeader(buf, cm.totalMass)}
+	if len(cm.counts) == 0 {
+		// A Prototype encodes as the empty sketch it stands for.
+		return append(w.buf, make([]byte, 8*cm.width*cm.depth)...), nil
+	}
 	// The flat counter array is row-major, so this emits exactly the same
 	// row-by-row byte stream as the pre-flat [][]float64 layout did.
 	for _, v := range cm.counts {
@@ -796,20 +800,36 @@ func EncodeDelta(inner []byte) []byte {
 
 // feedDeltaSince feeds e the encoding of the difference cm - base: cm's
 // header with the difference of the masses, then each counter's difference
-// in order, runs of unchanged counters going in as one zero run each.
+// in order, runs of unchanged counters going in as one zero run each. A base
+// without counters (a Prototype) is the empty sketch, and v - 0 is v bit for
+// bit (-0 and NaN included), so that case feeds cm's own counters: the same
+// bytes a zero-filled base would give, chosen once here and not per counter.
 func (cm *CountMin) feedDeltaSince(e *tokenWriter, base *CountMin) {
 	var head [countMinHeaderLen]byte
 	e.bytes(cm.appendEncodingHeader(head[:0], cm.totalMass-base.totalMass))
 	zeros := 0
-	for i, v := range cm.counts {
-		w := math.Float64bits(v - base.counts[i])
-		if w == 0 {
-			zeros += 8
-			continue
+	if len(base.counts) == 0 {
+		for _, v := range cm.counts {
+			w := math.Float64bits(v)
+			if w == 0 {
+				zeros += 8
+				continue
+			}
+			e.zeroRun(zeros)
+			zeros = 0
+			e.word(w)
 		}
-		e.zeroRun(zeros)
-		zeros = 0
-		e.word(w)
+	} else {
+		for i, v := range cm.counts {
+			w := math.Float64bits(v - base.counts[i])
+			if w == 0 {
+				zeros += 8
+				continue
+			}
+			e.zeroRun(zeros)
+			zeros = 0
+			e.word(w)
+		}
 	}
 	e.zeroRun(zeros)
 }
@@ -819,7 +839,8 @@ func (cm *CountMin) feedDeltaSince(e *tokenWriter, base *CountMin) {
 // Copy of cm after Sub(base), without building any of the three: no copy, no
 // difference sketch, no dense encoding. base must share cm's hash functions;
 // like Sub, only dimensions and linearity are checked, and on error dst comes
-// back as it was. An empty base (a Clone) makes the envelope of cm itself.
+// back as it was. An empty base (a Prototype, or a Clone at 8 bytes a counter)
+// makes the envelope of cm itself.
 func (cm *CountMin) AppendDeltaSince(dst []byte, base *CountMin) ([]byte, error) {
 	if err := cm.subtractable(base); err != nil {
 		return dst, err
