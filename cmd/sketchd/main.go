@@ -176,7 +176,15 @@ func main() {
 		}()
 	}
 
-	hs := &http.Server{Handler: srv.Handler()}
+	// A client gets five seconds to finish its request header and an idle
+	// keep-alive connection two minutes, so sockets that trickle or say
+	// nothing cannot pile up on the listener. Bodies and responses are not
+	// deadlined: /v1/stream stays open for as long as its client streams.
+	hs := &http.Server{
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: 5 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 

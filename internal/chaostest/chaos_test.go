@@ -3,6 +3,10 @@ package chaostest
 import (
 	"bytes"
 	"context"
+	"io"
+	"net"
+	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -120,5 +124,79 @@ func TestGossipHealsAfterMidFrameKills(t *testing.T) {
 	items := []uint64{7, 8, 9}
 	if got, want := a.QueryRaw(items), b.QueryRaw(items); !bytes.Equal(got, want) {
 		t.Fatalf("healed peers disagree:\n a: %s\n b: %s", got, want)
+	}
+}
+
+// TestTricklingHeaderIsDisconnected is the slowloris check on the real
+// binary: a client whose request header reaches the daemon at 64 bytes a
+// second (its own pace, held to it by the proxy's throttle) would need ten
+// seconds to finish it, and the daemon gives up on the connection at its
+// five-second header deadline instead of holding the socket — while a healthy
+// client on the same listener is served throughout.
+func TestTricklingHeaderIsDisconnected(t *testing.T) {
+	sketchdBinary(t)
+	n := NewNode(t, "n")
+	n.Start("-width", "256", "-depth", "4", "-k", "8")
+	n.WaitHealthy()
+	proxy := NewProxy(t, n.Addr)
+	proxy.SetThrottle(64)
+
+	slow, err := net.Dial("tcp", proxy.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer slow.Close()
+	start := time.Now()
+	header := "GET /v1/healthz HTTP/1.1\r\nHost: sketchd\r\nX-Padding: " + strings.Repeat("x", 580) + "\r\n\r\n"
+	go func() {
+		// Writes fail once the daemon has hung up and the proxy dropped us.
+		for len(header) > 0 {
+			piece := header[:min(16, len(header))]
+			if _, err := slow.Write([]byte(piece)); err != nil {
+				return
+			}
+			header = header[len(piece):]
+			time.Sleep(250 * time.Millisecond)
+		}
+	}()
+	// Whatever the daemon says before closing comes back through the same
+	// throttle; a connection cut at the deadline yields nothing or net/http's
+	// canned 400, never the 200 a daemon that sat the trickle out would send.
+	answer := make(chan []byte, 1)
+	go func() {
+		slow.SetReadDeadline(time.Now().Add(30 * time.Second))
+		data, _ := io.ReadAll(slow)
+		answer <- data
+	}()
+
+	healthy := &http.Client{Timeout: 2 * time.Second}
+	served := 0
+	for {
+		select {
+		case data := <-answer:
+			waited := time.Since(start)
+			if bytes.HasPrefix(data, []byte("HTTP/1.1 200")) {
+				t.Fatalf("the daemon served a request whose header took ten seconds to arrive (answered after %v), want the connection cut at the header deadline", waited)
+			}
+			if waited > 9*time.Second {
+				t.Fatalf("the trickling client was cut off only after %v, want the five-second header deadline", waited)
+			}
+			if served == 0 {
+				t.Fatal("no healthy request completed while the slow header trickled in")
+			}
+			t.Logf("trickling client cut off after %v with %q; %d healthy requests served meanwhile", waited.Round(time.Millisecond), data, served)
+			return
+		default:
+		}
+		res, err := healthy.Get(n.URL() + "/v1/healthz")
+		if err != nil {
+			t.Fatalf("healthy client on the same listener: %v", err)
+		}
+		res.Body.Close()
+		if res.StatusCode != http.StatusOK {
+			t.Fatalf("healthy client on the same listener: %s", res.Status)
+		}
+		served++
+		time.Sleep(50 * time.Millisecond)
 	}
 }

@@ -90,8 +90,14 @@
 // recovered file — passes DecodeReplica, the compatibility gatekeeper, and
 // stays with the caller: by the law above the sum can be taken whenever it
 // is needed (internal/server keeps one such "foreign" sketch and adds it to
-// the engine's snapshot when it serves). The same law makes the difference
-// of two snapshots a sketch of exactly the updates between them, which is
-// what gossiping sketchd peers ship; that too is cut by the caller, from
-// snapshots it retains, and costs the ingestion hot path nothing.
+// the engine's cut when it serves). The same law makes the difference of two
+// snapshots a sketch of exactly the updates between them, which is what
+// gossiping sketchd peers ship; that too is cut by the caller, from cuts it
+// retains, and costs the ingestion hot path nothing.
+//
+// The daemon takes every cut through ReadSnapshot: its read path, its
+// replicator and its bootstrap handler share the one pinned cut of a
+// generation, serve it, retain it as a gossip baseline and encode from it,
+// all at once — which is sound only because nobody writes to it. Snapshot is
+// for callers that need a sketch of their own to write to.
 package engine

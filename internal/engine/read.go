@@ -18,7 +18,15 @@ import (
 // reader after a write pays the barrier; everyone else rides the pinned
 // epoch. The snapshot inside an epoch is immutable by contract: it is never
 // handed to callers for writing (Snapshot still returns caller-owned copies)
-// and readers query it only through read-only estimators.
+// and readers query it only through read-only operations.
+//
+// internal/server is the cache's caller: it serves the pinned snapshot as its
+// read epoch while it holds no foreign mass, keeps it as the baseline its
+// gossip peers acked, cuts delta frames from it and encodes bootstrap
+// transfers from it, from several goroutines at once. So neither the engine
+// nor any caller may write to what ReadSnapshot returns — no Merge into it,
+// no Sub, no Scale; a caller that needs to add to a cut takes a Copy or asks
+// Snapshot for a sketch of its own.
 
 // readEpoch is one published read generation: an immutable snapshot and the
 // write generation it observed. Shared by any number of readers.
@@ -43,11 +51,12 @@ func (e *Engine[S]) EpochMisses() int64 { return e.epochMisses.Load() }
 // ReadSnapshot returns the current read epoch's snapshot and its write
 // generation. When the pinned epoch is current the call is lock-free and the
 // returned snapshot is shared — callers must treat it as immutable, reading
-// it only through Estimate/EstimateBatchWith-style queries (which are safe
-// concurrently on an immutable sketch). On a stale epoch the calling reader
-// cuts a fresh snapshot under the engine mutex — exactly what Snapshot does,
-// including the flush of the engine's own handle — publishes it, and every
-// reader behind it shares the result.
+// it only through queries, encoders and as the source operand of another
+// sketch's Merge, Sub or Copy (all safe concurrently on an immutable
+// sketch). On a stale epoch the calling reader cuts a fresh snapshot under
+// the engine mutex — exactly what Snapshot does, including the flush of the
+// engine's own handle — publishes it, and every reader behind it shares the
+// result.
 //
 // The returned generation makes reads exact in the presence of racing
 // ingest: a snapshot at generation g holds precisely the first g dispatched

@@ -261,8 +261,9 @@ func DecodeBootstrapResponse(data []byte, maxSection int) (*BootstrapPayload, er
 // handleBootstrap serves one barrier-consistent state transfer. Everything —
 // the full snapshot, the local sketch that seeds the requester's tracker for
 // this node, the watermark map and the per-sender trackers — is cut and
-// copied under one snapMu hold, so the sections agree with each other
-// exactly.
+// copied under one snapMu hold, and both sketch sections come from one
+// localCut result (a second call could sit behind a write the first missed),
+// so the sections agree with each other exactly.
 func (s *Server) handleBootstrap(w http.ResponseWriter, r *http.Request) {
 	requester := r.URL.Query().Get("node")
 
@@ -273,7 +274,7 @@ func (s *Server) handleBootstrap(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	gLocal := s.localGen.Load()
-	local, err := s.eng.Snapshot()
+	local, err := s.localCut()
 	if err != nil {
 		s.snapMu.Unlock()
 		writeSnapshotErr(w, err)
@@ -297,13 +298,12 @@ func (s *Server) handleBootstrap(w http.ResponseWriter, r *http.Request) {
 	if err == nil {
 		payload.Senders[s.cfg.NodeID], err = local.MarshalBinary()
 	}
+	full := local
 	if err == nil && s.foreign != nil {
-		// The cut is this call's own and is encoded above, so the full state
-		// is composed in place: one engine snapshot serves both sections.
-		err = local.Merge(s.foreign)
+		full, err = s.plusForeign(local)
 	}
 	if err == nil {
-		payload.Snapshot, err = local.MarshalBinary()
+		payload.Snapshot, err = full.MarshalBinary()
 	}
 	s.snapMu.Unlock()
 

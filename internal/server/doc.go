@@ -36,11 +36,20 @@
 // ingested mass is gossiped: the engine holds nothing else. Merges, applied
 // deltas, bootstrap transfers and recovered snapshots live in one separate
 // "foreign" sketch (Server.mergeForeign is its only writer, and allocates it
-// on first use), which is added to the engine's snapshot in exactly one
-// place, when the served state is composed (snapshotLocked) — so a full mesh
+// on first use), which is added to the engine's cut in exactly one place,
+// when the served state is composed (snapshotLocked) — so a full mesh
 // converges to exactly the global sketch with no relaying, no
 // double-counting and nothing to subtract back out. See docs/CLUSTER.md for
 // the operator guide and DeltaFrame in wire.go for the protocol.
+//
+// The sum is served, not stored. The engine pins one immutable cut of the
+// local mass per write generation (engine.ReadSnapshot), and the read path,
+// the replicator and /v1/bootstrap all take that one object: a node with no
+// foreign mass serves it as it is, and retains it as its peers' baseline. A
+// node that has ingested nothing serves the foreign sketch itself, and
+// mergeForeign copies a foreign that readers may hold before writing to it.
+// Only a node holding both kinds of mass composes a sketch of its own, and
+// the daemon keeps one cache of the result (the read epoch, readpath.go).
 //
 // Counter arrays exist only where mass is. The daemon's prototype
 // (sketch.Prototype) carries shape and hash functions and no counters; engine
@@ -62,7 +71,7 @@
 // batched update path. That decode is also where a NaN or ±Inf delta is
 // refused, for POST bodies and stream frames alike: one would poison a
 // counter for good and gossip would copy it to every peer.
-// Queries are answered from a barrier snapshot cached per write generation;
+// Queries are answered from the served state cached per write generation;
 // snapshot, merge and stats share one narrow barrier lock that the update
 // hot path never touches.
 //

@@ -12,19 +12,23 @@ import (
 
 // Epoch-pinned read path ------------------------------------------------------
 //
-// Every read endpoint used to take the barrier lock per request just to learn
-// that nothing had changed. The server now mirrors the engine's read cache
-// one level up: an atomic pointer to the most recent barrier snapshot stamped
-// with the write generation it covers. A reader whose loaded epoch matches
-// the current generation answers lock-free — no snapMu, no barrier — and any
-// acknowledged write (update, merge, applied delta) invalidates the epoch
-// simply by bumping gen. Only the first reader after a write rebuilds; the
-// rebuild reuses snapCache, so it costs a barrier only when the engine moved.
+// The daemon keeps one cache of the served state: an atomic pointer to the
+// latest sum of the engine's cut and the foreign sketch, stamped with the
+// write generation it covers. A reader whose loaded epoch matches the current
+// generation answers lock-free — no snapMu, no barrier — and any acknowledged
+// write (update, merge, applied delta) invalidates the epoch simply by
+// bumping gen. Only the first reader after a write rebuilds, under snapMu
+// (snapshotLocked), and the rebuild costs a barrier only when the engine
+// moved: the engine keeps the one cache of its own cut (Engine.ReadSnapshot),
+// which the rebuild, the replicator and bootstrap all read.
 //
 // The snapshot inside an epoch is shared by every concurrent reader and is
 // immutable by contract: handlers query it only through the read-only
 // estimators (Estimate, EstimateBatchWith, TopK, HeavyHitters), which never
-// touch the tracker's counters.
+// touch the tracker's counters. That is also what lets an epoch be the
+// engine's pinned cut or the foreign sketch itself rather than a copy (see
+// snapshotLocked): the engine never writes to a cut it published, and
+// mergeForeign copies a foreign that was served before writing to it.
 
 // readEpoch is one published read generation: a shared immutable snapshot,
 // the write generation it covers, and the lazily computed ranked candidate
@@ -68,8 +72,8 @@ type readLane struct {
 
 // readEpochSnap returns the current read epoch, rebuilding and publishing it
 // when stale. The fast path is lock-free; the slow path funnels through
-// snapMu and reuses the snapshot cache, so concurrent readers behind one
-// invalidation pay a single barrier between them.
+// snapMu, so concurrent readers behind one invalidation pay a single rebuild
+// between them.
 func (s *Server) readEpochSnap() (*readEpoch, error) {
 	if s.engRetired.Load() {
 		return nil, ErrServerClosed
@@ -80,23 +84,18 @@ func (s *Server) readEpochSnap() (*readEpoch, error) {
 	}
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
-	// Another reader may have republished while we waited for the lock;
-	// their epoch is as current as ours would be.
-	if ep := s.epoch.Load(); ep != nil && ep.gen == s.gen.Load() {
-		s.epochHits.Add(1)
-		return ep, nil
-	}
-	s.epochMisses.Add(1)
-	snap, err := s.snapshotLocked()
+	// Another snapMu holder may have republished while we waited for the
+	// lock; their epoch is as current as ours would be, and a hit.
+	published := s.epoch.Load()
+	ep, err := s.snapshotLocked()
 	if err != nil {
 		return nil, err
 	}
-	// snapGen is the generation snapshotLocked stamped the cache with — the
-	// gen it loaded before cutting the barrier, so the epoch never claims a
-	// write it does not contain. Publishes are serialized by snapMu and gens
-	// are monotonic, so a plain store suffices.
-	ep := &readEpoch{gen: s.snapGen, snap: snap}
-	s.epoch.Store(ep)
+	if ep == published {
+		s.epochHits.Add(1)
+	} else {
+		s.epochMisses.Add(1)
+	}
 	return ep, nil
 }
 

@@ -68,6 +68,82 @@ func TestIdleDaemonHeap(t *testing.T) {
 	}
 }
 
+// TestMeshNodeHeap is the heap gate on "serve the sum, don't store it": in a
+// two-node 65536x4 mesh fed at one node, reading a node must not cost it an
+// array. The feeder holds its replicas and the engine's one pinned cut — which
+// is what it serves and what it retains as its peer's baseline; the receiver
+// holds foreign — which is what it serves — and the feeder's tracker. The test
+// is the gossip ticker, so the two nodes' growth is measured apart: the feeder
+// is fed and read before its first frame ships.
+func TestMeshNodeHeap(t *testing.T) {
+	const workers = 2
+	cfg := Config{
+		Width: 65536, Depth: 4, K: 32, Seed: 59,
+		Engine:      engine.Config{Workers: workers},
+		Producers:   workers,
+		GossipEvery: time.Hour,
+	}
+	reference := sketch.NewHeavyHitterTracker(xrand.New(cfg.Seed), cfg.Width, cfg.Depth, cfg.K)
+	before := heapAllocAfterGC()
+	nodes := startMesh(t, 2, cfg) // nodes[0] is fed, nodes[1] receives
+	feeder := nodes[0]
+	ctx := context.Background()
+	grew := func() float64 {
+		return (float64(heapAllocAfterGC()) - float64(before)) / (1 << 20)
+	}
+
+	r := xrand.New(61)
+	var feederGrew, receiverGrew float64
+	var stats [2]Stats
+	read := func(i int, what string) {
+		t.Helper()
+		var err error
+		if stats[i], err = nodes[i].client.Stats(ctx); err != nil {
+			t.Fatal(err)
+		}
+		requireAnswers(t, nodes[i].client, reference, what)
+	}
+	for round := 0; round < 3; round++ {
+		for batch := 0; batch < 2*workers; batch++ {
+			items, deltas := make([]uint64, 512), make([]float64, 512)
+			for i := range items {
+				items[i], deltas[i] = uint64(r.Intn(4096)), float64(1+r.Intn(4))
+			}
+			reference.UpdateBatch(items, deltas)
+			if err := feeder.client.UpdateColumns(ctx, items, deltas); err != nil {
+				t.Fatal(err)
+			}
+		}
+		read(0, "feeder")
+		if round == 0 {
+			feederGrew = grew()
+		}
+		feeder.srv.gossipTick(ctx)
+		read(1, "receiver")
+		if round == 0 {
+			receiverGrew = grew() - feederGrew
+		}
+	}
+	total := grew()
+	runtime.KeepAlive(nodes)
+	runtime.KeepAlive(reference) // allocated before the baseline: collecting it would read as shrinkage
+
+	t.Logf("heap growth: feeder %.2f MiB (%+v), receiver %.2f MiB (%+v), both after three rounds %.2f MiB",
+		feederGrew, stats[0].Resident, receiverGrew, stats[1].Resident, total)
+	if raceEnabled {
+		t.Skip("thresholds are not sized for the race detector's allocator overhead")
+	}
+	if limit := float64(2*workers + 3); feederGrew >= limit {
+		t.Errorf("a fed and read 65536x4 feeder grew the heap by %.2f MiB, want < %v (%d replicas and one pinned cut of 2 MiB)", feederGrew, limit, workers)
+	}
+	if receiverGrew >= 5 {
+		t.Errorf("shipping to a 65536x4 receiver and reading it grew the heap by %.2f MiB, want < 5 (foreign and one sender tracker; a third array is a stored copy of the sum, or a baseline beside the pinned cut)", receiverGrew)
+	}
+	if limit := float64(2*workers + 3 + 5); total >= limit {
+		t.Errorf("after three rounds the two nodes grew the heap by %.2f MiB, want < %v: a superseded cut, foreign or epoch is still held", total, limit)
+	}
+}
+
 // denseKeys is the key column the residency tests compare answers over.
 func denseKeys() []uint64 {
 	keys := make([]uint64, 2048)
@@ -95,9 +171,10 @@ func requireAnswers(t *testing.T, client *Client, want *sketch.HeavyHitterTracke
 
 // TestResidentSketchesFollowMass: in a two-node mesh fed at one node, each
 // node holds counters only where it holds mass — the feeder in its replicas
-// and the baseline it retains for its peer, never in foreign; the receiver in
-// foreign and the feeder's tracker, never in a replica — and both still answer
-// exactly like one single-threaded tracker.
+// and the engine's one pinned cut, which is both what it serves and the
+// baseline it retains for its peer, never in foreign; the receiver in foreign,
+// which is also what it serves, and the feeder's tracker, never in a replica
+// or a cut — and both still answer exactly like one single-threaded tracker.
 func TestResidentSketchesFollowMass(t *testing.T) {
 	cfg := Config{
 		Width: 512, Depth: 4, K: 16, Seed: 29,
@@ -114,7 +191,7 @@ func TestResidentSketchesFollowMass(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if stats.CounterWords != 0 || stats.Resident.Replicas+stats.Resident.Foreign+stats.Resident.Senders+stats.Resident.Baselines != 0 {
+		if res := stats.Resident; stats.CounterWords != 0 || res.Replicas+res.Foreign+res.Senders+res.LocalCut+res.Baselines != 0 {
 			t.Fatalf("node %s before any ingest: counter_words %d, resident %+v; want nothing resident", node.url, stats.CounterWords, stats.Resident)
 		}
 	}
@@ -137,8 +214,8 @@ func TestResidentSketchesFollowMass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res := got.Resident; got.CounterWords != 0 || res.Replicas != 0 || res.Foreign != 1 || res.Senders != 1 || res.Baselines != 0 {
-		t.Fatalf("receiver: counter_words %d, resident %+v; want no replica, foreign 1, senders 1, no baseline", got.CounterWords, res)
+	if want := (ResidentSketches{Foreign: 1, Senders: 1}); got.CounterWords != 0 || got.Resident != want {
+		t.Fatalf("receiver: counter_words %d, resident %+v; want %+v", got.CounterWords, got.Resident, want)
 	}
 	// The feeder's last frame may still be in flight to be acked; its baseline
 	// count settles once the peer's lag is zero.
@@ -155,9 +232,8 @@ func TestResidentSketchesFollowMass(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if res := got.Resident; res.Foreign != 0 || res.Senders != 0 || res.Replicas != 2 || res.Baselines != 1 ||
-		got.CounterWords != 2*cfg.Width*cfg.Depth {
-		t.Fatalf("feeder: counter_words %d, resident %+v; want 2 replicas, 1 baseline, no foreign, no senders", got.CounterWords, res)
+	if want := (ResidentSketches{Replicas: 2, LocalCut: 1}); got.CounterWords != 2*cfg.Width*cfg.Depth || got.Resident != want {
+		t.Fatalf("feeder: counter_words %d, resident %+v; want %+v", got.CounterWords, got.Resident, want)
 	}
 	requireAnswers(t, feeder.client, reference, "feeder")
 	requireAnswers(t, receiver.client, reference, "receiver")

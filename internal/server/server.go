@@ -311,9 +311,9 @@ type Server struct {
 	closed atomic.Bool
 
 	// gen counts acknowledged writes (updates, merges, applied delta and
-	// replace frames, an installed bootstrap transfer); snapGen records the
-	// write generation snapCache was taken at, so read endpoints reuse one
-	// barrier snapshot until the state actually changes.
+	// replace frames, an installed bootstrap transfer). The read epoch is
+	// stamped with the value it covers, so read endpoints reuse one served
+	// state until the state actually changes.
 	gen atomic.Int64
 	// localGen counts acknowledged *locally ingested* batches only — the
 	// generation currency of the gossip protocol. Deltas ship the window
@@ -323,17 +323,28 @@ type Server struct {
 	localGen atomic.Int64
 
 	// snapMu is the narrow barrier lock: it serializes engine barrier
-	// operations (Snapshot/Close) and guards the snapshot cache, the foreign
-	// sketch, the sender trackers and the watermark map. The /v1/update hot
-	// path never takes it.
+	// operations (ReadSnapshot/Close) and guards every store to epoch, the
+	// foreign sketch, the sender trackers and the watermark map. The
+	// /v1/update hot path never takes it.
 	snapMu    sync.Mutex
 	engClosed bool // the engine is gone: snapshots (and so reads) fail too
-	snapGen   int64
-	snapCache *sketch.HeavyHitterTracker
-	// epoch is the lock-free read cache (see readpath.go): the latest
-	// barrier snapshot stamped with the generation it covers, shared by every
-	// reader until a write bumps gen. engRetired is the atomic shadow of
-	// engClosed that fences the lock-free fast path after Close.
+	// cut is the engine's pinned cut as localCut last returned it, and cutGen
+	// the engine generation it covers: what the engine keeps resident whether
+	// or not anyone here still points at it. snapshotLocked reads them to
+	// learn whether the pinned cut is still current without cutting a new
+	// one, /v1/stats to tell which served and retained sketches are that
+	// array and which are arrays of their own. Guarded by snapMu.
+	cut    *sketch.HeavyHitterTracker
+	cutGen uint64
+	// epoch is the daemon's one cache of the served state (see readpath.go):
+	// the sum engine cut + foreign stamped with the generation it covers,
+	// shared by every reader — lock-free — and by every snapMu holder that
+	// needs the sum, until a write bumps gen. Its snapshot is immutable and
+	// is a sketch of its own only when both operands hold mass: otherwise it
+	// *is* the operand that holds all of it, the engine's pinned cut or
+	// foreign (see snapshotLocked). Stored under snapMu only. engRetired is
+	// the atomic shadow of engClosed that fences the lock-free fast path
+	// after Close.
 	epoch      atomic.Pointer[readEpoch]
 	engRetired atomic.Bool
 	// Read-path counters: epoch hits answered without the barrier lock,
@@ -345,12 +356,17 @@ type Server struct {
 	// snapshots, /v1/merge bodies, applied /v1/delta payloads and bootstrap
 	// transfers, all added by mergeForeign, which allocates it on the first
 	// one. It is nil until then, and snapshotLocked and handleBootstrap serve
-	// the engine snapshot as cut. The engine holds the locally ingested
-	// updates and nothing else, so the served state is engine snapshot +
-	// foreign and the replicator ships the engine snapshot as it is — peers
-	// receive each node's own mass exactly once, never a relayed copy of their
-	// own.
-	foreign *sketch.HeavyHitterTracker
+	// the engine's cut as it is. The engine holds the locally ingested
+	// updates and nothing else, so the served state is engine cut + foreign
+	// and the replicator ships the engine cut as it is — peers receive each
+	// node's own mass exactly once, never a relayed copy of their own.
+	//
+	// While the engine has dispatched nothing, foreign is the whole sum and
+	// snapshotLocked serves it as the read epoch's snapshot; foreignServed
+	// records that readers may hold the current object, and mergeForeign then
+	// writes to a copy instead. Both guarded by snapMu.
+	foreign       *sketch.HeavyHitterTracker
+	foreignServed bool
 	// watermarks maps a sender's NodeID to the toGen of the newest delta
 	// frame applied from it; the receiver-side half of the idempotency
 	// protocol (see DeltaFrame in wire.go).
@@ -869,75 +885,125 @@ func (s *Server) ingestColumns(lane *ingestLane) {
 	s.localGen.Add(1) // local ingestion: this batch is ours to gossip
 }
 
-// snapshotLocked returns the served state — a consistent barrier snapshot of
-// the engine plus the foreign sketch, the one place the two are summed —
-// reusing the cached one when no write has happened since it was taken.
-// Callers must hold s.snapMu.
+// localCut returns the engine's pinned, immutable cut of the locally ingested
+// updates: one barrier and one clone per engine generation however many of
+// the read path, the replicator and bootstrap ask, and no barrier at all while
+// the engine has not moved. Nothing here may write to what it returns — the
+// engine, concurrent readers and retained peer baselines share it. Callers
+// hold s.snapMu and have checked engClosed.
+func (s *Server) localCut() (*sketch.HeavyHitterTracker, error) {
+	cut, gen, err := s.eng.ReadSnapshot()
+	if err != nil {
+		return nil, err
+	}
+	s.cut, s.cutGen = cut, gen
+	return cut, nil
+}
+
+// snapshotLocked returns the current read epoch — the served state, engine
+// cut + foreign, stamped with the write generation it covers — rebuilding and
+// publishing it when a write has happened since. It is the one place the two
+// are summed, and by linearity a sum with an empty operand is the other
+// operand, so only a node holding both kinds of mass pays for a sketch of its
+// own: with no foreign mass the engine's pinned cut is served as it is (the
+// very object the replicator retains as a peer baseline), and while the
+// engine has dispatched nothing foreign is. Callers must hold s.snapMu and
+// must not write to the epoch's snapshot.
 //
-// The generation is loaded before the barrier: a write that bumps gen after
-// the load but before the barrier lands in the snapshot anyway (the barrier
-// happens later), so the cache is only ever stamped with a generation it
-// fully covers — a reader that saw an update acknowledged is never served a
-// cache from before it.
-func (s *Server) snapshotLocked() (*sketch.HeavyHitterTracker, error) {
+// An acknowledged write is never missing from what this returns. gen is
+// loaded first; a local batch bumps the engine's write generation (dispatch)
+// before ingestColumns bumps gen, so a batch counted in the stamp has already
+// invalidated the engine's pinned cut and a barrier is cut behind it — and
+// the same order means an engine still at generation 0 after the load holds
+// none of the stamp's writes. Foreign writes bump gen under snapMu, which the
+// caller holds. A write that lands after the load may be in the snapshot too;
+// the stamp then undercounts, and the next reader rebuilds.
+func (s *Server) snapshotLocked() (*readEpoch, error) {
 	if s.engClosed {
 		return nil, ErrServerClosed
 	}
 	g := s.gen.Load()
-	if s.snapCache != nil && s.snapGen == g {
-		return s.snapCache, nil
+	if ep := s.epoch.Load(); ep != nil && ep.gen == g {
+		return ep, nil
 	}
-	snap, err := s.eng.Snapshot()
-	if err != nil {
-		return nil, err
-	}
-	if s.foreign != nil {
-		if err := snap.Merge(s.foreign); err != nil {
-			return nil, fmt.Errorf("server: adding foreign mass to the snapshot: %w", err)
+	var snap *sketch.HeavyHitterTracker
+	var err error
+	switch local := s.eng.Generation(); {
+	case local == 0 && s.foreign == nil:
+		// Nothing has been written anywhere yet. The empty answer is this
+		// epoch's own and goes with it at the first write, where an empty cut
+		// would stay pinned in the engine of a node that never ingests.
+		snap = s.proto.Clone()
+	case local == 0:
+		snap, s.foreignServed = s.foreign, true
+	case s.foreign == nil:
+		snap, err = s.localCut()
+	case s.cut != nil && s.cutGen == local:
+		// Only foreign mass moved since the cut was pinned: no barrier.
+		snap, err = s.plusForeign(s.cut)
+	default:
+		// The pinned cut is stale too. Summing into a cut of this rebuild's
+		// own saves copying a pinned one (a quarter of the rebuild at
+		// 65536x4), and the replicator pins the next cut when it ticks.
+		if snap, err = s.eng.Snapshot(); err == nil {
+			err = snap.Merge(s.foreign)
 		}
 	}
-	s.snapCache, s.snapGen = snap, g
-	return snap, nil
+	if err != nil {
+		return nil, fmt.Errorf("server: composing the served state: %w", err)
+	}
+	ep := &readEpoch{gen: g, snap: snap}
+	s.epoch.Store(ep)
+	return ep, nil
+}
+
+// plusForeign returns cut + foreign in a sketch of its own, for a cut that is
+// shared and a foreign that holds mass. Callers hold s.snapMu.
+func (s *Server) plusForeign(cut *sketch.HeavyHitterTracker) (*sketch.HeavyHitterTracker, error) {
+	sum := cut.Copy()
+	if err := sum.Merge(s.foreign); err != nil {
+		return nil, err
+	}
+	return sum, nil
 }
 
 // mergeForeign adds a sketch that arrived from outside the local stream to
-// the foreign sketch. src must have passed DecodeReplica (or be derived from
-// sketches that did), so the merge cannot fail on shape or seed. Callers hold
-// s.snapMu and bump gen once the rest of their bookkeeping is done.
+// the foreign sketch — the only place foreign is written. src must have
+// passed DecodeReplica (or be derived from sketches that did), so the merge
+// cannot fail on shape or seed. A foreign that was served as a read epoch is
+// immutable from then on: the merge goes into a copy, and readers keep the
+// old object until their epoch is replaced. Callers hold s.snapMu and bump
+// gen once the rest of their bookkeeping is done.
 func (s *Server) mergeForeign(src *sketch.HeavyHitterTracker) error {
-	if s.foreign == nil {
+	switch {
+	case s.foreign == nil:
 		s.foreign = s.proto.Clone()
+	case s.foreignServed:
+		s.foreign, s.foreignServed = s.foreign.Copy(), false
 	}
 	return s.foreign.Merge(src)
 }
 
-// snapshot is snapshotLocked behind the barrier lock, for read handlers.
-func (s *Server) snapshot() (*sketch.HeavyHitterTracker, error) {
-	s.snapMu.Lock()
-	defer s.snapMu.Unlock()
-	return s.snapshotLocked()
-}
-
-// snapshotGen is snapshot plus the write generation the snapshot covers —
-// the gen field every read response reports.
+// snapshotGen is snapshotLocked behind the barrier lock, for handlers that
+// answer from the served state and report the generation it covers.
 func (s *Server) snapshotGen() (*sketch.HeavyHitterTracker, int64, error) {
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
-	snap, err := s.snapshotLocked()
+	ep, err := s.snapshotLocked()
 	if err != nil {
 		return nil, 0, err
 	}
-	return snap, s.snapGen, nil
+	return ep.snap, ep.gen, nil
 }
 
 // encodedSnapshotLocked marshals the current snapshot. Callers must hold
 // s.snapMu.
 func (s *Server) encodedSnapshotLocked() ([]byte, error) {
-	snap, err := s.snapshotLocked()
+	ep, err := s.snapshotLocked()
 	if err != nil {
 		return nil, err
 	}
-	return snap.MarshalBinary()
+	return ep.snap.MarshalBinary()
 }
 
 // readBody drains a size-capped request body. Over-limit bodies answer 413;
@@ -1199,9 +1265,9 @@ func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
 			// not ship them back out as if this daemon had ingested them.
 			s.gen.Add(1)
 			s.merges.Add(1)
-			var snap *sketch.HeavyHitterTracker
-			if snap, err = s.snapshotLocked(); err == nil {
-				mass = snap.TotalMass()
+			var ep *readEpoch
+			if ep, err = s.snapshotLocked(); err == nil {
+				mass = ep.snap.TotalMass()
 			}
 		}
 		s.snapMu.Unlock()
@@ -1632,22 +1698,24 @@ func (s *Server) backoffFor(streak int) time.Duration {
 	return d
 }
 
-// localSnapshot cuts the sketch of *locally ingested* updates — the engine's
-// barrier snapshot, since foreign mass never enters the engine — and returns
-// it with the local write generation the cut covers. The replicator retains
-// the snapshot as a peer baseline, so it must never become the object foreign
-// is merged into: the read path's cache is cut separately.
+// localSnapshot returns the sketch of *locally ingested* updates — the
+// engine's pinned cut, since foreign mass never enters the engine — with the
+// local write generation it covers. The replicator retains it as a peer
+// baseline and encodes frames from it outside the lock; it is the object the
+// read path serves while there is no foreign mass, which is sound because
+// neither side ever writes to it.
 func (s *Server) localSnapshot() (*sketch.HeavyHitterTracker, int64, error) {
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
 	if s.engClosed {
 		return nil, 0, ErrServerClosed
 	}
-	// The generation loads before the barrier, so the snapshot covers at
-	// least everything it counts (late-racing writes land in the snapshot
-	// too — harmless, the retained baseline keeps them from shipping twice).
+	// The generation loads before the cut, so the cut covers at least
+	// everything it counts (see snapshotLocked; late-racing writes land in the
+	// cut too — harmless, the retained baseline keeps them from shipping
+	// twice).
 	gLocal := s.localGen.Load()
-	local, err := s.eng.Snapshot()
+	local, err := s.localCut()
 	if err != nil {
 		return nil, 0, err
 	}
@@ -1936,7 +2004,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	for _, p := range s.peers {
 		for _, held := range []*sketch.HeavyHitterTracker{p.baseline, p.pendingLocal} {
 			if held != nil && held != s.proto && !slices.Contains(baselines, held) {
-				baselines = append(baselines, held)
+				baselines = append(baselines, held) // an engine cut of some generation
 			}
 		}
 		stat := PeerStat{
@@ -1954,19 +2022,19 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		stats.Peers = append(stats.Peers, stat)
 	}
 	s.peerMu.Unlock()
-	stats.Resident.Baselines = len(baselines)
-	snap, snapGen, err := s.snapshotGen()
+	s.snapMu.Lock()
+	ep, err := s.snapshotLocked()
 	if err != nil {
+		s.snapMu.Unlock()
 		writeSnapshotErr(w, err)
 		return
 	}
-	stats.Gen = snapGen
-	stats.TotalMass = snap.TotalMass()
+	stats.Gen = ep.gen
+	stats.TotalMass = ep.snap.TotalMass()
 	// Read behind the snapshot's barrier, so every acknowledged batch has
 	// reached its worker and the count covers the replica it brought in.
 	stats.CounterWords = s.eng.CounterWords()
 	stats.Resident.Replicas = stats.CounterWords / (s.cfg.Width * s.cfg.Depth)
-	s.snapMu.Lock()
 	if s.foreign != nil {
 		stats.Resident.Foreign = 1
 	}
@@ -1975,11 +2043,20 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			stats.Resident.Senders++
 		}
 	}
-	if s.snapCache != nil {
-		stats.Resident.Epoch = 1
+	// The engine's pinned cut is one array however many of the read epoch and
+	// the peer links point at it; each other array is counted where it is
+	// first met: a retained cut of an older generation, then a served state
+	// that is none of the above.
+	if s.cut != nil {
+		stats.Resident.LocalCut = 1
 	}
-	if ep := s.epoch.Load(); ep != nil && ep.snap != s.snapCache {
-		stats.Resident.Epoch++ // readers still pin the snapshot before the cache's
+	for _, held := range baselines {
+		if held != s.cut {
+			stats.Resident.Baselines++
+		}
+	}
+	if ep.snap != s.foreign && ep.snap != s.cut && !slices.Contains(baselines, ep.snap) {
+		stats.Resident.Epoch = 1
 	}
 	if len(s.watermarks) > 0 {
 		stats.Watermarks = make(map[string]uint64, len(s.watermarks))

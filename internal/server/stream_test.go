@@ -249,7 +249,7 @@ func TestStreamEqualsPostEqualsReference(t *testing.T) {
 		}
 	}
 
-	snap, err := srv.snapshot()
+	snap, _, err := srv.snapshotGen()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +341,7 @@ func TestStreamKillMidFrameResume(t *testing.T) {
 		t.Fatalf("final watermark = %d, want 4", w)
 	}
 
-	snap, err := srv.snapshot()
+	snap, _, err := srv.snapshotGen()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,7 +434,7 @@ func TestStreamUpdaterReconnect(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	snap, err := srv.snapshot()
+	snap, _, err := srv.snapshotGen()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -481,7 +481,7 @@ func TestStreamHTTPFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	snap, err := srv.snapshot()
+	snap, _, err := srv.snapshotGen()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -534,7 +534,7 @@ func TestStreamServerCloseDrains(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer restarted.Close()
-	snap, err := restarted.snapshot()
+	snap, _, err := restarted.snapshotGen()
 	if err != nil {
 		t.Fatal(err)
 	}

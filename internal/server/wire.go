@@ -128,20 +128,24 @@ type PeerStat struct {
 	BackoffMs int64 `json:"peer_backoff_ms,omitempty"`
 }
 
-// ResidentSketches counts the full-size counter arrays a daemon holds, by
-// owner; multiply the sum by width x depth x 8 bytes for its sketch memory.
-// Each exists only once it holds mass: Replicas are the engine workers that
-// have received a batch (1 in partition mode), Foreign is 1 once anything has
-// been merged, applied or recovered from outside, Senders are the gossip
-// senders a window frame has been applied from, Epoch the snapshots the read
-// path pins (the cached one, plus its predecessor while readers still hold
-// it), Baselines the distinct local cuts retained for peers that acked or are
-// owed a retry.
+// ResidentSketches counts the distinct full-size counter arrays a daemon
+// holds, by owner; multiply the sum by width x depth x 8 bytes for its sketch
+// memory. Each exists only once it holds mass: Replicas are the engine
+// workers that have received a batch (1 in partition mode), Foreign is 1 once
+// anything has been merged, applied or recovered from outside, Senders are
+// the gossip senders a window frame has been applied from, LocalCut is 1
+// while the engine pins a cut of its local mass (from the first read, gossip
+// tick or bootstrap request that needed one), Baselines are the cuts of older
+// generations still retained for peers that acked or are owed a retry, and
+// Epoch is 1 only while the served state is an array of its own — 0 when it
+// is the foreign sketch, the pinned cut or a retained baseline, as it is on
+// every node that holds only one kind of mass.
 type ResidentSketches struct {
 	Replicas  int `json:"replicas"`
 	Foreign   int `json:"foreign"`
 	Senders   int `json:"senders"`
 	Epoch     int `json:"epoch"`
+	LocalCut  int `json:"local_cut"`
 	Baselines int `json:"baselines"`
 }
 
