@@ -27,6 +27,7 @@
 //	sketchd -addr :7600 -stream-addr :7700   # raw TCP streaming ingest listener
 //	sketchd -addr 127.0.0.1:7601 -snapshot-dir /var/lib/sketchd -snapshot-every 30s
 //	sketchd -addr 127.0.0.1:7602 -peers 127.0.0.1:7601,127.0.0.1:7603 -gossip-every 1s
+//	sketchd -addr :7600 -debug-addr 127.0.0.1:7699  # go tool pprof http://127.0.0.1:7699/debug/pprof/heap
 //
 // The daemon also serves the survey's recovery algorithms directly from its
 // live counters: /v1/recover inverts the sketch with a configurable
@@ -59,6 +60,7 @@ import (
 	"log"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"strings"
@@ -94,6 +96,7 @@ func main() {
 		recoverUni    = flag.Int("recover-universe", 0, "default signal dimension /v1/recover inverts over (0 = 65536)")
 		recoverMaxK   = flag.Int("recover-max-k", 0, "cap on /v1/recover's ?k= (0 = 256)")
 		recoverIters  = flag.Int("recover-iters", 0, "default iteration budget of the iterative recoverers (0 = 50)")
+		debugAddr     = flag.String("debug-addr", "", "listen address for net/http/pprof's /debug/pprof/ profiles, kept off the data port (empty = no profiles)")
 	)
 	flag.Parse()
 
@@ -176,6 +179,22 @@ func main() {
 		}()
 	}
 
+	if *debugAddr != "" {
+		dln, err := net.Listen("tcp", *debugAddr)
+		if err != nil {
+			srv.Close()
+			logger.Fatal(err)
+		}
+		fmt.Printf("profiles on %s\n", dln.Addr())
+		// The process exits with the data listener; this one needs no
+		// shutdown of its own.
+		go func() {
+			if err := serveDebug(dln); err != nil {
+				logger.Printf("debug serve: %v", err)
+			}
+		}()
+	}
+
 	// A client gets five seconds to finish its request header and an idle
 	// keep-alive connection two minutes, so sockets that trickle or say
 	// nothing cannot pile up on the listener. Bodies and responses are not
@@ -207,4 +226,19 @@ func main() {
 	if err := srv.Close(); err != nil {
 		logger.Fatalf("close: %v", err)
 	}
+}
+
+// serveDebug serves net/http/pprof's profiles on ln from a mux of their own.
+// The data port serves the server's handler alone — never
+// http.DefaultServeMux, where importing net/http/pprof registers them too — so
+// it answers /debug/pprof/ with 404.
+func serveDebug(ln net.Listener) error {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	hs := &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
+	return hs.Serve(ln)
 }

@@ -10,7 +10,7 @@ import (
 
 // RunE14DeltaGossip measures the bytes a gossiping sketch mesh must move to
 // stay converged, comparing delta shipping — each node sends the
-// (mostly-zero, zero-run-length-compressed KindDelta envelope of the)
+// (mostly zero, compressed KindDelta envelope of the)
 // difference between its current local sketch and the last state each peer
 // acknowledged — against full-snapshot shipping at the same convergence
 // cadence. Three nodes ingest disjoint interleaved slices of one Zipf

@@ -20,8 +20,10 @@
 // between them — so daemons started with Config.Peers run a replicator
 // goroutine that, every GossipEvery, ships each peer the delta between the
 // daemon's current locally ingested state and the last state that peer
-// acknowledged. Deltas are mostly zero counters and travel in the
-// compressed KindDelta envelope. A tick cuts the local state once and
+// acknowledged. Deltas are mostly zero counters, and small integers where
+// they are not, and travel in the compressed KindDelta envelope: a zero run,
+// a literal, or a one- or two-byte token for a small integer counter (see
+// internal/sketch's encoding.go). A tick cuts the local state once and
 // encodes once per distinct baseline — in a settled mesh every peer holds
 // the same one, so every peer is posted the same bytes — and the encode is
 // one pass over the two counter arrays straight into the frame buffer

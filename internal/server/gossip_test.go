@@ -3,14 +3,17 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -452,6 +455,116 @@ func TestDeltaRejectsBadPayloads(t *testing.T) {
 	}
 	if stats.TotalMass != 5 {
 		t.Fatalf("total mass %v after reset frame, want 5", stats.TotalMass)
+	}
+}
+
+// TestGossipExactOverEveryCounterWord: the envelope spells integer counter
+// differences as integer tokens and everything else as literals. A two-node
+// mesh ships one window per kind of counter word — small integers,
+// fractions, negatives, 2^53+2, ±1e300 — and a window of −0 deltas, and the
+// receiver ends up answering exactly like the single-threaded reference, bit
+// for bit. A frame carrying the retired kind-7 envelope is then refused with
+// nothing touched.
+func TestGossipExactOverEveryCounterWord(t *testing.T) {
+	ctx := context.Background()
+	cfg := Config{Width: 512, Depth: 4, K: 16, Seed: 41, Engine: engine.Config{Workers: 1}}
+	recvCfg := cfg
+	recvCfg.NodeID = "receiver"
+	_, receiver := testDaemon(t, recvCfg)
+	cfg.NodeID, cfg.Peers = "feeder", []string{receiver.base}
+	cfg.GossipEvery = time.Hour // the test is the ticker
+	feeder, feederClient := testDaemon(t, cfg)
+
+	newSketch := func() *sketch.HeavyHitterTracker {
+		return sketch.NewHeavyHitterTracker(xrand.New(cfg.Seed), cfg.Width, cfg.Depth, cfg.K)
+	}
+	// reference takes every window in order; shipped sums the differences
+	// between the reference's successive states, as the receiver will. The
+	// windows are chosen so those float differences are exact, which shipped
+	// equal to reference proves before the daemons are asked.
+	reference, shipped, prev := newSketch(), newSketch(), newSketch()
+	windows := []func(i int) float64{
+		func(i int) float64 { return float64(1 + i%9) },
+		func(i int) float64 { return float64(i%13)/8 - 0.75 },
+		func(i int) float64 { return -float64(1 + i%700) },
+		func(int) float64 { return 1<<53 + 2 },
+		func(i int) float64 { return math.Copysign(1e300, float64(i%2)-0.5) },
+		func(int) float64 { return math.Copysign(0, -1) },
+	}
+	for w, delta := range windows {
+		items, deltas := make([]uint64, 64), make([]float64, 64)
+		for i := range items {
+			items[i], deltas[i] = uint64(w*64+i), delta(i)
+		}
+		reference.UpdateBatch(items, deltas)
+		diff := reference.Copy()
+		if err := diff.Sub(prev); err != nil {
+			t.Fatal(err)
+		}
+		if err := shipped.Merge(diff); err != nil {
+			t.Fatal(err)
+		}
+		prev = reference.Copy()
+
+		if err := feederClient.UpdateColumns(ctx, items, deltas); err != nil {
+			t.Fatal(err)
+		}
+		feeder.gossipPush(ctx, true)
+	}
+	keys := denseKeys()
+	answers := func(client *Client) []uint64 {
+		t.Helper()
+		got, err := client.QueryBatch(ctx, keys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bits := make([]uint64, len(got))
+		for i, v := range got {
+			bits[i] = math.Float64bits(v)
+		}
+		return bits
+	}
+	for _, key := range keys {
+		if a, b := math.Float64bits(shipped.Estimate(key)), math.Float64bits(reference.Estimate(key)); a != b {
+			t.Fatalf("the windows' differences do not sum back exactly at key %d (%#x vs %#x): pick other windows", key, a, b)
+		}
+	}
+	got := answers(receiver)
+	for i, key := range keys {
+		if want := math.Float64bits(reference.Estimate(key)); got[i] != want {
+			t.Fatalf("receiver: estimate(%d) has bits %#x, the single-threaded reference %#x", key, got[i], want)
+		}
+	}
+	before, err := receiver.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if before.DeltasApplied != int64(len(windows)) {
+		t.Fatalf("receiver applied %d frames, want one per window (%d)", before.DeltasApplied, len(windows))
+	}
+
+	// The retired envelope, as an older release would ship it: one literal
+	// holding the whole inner encoding.
+	inner := mustEncode(t, newSketch())
+	retired := binary.BigEndian.AppendUint32([]byte("SKC1\x01\x07"), uint32(len(inner)))
+	retired = append(binary.AppendUvarint(binary.AppendUvarint(retired, 0), uint64(len(inner))), inner...)
+	mark := before.Watermarks["feeder"]
+	status, body := pushDeltaBytes(t, receiver, AppendDeltaFrame(nil, DeltaFrame{Sender: "feeder", FromGen: mark, ToGen: mark + 1, Payload: retired}))
+	if status != http.StatusBadRequest || !strings.Contains(body, "kind 7") {
+		t.Fatalf("kind-7 envelope: HTTP %d %q, want 400 naming kind 7", status, body)
+	}
+	after, err := receiver.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.DeltasRejected != before.DeltasRejected+1 || after.DeltasApplied != before.DeltasApplied ||
+		after.Watermarks["feeder"] != mark || after.TotalMass != before.TotalMass {
+		t.Fatalf("kind-7 envelope moved the receiver: rejected %d → %d, applied %d → %d, watermark %d → %d, mass %v → %v",
+			before.DeltasRejected, after.DeltasRejected, before.DeltasApplied, after.DeltasApplied,
+			mark, after.Watermarks["feeder"], before.TotalMass, after.TotalMass)
+	}
+	if !slices.Equal(answers(receiver), got) {
+		t.Fatal("kind-7 envelope changed the receiver's answers")
 	}
 }
 

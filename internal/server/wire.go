@@ -430,8 +430,10 @@ var errNonFiniteDelta = errors.New("delta is not finite")
 //	fromGen    uint64  sender-local generation of the last acked frame
 //	toGen      uint64  sender-local generation this frame advances to
 //	payloadLen uint32
-//	payload    payloadLen bytes: a sketch KindDelta envelope of the
-//	           difference sketch's encoding (must be empty on reset frames)
+//	payload    payloadLen bytes: a sketch KindDelta envelope (kind 8) of
+//	           the difference sketch's encoding — zero-run, literal and
+//	           integer-word tokens — and empty on reset frames; the retired
+//	           kind-7 envelope is refused with 400
 //
 // A frame covers the sender-local generation window (fromGen, toGen]. The
 // receiver keeps one watermark per sender — the toGen of the newest frame it

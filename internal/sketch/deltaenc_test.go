@@ -5,18 +5,89 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/hashing"
 	"repro/internal/xrand"
 )
 
-// encodeDeltaOracle is the envelope encoder as it stood before tokenWriter:
-// one byte-at-a-time scan over the whole inner encoding. It defines the token
-// stream; the streaming writer must reproduce it byte for byte.
+// encodeDeltaOracle is the envelope's greedy rule written as the plainest
+// left-to-right scan over the whole inner encoding, with the whole input in
+// view. It defines the token stream; the streaming writer must reproduce it
+// byte for byte.
 func encodeDeltaOracle(inner []byte) []byte {
+	out := appendDeltaHeader(nil, len(inner))
+	// word reports whether a word token starts at i, and its token.
+	word := func(i int) (uint64, bool) {
+		if inner[i] == 0 || len(inner)-i < 8 {
+			return 0, false
+		}
+		x := math.Float64frombits(binary.BigEndian.Uint64(inner[i:]))
+		if x != math.Trunc(x) || x == 0 || math.Abs(x) > 1<<53 {
+			return 0, false
+		}
+		v := int64(x)
+		return uint64(v<<1^v>>63)<<2 | 2, true
+	}
+	for i := 0; i < len(inner); {
+		if inner[i] == 0 {
+			j := i
+			for j < len(inner) && inner[j] == 0 {
+				j++
+			}
+			out = binary.AppendUvarint(out, uint64(j-i)<<2)
+			i = j
+			continue
+		}
+		if t, ok := word(i); ok {
+			out = binary.AppendUvarint(out, t)
+			i += 8
+			continue
+		}
+		// A literal: nonzero bytes that start no word, and the gaps of fewer
+		// than 4 zeros between them.
+		j := i + 1
+		for j < len(inner) {
+			if inner[j] != 0 {
+				if _, ok := word(j); ok {
+					break
+				}
+				j++
+				continue
+			}
+			end := j
+			for end < len(inner) && inner[end] == 0 {
+				end++
+			}
+			if end-j >= 4 || end == len(inner) {
+				break
+			}
+			if _, ok := word(end); ok {
+				break
+			}
+			j = end
+		}
+		out = binary.AppendUvarint(out, uint64(j-i)<<2|1)
+		out = append(out, inner[i:j]...)
+		i = j
+	}
+	return out
+}
+
+// kindRetiredDelta is the kind byte of the envelope before integer tokens,
+// which decoders now refuse.
+const kindRetiredDelta = 7
+
+// encodeRetiredDeltaOracle is the retired envelope: (zero run, literal length,
+// literal) uvarint pairs, a literal ending at 4 zeros or at the end of the
+// input. It is here to measure the new envelope against and to forge a frame
+// from an older release.
+func encodeRetiredDeltaOracle(inner []byte) []byte {
 	w := writer{buf: make([]byte, 0, 6+4+binary.MaxVarintLen64+len(inner)/4)}
-	w.header(kindDelta)
+	w.header(kindRetiredDelta)
 	w.u32(uint32(len(inner)))
 	for i := 0; i < len(inner); {
 		zeros := i
@@ -63,15 +134,25 @@ func trackerDeltaOracle(t *testing.T, local, base *HeavyHitterTracker) []byte {
 	return encodeDeltaOracle(inner)
 }
 
-// encodeDeltaAt is EncodeDelta with the word feeder starting `lead` bytes into
-// the input, the bytes ahead of it going in one at a time.
+// encodeDeltaAt is EncodeDelta with the input split `lead` bytes in: the
+// bytes ahead of the split go in one call each, and the rest as 8-byte words,
+// zero runs for the zero words among them, and a byte tail — so every token
+// boundary falls at every offset from the writer's calls.
 func encodeDeltaAt(inner []byte, lead int) []byte {
 	lead = min(lead, len(inner))
 	e := tokenWriter{out: appendDeltaHeader(nil, len(inner))}
-	for _, b := range inner[:lead] {
-		e.byte(b)
+	for i := range inner[:lead] {
+		e.bytes(inner[i : i+1])
 	}
-	e.bytes(inner[lead:])
+	rest := inner[lead:]
+	for ; len(rest) >= 8; rest = rest[8:] {
+		if w := binary.BigEndian.Uint64(rest); w == 0 {
+			e.zeroRun(8)
+		} else {
+			e.word(0, w)
+		}
+	}
+	e.bytes(rest)
 	return e.finish()
 }
 
@@ -266,9 +347,12 @@ func TestAppendDeltaSinceRejectsWhatSubRejects(t *testing.T) {
 
 // TestEncodeDeltaMatchesOracle: the streaming writer emits the oracle's token
 // stream for every family's dense and sparse encodings and for hand-made
-// inputs around the 4-zero literal rule and the 1-byte/2-byte literal-length
-// boundary, wherever in the input the word feeder starts.
+// inputs around the 4-zero literal rule, the 1-byte/2-byte tag boundaries,
+// the integer range and integer words that start inside literals, after gaps,
+// off the 8-byte grid and too close to the end — wherever in the input the
+// word feeder starts.
 func TestEncodeDeltaMatchesOracle(t *testing.T) {
+	two := wordsOf(2) // 0x40 and seven zeros
 	inputs := map[string][]byte{
 		"empty":             nil,
 		"one zero":          {0},
@@ -280,11 +364,23 @@ func TestEncodeDeltaMatchesOracle(t *testing.T) {
 		"short tail gap":    {1, 2, 3, 0, 0},
 		"tail gap of 4":     {5, 0, 0, 0, 0},
 		"interior zero":     {0x41, 0, 0, 8, 0, 0, 0, 0, 0x41, 0, 0, 8, 0, 0, 0, 0},
-		"literal of 127":    bytes.Repeat([]byte{3}, 127),
-		"literal of 128":    bytes.Repeat([]byte{3}, 128),
+		"literal of 31":     bytes.Repeat([]byte{3}, 31),
+		"literal of 32":     bytes.Repeat([]byte{3}, 32),
+		"literal of 4096":   bytes.Repeat([]byte{3}, 4096),
 		"literal of 20000":  append(make([]byte, 9), bytes.Repeat([]byte{0xfe, 0, 1}, 20000/3)...),
 		"long then sparse":  append(bytes.Repeat([]byte{1}, 300), append(make([]byte, 70), 4)...),
 		"small float words": wordsOf(1, 2, 3, 1000, 0, 0, 65536, -1, 0.5, 131073, 1<<40+1),
+		"integer range": wordsOf(15, 16, -16, -17, 2047, 2048, -2048, -2049, 1<<53, -(1 << 53), 1<<53+2, -(1<<53 + 2),
+			1e300, -1e300, math.Copysign(0, -1), 5e-324, math.Inf(1), math.NaN(), 0.75),
+		"word off the grid":    append(append([]byte{7}, two...), 9),
+		"word after gap of 1":  append([]byte{5, 0}, two...),
+		"word after gap of 3":  append([]byte{5, 0, 0, 0}, two...),
+		"word after gap of 4":  append([]byte{5, 0, 0, 0, 0}, two...),
+		"word inside literal":  append(append([]byte{1, 2}, wordsOf(-7)...), 3, 4),
+		"word ending input":    append([]byte{1}, two...),
+		"word one byte short":  append([]byte{1}, two[:7]...),
+		"words back to back":   append(append(append([]byte{}, two...), two...), two...),
+		"fractional then zero": append(wordsOf(0.3), make([]byte, 8)...),
 	}
 	r := xrand.New(77)
 	randomSparse := make([]byte, 4099)
@@ -329,6 +425,42 @@ func TestEncodeDeltaMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestDeltaEnvelopeSize: against the retired envelope, a window of every
+// delta shape costs at most a tenth more at the daemon's shape and at a narrow
+// odd one, and a window of integer counts costs at most 0.4 of it.
+func TestDeltaEnvelopeSize(t *testing.T) {
+	for _, shape := range []struct{ width, depth int }{{65536, 4}, {1023, 3}} {
+		for _, ds := range deltaShapes {
+			r := xrand.New(uint64(shape.width) + 11)
+			local := NewHeavyHitterTracker(r, shape.width, shape.depth, 16)
+			feed(local, r, shape.width, 4*shape.width, deltaShapes[0].delta)
+			base := local.Copy()
+			if ds.delta != nil {
+				feed(local, r, 2*shape.width, 4*shape.width, ds.delta)
+			}
+			got, err := local.AppendDeltaSince(nil, base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			delta := local.Copy()
+			if err := delta.Sub(base); err != nil {
+				t.Fatal(err)
+			}
+			inner, _ := delta.MarshalBinary()
+			retired := encodeRetiredDeltaOracle(inner)
+			limit := 1.1
+			if ds.name == "integer" {
+				limit = 0.4
+			}
+			ratio := float64(len(got)) / float64(len(retired))
+			t.Logf("%dx%d %s: %d bytes, retired envelope %d (%.3f)", shape.width, shape.depth, ds.name, len(got), len(retired), ratio)
+			if ratio > limit {
+				t.Errorf("%dx%d %s: envelope is %.3f of the retired one's size, want at most %v", shape.width, shape.depth, ds.name, ratio, limit)
+			}
+		}
+	}
+}
+
 // wordsOf lays float64s out as the encodings do: 8 big-endian bytes each.
 func wordsOf(vs ...float64) []byte {
 	var out []byte
@@ -341,7 +473,7 @@ func wordsOf(vs ...float64) []byte {
 // TestDecodeDeltaIntoReusesAndClears: a buffer with room is decoded into in
 // place, whatever it held before, and one without is left alone.
 func TestDecodeDeltaIntoReusesAndClears(t *testing.T) {
-	inner := []byte{0, 0, 0, 0, 0, 0, 9, 8, 0, 0, 0, 0, 0, 7, 0, 0, 0, 0, 0}
+	inner := append([]byte{0, 0, 0, 0, 0, 0, 9, 8, 0, 0, 0, 0, 0, 7, 0, 0, 0, 0, 0}, wordsOf(-5)...)
 	env := EncodeDelta(inner)
 	dirty := bytes.Repeat([]byte{0xAA}, 64)
 	out, err := DecodeDeltaInto(dirty[:3], env, 1<<10)
@@ -358,6 +490,118 @@ func TestDecodeDeltaIntoReusesAndClears(t *testing.T) {
 	}
 	if out, err := DecodeDeltaInto(dirty, env[:len(env)-1], 1<<10); err == nil || out != nil {
 		t.Fatalf("truncated envelope: got %v, %v", out, err)
+	}
+}
+
+// deltaGoldenWindow is the window testdata/delta.golden freezes: a seeded
+// 257x3 tracker past its baseline by integer, negative and fractional updates,
+// with three counters that were +0 at the baseline now −0 — so its counter
+// differences are integers, fractions, zeros and −0.
+func deltaGoldenWindow() (local, base *HeavyHitterTracker) {
+	r := xrand.New(26)
+	local = NewHeavyHitterTracker(r, 257, 3, 8)
+	feed(local, r, 300, 1000, deltaShapes[0].delta)
+	base = local.Copy()
+	feed(local, r, 120, 1000, deltaShapes[0].delta)
+	feed(local, r, 30, 1000, deltaShapes[2].delta)
+	feed(local, r, 30, 1000, deltaShapes[1].delta)
+	negZeros := 0
+	for i, v := range base.cm.counts {
+		if v == 0 && local.cm.counts[i] == 0 && negZeros < 3 {
+			local.cm.counts[i] = math.Copysign(0, -1)
+			negZeros++
+		}
+	}
+	return local, base
+}
+
+// TestDeltaEnvelopeGolden freezes the envelope format: the window's envelope
+// is the committed bytes, which are the oracle's, spell every kind of token,
+// and expand to the marshalled difference.
+func TestDeltaEnvelopeGolden(t *testing.T) {
+	local, base := deltaGoldenWindow()
+	want, err := os.ReadFile(filepath.Join("testdata", "delta.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := local.AppendDeltaSince(nil, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("envelope (%d bytes) differs from testdata/delta.golden (%d bytes)", len(got), len(want))
+	}
+	if !bytes.Equal(want, trackerDeltaOracle(t, local, base)) {
+		t.Fatal("testdata/delta.golden is not the oracle's envelope of its window")
+	}
+	delta := local.Copy()
+	if err := delta.Sub(base); err != nil {
+		t.Fatal(err)
+	}
+	dense, _ := delta.MarshalBinary()
+	if inner, err := DecodeDelta(want); err != nil || !bytes.Equal(inner, dense) {
+		t.Fatalf("testdata/delta.golden does not expand to the marshalled difference (err %v)", err)
+	}
+	var tags [3]int
+	for tokens := want[10:]; len(tokens) > 0; {
+		tok, n := binary.Uvarint(tokens)
+		tokens = tokens[n:]
+		tags[tok&3]++
+		if tok&3 == tagLiteral {
+			tokens = tokens[tok>>2:]
+		}
+	}
+	if tags[tagZeros] == 0 || tags[tagLiteral] == 0 || tags[tagInteger] == 0 {
+		t.Fatalf("testdata/delta.golden holds %d zero runs, %d literals and %d integers; want each", tags[0], tags[1], tags[2])
+	}
+}
+
+// malformedDeltas are envelopes the decoder must refuse, one per rule of the
+// token grammar; testdata/fuzz/FuzzDecodeDelta holds each under its name.
+func malformedDeltas() map[string][]byte {
+	env := func(rawLen int, tokens ...uint64) []byte {
+		out := appendDeltaHeader(nil, rawLen)
+		for _, t := range tokens {
+			out = binary.AppendUvarint(out, t)
+		}
+		return out
+	}
+	dense, _ := NewCountMin(xrand.New(1), 4, 1).MarshalBinary()
+	return map[string][]byte{
+		"tag-3":                env(16, 1<<2|3, 16<<2|tagZeros),
+		"tag-3-sized-as-a-run": env(16, 8<<2|3, 8<<2|tagZeros),
+		"empty-zero-run":       env(16, 0<<2|tagZeros, 16<<2|tagZeros),
+		"empty-literal":        env(16, 0<<2|tagLiteral, 16<<2|tagZeros),
+		"integer-zero":         env(16, 0<<2|tagInteger, 8<<2|tagZeros),
+		"integer-out-of-range": env(16, (2*maxTokenInteger+1)<<2|tagInteger, 8<<2|tagZeros),
+		"truncated-token":      append(env(16), 0x80),
+		"overlong-token":       append(env(16), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01),
+		"zero-run-overrun":     env(16, 17<<2|tagZeros),
+		"literal-overrun":      append(env(16, 17<<2|tagLiteral), bytes.Repeat([]byte{1}, 17)...),
+		"truncated-literal":    append(env(16, 4<<2|tagLiteral), 1, 2),
+		"integer-overrun":      env(4, 2<<2|tagInteger),
+		"short-of-length":      env(16, 8<<2|tagZeros),
+		"retired-kind-7":       encodeRetiredDeltaOracle(dense),
+	}
+}
+
+// TestDecodeDeltaRejectsMalformedTokens: each grammar violation is an error,
+// and is committed to the fuzz corpus as it is built here.
+func TestDecodeDeltaRejectsMalformedTokens(t *testing.T) {
+	for name, data := range malformedDeltas() {
+		if out, err := DecodeDelta(data); err == nil {
+			t.Errorf("%s: decoded to %d bytes, want an error", name, len(out))
+		}
+		corpus, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzDecodeDelta", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", data); string(corpus) != want {
+			t.Errorf("%s: the committed fuzz input is not the envelope built here", name)
+		}
+	}
+	if _, err := PeekKind(malformedDeltas()["retired-kind-7"]); err == nil || !strings.Contains(err.Error(), "unknown sketch kind 7") {
+		t.Fatalf("PeekKind on the retired envelope: %v, want unknown sketch kind 7", err)
 	}
 }
 
@@ -388,18 +632,7 @@ func TestAppendDeltaSinceAllocs(t *testing.T) {
 // as since-prototype, the whole tracker against the counter-less empty base,
 // a replace frame's and a first window's payload.
 func BenchmarkTrackerDeltaBatch(b *testing.B) {
-	const window = 1 << 19
-	z := xrand.NewZipf(xrand.New(1), 1<<20, 1.1)
-	items := make([]uint64, 2*window)
-	deltas := make([]float64, len(items))
-	for i := range items {
-		items[i] = uint64(z.Next()) * 0x9e3779b97f4a7c15
-		deltas[i] = 1
-	}
-	local := NewHeavyHitterTracker(xrand.New(1), 65536, 4, 64)
-	local.UpdateBatch(items[:window], deltas[:window])
-	base := local.Copy()
-	local.UpdateBatch(items[window:], deltas[window:])
+	local, base := zipfWindow()
 	for _, bc := range []struct {
 		name string
 		base *HeavyHitterTracker
@@ -416,5 +649,43 @@ func BenchmarkTrackerDeltaBatch(b *testing.B) {
 				dst, _ = local.AppendDeltaSince(dst[:0], bc.base)
 			}
 		})
+	}
+}
+
+// zipfWindow is the daemon's shape after two windows of 2^19 Zipf(1.1)
+// updates of 1, and the copy it was at between them.
+func zipfWindow() (local, base *HeavyHitterTracker) {
+	const window = 1 << 19
+	z := xrand.NewZipf(xrand.New(1), 1<<20, 1.1)
+	items := make([]uint64, 2*window)
+	deltas := make([]float64, len(items))
+	for i := range items {
+		items[i] = uint64(z.Next()) * 0x9e3779b97f4a7c15
+		deltas[i] = 1
+	}
+	local = NewHeavyHitterTracker(xrand.New(1), 65536, 4, 64)
+	local.UpdateBatch(items[:window], deltas[:window])
+	base = local.Copy()
+	local.UpdateBatch(items[window:], deltas[window:])
+	return local, base
+}
+
+// BenchmarkDecodeDeltaInto measures the receiver's expand step on the
+// envelope BenchmarkTrackerDeltaBatch/since-copy encodes, into a warm buffer.
+func BenchmarkDecodeDeltaInto(b *testing.B) {
+	local, base := zipfWindow()
+	env, err := local.AppendDeltaSince(nil, base)
+	if err != nil {
+		b.Fatal(err)
+	}
+	buf, err := DecodeDeltaInto(nil, env, maxDeltaInner)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(buf)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf, _ = DecodeDeltaInto(buf, env, maxDeltaInner)
 	}
 }

@@ -28,11 +28,16 @@
 // CountSketch, Dyadic, HeavyHitterTracker) also expose Sub and Scale, so
 // the difference of two snapshots of one growing sketch — itself a valid
 // sketch of exactly the updates between them — can be computed, shipped in
-// the compressed KindDelta envelope (EncodeDelta/DecodeDelta: snapshot
-// differences are mostly zero counters), and folded into a peer with the
-// ordinary Merge. The non-linear summaries opt out: Bloom filters OR bits
-// rather than add counters, and conservative-update Count-Min refuses
-// Sub/Scale just as it refuses Merge.
+// the compressed KindDelta envelope, and folded into a peer with the ordinary
+// Merge. Snapshot differences are mostly zero counters, and small integers
+// where updates are counts, so the envelope (EncodeDelta, AppendDeltaSince,
+// DecodeDeltaInto; the grammar is in encoding.go) spells the inner encoding
+// as uvarint tokens of three kinds: a zero run, a literal, and an 8-byte
+// counter word that is the float64 of a nonzero integer |v| <= 2^53, written
+// as v zigzagged — one byte for |v| < 16. Counters stay float64 and the inner
+// bytes come back verbatim. The non-linear summaries opt out: Bloom filters
+// OR bits rather than add counters, and conservative-update Count-Min
+// refuses Sub/Scale just as it refuses Merge.
 //
 // The update path is batch-first: counters live in one flat row-major array
 // (row stride = width) and every family exposes UpdateBatch (AddBatch for

@@ -43,7 +43,9 @@ const (
 	kindIBLT        = 4
 	kindTracker     = 5
 	kindDyadic      = 6
-	kindDelta       = 7
+	// Kind 7 is retired: it was the delta envelope before integer tokens,
+	// and it is refused as unknown so an older peer's frame fails loudly.
+	kindDelta = 8
 )
 
 // Kind is the exported view of the wire-format kind byte, so transport
@@ -59,10 +61,11 @@ const (
 	KindIBLT        Kind = kindIBLT
 	KindTracker     Kind = kindTracker
 	KindDyadic      Kind = kindDyadic
-	// KindDelta is not a sketch of its own but an envelope: a zero-run-length
-	// compressed encoding of another sketch's encoding, used when the wrapped
-	// sketch is the *difference* of two snapshots and therefore mostly zero
-	// counters. See EncodeDelta / DecodeDelta.
+	// KindDelta is not a sketch of its own but an envelope: a compressed
+	// encoding of another sketch's encoding — zero runs, literals and
+	// integer-valued counter words — used when the wrapped sketch is the
+	// *difference* of two snapshots and therefore mostly zero or small
+	// integer counters. See EncodeDelta / DecodeDelta.
 	KindDelta Kind = kindDelta
 )
 
@@ -616,26 +619,42 @@ func (t *IBLT) MarshalBinary() ([]byte, error) {
 //
 // The dense encodings above ship every counter, zero or not — the right call
 // for full snapshots, and the wrong one for snapshot *differences*, which by
-// linearity are valid sketches whose counters are almost all zero (only the
-// buckets touched since the previous snapshot are nonzero). A KindDelta
-// envelope carries a byte-level zero-run-length compression of an inner
-// encoding:
+// linearity are valid sketches whose counters are mostly zero (only the
+// buckets touched since the previous snapshot move) and, when the updates are
+// integer counts, small integers where they are not. A KindDelta envelope
+// carries a compression of an inner encoding that knows both shapes:
 //
 //	magic   [4]byte  "SKC1"
 //	version uint8    encodingVersion
-//	kind    uint8    kindDelta
+//	kind    uint8    kindDelta (8; kind 7, the envelope before integer
+//	                 tokens, is retired and refused as unknown)
 //	rawLen  uint32   length of the inner encoding in bytes
-//	tokens           repeated (zeroRun uvarint, litLen uvarint, lit bytes)
+//	tokens           tagged uvarints t, each continuing the inner bytes with
+//	                   t&3 == 0: t>>2 >= 1 zero bytes
+//	                   t&3 == 1: a literal of t>>2 >= 1 bytes, which follow t
+//	                   t&3 == 2: the 8 big-endian bytes of Float64bits(
+//	                             float64(v)), v = unzigzag(t>>2), v != 0 and
+//	                             |v| <= 2^53
+//	                   t&3 == 3: invalid
 //
-// Each token says "rawLen bytes continue with zeroRun zeros, then litLen
-// literal bytes". A literal ends at the next run of >= 4 zeros (shorter zero
-// gaps cost less as literals than as a fresh token pair) or at the end of the
-// input, so the token stream is a pure function of the inner bytes. Zero
-// counters are eight zero bytes, so a sparse delta compresses by roughly the
-// fraction of untouched counters; a dense sketch round-trips with only a few
-// bytes of overhead. The scheme is agnostic to the inner kind — Count-Min,
-// tracker, dyadic and every future family get sparse deltas for free, and the
-// inner bytes come back verbatim, so the decoded sketch is bit-identical.
+// An integer counter word is one token byte for |v| < 16 and two below 2048,
+// a zero counter is part of a zero run, and anything else — a fractional or
+// huge counter, −0, a header field, a candidate key — travels as a literal.
+// The token stream is a pure function of the inner bytes, fixed by a greedy
+// left-to-right rule:
+//
+//   - at a nonzero byte with at least 8 bytes left that form an integer word,
+//     emit the word's token;
+//   - otherwise a nonzero byte extends the open literal or opens one, and a
+//     zero byte extends the zero run;
+//   - a gap of fewer than 4 zeros between two literal bytes stays in the
+//     literal; a longer gap, or one that ends at an integer word or at the
+//     end of the input, closes the literal and is a zero run.
+//
+// The scheme is agnostic to the inner kind — Count-Min, tracker, dyadic and
+// every future family get compact deltas for free — and the inner bytes come
+// back verbatim, so the decoded sketch is bit-identical: counters stay
+// float64, and an integer token only ever spells the word it replaces.
 //
 // There is one encoder, tokenWriter, and it streams: it is fed the inner
 // encoding piece by piece and never needs it in one buffer. EncodeDelta feeds
@@ -645,139 +664,215 @@ func (t *IBLT) MarshalBinary() ([]byte, error) {
 // difference sketch and no dense encoding in between. On the way back
 // DecodeDeltaInto expands an envelope into a buffer the caller keeps.
 
-// tokenWriter emits the token stream of an inner encoding it is fed in order,
-// as bytes or as 8-byte big-endian words in any mix and at any alignment. At
-// every point the inner bytes seen so far end in exactly one of: a zero run
-// with no literal open (zeros), or an open literal followed by fewer than 4
-// zeros that may yet turn out to be inside it (gap).
-type tokenWriter struct {
-	out   []byte
-	zeros uint64 // zero run ahead of the next literal; open is false
-	open  bool   // a literal is open: its length byte sits at out[at]
-	at    int
-	gap   int // zeros seen since the open literal's last byte, < 4
+// Envelope token tags, the low two bits of every token.
+const (
+	tagZeros   = 0
+	tagLiteral = 1
+	tagInteger = 2
+)
+
+// maxTokenInteger bounds an integer token's magnitude: every integer up to
+// 2^53 is exactly a float64.
+const maxTokenInteger = 1 << 53
+
+// tokenInteger returns v when w is the float64 bits of an integer v with
+// 0 < |v| <= 2^53, a word an integer token stands for. −0, NaN and ±Inf are
+// not such words, and neither is any word whose first byte is zero.
+func tokenInteger(w uint64) (int64, bool) {
+	x := math.Float64frombits(w)
+	if a := math.Abs(x); !(a >= 1 && a <= maxTokenInteger) {
+		return 0, false
+	}
+	v := int64(x)
+	return v, float64(v) == x
 }
+
+// tokenWriter emits the token stream of an inner encoding it is fed in order,
+// as bytes, zero runs or 8-byte big-endian words in any mix and at any
+// alignment. Whether a nonzero byte starts an integer word depends on the 7
+// bytes after it, so up to 7 bytes at the end of the input so far wait in
+// ahead until enough follows to decide them. The decided input before them
+// ends in exactly one of: a zero run with no literal open (zeros), or an open
+// literal followed by fewer than 4 zeros that the next decided byte takes
+// into it or leaves as a zero run (gap).
+type tokenWriter struct {
+	out    []byte
+	zeros  uint64 // zero run ahead of the next token; open is false
+	open   bool   // a literal is open: its tag byte sits at out[at]
+	at     int
+	gap    int     // zeros decided since the open literal's last byte, < 4
+	ahead  [7]byte // undecided input, starting at a nonzero byte
+	nahead int
+}
+
+// zeroWord feeds zeroRun's waiting bytes their deciding zeros.
+var zeroWord [8]byte
 
 // zeroRun feeds n zero bytes.
 func (e *tokenWriter) zeroRun(n int) {
+	if e.nahead > 0 && n > 0 {
+		// Eight zeros behind the waiting bytes decide all of them.
+		k := min(n, 8)
+		e.bytes(zeroWord[:k])
+		n -= k
+	}
+	e.zero(n)
+}
+
+// word feeds n zero bytes and then the 8 big-endian bytes of w: the step
+// every changed counter of a difference takes. With nothing waiting and no
+// literal open, the next token starts at w's first byte, so an integer word
+// is the zero run's token and its own — that is nearly every counter this
+// system ships.
+func (e *tokenWriter) word(n int, w uint64) {
+	if e.nahead == 0 && !e.open {
+		if v, ok := tokenInteger(w); ok {
+			// integer(v), spelled out: the call costs ~8 % of the encode.
+			e.zeros += uint64(n)
+			e.flushZeros()
+			e.out = binary.AppendUvarint(e.out, uint64(v<<1^v>>63)<<2|tagInteger)
+			return
+		}
+	}
+	e.zeroRun(n)
+	var b [8]byte
+	binary.BigEndian.PutUint64(b[:], w)
+	e.bytes(b[:])
+}
+
+// bytes feeds a stretch of the inner encoding.
+func (e *tokenWriter) bytes(p []byte) {
+	if e.nahead > 0 {
+		// Decide the waiting bytes with p's first bytes behind them, then go
+		// on from whatever is still undecided.
+		var buf [16]byte
+		n := copy(buf[:], e.ahead[:e.nahead])
+		k := copy(buf[n:], p)
+		e.nahead = 0
+		rest := e.scan(buf[:n+k], false)
+		if len(rest) > k {
+			e.nahead = copy(e.ahead[:], rest)
+			return
+		}
+		p = p[k-len(rest):]
+	}
+	e.nahead = copy(e.ahead[:], e.scan(p, false))
+}
+
+// scan decides p, which nothing waits ahead of, as far as p itself allows,
+// and returns the undecided rest: p from the first nonzero byte not inside a
+// token with fewer than 7 bytes after it. With end set p closes the input, no
+// word starts in its last 7 bytes, and nothing is left undecided.
+func (e *tokenWriter) scan(p []byte, end bool) []byte {
+	for len(p) > 0 {
+		switch {
+		case p[0] == 0:
+			n := zeroPrefix(p)
+			e.zero(n)
+			p = p[n:]
+		case len(p) < 8 && !end:
+			return p
+		default:
+			if len(p) >= 8 {
+				if v, ok := tokenInteger(binary.BigEndian.Uint64(p)); ok {
+					e.integer(v)
+					p = p[8:]
+					continue
+				}
+			}
+			e.literal(p[0])
+			p = p[1:]
+		}
+	}
+	return nil
+}
+
+// zeroPrefix returns the length of the run of zero bytes p starts with.
+func zeroPrefix(p []byte) int {
+	n := 0
+	for ; len(p)-n >= 8; n += 8 {
+		if w := binary.BigEndian.Uint64(p[n:]); w != 0 {
+			return n + bits.LeadingZeros64(w)>>3
+		}
+	}
+	for n < len(p) && p[n] == 0 {
+		n++
+	}
+	return n
+}
+
+// zero decides n zero bytes.
+func (e *tokenWriter) zero(n int) {
 	if !e.open {
 		e.zeros += uint64(n)
 		return
 	}
 	if e.gap += n; e.gap >= 4 {
 		e.closeLiteral()
-		e.zeros, e.gap = uint64(e.gap), 0
 	}
 }
 
-// extendLiteral gets the writer ready for literal bytes to be appended to
-// out: it opens a literal behind the pending zero run, or takes the undecided
-// gap into the open one.
-func (e *tokenWriter) extendLiteral() {
+// literal decides one literal byte: it takes the gap into the open literal,
+// or opens one behind the pending zero run.
+func (e *tokenWriter) literal(b byte) {
 	if e.open {
 		e.out = append(e.out, "\x00\x00\x00"[:e.gap]...)
 		e.gap = 0
-		return
+	} else {
+		e.flushZeros()
+		e.at = len(e.out)
+		e.out = append(e.out, 0) // the literal's tag, written when it closes
+		e.open = true
 	}
-	e.out = binary.AppendUvarint(e.out, e.zeros)
-	e.at = len(e.out)
-	e.out = append(e.out, 0) // the literal's length, patched when it closes
-	e.zeros, e.open = 0, true
+	e.out = append(e.out, b)
 }
 
-// closeLiteral writes the open literal's length ahead of its bytes. One byte
-// was reserved; a literal of 128 bytes or more moves up to make room.
+// integer decides the word of v. It closes an open literal, whose gap is then
+// a zero run ahead of the word's token.
+func (e *tokenWriter) integer(v int64) {
+	if e.open {
+		e.closeLiteral()
+	}
+	e.flushZeros()
+	e.out = binary.AppendUvarint(e.out, uint64(v<<1^v>>63)<<2|tagInteger)
+}
+
+// flushZeros writes the pending zero run's token, if there is a run.
+func (e *tokenWriter) flushZeros() {
+	if e.zeros > 0 {
+		e.out = binary.AppendUvarint(e.out, e.zeros<<2|tagZeros)
+		e.zeros = 0
+	}
+}
+
+// closeLiteral writes the open literal's tag ahead of its bytes and leaves the
+// gap behind it as the pending zero run. One byte was reserved for the tag; a
+// literal of 32 bytes or more moves up to make room.
 func (e *tokenWriter) closeLiteral() {
 	n := len(e.out) - e.at - 1
-	if n < 0x80 {
-		e.out[e.at] = byte(n)
+	if t := uint64(n)<<2 | tagLiteral; t < 0x80 {
+		e.out[e.at] = byte(t)
 	} else {
 		var v [binary.MaxVarintLen64]byte
-		k := binary.PutUvarint(v[:], uint64(n))
+		k := binary.PutUvarint(v[:], t)
 		e.out = append(e.out, v[1:k]...)
 		copy(e.out[e.at+k:], e.out[e.at+1:e.at+1+n])
 		copy(e.out[e.at:], v[:k])
 	}
 	e.open = false
+	e.zeros, e.gap = uint64(e.gap), 0
 }
 
-// byte feeds one inner byte.
-func (e *tokenWriter) byte(b byte) {
-	if b == 0 {
-		e.zeroRun(1)
-		return
-	}
-	e.extendLiteral()
-	e.out = append(e.out, b)
-}
-
-// word feeds the 8 big-endian bytes of w, a run of zero or nonzero bytes at a
-// time — at most a handful of steps however the input is aligned. A word that
-// is a few nonzero bytes and then 4 or more zeros, with no literal open, is a
-// whole token and is written as one: that is an aligned small-integer float64
-// after any zero-ended word, so nearly every counter this system ships.
-func (e *tokenWriter) word(w uint64) {
-	const lo, hi = 0x0101010101010101, 0x8080808080808080
-	if w == 0 {
-		e.zeroRun(8)
-		return
-	}
-	// Bit 7 of each byte of nz says that byte of w is nonzero.
-	nz := (w | ((w | hi) - lo)) & hi
-	if tz := bits.TrailingZeros64(nz) >> 3; tz >= 4 && !e.open && nz == hi<<(8*tz) {
-		out := append(binary.AppendUvarint(e.out, e.zeros), byte(8-tz))
-		e.out = binary.BigEndian.AppendUint64(out, w)[:len(out)+8-tz]
-		e.zeros = uint64(tz)
-		return
-	}
-	// Consumed bytes are shifted out at the top, so what is left of w always
-	// ends in zero bytes.
-	for left := 8; left > 0; {
-		if nz == 0 {
-			e.zeroRun(left)
-			return
-		}
-		if z := bits.LeadingZeros64(nz) >> 3; z > 0 {
-			e.zeroRun(z)
-			w, nz, left = w<<(8*z), nz<<(8*z), left-z
-		}
-		n := bits.LeadingZeros64(^nz&hi) >> 3
-		e.extendLiteral()
-		e.out = binary.BigEndian.AppendUint64(e.out, w)[:len(e.out)+n]
-		w, nz, left = w<<(8*n), nz<<(8*n), left-n
-	}
-}
-
-// bytes feeds a stretch of the inner encoding, eight bytes at a time. Every
-// word is started on a nonzero byte: counters are 8-byte values that lead
-// with their nonzero bytes, so wherever they sit in p the words fall into
-// step with them and take word's whole-token path.
-func (e *tokenWriter) bytes(p []byte) {
-	for len(p) >= 8 {
-		w := binary.BigEndian.Uint64(p)
-		if z := bits.LeadingZeros64(w) >> 3; z > 0 {
-			e.zeroRun(z)
-			p = p[z:]
-			continue
-		}
-		e.word(w)
-		p = p[8:]
-	}
-	for _, b := range p {
-		e.byte(b)
-	}
-}
-
-// finish ends the input — which ends an open literal, wherever it stands —
-// and returns the output.
+// finish ends the input — which decides the waiting bytes and closes an open
+// literal, wherever it stands — and returns the output.
 func (e *tokenWriter) finish() []byte {
+	n := e.nahead
+	e.nahead = 0
+	e.scan(e.ahead[:n], true)
 	if e.open {
 		e.closeLiteral()
-		e.zeros = uint64(e.gap)
 	}
-	if e.zeros > 0 {
-		e.out = append(binary.AppendUvarint(e.out, e.zeros), 0)
-	}
+	e.flushZeros()
 	return e.out
 }
 
@@ -789,8 +884,8 @@ func appendDeltaHeader(dst []byte, rawLen int) []byte {
 
 // EncodeDelta wraps an encoded sketch (the output of any MarshalBinary) in
 // the compressed KindDelta envelope. Use it when the sketch is a snapshot
-// difference: mostly-zero counters compress to a small fraction of the dense
-// size.
+// difference: mostly zero or small integer counters compress to a small
+// fraction of the dense size.
 func EncodeDelta(inner []byte) []byte {
 	dst := make([]byte, 0, 6+4+binary.MaxVarintLen64+len(inner)/4)
 	e := tokenWriter{out: appendDeltaHeader(dst, len(inner))}
@@ -815,9 +910,8 @@ func (cm *CountMin) feedDeltaSince(e *tokenWriter, base *CountMin) {
 				zeros += 8
 				continue
 			}
-			e.zeroRun(zeros)
+			e.word(zeros, w)
 			zeros = 0
-			e.word(w)
 		}
 	} else {
 		for i, v := range cm.counts {
@@ -826,9 +920,8 @@ func (cm *CountMin) feedDeltaSince(e *tokenWriter, base *CountMin) {
 				zeros += 8
 				continue
 			}
-			e.zeroRun(zeros)
+			e.word(zeros, w)
 			zeros = 0
-			e.word(w)
 		}
 	}
 	e.zeroRun(zeros)
@@ -867,7 +960,7 @@ func (t *HeavyHitterTracker) AppendDeltaSince(dst []byte, base *HeavyHitterTrack
 	t.cm.feedDeltaSince(&e, base.cm)
 	e.bytes(binary.BigEndian.AppendUint32(head[:0], uint32(len(items))))
 	for _, item := range items {
-		e.word(item)
+		e.word(0, item)
 	}
 	return e.finish(), nil
 }
@@ -916,8 +1009,8 @@ func DecodeDeltaInto(buf, data []byte, maxInner int) ([]byte, error) {
 	if rawLen > uint32(maxInner) {
 		return nil, fmt.Errorf("sketch: Delta: inner length %d exceeds limit %d", rawLen, maxInner)
 	}
-	// The zero runs are the cleared buffer showing through: only literals are
-	// written.
+	// The zero runs are the cleared buffer showing through: only literals and
+	// integer words are written.
 	var inner []byte
 	if uint64(cap(buf)) >= uint64(rawLen) {
 		inner = buf[:rawLen]
@@ -925,31 +1018,50 @@ func DecodeDeltaInto(buf, data []byte, maxInner int) ([]byte, error) {
 	} else {
 		inner = make([]byte, rawLen)
 	}
-	pos, tokens := uint64(0), r.buf
-	for len(tokens) > 0 {
-		zeros, n := binary.Uvarint(tokens)
-		if n <= 0 {
-			return nil, fmt.Errorf("sketch: Delta: malformed zero-run length")
+	pos, tokens := 0, r.buf
+	for i := 0; i < len(tokens); {
+		t := uint64(tokens[i])
+		if t < 0x80 {
+			i++ // most tokens are one byte
+		} else {
+			var n int
+			if t, n = binary.Uvarint(tokens[i:]); n <= 0 {
+				return nil, fmt.Errorf("sketch: Delta: malformed token")
+			}
+			i += n
 		}
-		tokens = tokens[n:]
-		lit, n := binary.Uvarint(tokens)
-		if n <= 0 {
-			return nil, fmt.Errorf("sketch: Delta: malformed literal length")
+		arg, left := t>>2, uint64(len(inner)-pos)
+		switch t & 3 {
+		case tagZeros, tagLiteral:
+			if arg == 0 {
+				return nil, fmt.Errorf("sketch: Delta: empty zero run or literal")
+			}
+			if arg > left {
+				return nil, fmt.Errorf("sketch: Delta: token overruns declared inner length %d", rawLen)
+			}
+			if t&3 == tagLiteral {
+				if uint64(len(tokens)-i) < arg {
+					return nil, fmt.Errorf("sketch: Delta: truncated literal (need %d bytes, have %d)", arg, len(tokens)-i)
+				}
+				i += copy(inner[pos:], tokens[i:i+int(arg)])
+			}
+			pos += int(arg)
+		case tagInteger:
+			// arg is v zigzagged: 1..2^54 is every v with 0 < |v| <= 2^53.
+			if arg == 0 || arg > 2*maxTokenInteger {
+				return nil, fmt.Errorf("sketch: Delta: integer token out of range")
+			}
+			if left < 8 {
+				return nil, fmt.Errorf("sketch: Delta: token overruns declared inner length %d", rawLen)
+			}
+			v := int64(arg>>1) ^ -int64(arg&1)
+			binary.BigEndian.PutUint64(inner[pos:], math.Float64bits(float64(v)))
+			pos += 8
+		default:
+			return nil, fmt.Errorf("sketch: Delta: invalid token tag 3")
 		}
-		tokens = tokens[n:]
-		remaining := uint64(rawLen) - pos
-		if zeros > remaining || lit > remaining-zeros {
-			return nil, fmt.Errorf("sketch: Delta: token overruns declared inner length %d", rawLen)
-		}
-		if uint64(len(tokens)) < lit {
-			return nil, fmt.Errorf("sketch: Delta: truncated literal run (need %d bytes, have %d)", lit, len(tokens))
-		}
-		pos += zeros
-		copy(inner[pos:], tokens[:lit])
-		pos += lit
-		tokens = tokens[lit:]
 	}
-	if pos != uint64(rawLen) {
+	if pos != len(inner) {
 		return nil, fmt.Errorf("sketch: Delta: payload decompresses to %d bytes, header claims %d", pos, rawLen)
 	}
 	return inner, nil

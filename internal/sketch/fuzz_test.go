@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/xrand"
 )
 
 // Fuzzing the decode surface --------------------------------------------------
@@ -118,7 +120,7 @@ func FuzzUnmarshalBinary(f *testing.F) {
 	})
 }
 
-// FuzzDecodeDelta attacks the zero-RLE delta envelope: arbitrary bytes must
+// FuzzDecodeDelta attacks the delta envelope: arbitrary bytes must
 // decode-or-error without panicking (with a tight inner-length cap so a
 // forged header cannot demand gigabytes), decoding into a dirty, oversized
 // reused buffer must give what a fresh decode gives (errors included), and
@@ -126,15 +128,33 @@ func FuzzUnmarshalBinary(f *testing.F) {
 func FuzzDecodeDelta(f *testing.F) {
 	seedGoldenCorpus(f)
 	// Also seed well-formed envelopes so the fuzzer sees the real format,
-	// not just raw sketch bytes it must mutate into one.
+	// not just raw sketch bytes it must mutate into one: the fixtures
+	// wrapped, and windows of integer counts, where integer tokens sit
+	// between zero runs the way they do in every gossip frame.
 	paths, _ := filepath.Glob(filepath.Join("testdata", "*.golden"))
 	for _, p := range paths {
 		if data, err := os.ReadFile(p); err == nil {
 			f.Add(EncodeDelta(data))
 		}
 	}
+	for _, shape := range deltaShapes[:3] {
+		for _, n := range []int{10, 200} {
+			r := xrand.New(uint64(n))
+			local := NewHeavyHitterTracker(r, 61, 2, 4)
+			base := local.Copy()
+			feed(local, r, n, 500, shape.delta)
+			env, _ := local.AppendDeltaSince(nil, base)
+			f.Add(env)
+		}
+	}
 	dirty := make([]byte, 1<<16) // larger than most inner encodings the corpus yields, smaller than some
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// Any bytes are some encoding's inner bytes too: the streaming writer
+		// must tokenize them as the oracle does, however they are fed.
+		want := encodeDeltaOracle(data)
+		if got := encodeDeltaAt(data, len(data)%8); !bytes.Equal(got, want) {
+			t.Fatalf("streaming envelope of %d bytes differs from the oracle's (%d vs %d bytes)", len(data), len(got), len(want))
+		}
 		inner, err := DecodeDeltaLimit(data, 1<<20)
 		for i := range dirty {
 			dirty[i] = 0xA5
