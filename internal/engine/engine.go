@@ -461,7 +461,9 @@ func (e *Engine[S]) barrier(fn func() error) error {
 // the sketch a single-threaded run over every update flushed so far would
 // have produced. It is safe to call while producers are ingesting: updates
 // a producer has flushed before the call are included, updates still
-// buffered in handles are not. Ingestion resumes afterwards.
+// buffered in handles are not. Ingestion resumes afterwards. A pinned read
+// epoch (ReadSnapshot) that the barrier finds stale is dropped: it can never
+// be served again, and nothing else in the engine needs it.
 func (e *Engine[S]) Snapshot() (S, error) {
 	var zero S
 	e.mu.Lock()
@@ -469,7 +471,11 @@ func (e *Engine[S]) Snapshot() (S, error) {
 	if e.closed {
 		return zero, ErrClosed
 	}
-	return e.snapshotLocked()
+	snap, err := e.snapshotLocked()
+	if ep := e.epoch.Load(); err == nil && ep != nil && ep.gen < e.cutGen {
+		e.epoch.Store(nil)
+	}
+	return snap, err
 }
 
 // snapshotLocked cuts a barrier and merges (or concatenates) the shards into

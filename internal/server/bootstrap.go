@@ -411,12 +411,13 @@ func (s *Server) installBootstrap(p *BootstrapPayload) error {
 	if s.engClosed || s.closed.Load() {
 		return ErrServerClosed
 	}
-	if err := s.mergeForeign(snapSketch); err != nil {
+	if err := s.mergeForeign(snapSketch, false); err != nil {
 		return fmt.Errorf("absorbing bootstrap snapshot: %w", err)
 	}
 	for id, tr := range trackers {
 		s.senders[id] = tr
 	}
+	s.adoptSoleTracker()
 	for id, mark := range p.Watermarks {
 		if id == s.cfg.NodeID {
 			continue

@@ -3,8 +3,10 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -851,5 +853,180 @@ func TestBootstrapSkipsStaleSnapshot(t *testing.T) {
 	}
 	if got[0] != 0 {
 		t.Fatalf("stale snapshot's mass leaked through: estimate %v", got[0])
+	}
+}
+
+// TestRecoveryServesTheSameBytes: a daemon recovered from its snapshot and
+// sender sidecar serves the same /v1/snapshot bytes after the restart, and a
+// replace frame from a tracked sender still lands exactly. Foreign is the
+// recovered state, and when one sender's tracker is all of it — a read
+// replica fed by one sender — that tracker is foreign itself again: foreign
+// is resident as an array of its own only with two senders or a merge.
+func TestRecoveryServesTheSameBytes(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		b, merged   bool
+		wantForeign int
+	}{
+		{"one sender", false, false, 0},
+		{"two senders", true, false, 1},
+		{"one sender and a merge", false, true, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{Width: 512, Depth: 4, K: 16, Seed: 61, SnapshotDir: t.TempDir()}
+			ctx := context.Background()
+			reference := sketch.NewHeavyHitterTracker(xrand.New(cfg.Seed), cfg.Width, cfg.Depth, cfg.K)
+			mkSketch := func(pairs ...float64) *sketch.HeavyHitterTracker {
+				sk := sketch.NewHeavyHitterTracker(xrand.New(cfg.Seed), cfg.Width, cfg.Depth, cfg.K)
+				for i := 0; i+1 < len(pairs); i += 2 {
+					sk.Update(uint64(pairs[i]), pairs[i+1])
+					reference.Update(uint64(pairs[i]), pairs[i+1])
+				}
+				return sk
+			}
+			start := func() (*Server, *Client) {
+				srv, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				hs := httptest.NewServer(srv.Handler())
+				t.Cleanup(func() { hs.Close(); closeChecked(t, srv) })
+				return srv, NewClient(hs.URL, hs.Client())
+			}
+
+			srv1, c1 := start()
+			frames := []DeltaFrame{
+				{Sender: "a", FromGen: 0, ToGen: 4, Payload: deltaPayloadFor(t, mkSketch(2, 7, 9, 2))},
+				{Sender: "a", FromGen: 4, ToGen: 5, Payload: deltaPayloadFor(t, mkSketch(4, 3))},
+			}
+			if tc.b {
+				frames = append(frames, DeltaFrame{Sender: "b", FromGen: 0, ToGen: 3, Payload: deltaPayloadFor(t, mkSketch(1, 7, 9, 2))})
+			}
+			for _, f := range frames {
+				if resp, err := c1.PushDelta(ctx, f); err != nil || !resp.Applied {
+					t.Fatalf("window from %s: %+v, %v", f.Sender, resp, err)
+				}
+			}
+			if tc.merged {
+				if err := c1.Merge(ctx, mustEncode(t, mkSketch(5, 11, 9, 1))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before, err := c1.Snapshot(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			closeChecked(t, srv1)
+
+			_, c2 := start()
+			after, err := c2.Snapshot(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(before, after) {
+				t.Fatal("/v1/snapshot serves different bytes after the restart")
+			}
+			stats, err := c2.Stats(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res := stats.Resident; res.Senders != len(frames)-1 || res.Foreign != tc.wantForeign {
+				t.Fatalf("recovered resident %+v, want senders %d and foreign %d", res, len(frames)-1, tc.wantForeign)
+			}
+
+			// a's full state: what it shipped so far, plus item 3. The replace
+			// swaps a's share exactly, so reference gains item 3 only.
+			full := mkSketch(3, 4)
+			for _, pairs := range [][]float64{{2, 7, 9, 2}, {4, 3}} {
+				for i := 0; i < len(pairs); i += 2 {
+					full.Update(uint64(pairs[i]), pairs[i+1])
+				}
+			}
+			resp, err := c2.PushDelta(ctx, DeltaFrame{Sender: "a", ToGen: 9, Replace: true, Payload: deltaPayloadFor(t, full)})
+			if err != nil || !resp.Applied || !resp.CanReplace {
+				t.Fatalf("replace after the restart: %+v, %v", resp, err)
+			}
+			requireAnswers(t, c2, reference, "after the replace")
+		})
+	}
+}
+
+// TestReceivedTrackerBecomesForeignOnlyIfEqual: a state S received whole —
+// recovered beside a sender sidecar, or installed from a bootstrap transfer —
+// becomes foreign, and the one tracker that comes with it replaces foreign's
+// array only when it holds S's counters bit for bit. Here b's tracker either
+// is S, or holds 2^54 where S holds 1 (a tracker that is not all of S). The
+// daemon serves exactly S's bytes either way, keeps b's tracker, and a window
+// from b lands on top of S.
+func TestReceivedTrackerBecomesForeignOnlyIfEqual(t *testing.T) {
+	cfg := Config{Width: 512, Depth: 4, K: 16, Seed: 67}
+	mkSketch := func(pairs ...float64) *sketch.HeavyHitterTracker {
+		sk := sketch.NewHeavyHitterTracker(xrand.New(cfg.Seed), cfg.Width, cfg.Depth, cfg.K)
+		for i := 0; i+1 < len(pairs); i += 2 {
+			sk.Update(uint64(pairs[i]), pairs[i+1])
+		}
+		return sk
+	}
+	snapSketch := mkSketch(1, 1, 2, 5)
+	snap := mustEncode(t, snapSketch)
+	ctx := context.Background()
+	for _, via := range []string{"sidecar", "bootstrap"} {
+		for _, equal := range []bool{true, false} {
+			t.Run(fmt.Sprintf("%s/equal=%v", via, equal), func(t *testing.T) {
+				tracker := snap
+				if !equal {
+					tracker = mustEncode(t, mkSketch(1, 1<<54))
+				}
+				var client *Client
+				if via == "sidecar" {
+					nodeCfg := cfg
+					nodeCfg.SnapshotDir = t.TempDir()
+					side, err := json.Marshal(sendersFile{SnapCRC: crc32.Checksum(snap, castagnoli), Senders: map[string][]byte{"b": tracker}})
+					if err != nil {
+						t.Fatal(err)
+					}
+					for name, data := range map[string][]byte{SnapshotFileName: snap, SendersFileName: side, WatermarkFileName: []byte(`{"b":5}`)} {
+						if err := os.WriteFile(filepath.Join(nodeCfg.SnapshotDir, name), data, 0o644); err != nil {
+							t.Fatal(err)
+						}
+					}
+					_, client = testDaemon(t, nodeCfg)
+				} else {
+					var srv *Server
+					srv, client = testDaemon(t, cfg)
+					if err := srv.installBootstrap(&BootstrapPayload{
+						NodeID: "source", Snapshot: snap, Senders: map[string][]byte{"b": tracker}, Watermarks: map[string]uint64{"b": 5},
+					}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				served, err := client.Snapshot(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(served, snap) {
+					t.Fatal("the daemon does not serve the received state's bytes")
+				}
+				stats, err := client.Stats(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := ResidentSketches{Senders: 1}
+				if !equal {
+					want.Foreign = 1
+				}
+				if stats.Resident != want {
+					t.Fatalf("resident %+v, want %+v", stats.Resident, want)
+				}
+				window := mkSketch(2, 3, 7, 1)
+				if resp, err := client.PushDelta(ctx, DeltaFrame{Sender: "b", FromGen: 5, ToGen: 6, Payload: deltaPayloadFor(t, window)}); err != nil || !resp.Applied {
+					t.Fatalf("window from b: %+v, %v", resp, err)
+				}
+				if err := window.Merge(snapSketch); err != nil {
+					t.Fatal(err)
+				}
+				requireAnswers(t, client, window, "after b's window")
+			})
+		}
 	}
 }

@@ -59,7 +59,10 @@
 // when their first batch, merge or window frame arrives, and it stands in
 // for the empty sketch wherever one is only read — the baseline of a peer
 // link nothing was acked on, the tracker of a sender that was reset to zero.
-// /v1/stats reports what is resident (resident_sketches).
+// No array is kept twice either: while one sender's frames are all the
+// foreign mass, the foreign sketch is that sender's tracker, so a read
+// replica fed by one sender holds one array. /v1/stats reports what is
+// resident (resident_sketches).
 //
 // Ingestion is concurrent end to end, and batch-first. Every /v1/update
 // handler routes its batch through one of Config.Producers engine producer

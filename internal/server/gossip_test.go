@@ -67,10 +67,32 @@ func startMesh(t *testing.T, n int, cfg Config) []*gossipNode {
 		nodes[i] = &gossipNode{srv: srv, client: NewClient(urls[i], nil), url: urls[i]}
 		t.Cleanup(func() {
 			hs.Close()
-			srv.Close()
+			closeChecked(t, srv)
 		})
 	}
 	return nodes
+}
+
+// quiescentInvariants runs checkInvariants on a running daemon against its
+// engine's current cut. Nothing may be ingesting: a batch dispatched but not
+// yet counted in gen would read as a served epoch missing it.
+func quiescentInvariants(srv *Server) error {
+	srv.snapMu.Lock()
+	defer srv.snapMu.Unlock()
+	local, err := srv.localCut()
+	if err != nil {
+		return err
+	}
+	return srv.checkInvariants(local)
+}
+
+// closeChecked closes srv and fails the test on any error but an earlier
+// Close: an invariant violation included.
+func closeChecked(t testing.TB, srv *Server) {
+	t.Helper()
+	if err := srv.Close(); err != nil && !errors.Is(err, ErrServerClosed) {
+		t.Errorf("closing the daemon: %v", err)
+	}
 }
 
 // waitForMass polls a node until its total mass reaches want (gossip has
@@ -177,8 +199,9 @@ func TestGossipTrioConvergence(t *testing.T) {
 			t.Fatalf("node %s tracks %d sender watermarks, want 2", node.url, len(stats.Watermarks))
 		}
 		// Both of the node's links started from one shared empty baseline,
-		// which nothing may have written to.
-		if err := node.srv.checkInvariants(); err != nil {
+		// which nothing may have written to, and the node serves exactly its
+		// engine cut ⊕ foreign.
+		if err := quiescentInvariants(node.srv); err != nil {
 			t.Fatalf("node %s: %v", node.url, err)
 		}
 	}
@@ -869,5 +892,92 @@ func TestEncodeFrameMatchesSeedChain(t *testing.T) {
 	other, _ := s.deltaFrame(cut, s.proto, 0)
 	if &first[0] != &again[0] || &first[0] == &other[0] || len(cut.frames) != 2 {
 		t.Errorf("a cut asked for baselines (base, base, empty) holds %d frames; want 2, the first one shared", len(cut.frames))
+	}
+}
+
+// TestPeerLagSeconds: /v1/stats reports per peer how long it has been behind
+// — the seconds since a gossip tick first found lag_gens > 0, 0 once it is
+// caught up. A write after an idle spell is not counted from the last ack,
+// which is the whole spell ago: its entry stays well under the spell. Then
+// the peer's server is stopped: the feeder's entry grows past one gossip
+// interval, and after the peer returns on the same address and acks the
+// feeder's frames, it reads 0.
+func TestPeerLagSeconds(t *testing.T) {
+	cfg := Config{Width: 256, Depth: 4, K: 8, Seed: 83}
+	peer, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { closeChecked(t, peer) })
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	serve := func(ln net.Listener) *http.Server {
+		hs := &http.Server{Handler: peer.Handler()}
+		go hs.Serve(ln)
+		return hs
+	}
+	hs := serve(ln)
+
+	const every = 20 * time.Millisecond
+	feedCfg := cfg
+	feedCfg.Peers, feedCfg.GossipEvery, feedCfg.GossipBackoffMax = []string{addr}, every, 2*every
+	_, feeder := testDaemon(t, feedCfg)
+	ctx := context.Background()
+	post := func() {
+		t.Helper()
+		if err := feeder.Update(ctx, []engine.Update{{Item: 1, Delta: 1}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// lag polls the feeder until its peer entry satisfies done.
+	lag := func(what string, done func(PeerStat) bool) PeerStat {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			stats, err := feeder.Stats(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p := stats.Peers[0]; done(p) {
+				return p
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: the peer entry never got there: %+v", what, stats.Peers[0])
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	caughtUp := func(p PeerStat) bool { return p.LagGens == 0 && !p.Pending }
+
+	post()
+	if p := lag("first ack", caughtUp); p.LagSeconds != 0 {
+		t.Fatalf("a caught-up peer reports lag_seconds %v, want 0", p.LagSeconds)
+	}
+	const idle = 25 * every
+	time.Sleep(idle)
+	post()
+	lag("the write after an idle spell", func(p PeerStat) bool {
+		if p.LagSeconds >= idle.Seconds()/2 {
+			t.Fatalf("after an idle spell of %v a fresh write reports lag_seconds %v", idle, p.LagSeconds)
+		}
+		return caughtUp(p)
+	})
+	hs.Close()
+	post()
+	behind := lag("peer stopped", func(p PeerStat) bool { return p.LagGens > 0 && p.LagSeconds > every.Seconds() })
+	if later := lag("peer still stopped", func(p PeerStat) bool { return p.LagSeconds > behind.LagSeconds }); later.LagGens == 0 {
+		t.Fatalf("lag_seconds grew on a peer that is caught up: %+v", later)
+	}
+
+	if ln, err = net.Listen("tcp", addr); err != nil {
+		t.Fatal(err)
+	}
+	hs = serve(ln)
+	t.Cleanup(func() { hs.Close() })
+	if p := lag("peer back", caughtUp); p.LagSeconds != 0 {
+		t.Fatalf("a peer that acked the feeder's frames reports lag_seconds %v, want 0", p.LagSeconds)
 	}
 }

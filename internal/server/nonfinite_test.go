@@ -175,3 +175,54 @@ func TestNonFiniteDeltaTouchesNothing(t *testing.T) {
 		t.Fatalf("honest delta frame: status %d, body %s", status, envelope)
 	}
 }
+
+// TestNegativeZeroCountersServeAsZero: a sketch that arrives from outside
+// with −0 counters (a negated sketch: every untouched counter of
+// Scale(−1) is −0) is served as +0 ⊕ it, so −0 becomes 0 — through a
+// /v1/merge body, a first window frame and a replace frame alike, each the
+// first foreign mass of its daemon. No read answers −0, and /v1/snapshot
+// persists no −0 counter.
+func TestNegativeZeroCountersServeAsZero(t *testing.T) {
+	cfg := Config{Width: 256, Depth: 3, K: 8, Seed: 4}
+	ctx := context.Background()
+	neg := sketch.NewHeavyHitterTracker(xrand.New(cfg.Seed), cfg.Width, cfg.Depth, cfg.K)
+	neg.Update(5, 1)
+	neg.Scale(-1)
+	for _, via := range []string{"merge", "window", "replace"} {
+		t.Run(via, func(t *testing.T) {
+			_, client := testDaemon(t, cfg)
+			var err error
+			switch via {
+			case "merge":
+				err = client.Merge(ctx, mustEncode(t, neg))
+			case "window":
+				_, err = client.PushDelta(ctx, DeltaFrame{Sender: "p", FromGen: 0, ToGen: 1, Payload: deltaPayloadFor(t, neg)})
+			case "replace":
+				_, err = client.PushDelta(ctx, DeltaFrame{Sender: "p", ToGen: 1, Replace: true, Payload: deltaPayloadFor(t, neg)})
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := client.QueryBatch(ctx, []uint64{5, 99, 1234})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got[0] != -1 || math.Signbit(got[1]) || math.Signbit(got[2]) {
+				t.Fatalf("estimates %v, want -1 and two +0", got)
+			}
+			data, err := client.Snapshot(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var served sketch.HeavyHitterTracker
+			if err := served.UnmarshalBinary(data); err != nil {
+				t.Fatal(err)
+			}
+			for i, c := range served.Backing().CounterData() {
+				if c == 0 && math.Signbit(c) {
+					t.Fatalf("/v1/snapshot holds −0 at counter %d", i)
+				}
+			}
+		})
+	}
+}

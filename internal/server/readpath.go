@@ -28,7 +28,9 @@ import (
 // touch the tracker's counters. That is also what lets an epoch be the
 // engine's pinned cut or the foreign sketch itself rather than a copy (see
 // snapshotLocked): the engine never writes to a cut it published, and
-// mergeForeign copies a foreign that was served before writing to it.
+// mergeForeign copies a foreign that was served before writing to it — and,
+// when that foreign is also a sender's tracker that will be written on its
+// own from then on, the tracker too.
 
 // readEpoch is one published read generation: a shared immutable snapshot,
 // the write generation it covers, and the lazily computed ranked candidate

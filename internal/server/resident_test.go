@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -72,9 +73,9 @@ func TestIdleDaemonHeap(t *testing.T) {
 // two-node 65536x4 mesh fed at one node, reading a node must not cost it an
 // array. The feeder holds its replicas and the engine's one pinned cut — which
 // is what it serves and what it retains as its peer's baseline; the receiver
-// holds foreign — which is what it serves — and the feeder's tracker. The test
-// is the gossip ticker, so the two nodes' growth is measured apart: the feeder
-// is fed and read before its first frame ships.
+// holds foreign — which is what it serves — and that is the feeder's tracker
+// too, one array. The test is the gossip ticker, so the two nodes' growth is
+// measured apart: the feeder is fed and read before its first frame ships.
 func TestMeshNodeHeap(t *testing.T) {
 	const workers = 2
 	cfg := Config{
@@ -136,10 +137,10 @@ func TestMeshNodeHeap(t *testing.T) {
 	if limit := float64(2*workers + 3); feederGrew >= limit {
 		t.Errorf("a fed and read 65536x4 feeder grew the heap by %.2f MiB, want < %v (%d replicas and one pinned cut of 2 MiB)", feederGrew, limit, workers)
 	}
-	if receiverGrew >= 5 {
-		t.Errorf("shipping to a 65536x4 receiver and reading it grew the heap by %.2f MiB, want < 5 (foreign and one sender tracker; a third array is a stored copy of the sum, or a baseline beside the pinned cut)", receiverGrew)
+	if receiverGrew >= 3 {
+		t.Errorf("shipping to a 65536x4 receiver and reading it grew the heap by %.2f MiB, want < 3 (foreign, which is the one sender's tracker; a second array is a copy of the sum, a tracker beside foreign, or a baseline beside the pinned cut)", receiverGrew)
 	}
-	if limit := float64(2*workers + 3 + 5); total >= limit {
+	if limit := float64(2*workers + 3 + 3); total >= limit {
 		t.Errorf("after three rounds the two nodes grew the heap by %.2f MiB, want < %v: a superseded cut, foreign or epoch is still held", total, limit)
 	}
 }
@@ -172,9 +173,10 @@ func requireAnswers(t *testing.T, client *Client, want *sketch.HeavyHitterTracke
 // TestResidentSketchesFollowMass: in a two-node mesh fed at one node, each
 // node holds counters only where it holds mass — the feeder in its replicas
 // and the engine's one pinned cut, which is both what it serves and the
-// baseline it retains for its peer, never in foreign; the receiver in foreign,
-// which is also what it serves, and the feeder's tracker, never in a replica
-// or a cut — and both still answer exactly like one single-threaded tracker.
+// baseline it retains for its peer, never in foreign; the receiver in
+// foreign, which is also what it serves and the feeder's tracker, never in a
+// replica, a cut or a second foreign array — and both still answer exactly
+// like one single-threaded tracker.
 func TestResidentSketchesFollowMass(t *testing.T) {
 	cfg := Config{
 		Width: 512, Depth: 4, K: 16, Seed: 29,
@@ -214,7 +216,7 @@ func TestResidentSketchesFollowMass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := (ResidentSketches{Foreign: 1, Senders: 1}); got.CounterWords != 0 || got.Resident != want {
+	if want := (ResidentSketches{Senders: 1}); got.CounterWords != 0 || got.Resident != want {
 		t.Fatalf("receiver: counter_words %d, resident %+v; want %+v", got.CounterWords, got.Resident, want)
 	}
 	// The feeder's last frame may still be in flight to be acked; its baseline
@@ -358,4 +360,128 @@ func TestDeltaBodyBufferIsNotRetained(t *testing.T) {
 		return
 	}
 	t.Fatal("the body pool never handed the seeded buffer to all three requests")
+}
+
+// TestAllFedMeshServesTheSum: in a three-node mesh where every node ingests,
+// each node serves a sum of its own, its local cut ⊕ foreign, and that sum
+// answers the dense column exactly like one single-threaded tracker fed the
+// whole stream. With two senders, foreign is an array of its own beside
+// their trackers — kept, so no read sums the trackers — and once every link
+// is caught up no node holds more arrays than its replicas, its pinned cut,
+// foreign, the two trackers and the epoch.
+func TestAllFedMeshServesTheSum(t *testing.T) {
+	cfg := Config{
+		Width: 512, Depth: 4, K: 16, Seed: 71,
+		Engine:      engine.Config{Workers: 2, BatchSize: 64},
+		Producers:   2,
+		GossipEvery: 10 * time.Millisecond,
+	}
+	nodes := startMesh(t, 3, cfg)
+	ctx := context.Background()
+	reference := sketch.NewHeavyHitterTracker(xrand.New(cfg.Seed), cfg.Width, cfg.Depth, cfg.K)
+	r := xrand.New(73)
+	for round := 0; round < 10; round++ {
+		for _, node := range nodes {
+			items, deltas := make([]uint64, 200), make([]float64, 200)
+			for i := range items {
+				items[i], deltas[i] = uint64(r.Intn(2048)), float64(1+r.Intn(4))
+			}
+			reference.UpdateBatch(items, deltas)
+			if err := node.client.UpdateColumns(ctx, items, deltas); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, node := range nodes {
+		waitForMass(t, node, reference.TotalMass())
+	}
+	// Mass can be complete before the last acks are: wait until every peer
+	// of every node has acked the current generation.
+	deadline := time.Now().Add(10 * time.Second)
+	for _, node := range nodes {
+		for {
+			stats, err := node.client.Stats(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			caughtUp := true
+			for _, p := range stats.Peers {
+				caughtUp = caughtUp && p.LagGens == 0 && !p.Pending
+			}
+			if caughtUp {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("node %s: links never caught up: %+v", node.url, stats.Peers)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+	for _, node := range nodes {
+		requireAnswers(t, node.client, reference, "node "+node.url)
+		stats, err := node.client.Stats(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := stats.Resident
+		if res.Senders != 2 || res.Foreign != 1 {
+			t.Fatalf("node %s: resident %+v, want senders 2 and foreign 1", node.url, res)
+		}
+		if n, limit := res.Replicas+res.Foreign+res.Senders+res.Epoch+res.LocalCut+res.Baselines, res.Replicas+1+1+2+1; n > limit {
+			t.Fatalf("node %s holds %d arrays (%+v), want at most %d: replicas, the pinned cut, foreign, two trackers and the epoch", node.url, n, res, limit)
+		}
+	}
+}
+
+// TestStaleCutIsDropped: a peerless node that pinned a cut of its local mass
+// and then received foreign mass serves a sum it builds over a barrier cut of
+// its own whenever a local batch has made the pinned cut stale — and no
+// longer keeps that stale cut pinned beside it. After a read, /v1/stats shows
+// no local cut, and the heap holds the replica, foreign and the epoch and no
+// fourth array.
+func TestStaleCutIsDropped(t *testing.T) {
+	before := heapAllocAfterGC()
+	srv, err := New(Config{Width: 65536, Depth: 4, K: 8, Seed: 79, Engine: engine.Config{Workers: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeChecked(t, srv)
+	serve := func(method, path string, body []byte) *httptest.ResponseRecorder {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(method, path, bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s %s: %d %s", method, path, rec.Code, rec.Body)
+		}
+		return rec
+	}
+	postOne(t, srv, 1, 5)
+	serve(http.MethodGet, "/v1/query?item=1", nil) // pins a cut and serves it
+	foreign := srv.proto.Clone()
+	foreign.Update(2, 7)
+	serve(http.MethodPost, "/v1/merge", mustEncode(t, foreign))
+	postOne(t, srv, 1, 5) // the pinned cut is stale now
+	var estimates QueryResponse
+	if err := json.Unmarshal(serve(http.MethodGet, "/v1/query?item=1&item=2", nil).Body.Bytes(), &estimates); err != nil {
+		t.Fatal(err)
+	}
+	if got := estimates.Estimates; got[0].Estimate != 10 || got[1].Estimate != 7 {
+		t.Fatalf("estimates %+v, want 10 and 7", got)
+	}
+	var stats Stats
+	if err := json.Unmarshal(serve(http.MethodGet, "/v1/stats", nil).Body.Bytes(), &stats); err != nil {
+		t.Fatal(err)
+	}
+	if want := (ResidentSketches{Replicas: 1, Foreign: 1, Epoch: 1}); stats.Resident != want {
+		t.Fatalf("resident %+v, want %+v", stats.Resident, want)
+	}
+	grew := (float64(heapAllocAfterGC()) - float64(before)) / (1 << 20)
+	runtime.KeepAlive(srv)
+	t.Logf("heap growth: %.2f MiB (%+v)", grew, stats.Resident)
+	if raceEnabled {
+		t.Skip("thresholds are not sized for the race detector's allocator overhead")
+	}
+	if grew >= 7 {
+		t.Errorf("the node grew the heap by %.2f MiB, want < 7 (replica, foreign and epoch, 2 MiB each): a stale cut is still held", grew)
+	}
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -42,7 +43,11 @@ func postOne(t testing.TB, srv *Server, item uint64, delta float64) {
 // answers equal the single-threaded reference bit for bit. One daemon starts
 // as a read replica (the epoch is foreign itself until the first local
 // batch), the other as a feeder (the epoch is the pinned cut, and the peer
-// baseline the very same object, until the first foreign mass).
+// baseline the very same object, until the first foreign mass). While one
+// sender's frames are all the foreign mass, foreign is that sender's
+// tracker; one mutator serves it so, lets a /v1/merge give foreign an array
+// of its own, and only then writes to the tracker, which readers of the
+// older epoch still hold.
 func TestServedSnapshotIsImmutable(t *testing.T) {
 	for _, start := range []string{"read replica", "feeder"} {
 		t.Run(start, func(t *testing.T) {
@@ -136,10 +141,10 @@ func TestServedSnapshotIsImmutable(t *testing.T) {
 				}
 				return served, baseline
 			}
-			foreignNow := func() *sketch.HeavyHitterTracker {
+			foreignNow := func() (foreign *sketch.HeavyHitterTracker, sender string) {
 				d.snapMu.Lock()
 				defer d.snapMu.Unlock()
-				return d.foreign
+				return d.foreign, d.trackerOf(d.foreign)
 			}
 
 			if start == "feeder" {
@@ -166,11 +171,32 @@ func TestServedSnapshotIsImmutable(t *testing.T) {
 						t.Fatalf("window frame: %+v, %v", resp, err)
 					}
 				}},
+				{"a second window frame", func() {
+					resp, err := client.PushDelta(ctx, DeltaFrame{Sender: "peer-w", FromGen: 3, ToGen: 4, Payload: deltaPayloadFor(t, noise(senderState))})
+					if err != nil || !resp.Applied {
+						t.Fatalf("second window frame: %+v, %v", resp, err)
+					}
+				}},
 				{"a replace frame", func() {
 					noise(senderState)
 					resp, err := client.PushDelta(ctx, DeltaFrame{Sender: "peer-w", ToGen: 9, Replace: true, Payload: deltaPayloadFor(t, senderState)})
 					if err != nil || !resp.Applied {
 						t.Fatalf("replace frame: %+v, %v", resp, err)
+					}
+				}},
+				{"a /v1/merge, a read, then a window onto the tracker served before them", func() {
+					// On the read replica the replace left peer-w's tracker
+					// served as the epoch. The merge gives foreign an array of
+					// its own, and the read serves that; readers of the older
+					// epoch still hold the tracker, so the window must not
+					// write to it.
+					if err := client.Merge(ctx, mustEncode(t, noise())); err != nil {
+						t.Fatal(err)
+					}
+					requireAnswers(t, client, everything, "the read between the merge and the window")
+					resp, err := client.PushDelta(ctx, DeltaFrame{Sender: "peer-w", FromGen: 9, ToGen: 10, Payload: deltaPayloadFor(t, noise(senderState))})
+					if err != nil || !resp.Applied {
+						t.Fatalf("window onto the served tracker: %+v, %v", resp, err)
 					}
 				}},
 				{"a reset-to-0 and a window", func() {
@@ -193,11 +219,17 @@ func TestServedSnapshotIsImmutable(t *testing.T) {
 					}
 				}},
 			}
-			for _, m := range mutators {
+			for i, m := range mutators {
 				m.run()
 				served, _ := check(m.name)
-				if start == "read replica" && served != foreignNow() {
+				foreign, sole := foreignNow()
+				if start == "read replica" && served != foreign {
 					t.Fatalf("after %s on a node that ingested nothing the served epoch is not the foreign sketch itself", m.name)
+				}
+				// The windows and the replace are peer-w's alone; every later
+				// step brings mass from elsewhere.
+				if want := map[bool]string{true: "peer-w"}[i < 3]; sole != want {
+					t.Fatalf("after %s foreign is the tracker of %q, want %q", m.name, sole, want)
 				}
 			}
 
@@ -206,10 +238,11 @@ func TestServedSnapshotIsImmutable(t *testing.T) {
 			// leave that cut alone however often the sum is rebuilt from it.
 			postLocal()
 			gossip("a local batch")
-			if served, baseline := check("a local batch"); served == baseline || served == foreignNow() {
+			served, baseline := check("a local batch")
+			if foreign, _ := foreignNow(); served == baseline || served == foreign {
 				t.Fatal("with both kinds of mass the served epoch aliases one of its operands")
 			}
-			for _, m := range mutators[3:] {
+			for _, m := range mutators[5:] {
 				m.run()
 				check(m.name + ", both kinds of mass resident")
 			}
@@ -222,8 +255,9 @@ func TestServedSnapshotIsImmutable(t *testing.T) {
 }
 
 // TestReadersRaceDeltaApplyOnReadReplica: on a node whose engine has
-// dispatched nothing, the served epoch is the foreign sketch itself, and
-// every applied window frame writes to foreign. Closed-loop batch readers run
+// dispatched nothing, the served epoch is the foreign sketch itself — here
+// also the one sender's tracker — and every applied window frame writes to
+// foreign. Closed-loop batch readers run
 // against a peer streaming window frames; under -race a write to a foreign
 // that readers still hold is a reported data race, and without it the readers
 // still check that no answer ever goes backwards.
@@ -366,18 +400,33 @@ func TestAckedWriteVisibleThroughPinnedCut(t *testing.T) {
 // foreign mass moved since) or a local batch has made it stale. An engine
 // that has dispatched nothing has no cut to go stale, so that row has one
 // column.
+//
+// The senders=N rows hold the mass of N gossip senders, and each op is one
+// window frame from the next of them, applied through the /v1/delta handler
+// (payload decode included), and then the rebuild it causes: what a read
+// after each frame costs, keeping foreign and the trackers included.
 func BenchmarkServedRebuild(b *testing.B) {
-	for _, bc := range []struct {
+	type rebuildCase struct {
 		name           string
 		local, foreign bool
+		senders        int
 		stale          bool
-	}{
-		{"foreign_nil/cut_pinned", true, false, false},
-		{"foreign_nil/cut_stale", true, false, true},
-		{"engine_empty", false, true, false},
-		{"both/cut_pinned", true, true, false},
-		{"both/cut_stale", true, true, true},
-	} {
+	}
+	cases := []rebuildCase{
+		{"foreign_nil/cut_pinned", true, false, 0, false},
+		{"foreign_nil/cut_stale", true, false, 0, true},
+		{"engine_empty", false, true, 0, false},
+		{"both/cut_pinned", true, true, 0, false},
+		{"both/cut_stale", true, true, 0, true},
+	}
+	for _, n := range []int{1, 2, 4} {
+		name := fmt.Sprintf("senders=%d/", n)
+		cases = append(cases,
+			rebuildCase{name + "engine_empty", false, false, n, false},
+			rebuildCase{name + "cut_pinned", true, false, n, false},
+			rebuildCase{name + "cut_stale", true, false, n, true})
+	}
+	for _, bc := range cases {
 		b.Run(bc.name, func(b *testing.B) {
 			srv, err := New(Config{Width: 65536, Depth: 4, Engine: engine.Config{Workers: 2}})
 			if err != nil {
@@ -390,17 +439,38 @@ func BenchmarkServedRebuild(b *testing.B) {
 					postOne(b, srv, r.Uint64(), 1)
 				}
 			}
+			sk := srv.proto.Clone()
+			for i := 0; i < 4096; i++ {
+				sk.Update(r.Uint64(), 1)
+			}
 			if bc.foreign {
-				sk := srv.proto.Clone()
-				for i := 0; i < 4096; i++ {
-					sk.Update(r.Uint64(), 1)
-				}
 				srv.snapMu.Lock()
-				err := srv.mergeForeign(sk)
+				err := srv.mergeForeign(sk, false)
 				srv.snapMu.Unlock()
 				if err != nil {
 					b.Fatal(err)
 				}
+			}
+			data, err := sk.MarshalBinary()
+			if err != nil {
+				b.Fatal(err)
+			}
+			payload := sketch.EncodeDelta(data)
+			marks := make([]uint64, bc.senders)
+			// window applies the next frame from sender i.
+			window := func(i int) {
+				frame := AppendDeltaFrame(nil, DeltaFrame{Sender: fmt.Sprintf("peer-%d", i), FromGen: marks[i], ToGen: marks[i] + 1, Payload: payload})
+				marks[i]++
+				rec := httptest.NewRecorder()
+				req := httptest.NewRequest(http.MethodPost, "/v1/delta", bytes.NewReader(frame))
+				req.Header.Set("Content-Type", contentTypeDelta)
+				srv.Handler().ServeHTTP(rec, req)
+				if rec.Code != http.StatusOK {
+					b.Fatalf("POST /v1/delta: %d %s", rec.Code, rec.Body)
+				}
+			}
+			for i := range marks {
+				window(i)
 			}
 			rebuild := func() {
 				srv.snapMu.Lock()
@@ -423,7 +493,11 @@ func BenchmarkServedRebuild(b *testing.B) {
 					b.StopTimer()
 					postOne(b, srv, r.Uint64(), 1)
 					b.StartTimer()
-				} else {
+				}
+				switch {
+				case bc.senders > 0:
+					window(i % bc.senders)
+				case !bc.stale:
 					srv.gen.Add(1) // what an applied delta or a merge does to the epoch
 				}
 				rebuild()

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -365,6 +366,13 @@ type Server struct {
 	// snapshotLocked serves it as the read epoch's snapshot; foreignServed
 	// records that readers may hold the current object, and mergeForeign then
 	// writes to a copy instead. Both guarded by snapMu.
+	//
+	// While all of it came from one tracked sender, foreign *is* that sender's
+	// tracker (see mergeForeign): one array where the sum and its one term
+	// would otherwise be two equal ones. The first mass from anywhere else
+	// gives foreign an array of its own, and from then on every window is
+	// added twice — to foreign and to its sender's tracker — so the sum of
+	// many senders is kept, not recomputed per read.
 	foreign       *sketch.HeavyHitterTracker
 	foreignServed bool
 	// watermarks maps a sender's NodeID to the toGen of the newest delta
@@ -378,8 +386,8 @@ type Server struct {
 	// counters; untracked (below) blocks creating entries for senders whose
 	// mass may already sit unattributed in a recovered snapshot. A sender that
 	// is tracked but has landed nothing yet maps to proto, and gets a tracker
-	// of its own when its first window frame is applied. Guarded by snapMu,
-	// like watermarks.
+	// of its own when its first window frame is applied — foreign itself, if
+	// that is the first foreign mass. Guarded by snapMu, like watermarks.
 	senders map[string]*sketch.HeavyHitterTracker
 	// untracked is set when this daemon recovered a snapshot without a
 	// CRC-consistent sender sidecar: the counters then contain foreign mass
@@ -461,6 +469,9 @@ type peerState struct {
 	framesAcked  int64
 	bytesShipped int64
 	lastErr      string
+	// behindSince is when a gossip tick first found the link behind the local
+	// generation since its last rebase; zero while caught up.
+	behindSince time.Time
 	// Capped exponential retry backoff: after failStreak consecutive
 	// transport failures the replicator skips this peer until nextAttempt
 	// (the window starts at GossipEvery and doubles per failure up to
@@ -536,7 +547,7 @@ func New(cfg Config) (*Server, error) {
 			// with /v1/snapshot -> /v1/merge (see docs/CLUSTER.md).
 			src, err := s.eng.DecodeReplica(data)
 			if err == nil {
-				err = s.mergeForeign(src) // nothing else holds s yet
+				err = s.mergeForeign(src, false) // nothing else holds s yet
 			}
 			if err != nil {
 				s.eng.Close() // don't leak the worker goroutines
@@ -553,6 +564,7 @@ func New(cfg Config) (*Server, error) {
 			// replace-frame subtraction would double-count.
 			s.loadWatermarks()
 			s.loadSenders(data)
+			s.adoptSoleTracker()
 		}
 	}
 	if len(cfg.BootstrapFrom) > 0 && !recovered {
@@ -701,11 +713,11 @@ func (s *Server) Close() error {
 	s.snapMu.Lock()
 	s.engClosed = true
 	s.engRetired.Store(true) // fences the lock-free epoch fast path too
-	_, err := s.eng.Close()
-	s.snapMu.Unlock()
+	local, err := s.eng.Close()
 	if err == nil {
-		err = s.checkInvariants()
+		err = s.checkInvariants(local)
 	}
+	s.snapMu.Unlock()
 	if err != nil && saveErr == nil {
 		saveErr = err
 	}
@@ -713,15 +725,52 @@ func (s *Server) Close() error {
 }
 
 // checkInvariants verifies what must hold of a daemon whenever it is looked
-// at; Close reports a violation, which makes sketchd exit non-zero. Today
-// that is one property: proto — the prototype every replica was cloned from,
-// and the empty baseline every peer link starts from and resyncs to — is
-// still empty. It is shared and only ever read; a write through it would
-// corrupt every frame cut against it from then on, so it has no counters to
-// write to, and that is what is checked.
-func (s *Server) checkInvariants() error {
+// at; Close reports a violation, which makes sketchd exit non-zero. local is
+// the engine's cut of everything ingested here. The properties:
+//
+//   - proto — the prototype every replica was cloned from, and the empty
+//     baseline every peer link starts from and resyncs to — is still empty.
+//     It is shared and only ever read; a write through it would corrupt every
+//     frame cut against it from then on, so it has no counters to write to.
+//   - The sender trackers holding mass are distinct arrays, none of them
+//     proto, and there are none while foreign is nil. Foreign is one of them
+//     only while that one holds all the foreign mass: every other is proto.
+//   - An epoch stamped with the current generation is, bit for bit, the
+//     engine cut ⊕ foreign.
+//
+// Caller holds s.snapMu, with ingestion stopped.
+func (s *Server) checkInvariants(local *sketch.HeavyHitterTracker) error {
 	if n, mass := len(s.proto.Backing().CounterData()), s.proto.TotalMass(); n != 0 || mass != 0 {
 		return fmt.Errorf("server: invariant violated: the shared empty baseline holds %d counters and total mass %v", n, mass)
+	}
+	held := make(map[*sketch.HeavyHitterTracker]bool, len(s.senders))
+	for id, tr := range s.senders {
+		switch {
+		case tr == s.proto:
+			continue
+		case s.foreign == nil:
+			return fmt.Errorf("server: invariant violated: sender %q's tracker holds mass while foreign holds none", id)
+		case held[tr]:
+			return fmt.Errorf("server: invariant violated: sender %q's tracker is another sender's too", id)
+		}
+		held[tr] = true
+	}
+	if held[s.foreign] && len(held) > 1 {
+		return fmt.Errorf("server: invariant violated: foreign is one of %d trackers holding mass", len(held))
+	}
+	want := s.foreign
+	switch {
+	case s.eng.Generation() == 0:
+	case want == nil:
+		want = local
+	default:
+		var err error
+		if want, err = s.plusForeign(local); err != nil {
+			return err
+		}
+	}
+	if ep := s.epoch.Load(); ep != nil && ep.gen == s.gen.Load() && want != nil && !sameBits(ep.snap, want) {
+		return fmt.Errorf("server: invariant violated: the epoch served at generation %d is not the engine cut ⊕ foreign", ep.gen)
 	}
 	return nil
 }
@@ -944,7 +993,9 @@ func (s *Server) snapshotLocked() (*readEpoch, error) {
 	default:
 		// The pinned cut is stale too. Summing into a cut of this rebuild's
 		// own saves copying a pinned one (a quarter of the rebuild at
-		// 65536x4), and the replicator pins the next cut when it ticks.
+		// 65536x4), and the replicator pins the next cut when it ticks. The
+		// barrier drops the stale cut from the engine, and so do we.
+		s.cut = nil
 		if snap, err = s.eng.Snapshot(); err == nil {
 			err = snap.Merge(s.foreign)
 		}
@@ -974,14 +1025,65 @@ func (s *Server) plusForeign(cut *sketch.HeavyHitterTracker) (*sketch.HeavyHitte
 // immutable from then on: the merge goes into a copy, and readers keep the
 // old object until their epoch is replaced. Callers hold s.snapMu and bump
 // gen once the rest of their bookkeeping is done.
-func (s *Server) mergeForeign(src *sketch.HeavyHitterTracker) error {
-	switch {
+//
+// sole says src is a window from the tracked sender whose tracker holds all
+// the foreign mass there is — foreign is nil or that very tracker — and the
+// caller stores foreign as that sender's tracker afterwards: one array, one
+// merge. Any other src ends that: a foreign that is a tracker first becomes
+// an array of its own, and the tracker a copy too if readers may hold it,
+// since the tracker is written in place from then on.
+func (s *Server) mergeForeign(src *sketch.HeavyHitterTracker, sole bool) error {
+	switch id := s.trackerOf(s.foreign); {
 	case s.foreign == nil:
 		s.foreign = s.proto.Clone()
+	case id != "" && !sole:
+		if s.foreignServed {
+			s.senders[id] = s.foreign.Copy()
+		}
+		s.foreign, s.foreignServed = s.foreign.Copy(), false
 	case s.foreignServed:
 		s.foreign, s.foreignServed = s.foreign.Copy(), false
 	}
 	return s.foreign.Merge(src)
+}
+
+// trackerOf returns the sender whose tracker sk is, "" if none (nil and
+// proto included). Caller holds s.snapMu.
+func (s *Server) trackerOf(sk *sketch.HeavyHitterTracker) string {
+	for id, tr := range s.senders {
+		if tr == sk && sk != s.proto {
+			return id
+		}
+	}
+	return ""
+}
+
+// adoptSoleTracker makes foreign the tracker of the one sender holding mass
+// when that tracker's counters equal foreign's bit for bit — the state a read
+// replica fed by one sender recovers or bootstraps into — dropping the
+// tracker's own array. Caller holds s.snapMu (or is New).
+func (s *Server) adoptSoleTracker() {
+	sole := ""
+	for id, tr := range s.senders {
+		switch {
+		case tr == s.proto:
+		case sole != "":
+			return
+		default:
+			sole = id
+		}
+	}
+	if sole != "" && s.foreign != nil && sameBits(s.senders[sole], s.foreign) {
+		s.senders[sole] = s.foreign
+	}
+}
+
+// sameBits reports whether a and b hold the same counters and total mass,
+// bit for bit.
+func sameBits(a, b *sketch.HeavyHitterTracker) bool {
+	bits := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	return bits(a.TotalMass(), b.TotalMass()) &&
+		slices.EqualFunc(a.Backing().CounterData(), b.Backing().CounterData(), bits)
 }
 
 // snapshotGen is snapshotLocked behind the barrier lock, for handlers that
@@ -1260,7 +1362,7 @@ func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
 		// be acknowledged after the recovery file was written and then lost.
 		if s.engClosed || s.closed.Load() {
 			err = ErrServerClosed
-		} else if err = s.mergeForeign(src); err == nil {
+		} else if err = s.mergeForeign(src, false); err == nil {
 			// Merged snapshots are foreign mass: the gossip replicator must
 			// not ship them back out as if this daemon had ingested them.
 			s.gen.Add(1)
@@ -1410,8 +1512,8 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 				frame.Sender)
 			return
 		}
-		apply := src
-		if s.hearsay[frame.Sender] && frame.ToGen < mark {
+		switch {
+		case s.hearsay[frame.Sender] && frame.ToGen < mark:
 			// The sender's generation counter sits *behind* the hearsay mark a
 			// bootstrap transfer installed for it — counters only move
 			// backwards by restarting, so the tracked mass is a previous
@@ -1419,17 +1521,21 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 			// reset-to-0 keeps pre-restart mass) and absorb the new
 			// incarnation's entire state as a fresh epoch; the tracker swap
 			// below anchors future replaces to the new incarnation only.
-		} else {
-			apply = src.Copy()
-			if err := apply.Sub(tr); err != nil {
-				s.snapMu.Unlock()
-				s.cfg.Logf("server: replace frame from %q rejected: %v", frame.Sender, err)
-				s.deltasRejected.Add(1)
-				writeErr(w, http.StatusBadRequest, "%v", err)
-				return
+			err = s.mergeForeign(src, false)
+		case s.foreign == nil || s.foreign == tr:
+			// The tracker is all the foreign mass there is, so L replaces
+			// foreign outright, and foreign is the sender's tracker again.
+			fresh := s.proto.Clone()
+			if err = fresh.Merge(src); err == nil {
+				s.foreign, s.foreignServed, src = fresh, false, fresh
+			}
+		default:
+			apply := src.Copy()
+			if err = apply.Sub(tr); err == nil {
+				err = s.mergeForeign(apply, false)
 			}
 		}
-		if err := s.mergeForeign(apply); err != nil {
+		if err != nil {
 			s.snapMu.Unlock()
 			s.cfg.Logf("server: replace frame from %q rejected: %v", frame.Sender, err)
 			s.deltasRejected.Add(1)
@@ -1469,16 +1575,21 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 			frame.Sender, frame.FromGen, frame.ToGen, mark)
 
 	default:
-		// Applied deltas are foreign mass — never gossiped onward.
-		if err := s.mergeForeign(src); err != nil {
+		// Applied deltas are foreign mass — never gossiped onward. While it is
+		// all this sender's, the sender's tracker is foreign itself.
+		tr := s.senderTracker(frame.Sender)
+		sole := tr != nil && (s.foreign == nil || s.foreign == tr)
+		if err := s.mergeForeign(src, sole); err != nil {
 			s.snapMu.Unlock()
 			s.cfg.Logf("server: delta from %q rejected: %v", frame.Sender, err)
 			s.deltasRejected.Add(1)
 			writeErr(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		replaceOK := false
-		if tr := s.senderTracker(frame.Sender); tr != nil {
+		replaceOK := sole
+		if sole {
+			s.senders[frame.Sender] = s.foreign
+		} else if tr != nil {
 			if tr == s.proto {
 				// The sender's first mass: from here on it has a tracker of
 				// its own.
@@ -1662,7 +1773,8 @@ func (s *Server) encodeFrame(f DeltaFrame, local, base *sketch.HeavyHitterTracke
 
 // gossipTargets returns the peers that lag the current local generation or
 // hold an un-acked frame, minus (unless ignoreBackoff) those still inside
-// their failure backoff window.
+// their failure backoff window, and notes when each lagging link was first
+// found behind.
 func (s *Server) gossipTargets(ignoreBackoff bool) []*peerState {
 	g := s.localGen.Load()
 	now := time.Now()
@@ -1672,6 +1784,9 @@ func (s *Server) gossipTargets(ignoreBackoff bool) []*peerState {
 	for _, p := range s.peers {
 		if p.pending == nil && p.baseGen == g {
 			continue
+		}
+		if p.behindSince.IsZero() {
+			p.behindSince = now
 		}
 		if !ignoreBackoff && p.failStreak > 0 && now.Before(p.nextAttempt) {
 			continue
@@ -1826,6 +1941,7 @@ func (s *Server) noteOutcome(p *peerState, err error) {
 func (s *Server) rebase(p *peerState, baseline *sketch.HeavyHitterTracker, gen int64, err error) {
 	p.pending, p.pendingLocal = nil, nil
 	p.baseline, p.baseGen = baseline, gen
+	p.behindSince = time.Time{}
 	s.noteOutcome(p, err)
 }
 
@@ -2019,6 +2135,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		if p.failStreak > 0 {
 			stat.BackoffMs = s.backoffFor(p.failStreak).Milliseconds()
 		}
+		if stat.LagGens > 0 && !p.behindSince.IsZero() {
+			stat.LagSeconds = time.Since(p.behindSince).Seconds()
+		}
 		stats.Peers = append(stats.Peers, stat)
 	}
 	s.peerMu.Unlock()
@@ -2035,7 +2154,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	// reached its worker and the count covers the replica it brought in.
 	stats.CounterWords = s.eng.CounterWords()
 	stats.Resident.Replicas = stats.CounterWords / (s.cfg.Width * s.cfg.Depth)
-	if s.foreign != nil {
+	if s.foreign != nil && s.trackerOf(s.foreign) == "" {
 		stats.Resident.Foreign = 1
 	}
 	for _, tr := range s.senders {

@@ -30,7 +30,7 @@ func testDaemon(t *testing.T, cfg Config) (*Server, *Client) {
 	hs := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {
 		hs.Close()
-		srv.Close()
+		closeChecked(t, srv)
 	})
 	return srv, NewClient(hs.URL, hs.Client())
 }

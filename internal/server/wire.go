@@ -126,14 +126,19 @@ type PeerStat struct {
 	// period, then two, doubling up to the cap, so an unreachable peer costs
 	// one connection attempt per window instead of one per tick.
 	BackoffMs int64 `json:"peer_backoff_ms,omitempty"`
+	// LagSeconds is how long the peer has been behind: the seconds since a
+	// gossip tick first found LagGens above 0 after the link last caught up,
+	// and 0 while LagGens is 0.
+	LagSeconds float64 `json:"lag_seconds"`
 }
 
 // ResidentSketches counts the distinct full-size counter arrays a daemon
 // holds, by owner; multiply the sum by width x depth x 8 bytes for its sketch
 // memory. Each exists only once it holds mass: Replicas are the engine
 // workers that have received a batch (1 in partition mode), Foreign is 1 once
-// anything has been merged, applied or recovered from outside, Senders are
-// the gossip senders a window frame has been applied from, LocalCut is 1
+// anything has been merged, applied or recovered from outside — 0 while it is
+// all one sender's and the foreign sketch is that sender's tracker — Senders
+// are the gossip senders a window frame has been applied from, LocalCut is 1
 // while the engine pins a cut of its local mass (from the first read, gossip
 // tick or bootstrap request that needed one), Baselines are the cuts of older
 // generations still retained for peers that acked or are owed a retry, and
