@@ -17,8 +17,13 @@
 // /v1/delta every -gossip-every, and a per-sender generation watermark
 // makes retries and reordering safe, so the whole mesh converges to exactly
 // the sketch one process would have built. With -snapshot-dir the daemon
-// also ships its state to disk (periodically with -snapshot-every, and on
-// shutdown), and recovers it bit-identically on restart. See
+// also ships its whole state — counters, gossip watermarks, per-sender
+// trackers — to one fsynced file, sketchd.snap (periodically with
+// -snapshot-every, and on shutdown). The file is the same SKP1 frame a
+// -bootstrap-from transfer carries, and a restart installs it the same way,
+// bit-identically; a file that does not install stops the daemon with an
+// error naming it, unless -bootstrap-from is set: then it is moved aside to
+// sketchd.snap.unreadable and the daemon bootstraps instead. See
 // docs/CLUSTER.md for the operator guide.
 //
 // Usage:

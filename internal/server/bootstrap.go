@@ -4,58 +4,68 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"hash/crc32"
+	"maps"
+	"math"
 	"net/http"
-	"os"
-	"path/filepath"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/sketch"
 )
 
-// Peer bootstrap ---------------------------------------------------------------
+// Peer bootstrap and disk recovery -------------------------------------------
 //
-// A daemon that starts without a usable local snapshot can fetch one from a
-// running peer instead of rejoining the mesh blank: GET /v1/bootstrap returns
-// a barrier-consistent state transfer — the serving node's full snapshot, its
-// per-sender gossip watermarks, and the per-sender received-mass trackers that
-// make later watermark divergences healable without loss (see deltaFlagReplace
-// in wire.go). Everything is cut under one barrier hold, so the watermarks
-// never claim a delta the snapshot's counters don't contain.
+// A node's whole state is its served sketch, its per-sender gossip watermarks
+// and the per-sender received-mass trackers that make later watermark
+// divergences healable without loss (see deltaFlagReplace in wire.go). SKP1
+// carries exactly that, cut under one barrier hold, so the watermarks never
+// claim a delta the snapshot's counters don't contain. It travels two ways:
+// GET /v1/bootstrap serves it to a daemon that starts without local state,
+// and SaveSnapshot writes it to SnapshotDir/sketchd.snap, which New installs
+// on restart. Both are cut by transferLocked and installed by
+// installBootstrap; the two uses differ only in transferLocked's argument.
 //
-// Bootstrap response layout (SKP1; integers big-endian, CRC-32C like SKS1):
+// Layout (SKP1; integers big-endian, CRC-32C like SKS1):
 //
 //	magic    [4]byte "SKP1"
 //	version  uint8   bootstrapVersion
-//	flags    uint8   reserved (0)
-//	idLen    uint16  length of the serving node's id (1..bootstrapMaxIDLen)
+//	flags    uint8   bit 0 untracked (Server.untracked); the others are 0
+//	idLen    uint16  length of the cutting node's id (1..bootstrapMaxIDLen)
 //	id       idLen bytes
-//	localGen uint64  serving node's local write generation at the barrier cut
+//	localGen uint64  the cutting node's local write generation at the cut
 //	marksLen uint32  length of the watermark JSON
-//	marks    marksLen bytes: JSON object sender -> watermark; includes the
-//	         serving node itself mapped to localGen, so the requester's
-//	         watermark for the server aligns with the snapshot exactly
+//	marks    marksLen bytes: JSON object sender -> watermark; a peer
+//	         transfer includes the serving node itself mapped to localGen, so
+//	         the requester's watermark for the server aligns with the
+//	         snapshot exactly
+//	nhearsay uint16  the senders whose marks are hearsay (Server.hearsay),
+//	         strictly ascending, each (idLen uint16, id) and each in marks
 //	snapLen  uint32
 //	snap     snapLen bytes: the full snapshot's versioned sketch encoding
-//	nsenders uint16  per-sender tracker sections, sorted by id
-//	         nsenders x (idLen uint16, id, trLen uint32, tracker bytes);
-//	         the serving node's own section carries its local sketch (its
-//	         contribution to the snapshot), so the requester can seed the
-//	         received-mass tracker for the server too
+//	nsenders uint16  per-sender tracker sections, strictly ascending by id
+//	         nsenders x (idLen uint16, id, trLen uint32, tracker bytes); an
+//	         empty tracker is a tracked sender that has landed nothing. A peer
+//	         transfer's own section carries the serving node's local sketch
+//	         (its contribution to the snapshot), so the requester can seed
+//	         the received-mass tracker for the server too
 //	crc      uint32  CRC-32C over everything before it
 //
-// The requester absorbs the snapshot as foreign mass (gossip never re-ships
-// it), installs the watermarks and trackers, and only then opens /v1/update,
-// /v1/stream, /v1/delta and its replicator.
+// The installer absorbs the snapshot as foreign mass (gossip never re-ships
+// it) and installs the watermarks, hearsay marks and trackers; a
+// bootstrapping node only then opens /v1/update, /v1/stream, /v1/delta and
+// its replicator.
 
 // bootstrapMagic guards the bootstrap response format.
 var bootstrapMagic = [4]byte{'S', 'K', 'P', '1'}
 
-// bootstrapVersion is bumped whenever the response layout changes.
-const bootstrapVersion = 1
+// bootstrapVersion is bumped whenever the response layout changes. Version 2
+// added the untracked flag, the hearsay section and empty tracker sections.
+const bootstrapVersion = 2
+
+// bootstrapFlagUntracked is the flags bit carrying BootstrapPayload.Untracked.
+const bootstrapFlagUntracked = 1
 
 // bootstrapMaxIDLen caps every node-id section of a bootstrap response, like
 // streamHelloMaxLen caps stream session names.
@@ -68,73 +78,118 @@ const bootstrapMaxMarksLen = 1 << 20
 // bootstrapHeaderLen is the fixed prefix: magic, version, flags, idLen.
 const bootstrapHeaderLen = 8
 
-// SendersFileName is the file the per-sender received-mass trackers are
-// persisted to beside the snapshot. It is bound to the exact snapshot it was
-// cut with by a CRC of the snapshot bytes: a tracker that does not match the
-// counters byte for byte cannot be trusted for replace-frame subtraction, so
-// a mismatched or missing sidecar degrades to the reset-resync protocol
-// instead of risking a double count.
-const SendersFileName = "sketchd.senders"
-
-// BootstrapPayload is one decoded /v1/bootstrap state transfer.
+// BootstrapPayload is one decoded SKP1 state: a /v1/bootstrap transfer or
+// the recovery file.
 type BootstrapPayload struct {
-	// NodeID is the serving node's id and LocalGen its local write generation
+	// NodeID is the cutting node's id and LocalGen its local write generation
 	// at the barrier cut; together they seed the requester's watermark for
 	// the server.
 	NodeID   string
 	LocalGen uint64
-	// Watermarks are the serving node's per-sender gossip watermarks
-	// (including NodeID -> LocalGen).
+	// Watermarks are the cutting node's per-sender gossip watermarks (a peer
+	// transfer includes NodeID -> LocalGen).
 	Watermarks map[string]uint64
+	// Hearsay lists the senders whose marks no direct frame has confirmed:
+	// every mark of a peer transfer, since the requester has confirmed none
+	// of them, and the cutting node's own unconfirmed marks in its recovery
+	// file. Each is a key of Watermarks.
+	Hearsay []string
+	// Untracked says the cutting node holds foreign mass that no tracker
+	// accounts for, so the installer must refuse replace frames from senders
+	// it holds no tracker for.
+	Untracked bool
 	// Snapshot is the full barrier snapshot's versioned sketch encoding.
 	Snapshot []byte
-	// Senders maps sender id -> the encoding of the mass the serving node
-	// holds from that sender (its own id maps to its local sketch). Only
-	// senders whose tracker is sound for replace-frame subtraction are
-	// included, so a requester may see watermarks without a matching tracker
-	// when the server itself recovered without a consistent sidecar.
+	// Senders maps sender id -> the encoding of the mass the cutting node
+	// holds from that sender (a peer transfer maps the serving node's own id
+	// to its local sketch); an empty encoding is a sender that has landed
+	// nothing. Only senders whose tracker is sound for replace-frame
+	// subtraction are included, so an untracked node's payload may carry
+	// watermarks without a matching tracker.
 	Senders map[string][]byte
 }
 
 // AppendBootstrapResponse appends the canonical binary encoding of a
-// bootstrap payload to buf and returns the extended slice. Sender sections
-// are emitted in sorted id order and the watermark JSON uses encoding/json's
-// sorted-key object form, so encoding the same payload twice yields the same
-// bytes — the fixed point FuzzDecodeBootstrapResponse checks.
+// bootstrap payload to buf and returns the extended slice. The hearsay and
+// sender sections are emitted in sorted id order and the watermark JSON uses
+// encoding/json's sorted-key object form, so encoding the same payload twice
+// yields the same bytes — the fixed point FuzzDecodeBootstrapResponse checks.
+//
+// A payload the decoder would refuse is refused here instead, so no node
+// serves a transfer, or writes a recovery file, that cannot be installed.
 func AppendBootstrapResponse(buf []byte, p BootstrapPayload) ([]byte, error) {
-	if len(p.NodeID) < 1 || len(p.NodeID) > bootstrapMaxIDLen {
+	hearsay := slices.Clone(p.Hearsay)
+	slices.Sort(hearsay)
+	ids := sortedKeys(p.Senders)
+	if !bootstrapIDOK(p.NodeID) {
 		return nil, fmt.Errorf("server: bootstrap node id must be 1..%d bytes, got %d", bootstrapMaxIDLen, len(p.NodeID))
+	}
+	if len(hearsay) > math.MaxUint16 || len(ids) > math.MaxUint16 {
+		return nil, fmt.Errorf("server: bootstrap payload has %d hearsay marks and %d trackers (cap %d each)", len(hearsay), len(ids), math.MaxUint16)
+	}
+	for i, id := range hearsay {
+		if _, ok := p.Watermarks[id]; !ok || !bootstrapIDOK(id) || i > 0 && id == hearsay[i-1] {
+			return nil, fmt.Errorf("server: bootstrap hearsay %q is not 1..%d bytes, is repeated or has no watermark", id, bootstrapMaxIDLen)
+		}
+	}
+	for _, id := range ids {
+		if !bootstrapIDOK(id) {
+			return nil, fmt.Errorf("server: bootstrap sender id must be 1..%d bytes, got %d", bootstrapMaxIDLen, len(id))
+		}
 	}
 	marks, err := json.Marshal(p.Watermarks)
 	if err != nil {
 		return nil, fmt.Errorf("server: encoding bootstrap watermarks: %w", err)
 	}
+	if len(marks) > bootstrapMaxMarksLen {
+		return nil, fmt.Errorf("server: bootstrap watermark section is %d bytes (cap %d)", len(marks), bootstrapMaxMarksLen)
+	}
+	var flags byte
+	if p.Untracked {
+		flags |= bootstrapFlagUntracked
+	}
 	start := len(buf)
 	buf = append(buf, bootstrapMagic[:]...)
-	buf = append(buf, bootstrapVersion, 0)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(p.NodeID)))
-	buf = append(buf, p.NodeID...)
+	buf = append(buf, bootstrapVersion, flags)
+	buf = appendBootstrapID(buf, p.NodeID)
 	buf = binary.BigEndian.AppendUint64(buf, p.LocalGen)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(marks)))
 	buf = append(buf, marks...)
+	buf = binary.BigEndian.AppendUint16(buf, uint16(len(hearsay)))
+	for _, id := range hearsay {
+		buf = appendBootstrapID(buf, id)
+	}
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(p.Snapshot)))
 	buf = append(buf, p.Snapshot...)
-	ids := make([]string, 0, len(p.Senders))
-	for id := range p.Senders {
-		if len(id) < 1 || len(id) > bootstrapMaxIDLen {
-			return nil, fmt.Errorf("server: bootstrap sender id must be 1..%d bytes, got %d", bootstrapMaxIDLen, len(id))
-		}
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
 	buf = binary.BigEndian.AppendUint16(buf, uint16(len(ids)))
 	for _, id := range ids {
-		buf = binary.BigEndian.AppendUint16(buf, uint16(len(id)))
-		buf = append(buf, id...)
+		buf = appendBootstrapID(buf, id)
 		buf = binary.BigEndian.AppendUint32(buf, uint32(len(p.Senders[id])))
 		buf = append(buf, p.Senders[id]...)
 	}
 	return binary.BigEndian.AppendUint32(buf, crc32.Checksum(buf[start:], castagnoli)), nil
+}
+
+// bootstrapIDOK reports whether id fits an SKP1 id section. Every id a node
+// holds must: New refuses a longer NodeID and handleDelta a longer sender.
+func bootstrapIDOK(id string) bool {
+	return len(id) >= 1 && len(id) <= bootstrapMaxIDLen
+}
+
+// appendBootstrapID appends one id section: its uint16 length, then the id.
+func appendBootstrapID(buf []byte, id string) []byte {
+	buf = binary.BigEndian.AppendUint16(buf, uint16(len(id)))
+	return append(buf, id...)
+}
+
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }
 
 // DecodeBootstrapResponse parses a bootstrap response, validating the CRC,
@@ -147,123 +202,163 @@ func DecodeBootstrapResponse(data []byte, maxSection int) (*BootstrapPayload, er
 	if maxSection <= 0 {
 		maxSection = len(data)
 	}
-	if len(data) < bootstrapHeaderLen+8+4+4+2+4 {
+	if len(data) < bootstrapHeaderLen+8+4+2+4+2+4 {
 		return nil, fmt.Errorf("server: truncated bootstrap response (%d bytes)", len(data))
 	}
 	if [4]byte(data[:4]) != bootstrapMagic {
 		return nil, fmt.Errorf("server: bad bootstrap magic %q", data[:4])
 	}
 	if v := data[4]; v != bootstrapVersion {
-		return nil, fmt.Errorf("server: unsupported bootstrap version %d (want %d)", v, bootstrapVersion)
+		return nil, fmt.Errorf("server: unsupported bootstrap version %d (want %d; every node of a mesh must run the same release)", v, bootstrapVersion)
 	}
-	if f := data[5]; f != 0 {
+	if f := data[5]; f&^bootstrapFlagUntracked != 0 {
 		return nil, fmt.Errorf("server: unsupported bootstrap flags %#x", f)
 	}
 	body, trailer := data[:len(data)-4], data[len(data)-4:]
 	if got, want := crc32.Checksum(body, castagnoli), binary.BigEndian.Uint32(trailer); got != want {
 		return nil, fmt.Errorf("server: bootstrap response CRC mismatch (computed %08x, trailer %08x)", got, want)
 	}
-	p := &BootstrapPayload{Watermarks: make(map[string]uint64), Senders: make(map[string][]byte)}
-	rest := body[6:]
-	take := func(n int, what string) ([]byte, error) {
-		if n < 0 || len(rest) < n {
-			return nil, fmt.Errorf("server: truncated bootstrap response (%s needs %d bytes, %d left)", what, n, len(rest))
+	p := &BootstrapPayload{
+		Untracked:  data[5]&bootstrapFlagUntracked != 0,
+		Watermarks: make(map[string]uint64),
+		Senders:    make(map[string][]byte),
+	}
+	r := &bootstrapReader{rest: body[6:]}
+	p.NodeID = r.id("node", "")
+	p.LocalGen = r.uint(8, "local generation")
+	if marks := r.section(4, bootstrapMaxMarksLen, "watermark"); r.err == nil {
+		if err := json.Unmarshal(marks, &p.Watermarks); err != nil {
+			return nil, fmt.Errorf("server: bootstrap watermark JSON: %w", err)
 		}
-		out := rest[:n]
-		rest = rest[n:]
-		return out, nil
 	}
-	idLenB, err := take(2, "node id length")
-	if err != nil {
-		return nil, err
-	}
-	idLen := int(binary.BigEndian.Uint16(idLenB))
-	if idLen < 1 || idLen > bootstrapMaxIDLen {
-		return nil, fmt.Errorf("server: bootstrap node id length %d out of range 1..%d", idLen, bootstrapMaxIDLen)
-	}
-	id, err := take(idLen, "node id")
-	if err != nil {
-		return nil, err
-	}
-	p.NodeID = string(id)
-	genB, err := take(8, "local generation")
-	if err != nil {
-		return nil, err
-	}
-	p.LocalGen = binary.BigEndian.Uint64(genB)
-	marksLenB, err := take(4, "watermark length")
-	if err != nil {
-		return nil, err
-	}
-	marksLen := int(binary.BigEndian.Uint32(marksLenB))
-	if marksLen > bootstrapMaxMarksLen {
-		return nil, fmt.Errorf("server: bootstrap watermark section is %d bytes (cap %d)", marksLen, bootstrapMaxMarksLen)
-	}
-	marks, err := take(marksLen, "watermarks")
-	if err != nil {
-		return nil, err
-	}
-	if err := json.Unmarshal(marks, &p.Watermarks); err != nil {
-		return nil, fmt.Errorf("server: bootstrap watermark JSON: %w", err)
-	}
-	snapLenB, err := take(4, "snapshot length")
-	if err != nil {
-		return nil, err
-	}
-	snapLen := int(binary.BigEndian.Uint32(snapLenB))
-	if snapLen > maxSection {
-		return nil, fmt.Errorf("server: bootstrap snapshot section is %d bytes (cap %d)", snapLen, maxSection)
-	}
-	if p.Snapshot, err = take(snapLen, "snapshot"); err != nil {
-		return nil, err
-	}
-	nSendersB, err := take(2, "sender count")
-	if err != nil {
-		return nil, err
-	}
-	nSenders := int(binary.BigEndian.Uint16(nSendersB))
-	for i := 0; i < nSenders; i++ {
-		sidLenB, err := take(2, "sender id length")
-		if err != nil {
-			return nil, err
+	for n, id := r.uint(2, "hearsay count"), ""; n > 0 && r.err == nil; n-- {
+		id = r.id("hearsay", id)
+		if _, ok := p.Watermarks[id]; !ok && r.err == nil {
+			r.err = fmt.Errorf("server: bootstrap hearsay %q has no watermark", id)
 		}
-		sidLen := int(binary.BigEndian.Uint16(sidLenB))
-		if sidLen < 1 || sidLen > bootstrapMaxIDLen {
-			return nil, fmt.Errorf("server: bootstrap sender id length %d out of range 1..%d", sidLen, bootstrapMaxIDLen)
-		}
-		sid, err := take(sidLen, "sender id")
-		if err != nil {
-			return nil, err
-		}
-		if _, dup := p.Senders[string(sid)]; dup {
-			return nil, fmt.Errorf("server: bootstrap response repeats sender %q", sid)
-		}
-		trLenB, err := take(4, "tracker length")
-		if err != nil {
-			return nil, err
-		}
-		trLen := int(binary.BigEndian.Uint32(trLenB))
-		if trLen > maxSection {
-			return nil, fmt.Errorf("server: bootstrap tracker for %q is %d bytes (cap %d)", sid, trLen, maxSection)
-		}
-		tr, err := take(trLen, "tracker")
-		if err != nil {
-			return nil, err
-		}
-		p.Senders[string(sid)] = tr
+		p.Hearsay = append(p.Hearsay, id)
 	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("server: bootstrap response has %d trailing bytes", len(rest))
+	p.Snapshot = r.section(4, maxSection, "snapshot")
+	for n, id := r.uint(2, "sender count"), ""; n > 0 && r.err == nil; n-- {
+		id = r.id("sender", id)
+		p.Senders[id] = r.section(4, maxSection, "tracker")
+	}
+	if r.err == nil && len(r.rest) != 0 {
+		r.err = fmt.Errorf("server: bootstrap response has %d trailing bytes", len(r.rest))
+	}
+	if r.err != nil {
+		return nil, r.err
 	}
 	return p, nil
 }
 
-// handleBootstrap serves one barrier-consistent state transfer. Everything —
-// the full snapshot, the local sketch that seeds the requester's tracker for
-// this node, the watermark map and the per-sender trackers — is cut and
-// copied under one snapMu hold, and both sketch sections come from one
-// localCut result (a second call could sit behind a write the first missed),
-// so the sections agree with each other exactly.
+// bootstrapReader walks an SKP1 body front to back. The first failure
+// sticks: every later read returns a zero value, and err holds it.
+type bootstrapReader struct {
+	rest []byte
+	err  error
+}
+
+// take returns the next n bytes, nil once the body is short of them.
+func (r *bootstrapReader) take(n int, what string) []byte {
+	if r.err == nil && len(r.rest) < n {
+		r.err = fmt.Errorf("server: truncated bootstrap response (%s needs %d bytes, %d left)", what, n, len(r.rest))
+	}
+	if r.err != nil {
+		return nil
+	}
+	out := r.rest[:n]
+	r.rest = r.rest[n:]
+	return out
+}
+
+// uint reads a big-endian unsigned integer size bytes wide.
+func (r *bootstrapReader) uint(size int, what string) uint64 {
+	var v uint64
+	for _, b := range r.take(size, what) {
+		v = v<<8 | uint64(b)
+	}
+	return v
+}
+
+// section reads a lenSize-byte length, refused above limit, and then that
+// many bytes.
+func (r *bootstrapReader) section(lenSize, limit int, what string) []byte {
+	n := r.uint(lenSize, what+" length")
+	if r.err == nil && n > uint64(limit) {
+		r.err = fmt.Errorf("server: bootstrap %s section is %d bytes (cap %d)", what, n, limit)
+	}
+	return r.take(int(n), what)
+}
+
+// id reads one id section; after, when non-empty, is the id before it in a
+// section that must be strictly ascending.
+func (r *bootstrapReader) id(what, after string) string {
+	id := string(r.section(2, bootstrapMaxIDLen, what+" id"))
+	if r.err == nil && (id == "" || after != "" && id <= after) {
+		r.err = fmt.Errorf("server: bootstrap %s id %q is empty or out of order", what, id)
+	}
+	return id
+}
+
+// transferLocked cuts this node's state as one SKP1 payload: the served
+// snapshot, the watermarks, the hearsay marks, the untracked flag and the
+// per-sender trackers, all under the caller's one snapMu hold, so they agree
+// with each other exactly. A sender that has landed nothing (its tracker is
+// proto) gets an empty section, and installs as proto again.
+//
+// peer says who installs the payload, which decides the two things a state
+// transfer and the recovery file differ in. A peer gets this node's own
+// section — its local sketch and localGen, which seed the requester's
+// tracker and watermark for this node — and every mark as hearsay, since it
+// has confirmed none of them. The recovery file is installed by this node,
+// which tracks none of its own mass (a restart's default NodeID is a new one
+// anyway), and keeps exactly the marks it had not confirmed yet. Callers
+// hold s.snapMu.
+func (s *Server) transferLocked(peer bool) (p BootstrapPayload, err error) {
+	p = BootstrapPayload{
+		NodeID:     s.cfg.NodeID,
+		LocalGen:   uint64(s.localGen.Load()),
+		Watermarks: maps.Clone(s.watermarks),
+		Hearsay:    sortedKeys(s.hearsay),
+		Untracked:  s.untracked,
+		Senders:    make(map[string][]byte, len(s.senders)+1),
+	}
+	for sender, tr := range s.senders {
+		p.Senders[sender] = []byte{}
+		if tr != s.proto {
+			if p.Senders[sender], err = tr.MarshalBinary(); err != nil {
+				return p, err
+			}
+		}
+	}
+	var full *sketch.HeavyHitterTracker
+	if peer {
+		// Both sketch sections come from one localCut result (a second call
+		// could sit behind a write the first missed), and localGen was loaded
+		// before it, so the cut covers at least the generation it is sent as.
+		if full, err = s.localCut(); err == nil {
+			p.Senders[s.cfg.NodeID], err = full.MarshalBinary()
+		}
+		if err == nil && s.foreign != nil {
+			full, err = s.plusForeign(full)
+		}
+		p.Watermarks[s.cfg.NodeID] = p.LocalGen
+		p.Hearsay = sortedKeys(p.Watermarks)
+	} else {
+		var ep *readEpoch
+		if ep, err = s.snapshotLocked(); err == nil {
+			full = ep.snap
+		}
+	}
+	if err == nil {
+		p.Snapshot, err = full.MarshalBinary()
+	}
+	return p, err
+}
+
+// handleBootstrap serves one barrier-consistent state transfer (see
+// transferLocked).
 func (s *Server) handleBootstrap(w http.ResponseWriter, r *http.Request) {
 	requester := r.URL.Query().Get("node")
 
@@ -273,38 +368,7 @@ func (s *Server) handleBootstrap(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusServiceUnavailable, "server is shutting down")
 		return
 	}
-	gLocal := s.localGen.Load()
-	local, err := s.localCut()
-	if err != nil {
-		s.snapMu.Unlock()
-		writeSnapshotErr(w, err)
-		return
-	}
-	payload := BootstrapPayload{
-		NodeID:     s.cfg.NodeID,
-		LocalGen:   uint64(gLocal),
-		Watermarks: make(map[string]uint64, len(s.watermarks)+1),
-		Senders:    make(map[string][]byte, len(s.senders)+1),
-	}
-	for sender, mark := range s.watermarks {
-		payload.Watermarks[sender] = mark
-	}
-	payload.Watermarks[s.cfg.NodeID] = uint64(gLocal)
-	for sender, tr := range s.senders {
-		if payload.Senders[sender], err = tr.MarshalBinary(); err != nil {
-			break
-		}
-	}
-	if err == nil {
-		payload.Senders[s.cfg.NodeID], err = local.MarshalBinary()
-	}
-	full := local
-	if err == nil && s.foreign != nil {
-		full, err = s.plusForeign(local)
-	}
-	if err == nil {
-		payload.Snapshot, err = full.MarshalBinary()
-	}
+	payload, err := s.transferLocked(true)
 	s.snapMu.Unlock()
 
 	var body []byte
@@ -312,12 +376,12 @@ func (s *Server) handleBootstrap(w http.ResponseWriter, r *http.Request) {
 		body, err = AppendBootstrapResponse(nil, payload)
 	}
 	if err != nil {
-		writeErr(w, http.StatusInternalServerError, "assembling bootstrap response: %v", err)
+		writeSnapshotErr(w, fmt.Errorf("assembling bootstrap response: %w", err))
 		return
 	}
 	s.snapshots.Add(1)
 	s.cfg.Logf("server: served %d-byte bootstrap transfer (gen %d, %d senders) to %q",
-		len(body), gLocal, len(payload.Senders), requester)
+		len(body), payload.LocalGen, len(payload.Senders), requester)
 	w.Header().Set("Content-Type", contentTypeBootstrap)
 	w.WriteHeader(http.StatusOK)
 	w.Write(body)
@@ -355,7 +419,7 @@ func (s *Server) bootstrapLoop() {
 						s.cfg.Logf("server: persisting bootstrapped state: %v", serr)
 					}
 				}
-				s.cfg.Logf("server: bootstrap from %s complete; serving", src)
+				s.cfg.Logf("server: absorbed bootstrap transfer from %s; serving", src)
 				return
 			}
 			s.bootstrapFailures.Add(1)
@@ -382,13 +446,17 @@ func (s *Server) bootstrapFrom(src string) error {
 	return s.installBootstrap(payload)
 }
 
-// installBootstrap absorbs a decoded state transfer: the snapshot becomes
-// foreign mass (gossip never re-ships it), the watermarks and
-// per-sender trackers are installed verbatim (minus this node's own id — a
-// node never receives deltas from itself). Decoding happens before the
-// barrier lock; the engine's registered decoder rejects incompatible seeds
-// and shapes, so a transfer from a differently-configured mesh fails here
-// with no counter touched.
+// installBootstrap installs a decoded SKP1 state — a peer's transfer, or this
+// node's recovery file at startup; the two differ only in what they hold (see
+// transferLocked). The snapshot becomes foreign mass (gossip never re-ships
+// it), and the watermarks, hearsay marks and trackers install verbatim, minus
+// this node's own id: a node never receives deltas from itself. An empty
+// tracker section installs as proto. A mark without a tracker, like the
+// untracked flag, makes the node untracked: that sender's mass inside the
+// snapshot cannot be attributed, so it must heal by reset, not replace.
+//
+// Every section is decoded before the barrier lock, and the engine's decoder
+// rejects incompatible seeds and shapes, so a failed install changes nothing.
 func (s *Server) installBootstrap(p *BootstrapPayload) error {
 	snapSketch, err := s.eng.DecodeReplica(p.Snapshot)
 	if err != nil {
@@ -396,14 +464,15 @@ func (s *Server) installBootstrap(p *BootstrapPayload) error {
 	}
 	trackers := make(map[string]*sketch.HeavyHitterTracker, len(p.Senders))
 	for id, enc := range p.Senders {
-		if id == s.cfg.NodeID {
-			continue
+		switch {
+		case id == s.cfg.NodeID:
+		case len(enc) == 0:
+			trackers[id] = s.proto
+		default:
+			if trackers[id], err = s.eng.DecodeReplica(enc); err != nil {
+				return fmt.Errorf("bootstrap tracker for %q: %w", id, err)
+			}
 		}
-		tr, err := s.eng.DecodeReplica(enc)
-		if err != nil {
-			return fmt.Errorf("bootstrap tracker for %q: %w", id, err)
-		}
-		trackers[id] = tr
 	}
 
 	s.snapMu.Lock()
@@ -418,27 +487,24 @@ func (s *Server) installBootstrap(p *BootstrapPayload) error {
 		s.senders[id] = tr
 	}
 	s.adoptSoleTracker()
+	s.untracked = s.untracked || p.Untracked
 	for id, mark := range p.Watermarks {
 		if id == s.cfg.NodeID {
 			continue
 		}
 		s.watermarks[id] = mark
-		// Until a direct frame from this sender confirms the mark, it is
-		// hearsay: a divergence on its link must heal via replace, not a
-		// reset-to-0 that would re-ship mass the snapshot already carries.
-		s.hearsay[id] = true
 		if _, ok := s.senders[id]; !ok {
-			// The source shipped a watermark without the matching tracker
-			// (it recovered without a consistent sidecar itself): this
-			// sender's mass inside the snapshot cannot be attributed, so a
-			// replace frame from it would double-count — fall back to the
-			// reset protocol for it.
 			s.untracked = true
 		}
 	}
+	for _, id := range p.Hearsay {
+		if id != s.cfg.NodeID {
+			s.hearsay[id] = true
+		}
+	}
 	s.gen.Add(1)
-	s.cfg.Logf("server: absorbed bootstrap transfer from %q: %d snapshot bytes, %d watermarks, %d trackers",
-		p.NodeID, len(p.Snapshot), len(p.Watermarks), len(trackers))
+	s.cfg.Logf("server: installed the state %q cut: %d snapshot bytes, %d watermarks (%d hearsay), %d trackers",
+		p.NodeID, len(p.Snapshot), len(p.Watermarks), len(p.Hearsay), len(trackers))
 	return nil
 }
 
@@ -452,62 +518,4 @@ func bootstrapGated(path string) bool {
 		return false
 	}
 	return true
-}
-
-// loadSenders restores the per-sender received-mass trackers persisted
-// beside a recovered snapshot, but only when the sidecar's CRC matches the
-// snapshot bytes actually recovered: a tracker cut with different counters
-// would make replace-frame subtraction double-count. On any mismatch the
-// daemon marks itself untracked — senders with persisted marks heal through
-// the reset protocol until they re-align from scratch. Only called from the
-// snapshot-recovery path in New.
-func (s *Server) loadSenders(snapData []byte) {
-	path := filepath.Join(s.cfg.SnapshotDir, SendersFileName)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		if !errors.Is(err, os.ErrNotExist) {
-			s.cfg.Logf("server: reading sender sidecar %s: %v", path, err)
-		}
-		s.untracked = true
-		return
-	}
-	var file sendersFile
-	if err := json.Unmarshal(raw, &file); err != nil {
-		s.cfg.Logf("server: ignoring corrupt sender sidecar %s: %v", path, err)
-		s.untracked = true
-		return
-	}
-	if got := crc32.Checksum(snapData, castagnoli); got != file.SnapCRC {
-		s.cfg.Logf("server: sender sidecar %s was cut with a different snapshot (crc %08x, snapshot %08x): ignoring it",
-			path, file.SnapCRC, got)
-		s.untracked = true
-		return
-	}
-	for id, enc := range file.Senders {
-		tr, err := s.eng.DecodeReplica(enc)
-		if err != nil {
-			s.cfg.Logf("server: ignoring sender sidecar %s: tracker for %q: %v", path, id, err)
-			s.senders = make(map[string]*sketch.HeavyHitterTracker)
-			s.untracked = true
-			return
-		}
-		s.senders[id] = tr
-	}
-	for _, id := range file.Hearsay {
-		s.hearsay[id] = true
-	}
-	s.untracked = file.Untracked
-	s.cfg.Logf("server: recovered %d sender trackers from %s", len(s.senders), path)
-}
-
-// sendersFile is the JSON schema of SendersFileName: the CRC-32C of the
-// snapshot the trackers were cut with, the untracked flag (the daemon held
-// unattributed foreign mass when it saved, so senders without a tracker here
-// must keep using the reset protocol), the senders whose watermarks were
-// still unconfirmed bootstrap hearsay, and the tracker encodings themselves.
-type sendersFile struct {
-	SnapCRC   uint32            `json:"snap_crc"`
-	Untracked bool              `json:"untracked,omitempty"`
-	Hearsay   []string          `json:"hearsay,omitempty"`
-	Senders   map[string][]byte `json:"senders,omitempty"`
 }

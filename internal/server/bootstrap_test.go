@@ -3,15 +3,15 @@ package server
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -23,16 +23,20 @@ import (
 
 // TestBootstrapResponseCodec: SKP1 round-trips exactly, re-encoding a decoded
 // payload is a fixed point (canonical sorted sections), and every forged or
-// truncated header is refused before any large allocation.
+// truncated header — the previous version's included — is refused before any
+// large allocation.
 func TestBootstrapResponseCodec(t *testing.T) {
 	payload := BootstrapPayload{
 		NodeID:     "node-a",
 		LocalGen:   42,
 		Watermarks: map[string]uint64{"node-a": 42, "node-b": 7, "node-c": 0},
+		Hearsay:    []string{"node-c", "node-b"},
+		Untracked:  true,
 		Snapshot:   []byte("snapshot-bytes-stand-in"),
 		Senders: map[string][]byte{
 			"node-a": []byte("tracker-a"),
 			"node-b": []byte("tracker-b"),
+			"node-c": {},
 		},
 	}
 	enc, err := AppendBootstrapResponse(nil, payload)
@@ -52,8 +56,11 @@ func TestBootstrapResponseCodec(t *testing.T) {
 	if !bytes.Equal(dec.Snapshot, payload.Snapshot) {
 		t.Fatal("snapshot bytes changed in round trip")
 	}
-	if len(dec.Senders) != 2 || !bytes.Equal(dec.Senders["node-b"], []byte("tracker-b")) {
+	if len(dec.Senders) != 3 || !bytes.Equal(dec.Senders["node-b"], []byte("tracker-b")) || len(dec.Senders["node-c"]) != 0 {
 		t.Fatalf("sender sections round trip: %v", dec.Senders)
+	}
+	if !dec.Untracked || !slices.Equal(dec.Hearsay, []string{"node-b", "node-c"}) {
+		t.Fatalf("flags and hearsay round trip: untracked %v, hearsay %v", dec.Untracked, dec.Hearsay)
 	}
 	reenc, err := AppendBootstrapResponse(nil, *dec)
 	if err != nil {
@@ -76,7 +83,7 @@ func TestBootstrapResponseCodec(t *testing.T) {
 		{"truncated body", enc[:len(enc)-9]},
 		{"bad magic", corrupt(func(b []byte) []byte { b[0] = 'X'; return b })},
 		{"bad version", corrupt(func(b []byte) []byte { b[4] = 99; return b })},
-		{"bad flags", corrupt(func(b []byte) []byte { b[5] = 1; return b })},
+		{"bad flags", corrupt(func(b []byte) []byte { b[5] = 3; return b })},
 		{"flipped payload byte", corrupt(func(b []byte) []byte { b[len(b)-10] ^= 0x40; return b })},
 		{"flipped crc", corrupt(func(b []byte) []byte { b[len(b)-1] ^= 0x01; return b })},
 	}
@@ -84,6 +91,14 @@ func TestBootstrapResponseCodec(t *testing.T) {
 		if _, err := DecodeBootstrapResponse(tc.data, 0); err == nil {
 			t.Errorf("%s: decode accepted corrupt input", tc.name)
 		}
+	}
+	v1 := corrupt(func(b []byte) []byte { b[4] = 1; return b })
+	if _, err := DecodeBootstrapResponse(v1, 0); err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Errorf("version 1: %v, want an error naming the version", err)
+	}
+	// Hearsay must be a watermark, and the encoder says so before it writes.
+	if _, err := AppendBootstrapResponse(nil, BootstrapPayload{NodeID: "x", Hearsay: []string{"y"}}); err == nil {
+		t.Error("encoded hearsay without a watermark")
 	}
 	// A section cap below the snapshot size must refuse the declared length.
 	if _, err := DecodeBootstrapResponse(enc, 4); err == nil {
@@ -405,8 +420,9 @@ func TestBootstrapGatesAPIAndDegrades(t *testing.T) {
 // TestReplaceFrameHealsDivergence: the replace-frame protocol end to end on
 // one receiver — a tracked sender whose window diverged gets the replace
 // offer in the 409, the replace frame swaps its contribution in exactly
-// (no loss, no double count), retrying it is a no-op, and a receiver whose
-// trackers are unusable (recovered without the sidecar) refuses it.
+// (no loss, no double count), retrying it is a no-op, and a receiver that
+// holds the sender's mass untracked (recovered from a file that says so)
+// refuses it.
 func TestReplaceFrameHealsDivergence(t *testing.T) {
 	cfg := Config{Width: 512, Depth: 4, K: 16, Seed: 37}
 	_, client := testDaemon(t, cfg)
@@ -483,8 +499,9 @@ func TestReplaceFrameHealsDivergence(t *testing.T) {
 		t.Fatalf("deltas_replaced = %d, want 1", stats.DeltasReplaced)
 	}
 
-	// A receiver that recovered without the sender sidecar cannot attribute
-	// its counters per sender: replace must be refused, without the offer.
+	// A receiver that recovered an untracked file — y's mark, no tracker —
+	// cannot attribute its counters per sender: replace must be refused,
+	// without the offer.
 	dir := t.TempDir()
 	recCfg := cfg
 	recCfg.SnapshotDir = dir
@@ -503,9 +520,10 @@ func TestReplaceFrameHealsDivergence(t *testing.T) {
 	if err := srv1.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Remove(filepath.Join(dir, SendersFileName)); err != nil {
-		t.Fatal(err)
-	}
+	rewriteRecoveryFile(t, dir, func(p *BootstrapPayload) {
+		p.Untracked = true
+		p.Senders = nil
+	})
 	srv2, err := New(recCfg)
 	if err != nil {
 		t.Fatal(err)
@@ -687,12 +705,13 @@ func TestReplaceFromWipedSenderKeepsHistory(t *testing.T) {
 	}
 }
 
-// TestBootstrapPartialCrashResync: a crash between the snapshot rename and
-// the watermark rename leaves counters newer than the persisted marks. On
-// restart the node must not silently skip the gap — the sender's next frame
-// 409s, and because the sender sidecar was cut with the surviving snapshot,
-// the refusal carries the replace offer and one replace frame heals the
-// window exactly.
+// TestBootstrapPartialCrashResync: a receiver that crashed after acking the
+// window (5,9] but before its next save comes back with the file it saved
+// before that window — counters and mark both older than what the sender
+// saw acknowledged. The node must not silently skip the gap: the sender's
+// next frame 409s, and because the file carries the sender's tracker, the
+// refusal carries the replace offer and one replace frame heals the window
+// exactly.
 func TestBootstrapPartialCrashResync(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{Width: 512, Depth: 4, K: 16, Seed: 43, SnapshotDir: dir}
@@ -723,29 +742,29 @@ func TestBootstrapPartialCrashResync(t *testing.T) {
 		t.Fatal(err)
 	}
 	stop1()
-	staleMarks, err := os.ReadFile(filepath.Join(dir, WatermarkFileName))
+	path := filepath.Join(dir, SnapshotFileName)
+	gen1File, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Generation 2: mark 9, 150 mass; then simulate the crash window by
-	// putting the generation-1 watermark file back next to the newer
-	// snapshot and sidecar.
+	// Generation 2 acks (5,9] with 50 mass, then crashes before saving it:
+	// the generation-1 file is what is on disk when it comes back.
 	srv2, c2, stop2 := restart()
 	_ = srv2
-	if _, err := c2.PushDelta(ctx, DeltaFrame{
+	if resp, err := c2.PushDelta(ctx, DeltaFrame{
 		Sender: "origin", FromGen: 5, ToGen: 9, Payload: deltaPayloadFor(t, mkSketch(2, 50)),
-	}); err != nil {
-		t.Fatal(err)
+	}); err != nil || !resp.Applied {
+		t.Fatalf("window (5,9]: %+v, %v", resp, err)
 	}
 	stop2()
-	if err := os.WriteFile(filepath.Join(dir, WatermarkFileName), staleMarks, 0o644); err != nil {
+	if err := os.WriteFile(path, gen1File, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	// Generation 3 recovers 150 mass against a mark of 5. The sender's next
+	// Generation 3 recovers 100 mass against a mark of 5. The sender's next
 	// in-sequence frame (from its point of view) must 409, not silently
-	// skip (5,9] again or double-apply it.
+	// skip (5,9].
 	srv3, c3, stop3 := restart()
 	_ = srv3
 	defer stop3()
@@ -753,11 +772,11 @@ func TestBootstrapPartialCrashResync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.TotalMass != 150 {
-		t.Fatalf("recovered mass %v, want 150", stats.TotalMass)
+	if stats.TotalMass != 100 {
+		t.Fatalf("recovered mass %v, want generation 1's 100", stats.TotalMass)
 	}
 	if stats.Watermarks["origin"] != 5 {
-		t.Fatalf("recovered watermark %d, want the stale 5", stats.Watermarks["origin"])
+		t.Fatalf("recovered watermark %d, want generation 1's 5", stats.Watermarks["origin"])
 	}
 	_, err = c3.PushDelta(ctx, DeltaFrame{
 		Sender: "origin", FromGen: 9, ToGen: 12, Payload: deltaPayloadFor(t, mkSketch(3, 7)),
@@ -794,11 +813,12 @@ func TestBootstrapPartialCrashResync(t *testing.T) {
 	}
 }
 
-// TestBootstrapSkipsStaleSnapshot: a snapshot whose watermark sidecar is
-// missing is "stale" when bootstrap sources are configured — the node
-// prefers a fresh transfer over rejoining with counters that would force
-// every sender through a lossy resync.
-func TestBootstrapSkipsStaleSnapshot(t *testing.T) {
+// TestUndecodableSnapshotBootstraps: a recovery file that does not install —
+// here a sketchd.snap from before SKP1, a bare /v1/snapshot body — fails New,
+// naming the file, unless bootstrap sources are configured: then the node
+// logs it and bootstraps from a peer, and none of the file's mass leaks into
+// the state it serves.
+func TestUndecodableSnapshotBootstraps(t *testing.T) {
 	cfg := Config{Width: 512, Depth: 4, K: 16, Seed: 47}
 	ctx := context.Background()
 
@@ -808,69 +828,62 @@ func TestBootstrapSkipsStaleSnapshot(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	nodeCfg := cfg
-	nodeCfg.SnapshotDir = dir
-	srv1, c1, err := func() (*Server, *Client, error) {
-		srv, err := New(nodeCfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		hs := httptest.NewServer(srv.Handler())
-		t.Cleanup(hs.Close)
-		return srv, NewClient(hs.URL, hs.Client()), nil
-	}()
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, c1 := testDaemon(t, cfg)
 	if err := c1.Update(ctx, []engine.Update{{Item: 9, Delta: 999}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := srv1.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Doctor the crash: the snapshot survived, the watermark file did not.
-	if err := os.Remove(filepath.Join(dir, WatermarkFileName)); err != nil {
-		t.Fatal(err)
-	}
-
-	nodeCfg.NodeID = "rejoiner"
-	nodeCfg.BootstrapFrom = []string{sourceClient.base}
-	srv2, err := New(nodeCfg)
+	oldFile, err := c1.Snapshot(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs2 := httptest.NewServer(srv2.Handler())
-	t.Cleanup(func() { hs2.Close(); srv2.Close() })
-	c2 := NewClient(hs2.URL, hs2.Client())
+	path := filepath.Join(dir, SnapshotFileName)
+	if err := os.WriteFile(path, oldFile, 0o644); err != nil {
+		t.Fatal(err)
+	}
 
+	nodeCfg := cfg
+	nodeCfg.SnapshotDir = dir
+	nodeCfg.NodeID = "rejoiner"
+	if srv, err := New(nodeCfg); err == nil {
+		srv.Close()
+		t.Fatal("New recovered from a file that is not SKP1")
+	} else if !strings.Contains(err.Error(), path) {
+		t.Fatalf("New's error does not name the file %s: %v", path, err)
+	}
+
+	nodeCfg.BootstrapFrom = []string{sourceClient.base}
+	_, c2 := testDaemon(t, nodeCfg)
 	stats := waitForServing(t, c2)
 	if stats.TotalMass != 100 {
-		t.Fatalf("rejoined mass %v, want the source's 100 (stale snapshot must not be absorbed)", stats.TotalMass)
+		t.Fatalf("rejoined mass %v, want the source's 100 (the file must not be absorbed)", stats.TotalMass)
 	}
 	got, err := c2.Query(ctx, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got[0] != 0 {
-		t.Fatalf("stale snapshot's mass leaked through: estimate %v", got[0])
+		t.Fatalf("the old file's mass leaked through: estimate %v", got[0])
 	}
 }
 
-// TestRecoveryServesTheSameBytes: a daemon recovered from its snapshot and
-// sender sidecar serves the same /v1/snapshot bytes after the restart, and a
-// replace frame from a tracked sender still lands exactly. Foreign is the
-// recovered state, and when one sender's tracker is all of it — a read
-// replica fed by one sender — that tracker is foreign itself again: foreign
-// is resident as an array of its own only with two senders or a merge.
+// TestRecoveryServesTheSameBytes: a daemon recovered from its recovery file
+// serves the same /v1/snapshot bytes after the restart, holds the same
+// resident sketches, and a replace frame from a tracked sender still lands
+// exactly. Foreign is the recovered state, and when one sender's tracker is
+// all of it — a read replica fed by one sender — that tracker is foreign
+// itself again: foreign is resident as an array of its own only with two
+// senders or a merge. A sender that reset to 0 and has landed nothing since
+// is tracked with no counters, before the restart and after it.
 func TestRecoveryServesTheSameBytes(t *testing.T) {
 	for _, tc := range []struct {
-		name        string
-		b, merged   bool
-		wantForeign int
+		name             string
+		b, merged, reset bool
+		wantForeign      int
 	}{
-		{"one sender", false, false, 0},
-		{"two senders", true, false, 1},
-		{"one sender and a merge", false, true, 1},
+		{"one sender", false, false, false, 0},
+		{"two senders", true, false, false, 1},
+		{"one sender and a merge", false, true, false, 1},
+		{"reset-to-0 sender", false, false, true, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := Config{Width: 512, Depth: 4, K: 16, Seed: 61, SnapshotDir: t.TempDir()}
@@ -912,7 +925,16 @@ func TestRecoveryServesTheSameBytes(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			if tc.reset {
+				if resp, err := c1.PushDelta(ctx, DeltaFrame{Sender: "c", Reset: true}); err != nil || resp.Applied {
+					t.Fatalf("reset-to-0 from c: %+v, %v", resp, err)
+				}
+			}
 			before, err := c1.Snapshot(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			statsBefore, err := c1.Stats(ctx)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -933,6 +955,9 @@ func TestRecoveryServesTheSameBytes(t *testing.T) {
 			if res := stats.Resident; res.Senders != len(frames)-1 || res.Foreign != tc.wantForeign {
 				t.Fatalf("recovered resident %+v, want senders %d and foreign %d", res, len(frames)-1, tc.wantForeign)
 			}
+			if stats.Resident != statsBefore.Resident {
+				t.Fatalf("resident sketches %+v after the restart, %+v before", stats.Resident, statsBefore.Resident)
+			}
 
 			// a's full state: what it shipped so far, plus item 3. The replace
 			// swaps a's share exactly, so reference gains item 3 only.
@@ -952,7 +977,7 @@ func TestRecoveryServesTheSameBytes(t *testing.T) {
 }
 
 // TestReceivedTrackerBecomesForeignOnlyIfEqual: a state S received whole —
-// recovered beside a sender sidecar, or installed from a bootstrap transfer —
+// recovered from the recovery file, or installed from a bootstrap transfer —
 // becomes foreign, and the one tracker that comes with it replaces foreign's
 // array only when it holds S's counters bit for bit. Here b's tracker either
 // is S, or holds 2^54 where S holds 1 (a tracker that is not all of S). The
@@ -970,33 +995,27 @@ func TestReceivedTrackerBecomesForeignOnlyIfEqual(t *testing.T) {
 	snapSketch := mkSketch(1, 1, 2, 5)
 	snap := mustEncode(t, snapSketch)
 	ctx := context.Background()
-	for _, via := range []string{"sidecar", "bootstrap"} {
+	for _, via := range []string{"disk", "bootstrap"} {
 		for _, equal := range []bool{true, false} {
 			t.Run(fmt.Sprintf("%s/equal=%v", via, equal), func(t *testing.T) {
 				tracker := snap
 				if !equal {
 					tracker = mustEncode(t, mkSketch(1, 1<<54))
 				}
+				payload := BootstrapPayload{
+					NodeID: "source", Snapshot: snap, Senders: map[string][]byte{"b": tracker}, Watermarks: map[string]uint64{"b": 5},
+				}
 				var client *Client
-				if via == "sidecar" {
+				if via == "disk" {
 					nodeCfg := cfg
 					nodeCfg.SnapshotDir = t.TempDir()
-					side, err := json.Marshal(sendersFile{SnapCRC: crc32.Checksum(snap, castagnoli), Senders: map[string][]byte{"b": tracker}})
-					if err != nil {
-						t.Fatal(err)
-					}
-					for name, data := range map[string][]byte{SnapshotFileName: snap, SendersFileName: side, WatermarkFileName: []byte(`{"b":5}`)} {
-						if err := os.WriteFile(filepath.Join(nodeCfg.SnapshotDir, name), data, 0o644); err != nil {
-							t.Fatal(err)
-						}
-					}
+					writeRecoveryFile(t, nodeCfg.SnapshotDir, payload)
 					_, client = testDaemon(t, nodeCfg)
 				} else {
 					var srv *Server
 					srv, client = testDaemon(t, cfg)
-					if err := srv.installBootstrap(&BootstrapPayload{
-						NodeID: "source", Snapshot: snap, Senders: map[string][]byte{"b": tracker}, Watermarks: map[string]uint64{"b": 5},
-					}); err != nil {
+					payload.Hearsay = []string{"b"}
+					if err := srv.installBootstrap(&payload); err != nil {
 						t.Fatal(err)
 					}
 				}

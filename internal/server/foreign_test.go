@@ -74,8 +74,8 @@ func TestForeignMassStaysOutOfEngine(t *testing.T) {
 			everything, local := newSketch(), newSketch()
 
 			// Entry point 1, recovery: a previous incarnation held this mass
-			// and shut down (writing the snapshot and its sidecars); the
-			// restarted daemon recovers it as foreign.
+			// and shut down (writing its recovery file); the restarted daemon
+			// recovers it as foreign.
 			prev, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)

@@ -4,7 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
+
+	"repro/internal/sketch"
+	"repro/internal/xrand"
 )
 
 // FuzzDecodeBatchColumns attacks the "SKB1" ingest frame parser — the
@@ -72,8 +77,9 @@ func FuzzDecodeKeyColumns(f *testing.F) {
 // must be validated against the remaining input (and the caller's section
 // cap) before any allocation, and any accepted transfer must re-encode
 // through AppendBootstrapResponse byte-identically: the encoding is
-// canonical (sections in fixed order, sender ids sorted), so decode∘encode
-// is a fixed point on everything the decoder accepts.
+// canonical (sections in fixed order, hearsay and sender ids strictly
+// ascending), so decode∘encode is a fixed point on everything the decoder
+// accepts.
 func FuzzDecodeBootstrapResponse(f *testing.F) {
 	golden, err := AppendBootstrapResponse(nil, BootstrapPayload{
 		NodeID:     "node-a",
@@ -95,6 +101,32 @@ func FuzzDecodeBootstrapResponse(f *testing.F) {
 	}
 	f.Add(empty)
 	f.Add([]byte("SKP1\x01\x00\x00\x05junkjunkjunkjunk"))
+	// Version 2's additions: hearsay, the untracked bit and an empty tracker
+	// section, in the committed fixture and in a frame of real sketches.
+	fixture, err := os.ReadFile(filepath.Join("testdata", "bootstrap.golden"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(fixture)
+	sk := sketch.NewHeavyHitterTracker(xrand.New(5), 16, 2, 4)
+	sk.Update(3, 2)
+	enc, err := sk.MarshalBinary()
+	if err != nil {
+		f.Fatal(err)
+	}
+	v2, err := AppendBootstrapResponse(nil, BootstrapPayload{
+		NodeID:     "node-a",
+		Watermarks: map[string]uint64{"node-b": 7, "node-c": 3},
+		Hearsay:    []string{"node-b"},
+		Untracked:  true,
+		Snapshot:   enc,
+		Senders:    map[string][]byte{"node-b": enc, "node-c": {}},
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v2)
+	f.Add([]byte("SKP1\x02\x01\x00\x05junkjunkjunkjunk"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		payload, err := DecodeBootstrapResponse(data, 1<<20)
 		if err != nil {

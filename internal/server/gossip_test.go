@@ -11,8 +11,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"slices"
 	"strings"
 	"sync"
@@ -613,7 +611,8 @@ func TestDeltaFrameRoundTrip(t *testing.T) {
 }
 
 // TestGossipWatermarkPersistence: a receiver persists its per-sender
-// watermarks beside the snapshot and reloads them on restart, so a sender
+// watermarks with its counters, in the one recovery file, and reloads them on
+// restart, so a sender
 // can continue its delta sequence where it left off — no 409, no reset
 // resync, no double-counting when it retries the last pre-restart frame.
 func TestGossipWatermarkPersistence(t *testing.T) {
@@ -644,9 +643,7 @@ func TestGossipWatermarkPersistence(t *testing.T) {
 	if err := srv1.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, WatermarkFileName)); err != nil {
-		t.Fatalf("watermark file not persisted: %v", err)
-	}
+	requireOneRecoveryFile(t, dir)
 
 	// Restart from the same directory: the watermark must come back with the
 	// counters.
@@ -690,26 +687,6 @@ func TestGossipWatermarkPersistence(t *testing.T) {
 	}
 	if estimates[0] != 100 || estimates[1] != 50 {
 		t.Fatalf("estimates after restart: item1=%v item2=%v, want 100 and 50", estimates[0], estimates[1])
-	}
-}
-
-// TestWatermarksIgnoredWithoutSnapshot: stale watermarks next to a missing
-// snapshot must not be loaded — a blank daemon that trusted them would
-// silently skip every delta below the stale marks.
-func TestWatermarksIgnoredWithoutSnapshot(t *testing.T) {
-	dir := t.TempDir()
-	cfg := Config{Width: 512, Depth: 4, K: 16, Seed: 6, SnapshotDir: dir}
-	if err := os.WriteFile(filepath.Join(dir, WatermarkFileName), []byte(`{"origin":5}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	srv, client := testDaemon(t, cfg)
-	_ = srv
-	stats, err := client.Stats(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(stats.Watermarks) != 0 {
-		t.Fatalf("blank daemon loaded stale watermarks: %v", stats.Watermarks)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"net"
@@ -15,7 +14,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -27,15 +25,13 @@ import (
 	"repro/internal/xrand"
 )
 
-// SnapshotFileName is the file a Server periodically ships its snapshot to
-// inside Config.SnapshotDir, and the file New recovers from on startup.
+// SnapshotFileName is the recovery file inside Config.SnapshotDir: one SKP1
+// frame (see bootstrap.go) that SaveSnapshot writes and New installs.
 const SnapshotFileName = "sketchd.snap"
 
-// WatermarkFileName is the file the per-peer gossip watermarks are persisted
-// to beside the snapshot (same Config.SnapshotDir, same cadence). Reloading
-// it on startup lets a restarted receiver resume deltas where it left off
-// instead of forcing every sender through a 409 reset resync.
-const WatermarkFileName = "sketchd.watermarks"
+// unreadableSuffix names where New moves a recovery file it cannot install
+// before it bootstraps from a peer instead.
+const unreadableSuffix = ".unreadable"
 
 // Config shapes a Server.
 type Config struct {
@@ -58,10 +54,14 @@ type Config struct {
 	// means GOMAXPROCS.
 	Producers int
 	// SnapshotDir, when non-empty, enables snapshot shipping: the server
-	// recovers from SnapshotDir/sketchd.snap on startup (if present), writes
-	// it on Close, and every SnapshotEvery in between. Counters recover
-	// bit-identically because the encoding carries the hash seeds and exact
-	// IEEE-754 counter bits.
+	// writes its whole state — counters, gossip watermarks, sender trackers —
+	// to SnapshotDir/sketchd.snap on Close and every SnapshotEvery in between,
+	// as one SKP1 frame, fsynced and renamed into place, and installs it on
+	// startup exactly as it would a peer's bootstrap transfer. Counters
+	// recover bit-identically because the encoding carries the hash seeds and
+	// exact IEEE-754 counter bits. A file that is present but cannot be
+	// installed (torn, corrupt, from an older release) makes New fail, unless
+	// BootstrapFrom is set.
 	SnapshotDir string
 	// SnapshotEvery is the period of the background snapshot writer; zero
 	// disables periodic writes (startup recovery and the Close-time write
@@ -94,13 +94,15 @@ type Config struct {
 	// one second. Ignored without Peers.
 	GossipEvery time.Duration
 	// BootstrapFrom lists peer base URLs to fetch a /v1/bootstrap state
-	// transfer from when this daemon starts without a usable local snapshot
-	// (none at all, or one whose watermark sidecar is missing or corrupt).
-	// Sources are tried in order with BootstrapRetryWait between rounds;
-	// until one succeeds every endpoint except /v1/healthz and /v1/stats
-	// answers 503 and the replicator stays parked, so the node never serves
-	// or gossips state it does not hold. Empty disables peer bootstrap (the
-	// pre-existing behaviour: rejoin blank and converge forward).
+	// transfer from when this daemon starts without recovering local state:
+	// SnapshotDir is unset or holds no recovery file, or the file cannot be
+	// installed (it is then logged and moved aside to sketchd.snap.unreadable).
+	// Sources are tried in order with BootstrapRetryWait between rounds; until
+	// one succeeds every endpoint except /v1/healthz and /v1/stats answers 503,
+	// the replicator stays parked and nothing is saved to SnapshotDir, so the
+	// node never serves, gossips or persists state it does not hold. Empty
+	// disables peer bootstrap (the pre-existing behaviour: rejoin blank and
+	// converge forward).
 	BootstrapFrom []string
 	// BootstrapAttempts is how many rounds over BootstrapFrom to try before
 	// degrading to serving empty state; zero means 3.
@@ -114,7 +116,8 @@ type Config struct {
 	GossipBackoffMax time.Duration
 	// NodeID names this daemon in the delta frames it sends — the key peers
 	// keep their watermark under. It must be unique per daemon and stable
-	// for the daemon's lifetime; empty means a host-pid-sequence identifier.
+	// for the daemon's lifetime, and at most 256 bytes; empty means a
+	// host-pid-sequence identifier.
 	NodeID string
 	// RecoverAlgos lists the sparse-recovery algorithms /v1/recover may run
 	// (subset of sketch, omp, iht, ista, smp); empty enables all of them.
@@ -389,15 +392,17 @@ type Server struct {
 	// of its own when its first window frame is applied — foreign itself, if
 	// that is the first foreign mass. Guarded by snapMu, like watermarks.
 	senders map[string]*sketch.HeavyHitterTracker
-	// untracked is set when this daemon recovered a snapshot without a
-	// CRC-consistent sender sidecar: the counters then contain foreign mass
-	// that cannot be attributed per sender, so replace frames are refused
-	// (reset resync instead) for any sender without a post-recovery tracker.
+	// untracked is set when the counters contain foreign mass that cannot be
+	// attributed per sender: an installed transfer or recovery file said so,
+	// or carried a watermark without a tracker, or a tracker fell out of
+	// sync. Replace frames are then refused (reset resync instead) for any
+	// sender without a tracker.
 	untracked bool
 	// hearsay marks watermark entries installed from a bootstrap transfer
-	// that no direct frame from the sender has confirmed yet. A reset-to-0
-	// from such a sender is ambiguous — it restarted, or it simply never
-	// acked us on this (virgin) link while our mark jumped via bootstrap —
+	// that no direct frame from the sender has confirmed yet (the recovery
+	// file keeps them hearsay across a restart). A reset-to-0 from such a
+	// sender is ambiguous — it restarted, or it simply never acked us on
+	// this (virgin) link while our mark jumped via bootstrap —
 	// and accepting it in the second case would double-count the sender's
 	// mass already inside the bootstrap snapshot. So a reset-to-0 on a
 	// hearsay mark is refused with the replace offer (exact either way the
@@ -494,6 +499,9 @@ func methodNotAllowed(allow string) http.HandlerFunc {
 // SnapshotEvery is set.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
+	if !bootstrapIDOK(cfg.NodeID) {
+		return nil, fmt.Errorf("server: NodeID is %d bytes, want at most %d", len(cfg.NodeID), bootstrapMaxIDLen)
+	}
 	for _, algo := range cfg.RecoverAlgos {
 		if recovererFor(algo, 1) == nil {
 			return nil, fmt.Errorf("server: unknown recovery algorithm %q in RecoverAlgos (known: %s)", algo, strings.Join(recoverAlgoNames, ", "))
@@ -520,51 +528,37 @@ func New(cfg Config) (*Server, error) {
 		s.maxDeltaInner = 2 * (len(empty) + 8*cfg.K + 1024)
 	}
 
+	// One startup rule: no recovery file is a fresh start, a file that
+	// installs is recovered, and any other file fails New — or, with sources
+	// configured, is logged, moved aside to sketchd.snap.unreadable (so no
+	// later save replaces it) and replaced by a peer bootstrap. Recovered
+	// state is foreign to gossip, like any installed transfer: the peers alive
+	// before the crash already hold it, so it is never re-shipped.
 	recovered := false
 	if cfg.SnapshotDir != "" {
 		path := filepath.Join(cfg.SnapshotDir, SnapshotFileName)
 		data, err := os.ReadFile(path)
+		var p *BootstrapPayload
+		if err == nil {
+			p, err = DecodeBootstrapResponse(data, 0)
+		}
+		if err == nil {
+			err = s.installBootstrap(p) // nothing else holds s yet
+		}
 		switch {
 		case errors.Is(err, os.ErrNotExist):
-			// Fresh start (peer bootstrap below, when configured).
-		case err != nil:
-			s.eng.Close() // don't leak the worker goroutines
-			return nil, fmt.Errorf("server: reading snapshot %s: %w", path, err)
-		case len(cfg.BootstrapFrom) > 0 && !s.watermarkFileUsable():
-			// The snapshot is stale: its watermark sidecar is missing or
-			// corrupt, so rejoining from it would force every sender through
-			// a lossy reset resync. With bootstrap sources configured, a
-			// fresh barrier-consistent transfer from a live peer is strictly
-			// better — it carries the cluster's view of this node's own
-			// pre-crash mass too — so the local file is left untouched on
-			// disk but not absorbed.
-			cfg.Logf("server: snapshot %s has no usable watermark sidecar: bootstrapping from peers instead", path)
-		default:
-			// Recovered state counts as foreign for gossip purposes: the
-			// peers that were alive before the crash already hold it (they
-			// received it as deltas then), so re-shipping it would
-			// double-count. A peer that never saw it can be bootstrapped
-			// with /v1/snapshot -> /v1/merge (see docs/CLUSTER.md).
-			src, err := s.eng.DecodeReplica(data)
-			if err == nil {
-				err = s.mergeForeign(src, false) // nothing else holds s yet
-			}
-			if err != nil {
-				s.eng.Close() // don't leak the worker goroutines
-				return nil, fmt.Errorf("server: recovering from %s: %w", path, err)
-			}
+			err = nil
+		case err == nil:
 			recovered = true
-			cfg.Logf("server: recovered %d snapshot bytes from %s", len(data), path)
-			// Gossip watermarks only make sense next to the counters they
-			// were persisted with: a blank daemon reloading stale watermarks
-			// would silently skip every delta below them, so the file is
-			// consulted exclusively on the snapshot-recovery path. The
-			// sender trackers are stricter still: they must match the
-			// recovered counters bit for bit (CRC-checked in loadSenders) or
-			// replace-frame subtraction would double-count.
-			s.loadWatermarks()
-			s.loadSenders(data)
-			s.adoptSoleTracker()
+			cfg.Logf("server: recovered %d bytes of state from %s", len(data), path)
+			err = s.checkInvariants(nil)
+		case len(cfg.BootstrapFrom) > 0:
+			cfg.Logf("server: cannot recover from %s (%v): moving it to %s and bootstrapping from peers instead", path, err, path+unreadableSuffix)
+			err = os.Rename(path, path+unreadableSuffix)
+		}
+		if err != nil {
+			s.eng.Close() // don't leak the worker goroutines
+			return nil, fmt.Errorf("server: recovering from %s: %w", path, err)
 		}
 	}
 	if len(cfg.BootstrapFrom) > 0 && !recovered {
@@ -705,8 +699,10 @@ func (s *Server) Close() error {
 		cancel()
 	}
 
+	// A node whose bootstrap is still pending holds no state, and saves none
+	// (see snapshotLoop).
 	var saveErr error
-	if s.cfg.SnapshotDir != "" {
+	if s.cfg.SnapshotDir != "" && !s.bootstrapping.Load() {
 		_, saveErr = s.SaveSnapshot()
 	}
 
@@ -737,8 +733,11 @@ func (s *Server) Close() error {
 //     only while that one holds all the foreign mass: every other is proto.
 //   - An epoch stamped with the current generation is, bit for bit, the
 //     engine cut ⊕ foreign.
+//   - Every hearsay mark is a watermark.
 //
-// Caller holds s.snapMu, with ingestion stopped.
+// Caller holds s.snapMu, with ingestion stopped. New also checks a recovered
+// daemon before it starts, when local (unused while the engine has
+// dispatched nothing) is nil.
 func (s *Server) checkInvariants(local *sketch.HeavyHitterTracker) error {
 	if n, mass := len(s.proto.Backing().CounterData()), s.proto.TotalMass(); n != 0 || mass != 0 {
 		return fmt.Errorf("server: invariant violated: the shared empty baseline holds %d counters and total mass %v", n, mass)
@@ -772,6 +771,11 @@ func (s *Server) checkInvariants(local *sketch.HeavyHitterTracker) error {
 	if ep := s.epoch.Load(); ep != nil && ep.gen == s.gen.Load() && want != nil && !sameBits(ep.snap, want) {
 		return fmt.Errorf("server: invariant violated: the epoch served at generation %d is not the engine cut ⊕ foreign", ep.gen)
 	}
+	for id := range s.hearsay {
+		if _, ok := s.watermarks[id]; !ok {
+			return fmt.Errorf("server: invariant violated: sender %q has a hearsay mark but no watermark", id)
+		}
+	}
 	return nil
 }
 
@@ -788,6 +792,11 @@ func (s *Server) snapshotLoop() {
 		case <-s.stop:
 			return
 		case <-ticker.C:
+			if s.bootstrapping.Load() {
+				// No state yet: an empty file would make the next start
+				// recover nothing instead of bootstrapping again.
+				continue
+			}
 			if path, err := s.SaveSnapshot(); err != nil {
 				s.cfg.Logf("server: periodic snapshot failed: %v", err)
 			} else {
@@ -797,37 +806,22 @@ func (s *Server) snapshotLoop() {
 	}
 }
 
-// SaveSnapshot writes the current exact snapshot to
-// SnapshotDir/sketchd.snap atomically (write to a temp file, then rename)
-// and returns the path written.
+// SaveSnapshot writes this node's state to SnapshotDir/sketchd.snap as one
+// SKP1 frame, cut under one barrier hold (see transferLocked), and returns
+// the path written. The file replaces the previous one durably and
+// atomically (see writeFileAtomic), so a crash at any point leaves one
+// complete file or the other.
 func (s *Server) SaveSnapshot() (string, error) {
 	if s.cfg.SnapshotDir == "" {
 		return "", errors.New("server: no snapshot directory configured")
 	}
-	// The watermarks and sender trackers are copied under the same barrier
-	// hold as the snapshot encode, so the persisted triple is consistent:
-	// the watermark file never claims a delta the snapshot's counters don't
-	// contain, and every tracker matches the counters bit for bit.
 	s.snapMu.Lock()
-	data, err := s.encodedSnapshotLocked()
-	marks := make(map[string]uint64, len(s.watermarks))
-	for sender, mark := range s.watermarks {
-		marks[sender] = mark
-	}
-	side := sendersFile{Untracked: s.untracked}
-	if err == nil && len(s.senders) > 0 {
-		side.Senders = make(map[string][]byte, len(s.senders))
-		for sender, tr := range s.senders {
-			if side.Senders[sender], err = tr.MarshalBinary(); err != nil {
-				break
-			}
-		}
-	}
-	for sender := range s.hearsay {
-		side.Hearsay = append(side.Hearsay, sender)
-	}
-	sort.Strings(side.Hearsay)
+	p, err := s.transferLocked(false)
 	s.snapMu.Unlock()
+	if err != nil {
+		return "", err
+	}
+	data, err := AppendBootstrapResponse(nil, p)
 	if err != nil {
 		return "", err
 	}
@@ -835,43 +829,26 @@ func (s *Server) SaveSnapshot() (string, error) {
 	if err := os.MkdirAll(s.cfg.SnapshotDir, 0o755); err != nil {
 		return "", err
 	}
-	path := filepath.Join(s.cfg.SnapshotDir, SnapshotFileName)
 	if err := writeFileAtomic(s.cfg.SnapshotDir, SnapshotFileName, data); err != nil {
 		return "", err
 	}
-	// The sidecars are written strictly after the snapshot: a crash between
-	// the renames leaves watermarks *older* than the counters, which is safe
-	// (the receiver asks for a tail it already absorbed and the sender's
-	// retry is deduplicated, or at worst a 409 resync) — the other order
-	// could silently skip deltas. The sender sidecar additionally embeds the
-	// CRC of the exact snapshot bytes it was cut with, so a crash that pairs
-	// it with a different snapshot generation is detected on reload and the
-	// trackers discarded rather than trusted for replace subtraction.
-	side.SnapCRC = crc32.Checksum(data, castagnoli)
-	sb, err := json.Marshal(side)
-	if err != nil {
-		return "", err
-	}
-	if err := writeFileAtomic(s.cfg.SnapshotDir, SendersFileName, sb); err != nil {
-		return "", err
-	}
-	wm, err := json.Marshal(marks)
-	if err != nil {
-		return "", err
-	}
-	if err := writeFileAtomic(s.cfg.SnapshotDir, WatermarkFileName, wm); err != nil {
-		return "", err
-	}
-	return path, nil
+	return filepath.Join(s.cfg.SnapshotDir, SnapshotFileName), nil
 }
 
-// writeFileAtomic writes dir/name via a temp file and rename.
+// writeFileAtomic replaces dir/name with data: a temp file is written and
+// fsynced, renamed over name, and the directory fsynced so the rename itself
+// is durable. A temp file a crash leaves behind is never read.
 func writeFileAtomic(dir, name string, data []byte) error {
 	tmp, err := os.CreateTemp(dir, name+".tmp*")
 	if err != nil {
 		return err
 	}
 	if _, err := tmp.Write(data); err != nil {
+		tmp.Close()
+		os.Remove(tmp.Name())
+		return err
+	}
+	if err := tmp.Sync(); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
 		return err
@@ -884,43 +861,12 @@ func writeFileAtomic(dir, name string, data []byte) error {
 		os.Remove(tmp.Name())
 		return err
 	}
-	return nil
-}
-
-// loadWatermarks restores the per-peer gossip watermarks persisted beside a
-// recovered snapshot. Only called from the snapshot-recovery path in New; a
-// missing or corrupt file degrades to the pre-persistence behaviour (the
-// first frame from each sender 409s and the sender resyncs).
-func (s *Server) loadWatermarks() {
-	path := filepath.Join(s.cfg.SnapshotDir, WatermarkFileName)
-	data, err := os.ReadFile(path)
+	d, err := os.Open(dir)
 	if err != nil {
-		if !errors.Is(err, os.ErrNotExist) {
-			s.cfg.Logf("server: reading watermark file %s: %v", path, err)
-		}
-		return
+		return err
 	}
-	marks := make(map[string]uint64)
-	if err := json.Unmarshal(data, &marks); err != nil {
-		s.cfg.Logf("server: ignoring corrupt watermark file %s: %v", path, err)
-		return
-	}
-	s.watermarks = marks
-	s.cfg.Logf("server: recovered %d gossip watermarks from %s", len(marks), path)
-}
-
-// watermarkFileUsable reports whether the watermark sidecar beside the
-// snapshot exists and parses. A snapshot without a usable watermark file is
-// "stale" for bootstrap purposes: absorbing it would force every peer through
-// a 409 resync, so when bootstrap sources are configured New prefers a fresh
-// barrier-consistent transfer from a peer over the local file.
-func (s *Server) watermarkFileUsable() bool {
-	data, err := os.ReadFile(filepath.Join(s.cfg.SnapshotDir, WatermarkFileName))
-	if err != nil {
-		return false
-	}
-	marks := make(map[string]uint64)
-	return json.Unmarshal(data, &marks) == nil
+	defer d.Close()
+	return d.Sync()
 }
 
 // ingestColumns hands a lane's decoded columns to its producer and bumps the
@@ -1061,7 +1007,7 @@ func (s *Server) trackerOf(sk *sketch.HeavyHitterTracker) string {
 // adoptSoleTracker makes foreign the tracker of the one sender holding mass
 // when that tracker's counters equal foreign's bit for bit — the state a read
 // replica fed by one sender recovers or bootstraps into — dropping the
-// tracker's own array. Caller holds s.snapMu (or is New).
+// tracker's own array. Caller holds s.snapMu.
 func (s *Server) adoptSoleTracker() {
 	sole := ""
 	for id, tr := range s.senders {
@@ -1096,16 +1042,6 @@ func (s *Server) snapshotGen() (*sketch.HeavyHitterTracker, int64, error) {
 		return nil, 0, err
 	}
 	return ep.snap, ep.gen, nil
-}
-
-// encodedSnapshotLocked marshals the current snapshot. Callers must hold
-// s.snapMu.
-func (s *Server) encodedSnapshotLocked() ([]byte, error) {
-	ep, err := s.snapshotLocked()
-	if err != nil {
-		return nil, err
-	}
-	return ep.snap.MarshalBinary()
 }
 
 // readBody drains a size-capped request body. Over-limit bodies answer 413;
@@ -1322,7 +1258,11 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	s.snapMu.Lock()
-	data, err := s.encodedSnapshotLocked()
+	ep, err := s.snapshotLocked()
+	var data []byte
+	if err == nil {
+		data, err = ep.snap.MarshalBinary()
+	}
 	s.snapMu.Unlock()
 	if err != nil {
 		writeSnapshotErr(w, err)
@@ -1409,6 +1349,13 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		s.deltasRejected.Add(1)
 		writeErr(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	if !bootstrapIDOK(frame.Sender) {
+		// Every sender id is kept, and must fit the recovery file's id
+		// sections, or no later save could be written.
+		s.deltasRejected.Add(1)
+		writeErr(w, http.StatusBadRequest, "delta frame sender id is %d bytes, want at most %d", len(frame.Sender), bootstrapMaxIDLen)
 		return
 	}
 	if s.closed.Load() {
@@ -1508,7 +1455,7 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 			s.snapMu.Unlock()
 			s.deltasRejected.Add(1)
 			writeErr(w, http.StatusConflict,
-				"cannot apply replace frame from %q: received mass is untracked on this node (recovered without a consistent sender sidecar); use a reset resync",
+				"cannot apply replace frame from %q: received mass is untracked on this node; use a reset resync",
 				frame.Sender)
 			return
 		}
@@ -2011,8 +1958,8 @@ func (s *Server) resyncPeerReplace(ctx context.Context, p *peerState, local *ske
 		s.peerAcked(p, local, gen, len(frame))
 		s.cfg.Logf("server: peer %s diverged: healed with a replace frame at generation %d", p.url, gen)
 	case isWatermarkConflict(err):
-		// The peer refused the replace (its trackers are unusable after a
-		// sidecar-less recovery): fall back to the legacy reset.
+		// The peer refused the replace (it holds this node's mass untracked):
+		// fall back to the legacy reset.
 		s.resyncPeer(ctx, p, local, gen)
 	default:
 		// Unknown outcome: don't retain the frame (the next tick recuts and
