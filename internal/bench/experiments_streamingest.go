@@ -18,7 +18,7 @@ import (
 // equal batch shape: one POST /v1/update request per batch (connection
 // reuse, but a full HTTP request/response cycle and a lane pick every time)
 // versus the persistent-connection stream path (one held-open TCP
-// connection, SKB1 batches as SKS1 frames, one producer lane pinned for the
+// connection, SKB2 batches as SKS1 frames, one producer lane pinned for the
 // connection's lifetime, acks piggybacked). Both paths push the identical
 // Zipf stream into a fresh daemon over loopback; the exactness column is the
 // largest estimate deviation from the single-threaded reference and must

@@ -106,7 +106,7 @@ func (c *Client) doAccept(ctx context.Context, method, path, contentType, accept
 
 // Update ships a batch of updates (binary format).
 func (c *Client) Update(ctx context.Context, updates []engine.Update) error {
-	body := AppendBatch(make([]byte, 0, batchHeaderLen+batchRecordLen*len(updates)), updates)
+	body := AppendBatch(nil, updates)
 	_, err := c.do(ctx, http.MethodPost, "/v1/update", contentTypeBatch, body)
 	return err
 }
@@ -118,7 +118,7 @@ func (c *Client) UpdateColumns(ctx context.Context, items []uint64, deltas []flo
 	if len(items) != len(deltas) {
 		return fmt.Errorf("server: UpdateColumns length mismatch (%d items, %d deltas)", len(items), len(deltas))
 	}
-	body := AppendBatchColumns(make([]byte, 0, batchHeaderLen+batchRecordLen*len(items)), items, deltas)
+	body := AppendBatchColumns(nil, items, deltas)
 	_, err := c.do(ctx, http.MethodPost, "/v1/update", contentTypeBatch, body)
 	return err
 }

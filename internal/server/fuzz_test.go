@@ -12,22 +12,24 @@ import (
 	"repro/internal/xrand"
 )
 
-// FuzzDecodeBatchColumns attacks the "SKB1" ingest frame parser — the
-// hottest untrusted-input surface in the daemon (every POST /v1/batch body
-// lands here). Arbitrary bytes must decode-or-error without panicking and
-// without header-driven allocation; accepted input must re-encode through
-// AppendBatchColumns byte-identically (the format has no non-canonical
-// freedom — counts, items and delta bits are all verbatim), and every delta
-// it yields must be finite: NaN and ±Inf never get past this boundary.
+// FuzzDecodeBatchColumns attacks the "SKB2" ingest batch parser — the
+// hottest untrusted-input surface in the daemon (every binary POST
+// /v1/update body and SKS1 data frame lands here). Arbitrary bytes must
+// decode-or-error without panicking and without header-driven allocation;
+// accepted input must re-encode through AppendBatchColumns byte-identically
+// (the format has no non-canonical freedom — both widths must be the
+// narrowest, and counts, keys and delta bits come back verbatim), and every
+// delta it yields must be finite: NaN and ±Inf never get past this boundary.
 func FuzzDecodeBatchColumns(f *testing.F) {
 	f.Add(AppendBatchColumns(nil, nil, nil))
 	f.Add(AppendBatchColumns(nil, []uint64{1, 2, 3}, []float64{1, -0.5, 3.25}))
 	f.Add(AppendBatchColumns(nil,
 		[]uint64{0, ^uint64(0), 1 << 33},
 		[]float64{0, -1e300, 0.1}))
-	f.Add([]byte("SKB1\x00\x00\x00\x01junkjunkjunkjunk"))
+	f.Add([]byte("SKB2\x00\x00\x00\x02\x03\x02junkjunkjunk"))
 	f.Add(AppendBatchColumns(nil, []uint64{1, 2}, []float64{1, math.NaN()}))
 	f.Add(AppendBatchColumns(nil, []uint64{1, 2}, []float64{math.Inf(-1), 1}))
+	f.Add(AppendBatchColumns(nil, []uint64{1 << 16, 5}, []float64{-129, 40000}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		items, deltas, err := DecodeBatchColumns(data, nil, nil)
 		if err != nil {

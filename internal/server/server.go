@@ -67,7 +67,10 @@ type Config struct {
 	// disables periodic writes (startup recovery and the Close-time write
 	// still happen when SnapshotDir is set).
 	SnapshotEvery time.Duration
-	// MaxBodyBytes caps request bodies; zero means 8 MiB.
+	// MaxBodyBytes caps request bodies; zero means 8 MiB. A binary update
+	// batch may also declare at most MaxBodyBytes/16 records (16 bytes is
+	// what a record occupies once decoded), and a stream data frame at most
+	// MaxFrameBytes/16.
 	MaxBodyBytes int64
 	// MaxFrameBytes caps the declared payload length of one streaming-ingest
 	// frame (raw TCP via ServeStream or chunked POST /v1/stream) — the
@@ -434,12 +437,14 @@ type Server struct {
 	// Streaming ingest registry (see stream.go): every live connection and
 	// raw listener — aborted and awaited by Close so acked frames always
 	// reach the final merge — plus the named sessions holding the
-	// exactly-once resume watermarks. streamWG counts accept loops and
-	// connection handlers.
+	// exactly-once resume watermarks (at most streamSessionsMax of them;
+	// streamAttaches numbers the attaches, for evicting the least recent).
+	// streamWG counts accept loops and connection handlers.
 	streamMu        sync.Mutex
 	streamConns     map[*streamConn]struct{}
 	streamListeners map[net.Listener]struct{}
 	streamSessions  map[string]*streamSession
+	streamAttaches  uint64
 	streamWG        sync.WaitGroup
 	streamsActive   atomic.Int64
 	streamFrames    atomic.Int64
@@ -1130,6 +1135,10 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	var req UpdateRequest
 	switch {
 	case isBinary:
+		if err := checkBatchCount(body.data, s.cfg.MaxBodyBytes); err != nil {
+			writeErr(w, http.StatusRequestEntityTooLarge, "%v", err)
+			return
+		}
 	case ct == "" || strings.HasPrefix(ct, contentTypeJSON):
 		err := json.Unmarshal(body.data, &req)
 		body.release()

@@ -616,7 +616,14 @@ func TestRequestBodySizing(t *testing.T) {
 	_, client := testDaemon(t, Config{Width: 128, Depth: 3, K: 8, MaxBodyBytes: 1024})
 	ctx := context.Background()
 	small := AppendBatch(nil, []engine.Update{{Item: 1, Delta: 2}})
-	big := AppendBatch(nil, make([]engine.Update, 200)) // 3.2 kB of records
+	// 64-bit keys and fractional deltas keep SKB2 at 16 bytes a record: 3.2 kB
+	// of records, over the cap by body size (its 200 records are also over the
+	// 64-record cap, which is only checked once the body is read).
+	bigItems, bigDeltas := batchShape(200, true)
+	big := AppendBatchColumns(nil, bigItems, bigDeltas)
+	if len(big) <= 1024 {
+		t.Fatalf("the over-the-cap body is %d bytes", len(big))
+	}
 
 	post := func(body io.Reader) int {
 		t.Helper()

@@ -20,7 +20,7 @@ import (
 // Streaming ingest ------------------------------------------------------------
 //
 // A producer that keeps one connection open pays the HTTP request/response
-// cycle zero times instead of once per batch: it frames SKB1 batch-columns
+// cycle zero times instead of once per batch: it frames SKB2 batch-columns
 // payloads onto the connection and the server decodes each frame straight
 // into a producer lane pinned to that connection for its whole lifetime.
 // The same framing travels over two transports — a raw TCP listener
@@ -38,7 +38,7 @@ import (
 //
 // Frame types and their payloads:
 //
-//	data  (0): seq uint64, then an SKB1 batch (see AppendBatchColumns).
+//	data  (0): seq uint64, then an SKB2 batch (see AppendBatchColumns).
 //	          seq numbers start at 1 and increase by exactly 1 per frame on a
 //	          session. A zero-record batch is legal: it advances seq without
 //	          touching a counter (clients use it to elicit a final ack).
@@ -90,6 +90,11 @@ const streamTrailerLen = 4
 // streamHelloMaxLen caps the session name carried by a hello frame.
 const streamHelloMaxLen = 256
 
+// streamSessionsMax bounds the session table. A session is a name of at most
+// streamHelloMaxLen bytes plus a few words and its map entry, so a full table
+// is about 1.3 MiB.
+const streamSessionsMax = 4096
+
 // castagnoli is the CRC-32C table shared by every frame encode and decode.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
@@ -129,7 +134,7 @@ func AppendStreamFrame(buf []byte, f StreamFrame) []byte {
 	return binary.BigEndian.AppendUint32(buf, crc32.Checksum(buf[start:], castagnoli))
 }
 
-// appendDataFrame encodes a data frame — seq plus the SKB1 batch of the given
+// appendDataFrame encodes a data frame — seq plus the SKB2 batch of the given
 // columns — directly into buf, with no intermediate payload slice: this is
 // the client's per-frame hot path and must not allocate once buf has grown to
 // its steady-state size.
@@ -278,13 +283,17 @@ func (h httpAckWriter) Flush() error                { return h.rc.Flush() }
 
 // streamSession is the exactly-once resume state of one named producer
 // stream: the seq of the newest applied data frame (the watermark replayed
-// frames are judged against) and whether a live connection currently owns it.
-// Sessions live for the server's lifetime; attach/detach runs under
+// frames are judged against), whether a live connection currently owns it,
+// and when it was last attached (Server.streamAttaches at the time). A
+// session lives until the server stops or, once the table holds
+// streamSessionsMax sessions, until it is the detached one attached least
+// recently and a new name needs its slot; attach/detach runs under
 // Server.streamMu, and seq is only touched by the attached connection.
 type streamSession struct {
-	name     string
-	seq      uint64
-	attached bool
+	name       string
+	seq        uint64
+	attached   bool
+	lastAttach uint64
 }
 
 // streamConn is one live streaming connection: the one-shot abort hook Close
@@ -325,19 +334,35 @@ func (s *Server) unregisterStreamConn(c *streamConn) {
 // attachStreamSession finds or creates the named session and marks it owned
 // by the calling connection; a session already attached to a live connection
 // is refused (two writers interleaving one seq sequence could not be
-// deduplicated).
+// deduplicated). A new name in a full table takes the slot of the detached
+// session attached least recently. That session's producer, if it comes
+// back, finds watermark 0, as it would after a daemon restart; a new name in
+// a table of attached sessions only is refused.
 func (s *Server) attachStreamSession(name string) (*streamSession, error) {
 	s.streamMu.Lock()
 	defer s.streamMu.Unlock()
 	sess := s.streamSessions[name]
 	if sess == nil {
+		if len(s.streamSessions) >= streamSessionsMax {
+			var victim *streamSession
+			for _, o := range s.streamSessions {
+				if !o.attached && (victim == nil || o.lastAttach < victim.lastAttach) {
+					victim = o
+				}
+			}
+			if victim == nil {
+				return nil, fmt.Errorf("stream session table is full (%d sessions, all attached)", streamSessionsMax)
+			}
+			delete(s.streamSessions, victim.name)
+		}
 		sess = &streamSession{name: name}
 		s.streamSessions[name] = sess
 	}
 	if sess.attached {
 		return nil, fmt.Errorf("stream session %q is already attached to a live connection", name)
 	}
-	sess.attached = true
+	s.streamAttaches++
+	sess.attached, sess.lastAttach = true, s.streamAttaches
 	return sess, nil
 }
 
@@ -540,6 +565,10 @@ func (s *Server) serveFrames(c *streamConn, fr *frameReader, aw ackWriter, remot
 				sendErrorFrame(aw, fmt.Sprintf("stream gap: frame seq %d, session %q watermark %d", seq, sess.name, sess.seq))
 				return
 			default:
+				if err := checkBatchCount(frame.Payload[8:], s.cfg.MaxFrameBytes); err != nil {
+					sendErrorFrame(aw, err.Error())
+					return
+				}
 				c.items, c.deltas = c.items[:0], c.deltas[:0]
 				var derr error
 				c.items, c.deltas, derr = DecodeBatchColumns(frame.Payload[8:], c.items, c.deltas)

@@ -6,9 +6,11 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -627,7 +629,7 @@ func BenchmarkE17StreamSteadyState(b *testing.B) {
 	}
 
 	b.ReportAllocs()
-	b.SetBytes(frameUpdates * batchRecordLen)
+	b.SetBytes(int64(len(AppendBatchColumns(nil, items, deltas))))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := su.UpdateColumns(items, deltas); err != nil {
@@ -637,5 +639,107 @@ func BenchmarkE17StreamSteadyState(b *testing.B) {
 	b.StopTimer()
 	if err := su.Close(); err != nil {
 		b.Fatal(err)
+	}
+}
+
+// TestStreamSessionTableBound: the session table holds at most
+// streamSessionsMax sessions. A new name in a full table evicts the detached
+// session attached least recently — never an attached one — and that
+// session's producer, coming back, fails with ErrStreamSessionLost exactly
+// as after a daemon restart. A new name in a table of attached sessions only
+// is refused with an error frame.
+func TestStreamSessionTableBound(t *testing.T) {
+	srv, _, addr := streamDaemon(t, Config{Width: 256, Depth: 3, K: 16, Seed: 8})
+	attach := func(name string) *streamSession {
+		t.Helper()
+		sess, err := srv.attachStreamSession(name)
+		if err != nil {
+			t.Fatalf("attach %q: %v", name, err)
+		}
+		return sess
+	}
+	present := func(name string) bool {
+		srv.streamMu.Lock()
+		defer srv.streamMu.Unlock()
+		return srv.streamSessions[name] != nil
+	}
+	sessions := func() int {
+		srv.streamMu.Lock()
+		defer srv.streamMu.Unlock()
+		return len(srv.streamSessions)
+	}
+	// A connection's handler detaches its session before it stops counting
+	// as active.
+	awaitNoStreams := func() {
+		for srv.streamsActive.Load() != 0 {
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	// The oldest attach of all stays attached throughout.
+	attach("pinned")
+	victim, err := DialStream(addr, StreamConfig{Session: "victim", BatchSize: 4, MaxAttempts: 2, RetryWait: 10 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < 8; i++ {
+		if err := victim.Update(i, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := victim.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	// Drop the victim's connection under it and wait for the server to
+	// detach the session.
+	victim.link.closeFn()
+	awaitNoStreams()
+	for i := 0; sessions() < streamSessionsMax; i++ {
+		srv.detachStreamSession(attach(fmt.Sprintf("filler-%d", i)))
+	}
+	// filler-1 is attached again, so filler-0 and then filler-2 are next.
+	srv.detachStreamSession(attach("filler-1"))
+
+	for _, step := range []struct{ add, evicted string }{
+		{"new-0", "victim"}, {"new-1", "filler-0"}, {"new-2", "filler-2"},
+	} {
+		srv.detachStreamSession(attach(step.add))
+		if present(step.evicted) || !present("pinned") || !present("filler-1") {
+			t.Fatalf("after %s: %s present %v, pinned %v, filler-1 %v; want %s evicted and the others kept",
+				step.add, step.evicted, present(step.evicted), present("pinned"), present("filler-1"), step.evicted)
+		}
+		if n := sessions(); n != streamSessionsMax {
+			t.Fatalf("after %s: %d sessions, want %d", step.add, n, streamSessionsMax)
+		}
+	}
+
+	// The evicted producer finds watermark 0 below frames it has been acked.
+	err = victim.Update(99, 1)
+	if err == nil {
+		err = victim.Sync()
+	}
+	if !errors.Is(err, ErrStreamSessionLost) {
+		t.Fatalf("evicted producer: err %v, want ErrStreamSessionLost", err)
+	}
+
+	// Every session attached: a new name is refused, over the wire too.
+	awaitNoStreams()
+	srv.streamMu.Lock()
+	for _, sess := range srv.streamSessions {
+		sess.attached = true
+	}
+	srv.streamMu.Unlock()
+	if _, err := srv.attachStreamSession("one-too-many"); err == nil || !strings.Contains(err.Error(), "full") {
+		t.Fatalf("new name in a table of attached sessions: err %v, want the table-full refusal", err)
+	}
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	rd := newFrameReader(bufio.NewReader(conn), 0)
+	mustWrite(t, conn, AppendStreamFrame(nil, StreamFrame{Type: streamFrameHello, Payload: []byte("one-too-many")}))
+	if f := mustRead(t, rd); f.Type != streamFrameError || !bytes.Contains(f.Payload, []byte("full")) {
+		t.Fatalf("hello into a full table: frame type %d %q, want an error frame", f.Type, f.Payload)
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 
 	"repro/internal/engine"
 )
@@ -16,14 +18,26 @@ import (
 //   - application/json: an UpdateRequest object,
 //     {"updates":[{"item":7,"delta":2}, ...]}
 //   - application/x-sketch-batch: the length-prefixed binary batch below,
-//     which the Client uses and which costs 16 bytes per update instead of
-//     ~25 bytes of JSON plus parsing.
+//     which the Client uses and which costs 2 to 16 bytes per update instead
+//     of ~25 bytes of JSON plus parsing.
 //
-// Binary batch layout (integers big-endian, floats as IEEE-754 bits):
+// Binary batch layout "SKB2" (integers big-endian):
 //
-//	magic [4]byte "SKB1"
-//	count uint32
-//	count x (item uint64, delta float64)
+//	magic  [4]byte "SKB2"
+//	count  uint32
+//	kw     uint8   key width, 1..8: the fewest bytes that hold the largest
+//	               key (1 for an empty batch)
+//	dw     uint8   delta width: 1, 2 or 4 when every delta is an integer (not
+//	               -0) that a signed integer of that many bytes holds, and the
+//	               narrowest that does; 8 otherwise
+//	keys   count x kw bytes
+//	deltas count x dw bytes: two's complement at widths 1, 2 and 4, the
+//	               IEEE-754 bits at width 8
+//
+// Both widths are always the narrowest, so the encoding is canonical: decoding
+// and re-encoding reproduces the bytes, and every delta comes back with the
+// bits it was sent with. The retired "SKB1" layout (a 16-byte record per
+// update) is refused by name.
 //
 // Snapshots travel as application/x-sketch-snapshot: the raw versioned
 // encoding produced by the sketch types' MarshalBinary (see
@@ -40,13 +54,20 @@ const (
 )
 
 // batchMagic guards the binary update-batch format.
-var batchMagic = [4]byte{'S', 'K', 'B', '1'}
+var batchMagic = [4]byte{'S', 'K', 'B', '2'}
 
-// batchHeaderLen is the fixed prefix: magic plus the count word.
-const batchHeaderLen = 8
+// retiredBatchMagic is the 16-bytes-per-record layout SKB2 replaced.
+var retiredBatchMagic = [4]byte{'S', 'K', 'B', '1'}
 
-// batchRecordLen is the size of one (item, delta) record.
-const batchRecordLen = 16
+// batchHeaderLen is the fixed prefix: magic, the count word and both widths.
+const batchHeaderLen = 10
+
+// bodyBytesPerRecord is the body budget each record a batch declares must
+// have: a body or frame capped at B bytes may declare at most B/16 records.
+// Sixteen bytes is what one decoded record occupies in the ingest columns, so
+// the cap on a body still bounds the columns it decodes into, however
+// narrow its records are on the wire.
+const bodyBytesPerRecord = 16
 
 // UpdateRequest is the JSON body of POST /v1/update.
 type UpdateRequest struct {
@@ -346,46 +367,129 @@ type SpectrumResponse struct {
 // AppendBatch appends the binary encoding of updates to buf and returns the
 // extended slice.
 func AppendBatch(buf []byte, updates []engine.Update) []byte {
-	buf = append(buf, batchMagic[:]...)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(updates)))
-	for _, u := range updates {
-		buf = binary.BigEndian.AppendUint64(buf, u.Item)
-		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(u.Delta))
+	items := make([]uint64, len(updates))
+	deltas := make([]float64, len(updates))
+	for i, u := range updates {
+		items[i], deltas[i] = u.Item, u.Delta
 	}
-	return buf
+	return AppendBatchColumns(buf, items, deltas)
 }
 
-// AppendBatchColumns appends the binary encoding of parallel key/delta
-// columns to buf and returns the extended slice. It produces exactly the
-// bytes AppendBatch would for the equivalent record slice — the wire format
-// is unchanged; only the in-memory shape differs. The columns must have
-// equal length (panics otherwise — silently dropping surplus deltas would
-// put a valid-looking but lossy batch on the wire).
+// AppendBatchColumns appends the SKB2 encoding of parallel key/delta columns
+// to buf and returns the extended slice. The columns must have equal length
+// (panics otherwise — silently dropping surplus deltas would put a
+// valid-looking but lossy batch on the wire). Deltas are not checked here: a
+// NaN or ±Inf travels at width 8 and the decoder refuses it.
 func AppendBatchColumns(buf []byte, items []uint64, deltas []float64) []byte {
 	if len(items) != len(deltas) {
 		panic(fmt.Sprintf("server: AppendBatchColumns length mismatch (%d items, %d deltas)", len(items), len(deltas)))
 	}
+	n, kw, dw := len(items), keyWidth(items), deltaWidth(deltas)
+	start := len(buf)
+	buf = slices.Grow(buf, batchHeaderLen+n*(kw+dw))
 	buf = append(buf, batchMagic[:]...)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(items)))
-	for i, item := range items {
-		buf = binary.BigEndian.AppendUint64(buf, item)
-		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(deltas[i]))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(n))
+	buf = append(buf, byte(kw), byte(dw))
+	buf = buf[:start+batchHeaderLen+n*(kw+dw)]
+	// Each key is stored as a whole big-endian word shifted to its top kw
+	// bytes; the next key, or the delta column, overwrites the surplus. The
+	// last keys, with fewer than 8 bytes after them, go byte by byte.
+	b, shift := buf[start+batchHeaderLen:], 64-8*kw
+	for _, k := range items {
+		if len(b) < 8 {
+			for j := kw - 1; j >= 0; j, k = j-1, k>>8 {
+				b[j] = byte(k)
+			}
+		} else {
+			binary.BigEndian.PutUint64(b, k<<shift)
+		}
+		b = b[kw:]
+	}
+	switch dw {
+	case 1:
+		for i, d := range deltas {
+			b[i] = byte(int8(d))
+		}
+	case 2:
+		for _, d := range deltas {
+			binary.BigEndian.PutUint16(b, uint16(int16(d)))
+			b = b[2:]
+		}
+	case 4:
+		for _, d := range deltas {
+			binary.BigEndian.PutUint32(b, uint32(int32(d)))
+			b = b[4:]
+		}
+	default:
+		for _, d := range deltas {
+			binary.BigEndian.PutUint64(b, math.Float64bits(d))
+			b = b[8:]
+		}
 	}
 	return buf
 }
 
-// DecodeBatchColumns parses a binary update batch straight into key/delta
-// columns, appending to the caller's (typically reused) buffers and
-// returning the extended slices — the zero-copy-shape path the server's
-// ingest lanes use, one bounds-checked scan with no per-item structs. The
-// count word is validated against the actual body length before any
-// allocation, so a corrupt header cannot demand unbounded memory.
+// keyWidth is the fewest bytes that hold every key, at least 1.
+func keyWidth(items []uint64) int {
+	var all uint64
+	for _, k := range items {
+		all |= k
+	}
+	return max(1, (bits.Len64(all)+7)/8)
+}
+
+// deltaWidth is the narrowest SKB2 delta width that carries every delta bit
+// for bit: 1, 2 or 4 when all are integers an int32 holds and none is -0, 8
+// otherwise (a fraction, -0, NaN, ±Inf or a magnitude past the int32 range).
+func deltaWidth(deltas []float64) int {
+	if len(deltas) == 0 {
+		return 1
+	}
+	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+	for _, d := range deltas {
+		// Out of the int64 range the conversion's result is the platform's,
+		// but it never round-trips to d unless d is ±2^63, which the range
+		// check below turns away.
+		v := int64(d)
+		if float64(v) != d {
+			return 8
+		}
+		lo, hi = min(lo, v), max(hi, v)
+	}
+	switch {
+	case lo < math.MinInt32 || hi > math.MaxInt32:
+		return 8
+	case lo <= 0 && hi >= 0 && slices.ContainsFunc(deltas, isNegZero):
+		// -0 round-trips through int64 as 0, so only a batch whose
+		// integers reach 0 is searched for one.
+		return 8
+	case lo >= math.MinInt8 && hi <= math.MaxInt8:
+		return 1
+	case lo >= math.MinInt16 && hi <= math.MaxInt16:
+		return 2
+	}
+	return 4
+}
+
+func isNegZero(d float64) bool { return math.Float64bits(d) == 1<<63 }
+
+// DecodeBatchColumns parses an SKB2 batch straight into key/delta columns,
+// appending to the caller's (typically reused) buffers and returning the
+// extended slices — the path the server's ingest lanes use, one pass per
+// column with no per-item structs. Everything about the header is checked
+// before either column grows: the widths (in range, and the narrowest the
+// columns allow — an early-exit scan), and the count against the body length,
+// so a corrupt header cannot demand unbounded memory and no accepted batch
+// has a second encoding.
 //
 // A NaN or ±Inf delta is refused here (errNonFiniteDelta), at the boundary
 // POST /v1/update bodies and SKS1 data frames share: added to a counter it
 // never washes out, and gossip would replicate it to every peer. On any
 // error the columns come back exactly as they were passed in.
 func DecodeBatchColumns(data []byte, items []uint64, deltas []float64) ([]uint64, []float64, error) {
+	if len(data) >= 4 && [4]byte(data[:4]) == retiredBatchMagic {
+		return items, deltas, errRetiredBatch
+	}
 	if len(data) < batchHeaderLen {
 		return items, deltas, fmt.Errorf("server: truncated batch (need %d header bytes, have %d)", batchHeaderLen, len(data))
 	}
@@ -393,23 +497,107 @@ func DecodeBatchColumns(data []byte, items []uint64, deltas []float64) ([]uint64
 		return items, deltas, fmt.Errorf("server: bad batch magic %q", data[:4])
 	}
 	n := binary.BigEndian.Uint32(data[4:8])
-	payload := data[batchHeaderLen:]
-	if uint64(len(payload)) != uint64(n)*batchRecordLen {
-		return items, deltas, fmt.Errorf("server: batch payload is %d bytes, header claims %d records (%d bytes)",
-			len(payload), n, uint64(n)*batchRecordLen)
+	kw, dw := int(data[8]), int(data[9])
+	if kw < 1 || kw > 8 {
+		return items, deltas, fmt.Errorf("server: batch key width %d (want 1..8)", kw)
 	}
+	if dw != 1 && dw != 2 && dw != 4 && dw != 8 {
+		return items, deltas, fmt.Errorf("server: batch delta width %d (want 1, 2, 4 or 8)", dw)
+	}
+	body := data[batchHeaderLen:]
+	if uint64(len(body)) != uint64(n)*uint64(kw+dw) {
+		return items, deltas, fmt.Errorf("server: batch payload is %d bytes, header claims %d records of %d+%d bytes",
+			len(body), n, kw, dw)
+	}
+	keys, col := body[:int(n)*kw], body[int(n)*kw:]
+	if !narrowest(keys, col, kw, dw) {
+		return items, deltas, fmt.Errorf("server: batch widths %d+%d are wider than its records need", kw, dw)
+	}
+
 	ni, nd := len(items), len(deltas)
-	for i := 0; i < int(n); i++ {
-		rec := payload[i*batchRecordLen : i*batchRecordLen+batchRecordLen]
-		bits := binary.BigEndian.Uint64(rec[8:16])
-		if bits&float64ExpMask == float64ExpMask {
-			return items[:ni], deltas[:nd], fmt.Errorf("server: batch record %d (item %d): %w",
-				i, binary.BigEndian.Uint64(rec[:8]), errNonFiniteDelta)
+	items = slices.Grow(items, int(n))[:ni+int(n)]
+	deltas = slices.Grow(deltas, int(n))[:nd+int(n)]
+	b, shift := body, 64-8*kw
+	for i := range items[ni:] {
+		var k uint64
+		if len(b) < 8 {
+			for _, c := range b[:kw] {
+				k = k<<8 | uint64(c)
+			}
+		} else {
+			k = binary.BigEndian.Uint64(b) >> shift
 		}
-		items = append(items, binary.BigEndian.Uint64(rec[:8]))
-		deltas = append(deltas, math.Float64frombits(bits))
+		items[ni+i] = k
+		b = b[kw:]
+	}
+	out := deltas[nd:]
+	switch dw {
+	case 1:
+		for i := range out {
+			out[i] = float64(int8(b[i]))
+		}
+	case 2:
+		for i := range out {
+			out[i] = float64(int16(binary.BigEndian.Uint16(b)))
+			b = b[2:]
+		}
+	case 4:
+		for i := range out {
+			out[i] = float64(int32(binary.BigEndian.Uint32(b)))
+			b = b[4:]
+		}
+	default:
+		for i := range out {
+			w := binary.BigEndian.Uint64(b)
+			if w&float64ExpMask == float64ExpMask {
+				return items[:ni], deltas[:nd], fmt.Errorf("server: batch record %d (item %d): %w", i, items[ni+i], errNonFiniteDelta)
+			}
+			out[i] = math.Float64frombits(w)
+			b = b[8:]
+		}
 	}
 	return items, deltas, nil
+}
+
+// narrowest reports whether kw and dw are the narrowest widths for the key
+// and delta columns: some key fills its top byte, and some delta does not
+// fit the next narrower width. Both scans stop at the first witness, which
+// on real batches is one of the first few records.
+func narrowest(keys, col []byte, kw, dw int) bool {
+	wideKey := kw == 1
+	for i := 0; !wideKey && i < len(keys); i += kw {
+		wideKey = keys[i] != 0
+	}
+	wideDelta := dw == 1
+	for i := 0; !wideDelta && i < len(col); i += dw {
+		switch dw {
+		case 2:
+			v := int16(binary.BigEndian.Uint16(col[i:]))
+			wideDelta = v != int16(int8(v))
+		case 4:
+			v := int32(binary.BigEndian.Uint32(col[i:]))
+			wideDelta = v != int32(int16(v))
+		default:
+			d := math.Float64frombits(binary.BigEndian.Uint64(col[i:]))
+			wideDelta = deltaWidth([]float64{d}) == 8
+		}
+	}
+	return wideKey && wideDelta
+}
+
+// checkBatchCount refuses a batch whose header declares more records than a
+// body or frame capped at limit bytes may carry (bodyBytesPerRecord); the
+// caller answers it as over-size. It runs before the decode, so the columns
+// never grow for such a batch. Anything that is not an SKB2 header passes,
+// for the decoder to name.
+func checkBatchCount(data []byte, limit int64) error {
+	if len(data) < batchHeaderLen || [4]byte(data[:4]) != batchMagic {
+		return nil
+	}
+	if n, most := binary.BigEndian.Uint32(data[4:8]), limit/bodyBytesPerRecord; int64(n) > most {
+		return fmt.Errorf("server: batch declares %d records, cap is %d (%d bytes / %d per record)", n, most, limit, bodyBytesPerRecord)
+	}
+	return nil
 }
 
 // float64ExpMask selects a float64's exponent field; all ones there means
@@ -419,6 +607,9 @@ const float64ExpMask = 0x7ff << 52
 // errNonFiniteDelta is what DecodeBatchColumns wraps when a record's delta
 // is NaN or ±Inf.
 var errNonFiniteDelta = errors.New("delta is not finite")
+
+// errRetiredBatch answers a body in the retired SKB1 layout.
+var errRetiredBatch = errors.New("server: the SKB1 batch format is retired: use a producer of the same release (SKB2), or the JSON body")
 
 // Delta replication frames ---------------------------------------------------
 //
