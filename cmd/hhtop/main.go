@@ -327,7 +327,7 @@ func main() {
 	} else {
 		hits = tracker.HeavyHitters(*phi)
 		fmt.Printf("processed %d items; sketch uses %d counters (%d KiB)\n",
-			total, tracker.SpaceCounters(), tracker.SpaceCounters()*8/1024)
+			total, tracker.SpaceCounters(), tracker.CounterBytes()/1024)
 	}
 	fmt.Printf("items with estimated frequency >= %.4f of the stream:\n\n", *phi)
 	fmt.Printf("%-24s %12s", "item", "estimate")

@@ -37,8 +37,8 @@ func main() {
 	const phi = 0.002 // report flows with >= 0.2% of the packets
 	truth := exact.HeavyHitters(phi)
 	fmt.Printf("flows with at least %.1f%% of the traffic (exact): %d\n", phi*100, len(truth))
-	fmt.Printf("exact counting needed %d flow entries; the sketch uses %d counters, SpaceSaving %d entries\n\n",
-		exact.DistinctItems(), tracker.SpaceCounters(), 1024)
+	fmt.Printf("exact counting needed %d flow entries; the sketch uses %d counters (%d KiB), SpaceSaving %d entries\n\n",
+		exact.DistinctItems(), tracker.SpaceCounters(), tracker.CounterBytes()/1024, 1024)
 
 	fmt.Printf("%-14s %10s %12s %12s %12s\n", "flow", "exact", "count-min", "spacesaving", "cm overest%")
 	for i, ic := range truth {

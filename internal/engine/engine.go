@@ -79,12 +79,37 @@ type op struct {
 // prototype when its first batch arrives and then sets live. Barrier callers
 // and Close read replica after the worker has parked or exited (the
 // ready/resume and done channels order that); CounterWords reads live alone,
-// at any time.
+// at any time, and CounterBytes and WidenedReplicas read it with bytes and
+// wide, which the worker keeps in step with the replica's counter storage.
 type shard[S LinearSketch[S]] struct {
 	ch      chan op
 	replica S
 	live    atomic.Bool
+	bytes   atomic.Int64 // the replica's CounterBytes; 0 if S reports none
+	wide    atomic.Bool  // the replica's Widened
 	done    chan struct{}
+}
+
+// counterStorage is what a sketch family reports about its counter memory:
+// the bytes its arrays take, and whether they have widened from int32 to
+// float64 (see sketch.CountMin).
+type counterStorage interface {
+	CounterBytes() int
+	Widened() bool
+}
+
+// noteStorage refreshes the shard's record of its replica's counter storage.
+// Only widening changes it, so the stores are rare; the worker calls it after
+// every batch.
+func (sh *shard[S]) noteStorage() {
+	st, ok := any(sh.replica).(counterStorage)
+	if !ok {
+		return
+	}
+	if b := int64(st.CounterBytes()); b != sh.bytes.Load() {
+		sh.bytes.Store(b)
+		sh.wide.Store(st.Widened())
+	}
 }
 
 // Engine fans a stream of updates across worker goroutines, each owning a
@@ -164,9 +189,11 @@ func (e *Engine[S]) run(sh *shard[S]) {
 		}
 		if !sh.live.Load() {
 			sh.replica = e.proto.Clone()
+			sh.noteStorage()
 			sh.live.Store(true)
 		}
 		sh.replica.UpdateBatch(o.b.items, o.b.deltas)
+		sh.noteStorage()
 		// Recycle the columns if the free list has room; drop them otherwise.
 		select {
 		case e.free <- batch{items: o.b.items[:0], deltas: o.b.deltas[:0]}:
@@ -406,22 +433,62 @@ func (e *Engine[S]) CounterWords() int {
 		}
 		return n
 	}
-	per := 0
-	switch s := any(e.proto).(type) {
-	case interface{ Size() int }:
-		per = s.Size()
-	case interface{ SizeCounters() int }:
-		per = s.SizeCounters()
-	case interface{ SpaceCounters() int }:
-		per = s.SpaceCounters()
-	}
 	live := 0
 	for _, sh := range e.shards {
 		if sh.live.Load() {
 			live++
 		}
 	}
-	return per * live
+	return e.replicaWords() * live
+}
+
+// replicaWords returns the counters of one replica, or 0 for a type without
+// a known size.
+func (e *Engine[S]) replicaWords() int {
+	switch s := any(e.proto).(type) {
+	case interface{ Size() int }:
+		return s.Size()
+	case interface{ SizeCounters() int }:
+		return s.SizeCounters()
+	case interface{ SpaceCounters() int }:
+		return s.SpaceCounters()
+	}
+	return 0
+}
+
+// CounterBytes returns the bytes the resident counters of CounterWords take:
+// each replica's as it reports them — 4 per counter while a Count-Min
+// family counts in int32, 8 once widened — and 8 per counter for a family
+// that reports nothing and for partition mode's float64 column shards.
+func (e *Engine[S]) CounterBytes() int {
+	if e.part != nil {
+		return 8 * e.CounterWords()
+	}
+	n := 0
+	for _, sh := range e.shards {
+		if !sh.live.Load() {
+			continue
+		}
+		if b := sh.bytes.Load(); b > 0 {
+			n += int(b)
+		} else {
+			n += 8 * e.replicaWords()
+		}
+	}
+	return n
+}
+
+// WidenedReplicas returns how many replicas have widened their counters from
+// int32 to float64 (see sketch.CountMin); partition mode's column shards
+// count in float64 by construction and are not counted.
+func (e *Engine[S]) WidenedReplicas() int {
+	n := 0
+	for _, sh := range e.shards {
+		if sh.live.Load() && sh.wide.Load() {
+			n++
+		}
+	}
+	return n
 }
 
 // barrier enqueues a sync token on every shard, waits until all workers have

@@ -18,8 +18,10 @@ import (
 // configurations — family, shape, worker count, batch size, update schedule
 // (including negative deltas) and mid-stream Snapshot cuts, each with the
 // delta against the previous cut.
-// Deltas are halves, so float64 counter sums are exact and "equal" means
-// bit-for-bit, not within-epsilon.
+// Deltas are integers, or a half, so float64 counter sums are exact and
+// "equal" means bit-for-bit, not within-epsilon. The integer streams keep the
+// Count-Min families in int32 throughout; one half mid-stream widens the
+// replica it lands in while the others stay int32.
 
 // schedule is one randomized trial: a stream plus the positions (in updates
 // applied) at which each mode must cut a Snapshot and its delta.
@@ -29,16 +31,19 @@ type schedule struct {
 	cuts   []int // strictly increasing, each < len(items)
 }
 
-func randomSchedule(r *xrand.Rand, universe uint64, n, cuts int) schedule {
+func randomSchedule(r *xrand.Rand, universe uint64, n, cuts int, fraction bool) schedule {
 	s := schedule{
 		items:  make([]uint64, n),
 		deltas: make([]float64, n),
 	}
 	for i := range s.items {
 		s.items[i] = r.Uint64n(universe)
-		// Halves in [-4, 4]: exactly representable, exactly summable, and
-		// negative often enough to exercise the turnstile path.
-		s.deltas[i] = float64(int(r.Uint64n(17))-8) / 2
+		// Integers in [-4, 4]: negative often enough to exercise the
+		// turnstile path.
+		s.deltas[i] = float64(int(r.Uint64n(9)) - 4)
+	}
+	if fraction {
+		s.deltas[n/2] = 0.5
 	}
 	pos := map[int]bool{}
 	for len(pos) < cuts {
@@ -199,8 +204,20 @@ func bytesEqualFinal[S LinearSketch[S]](a, b S) error {
 
 // TestCrossModeEquivalence is the property test: randomized configurations,
 // each run through partition mode, replica mode and a single-threaded
-// reference, asserting all artifacts identical. CI runs it twice under -race.
+// reference, asserting all artifacts identical — once over integer streams,
+// once with a fractional delta mid-stream. CI runs it twice under -race.
 func TestCrossModeEquivalence(t *testing.T) {
+	for _, fraction := range []bool{false, true} {
+		t.Run(map[bool]string{false: "integer", true: "fraction-mid-stream"}[fraction], func(t *testing.T) {
+			crossModeTrials(t, fraction)
+		})
+	}
+}
+
+// crossModeTrials runs TestCrossModeEquivalence's trials over one kind of
+// stream, checking that the reference ends widened exactly when a fraction
+// was fed.
+func crossModeTrials(t *testing.T, fraction bool) {
 	r := xrand.New(0xE9)
 	const trials = 12
 	for trial := 0; trial < trials; trial++ {
@@ -210,7 +227,7 @@ func TestCrossModeEquivalence(t *testing.T) {
 		batch := 1 + int(r.Uint64n(300))
 		n := 2_000 + int(r.Uint64n(8_000))
 		universe := uint64(1) << (8 + r.Uint64n(12))
-		sched := randomSchedule(r, universe, n, 3)
+		sched := randomSchedule(r, universe, n, 3, fraction)
 		family := int(r.Uint64n(4))
 		seed := r.Uint64()
 
@@ -226,6 +243,7 @@ func TestCrossModeEquivalence(t *testing.T) {
 			rep := runEngine(t, NewCountMin(repCfg, proto), proto, sched, delta)
 			part := runEngine(t, NewCountMin(partCfg, proto), proto, sched, delta)
 			checkRuns(t, label, ref, rep, part, bytesEqualFinal)
+			requireWidened(t, label, ref.final, fraction)
 		case 1:
 			proto := sketch.NewCountSketch(xrand.New(seed), width, depth)
 			ref := runReference(t, proto, sched, func(s *sketch.CountSketch) *sketch.CountSketch { return s.Copy() }, subDelta)
@@ -234,12 +252,13 @@ func TestCrossModeEquivalence(t *testing.T) {
 			checkRuns(t, label, ref, rep, part, bytesEqualFinal)
 		case 2:
 			logU := 6 + int(r.Uint64n(6))
-			sched := randomSchedule(r, uint64(1)<<logU, n, 3)
+			sched := randomSchedule(r, uint64(1)<<logU, n, 3, fraction)
 			proto := sketch.NewDyadic(xrand.New(seed), logU, width, depth)
 			ref := runReference(t, proto, sched, func(s *sketch.Dyadic) *sketch.Dyadic { return s.Copy() }, subDelta)
 			rep := runEngine(t, NewDyadic(repCfg, proto), proto, sched, subDelta)
 			part := runEngine(t, NewDyadic(partCfg, proto), proto, sched, subDelta)
 			checkRuns(t, label, ref, rep, part, bytesEqualFinal)
+			requireWidened(t, label, ref.final, fraction)
 		case 3:
 			k := 4 + int(r.Uint64n(12))
 			proto := sketch.NewHeavyHitterTracker(xrand.New(seed), width, depth, k)
@@ -247,7 +266,17 @@ func TestCrossModeEquivalence(t *testing.T) {
 			rep := runTrackerEngine(t, NewTracker(repCfg, proto), proto, sched)
 			part := runTrackerEngine(t, NewTracker(partCfg, proto), proto, sched)
 			checkTrackerRuns(t, label, universe, ref, rep, part)
+			requireWidened(t, label, ref.final, fraction)
 		}
+	}
+}
+
+// requireWidened asserts a Count-Min family's counters widened to float64
+// exactly when want says so.
+func requireWidened(t *testing.T, label string, s interface{ Widened() bool }, want bool) {
+	t.Helper()
+	if s.Widened() != want {
+		t.Fatalf("%s: reference widened = %v, want %v", label, s.Widened(), want)
 	}
 }
 

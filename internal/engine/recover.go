@@ -79,9 +79,10 @@ func (m *Measurement) Entry(block int, j uint64) (row int, val float64) {
 }
 
 // Measurements returns the snapshot's flat counter array — the y vector —
-// without copying. The slice is the sketch's live backing store: it indexes
-// identically to the rows produced by Entry and MulVec, and callers must not
-// modify it.
+// as the sketch's CounterData: it indexes identically to the rows produced by
+// Entry and MulVec. For a Count-Sketch or a widened Count-Min it is the live
+// backing store, not copied, and callers must not modify it; a Count-Min
+// still counting in int32 gives a float64 copy.
 func (m *Measurement) Measurements() []float64 {
 	if m.signed {
 		return m.cs.CounterData()

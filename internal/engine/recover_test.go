@@ -13,20 +13,27 @@ import (
 // time, not just by luck at the call site.
 var _ cs.HashOperator = (*Measurement)(nil)
 
-// TestMeasurementIsZeroCopy asserts that Measurements aliases the sketch's
-// live backing store rather than copying it.
+// TestMeasurementIsZeroCopy asserts that Measurements aliases the live
+// backing store of a sketch that counts in float64 rather than copying it. A
+// Count-Min counting in int32 has no float64 store to alias: its measurements
+// are a copy of the same values, and a fresh call sees later updates.
 func TestMeasurementIsZeroCopy(t *testing.T) {
 	cm := sketch.NewCountMin(xrand.New(7), 64, 4)
 	m, err := NewCountMinMeasurement(cm, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
-	y := m.Measurements()
-	if &y[0] != &cm.CounterData()[0] {
-		t.Fatal("Measurements copied the counter array; it must alias the backing store")
-	}
 	cm.Update(42, 3)
 	if sum(m.Measurements()) == 0 {
+		t.Fatal("live updates are not visible through the measurement view")
+	}
+	cm.Update(7, 0.5) // a fraction widens the counters to float64
+	y := m.Measurements()
+	if !cm.Widened() || &y[0] != &cm.CounterData()[0] {
+		t.Fatal("Measurements copied the widened counter array; it must alias the backing store")
+	}
+	cm.Update(42, 3)
+	if sum(y) != cm.TotalMass()*4 {
 		t.Fatal("live updates are not visible through the measurement view")
 	}
 }

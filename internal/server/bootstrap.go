@@ -480,6 +480,9 @@ func (s *Server) installBootstrap(p *BootstrapPayload) error {
 	if s.engClosed || s.closed.Load() {
 		return ErrServerClosed
 	}
+	if n := s.senderTableLocked() + s.newSendersLocked(p); n > maxSenders {
+		return fmt.Errorf("bootstrap state would grow the sender table to %d ids (cap %d)", n, maxSenders)
+	}
 	if err := s.mergeForeign(snapSketch, false); err != nil {
 		return fmt.Errorf("absorbing bootstrap snapshot: %w", err)
 	}
@@ -506,6 +509,24 @@ func (s *Server) installBootstrap(p *BootstrapPayload) error {
 	s.cfg.Logf("server: installed the state %q cut: %d snapshot bytes, %d watermarks (%d hearsay), %d trackers",
 		p.NodeID, len(p.Snapshot), len(p.Watermarks), len(p.Hearsay), len(trackers))
 	return nil
+}
+
+// newSendersLocked counts the ids p would add to the sender table: those of
+// its watermarks and trackers (every hearsay id has a watermark) that the
+// table does not hold, this node's own id aside. Caller holds s.snapMu.
+func (s *Server) newSendersLocked(p *BootstrapPayload) int {
+	n := 0
+	for id := range p.Watermarks {
+		if id != s.cfg.NodeID && !s.knownSenderLocked(id) {
+			n++
+		}
+	}
+	for id := range p.Senders {
+		if _, marked := p.Watermarks[id]; !marked && id != s.cfg.NodeID && !s.knownSenderLocked(id) {
+			n++
+		}
+	}
+	return n
 }
 
 // bootstrapGated reports whether path must answer 503 while a bootstrap is

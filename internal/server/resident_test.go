@@ -27,7 +27,7 @@ func heapAllocAfterGC() uint64 {
 }
 
 // TestIdleDaemonHeap is the heap gate on "a counter array exists only once it
-// holds mass": at the daemon's default 65536x4 shape a sketch is 2 MiB, so an
+// holds mass": at the daemon's default 65536x4 shape a sketch is 1 MiB, so an
 // eagerly cloned prototype, replica, foreign sketch or tracker anywhere in
 // New shows as megabytes. A fresh daemon must cost under 1 MiB, and one
 // ingested batch must bring in one replica and nothing else.
@@ -62,10 +62,10 @@ func TestIdleDaemonHeap(t *testing.T) {
 		t.Skip("thresholds are not sized for the race detector's allocator overhead")
 	}
 	if idle >= 1 {
-		t.Errorf("an idle 65536x4 daemon grew the heap by %.2f MiB, want < 1 (a 2 MiB sketch is being cloned before it holds mass)", idle)
+		t.Errorf("an idle 65536x4 daemon grew the heap by %.2f MiB, want < 1 (a 1 MiB sketch is being cloned before it holds mass)", idle)
 	}
 	if oneBatch >= 5 {
-		t.Errorf("a 65536x4 daemon that ingested one batch grew the heap by %.2f MiB, want < 5 (one 2 MiB replica)", oneBatch)
+		t.Errorf("a 65536x4 daemon that ingested one batch grew the heap by %.2f MiB, want < 5 (one 1 MiB replica)", oneBatch)
 	}
 }
 
@@ -135,7 +135,7 @@ func TestMeshNodeHeap(t *testing.T) {
 		t.Skip("thresholds are not sized for the race detector's allocator overhead")
 	}
 	if limit := float64(2*workers + 3); feederGrew >= limit {
-		t.Errorf("a fed and read 65536x4 feeder grew the heap by %.2f MiB, want < %v (%d replicas and one pinned cut of 2 MiB)", feederGrew, limit, workers)
+		t.Errorf("a fed and read 65536x4 feeder grew the heap by %.2f MiB, want < %v (%d replicas and one pinned cut of 1 MiB)", feederGrew, limit, workers)
 	}
 	if receiverGrew >= 3 {
 		t.Errorf("shipping to a 65536x4 receiver and reading it grew the heap by %.2f MiB, want < 3 (foreign, which is the one sender's tracker; a second array is a copy of the sum, a tracker beside foreign, or a baseline beside the pinned cut)", receiverGrew)
@@ -482,6 +482,40 @@ func TestStaleCutIsDropped(t *testing.T) {
 		t.Skip("thresholds are not sized for the race detector's allocator overhead")
 	}
 	if grew >= 7 {
-		t.Errorf("the node grew the heap by %.2f MiB, want < 7 (replica, foreign and epoch, 2 MiB each): a stale cut is still held", grew)
+		t.Errorf("the node grew the heap by %.2f MiB, want < 7 (replica, foreign and epoch, 1 MiB each): a stale cut is still held", grew)
 	}
+}
+
+// TestCounterBytesFollowStorage: /v1/stats reports what the resident arrays
+// take — 4 bytes a counter while they count in int32, 8 once widened — and
+// how many have widened. An integer stream widens nothing; a fraction widens
+// the replica it lands in, and the cut merged from it.
+func TestCounterBytesFollowStorage(t *testing.T) {
+	const width, depth = 64, 4
+	_, client := testDaemon(t, Config{Width: width, Depth: depth, K: 4, Seed: 8, Engine: engine.Config{Workers: 1}})
+	ctx := context.Background()
+	check := func(what string, wantBytes, wantWidened int) {
+		t.Helper()
+		if _, err := client.Query(ctx, 1); err != nil { // pins a cut of what was posted
+			t.Fatal(err)
+		}
+		stats, err := client.Stats(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.CounterBytes != wantBytes || stats.WidenedSketches != wantWidened {
+			t.Fatalf("%s: counter_bytes %d, widened_sketches %d (%+v); want %d and %d",
+				what, stats.CounterBytes, stats.WidenedSketches, stats.Resident, wantBytes, wantWidened)
+		}
+	}
+	post := func(delta float64) {
+		t.Helper()
+		if err := client.UpdateColumns(ctx, []uint64{1, 2, 3}, []float64{2, delta, 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	post(5)
+	check("integer stream", 2*4*width*depth, 0) // the replica and the pinned cut
+	post(0.5)
+	check("after a fraction", 2*8*width*depth, 2)
 }

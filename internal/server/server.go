@@ -411,6 +411,9 @@ type Server struct {
 	// hearsay mark is refused with the replace offer (exact either way the
 	// numbering actually aligned), and the flag clears on the first directly
 	// confirmed frame. Guarded by snapMu.
+	//
+	// Together watermarks, senders and hearsay are the sender table, which
+	// holds at most maxSenders ids (see senderTableLocked).
 	hearsay map[string]bool
 	// Bootstrap status for /v1/stats (guarded by snapMu except the atomics):
 	// bootstrapping gates the API while a state transfer is pending.
@@ -739,6 +742,7 @@ func (s *Server) Close() error {
 //   - An epoch stamped with the current generation is, bit for bit, the
 //     engine cut ⊕ foreign.
 //   - Every hearsay mark is a watermark.
+//   - The sender table holds at most maxSenders ids.
 //
 // Caller holds s.snapMu, with ingestion stopped. New also checks a recovered
 // daemon before it starts, when local (unused while the engine has
@@ -780,6 +784,9 @@ func (s *Server) checkInvariants(local *sketch.HeavyHitterTracker) error {
 		if _, ok := s.watermarks[id]; !ok {
 			return fmt.Errorf("server: invariant violated: sender %q has a hearsay mark but no watermark", id)
 		}
+	}
+	if n := s.senderTableLocked(); n > maxSenders {
+		return fmt.Errorf("server: invariant violated: the sender table holds %d ids (cap %d)", n, maxSenders)
 	}
 	return nil
 }
@@ -1392,6 +1399,17 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusServiceUnavailable, "server is shutting down")
 		return
 	}
+	if !s.knownSenderLocked(frame.Sender) && s.senderTableLocked() >= maxSenders {
+		// A new id at a full table would add a watermark and perhaps a
+		// tracker that nothing ever retires; refuse it before it touches
+		// anything. Known ids keep landing.
+		s.snapMu.Unlock()
+		s.deltasRejected.Add(1)
+		s.cfg.Logf("server: delta from %q refused: the sender table is full (%d ids)", frame.Sender, maxSenders)
+		writeErrDetail(w, http.StatusInsufficientStorage, detailSenderTableFull,
+			"refusing delta from new sender %q: this node's sender table is full (%d ids)", frame.Sender, maxSenders)
+		return
+	}
 	mark := s.watermarks[frame.Sender]
 	switch {
 	case frame.Reset:
@@ -1596,6 +1614,38 @@ func (s *Server) decodeDeltaPayload(payload []byte) (*sketch.HeavyHitterTracker,
 // watermark conflict when this receiver can apply a lossless replace frame
 // from that sender instead of a destructive reset.
 const conflictDetailReplace = "resync=replace"
+
+// detailSenderTableFull is the detail of the 507 refusing a frame from a
+// new sender at a full sender table (maxSenders).
+const detailSenderTableFull = "sender_table_full"
+
+// maxSenders caps the sender table: the ids holding a watermark, a tracker or
+// a hearsay mark. It is a full mesh of 257 nodes, and it bounds what the
+// table costs: at most maxSenders trackers, and a watermark section every
+// save and /v1/bootstrap transfer can encode (256 ids of up to 256 bytes is
+// about 72 kB, well under bootstrapMaxMarksLen).
+const maxSenders = 256
+
+// senderTableLocked returns how many ids the sender table holds. Every
+// hearsay id holds a watermark (checkInvariants), so the table is the ids of
+// watermarks and senders, each counted once. Caller holds s.snapMu.
+func (s *Server) senderTableLocked() int {
+	n := len(s.watermarks)
+	for id := range s.senders {
+		if _, ok := s.watermarks[id]; !ok {
+			n++
+		}
+	}
+	return n
+}
+
+// knownSenderLocked reports whether id is in the sender table. Caller holds
+// s.snapMu.
+func (s *Server) knownSenderLocked(id string) bool {
+	_, marked := s.watermarks[id]
+	_, tracked := s.senders[id]
+	return marked || tracked
+}
 
 // senderTracker returns the tracker of mass received from sender, starting to
 // track it when that is provably sound: with untracked false, every sender
@@ -2109,13 +2159,25 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	// Read behind the snapshot's barrier, so every acknowledged batch has
 	// reached its worker and the count covers the replica it brought in.
 	stats.CounterWords = s.eng.CounterWords()
+	stats.CounterBytes = s.eng.CounterBytes()
+	stats.WidenedSketches = s.eng.WidenedReplicas()
 	stats.Resident.Replicas = stats.CounterWords / (s.cfg.Width * s.cfg.Depth)
+	// resident adds one array the daemon holds outside the engine to the
+	// byte and widening counts.
+	resident := func(tr *sketch.HeavyHitterTracker) {
+		stats.CounterBytes += tr.CounterBytes()
+		if tr.Widened() {
+			stats.WidenedSketches++
+		}
+	}
 	if s.foreign != nil && s.trackerOf(s.foreign) == "" {
 		stats.Resident.Foreign = 1
+		resident(s.foreign)
 	}
 	for _, tr := range s.senders {
 		if tr != s.proto {
 			stats.Resident.Senders++
+			resident(tr)
 		}
 	}
 	// The engine's pinned cut is one array however many of the read epoch and
@@ -2124,15 +2186,19 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	// that is none of the above.
 	if s.cut != nil {
 		stats.Resident.LocalCut = 1
+		resident(s.cut)
 	}
 	for _, held := range baselines {
 		if held != s.cut {
 			stats.Resident.Baselines++
+			resident(held)
 		}
 	}
 	if ep.snap != s.foreign && ep.snap != s.cut && !slices.Contains(baselines, ep.snap) {
 		stats.Resident.Epoch = 1
+		resident(ep.snap)
 	}
+	stats.SenderTable = s.senderTableLocked()
 	if len(s.watermarks) > 0 {
 		stats.Watermarks = make(map[string]uint64, len(s.watermarks))
 		for sender, mark := range s.watermarks {
@@ -2202,6 +2268,8 @@ func codeForStatus(status int) string {
 		return "unsupported_media_type"
 	case http.StatusUnprocessableEntity:
 		return "unprocessable"
+	case http.StatusInsufficientStorage:
+		return "resource_exhausted"
 	case http.StatusServiceUnavailable:
 		return "unavailable"
 	default:

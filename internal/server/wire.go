@@ -154,9 +154,10 @@ type PeerStat struct {
 }
 
 // ResidentSketches counts the distinct full-size counter arrays a daemon
-// holds, by owner; multiply the sum by width x depth x 8 bytes for its sketch
-// memory. Each exists only once it holds mass: Replicas are the engine
-// workers that have received a batch (1 in partition mode), Foreign is 1 once
+// holds, by owner; Stats.CounterBytes is their memory (width x depth x 4
+// bytes each while the counters fit int32, x 8 once widened). Each exists
+// only once it holds mass: Replicas are the engine workers that have
+// received a batch (1 in partition mode), Foreign is 1 once
 // anything has been merged, applied or recovered from outside — 0 while it is
 // all one sender's and the foreign sketch is that sender's tracker — Senders
 // are the gossip senders a window frame has been applied from, LocalCut is 1
@@ -189,26 +190,36 @@ type Stats struct {
 	// resident counters under that choice, summed across shards — in replica
 	// mode width x depth per worker that holds mass, 0 on a daemon that has
 	// ingested nothing. Resident counts every width x depth counter array
-	// the daemon holds, the engine's included.
-	Mode         string           `json:"mode"`
-	CounterWords int              `json:"counter_words"`
-	Resident     ResidentSketches `json:"resident_sketches"`
-	Updates      int64            `json:"updates"`
-	Batches      int64            `json:"batches"`
-	Merges       int64            `json:"merges"`
-	Snapshots    int64            `json:"snapshots"`
-	TotalMass    float64          `json:"total_mass"`
+	// the daemon holds, the engine's included, and CounterBytes is what
+	// they all take: 4 bytes a counter while an array counts in int32 and 8
+	// once it has widened to float64 (partition mode's column shards are
+	// float64 throughout); WidenedSketches counts the widened arrays among
+	// them (docs/CLUSTER.md, "Per-node memory").
+	Mode            string           `json:"mode"`
+	CounterWords    int              `json:"counter_words"`
+	CounterBytes    int              `json:"counter_bytes"`
+	WidenedSketches int              `json:"widened_sketches"`
+	Resident        ResidentSketches `json:"resident_sketches"`
+	Updates         int64            `json:"updates"`
+	Batches         int64            `json:"batches"`
+	Merges          int64            `json:"merges"`
+	Snapshots       int64            `json:"snapshots"`
+	TotalMass       float64          `json:"total_mass"`
 
 	// Delta-replication counters: frames this daemon has applied, absorbed
 	// idempotently (retries of already-applied frames) and rejected at
 	// /v1/delta, the per-sender generation watermarks, and the shipping
 	// status of every configured peer.
-	DeltasApplied   int64             `json:"deltas_applied"`
-	DeltasDuplicate int64             `json:"deltas_duplicate"`
-	DeltasRejected  int64             `json:"deltas_rejected"`
-	DeltasReplaced  int64             `json:"deltas_replaced,omitempty"`
-	Watermarks      map[string]uint64 `json:"watermarks,omitempty"`
-	Peers           []PeerStat        `json:"peers,omitempty"`
+	DeltasApplied   int64 `json:"deltas_applied"`
+	DeltasDuplicate int64 `json:"deltas_duplicate"`
+	DeltasRejected  int64 `json:"deltas_rejected"`
+	DeltasReplaced  int64 `json:"deltas_replaced,omitempty"`
+	// SenderTable is how many sender ids hold a watermark, a tracker or a
+	// hearsay mark; a /v1/delta frame from a new id is refused (507,
+	// detail "sender_table_full") once it reaches 256.
+	SenderTable int               `json:"sender_table"`
+	Watermarks  map[string]uint64 `json:"watermarks,omitempty"`
+	Peers       []PeerStat        `json:"peers,omitempty"`
 
 	// Peer-bootstrap status: empty when the daemon started from local state,
 	// otherwise "pending" (state transfer in progress, reads and writes answer

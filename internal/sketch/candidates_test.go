@@ -324,7 +324,7 @@ func TestAddAndMinMatchesSequentialMin(t *testing.T) {
 				}
 			}
 			est := make([]float64, n)
-			mass, unsigned := addAndMin(counts, idx, stride, deltas, est, 7)
+			unsigned, mass := addAndMinWide(counts, idx, stride, depth, deltas, est, 7)
 			if unsigned != wantUnsigned || math.Float64bits(mass) != math.Float64bits(wantMass) {
 				t.Fatalf("depth %d: (mass, unsigned) = (%v, %d), want (%v, %d)", depth, mass, unsigned, wantMass, wantUnsigned)
 			}

@@ -174,18 +174,22 @@ type ColumnSketch interface {
 }
 
 // appendColumnSlice copies columns [lo, hi) of every row of a flat row-major
-// counter array: the slice a partitioned engine's shard holds of it.
-func appendColumnSlice(dst, counts []float64, width, rows, lo, hi int) []float64 {
+// counter array, as float64: the slice a partitioned engine's shard holds of
+// it.
+func appendColumnSlice[T int32 | float64](dst []float64, counts []T, width, rows, lo, hi int) []float64 {
 	for r := 0; r < rows; r++ {
-		dst = append(dst, counts[r*width+lo:r*width+hi]...)
+		for _, v := range counts[r*width+lo : r*width+hi] {
+			dst = append(dst, float64(v))
+		}
 	}
 	return dst
 }
 
 // concatColumnSlices overwrites a flat row-major counter array from per-shard
 // column slices — the inverse of appendColumnSlice, shared by the families'
-// ConcatColumns. Each slices[j] must hold rows*(hi_j-lo_j) values.
-func concatColumnSlices(counts []float64, slices [][]float64, shape ColumnShape) error {
+// ConcatColumns — handing each row's run of a slice to put with its offset
+// in the array. Each slices[j] must hold rows*(hi_j-lo_j) values.
+func concatColumnSlices(slices [][]float64, shape ColumnShape, put func(off int, src []float64)) error {
 	for j, s := range slices {
 		lo, hi := shape.Range(j, len(slices))
 		if len(s) != shape.Rows*(hi-lo) {
@@ -194,7 +198,7 @@ func concatColumnSlices(counts []float64, slices [][]float64, shape ColumnShape)
 		}
 		w := hi - lo
 		for r := 0; r < shape.Rows; r++ {
-			copy(counts[r*shape.Width+lo:r*shape.Width+hi], s[r*w:(r+1)*w])
+			put(r*shape.Width+lo, s[r*w:(r+1)*w])
 		}
 	}
 	return nil

@@ -3,6 +3,7 @@ package sketch
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/hashing"
 	"repro/internal/xrand"
@@ -16,16 +17,34 @@ import (
 // least 1-delta when w = ceil(e/eps) and d = ceil(ln(1/delta)).
 //
 // The counters live in one flat contiguous array (row r occupies
-// counts[r*width : (r+1)*width]), and every batched path hashes through the
+// [r*width, (r+1)*width)), and every batched path hashes through the
 // row-set kernel of internal/hashing, which turns a chunk of keys into flat
 // indices into that array for all rows at once. The batch path is
 // bit-identical to per-item updates: for any one counter, the same deltas
 // arrive in the same stream order either way.
+//
+// The array has one storage rule. It holds int32 counters while every one is
+// an integer in [-2^31, 2^31), and widens once, for good, to float64 at the
+// first input that cannot stay exact in 32 bits: a delta that is not an
+// integer in int32 range (a fraction, NaN, ±Inf), a counter that would leave
+// the range, or a Merge, Sub or Scale with an operand that cannot stay int32.
+// A fresh sketch (NewCountMin, Clone) starts narrow, and a decoded one is
+// narrow when every counter word is such an integer and not -0. A narrow
+// counter's float64 is bit for bit the counter the float64 path would hold —
+// integer sums below 2^53 are exact, and no int32 is -0 — so estimates, the
+// total mass (always a float64) and every encoded byte are the same whichever
+// storage a sketch has. Widening happens only in the sketch's own writer, and
+// an overflowing update is caught before any of its counters is stored.
+// Conservative-update sketches count in float64 from the start.
 type CountMin struct {
-	width  int
-	depth  int
-	counts []float64 // flat, row-major: row r at counts[r*width:(r+1)*width]
-	hashes []hashing.Hasher
+	width int
+	depth int
+	// counts32 holds the counters while they fit 32 bits and counts once
+	// widened: flat, row-major, row r at [r*width, (r+1)*width). Exactly one
+	// is non-nil, except in a Prototype, which holds neither.
+	counts32 []int32
+	counts   []float64
+	hashes   []hashing.Hasher
 	// rows is the row-set kernel over hashes: what every batched path hashes
 	// with. Immutable, shared with clones like the hashers themselves.
 	rows *hashing.Rows
@@ -52,6 +71,9 @@ type CountMin struct {
 	// steady-state, single goroutine at a time. Concurrent readers use
 	// EstimateBatchWith with their own scratch instead.
 	estScratch EstimateScratch
+	// est backs UpdateBatch's counter pass (see addAndMin), which writes each
+	// item's estimate whether or not the caller wants it.
+	est []float64
 }
 
 // CountMinOption configures a CountMin sketch at construction time.
@@ -95,7 +117,6 @@ func newCountMinFromSeed(seed uint64, width, depth int, family hashing.Family, c
 	cm := &CountMin{
 		width:        width,
 		depth:        depth,
-		counts:       make([]float64, width*depth),
 		hashes:       make([]hashing.Hasher, depth),
 		conservative: conservative,
 		seed:         seed,
@@ -105,8 +126,95 @@ func newCountMinFromSeed(seed uint64, width, depth int, family hashing.Family, c
 		cm.hashes[i] = hashing.NewHasher(family, hr, uint64(width))
 	}
 	cm.rows = hashing.NewRows(cm.hashes, width)
+	cm.allocate()
 	return cm
 }
+
+// allocate gives a counter-less sketch its zero counters: int32, or float64
+// when conservative update rules out the int32 kernels.
+func (cm *CountMin) allocate() {
+	if cm.conservative {
+		cm.counts = make([]float64, cm.width*cm.depth)
+	} else {
+		cm.counts32 = make([]int32, cm.width*cm.depth)
+	}
+}
+
+// fitsInt32 returns v as an int32 when it is an integer in [-2^31, 2^31),
+// -0 included (as 0): a delta or factor the int32 counters take exactly.
+// Whatever an out-of-range conversion yields, it cannot convert back to v.
+func fitsInt32(v float64) (int32, bool) {
+	k := int32(v)
+	return k, float64(k) == v
+}
+
+// negZeroBits is the float64 -0; a counter word holding it stays float64,
+// since no int32 spells it.
+const negZeroBits = 1 << 63
+
+// narrowWord returns the int32 a counter word holds, when it holds one: an
+// integer in int32 range that is not -0, so the int32 re-encodes as the same
+// eight bytes.
+func narrowWord(w uint64) (int32, bool) {
+	k, ok := fitsInt32(math.Float64frombits(w))
+	return k, ok && w != negZeroBits
+}
+
+// widen moves int32 counters to float64 storage, once and for good; on a
+// sketch already wide, or a Prototype, it does nothing.
+func (cm *CountMin) widen() {
+	if cm.counts32 == nil {
+		return
+	}
+	wide := make([]float64, len(cm.counts32))
+	for i, v := range cm.counts32 {
+		wide[i] = float64(v)
+	}
+	cm.counts, cm.counts32 = wide, nil
+}
+
+// stored returns how many counters the sketch holds: width x depth, or 0 for
+// a Prototype.
+func (cm *CountMin) stored() int { return len(cm.counts32) + len(cm.counts) }
+
+// at returns counter i as the float64 it stands for.
+func (cm *CountMin) at(i int) float64 {
+	if cm.counts32 != nil {
+		return float64(cm.counts32[i])
+	}
+	return cm.counts[i]
+}
+
+// store overwrites the counters from off on with src. A narrow sketch stays
+// narrow while each value is what a decoded word must be to stay narrow (an
+// integer in int32 range, not -0), and widens at the first that is not.
+func (cm *CountMin) store(off int, src []float64) {
+	if cm.counts32 != nil {
+		dst := cm.counts32[off:][:len(src)]
+		for i, v := range src {
+			k, ok := narrowWord(math.Float64bits(v))
+			if !ok {
+				cm.widen()
+				off, src = off+i, src[i:]
+				break
+			}
+			dst[i] = k
+		}
+		if cm.counts32 != nil {
+			return
+		}
+	}
+	copy(cm.counts[off:], src)
+}
+
+// Widened reports whether the counters are float64: widened by the storage
+// rule (see CountMin), or conservative from the start. A Prototype holds no
+// counters and is not widened.
+func (cm *CountMin) Widened() bool { return cm.counts != nil }
+
+// CounterBytes returns the bytes the counter array occupies: 4 per counter
+// while narrow, 8 once widened, 0 for a Prototype.
+func (cm *CountMin) CounterBytes() int { return 4*len(cm.counts32) + 8*len(cm.counts) }
 
 // NewCountMinWithError creates a Count-Min sketch sized for additive error
 // eps*||x||_1 with failure probability delta: width = ceil(e/eps),
@@ -132,7 +240,8 @@ func (cm *CountMin) Depth() int { return cm.depth }
 // Size returns the total number of counters (the sketch's space in words).
 func (cm *CountMin) Size() int { return cm.width * cm.depth }
 
-// row returns the counter slice of one row (a view into the flat array).
+// row returns the counter slice of one row of a wide sketch (a view into the
+// flat array).
 func (cm *CountMin) row(r int) []float64 {
 	return cm.counts[r*cm.width : (r+1)*cm.width]
 }
@@ -174,10 +283,10 @@ func (cm *CountMin) Update(item uint64, delta float64) {
 // UpdateBatch adds deltas[i] to items[i]'s count for every i, equivalent to
 // (and bit-identical with) calling Update item by item: chunk by chunk, the
 // row-set kernel hashes the keys into every row's counter indices in one
-// pass, then each row scatters the chunk's deltas into its counters. The
-// index matrix is reused across calls, so steady-state ingestion does not
-// allocate. The slices must have equal length; the sketch does not retain
-// them.
+// pass, then the tracker's counter pass (addAndMin) adds each delta to its
+// item's counters. The scratch is reused across calls, so steady-state
+// ingestion does not allocate. The slices must have equal length; the sketch
+// does not retain them.
 func (cm *CountMin) UpdateBatch(items []uint64, deltas []float64) {
 	if len(items) != len(deltas) {
 		panic(fmt.Sprintf("sketch: CountMin.UpdateBatch length mismatch (%d items, %d deltas)", len(items), len(deltas)))
@@ -193,20 +302,14 @@ func (cm *CountMin) UpdateBatch(items []uint64, deltas []float64) {
 		}
 		return
 	}
-	for _, d := range deltas {
-		cm.totalMass += d
-	}
-	counts := cm.counts
 	idx, stride := indexRows(&cm.idxScratch, cm.depth, len(items))
+	if cap(cm.est) < stride {
+		cm.est = make([]float64, stride)
+	}
 	for len(items) > 0 {
 		n := min(len(items), stride)
 		cm.rows.Index(items[:n], idx, stride)
-		ds := deltas[:n]
-		for r := 0; r < cm.depth; r++ {
-			for i, j := range idx[r*stride:][:n] {
-				counts[j] += ds[i]
-			}
-		}
+		cm.addAndMin(idx, stride, deltas[:n], cm.est[:n])
 		items, deltas = items[n:], deltas[n:]
 	}
 }
@@ -233,7 +336,7 @@ func (cm *CountMin) updateConservative(item uint64, delta float64) {
 func (cm *CountMin) Estimate(item uint64) float64 {
 	est := math.Inf(1)
 	for r := 0; r < cm.depth; r++ {
-		if v := cm.counts[r*cm.width+cm.bucket(r, item)]; v < est {
+		if v := cm.at(r*cm.width + cm.bucket(r, item)); v < est {
 			est = v
 		}
 	}
@@ -258,10 +361,9 @@ func (cm *CountMin) InnerProduct(other *CountMin) (float64, error) {
 	}
 	est := math.Inf(1)
 	for r := 0; r < cm.depth; r++ {
-		a, b := cm.row(r), other.row(r)
 		var s float64
-		for j := range a {
-			s += a[j] * b[j]
+		for j := r * cm.width; j < (r+1)*cm.width; j++ {
+			s += cm.at(j) * other.at(j)
 		}
 		if s < est {
 			est = s
@@ -299,9 +401,7 @@ func (cm *CountMin) Merge(other *CountMin) error {
 	if cm.conservative || other.conservative {
 		return fmt.Errorf("sketch: conservative-update CountMin sketches are not mergeable")
 	}
-	for i, v := range other.counts {
-		cm.counts[i] += v
-	}
+	cm.combine(other, false)
 	cm.totalMass += other.totalMass
 	return nil
 }
@@ -322,11 +422,70 @@ func (cm *CountMin) Sub(other *CountMin) error {
 	if err := cm.subtractable(other); err != nil {
 		return err
 	}
-	for i, v := range other.counts {
-		cm.counts[i] -= v
-	}
+	cm.combine(other, true)
 	cm.totalMass -= other.totalMass
 	return nil
+}
+
+// combine adds other's counters into cm's, or subtracts them with sub. Two
+// narrow sketches combine in int32 until a counter would leave the range;
+// from that counter on, and whenever either side is wide, cm is wide. A
+// Prototype operand is all zeros and changes nothing.
+func (cm *CountMin) combine(other *CountMin, sub bool) {
+	if other.stored() == 0 {
+		return
+	}
+	if a, b := cm.counts32, other.counts32; a != nil && b != nil {
+		if i := combine32(a, b, sub); i < len(b) {
+			cm.widen()
+			combineWide(cm.counts[i:], b[i:], sub)
+		}
+		return
+	}
+	cm.widen()
+	if other.counts32 != nil {
+		combineWide(cm.counts, other.counts32, sub)
+	} else {
+		combineWide(cm.counts, other.counts, sub)
+	}
+}
+
+// combine32 adds src into dst, or subtracts it with sub, in int32, stopping
+// ahead of the first counter whose result would leave the int32 range. It
+// returns how many counters it combined.
+func combine32(dst, src []int32, sub bool) int {
+	dst = dst[:len(src)]
+	if sub {
+		for i, v := range src {
+			s := int64(dst[i]) - int64(v)
+			if s != int64(int32(s)) {
+				return i
+			}
+			dst[i] = int32(s)
+		}
+		return len(src)
+	}
+	for i, v := range src {
+		s := int64(dst[i]) + int64(v)
+		if s != int64(int32(s)) {
+			return i
+		}
+		dst[i] = int32(s)
+	}
+	return len(src)
+}
+
+// combineWide adds src into dst, or subtracts it with sub, in float64.
+func combineWide[T int32 | float64](dst []float64, src []T, sub bool) {
+	if sub {
+		for i, v := range src {
+			dst[i] -= float64(v)
+		}
+		return
+	}
+	for i, v := range src {
+		dst[i] += float64(v)
+	}
 }
 
 // subtractable returns nil when cm - other is defined counter for counter:
@@ -345,14 +504,34 @@ func (cm *CountMin) subtractable(other *CountMin) error {
 // negates the sketch, so Merge(negated clone) is the same subtraction Sub
 // performs in one pass. Conservative-update sketches are not linear and
 // cannot be scaled.
+//
+// A narrow sketch stays narrow under a positive integer factor while the
+// products fit. Any other factor widens it: a fraction, and also zero or a
+// negative factor, whose float64 products include -0 (0 x -1, -5 x 0).
 func (cm *CountMin) Scale(c float64) {
 	if cm.conservative {
 		panic("sketch: conservative-update CountMin sketches are not linear and cannot be scaled")
 	}
-	for i := range cm.counts {
+	cm.totalMass *= c
+	lo := 0
+	if k, ok := fitsInt32(c); ok && k >= 1 && cm.counts32 != nil {
+		lo = len(cm.counts32)
+		for i, v := range cm.counts32 {
+			p := int64(v) * int64(k)
+			if p != int64(int32(p)) {
+				lo = i
+				break
+			}
+			cm.counts32[i] = int32(p)
+		}
+		if lo == len(cm.counts32) {
+			return
+		}
+	}
+	cm.widen()
+	for i := lo; i < len(cm.counts); i++ {
 		cm.counts[i] *= c
 	}
-	cm.totalMass *= c
 }
 
 // Prototype returns cm's shape and hash functions without any counters: the
@@ -379,35 +558,50 @@ func (cm *CountMin) Prototype() *CountMin {
 // clone gets its own counters and scratch, so clones ingest concurrently.
 func (cm *CountMin) Clone() *CountMin {
 	out := cm.Prototype()
-	out.counts = make([]float64, cm.width*cm.depth)
+	out.allocate()
 	return out
 }
 
 // Copy returns a deep copy of cm: same hash functions, its own counters
-// holding the current values. It is the snapshot idiom the delta math uses
-// (retain a Copy, keep ingesting, Sub the copy later).
+// holding the current values in the same storage. It is the snapshot idiom
+// the delta math uses (retain a Copy, keep ingesting, Sub the copy later).
+// The Copy of a Prototype is an empty sketch.
 func (cm *CountMin) Copy() *CountMin {
-	out := cm.Clone()
-	copy(out.counts, cm.counts)
+	if cm.stored() == 0 {
+		return cm.Clone()
+	}
+	out := cm.Prototype()
+	out.counts32, out.counts = slices.Clone(cm.counts32), slices.Clone(cm.counts)
 	out.totalMass = cm.totalMass
 	return out
 }
 
-// Counters returns the counter matrix as one row view per depth. The rows
-// alias the live flat backing store; callers must not modify them. Exposed
-// for the core package's matrix view and for tests.
+// Counters returns the counter matrix as one row view per depth, over
+// CounterData: the live store of a widened sketch, which callers must not
+// modify, and a copy otherwise.
 func (cm *CountMin) Counters() [][]float64 {
+	flat := cm.CounterData()
 	rows := make([][]float64, cm.depth)
 	for r := range rows {
-		rows[r] = cm.row(r)
+		rows[r] = flat[r*cm.width : (r+1)*cm.width]
 	}
 	return rows
 }
 
 // CounterData returns the flat row-major counter array (row r at
-// [r*width, (r+1)*width)). It is the live backing store; callers must not
-// modify it.
-func (cm *CountMin) CounterData() []float64 { return cm.counts }
+// [r*width, (r+1)*width)) as float64. For a widened sketch it is the live
+// backing store, which callers must not modify; int32 counters cannot be
+// aliased as float64, so a narrow sketch returns a fresh copy.
+func (cm *CountMin) CounterData() []float64 {
+	if cm.counts32 == nil {
+		return cm.counts
+	}
+	out := make([]float64, len(cm.counts32))
+	for i, v := range cm.counts32 {
+		out[i] = float64(v)
+	}
+	return out
+}
 
 // RowBucket exposes the bucket an item maps to in a given row; used by the
 // core package to materialize the sketch as an explicit sparse matrix.
@@ -477,15 +671,19 @@ func (cm *CountMin) scatter(items []uint64, deltas []float64, sc *ColumnScatter,
 // sketch — and returns the extended slice.
 func (cm *CountMin) AppendColumnSlice(dst []float64, shard, shards int) []float64 {
 	lo, hi := cm.ColumnShape().Range(shard, shards)
+	if cm.counts32 != nil {
+		return appendColumnSlice(dst, cm.counts32, cm.width, cm.depth, lo, hi)
+	}
 	return appendColumnSlice(dst, cm.counts, cm.width, cm.depth, lo, hi)
 }
 
 // ConcatColumns overwrites the counters from per-shard column slices (the
 // inverse of AppendColumnSlice over all shards) and sets the total mass to
 // the summed shard masses. With exactly summable deltas the result is
-// bit-identical to the sketch a single-threaded run would have produced.
+// bit-identical to the sketch a single-threaded run would have produced. The
+// storage is picked the way a decode picks it (see store).
 func (cm *CountMin) ConcatColumns(slices [][]float64, mass float64) error {
-	if err := concatColumnSlices(cm.counts, slices, cm.ColumnShape()); err != nil {
+	if err := concatColumnSlices(slices, cm.ColumnShape(), cm.store); err != nil {
 		return err
 	}
 	cm.totalMass = mass

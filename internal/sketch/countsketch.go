@@ -362,7 +362,9 @@ func (cs *CountSketch) ScatterColumns(items []uint64, deltas []float64, sc *Colu
 // ConcatColumns overwrites the counters from per-shard column slices. The
 // mass argument is ignored: Count-Sketch keeps no mass accounting.
 func (cs *CountSketch) ConcatColumns(slices [][]float64, _ float64) error {
-	return concatColumnSlices(cs.counts, slices, cs.ColumnShape())
+	return concatColumnSlices(slices, cs.ColumnShape(), func(off int, src []float64) {
+		copy(cs.counts[off:], src)
+	})
 }
 
 // median returns the median of values; for even counts it averages the two

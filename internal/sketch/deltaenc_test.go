@@ -269,6 +269,7 @@ func TestAppendDeltaSinceMatchesSeedChain(t *testing.T) {
 	// Counters no decoder would accept still encode alike against both empty
 	// bases: v - 0 is v bit for bit, the sign of zero and NaN included.
 	odd := NewHeavyHitterTracker(xrand.New(5), 53, 3, 4)
+	odd.cm.widen()
 	copy(odd.cm.counts, []float64{math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1), 5e-324, -5e-324, 1})
 	odd.cm.totalMass = math.Copysign(0, -1)
 	whole, _ := odd.MarshalBinary()
@@ -506,8 +507,9 @@ func deltaGoldenWindow() (local, base *HeavyHitterTracker) {
 	feed(local, r, 30, 1000, deltaShapes[2].delta)
 	feed(local, r, 30, 1000, deltaShapes[1].delta)
 	negZeros := 0
-	for i, v := range base.cm.counts {
-		if v == 0 && local.cm.counts[i] == 0 && negZeros < 3 {
+	local.cm.widen() // only a float64 counter holds -0
+	for i := range base.cm.stored() {
+		if base.cm.at(i) == 0 && local.cm.counts[i] == 0 && negZeros < 3 {
 			local.cm.counts[i] = math.Copysign(0, -1)
 			negZeros++
 		}

@@ -34,10 +34,23 @@
 // DecodeDeltaInto; the grammar is in encoding.go) spells the inner encoding
 // as uvarint tokens of three kinds: a zero run, a literal, and an 8-byte
 // counter word that is the float64 of a nonzero integer |v| <= 2^53, written
-// as v zigzagged — one byte for |v| < 16. Counters stay float64 and the inner
-// bytes come back verbatim. The non-linear summaries opt out: Bloom filters
-// OR bits rather than add counters, and conservative-update Count-Min
-// refuses Sub/Scale just as it refuses Merge.
+// as v zigzagged — one byte for |v| < 16. Encoded counters are float64
+// words and the inner bytes come back verbatim. The non-linear summaries opt
+// out: Bloom filters OR bits rather than add counters, and
+// conservative-update Count-Min refuses Sub/Scale just as it refuses Merge.
+//
+// Count-Min counters have one storage rule (see CountMin): an array holds
+// int32 counters while every one is an integer in [-2^31, 2^31), and widens
+// once, for good, to float64 at the first input that cannot stay exact in 32
+// bits — a fractional, non-finite or out-of-range delta, a counter that would
+// leave the range, or a Merge, Sub or Scale with an operand that cannot stay
+// int32. A narrow counter is bit for bit the float64 the wide path would hold,
+// so no estimate, mass or encoded byte depends on the storage: an int32
+// counter encodes as the float64 word of its value, and a decode picks int32
+// storage when every word is such an integer and not -0. That halves the
+// memory and the hot read-modify-writes of the Count-Min families (CountMin,
+// the tracker, Dyadic's levels) for integer streams; conservative update and
+// CountSketch count in float64.
 //
 // The update path is batch-first: counters live in one flat row-major array
 // (row stride = width) and every family exposes UpdateBatch (AddBatch for

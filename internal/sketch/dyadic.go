@@ -216,6 +216,27 @@ func (d *Dyadic) SizeCounters() int {
 	return s
 }
 
+// CounterBytes returns the bytes of every level's counter array (see
+// CountMin.CounterBytes).
+func (d *Dyadic) CounterBytes() int {
+	s := 0
+	for _, cm := range d.levels {
+		s += cm.CounterBytes()
+	}
+	return s
+}
+
+// Widened reports whether any level counts in float64 (see the storage rule
+// on CountMin).
+func (d *Dyadic) Widened() bool {
+	for _, cm := range d.levels {
+		if cm.Widened() {
+			return true
+		}
+	}
+	return false
+}
+
 // LogUniverse returns the number of dyadic levels minus one.
 func (d *Dyadic) LogUniverse() int { return d.logU }
 
@@ -370,7 +391,7 @@ func (d *Dyadic) ConcatColumns(slices [][]float64, mass float64) error {
 		for rr := 0; rr < shape.Rows; rr++ {
 			cm := d.levels[rr/depth]
 			r := rr % depth
-			copy(cm.counts[r*cm.width+lo:r*cm.width+hi], s[rr*w:(rr+1)*w])
+			cm.store(r*cm.width+lo, s[rr*w:(rr+1)*w])
 		}
 	}
 	for _, cm := range d.levels {
@@ -483,8 +504,7 @@ func (t *HeavyHitterTracker) UpdateBatch(items []uint64, deltas []float64) {
 		n := min(len(items), stride)
 		est := t.est[:n]
 		cm.rows.Index(items[:n], idx, stride)
-		mass, unsigned := addAndMin(cm.counts, idx, stride, deltas[:n], est, cm.totalMass)
-		cm.totalMass = mass
+		unsigned := cm.addAndMin(idx, stride, deltas[:n], est)
 		gated := 0
 		if t.scoresLow {
 			gated = unsigned
@@ -505,12 +525,100 @@ func (t *HeavyHitterTracker) UpdateBatch(items []uint64, deltas []float64) {
 	}
 }
 
-// addAndMin is the counter pass of UpdateBatch over one chunk: for every i it
-// adds deltas[i] to the counters idx[r*stride+i] of each row r and stores the
-// minimum of the values written in est[i] — folded with `<` from +Inf, as
-// Estimate folds the rows. It returns the mass with the deltas added in
-// order, and how many leading deltas are >= 0 (len(deltas) when all are; NaN
-// is not).
+// addAndMin is the counter pass of UpdateBatch over one hashed chunk (idx is
+// the chunk's index matrix, row r at idx[r*stride:]): for every i it adds
+// deltas[i] to the item's counters in each row and stores the minimum of the
+// values written in est[i] — Estimate(item) right after its own update. The
+// mass takes the deltas in order. It returns how many leading deltas are
+// >= 0 (len(deltas) when all are; NaN is not).
+//
+// Narrow counters go through addAndMin32 until an item cannot stay int32;
+// the sketch then widens and that item and the rest of the chunk go through
+// addAndMinWide. Either way every counter receives its deltas in stream order.
+func (cm *CountMin) addAndMin(idx []uint64, stride int, deltas, est []float64) int {
+	k, unsigned := 0, len(deltas)
+	if cm.counts32 != nil {
+		k, unsigned, cm.totalMass = addAndMin32(cm.counts32, idx, stride, cm.depth, deltas, est, cm.totalMass)
+		if k == len(deltas) {
+			return unsigned
+		}
+		cm.widen()
+	}
+	u, mass := addAndMinWide(cm.counts, idx[k:], stride, cm.depth, deltas[k:], est[k:], cm.totalMass)
+	cm.totalMass = mass
+	return min(unsigned, k+u)
+}
+
+// addAndMin32 is addAndMin over int32 counters. It stops ahead of the first
+// item whose delta is not an integer in int32 range (a -0 delta is 0) or
+// which would move one of its counters out of the range, before storing any
+// of that item's counters, and returns how many items it applied, the index
+// of the first negative delta among them (len(deltas) if none) and the mass.
+//
+// The daemon's depth of 4 gets its own loop, which checks the four sums in
+// one test: each is in range exactly when adding 2^31 leaves it in
+// [0, 2^32). The estimate is the int64 minimum, which no NaN or signed zero
+// can disturb.
+func addAndMin32(counts []int32, idx []uint64, stride, depth int, deltas, est []float64, mass float64) (int, int, float64) {
+	n := len(deltas)
+	est = est[:n]
+	unsigned := n
+	if depth == 4 {
+		i0, i1, i2, i3 := idx[:n], idx[stride:][:n], idx[2*stride:][:n], idx[3*stride:][:n]
+		for i, d := range deltas {
+			k, ok := fitsInt32(d)
+			if !ok {
+				return i, unsigned, mass
+			}
+			dk := int64(k)
+			v0 := int64(counts[i0[i]]) + dk
+			v1 := int64(counts[i1[i]]) + dk
+			v2 := int64(counts[i2[i]]) + dk
+			v3 := int64(counts[i3[i]]) + dk
+			if (uint64(v0+1<<31)|uint64(v1+1<<31)|uint64(v2+1<<31)|uint64(v3+1<<31))>>32 != 0 {
+				return i, unsigned, mass
+			}
+			counts[i0[i]] = int32(v0)
+			counts[i1[i]] = int32(v1)
+			counts[i2[i]] = int32(v2)
+			counts[i3[i]] = int32(v3)
+			est[i] = float64(min(v0, v1, v2, v3))
+			mass += d
+			if k < 0 && i < unsigned {
+				unsigned = i
+			}
+		}
+		return n, unsigned, mass
+	}
+	for i, d := range deltas {
+		k, ok := fitsInt32(d)
+		if !ok {
+			return i, unsigned, mass
+		}
+		e := int64(math.MaxInt64)
+		for j := i; j < depth*stride; j += stride {
+			v := int64(counts[idx[j]]) + int64(k)
+			if v != int64(int32(v)) {
+				return i, unsigned, mass
+			}
+			e = min(e, v)
+		}
+		for j := i; j < depth*stride; j += stride {
+			counts[idx[j]] += k
+		}
+		est[i] = float64(e)
+		mass += d
+		if k < 0 && i < unsigned {
+			unsigned = i
+		}
+	}
+	return n, unsigned, mass
+}
+
+// addAndMinWide is addAndMin over float64 counters, returning the count of
+// leading deltas >= 0 and the mass. idx may start part-way into a chunk, at
+// the item where addAndMin32 stopped: row r of the item deltas[i] is still
+// idx[r*stride+i].
 //
 // The daemon's depth of 4 gets its own loop. The index rows are sliced to the
 // chunk, so the only bounds checks left are the counter accesses themselves,
@@ -521,11 +629,11 @@ func (t *HeavyHitterTracker) UpdateBatch(items []uint64, deltas []float64) {
 // builtin orders -0 below +0, the fold keeps whichever came first), and both
 // cases leave the builtin's result NaN or zero: those items, and only those,
 // are folded again by definition.
-func addAndMin(counts []float64, idx []uint64, stride int, deltas, est []float64, mass float64) (float64, int) {
+func addAndMinWide(counts []float64, idx []uint64, stride, depth int, deltas, est []float64, mass float64) (int, float64) {
 	n := len(deltas)
 	est = est[:n]
 	unsigned := n
-	if len(idx) == 4*stride {
+	if depth == 4 {
 		i0, i1, i2, i3 := idx[:n], idx[stride:][:n], idx[2*stride:][:n], idx[3*stride:][:n]
 		for i, d := range deltas {
 			v0 := counts[i0[i]] + d
@@ -551,13 +659,14 @@ func addAndMin(counts []float64, idx []uint64, stride int, deltas, est []float64
 				unsigned = i
 			}
 		}
-		return mass, unsigned
+		return unsigned, mass
 	}
 	for i, d := range deltas {
 		e := math.Inf(1)
-		for j := i; j < len(idx); j += stride {
-			v := counts[idx[j]] + d
-			counts[idx[j]] = v
+		for r := 0; r < depth; r++ {
+			j := idx[r*stride+i]
+			v := counts[j] + d
+			counts[j] = v
 			if v < e {
 				e = v
 			}
@@ -568,7 +677,7 @@ func addAndMin(counts []float64, idx []uint64, stride int, deltas, est []float64
 			unsigned = i
 		}
 	}
-	return mass, unsigned
+	return unsigned, mass
 }
 
 // Estimate returns the sketch estimate for an item.
@@ -704,6 +813,14 @@ func (t *HeavyHitterTracker) HeavyHitters(phi float64) []stream.ItemCount {
 
 // SpaceCounters returns the number of counters used by the backing sketch.
 func (t *HeavyHitterTracker) SpaceCounters() int { return t.cm.Size() }
+
+// CounterBytes returns the bytes of the backing sketch's counter array (see
+// CountMin.CounterBytes).
+func (t *HeavyHitterTracker) CounterBytes() int { return t.cm.CounterBytes() }
+
+// Widened reports whether the backing sketch counts in float64 (see the
+// storage rule on CountMin).
+func (t *HeavyHitterTracker) Widened() bool { return t.cm.Widened() }
 
 // Column partitioning (see columns.go) ---------------------------------------
 

@@ -26,7 +26,10 @@ import (
 //	payload          kind-specific header (dimensions, hash seed, family)
 //	                 followed by the raw counters
 //
-// Floats are encoded as IEEE-754 bits so counters round-trip exactly.
+// Floats are encoded as IEEE-754 bits so counters round-trip exactly. A
+// Count-Min counting in int32 writes each counter as the float64 of its
+// value, the word the float64 path holds, so the bytes do not depend on the
+// storage.
 
 // encodingMagic guards against feeding arbitrary bytes to Unmarshal.
 var encodingMagic = [4]byte{'S', 'K', 'C', '1'}
@@ -271,6 +274,38 @@ func (r *reader) counters(name string, dst []float64) {
 	r.buf = r.buf[len(buf):]
 }
 
+// countMinCounters is counters for a fresh Count-Min, which picks its storage
+// as it goes: it stays narrow while every word is an integer in int32 range
+// and not -0 (narrowWord), and widens at the first word that is not, so the
+// decoded sketch re-encodes to the same bytes.
+func (r *reader) countMinCounters(cm *CountMin) {
+	if r.err != nil {
+		return
+	}
+	n := cm.stored()
+	buf := r.buf[:8*n]
+	i := 0
+	if c := cm.counts32; c != nil {
+		for ; i < n; i++ {
+			k, ok := narrowWord(binary.BigEndian.Uint64(buf[8*i:]))
+			if !ok {
+				cm.widen()
+				break
+			}
+			c[i] = k
+		}
+	}
+	for ; i < n; i++ {
+		w := binary.BigEndian.Uint64(buf[8*i:])
+		if w&float64ExpMask == float64ExpMask {
+			r.fail("CountMin: counter %d is not finite", i)
+			return
+		}
+		cm.counts[i] = math.Float64frombits(w)
+	}
+	r.buf = r.buf[len(buf):]
+}
+
 // CountMin ------------------------------------------------------------------
 
 // MarshalBinary encodes the sketch: a versioned header carrying the family,
@@ -279,12 +314,16 @@ func (r *reader) counters(name string, dst []float64) {
 func (cm *CountMin) MarshalBinary() ([]byte, error) {
 	buf := make([]byte, 0, countMinHeaderLen+8*cm.width*cm.depth)
 	w := writer{buf: cm.appendEncodingHeader(buf, cm.totalMass)}
-	if len(cm.counts) == 0 {
+	if cm.stored() == 0 {
 		// A Prototype encodes as the empty sketch it stands for.
 		return append(w.buf, make([]byte, 8*cm.width*cm.depth)...), nil
 	}
 	// The flat counter array is row-major, so this emits exactly the same
-	// row-by-row byte stream as the pre-flat [][]float64 layout did.
+	// row-by-row byte stream as the pre-flat [][]float64 layout did. An int32
+	// counter is the float64 of its value, the word the float64 path holds.
+	for _, v := range cm.counts32 {
+		w.f64(float64(v))
+	}
 	for _, v := range cm.counts {
 		w.f64(v)
 	}
@@ -334,7 +373,7 @@ func (cm *CountMin) UnmarshalBinary(data []byte) error {
 	}
 	out := newCountMinFromSeed(seed, int(width), int(depth), family, conservative)
 	out.totalMass = totalMass
-	r.counters("CountMin", out.counts)
+	r.countMinCounters(out)
 	if err := r.done("CountMin"); err != nil {
 		return err
 	}
@@ -653,7 +692,7 @@ func (t *IBLT) MarshalBinary() ([]byte, error) {
 //
 // The scheme is agnostic to the inner kind — Count-Min, tracker, dyadic and
 // every future family get compact deltas for free — and the inner bytes come
-// back verbatim, so the decoded sketch is bit-identical: counters stay
+// back verbatim, so the decoded sketch is bit-identical: counter words stay
 // float64, and an integer token only ever spells the word it replaces.
 //
 // There is one encoder, tokenWriter, and it streams: it is fed the inner
@@ -899,29 +938,36 @@ func EncodeDelta(inner []byte) []byte {
 // without counters (a Prototype) is the empty sketch, and v - 0 is v bit for
 // bit (-0 and NaN included), so that case feeds cm's own counters: the same
 // bytes a zero-filled base would give, chosen once here and not per counter.
+// Two int32 counters differ by an exact int64, whose float64 is the float64
+// difference, +0 for equal counters included.
 func (cm *CountMin) feedDeltaSince(e *tokenWriter, base *CountMin) {
 	var head [countMinHeaderLen]byte
 	e.bytes(cm.appendEncodingHeader(head[:0], cm.totalMass-base.totalMass))
 	zeros := 0
-	if len(base.counts) == 0 {
-		for _, v := range cm.counts {
-			w := math.Float64bits(v)
-			if w == 0 {
-				zeros += 8
-				continue
-			}
-			e.word(zeros, w)
-			zeros = 0
+	feed := func(w uint64) {
+		if w == 0 {
+			zeros += 8
+			return
 		}
-	} else {
-		for i, v := range cm.counts {
-			w := math.Float64bits(v - base.counts[i])
-			if w == 0 {
-				zeros += 8
-				continue
-			}
-			e.word(zeros, w)
-			zeros = 0
+		e.word(zeros, w)
+		zeros = 0
+	}
+	switch a, b := cm.counts32, base.counts32; {
+	case a != nil && base.stored() == 0:
+		for _, v := range a {
+			feed(math.Float64bits(float64(v)))
+		}
+	case a != nil && b != nil:
+		for i, v := range a {
+			feed(math.Float64bits(float64(int64(v) - int64(b[i]))))
+		}
+	case base.stored() == 0:
+		for _, v := range cm.counts {
+			feed(math.Float64bits(v))
+		}
+	default:
+		for i := range cm.stored() {
+			feed(math.Float64bits(cm.at(i) - base.at(i)))
 		}
 	}
 	e.zeroRun(zeros)
@@ -938,7 +984,7 @@ func (cm *CountMin) AppendDeltaSince(dst []byte, base *CountMin) ([]byte, error)
 	if err := cm.subtractable(base); err != nil {
 		return dst, err
 	}
-	e := tokenWriter{out: appendDeltaHeader(dst, countMinHeaderLen+8*len(cm.counts))}
+	e := tokenWriter{out: appendDeltaHeader(dst, countMinHeaderLen+8*cm.stored())}
 	cm.feedDeltaSince(&e, base)
 	return e.finish(), nil
 }
@@ -953,7 +999,7 @@ func (t *HeavyHitterTracker) AppendDeltaSince(dst []byte, base *HeavyHitterTrack
 		return dst, err
 	}
 	items := t.sortedCandidates()
-	cmLen := countMinHeaderLen + 8*len(t.cm.counts)
+	cmLen := countMinHeaderLen + 8*t.cm.stored()
 	e := tokenWriter{out: appendDeltaHeader(dst, trackerHeaderLen+cmLen+4+8*len(items))}
 	var head [trackerHeaderLen]byte
 	e.bytes(t.appendEncodingHeader(head[:0], cmLen))

@@ -556,6 +556,7 @@ func TestUnmarshalRefusesNonFiniteCounters(t *testing.T) {
 	for name, build := range map[string]func(v float64) (codec, codec){
 		"CountMin counter": func(v float64) (codec, codec) {
 			cm := NewCountMin(xrand.New(1), 8, 2)
+			cm.widen()
 			cm.counts[len(cm.counts)-1] = v
 			return cm, cm.Clone()
 		},
@@ -571,11 +572,13 @@ func TestUnmarshalRefusesNonFiniteCounters(t *testing.T) {
 		},
 		"Tracker": func(v float64) (codec, codec) {
 			tr := NewHeavyHitterTracker(xrand.New(1), 8, 2, 4)
+			tr.cm.widen()
 			tr.cm.counts[3] = v
 			return tr, tr.Clone()
 		},
 		"Dyadic": func(v float64) (codec, codec) {
 			dy := NewDyadic(xrand.New(1), 4, 8, 2)
+			dy.levels[2].widen()
 			dy.levels[2].counts[5] = v
 			return dy, dy.Clone()
 		},

@@ -100,12 +100,23 @@ func (cm *CountMin) EstimateBatchWith(items []uint64, dst []float64, sc *Estimat
 	for i := range dst {
 		dst[i] = math.Inf(1)
 	}
-	counts := cm.counts
+	counts, counts32 := cm.counts, cm.counts32
 	idx, stride := indexRows(&sc.idx, cm.depth, len(items))
 	for len(items) > 0 {
 		n := min(len(items), stride)
 		cm.rows.Index(items[:n], idx, stride)
 		out := dst[:n]
+		if counts32 != nil {
+			// int32 counters hold no NaN and no -0: the builtin minimum is
+			// the fold.
+			for r := 0; r < cm.depth; r++ {
+				for i, j := range idx[r*stride:][:n] {
+					out[i] = min(out[i], float64(counts32[j]))
+				}
+			}
+			items, dst = items[n:], dst[n:]
+			continue
+		}
 		// Each row folds in with the builtin minimum, which does not branch
 		// on the data. It parts from Estimate's `<` fold only around NaN and
 		// signed zeros (see addAndMin), and then leaves NaN or zero behind:

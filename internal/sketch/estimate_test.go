@@ -89,6 +89,7 @@ func TestCountMinEstimateBatchOddCounters(t *testing.T) {
 	r := xrand.New(35)
 	for _, depth := range []int{1, 2, 4, 5} {
 		cm := NewCountMin(xrand.New(r.Uint64()), 8, depth) // narrow: every mix of odd values gets queried
+		cm.widen()                                         // odd values need float64 counters
 		for trial := 0; trial < 50; trial++ {
 			for i := range cm.counts {
 				cm.counts[i] = odd[r.Uint64n(uint64(len(odd)))]

@@ -68,7 +68,8 @@ func seedGoldenCorpus(f *testing.F) {
 func floatCounters(s codec) []float64 {
 	switch s := s.(type) {
 	case *CountMin:
-		return append(s.counts[:len(s.counts):len(s.counts)], s.totalMass)
+		d := s.CounterData()
+		return append(d[:len(d):len(d)], s.totalMass)
 	case *CountSketch:
 		return s.counts
 	case *HeavyHitterTracker:

@@ -17,7 +17,9 @@ import (
 // deliberately straight-line and shares nothing with the kernel but the hash
 // functions themselves (through the scalar Hash, not the batch kernels) and
 // the Count-Min's whole-sketch arithmetic (Sub, Scale, Merge, Copy,
-// ConcatColumns), which the kernel change does not touch.
+// ConcatColumns), which the kernel change does not touch. Its Count-Min is
+// widened at construction, so the reference counts in float64 as the seed did
+// while the tracker under test keeps whichever storage its stream allows.
 //
 // One liberty: the old Merge offered the union of the two candidate sets in
 // Go map order, so ties at the capacity boundary broke at random. The
@@ -57,6 +59,7 @@ type refTracker struct {
 }
 
 func newRefTracker(cm *CountMin, k int) *refTracker {
+	cm.widen()
 	return &refTracker{cm: cm, k: k, candidates: &refHeap{}, inHeap: make(map[uint64]*refCandidate)}
 }
 
@@ -162,8 +165,8 @@ func (t *refTracker) roundTrip() *refTracker {
 func requireSameTracker(t *testing.T, step string, got *HeavyHitterTracker, want *refTracker) {
 	t.Helper()
 	for i, v := range want.cm.counts {
-		if math.Float64bits(got.cm.counts[i]) != math.Float64bits(v) {
-			t.Fatalf("%s: counter %d = %v, reference %v", step, i, got.cm.counts[i], v)
+		if math.Float64bits(got.cm.at(i)) != math.Float64bits(v) {
+			t.Fatalf("%s: counter %d = %v, reference %v", step, i, got.cm.at(i), v)
 		}
 	}
 	if math.Float64bits(got.cm.totalMass) != math.Float64bits(want.cm.totalMass) {
@@ -211,15 +214,19 @@ func requireCandidateIndex(t *testing.T, step string, c *CandidateSet) {
 // oracleColumns draws one batch. Keys are skewed towards the small end of the
 // universe, so a chunk repeats keys and a few of them stay heavy; deltas are
 // small non-negative integers (zeros included) unless mixed, when they are
-// signed and fractional — the first such delta clears the floor-gate latch.
-func oracleColumns(r *xrand.Rand, n int, universe uint64, mixed bool) ([]uint64, []float64) {
+// signed — the first such delta clears the floor-gate latch — and, with
+// fractional, fractions too.
+func oracleColumns(r *xrand.Rand, n int, universe uint64, mixed, fractional bool) ([]uint64, []float64) {
 	items := make([]uint64, n)
 	deltas := make([]float64, n)
 	for i := range items {
 		items[i] = r.Uint64n(universe) * r.Uint64n(universe) / universe
-		if mixed {
+		switch {
+		case mixed && fractional:
 			deltas[i] = float64(r.Uint64n(1000))/7 - 50
-		} else {
+		case mixed:
+			deltas[i] = float64(r.Uint64n(101)) - 50
+		default:
 			deltas[i] = float64(r.Uint64n(4))
 		}
 	}
@@ -236,7 +243,12 @@ func TestTrackerMatchesSeedOracle(t *testing.T) {
 					name := fmt.Sprintf("%s/w%d/k%d/b%d", f, width, k, batch)
 					seed := r.Uint64()
 					t.Run(name, func(t *testing.T) {
-						runTrackerOracle(t, xrand.New(seed), f, width, k, batch)
+						t.Run("integer", func(t *testing.T) {
+							runTrackerOracle(t, xrand.New(seed), f, width, k, batch, false)
+						})
+						t.Run("fraction-mid-stream", func(t *testing.T) {
+							runTrackerOracle(t, xrand.New(seed), f, width, k, batch, true)
+						})
 					})
 				}
 			}
@@ -244,15 +256,22 @@ func TestTrackerMatchesSeedOracle(t *testing.T) {
 	}
 }
 
-func runTrackerOracle(t *testing.T, r *xrand.Rand, f hashing.Family, width, k, batch int) {
+// runTrackerOracle drives the tracker and the reference through one random
+// schedule of batches and whole-sketch operations. Without fraction every
+// delta and factor is an integer, so the tracker counts in int32 from start to
+// end; with it, a fractional delta half way through widens the tracker, and
+// from then on the deltas and factors include fractions while siblings,
+// snapshots and decodes keep whatever storage their own contents allow.
+func runTrackerOracle(t *testing.T, r *xrand.Rand, f hashing.Family, width, k, batch int, fraction bool) {
 	depth := 1 + int(r.Uint64n(5))
 	proto := NewCountMin(r, width, depth, WithCountMinHashFamily(f))
 	got := newHeavyHitterTracker(proto.Clone(), k)
 	want := newRefTracker(proto.Clone(), k)
 	universe := []uint64{8, 300, 1 << 20}[r.Uint64n(3)]
 
+	fractional := false // set from the batch half way through when fraction
 	feed := func(step string, got *HeavyHitterTracker, want *refTracker, n int, mixed bool) {
-		items, deltas := oracleColumns(r, n, universe, mixed)
+		items, deltas := oracleColumns(r, n, universe, mixed, fractional)
 		got.UpdateBatch(items, deltas)
 		for i := range items {
 			want.update(items[i], deltas[i])
@@ -266,6 +285,12 @@ func runTrackerOracle(t *testing.T, r *xrand.Rand, f hashing.Family, width, k, b
 	var gotSnap *HeavyHitterTracker
 	var wantSnap *refTracker
 	for b := 0; b < batches; b++ {
+		if fraction && b == batches/2 {
+			fractional = true
+			got.Update(1, 0.5)
+			want.update(1, 0.5)
+			requireSameTracker(t, fmt.Sprintf("fraction before batch %d", b), got, want)
+		}
 		feed(fmt.Sprintf("batch %d", b), got, want, batch, r.Uint64n(4) == 0)
 
 		step := fmt.Sprintf("after batch %d", b)
@@ -283,7 +308,10 @@ func runTrackerOracle(t *testing.T, r *xrand.Rand, f hashing.Family, width, k, b
 				requireSameTracker(t, step+" Sub", got, want)
 			}
 		case 2:
-			c := []float64{0.5, 2, -1}[r.Uint64n(3)]
+			c := []float64{3, 2, 1}[r.Uint64n(3)]
+			if fractional {
+				c = []float64{0.5, 2, -1}[r.Uint64n(3)]
+			}
 			got.Scale(c)
 			want.cm.Scale(c)
 			requireSameTracker(t, step+" Scale", got, want)
@@ -314,7 +342,7 @@ func runTrackerOracle(t *testing.T, r *xrand.Rand, f hashing.Family, width, k, b
 			if err := want.cm.ConcatColumns(slices, src.ColumnMass()); err != nil {
 				t.Fatal(err)
 			}
-			keys, _ := oracleColumns(r, 1+int(r.Uint64n(20)), universe, false)
+			keys, _ := oracleColumns(r, 1+int(r.Uint64n(20)), universe, false, false)
 			got.AbsorbCandidates(keys)
 			for _, key := range keys {
 				want.rescore(key)
@@ -333,9 +361,16 @@ func runTrackerOracle(t *testing.T, r *xrand.Rand, f hashing.Family, width, k, b
 			requireSameTracker(t, step+" UnmarshalBinary", got, want)
 		case 7: // fold in a bare Count-Min that takes mass away
 			cm := got.cm.Clone()
-			items, deltas := oracleColumns(r, 1+int(r.Uint64n(300)), universe, false)
-			cm.UpdateBatch(items, deltas)
-			cm.Scale(-1)
+			items, deltas := oracleColumns(r, 1+int(r.Uint64n(300)), universe, false, false)
+			if fractional {
+				cm.UpdateBatch(items, deltas)
+				cm.Scale(-1)
+			} else {
+				for i := range deltas {
+					deltas[i] = -deltas[i] // -0 for the zeros, which counts as 0
+				}
+				cm.UpdateBatch(items, deltas)
+			}
 			if err := got.AbsorbCountMin(cm); err != nil {
 				t.Fatal(err)
 			}
@@ -344,5 +379,8 @@ func runTrackerOracle(t *testing.T, r *xrand.Rand, f hashing.Family, width, k, b
 			}
 			requireSameTracker(t, step+" AbsorbCountMin", got, want)
 		}
+	}
+	if !fraction && got.Widened() {
+		t.Fatal("an integer schedule widened the tracker's counters")
 	}
 }
