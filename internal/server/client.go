@@ -62,6 +62,13 @@ func (c *Client) do(ctx context.Context, method, path string, contentType string
 // doAccept is do with an explicit Accept header, for the endpoints that
 // negotiate a binary response body.
 func (c *Client) doAccept(ctx context.Context, method, path, contentType, accept string, body []byte) ([]byte, error) {
+	return c.doInto(ctx, method, path, contentType, accept, body, nil)
+}
+
+// doInto is doAccept reading the response body into dst's storage, which a
+// caller on a steady loop retains so that the body costs no allocation once
+// dst has grown to fit it. The returned slice aliases dst when it fits.
+func (c *Client) doInto(ctx context.Context, method, path, contentType, accept string, body, dst []byte) ([]byte, error) {
 	req, err := http.NewRequestWithContext(ctx, method, c.base+path, bytes.NewReader(body))
 	if err != nil {
 		return nil, err
@@ -77,7 +84,7 @@ func (c *Client) doAccept(ctx context.Context, method, path, contentType, accept
 		return nil, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
+	data, err := readAllInto(dst, resp.Body)
 	if err != nil {
 		return nil, err
 	}
@@ -102,6 +109,28 @@ func (c *Client) doAccept(ctx context.Context, method, path, contentType, accept
 		return nil, apiErr
 	}
 	return data, nil
+}
+
+// readAllInto reads r to EOF into dst's storage, growing it as io.ReadAll
+// would when it does not fit.
+func readAllInto(dst []byte, r io.Reader) ([]byte, error) {
+	b := dst[:0]
+	if cap(b) == 0 {
+		b = make([]byte, 0, 512)
+	}
+	for {
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return b, err
+		}
+	}
 }
 
 // Update ships a batch of updates (binary format).
@@ -162,14 +191,16 @@ func (c *Client) QueryBatch(ctx context.Context, keys []uint64) ([]float64, erro
 	return ests, err
 }
 
-// BatchQuerier issues batch point queries over a retained pair of buffers —
-// the read-side sibling of StreamUpdater's reuse: the SKQ1 request column is
-// encoded into, and the SKE1 response column decoded into, the same slices
-// on every call, so a steady query loop allocates only what net/http itself
-// does. Not safe for concurrent use; create one per goroutine.
+// BatchQuerier issues batch point queries over retained buffers — the
+// read-side sibling of StreamUpdater's reuse: the SKQ1 request column is
+// encoded into, the SKE1 response body read into, and its estimate column
+// decoded into the same slices on every call, so a steady query loop
+// allocates only what net/http itself does. Not safe for concurrent use;
+// create one per goroutine.
 type BatchQuerier struct {
 	c    *Client
 	buf  []byte    // reusable SKQ1 request encoding
+	resp []byte    // reusable SKE1 response body
 	ests []float64 // reusable decoded estimate column
 }
 
@@ -184,10 +215,11 @@ func (q *BatchQuerier) Query(ctx context.Context, keys []uint64) ([]float64, int
 		return nil, 0, nil
 	}
 	q.buf = AppendKeyColumns(q.buf[:0], keys)
-	data, err := q.c.doAccept(ctx, http.MethodPost, "/v1/query", contentTypeKeys, contentTypeEstimates, q.buf)
+	data, err := q.c.doInto(ctx, http.MethodPost, "/v1/query", contentTypeKeys, contentTypeEstimates, q.buf, q.resp)
 	if err != nil {
 		return nil, 0, err
 	}
+	q.resp = data
 	var gen int64
 	q.ests, gen, err = DecodeEstimateColumns(data, q.ests[:0])
 	if err != nil {

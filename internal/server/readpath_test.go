@@ -128,6 +128,32 @@ func TestBatchQuerierReuse(t *testing.T) {
 	}
 }
 
+// TestReadAllIntoReusesStorage: a response body that fits the retained
+// buffer is read into it with no allocation, and one that does not grows it
+// and still reads every byte, as io.ReadAll does.
+func TestReadAllIntoReusesStorage(t *testing.T) {
+	body := bytes.Repeat([]byte("0123456789abcdef"), 1000)
+	var r bytes.Reader
+	for _, dst := range [][]byte{nil, make([]byte, 3), make([]byte, 0, len(body)-1)} {
+		r.Reset(body)
+		got, err := readAllInto(dst, &r)
+		if err != nil || !bytes.Equal(got, body) {
+			t.Fatalf("cap %d: read %d bytes (err %v), want the %d-byte body", cap(dst), len(got), err, len(body))
+		}
+	}
+	buf := make([]byte, 0, len(body)+1)
+	allocs := testing.AllocsPerRun(100, func() {
+		r.Reset(body)
+		got, err := readAllInto(buf, &r)
+		if err != nil || &got[0] != &buf[:1][0] || !bytes.Equal(got, body) {
+			t.Fatalf("a body that fits was not read into the retained buffer (err %v)", err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("reading into a buffer that fits allocated %v times", allocs)
+	}
+}
+
 // TestKeyColumnRoundTrip pins the SKQ1/SKE1 encodings byte for byte.
 func TestKeyColumnRoundTrip(t *testing.T) {
 	keys := []uint64{0, 1, ^uint64(0), 1 << 40}
