@@ -1,24 +1,21 @@
 package repro_test
 
-// One Go benchmark per experiment (E1–E10 in DESIGN.md, plus the E11
-// sharded-ingestion, E12 multi-producer, E13 batch-ingestion and E14
-// delta-gossip experiments). Each benchmark runs
-// the corresponding experiment end to end and reports its wall-clock time;
-// the printed tables themselves are produced by cmd/sketchbench (or by the
-// experiment functions directly). Run with:
+// One Go benchmark per experiment E1–E10 of internal/bench/DESIGN.md (E15 runs
+// under internal/bench's tests). Each benchmark runs the corresponding
+// experiment end to end and reports its wall-clock time; the printed tables
+// themselves are produced by cmd/sketchbench (or by the experiment functions
+// directly). Run with:
 //
 //	go test -bench=. -benchmem
 //
 // The benchmarks use the Quick configuration so that a full -bench=. sweep
-// stays in the tens of seconds; pass -tags or run cmd/sketchbench for the
-// full-scale tables recorded in EXPERIMENTS.md.
+// stays in the tens of seconds; run cmd/sketchbench without -quick for the
+// full-scale tables.
 
 import (
 	"testing"
 
 	"repro/internal/bench"
-	"repro/internal/sketch"
-	"repro/internal/xrand"
 )
 
 func runExperiment(b *testing.B, id string) {
@@ -37,49 +34,13 @@ func runExperiment(b *testing.B, id string) {
 	}
 }
 
-func BenchmarkE1HeavyHitters(b *testing.B)         { runExperiment(b, "e1") }
-func BenchmarkE2Throughput(b *testing.B)           { runExperiment(b, "e2") }
-func BenchmarkE3PhaseTransition(b *testing.B)      { runExperiment(b, "e3") }
-func BenchmarkE4RecoveryTime(b *testing.B)         { runExperiment(b, "e4") }
-func BenchmarkE5JL(b *testing.B)                   { runExperiment(b, "e5") }
-func BenchmarkE6SketchSolve(b *testing.B)          { runExperiment(b, "e6") }
-func BenchmarkE7SFFT(b *testing.B)                 { runExperiment(b, "e7") }
-func BenchmarkE8Leakage(b *testing.B)              { runExperiment(b, "e8") }
-func BenchmarkE9Hadamard(b *testing.B)             { runExperiment(b, "e9") }
-func BenchmarkE10IBLT(b *testing.B)                { runExperiment(b, "e10") }
-func BenchmarkE11ShardedIngest(b *testing.B)       { runExperiment(b, "e11") }
-func BenchmarkE12MultiProducerIngest(b *testing.B) { runExperiment(b, "e12") }
-func BenchmarkE13BatchIngest(b *testing.B)         { runExperiment(b, "e13") }
-func BenchmarkE14DeltaGossip(b *testing.B)         { runExperiment(b, "e14") }
-func BenchmarkE17StreamIngest(b *testing.B)        { runExperiment(b, "e17") }
-func BenchmarkE18BatchRead(b *testing.B)           { runExperiment(b, "e18") }
-
-// BenchmarkE18BatchEstimate is the steady-state contract behind E18 in
-// isolation: a warmed EstimateScratch answers a 4096-key column through the
-// batched kernels with zero heap allocations per call (-benchmem must report
-// 0 allocs/op).
-func BenchmarkE18BatchEstimate(b *testing.B) {
-	r := xrand.New(1)
-	tracker := sketch.NewHeavyHitterTracker(xrand.New(2), 4096, 4, 64)
-	items := make([]uint64, 1<<16)
-	deltas := make([]float64, len(items))
-	for i := range items {
-		items[i] = r.Uint64n(1 << 16)
-		deltas[i] = 1
-	}
-	tracker.UpdateBatch(items, deltas)
-
-	keys := make([]uint64, 4096)
-	for i := range keys {
-		keys[i] = r.Uint64n(1 << 17)
-	}
-	dst := make([]float64, len(keys))
-	var sc sketch.EstimateScratch
-	tracker.EstimateBatchWith(keys, dst, &sc) // warm the scratch
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tracker.EstimateBatchWith(keys, dst, &sc)
-	}
-	b.SetBytes(int64(len(keys) * 8))
-}
+func BenchmarkE1HeavyHitters(b *testing.B)    { runExperiment(b, "e1") }
+func BenchmarkE2Throughput(b *testing.B)      { runExperiment(b, "e2") }
+func BenchmarkE3PhaseTransition(b *testing.B) { runExperiment(b, "e3") }
+func BenchmarkE4RecoveryTime(b *testing.B)    { runExperiment(b, "e4") }
+func BenchmarkE5JL(b *testing.B)              { runExperiment(b, "e5") }
+func BenchmarkE6SketchSolve(b *testing.B)     { runExperiment(b, "e6") }
+func BenchmarkE7SFFT(b *testing.B)            { runExperiment(b, "e7") }
+func BenchmarkE8Leakage(b *testing.B)         { runExperiment(b, "e8") }
+func BenchmarkE9Hadamard(b *testing.B)        { runExperiment(b, "e9") }
+func BenchmarkE10IBLT(b *testing.B)           { runExperiment(b, "e10") }

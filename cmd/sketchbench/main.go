@@ -1,5 +1,6 @@
-// Command sketchbench regenerates the experiment tables (E1–E15 in
-// DESIGN.md) that reproduce the quantitative claims of the survey.
+// Command sketchbench regenerates the experiment tables (E1–E10 and E15 in
+// internal/bench/DESIGN.md) that reproduce the quantitative claims of the
+// survey.
 //
 // Usage:
 //
@@ -10,8 +11,8 @@
 //
 // Profiling the hot paths (then inspect with `go tool pprof`):
 //
-//	sketchbench -exp e13 -cpuprofile cpu.out
-//	sketchbench -exp e13 -memprofile mem.out
+//	sketchbench -exp e2 -cpuprofile cpu.out
+//	sketchbench -exp e2 -memprofile mem.out
 package main
 
 import (
@@ -33,7 +34,7 @@ func main() {
 
 func run() int {
 	var (
-		exp        = flag.String("exp", "all", "experiment id (e1..e15) or 'all'")
+		exp        = flag.String("exp", "all", "experiment id (e1..e10, e15) or 'all'")
 		seed       = flag.Uint64("seed", 1, "random seed (identical seeds reproduce identical tables)")
 		quick      = flag.Bool("quick", false, "run at reduced problem sizes")
 		list       = flag.Bool("list", false, "list available experiments and exit")

@@ -32,7 +32,7 @@
 //	                  SRHT, sketch-and-solve regression and low-rank
 //	internal/sfft     sparse Fourier transform and sparse Hadamard transform
 //	internal/fourier  FFT / FWHT / window-filter substrate
-//	internal/bench    the E1-E14 experiment harness (see
+//	internal/bench    the E1-E10 and E15 experiment harness (see
 //	                  internal/bench/DESIGN.md for each experiment's claim,
 //	                  workload and metrics)
 //

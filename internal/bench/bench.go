@@ -1,16 +1,10 @@
 // Package bench is the experiment harness: it regenerates, as printed
 // tables, every quantitative claim of the survey (experiments E1–E10 in
-// DESIGN.md, plus the systems experiments E11, sharded ingestion, E12,
-// multi-producer ingestion, E13, batch-first ingestion through the flat
-// counter layout and hash kernels, E14, gossip delta shipping against
-// full-snapshot shipping, E15, sparse recovery against the top-k heap
-// over the same Count-Min backing, and E16, replica vs key-partitioned
-// sharding on memory, snapshot latency and throughput). Each experiment
-// builds its synthetic
-// workload, sweeps the relevant parameter, runs the hashing-based method and
-// its baselines, and reports the metrics the claim is about
-// (recall/precision, measurement counts, running times, distortions,
-// leakage).
+// DESIGN.md, plus E15, sparse recovery against the top-k heap over the same
+// Count-Min backing). Each experiment builds its synthetic workload, sweeps
+// the relevant parameter, runs the hashing-based method and its baselines,
+// and reports the metrics the claim is about (recall/precision, measurement
+// counts, running times, distortions, leakage).
 //
 // The same experiment functions back three entry points: the Go benchmarks
 // in bench_test.go, the cmd/sketchbench command-line tool, and the
@@ -97,7 +91,7 @@ type Experiment struct {
 	Run   func(cfg Config) []Table
 }
 
-// Registry returns every experiment in order E1..E18.
+// Registry returns every experiment in order: E1..E10, then E15.
 func Registry() []Experiment {
 	return []Experiment{
 		{ID: "e1", Claim: "§1: frequent elements map to heavy buckets; sketches recover them in one pass with limited storage", Run: RunE1HeavyHitters},
@@ -110,14 +104,7 @@ func Registry() []Experiment {
 		{ID: "e8", Claim: "§4: boxcar buckets are leaky; flat-window filters make leakage negligible", Run: RunE8Leakage},
 		{ID: "e9", Claim: "§4: sparse recovery over the Boolean cube (Kushilevitz–Mansour) needs far fewer samples than the full transform", Run: RunE9Hadamard},
 		{ID: "e10", Claim: "§2 [GM11]: IBLTs list the whole sketched set exactly below a load threshold", Run: RunE10IBLT},
-		{ID: "e11", Claim: "§1: sketches are linear maps, so sharded ingestion merges exactly and throughput scales with cores", Run: RunE11ShardedIngest},
-		{ID: "e12", Claim: "§1: linearity tolerates any update interleaving, so lock-free multi-producer ingestion beats a global mutex and still merges exactly", Run: RunE12MultiProducerIngest},
-		{ID: "e13", Claim: "§1: a sketch update is a sparse matrix-vector product, so batch-first ingestion through flat counters and vectorizable hash kernels beats per-item dispatch bit-for-bit exactly", Run: RunE13BatchIngest},
-		{ID: "e14", Claim: "§1: snapshot differences are themselves valid sketches, so gossiping peers converge exactly while shipping far fewer bytes than full snapshots", Run: RunE14DeltaGossip},
 		{ID: "e15", Claim: "§2: the sketch is a linear measurement of the stream, so full sparse recovery reads the same counters the top-k heap does — exact on k-sparse input, global at a latency cost on tails", Run: RunE15Recovery},
-		{ID: "e16", Claim: "§1: any split of the stream sums to the same sketch, so workers can own column slices of ONE copy instead of full clones — 1x memory instead of workers-x, bit-identical reads", Run: RunE16PartitionMode},
-		{ID: "e17", Claim: "§1: updates commute, so a held-open stream that pins one producer lane per connection ingests at least as fast as per-POST batches of the same shape — and both land bit-identical counters", Run: RunE17StreamIngest},
-		{ID: "e18", Claim: "§1: a column of point queries is a matrix-vector product over the same hash rows ingest uses, so batched estimation kernels and one columnar round-trip answer bit-identically to per-key reads at strictly higher throughput", Run: RunE18BatchRead},
 	}
 }
 

@@ -25,8 +25,8 @@ func TestTableFormatting(t *testing.T) {
 
 func TestRegistryAndLookup(t *testing.T) {
 	reg := Registry()
-	if len(reg) != 18 {
-		t.Fatalf("expected 18 experiments, got %d", len(reg))
+	if len(reg) != 11 {
+		t.Fatalf("expected 11 experiments, got %d", len(reg))
 	}
 	seen := map[string]bool{}
 	for _, e := range reg {
@@ -44,8 +44,8 @@ func TestRegistryAndLookup(t *testing.T) {
 	if _, ok := Lookup("nope"); ok {
 		t.Error("Lookup of unknown id should fail")
 	}
-	if len(IDs()) != 18 {
-		t.Error("IDs() should list 18 experiments")
+	if len(IDs()) != 11 {
+		t.Error("IDs() should list 11 experiments")
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/engine"
 	"repro/internal/server"
 )
 
@@ -52,7 +51,7 @@ func TestReplicatorBackoffUnderPartition(t *testing.T) {
 	a.WaitHealthy()
 	b.WaitHealthy()
 
-	if err := a.Client().Update(ctx, []engine.Update{{Item: 1, Delta: 1000}}); err != nil {
+	if err := a.Client().UpdateColumns(ctx, []uint64{1}, []float64{1000}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -102,7 +101,7 @@ func TestGossipHealsAfterMidFrameKills(t *testing.T) {
 	a.WaitHealthy()
 	b.WaitHealthy()
 
-	if err := a.Client().Update(ctx, []engine.Update{{Item: 7, Delta: 500}, {Item: 8, Delta: 250}}); err != nil {
+	if err := a.Client().UpdateColumns(ctx, []uint64{7, 8}, []float64{500, 250}); err != nil {
 		t.Fatal(err)
 	}
 	// Let several frames die mid-body before healing.
@@ -112,7 +111,7 @@ func TestGossipHealsAfterMidFrameKills(t *testing.T) {
 
 	// Second round: sever live connections at random moments while the next
 	// backlog drains.
-	if err := a.Client().Update(ctx, []engine.Update{{Item: 9, Delta: 300}}); err != nil {
+	if err := a.Client().UpdateColumns(ctx, []uint64{9}, []float64{300}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {

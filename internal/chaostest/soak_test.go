@@ -7,8 +7,6 @@ import (
 	"net/http"
 	"strings"
 	"testing"
-
-	"repro/internal/engine"
 )
 
 // TestSoakKillRestartBootstrapMesh is the end-to-end node-replacement soak:
@@ -68,15 +66,15 @@ func TestSoakKillRestartBootstrapMesh(t *testing.T) {
 	feed := func(n *Node, chunks int) {
 		t.Helper()
 		for c := 0; c < chunks; c++ {
-			updates := make([]engine.Update, 400)
-			for j := range updates {
+			items, deltas := make([]uint64, 400), make([]float64, 400)
+			for j := range items {
 				lcg = lcg*6364136223846793005 + 1442695040888963407
-				updates[j] = engine.Update{Item: (lcg >> 33) % 2048, Delta: 1}
+				items[j], deltas[j] = (lcg>>33)%2048, 1
 			}
-			if err := n.Client().Update(ctx, updates); err != nil {
+			if err := n.Client().UpdateColumns(ctx, items, deltas); err != nil {
 				t.Fatalf("feed %s: %v", n.Name, err)
 			}
-			if err := ref.Client().Update(ctx, updates); err != nil {
+			if err := ref.Client().UpdateColumns(ctx, items, deltas); err != nil {
 				t.Fatalf("feed ref: %v", err)
 			}
 			expected += 400

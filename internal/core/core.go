@@ -266,12 +266,7 @@ func (a *CountMinSketchAdapter) UpdateEntry(index uint64, delta float64) {
 
 // Measurements flattens the sketch's counter matrix row-major into a vector.
 func (a *CountMinSketchAdapter) Measurements() []float64 {
-	counters := a.CM.Counters()
-	out := make([]float64, 0, a.CM.Size())
-	for _, row := range counters {
-		out = append(out, row...)
-	}
-	return out
+	return vec.Clone(a.CM.CounterData())
 }
 
 // MeasurementCount returns the number of counters.
@@ -315,12 +310,7 @@ func (a *CountSketchAdapter) UpdateEntry(index uint64, delta float64) {
 
 // Measurements flattens the counter matrix row-major.
 func (a *CountSketchAdapter) Measurements() []float64 {
-	counters := a.CS.Counters()
-	out := make([]float64, 0, a.CS.Size())
-	for _, row := range counters {
-		out = append(out, row...)
-	}
-	return out
+	return vec.Clone(a.CS.CounterData())
 }
 
 // MeasurementCount returns the number of counters.

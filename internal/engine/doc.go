@@ -70,8 +70,8 @@
 //     Partition-mode batches span shards, so dispatch and barrier addition
 //     serialize on an RWMutex to keep each batch on one side of the cut.
 //   - Close blocks until every producer handle has been Closed, so the final
-//     merge provably contains every produced update (the E11/E12 exactness
-//     invariant, verified under `go test -race`).
+//     merge provably contains every produced update (the exactness
+//     invariant TestConcurrentProducersExact checks under `go test -race`).
 //   - Replicas never share mutable state and handles never share buffers, so
 //     the engine is race-free by construction.
 //

@@ -10,14 +10,6 @@ import (
 	"repro/internal/sketch"
 )
 
-// Update is a single stream record: an item identifier and a signed count
-// delta. It mirrors stream.Update but carries a float64 delta, matching the
-// sketch Update signatures.
-type Update struct {
-	Item  uint64
-	Delta float64
-}
-
 // Config controls the shape of an Engine.
 type Config struct {
 	// Workers is the number of shard goroutines. Zero means GOMAXPROCS.
@@ -121,7 +113,7 @@ func (sh *shard[S]) noteStorage() {
 // private batch buffer, so the hot path shares no locks). Snapshot and
 // ReadSnapshot are safe to call while producers are ingesting; they cut a
 // consistent barrier across the shard queues. The engine-level
-// Update/UpdateBatch/UpdateColumns/Flush methods are a convenience for single-goroutine
+// Update/UpdateColumns/Flush methods are a convenience for single-goroutine
 // callers — they ride the engine's own producer handle and must not be used
 // concurrently (with each other or with Snapshot/Close); concurrent
 // ingesters take handles instead.
@@ -296,29 +288,6 @@ func (p *Producer[S]) UpdateColumns(items []uint64, deltas []float64) {
 	}
 }
 
-// UpdateBatch appends a slice of records (the slice is copied into internal
-// column batches; the caller keeps ownership). Callers that already hold
-// columns should prefer UpdateColumns, which skips the per-record unpacking.
-func (p *Producer[S]) UpdateBatch(updates []Update) {
-	if p.closed {
-		panic("engine: producer UpdateBatch after Close")
-	}
-	for len(updates) > 0 {
-		n := p.e.cfg.BatchSize - len(p.cur.items)
-		if n > len(updates) {
-			n = len(updates)
-		}
-		for _, u := range updates[:n] {
-			p.cur.items = append(p.cur.items, u.Item)
-			p.cur.deltas = append(p.cur.deltas, u.Delta)
-		}
-		updates = updates[n:]
-		if len(p.cur.items) >= p.e.cfg.BatchSize {
-			p.dispatch()
-		}
-	}
-}
-
 // dispatch hands the current batch to the handle's next shard round-robin
 // and starts a fresh column pair from the shared free list. In partition
 // mode it routes the batch by column ownership instead (see partDispatch).
@@ -385,12 +354,6 @@ func (e *Engine[S]) Update(item uint64, delta float64) {
 	e.def.Update(item, delta)
 }
 
-// UpdateBatch appends a slice of records through the engine's own producer
-// handle (see Update for the concurrency contract).
-func (e *Engine[S]) UpdateBatch(updates []Update) {
-	e.def.UpdateBatch(updates)
-}
-
 // UpdateColumns appends parallel key/delta columns through the engine's own
 // producer handle (see Update for the concurrency contract).
 func (e *Engine[S]) UpdateColumns(items []uint64, deltas []float64) {
@@ -423,7 +386,7 @@ func (e *Engine[S]) Mode() string {
 // CounterWords returns the number of resident sketch counters across all
 // shards — the sketch size times the workers that have received a batch (up
 // to workers x) in replica mode, exactly the sketch size in partition mode
-// (the memory claim E16 measures). Engines over types without a known size
+// (TestModeAndCounterWords pins it). Engines over types without a known size
 // report 0.
 func (e *Engine[S]) CounterWords() int {
 	if e.part != nil {

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -12,24 +13,6 @@ import (
 // newZipf builds a deterministic test stream.
 func newZipf(seed uint64, universe uint64, length int) *stream.Stream {
 	return stream.Zipf(xrand.New(seed), universe, length, 1.1)
-}
-
-// countersEqual compares two counter matrices for exact equality.
-func countersEqual(a, b [][]float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if len(a[i]) != len(b[i]) {
-			return false
-		}
-		for j := range a[i] {
-			if a[i][j] != b[i][j] {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // TestCountMinShardingIsExact: the merged result of a 4-worker engine must
@@ -52,7 +35,7 @@ func TestCountMinShardingIsExact(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: close: %v", workers, err)
 		}
-		if !countersEqual(single.Counters(), merged.Counters()) {
+		if !slices.Equal(single.CounterData(), merged.CounterData()) {
 			t.Fatalf("workers=%d: merged counters differ from single-threaded sketch", workers)
 		}
 		if single.TotalMass() != merged.TotalMass() {
@@ -84,7 +67,7 @@ func TestCountSketchShardingIsExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !countersEqual(single.Counters(), merged.Counters()) {
+	if !slices.Equal(single.CounterData(), merged.CounterData()) {
 		t.Fatal("merged counters differ from single-threaded sketch")
 	}
 	for item := uint64(0); item < 1<<14; item += 17 {
@@ -127,7 +110,7 @@ func TestConcurrentProducersExact(t *testing.T) {
 		if err != nil {
 			t.Fatalf("producers=%d: close: %v", producers, err)
 		}
-		if !countersEqual(single.Counters(), merged.Counters()) {
+		if !slices.Equal(single.CounterData(), merged.CounterData()) {
 			t.Fatalf("producers=%d: merged counters differ from single-threaded sketch", producers)
 		}
 		if single.TotalMass() != merged.TotalMass() {
@@ -185,7 +168,7 @@ func TestSnapshotDuringConcurrentIngest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !countersEqual(single.Counters(), merged.Counters()) {
+	if !slices.Equal(single.CounterData(), merged.CounterData()) {
 		t.Fatal("concurrent snapshots perturbed the final merge")
 	}
 }
@@ -346,7 +329,7 @@ func TestSnapshotMidStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !countersEqual(single.Counters(), snap.Counters()) {
+	if !slices.Equal(single.CounterData(), snap.CounterData()) {
 		t.Fatal("mid-stream snapshot differs from single-threaded prefix sketch")
 	}
 
@@ -358,7 +341,7 @@ func TestSnapshotMidStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !countersEqual(single.Counters(), final.Counters()) {
+	if !slices.Equal(single.CounterData(), final.CounterData()) {
 		t.Fatal("final merge differs from single-threaded sketch")
 	}
 	// The snapshot must be a frozen copy, untouched by later ingestion.
@@ -406,18 +389,20 @@ func TestUpdateBatchAndFlush(t *testing.T) {
 	single := proto.Clone()
 	eng := NewCountMin(Config{Workers: 2, BatchSize: 1000}, proto)
 
-	batch := make([]Update, 0, 123)
+	items := make([]uint64, 0, 123)
+	deltas := make([]float64, 0, 123)
 	for i := uint64(0); i < 123; i++ {
-		batch = append(batch, Update{Item: i % 40, Delta: 2})
+		items = append(items, i%40)
+		deltas = append(deltas, 2)
 		single.Update(i%40, 2)
 	}
-	eng.UpdateBatch(batch)
+	eng.UpdateColumns(items, deltas)
 	eng.Flush() // partial batch (123 < 1000) must become visible
 	snap, err := eng.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !countersEqual(single.Counters(), snap.Counters()) {
+	if !slices.Equal(single.CounterData(), snap.CounterData()) {
 		t.Fatal("flush did not make the partial batch visible to Snapshot")
 	}
 	if _, err := eng.Close(); err != nil {
@@ -456,7 +441,7 @@ func TestUpdateColumnsExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !countersEqual(single.Counters(), merged.Counters()) {
+	if !slices.Equal(single.CounterData(), merged.CounterData()) {
 		t.Fatal("columnar engine ingestion differs from single-threaded sketch")
 	}
 	if single.TotalMass() != merged.TotalMass() {
@@ -507,7 +492,7 @@ func TestMergeEncodedAndSnapshotEncoded(t *testing.T) {
 	if err := mergeOverWire(engA, merged, wire); err != nil {
 		t.Fatal(err)
 	}
-	if !countersEqual(single.Counters(), merged.Counters()) {
+	if !slices.Equal(single.CounterData(), merged.CounterData()) {
 		t.Fatal("merge-over-the-wire engine differs from single-threaded sketch")
 	}
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -362,7 +363,7 @@ func runTrackerReference(t *testing.T, proto *sketch.HeavyHitterTracker, s sched
 }
 
 func trackersCounterEqual(a, b *sketch.HeavyHitterTracker, universe uint64) error {
-	if !countersEqual(a.Backing().Counters(), b.Backing().Counters()) {
+	if !slices.Equal(a.Backing().CounterData(), b.Backing().CounterData()) {
 		return fmt.Errorf("backing counters differ")
 	}
 	if a.TotalMass() != b.TotalMass() {
@@ -429,7 +430,7 @@ func TestPartitionConcurrentProducersExact(t *testing.T) {
 		if err != nil {
 			t.Fatalf("producers=%d: close: %v", producers, err)
 		}
-		if !countersEqual(single.Counters(), merged.Counters()) {
+		if !slices.Equal(single.CounterData(), merged.CounterData()) {
 			t.Fatalf("producers=%d: partitioned counters differ from single-threaded sketch", producers)
 		}
 		if single.TotalMass() != merged.TotalMass() {
@@ -485,7 +486,7 @@ func TestPartitionSnapshotDuringConcurrentIngest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !countersEqual(single.Counters(), merged.Counters()) {
+	if !slices.Equal(single.CounterData(), merged.CounterData()) {
 		t.Fatal("final partitioned counters differ from single-threaded sketch")
 	}
 	if merged.TotalMass() != totalMass {

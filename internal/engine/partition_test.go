@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/sketch"
@@ -111,7 +112,7 @@ func TestPartitionMoreWorkersThanColumns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !countersEqual(single.Counters(), merged.Counters()) {
+	if !slices.Equal(single.CounterData(), merged.CounterData()) {
 		t.Fatal("empty-shard partition differs from single-threaded sketch")
 	}
 	if single.TotalMass() != merged.TotalMass() {
@@ -119,7 +120,7 @@ func TestPartitionMoreWorkersThanColumns(t *testing.T) {
 	}
 }
 
-// TestModeAndCounterWords pins the memory claim E16 measures: replica mode
+// TestModeAndCounterWords pins partition mode's memory claim: replica mode
 // holds sketch-size counters per worker that has seen a batch — none before
 // any ingest, workers x once every worker has — partition mode exactly
 // sketch-size, in both cases reported by CounterWords.
@@ -159,11 +160,11 @@ func TestModeAndCounterWords(t *testing.T) {
 // plainSketch satisfies LinearSketch but has no column-slice view.
 type plainSketch []float64
 
-func (p plainSketch) Update(uint64, float64)          {}
-func (p plainSketch) UpdateBatch([]uint64, []float64) {}
-func (p plainSketch) Clone() plainSketch              { return make(plainSketch, len(p)) }
-func (p plainSketch) Merge(plainSketch) error         { return nil }
-func (p plainSketch) MarshalBinary() ([]byte, error)  { return nil, nil }
+func (p plainSketch) Update(uint64, float64)              {}
+func (p plainSketch) UpdateBatch(_ []uint64, _ []float64) {}
+func (p plainSketch) Clone() plainSketch                  { return make(plainSketch, len(p)) }
+func (p plainSketch) Merge(plainSketch) error             { return nil }
+func (p plainSketch) MarshalBinary() ([]byte, error)      { return nil, nil }
 
 // TestGenericNewRejectsPartition: NewLinear has no column view of a replica
 // type outside sketch.ColumnSketch, so asking it for partition mode must fail

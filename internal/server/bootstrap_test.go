@@ -185,16 +185,16 @@ func TestBootstrapDuringLiveGossip(t *testing.T) {
 	for _, u := range s.Updates {
 		reference.Update(u.Item, float64(u.Delta))
 	}
-	slices := make([][]engine.Update, 3)
+	slices := make([][]stream.Update, 3)
 	for i, u := range s.Updates {
-		slices[i%3] = append(slices[i%3], engine.Update{Item: u.Item, Delta: float64(u.Delta)})
+		slices[i%3] = append(slices[i%3], u)
 	}
 	feed := func(i, from, to int) {
 		t.Helper()
 		own := slices[i]
 		for start := from; start < to && start < len(own); start += 600 {
 			end := min(start+600, len(own))
-			if err := clients[i].Update(ctx, own[start:end]); err != nil {
+			if err := postStream(ctx, clients[i], own[start:end]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -257,7 +257,7 @@ func TestBootstrapSourceDiesMidTransfer(t *testing.T) {
 	ctx := context.Background()
 
 	source, sourceClient := testDaemon(t, cfg)
-	if err := sourceClient.Update(ctx, []engine.Update{{Item: 1, Delta: 100}, {Item: 2, Delta: 50}}); err != nil {
+	if err := sourceClient.UpdateColumns(ctx, []uint64{1, 2}, []float64{100, 50}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sourceClient.PushDelta(ctx, DeltaFrame{
@@ -361,7 +361,7 @@ func TestBootstrapGatesAPIAndDegrades(t *testing.T) {
 	if res.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("query while bootstrapping: HTTP %d, want 503", res.StatusCode)
 	}
-	if err := client.Update(ctx, []engine.Update{{Item: 1, Delta: 1}}); err == nil {
+	if err := client.UpdateColumns(ctx, []uint64{1}, []float64{1}); err == nil {
 		t.Fatal("update accepted while bootstrapping")
 	} else {
 		var apiErr *APIError
@@ -405,7 +405,7 @@ func TestBootstrapGatesAPIAndDegrades(t *testing.T) {
 	if stats.BootstrapFailures != 2 {
 		t.Fatalf("bootstrap_failures = %d, want 2", stats.BootstrapFailures)
 	}
-	if err := client.Update(ctx, []engine.Update{{Item: 1, Delta: 3}}); err != nil {
+	if err := client.UpdateColumns(ctx, []uint64{1}, []float64{3}); err != nil {
 		t.Fatalf("update after degradation: %v", err)
 	}
 	got, err := client.Query(ctx, 1)
@@ -823,13 +823,13 @@ func TestUndecodableSnapshotBootstraps(t *testing.T) {
 	ctx := context.Background()
 
 	_, sourceClient := testDaemon(t, cfg)
-	if err := sourceClient.Update(ctx, []engine.Update{{Item: 1, Delta: 100}}); err != nil {
+	if err := sourceClient.UpdateColumns(ctx, []uint64{1}, []float64{100}); err != nil {
 		t.Fatal(err)
 	}
 
 	dir := t.TempDir()
 	_, c1 := testDaemon(t, cfg)
-	if err := c1.Update(ctx, []engine.Update{{Item: 9, Delta: 999}}); err != nil {
+	if err := c1.UpdateColumns(ctx, []uint64{9}, []float64{999}); err != nil {
 		t.Fatal(err)
 	}
 	oldFile, err := c1.Snapshot(ctx)

@@ -10,7 +10,6 @@ import (
 	"net/url"
 	"strconv"
 
-	"repro/internal/engine"
 	"repro/internal/stream"
 )
 
@@ -133,16 +132,8 @@ func readAllInto(dst []byte, r io.Reader) ([]byte, error) {
 	}
 }
 
-// Update ships a batch of updates (binary format).
-func (c *Client) Update(ctx context.Context, updates []engine.Update) error {
-	body := AppendBatch(nil, updates)
-	_, err := c.do(ctx, http.MethodPost, "/v1/update", contentTypeBatch, body)
-	return err
-}
-
-// UpdateColumns ships parallel key/delta columns (binary format, same wire
-// bytes as Update) — the natural call for producers that already hold
-// columns, matching the server's column-decoding ingest path end to end.
+// UpdateColumns ships parallel key/delta columns as one SKB2 batch, the
+// body the server's column-decoding ingest path reads.
 func (c *Client) UpdateColumns(ctx context.Context, items []uint64, deltas []float64) error {
 	if len(items) != len(deltas) {
 		return fmt.Errorf("server: UpdateColumns length mismatch (%d items, %d deltas)", len(items), len(deltas))

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"time"
 
-	"repro/internal/engine"
 	"repro/internal/server"
 )
 
@@ -47,7 +46,7 @@ func Example_replication() {
 	clientA := server.NewClient("http://"+lnA.Addr().String(), nil)
 	clientB := server.NewClient("http://"+lnB.Addr().String(), nil)
 
-	if err := clientA.Update(ctx, []engine.Update{{Item: 42, Delta: 1000}, {Item: 7, Delta: 3}}); err != nil {
+	if err := clientA.UpdateColumns(ctx, []uint64{42, 7}, []float64{1000, 3}); err != nil {
 		panic(err)
 	}
 

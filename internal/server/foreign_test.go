@@ -106,14 +106,14 @@ func TestForeignMassStaysOutOfEngine(t *testing.T) {
 			window := newSketch() // local updates since the last gossip frame
 			postLocal := func() {
 				t.Helper()
-				updates := make([]engine.Update, 300)
-				for i := range updates {
-					updates[i] = engine.Update{Item: uint64(r.Intn(1000)), Delta: float64(1 + r.Intn(4))}
+				items, deltas := make([]uint64, 300), make([]float64, 300)
+				for i := range items {
+					items[i], deltas[i] = uint64(r.Intn(1000)), float64(1+r.Intn(4))
 					for _, sk := range []*sketch.HeavyHitterTracker{everything, local, window} {
-						sk.Update(updates[i].Item, updates[i].Delta)
+						sk.Update(items[i], deltas[i])
 					}
 				}
-				if err := client.Update(ctx, updates); err != nil {
+				if err := client.UpdateColumns(ctx, items, deltas); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -172,3 +172,35 @@ func FuzzDecodeStreamFrame(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodeDeltaFrame attacks the "SKD1" gossip frame parser — the
+// untrusted surface of POST /v1/delta, which any peer can reach. Arbitrary
+// bytes must decode-or-error without panicking, and any accepted frame must
+// re-encode through AppendDeltaFrame byte-identically: the encoding is
+// canonical (unknown versions and flag bits are refused, the payload length
+// is exact), so decode∘encode is a fixed point on everything the decoder
+// accepts. The payload is opaque here; the sketch package's FuzzDecodeDelta
+// attacks the envelope inside it.
+func FuzzDecodeDeltaFrame(f *testing.F) {
+	sk := sketch.NewHeavyHitterTracker(xrand.New(5), 16, 2, 4)
+	sk.Update(3, 2)
+	enc, err := sk.MarshalBinary()
+	if err != nil {
+		f.Fatal(err)
+	}
+	payload := sketch.EncodeDelta(enc)
+	f.Add(AppendDeltaFrame(nil, DeltaFrame{Sender: "node-a", FromGen: 4, ToGen: 9, Payload: payload}))
+	f.Add(AppendDeltaFrame(nil, DeltaFrame{Sender: "node-a", FromGen: 9, ToGen: 9, Reset: true}))
+	f.Add(AppendDeltaFrame(nil, DeltaFrame{Sender: "node-b", ToGen: 12, Replace: true, Payload: payload}))
+	f.Add([]byte("SKD1\x01\x04\x00\x01xjunkjunkjunkjunkjunk"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		frame, err := DecodeDeltaFrame(data)
+		if err != nil {
+			return
+		}
+		re := AppendDeltaFrame(nil, frame)
+		if !bytes.Equal(re, data) {
+			t.Fatalf("accepted frame does not re-encode byte-identically (%d vs %d bytes)", len(re), len(data))
+		}
+	})
+}

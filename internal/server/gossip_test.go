@@ -141,9 +141,9 @@ func TestGossipTrioConvergence(t *testing.T) {
 	// Node i ingests every third update, in chunks so gossip interleaves
 	// with ingestion (deltas ship mid-stream, not just once at the end).
 	const chunk = 900
-	thirds := make([][]engine.Update, 3)
+	thirds := make([][]stream.Update, 3)
 	for i, u := range s.Updates {
-		thirds[i%3] = append(thirds[i%3], engine.Update{Item: u.Item, Delta: float64(u.Delta)})
+		thirds[i%3] = append(thirds[i%3], u)
 	}
 	for round := 0; round*chunk < len(thirds[0]); round++ {
 		for i, node := range nodes {
@@ -153,7 +153,7 @@ func TestGossipTrioConvergence(t *testing.T) {
 				continue
 			}
 			end := min(start+chunk, len(own))
-			if err := node.client.Update(ctx, own[start:end]); err != nil {
+			if err := postStream(ctx, node.client, own[start:end]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -217,11 +217,11 @@ func TestGossipDeltaSmallerThanSnapshot(t *testing.T) {
 	ctx := context.Background()
 
 	// A broad first wave touches many counters; the tail touches few.
-	wave := make([]engine.Update, 0, 20_000)
-	for i := 0; i < 20_000; i++ {
-		wave = append(wave, engine.Update{Item: uint64(i % 3800), Delta: 1})
+	items, deltas := make([]uint64, 20_000), make([]float64, 20_000)
+	for i := range items {
+		items[i], deltas[i] = uint64(i%3800), 1
 	}
-	if err := nodes[0].client.Update(ctx, wave); err != nil {
+	if err := nodes[0].client.UpdateColumns(ctx, items, deltas); err != nil {
 		t.Fatal(err)
 	}
 	waitForMass(t, nodes[1], 20_000)
@@ -247,8 +247,7 @@ func TestGossipDeltaSmallerThanSnapshot(t *testing.T) {
 		}
 	}
 	before := senderCaughtUp()
-	tail := []engine.Update{{Item: 1, Delta: 5}, {Item: 2, Delta: 7}}
-	if err := nodes[0].client.Update(ctx, tail); err != nil {
+	if err := nodes[0].client.UpdateColumns(ctx, []uint64{1, 2}, []float64{5, 7}); err != nil {
 		t.Fatal(err)
 	}
 	waitForMass(t, nodes[1], 20_012)
@@ -312,7 +311,7 @@ func TestGossipSenderRestartResync(t *testing.T) {
 
 	// First incarnation ships 100 mass on item 1, then dies.
 	srvA1, clientA1, stopA1 := startA()
-	if err := clientA1.Update(ctx, []engine.Update{{Item: 1, Delta: 100}}); err != nil {
+	if err := clientA1.UpdateColumns(ctx, []uint64{1}, []float64{100}); err != nil {
 		t.Fatal(err)
 	}
 	waitForMass(t, &gossipNode{client: clientB, url: urlB}, 100)
@@ -324,7 +323,7 @@ func TestGossipSenderRestartResync(t *testing.T) {
 	// be acked as duplicates and the 50 would never reach B.
 	_, clientA2, stopA2 := startA()
 	defer stopA2()
-	if err := clientA2.Update(ctx, []engine.Update{{Item: 2, Delta: 50}}); err != nil {
+	if err := clientA2.UpdateColumns(ctx, []uint64{2}, []float64{50}); err != nil {
 		t.Fatal(err)
 	}
 	waitForMass(t, &gossipNode{client: clientB, url: urlB}, 150)
@@ -373,7 +372,7 @@ func TestDeltaRejectsBadPayloads(t *testing.T) {
 	ctx := context.Background()
 
 	// Seed the daemon with known mass so "counters untouched" is checkable.
-	if err := client.Update(ctx, []engine.Update{{Item: 9, Delta: 4}}); err != nil {
+	if err := client.UpdateColumns(ctx, []uint64{9}, []float64{4}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -395,6 +394,7 @@ func TestDeltaRejectsBadPayloads(t *testing.T) {
 		{"garbage", []byte("hello sketchd"), http.StatusBadRequest, "magic"},
 		{"truncated frame", okFrame[:len(okFrame)-7], http.StatusBadRequest, "claims"},
 		{"truncated header", okFrame[:6], http.StatusBadRequest, "truncated"},
+		{"unknown flag bit", corrupt(okFrame, 5, 0x04), http.StatusBadRequest, "unknown delta frame flag bits 0x4"},
 		{"empty sender", frame(DeltaFrame{Sender: "", FromGen: 0, ToGen: 5, Payload: goodDelta}), http.StatusBadRequest, "sender"},
 		{"backwards generations", frame(DeltaFrame{Sender: "peer", FromGen: 9, ToGen: 5, Payload: goodDelta}), http.StatusBadRequest, "backwards"},
 		{"missing payload", frame(DeltaFrame{Sender: "peer", FromGen: 0, ToGen: 5}), http.StatusBadRequest, "no payload"},
@@ -750,12 +750,12 @@ func TestGossipSharesOneFramePerBaseline(t *testing.T) {
 	r := xrand.New(7)
 	wave := func() {
 		t.Helper()
-		updates := make([]engine.Update, 300)
-		for i := range updates {
-			updates[i] = engine.Update{Item: uint64(r.Intn(2000)), Delta: float64(1 + r.Intn(5))}
-			reference.Update(updates[i].Item, updates[i].Delta)
+		items, deltas := make([]uint64, 300), make([]float64, 300)
+		for i := range items {
+			items[i], deltas[i] = uint64(r.Intn(2000)), float64(1+r.Intn(5))
+			reference.Update(items[i], deltas[i])
 		}
-		if err := clientA.Update(ctx, updates); err != nil {
+		if err := clientA.UpdateColumns(ctx, items, deltas); err != nil {
 			t.Fatal(err)
 		}
 		a.gossipPush(ctx, true) // past the backoff a refused frame earns
@@ -905,7 +905,7 @@ func TestPeerLagSeconds(t *testing.T) {
 	ctx := context.Background()
 	post := func() {
 		t.Helper()
-		if err := feeder.Update(ctx, []engine.Update{{Item: 1, Delta: 1}}); err != nil {
+		if err := feeder.UpdateColumns(ctx, []uint64{1}, []float64{1}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -31,7 +31,7 @@ func ingestReference(t *testing.T, client *Client, cfg Config, n int) (*sketch.H
 	for _, u := range s.Updates {
 		reference.Update(u.Item, float64(u.Delta))
 	}
-	if err := client.Update(context.Background(), toEngineUpdates(s.Updates)); err != nil {
+	if err := postStream(context.Background(), client, s.Updates); err != nil {
 		t.Fatal(err)
 	}
 	r := xrand.New(78)

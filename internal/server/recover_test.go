@@ -25,11 +25,12 @@ var planted = map[uint64]float64{
 
 func ingestPlanted(t *testing.T, client *Client, items map[uint64]float64) {
 	t.Helper()
-	var updates []engine.Update
+	var keys []uint64
+	var deltas []float64
 	for item, count := range items {
-		updates = append(updates, engine.Update{Item: item, Delta: count})
+		keys, deltas = append(keys, item), append(deltas, count)
 	}
-	if err := client.Update(context.Background(), updates); err != nil {
+	if err := client.UpdateColumns(context.Background(), keys, deltas); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -93,7 +94,7 @@ func TestRecoverTwoDaemonExactness(t *testing.T) {
 		if i%2 == 1 {
 			half = clientB
 		}
-		if err := half.Update(ctx, []engine.Update{{Item: item, Delta: count}}); err != nil {
+		if err := half.UpdateColumns(ctx, []uint64{item}, []float64{count}); err != nil {
 			t.Fatal(err)
 		}
 		i++
@@ -147,19 +148,20 @@ func TestSetQueryAtLeastAsAccurateAsQuery(t *testing.T) {
 	ctx := context.Background()
 
 	truth := map[uint64]float64{}
-	var updates []engine.Update
+	var items []uint64
+	var deltas []float64
 	for item, count := range planted {
 		truth[item] = count
-		updates = append(updates, engine.Update{Item: item, Delta: count})
+		items, deltas = append(items, item), append(deltas, count)
 	}
 	// Background tail traffic to pollute buckets.
 	r := xrand.New(99)
 	for i := 0; i < 3000; i++ {
 		item := uint64(10000 + r.Intn(5000))
-		updates = append(updates, engine.Update{Item: item, Delta: 1})
+		items, deltas = append(items, item), append(deltas, 1)
 		truth[item]++
 	}
-	if err := client.Update(ctx, updates); err != nil {
+	if err := client.UpdateColumns(ctx, items, deltas); err != nil {
 		t.Fatal(err)
 	}
 

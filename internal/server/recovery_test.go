@@ -14,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/engine"
 	"repro/internal/sketch"
 	"repro/internal/xrand"
 )
@@ -167,7 +166,7 @@ func TestRecoveryFileTornOrCorrupt(t *testing.T) {
 	srcCfg := cfg
 	srcCfg.NodeID = "source"
 	source, sourceClient := testDaemon(t, srcCfg)
-	if err := sourceClient.Update(ctx, []engine.Update{{Item: 1, Delta: 10}}); err != nil {
+	if err := sourceClient.UpdateColumns(ctx, []uint64{1}, []float64{10}); err != nil {
 		t.Fatal(err)
 	}
 	if resp, err := sourceClient.PushDelta(ctx, DeltaFrame{Sender: "s1", FromGen: 0, ToGen: 2, Payload: deltaPayloadFor(t, mkSketch(2, 20))}); err != nil || !resp.Applied {
@@ -182,7 +181,7 @@ func TestRecoveryFileTornOrCorrupt(t *testing.T) {
 	goodCfg := cfg
 	goodCfg.SnapshotDir = goodDir
 	prev, prevClient := testDaemon(t, goodCfg)
-	if err := prevClient.Update(ctx, []engine.Update{{Item: 100, Delta: 5}}); err != nil {
+	if err := prevClient.UpdateColumns(ctx, []uint64{100}, []float64{5}); err != nil {
 		t.Fatal(err)
 	}
 	if resp, err := prevClient.PushDelta(ctx, DeltaFrame{Sender: "a", FromGen: 0, ToGen: 4, Payload: deltaPayloadFor(t, mkSketch(101, 7))}); err != nil || !resp.Applied {
@@ -318,7 +317,7 @@ func TestUnreadableFileSurvivesBootstrap(t *testing.T) {
 	gone.Close() // connections to it are refused
 	srcCfg := Config{Width: cfg.Width, Depth: cfg.Depth, K: cfg.K, Seed: cfg.Seed, NodeID: "source"}
 	_, sourceClient := testDaemon(t, srcCfg)
-	if err := sourceClient.Update(context.Background(), []engine.Update{{Item: 1, Delta: 10}}); err != nil {
+	if err := sourceClient.UpdateColumns(context.Background(), []uint64{1}, []float64{10}); err != nil {
 		t.Fatal(err)
 	}
 	// requireAside fails unless dir's damaged file sits aside, byte for byte.
@@ -374,7 +373,7 @@ func TestUnreadableFileSurvivesBootstrap(t *testing.T) {
 				t.Fatal("the node never degraded")
 			}
 		}
-		if err := client.Update(context.Background(), []engine.Update{{Item: 2, Delta: 3}}); err != nil {
+		if err := client.UpdateColumns(context.Background(), []uint64{2}, []float64{3}); err != nil {
 			t.Fatal(err)
 		}
 		closeChecked(t, srv)
@@ -577,11 +576,11 @@ func BenchmarkSaveSnapshot(b *testing.B) {
 			defer func() { hs.Close(); srv.Close() }()
 			client := NewClient(hs.URL, hs.Client())
 			r := xrand.New(3)
-			updates := make([]engine.Update, 4096)
-			for i := range updates {
-				updates[i] = engine.Update{Item: uint64(r.Intn(1 << 20)), Delta: 1}
+			items, deltas := make([]uint64, 4096), make([]float64, 4096)
+			for i := range items {
+				items[i], deltas[i] = uint64(r.Intn(1<<20)), 1
 			}
-			if err := client.Update(ctx, updates); err != nil {
+			if err := client.UpdateColumns(ctx, items, deltas); err != nil {
 				b.Fatal(err)
 			}
 			foreign := func() []byte {

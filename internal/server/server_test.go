@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -35,17 +36,18 @@ func testDaemon(t *testing.T, cfg Config) (*Server, *Client) {
 	return srv, NewClient(hs.URL, hs.Client())
 }
 
-// toEngineUpdates converts a stream slice to engine updates.
-func toEngineUpdates(updates []stream.Update) []engine.Update {
-	out := make([]engine.Update, len(updates))
+// postStream ships a stream slice to client as one SKB2 batch.
+func postStream(ctx context.Context, client *Client, updates []stream.Update) error {
+	items := make([]uint64, len(updates))
+	deltas := make([]float64, len(updates))
 	for i, u := range updates {
-		out[i] = engine.Update{Item: u.Item, Delta: float64(u.Delta)}
+		items[i], deltas[i] = u.Item, float64(u.Delta)
 	}
-	return out
+	return client.UpdateColumns(ctx, items, deltas)
 }
 
 // TestEndToEndExactnessOverTheWire is the acceptance invariant (the HTTP
-// version of experiment E11): two daemons ingest disjoint halves of a
+// version of TestCountMinShardingIsExact): two daemons ingest disjoint halves of a
 // stream, one merges the other's /v1/snapshot, and every queried counter
 // equals the single-threaded reference sketch exactly — deviation 0.
 func TestEndToEndExactnessOverTheWire(t *testing.T) {
@@ -60,10 +62,10 @@ func TestEndToEndExactnessOverTheWire(t *testing.T) {
 		reference.Update(u.Item, float64(u.Delta))
 	}
 	half := len(s.Updates) / 2
-	if err := clientA.Update(ctx, toEngineUpdates(s.Updates[:half])); err != nil {
+	if err := postStream(ctx, clientA, s.Updates[:half]); err != nil {
 		t.Fatal(err)
 	}
-	if err := clientB.Update(ctx, toEngineUpdates(s.Updates[half:])); err != nil {
+	if err := postStream(ctx, clientB, s.Updates[half:]); err != nil {
 		t.Fatal(err)
 	}
 
@@ -125,8 +127,8 @@ func TestEndToEndExactnessOverTheWire(t *testing.T) {
 // chunked so the producer lanes genuinely interleave — while other
 // goroutines hammer the read endpoints mid-stream. Afterwards every sampled
 // counter must equal the single-threaded reference sketch exactly: the
-// HTTP-level statement of the E11/E12 deviation-0 invariant for concurrent
-// producers.
+// HTTP-level statement of the engine's deviation-0 invariant for concurrent
+// producers (TestConcurrentProducersExact).
 func TestConcurrentUpdateExactness(t *testing.T) {
 	cfg := Config{
 		Width: 1024, Depth: 4, K: 48, Seed: 13,
@@ -152,13 +154,13 @@ func TestConcurrentUpdateExactness(t *testing.T) {
 			defer wg.Done()
 			// Writer wid owns every writers-th update: the slices are
 			// disjoint and together cover the stream exactly once.
-			var own []engine.Update
+			var own []stream.Update
 			for i := wid; i < len(s.Updates); i += writers {
-				own = append(own, engine.Update{Item: s.Updates[i].Item, Delta: float64(s.Updates[i].Delta)})
+				own = append(own, s.Updates[i])
 			}
 			for start := 0; start < len(own); start += chunk {
 				end := min(start+chunk, len(own))
-				if err := client.Update(ctx, own[start:end]); err != nil {
+				if err := postStream(ctx, client, own[start:end]); err != nil {
 					errs <- fmt.Errorf("writer %d: %w", wid, err)
 					return
 				}
@@ -336,7 +338,7 @@ func TestMergeRejectsBadPayloads(t *testing.T) {
 func TestUpdateRejectsBadPayloads(t *testing.T) {
 	_, client := testDaemon(t, Config{Width: 128, Depth: 3, K: 8})
 
-	goodBatch := AppendBatch(nil, []engine.Update{{Item: 1, Delta: 2}})
+	goodBatch := AppendBatchColumns(nil, []uint64{1}, []float64{2})
 	for name, body := range map[string][]byte{
 		"truncated batch":  goodBatch[:len(goodBatch)-3],
 		"bad batch magic":  corrupt(goodBatch, 0, 'X'),
@@ -382,7 +384,7 @@ func TestSnapshotRecovery(t *testing.T) {
 	ctx := context.Background()
 
 	s := stream.Zipf(xrand.New(31), 1<<14, 20_000, 1.1)
-	if err := client.Update(ctx, toEngineUpdates(s.Updates)); err != nil {
+	if err := postStream(ctx, client, s.Updates); err != nil {
 		t.Fatal(err)
 	}
 	before, err := client.Snapshot(ctx)
@@ -424,37 +426,27 @@ func TestSnapshotRecovery(t *testing.T) {
 
 // TestBatchRoundTrip: the binary batch codec in isolation.
 func TestBatchRoundTrip(t *testing.T) {
-	in := []engine.Update{{Item: 1, Delta: 2.5}, {Item: 1 << 60, Delta: -3}, {Item: 0, Delta: 0}}
-	out, err := DecodeBatch(AppendBatch(nil, in))
+	items := []uint64{1, 1 << 60, 0}
+	deltas := []float64{2.5, -3, 0}
+	gotItems, gotDeltas, err := DecodeBatchColumns(AppendBatchColumns(nil, items, deltas), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != len(in) {
-		t.Fatalf("decoded %d updates, want %d", len(out), len(in))
+	if !slices.Equal(gotItems, items) || !slices.Equal(gotDeltas, deltas) {
+		t.Fatalf("decoded (%v, %v), want (%v, %v)", gotItems, gotDeltas, items, deltas)
 	}
-	for i := range in {
-		if in[i] != out[i] {
-			t.Fatalf("update %d: %v != %v", i, out[i], in[i])
-		}
-	}
-	if _, err := DecodeBatch(nil); err == nil {
+	if _, _, err := DecodeBatchColumns(nil, nil, nil); err == nil {
 		t.Fatal("empty batch: expected error")
 	}
 }
 
-// TestBatchColumnsRoundTrip: the columnar encoder/decoder pair must produce
-// exactly the record encoder's wire bytes, round-trip losslessly, and append
-// into reused buffers without clobbering prior contents.
+// TestBatchColumnsRoundTrip: the columnar encoder/decoder pair must
+// round-trip losslessly and append into reused buffers without clobbering
+// prior contents.
 func TestBatchColumnsRoundTrip(t *testing.T) {
 	items := []uint64{1, 1 << 60, 0}
 	deltas := []float64{2.5, -3, 0}
-	records := []engine.Update{{Item: 1, Delta: 2.5}, {Item: 1 << 60, Delta: -3}, {Item: 0, Delta: 0}}
-
 	colBytes := AppendBatchColumns(nil, items, deltas)
-	recBytes := AppendBatch(nil, records)
-	if !bytes.Equal(colBytes, recBytes) {
-		t.Fatal("AppendBatchColumns wire bytes differ from AppendBatch")
-	}
 
 	// Decode appends after existing contents (the lanes reset to [:0], but
 	// the contract is append).
@@ -560,10 +552,10 @@ func TestPartitionModeOverTheWire(t *testing.T) {
 	// the partitioned one folds in the replica's snapshot (a full tracker
 	// absorbed into column slices over the wire).
 	half := len(s.Updates) / 2
-	if err := partClient.Update(ctx, toEngineUpdates(s.Updates[:half])); err != nil {
+	if err := postStream(ctx, partClient, s.Updates[:half]); err != nil {
 		t.Fatal(err)
 	}
-	if err := repClient.Update(ctx, toEngineUpdates(s.Updates[half:])); err != nil {
+	if err := postStream(ctx, repClient, s.Updates[half:]); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := repClient.Snapshot(ctx)
@@ -615,7 +607,7 @@ func TestPartitionModeOverTheWire(t *testing.T) {
 func TestRequestBodySizing(t *testing.T) {
 	_, client := testDaemon(t, Config{Width: 128, Depth: 3, K: 8, MaxBodyBytes: 1024})
 	ctx := context.Background()
-	small := AppendBatch(nil, []engine.Update{{Item: 1, Delta: 2}})
+	small := AppendBatchColumns(nil, []uint64{1}, []float64{2})
 	// 64-bit keys and fractional deltas keep SKB2 at 16 bytes a record: 3.2 kB
 	// of records, over the cap by body size (its 200 records are also over the
 	// 64-record cap, which is only checked once the body is read).

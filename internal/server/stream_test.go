@@ -587,14 +587,14 @@ func TestStreamEndpointRejectsWrongContentType(t *testing.T) {
 	}
 }
 
-// BenchmarkE17StreamSteadyState measures the steady-state cost of one data
+// BenchmarkStreamSteadyState measures the steady-state cost of one data
 // frame through the whole pipeline — client encode, TCP, server frame read,
 // decode into the pinned lane's columns, engine dispatch — and reports
 // allocations: the acceptance bar is zero allocs/op once buffers have
 // reached their steady-state sizes. The workload keeps to 64 distinct items
 // (the tracker's candidate capacity), so the sketch side updates candidates
 // in place.
-func BenchmarkE17StreamSteadyState(b *testing.B) {
+func BenchmarkStreamSteadyState(b *testing.B) {
 	srv, err := New(Config{Width: 4096, Depth: 4, K: 64, Seed: 1, Engine: engine.Config{Workers: 2}})
 	if err != nil {
 		b.Fatal(err)

@@ -7,8 +7,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-
-	"repro/internal/engine"
 )
 
 // Wire formats of the HTTP API.
@@ -375,17 +373,6 @@ type SpectrumResponse struct {
 	Gen          int64                 `json:"gen"`
 }
 
-// AppendBatch appends the binary encoding of updates to buf and returns the
-// extended slice.
-func AppendBatch(buf []byte, updates []engine.Update) []byte {
-	items := make([]uint64, len(updates))
-	deltas := make([]float64, len(updates))
-	for i, u := range updates {
-		items[i], deltas[i] = u.Item, u.Delta
-	}
-	return AppendBatchColumns(buf, items, deltas)
-}
-
 // AppendBatchColumns appends the SKB2 encoding of parallel key/delta columns
 // to buf and returns the extended slice. The columns must have equal length
 // (panics otherwise — silently dropping surplus deltas would put a
@@ -632,6 +619,7 @@ var errRetiredBatch = errors.New("server: the SKB1 batch format is retired: use 
 //	flags      uint8   bit 0: reset frame (re-align the watermark, no payload)
 //	                   bit 1: replace frame (payload is the sender's whole
 //	                   local state; see deltaFlagReplace)
+//	                   other bits: refused
 //	senderLen  uint16  length of the sender id (must be >= 1)
 //	sender     senderLen bytes: the sending node's -node-id
 //	fromGen    uint64  sender-local generation of the last acked frame
@@ -720,8 +708,8 @@ func appendDeltaFrameHeader(buf []byte, f DeltaFrame) []byte {
 }
 
 // DecodeDeltaFrame parses a delta frame, validating the structural
-// invariants (exact length, named sender, monotone generation window, reset
-// frames empty and non-reset frames non-empty) so the handler can trust the
+// invariants (exact length, known flag bits, named sender, monotone
+// generation window, reset frames empty and non-reset frames non-empty) so the handler can trust the
 // shape before it looks at the watermark.
 func DecodeDeltaFrame(data []byte) (DeltaFrame, error) {
 	var f DeltaFrame
@@ -733,6 +721,9 @@ func DecodeDeltaFrame(data []byte) (DeltaFrame, error) {
 	}
 	if v := data[4]; v != deltaFrameVersion {
 		return f, fmt.Errorf("server: unsupported delta frame version %d (want %d)", v, deltaFrameVersion)
+	}
+	if unknown := data[5] &^ (deltaFlagReset | deltaFlagReplace); unknown != 0 {
+		return f, fmt.Errorf("server: unknown delta frame flag bits %#x", unknown)
 	}
 	f.Reset = data[5]&deltaFlagReset != 0
 	f.Replace = data[5]&deltaFlagReplace != 0
@@ -770,19 +761,4 @@ func DecodeDeltaFrame(data []byte) (DeltaFrame, error) {
 	}
 	f.Payload = payload
 	return f, nil
-}
-
-// DecodeBatch parses a binary update batch into a record slice. Transports
-// that can consume columns should prefer DecodeBatchColumns; this wrapper
-// remains for callers that want the record shape (tests, tooling).
-func DecodeBatch(data []byte) ([]engine.Update, error) {
-	items, deltas, err := DecodeBatchColumns(data, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	updates := make([]engine.Update, len(items))
-	for i := range updates {
-		updates[i] = engine.Update{Item: items[i], Delta: deltas[i]}
-	}
-	return updates, nil
 }

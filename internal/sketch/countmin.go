@@ -576,18 +576,6 @@ func (cm *CountMin) Copy() *CountMin {
 	return out
 }
 
-// Counters returns the counter matrix as one row view per depth, over
-// CounterData: the live store of a widened sketch, which callers must not
-// modify, and a copy otherwise.
-func (cm *CountMin) Counters() [][]float64 {
-	flat := cm.CounterData()
-	rows := make([][]float64, cm.depth)
-	for r := range rows {
-		rows[r] = flat[r*cm.width : (r+1)*cm.width]
-	}
-	return rows
-}
-
 // CounterData returns the flat row-major counter array (row r at
 // [r*width, (r+1)*width)) as float64. For a widened sketch it is the live
 // backing store, which callers must not modify; int32 counters cannot be

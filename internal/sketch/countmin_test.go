@@ -227,12 +227,10 @@ func TestCountMinLinearityProperty(t *testing.T) {
 		a.Update(item, float64(d2))
 		b := base.Clone()
 		b.Update(item, float64(d1)+float64(d2))
-		ca, cb := a.Counters(), b.Counters()
-		for row := range ca {
-			for j := range ca[row] {
-				if math.Abs(ca[row][j]-cb[row][j]) > 1e-9 {
-					return false
-				}
+		ca, cb := a.CounterData(), b.CounterData()
+		for j := range ca {
+			if math.Abs(ca[j]-cb[j]) > 1e-9 {
+				return false
 			}
 		}
 		return true

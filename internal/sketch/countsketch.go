@@ -296,16 +296,6 @@ func (cs *CountSketch) Copy() *CountSketch {
 	return out
 }
 
-// Counters returns the counter matrix as one row view per depth; the rows
-// alias the live flat backing store and callers must not modify them.
-func (cs *CountSketch) Counters() [][]float64 {
-	rows := make([][]float64, cs.depth)
-	for r := range rows {
-		rows[r] = cs.row(r)
-	}
-	return rows
-}
-
 // CounterData returns the flat row-major counter array (the live backing
 // store; callers must not modify it).
 func (cs *CountSketch) CounterData() []float64 { return cs.counts }

@@ -180,12 +180,10 @@ func TestCountSketchLinearityProperty(t *testing.T) {
 		a.Update(item, float64(d2))
 		b := base.Clone()
 		b.Update(item, float64(d1)+float64(d2))
-		ca, cb := a.Counters(), b.Counters()
-		for row := range ca {
-			for j := range ca[row] {
-				if math.Abs(ca[row][j]-cb[row][j]) > 1e-9 {
-					return false
-				}
+		ca, cb := a.CounterData(), b.CounterData()
+		for j := range ca {
+			if math.Abs(ca[j]-cb[j]) > 1e-9 {
+				return false
 			}
 		}
 		return true
@@ -204,12 +202,8 @@ func TestCountSketchAbsentItemBounded(t *testing.T) {
 		cs.Update(i, 1)
 	}
 	maxCounter := 0.0
-	for _, row := range cs.Counters() {
-		for _, v := range row {
-			if math.Abs(v) > maxCounter {
-				maxCounter = math.Abs(v)
-			}
-		}
+	for _, v := range cs.CounterData() {
+		maxCounter = max(maxCounter, math.Abs(v))
 	}
 	for item := uint64(10000); item < 10100; item++ {
 		if est := math.Abs(cs.Estimate(item)); est > maxCounter+1e-9 {

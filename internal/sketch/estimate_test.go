@@ -192,25 +192,30 @@ func TestEstimateBatchLengthMismatchPanics(t *testing.T) {
 }
 
 // TestEstimateBatchZeroAlloc asserts the steady-state allocation contract of
-// both scratch modes directly (the E18 benchmark reports it; this fails the
-// build if it regresses).
+// both scratch modes directly (the EstimateBatch benchmarks report it; this
+// fails the build if it regresses).
 func TestEstimateBatchZeroAlloc(t *testing.T) {
 	items, deltas := benchColumns(2048)
 	dst := make([]float64, len(items))
 	cm := NewCountMin(xrand.New(1), 1024, 4)
 	cs := NewCountSketch(xrand.New(1), 1024, 4)
+	tracker := NewHeavyHitterTracker(xrand.New(1), 1024, 4, 64)
 	cm.UpdateBatch(items, deltas)
 	cs.UpdateBatch(items, deltas)
+	tracker.UpdateBatch(items, deltas)
 	var sc EstimateScratch
 	cm.EstimateBatch(items, dst)
 	cs.EstimateBatch(items, dst)
 	cm.EstimateBatchWith(items, dst, &sc)
 	cs.EstimateBatchWith(items, dst, &sc)
+	tracker.EstimateBatchWith(items, dst, &sc)
 	for name, fn := range map[string]func(){
 		"countmin":         func() { cm.EstimateBatch(items, dst) },
 		"countsketch":      func() { cs.EstimateBatch(items, dst) },
 		"countmin-with":    func() { cm.EstimateBatchWith(items, dst, &sc) },
 		"countsketch-with": func() { cs.EstimateBatchWith(items, dst, &sc) },
+		// The daemon's read kernel: every served point query lands here.
+		"tracker-with": func() { tracker.EstimateBatchWith(items, dst, &sc) },
 	} {
 		if avg := testing.AllocsPerRun(20, fn); avg != 0 {
 			t.Errorf("%s: EstimateBatch allocates %v objects steady-state, want 0", name, avg)
@@ -262,6 +267,19 @@ func BenchmarkCountSketchEstimateBatch(b *testing.B) {
 	items, deltas := benchColumns(4096)
 	cs.UpdateBatch(items, deltas)
 	benchmarkSketchEstimateBatch(b, cs.EstimateBatch)
+}
+
+// BenchmarkTrackerEstimateBatch is the daemon's read kernel in isolation: a
+// warmed EstimateScratch answers a 4096-key column through the batched
+// kernels with zero heap allocations per call.
+func BenchmarkTrackerEstimateBatch(b *testing.B) {
+	tracker := NewHeavyHitterTracker(xrand.New(2), 4096, 4, 64)
+	items, deltas := benchColumns(1 << 16)
+	tracker.UpdateBatch(items, deltas)
+	var sc EstimateScratch
+	benchmarkSketchEstimateBatch(b, func(keys []uint64, dst []float64) {
+		tracker.EstimateBatchWith(keys, dst, &sc)
+	})
 }
 
 func BenchmarkCountSketchEstimateScalar(b *testing.B) {
