@@ -22,7 +22,8 @@
 // daemon's current locally ingested state and the last state that peer
 // acknowledged. Deltas are mostly zero counters, and small integers where
 // they are not, and travel in the compressed KindDelta envelope: a zero run,
-// a literal, or a one- or two-byte token for a small integer counter (see
+// a literal, or a one- or two-byte token for a small integer counter, the
+// token bytes Huffman-coded under a code made for each frame (see
 // internal/sketch's encoding.go). A tick cuts the local state once and
 // encodes once per distinct baseline — in a settled mesh every peer holds
 // the same one, so every peer is posted the same bytes — and the encode is

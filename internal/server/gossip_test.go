@@ -247,6 +247,10 @@ func TestGossipDeltaSmallerThanSnapshot(t *testing.T) {
 		}
 	}
 	before := senderCaughtUp()
+	// The wide window's integer counts are what the entropy stage codes.
+	if p := before.Peers[0]; p.BytesShipped >= p.BytesUncoded {
+		t.Fatalf("the 20,000-update window shipped %d bytes, %d with its tokens stored: want the coded form smaller", p.BytesShipped, p.BytesUncoded)
+	}
 	if err := nodes[0].client.UpdateColumns(ctx, []uint64{1, 2}, []float64{5, 7}); err != nil {
 		t.Fatal(err)
 	}
@@ -484,8 +488,8 @@ func TestDeltaRejectsBadPayloads(t *testing.T) {
 // mesh ships one window per kind of counter word — small integers,
 // fractions, negatives, 2^53+2, ±1e300 — and a window of −0 deltas, and the
 // receiver ends up answering exactly like the single-threaded reference, bit
-// for bit. A frame carrying the retired kind-7 envelope is then refused with
-// nothing touched.
+// for bit. Frames carrying the retired kind-7 and kind-8 envelopes are then
+// refused with nothing touched.
 func TestGossipExactOverEveryCounterWord(t *testing.T) {
 	ctx := context.Background()
 	cfg := Config{Width: 512, Depth: 4, K: 16, Seed: 41, Engine: engine.Config{Workers: 1}}
@@ -564,28 +568,34 @@ func TestGossipExactOverEveryCounterWord(t *testing.T) {
 		t.Fatalf("receiver applied %d frames, want one per window (%d)", before.DeltasApplied, len(windows))
 	}
 
-	// The retired envelope, as an older release would ship it: one literal
-	// holding the whole inner encoding.
+	// The retired envelopes, as older releases would ship them: one literal
+	// holding the whole inner encoding — as a (zero run, literal) pair in
+	// kind 7, as a literal token in kind 8.
 	inner := mustEncode(t, newSketch())
-	retired := binary.BigEndian.AppendUint32([]byte("SKC1\x01\x07"), uint32(len(inner)))
-	retired = append(binary.AppendUvarint(binary.AppendUvarint(retired, 0), uint64(len(inner))), inner...)
+	retired7 := binary.BigEndian.AppendUint32([]byte("SKC1\x01\x07"), uint32(len(inner)))
+	retired7 = append(binary.AppendUvarint(binary.AppendUvarint(retired7, 0), uint64(len(inner))), inner...)
+	retired8 := binary.BigEndian.AppendUint32([]byte("SKC1\x01\x08"), uint32(len(inner)))
+	retired8 = append(binary.AppendUvarint(retired8, uint64(len(inner))<<2|1), inner...)
 	mark := before.Watermarks["feeder"]
-	status, body := pushDeltaBytes(t, receiver, AppendDeltaFrame(nil, DeltaFrame{Sender: "feeder", FromGen: mark, ToGen: mark + 1, Payload: retired}))
-	if status != http.StatusBadRequest || !strings.Contains(body, "kind 7") {
-		t.Fatalf("kind-7 envelope: HTTP %d %q, want 400 naming kind 7", status, body)
-	}
-	after, err := receiver.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after.DeltasRejected != before.DeltasRejected+1 || after.DeltasApplied != before.DeltasApplied ||
-		after.Watermarks["feeder"] != mark || after.TotalMass != before.TotalMass {
-		t.Fatalf("kind-7 envelope moved the receiver: rejected %d → %d, applied %d → %d, watermark %d → %d, mass %v → %v",
-			before.DeltasRejected, after.DeltasRejected, before.DeltasApplied, after.DeltasApplied,
-			mark, after.Watermarks["feeder"], before.TotalMass, after.TotalMass)
-	}
-	if !slices.Equal(answers(receiver), got) {
-		t.Fatal("kind-7 envelope changed the receiver's answers")
+	for i, retired := range [][]byte{retired7, retired8} {
+		kind := fmt.Sprintf("kind %d", retired[5])
+		status, body := pushDeltaBytes(t, receiver, AppendDeltaFrame(nil, DeltaFrame{Sender: "feeder", FromGen: mark, ToGen: mark + 1, Payload: retired}))
+		if status != http.StatusBadRequest || !strings.Contains(body, kind) {
+			t.Fatalf("%s envelope: HTTP %d %q, want 400 naming %s", kind, status, body, kind)
+		}
+		after, err := receiver.Stats(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if after.DeltasRejected != before.DeltasRejected+int64(i+1) || after.DeltasApplied != before.DeltasApplied ||
+			after.Watermarks["feeder"] != mark || after.TotalMass != before.TotalMass {
+			t.Fatalf("%s envelope moved the receiver: rejected %d → %d, applied %d → %d, watermark %d → %d, mass %v → %v",
+				kind, before.DeltasRejected, after.DeltasRejected, before.DeltasApplied, after.DeltasApplied,
+				mark, after.Watermarks["feeder"], before.TotalMass, after.TotalMass)
+		}
+		if !slices.Equal(answers(receiver), got) {
+			t.Fatalf("%s envelope changed the receiver's answers", kind)
+		}
 	}
 }
 

@@ -456,9 +456,11 @@ type Server struct {
 	// replicator goroutine mutates them, /v1/stats reads them).
 	peerMu sync.Mutex
 	peers  []*peerState
-	// lastFrameLen is the size of the last delta frame encoded, which sizes
-	// the next one's buffer. Only gossipPush touches it, and that runs on the
-	// replicator goroutine and then, once that has exited, in Close.
+	// lastFrameLen is the size of the last delta frame encoded with its
+	// token stream stored, which sizes the next one's buffer: the tokens are
+	// staged in it before they are coded. Only gossipPush touches it, and
+	// that runs on the replicator goroutine and then, once that has exited,
+	// in Close.
 	lastFrameLen int
 
 	stop chan struct{}
@@ -481,6 +483,7 @@ type peerState struct {
 	pendingGen   int64
 	framesAcked  int64
 	bytesShipped int64
+	bytesUncoded int64 // bytesShipped had the frames' token streams been stored
 	lastErr      string
 	// behindSince is when a gossip tick first found the link behind the local
 	// generation since its last rebase; zero while caught up.
@@ -1773,7 +1776,7 @@ func (s *Server) encodeFrame(f DeltaFrame, local, base *sketch.HeavyHitterTracke
 		return nil, err
 	}
 	binary.BigEndian.PutUint32(buf[lenAt:], uint32(len(buf)-lenAt-4))
-	s.lastFrameLen = len(buf)
+	s.lastFrameLen = uncodedFrameLen(buf)
 	return buf, nil
 }
 
@@ -1858,7 +1861,7 @@ func (s *Server) pushPeer(ctx context.Context, p *peerState, cut *gossipCut) {
 		resp, err := p.client.pushDeltaRaw(ctx, pending)
 		switch outcome, canReplace := classifyPush(resp, err, pendingGen, true); outcome {
 		case pushAcked:
-			s.peerAcked(p, pendingLocal, pendingGen, len(pending))
+			s.peerAcked(p, pendingLocal, pendingGen, pending)
 			baseline, baseGen = pendingLocal, pendingGen
 		case pushDiverged:
 			s.resolveConflict(ctx, p, local, gen, everAcked, canReplace)
@@ -1884,7 +1887,7 @@ func (s *Server) pushPeer(ctx context.Context, p *peerState, cut *gossipCut) {
 	resp, err := p.client.pushDeltaRaw(ctx, frame)
 	switch outcome, canReplace := classifyPush(resp, err, gen, false); outcome {
 	case pushAcked:
-		s.peerAcked(p, local, gen, len(frame))
+		s.peerAcked(p, local, gen, frame)
 	case pushDiverged:
 		s.resolveConflict(ctx, p, local, gen, everAcked, canReplace)
 	default:
@@ -1951,15 +1954,27 @@ func (s *Server) rebase(p *peerState, baseline *sketch.HeavyHitterTracker, gen i
 	s.noteOutcome(p, err)
 }
 
-// peerAcked records a delivered counter-carrying frame of frameLen bytes that
-// took the peer to (baseline, gen). Reset frames ship nothing and do not
-// count: everAcked must stay false on a link that was only ever reset.
-func (s *Server) peerAcked(p *peerState, baseline *sketch.HeavyHitterTracker, gen int64, frameLen int) {
+// peerAcked records a delivered counter-carrying frame that took the peer to
+// (baseline, gen). Reset frames ship nothing and do not count: everAcked must
+// stay false on a link that was only ever reset.
+func (s *Server) peerAcked(p *peerState, baseline *sketch.HeavyHitterTracker, gen int64, frame []byte) {
+	uncoded := uncodedFrameLen(frame)
 	s.peerMu.Lock()
 	p.framesAcked++
-	p.bytesShipped += int64(frameLen)
+	p.bytesShipped += int64(len(frame))
+	p.bytesUncoded += int64(uncoded)
 	s.rebase(p, baseline, gen, nil)
 	s.peerMu.Unlock()
+}
+
+// uncodedFrameLen is the length of a delta frame this node encoded had its
+// payload's token stream been stored as is (sketch.DeltaStoredLen).
+func uncodedFrameLen(frame []byte) int {
+	f, err := DecodeDeltaFrame(frame)
+	if err != nil {
+		return len(frame)
+	}
+	return len(frame) - len(f.Payload) + sketch.DeltaStoredLen(f.Payload)
 }
 
 // peerFailed records a transport failure on a peer link.
@@ -2014,7 +2029,7 @@ func (s *Server) resyncPeerReplace(ctx context.Context, p *peerState, local *ske
 		// Applied — or duplicate-acked exactly at gen because our previous
 		// replace's ack was lost, which still means the peer holds everything
 		// the cut covers. Either way `local` is now the peer's record of us.
-		s.peerAcked(p, local, gen, len(frame))
+		s.peerAcked(p, local, gen, frame)
 		s.cfg.Logf("server: peer %s diverged: healed with a replace frame at generation %d", p.url, gen)
 	case isWatermarkConflict(err):
 		// The peer refused the replace (it holds this node's mass untracked):
@@ -2135,6 +2150,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			LagGens:      gen - p.baseGen,
 			FramesAcked:  p.framesAcked,
 			BytesShipped: p.bytesShipped,
+			BytesUncoded: p.bytesUncoded,
 			Pending:      p.pending != nil,
 			LastError:    p.lastErr,
 		}

@@ -443,6 +443,11 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	// produced; stacks that don't support it degrade to half-duplex.
 	_ = rc.EnableFullDuplex()
 	w.Header().Set("Content-Type", contentTypeStream)
+	// The connection ends with the stream. Kept alive, net/http would read
+	// the next request off it while this handler's body reader may still be
+	// blocked in a Read — a stream that ends on an error frame, a refused
+	// hello among them, panics inside net/http with a concurrent Body.Read.
+	w.Header().Set("Connection", "close")
 	w.WriteHeader(http.StatusOK)
 	if err := rc.Flush(); err != nil {
 		return

@@ -8,7 +8,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"net"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -586,6 +588,66 @@ func TestStreamEndpointRejectsWrongContentType(t *testing.T) {
 		t.Fatalf("status = %d, want 415", resp.StatusCode)
 	}
 }
+
+// TestStreamErrorFrameClosesConnection: a stream over HTTP takes its
+// connection down with it. The response says Connection: close, so net/http
+// never reads a next request off the connection while the handler's body
+// read may still be blocked — which panicked inside net/http ("invalid
+// concurrent Body.Read call") for a few streams in a hundred that ended on
+// an error frame, as every refused hello does. 400 such streams leave no
+// panic in the server's error log.
+func TestStreamErrorFrameClosesConnection(t *testing.T) {
+	srv, err := New(Config{Width: 256, Depth: 3, K: 16, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	var logMu sync.Mutex
+	var logged bytes.Buffer
+	hs := httptest.NewUnstartedServer(srv.Handler())
+	hs.Config.ErrorLog = log.New(writerFunc(func(p []byte) (int, error) {
+		logMu.Lock()
+		defer logMu.Unlock()
+		return logged.Write(p)
+	}), "", 0)
+	hs.Start()
+	defer hs.Close()
+
+	early := AppendStreamFrame(nil, StreamFrame{Type: streamFrameData, Payload: make([]byte, 8)})
+	for i := range 400 {
+		pr, pw := io.Pipe()
+		req, err := http.NewRequest(http.MethodPost, hs.URL+"/v1/stream", pr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", contentTypeStream)
+		go pw.Write(early)
+		resp, err := hs.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame, err := newFrameReader(resp.Body, 1<<10).next()
+		pw.Close()
+		resp.Body.Close()
+		if !resp.Close { // net/http's reading of a Connection: close header
+			t.Fatalf("stream %d: the response does not say Connection: close", i)
+		}
+		if err != nil || frame.Type != streamFrameError || string(frame.Payload) != "data frame before hello" {
+			t.Fatalf("stream %d: got %+v, %v; want the error frame refusing the data frame", i, frame, err)
+		}
+	}
+	hs.Close()
+	logMu.Lock()
+	defer logMu.Unlock()
+	if strings.Contains(logged.String(), "panic serving") {
+		t.Fatalf("the server panicked serving a stream:\n%s", logged.String())
+	}
+}
+
+// writerFunc is an io.Writer that is a function.
+type writerFunc func([]byte) (int, error)
+
+func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
 
 // BenchmarkStreamSteadyState measures the steady-state cost of one data
 // frame through the whole pipeline — client encode, TCP, server frame read,

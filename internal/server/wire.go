@@ -137,6 +137,10 @@ type PeerStat struct {
 	LagGens      int64  `json:"lag_gens"`
 	FramesAcked  int64  `json:"frames_acked"`
 	BytesShipped int64  `json:"bytes_shipped"`
+	// BytesUncoded is what the frames in BytesShipped would have cost with
+	// their envelopes' token streams stored as is: BytesShipped over it is
+	// the entropy stage's coding ratio on this link.
+	BytesUncoded int64  `json:"bytes_uncoded"`
 	Pending      bool   `json:"pending"`
 	LastError    string `json:"last_error,omitempty"`
 	// BackoffMs is the length of the capped exponential backoff window the
@@ -625,10 +629,11 @@ var errRetiredBatch = errors.New("server: the SKB1 batch format is retired: use 
 //	fromGen    uint64  sender-local generation of the last acked frame
 //	toGen      uint64  sender-local generation this frame advances to
 //	payloadLen uint32
-//	payload    payloadLen bytes: a sketch KindDelta envelope (kind 8) of
+//	payload    payloadLen bytes: a sketch KindDelta envelope (kind 9) of
 //	           the difference sketch's encoding — zero-run, literal and
-//	           integer-word tokens — and empty on reset frames; the retired
-//	           kind-7 envelope is refused with 400
+//	           integer-word tokens under a per-envelope Huffman code — and
+//	           empty on reset frames; the retired kind-7 and kind-8
+//	           envelopes are refused with 400
 //
 // A frame covers the sender-local generation window (fromGen, toGen]. The
 // receiver keeps one watermark per sender — the toGen of the newest frame it

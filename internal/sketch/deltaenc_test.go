@@ -2,11 +2,13 @@ package sketch
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -14,12 +16,12 @@ import (
 	"repro/internal/xrand"
 )
 
-// encodeDeltaOracle is the envelope's greedy rule written as the plainest
+// tokensOracle is the envelope's greedy rule written as the plainest
 // left-to-right scan over the whole inner encoding, with the whole input in
 // view. It defines the token stream; the streaming writer must reproduce it
 // byte for byte.
-func encodeDeltaOracle(inner []byte) []byte {
-	out := appendDeltaHeader(nil, len(inner))
+func tokensOracle(inner []byte) []byte {
+	var out []byte
 	// word reports whether a word token starts at i, and its token.
 	word := func(i int) (uint64, bool) {
 		if inner[i] == 0 || len(inner)-i < 8 {
@@ -77,9 +79,81 @@ func encodeDeltaOracle(inner []byte) []byte {
 	return out
 }
 
-// kindRetiredDelta is the kind byte of the envelope before integer tokens,
-// which decoders now refuse.
-const kindRetiredDelta = 7
+// encodeDeltaOracle is the envelope of inner: its greedy token stream, then
+// the entropy stage written plainly — the code lengths codeLengths gives the
+// histogram, codes handed out one at a time in (length, symbol) order, and
+// the bitstream written a bit at a time.
+func encodeDeltaOracle(inner []byte) []byte {
+	return entropyOracle(len(inner), tokensOracle(inner))
+}
+
+// entropyOracle wraps a token stream for an inner encoding of rawLen bytes.
+func entropyOracle(rawLen int, tokens []byte) []byte {
+	var hist [256]uint32
+	for _, b := range tokens {
+		hist[b]++
+	}
+	var lens [256]uint8
+	codeLengths(&hist, &lens)
+	stored, coded := storedOracle(rawLen, tokens), codedOracle(rawLen, tokens, &lens)
+	if len(coded) < len(stored) {
+		return coded
+	}
+	return stored
+}
+
+// storedOracle is the method-0 envelope of a token stream.
+func storedOracle(rawLen int, tokens []byte) []byte {
+	out := binary.BigEndian.AppendUint32(appendHeader(nil, kindDelta), uint32(rawLen))
+	out = binary.BigEndian.AppendUint32(append(out, methodStored), uint32(len(tokens)))
+	return append(out, tokens...)
+}
+
+// codedOracle is the method-1 envelope of a token stream under the given code
+// lengths, whichever they are.
+func codedOracle(rawLen int, tokens []byte, lens *[256]uint8) []byte {
+	out := binary.BigEndian.AppendUint32(appendHeader(nil, kindDelta), uint32(rawLen))
+	out = binary.BigEndian.AppendUint32(append(out, methodHuffman), uint32(len(tokens)))
+	for s := 0; s < 256; {
+		run := 1
+		for run < 16 && s+run < 256 && lens[s+run] == lens[s] {
+			run++
+		}
+		out = append(out, lens[s]<<4|byte(run-1))
+		s += run
+	}
+	var code [256]uint64
+	next, prevLen := uint64(0), uint8(0)
+	for l := uint8(1); l <= maxCodeLen; l++ {
+		for s := range 256 {
+			if lens[s] != l {
+				continue
+			}
+			if prevLen != 0 {
+				next = (next + 1) << (l - prevLen)
+			}
+			code[s], prevLen = next, l
+		}
+	}
+	var bit int
+	for _, b := range tokens {
+		for k := int(lens[b]) - 1; k >= 0; k-- {
+			if bit%8 == 0 {
+				out = append(out, 0)
+			}
+			out[len(out)-1] |= byte(code[b]>>k&1) << (7 - bit%8)
+			bit++
+		}
+	}
+	return out
+}
+
+// encodeKind8Oracle is the retired kind-8 envelope: the token stream with no
+// entropy stage behind a 10-byte header.
+func encodeKind8Oracle(inner []byte) []byte {
+	out := binary.BigEndian.AppendUint32(appendHeader(nil, kindRetiredDelta8), uint32(len(inner)))
+	return append(out, tokensOracle(inner)...)
+}
 
 // encodeRetiredDeltaOracle is the retired envelope: (zero run, literal length,
 // literal) uvarint pairs, a literal ending at 4 zeros or at the end of the
@@ -87,7 +161,7 @@ const kindRetiredDelta = 7
 // from an older release.
 func encodeRetiredDeltaOracle(inner []byte) []byte {
 	w := writer{buf: make([]byte, 0, 6+4+binary.MaxVarintLen64+len(inner)/4)}
-	w.header(kindRetiredDelta)
+	w.header(kindRetiredDelta7)
 	w.u32(uint32(len(inner)))
 	for i := 0; i < len(inner); {
 		zeros := i
@@ -153,7 +227,7 @@ func encodeDeltaAt(inner []byte, lead int) []byte {
 		}
 	}
 	e.bytes(rest)
-	return e.finish()
+	return sealDelta(e.finish(), 0)
 }
 
 // deltaShapes are the update streams the differential tests draw a tracker's
@@ -382,6 +456,9 @@ func TestEncodeDeltaMatchesOracle(t *testing.T) {
 		"word one byte short":  append([]byte{1}, two[:7]...),
 		"words back to back":   append(append(append([]byte{}, two...), two...), two...),
 		"fractional then zero": append(wordsOf(0.3), make([]byte, 8)...),
+		// The most token bytes per inner byte: a one-byte literal ahead of a
+		// nine-byte integer token, over and over.
+		"densest tokens": bytes.Repeat(append([]byte{0x7f}, wordsOf(1<<53)...), 200),
 	}
 	r := xrand.New(77)
 	randomSparse := make([]byte, 4099)
@@ -426,10 +503,24 @@ func TestEncodeDeltaMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestDeltaEnvelopeSize: against the retired envelope, a window of every
-// delta shape costs at most a tenth more at the daemon's shape and at a narrow
-// odd one, and a window of integer counts costs at most 0.4 of it.
+// TestDeltaEnvelopeSize: against the retired kind-7 envelope, a window of
+// every delta shape costs at most a tenth more at the daemon's shape and at a
+// narrow odd one, and a window of integer counts costs at most 0.4 of it; and
+// the entropy stage takes the daemon's Zipf window to at most half its kind-8
+// form.
 func TestDeltaEnvelopeSize(t *testing.T) {
+	local, base := zipfWindow()
+	got, err := local.AppendDeltaSince(nil, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kind8 := encodeKind8Oracle(mustMarshalDifference(t, local, base))
+	ratio := float64(len(got)) / float64(len(kind8))
+	t.Logf("zipf window: %d bytes, kind-8 envelope %d (%.3f)", len(got), len(kind8), ratio)
+	if ratio > 0.5 {
+		t.Errorf("zipf window: envelope is %.3f of its kind-8 form, want at most 0.5", ratio)
+	}
+
 	for _, shape := range []struct{ width, depth int }{{65536, 4}, {1023, 3}} {
 		for _, ds := range deltaShapes {
 			r := xrand.New(uint64(shape.width) + 11)
@@ -443,12 +534,7 @@ func TestDeltaEnvelopeSize(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			delta := local.Copy()
-			if err := delta.Sub(base); err != nil {
-				t.Fatal(err)
-			}
-			inner, _ := delta.MarshalBinary()
-			retired := encodeRetiredDeltaOracle(inner)
+			retired := encodeRetiredDeltaOracle(mustMarshalDifference(t, local, base))
 			limit := 1.1
 			if ds.name == "integer" {
 				limit = 0.4
@@ -460,6 +546,93 @@ func TestDeltaEnvelopeSize(t *testing.T) {
 			}
 		}
 	}
+}
+
+// mustMarshalDifference is the dense encoding of local - base.
+func mustMarshalDifference(t *testing.T, local, base *HeavyHitterTracker) []byte {
+	t.Helper()
+	delta := local.Copy()
+	if err := delta.Sub(base); err != nil {
+		t.Fatal(err)
+	}
+	inner, err := delta.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return inner
+}
+
+// TestCodeLengthsAreLimitedAndComplete: for Fibonacci histograms, whose
+// Huffman trees are as deep as they go, of 2 to 256 symbols, and a flat and
+// a lone one, the lengths are at most 15 and make a complete code (a lone
+// symbol gets 1 bit), a more frequent symbol never gets a longer code, and
+// below the limit the cost is the unlimited Huffman cost.
+func TestCodeLengthsAreLimitedAndComplete(t *testing.T) {
+	fib := func(n int) (h [256]uint32) {
+		a, b := uint32(1), uint32(1)
+		for i := range n {
+			h[(i*37)%256] = a // scattered, so ties and order are not the symbol order
+			a, b = b, min(a+b, 1<<30)
+		}
+		return h
+	}
+	hists := map[string][256]uint32{"lone": {7: 5}, "flat": {}}
+	for i := range 256 {
+		flat := hists["flat"]
+		flat[i] = 3
+		hists["flat"] = flat
+	}
+	for _, n := range []int{2, 3, 15, 16, 17, 18, 40, 256} {
+		hists[fmt.Sprintf("fib%d", n)] = fib(n)
+	}
+	for name, h := range hists {
+		var lens [256]uint8
+		codeLengths(&h, &lens)
+		kraft, symbols, cost := 0, 0, uint64(0)
+		for s, l := range lens {
+			if (l == 0) != (h[s] == 0) || l > maxCodeLen {
+				t.Fatalf("%s: symbol %d (count %d) has length %d", name, s, h[s], l)
+			}
+			if l > 0 {
+				kraft += 1 << (maxCodeLen - l)
+				symbols++
+				cost += uint64(h[s]) * uint64(l)
+			}
+			for s2, l2 := range lens {
+				if h[s2] > h[s] && l2 > l && l > 0 {
+					t.Fatalf("%s: symbol %d (count %d) has a longer code than %d (count %d)", name, s2, h[s2], s, h[s])
+				}
+			}
+		}
+		if kraft != 1<<maxCodeLen && !(symbols == 1 && kraft == 1<<(maxCodeLen-1)) {
+			t.Fatalf("%s: Kraft sum %d/%d", name, kraft, 1<<maxCodeLen)
+		}
+		if depth, huffman := huffmanCost(h); depth <= maxCodeLen && symbols > 1 && cost != huffman {
+			t.Fatalf("%s: cost %d bits, Huffman's %d", name, cost, huffman)
+		}
+	}
+}
+
+// huffmanCost is the unlimited Huffman code's depth and cost in bits, by
+// repeatedly merging the two lightest subtrees.
+func huffmanCost(h [256]uint32) (depth int, cost uint64) {
+	type tree struct {
+		weight uint64
+		depth  int
+	}
+	var trees []tree
+	for _, c := range h {
+		if c > 0 {
+			trees = append(trees, tree{uint64(c), 0})
+		}
+	}
+	for len(trees) > 1 {
+		slices.SortFunc(trees, func(a, b tree) int { return cmp.Compare(a.weight, b.weight) })
+		merged := tree{trees[0].weight + trees[1].weight, max(trees[0].depth, trees[1].depth) + 1}
+		cost += merged.weight
+		trees = append(trees[2:], merged)
+	}
+	return trees[0].depth, cost
 }
 
 // wordsOf lays float64s out as the encodings do: 8 big-endian bytes each.
@@ -517,9 +690,25 @@ func deltaGoldenWindow() (local, base *HeavyHitterTracker) {
 	return local, base
 }
 
+// deltaTokens returns the token stream of a well-formed envelope, decoded off
+// its bitstream when it is coded.
+func deltaTokens(t *testing.T, env []byte) []byte {
+	t.Helper()
+	var src tokenSource
+	if _, err := src.init(env[10], env[deltaHeaderLen:], binary.BigEndian.Uint32(env[11:])); err != nil {
+		t.Fatal(err)
+	}
+	out := make([]byte, src.remaining())
+	src.read(out)
+	if src.fault != nil {
+		t.Fatal(src.fault)
+	}
+	return out
+}
+
 // TestDeltaEnvelopeGolden freezes the envelope format: the window's envelope
-// is the committed bytes, which are the oracle's, spell every kind of token,
-// and expand to the marshalled difference.
+// is the committed bytes, which are the oracle's, are Huffman-coded, spell
+// every kind of token, and expand to the marshalled difference.
 func TestDeltaEnvelopeGolden(t *testing.T) {
 	local, base := deltaGoldenWindow()
 	want, err := os.ReadFile(filepath.Join("testdata", "delta.golden"))
@@ -544,8 +733,11 @@ func TestDeltaEnvelopeGolden(t *testing.T) {
 	if inner, err := DecodeDelta(want); err != nil || !bytes.Equal(inner, dense) {
 		t.Fatalf("testdata/delta.golden does not expand to the marshalled difference (err %v)", err)
 	}
+	if want[10] != methodHuffman {
+		t.Fatalf("testdata/delta.golden has method %d, want the coded form (%d)", want[10], methodHuffman)
+	}
 	var tags [3]int
-	for tokens := want[10:]; len(tokens) > 0; {
+	for tokens := deltaTokens(t, want); len(tokens) > 0; {
 		tok, n := binary.Uvarint(tokens)
 		tokens = tokens[n:]
 		tags[tok&3]++
@@ -559,51 +751,113 @@ func TestDeltaEnvelopeGolden(t *testing.T) {
 }
 
 // malformedDeltas are envelopes the decoder must refuse, one per rule of the
-// token grammar; testdata/fuzz/FuzzDecodeDelta holds each under its name.
-func malformedDeltas() map[string][]byte {
-	env := func(rawLen int, tokens ...uint64) []byte {
-		out := appendDeltaHeader(nil, rawLen)
-		for _, t := range tokens {
+// token grammar, of its greedy spelling and of the entropy stage, each with
+// the words its error must hold; testdata/fuzz/FuzzDecodeDelta holds each
+// under its name. (A code length over 15 has no spelling: lengths are
+// nibbles.)
+func malformedDeltas() map[string]struct {
+	data []byte
+	want string
+} {
+	toks := func(ts ...uint64) []byte {
+		var out []byte
+		for _, t := range ts {
 			out = binary.AppendUvarint(out, t)
 		}
 		return out
 	}
+	env := func(rawLen int, ts ...uint64) []byte { return storedOracle(rawLen, toks(ts...)) }
+	lit := func(p ...byte) []byte { return append(toks(uint64(len(p))<<2|tagLiteral), p...) }
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	// A stream the code shrinks: 30 ones, 10 twos and 5 threes, whose code
+	// gives the ones 1 bit and the others 2; its bitstream is 60 bits long.
+	skewed := bytes.Repeat(wordsOf(1), 30)
+	skewed = append(skewed, bytes.Repeat(wordsOf(2), 10)...)
+	skewed = append(skewed, bytes.Repeat(wordsOf(3), 5)...)
+	skewedTokens := tokensOracle(skewed)
+	coded := encodeDeltaOracle(skewed)
+	withLens := func(ls map[byte]uint8) []byte {
+		var lens [256]uint8
+		for b, l := range ls {
+			lens[b] = l
+		}
+		return codedOracle(len(skewed), skewedTokens, &lens)
+	}
+	one, two, three := skewedTokens[0], skewedTokens[30], skewedTokens[44]
+	ones := bytes.Repeat(wordsOf(1), 40)
+	lone := encodeDeltaOracle(ones) // a one-symbol code: each token is the bit 0
 	dense, _ := NewCountMin(xrand.New(1), 4, 1).MarshalBinary()
-	return map[string][]byte{
-		"tag-3":                env(16, 1<<2|3, 16<<2|tagZeros),
-		"tag-3-sized-as-a-run": env(16, 8<<2|3, 8<<2|tagZeros),
-		"empty-zero-run":       env(16, 0<<2|tagZeros, 16<<2|tagZeros),
-		"empty-literal":        env(16, 0<<2|tagLiteral, 16<<2|tagZeros),
-		"integer-zero":         env(16, 0<<2|tagInteger, 8<<2|tagZeros),
-		"integer-out-of-range": env(16, (2*maxTokenInteger+1)<<2|tagInteger, 8<<2|tagZeros),
-		"truncated-token":      append(env(16), 0x80),
-		"overlong-token":       append(env(16), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01),
-		"zero-run-overrun":     env(16, 17<<2|tagZeros),
-		"literal-overrun":      append(env(16, 17<<2|tagLiteral), bytes.Repeat([]byte{1}, 17)...),
-		"truncated-literal":    append(env(16, 4<<2|tagLiteral), 1, 2),
-		"integer-overrun":      env(4, 2<<2|tagInteger),
-		"short-of-length":      env(16, 8<<2|tagZeros),
-		"retired-kind-7":       encodeRetiredDeltaOracle(dense),
+	type refusal = struct {
+		data []byte
+		want string
+	}
+	return map[string]refusal{
+		"tag-3":                {env(16, 1<<2|3, 16<<2|tagZeros), "invalid token tag 3"},
+		"tag-3-sized-as-a-run": {env(16, 8<<2|3, 8<<2|tagZeros), "invalid token tag 3"},
+		"empty-zero-run":       {env(16, 0<<2|tagZeros, 16<<2|tagZeros), "empty zero run"},
+		"empty-literal":        {env(16, 0<<2|tagLiteral, 16<<2|tagZeros), "empty zero run or literal"},
+		"integer-zero":         {env(16, 0<<2|tagInteger, 8<<2|tagZeros), "integer token out of range"},
+		"integer-out-of-range": {env(16, (2*maxTokenInteger+1)<<2|tagInteger, 8<<2|tagZeros), "integer token out of range"},
+		"truncated-token":      {storedOracle(16, []byte{0x80}), "malformed token"},
+		"overlong-token":       {storedOracle(16, []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}), "malformed token"},
+		"zero-run-overrun":     {env(16, 17<<2|tagZeros), "overruns"},
+		"literal-overrun":      {storedOracle(16, lit(bytes.Repeat([]byte{1}, 17)...)), "overruns"},
+		"truncated-literal":    {storedOracle(16, cat(toks(4<<2|tagLiteral), []byte{1, 2})), "truncated literal"},
+		"integer-overrun":      {env(4, 2<<2|tagInteger), "overruns"},
+		"short-of-length":      {env(16, 8<<2|tagZeros), "decompresses to 8 bytes"},
+		"retired-kind-7":       {encodeRetiredDeltaOracle(dense), "unknown sketch kind 7"},
+		"retired-kind-8":       {encodeKind8Oracle(dense), "unknown sketch kind 8"},
+
+		// Spellings of the right inner bytes that the greedy rule does not make.
+		"non-minimal-uvarint":         {storedOracle(16, []byte{0xc0, 0x00}), "malformed token"},
+		"two-zero-runs":               {env(16, 8<<2|tagZeros, 8<<2|tagZeros), "two zero runs"},
+		"two-literals":                {storedOracle(2, cat(lit('a'), lit('b'))), "two literals"},
+		"short-gap-between-literals":  {storedOracle(5, cat(lit('a'), toks(3<<2|tagZeros), lit('b'))), "fewer than 4 zeros"},
+		"literal-starts-with-zero":    {storedOracle(2, lit(0, 'a')), "starts or ends with a zero"},
+		"literal-ends-with-zero":      {storedOracle(2, lit('a', 0)), "starts or ends with a zero"},
+		"literal-holds-4-zeros":       {storedOracle(6, lit('a', 0, 0, 0, 0, 'b')), "4 zeros in a row"},
+		"integer-word-in-literal":     {storedOracle(8, lit(wordsOf(1<<53-1)...)), "integer word inside a literal"},
+		"integer-word-past-a-literal": {storedOracle(9, cat(lit(0x43), toks(2<<2|tagInteger))), "integer word inside a literal"},
+
+		// The entropy stage.
+		"unknown-method":          {func() []byte { b := storedOracle(16, toks(16<<2)); b[10] = 2; return b }(), "unknown method 2"},
+		"token-stream-too-long":   {storedOracle(16, bytes.Repeat([]byte{0x05, 'a', 0x10}, 10)), "longer than 16 inner bytes can need"},
+		"stored-trailing-byte":    {append(storedOracle(16, toks(16<<2)), 0), "stored token stream is 2 bytes, header claims 1"},
+		"stored-but-codes-short":  {storedOracle(len(skewed), skewedTokens), "stored token stream codes shorter"},
+		"coded-but-not-shorter":   {codedOracle(1, lit(7), &[256]uint8{5: 1, 7: 1}), "not shorter than stored"},
+		"table-not-canonical":     {withLens(map[byte]uint8{one: 2, two: 2, three: 1}), "not the one its tokens make"},
+		"table-truncated":         {coded[:deltaHeaderLen+3], "truncated code length table"},
+		"table-overruns":          {cat(coded[:deltaHeaderLen], []byte{0x00}, bytes.Repeat([]byte{0x0f}, 16)), "runs past 256 symbols"},
+		"code-over-subscribed":    {withLens(map[byte]uint8{one: 1, two: 1, three: 1}), "Kraft sum 49152/32768"},
+		"code-under-subscribed":   {withLens(map[byte]uint8{one: 1, two: 2, three: 3}), "Kraft sum 28672/32768"},
+		"lone-code-of-length-2":   {codedOracle(len(ones), tokensOracle(ones), &[256]uint8{2<<2 | tagInteger: 2}), "Kraft sum 8192/32768"},
+		"no-code-bit-pattern":     {func() []byte { b := slices.Clone(lone); b[len(b)-1] |= 0x80; return b }(), "no code"},
+		"truncated-bitstream":     {coded[:len(coded)-1], "truncated bitstream"},
+		"bitstream-trailing-byte": {append(slices.Clone(coded), 0), "bytes or set padding bits"},
+		"padding-bit-set":         {func() []byte { b := slices.Clone(coded); b[len(b)-1] |= 1; return b }(), "bytes or set padding bits"},
 	}
 }
 
-// TestDecodeDeltaRejectsMalformedTokens: each grammar violation is an error,
-// and is committed to the fuzz corpus as it is built here.
+// TestDecodeDeltaRejectsMalformedTokens: each grammar violation, spelling the
+// greedy rule does not make and entropy-stage forgery is an error naming
+// what is wrong, and is committed to the fuzz corpus as it is built here.
 func TestDecodeDeltaRejectsMalformedTokens(t *testing.T) {
-	for name, data := range malformedDeltas() {
-		if out, err := DecodeDelta(data); err == nil {
-			t.Errorf("%s: decoded to %d bytes, want an error", name, len(out))
+	for name, c := range malformedDeltas() {
+		if out, err := DecodeDelta(c.data); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: decoded to %d bytes, error %v; want an error saying %q", name, len(out), err, c.want)
 		}
 		corpus, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzDecodeDelta", name))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", data); string(corpus) != want {
+		if want := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", c.data); string(corpus) != want {
 			t.Errorf("%s: the committed fuzz input is not the envelope built here", name)
 		}
 	}
-	if _, err := PeekKind(malformedDeltas()["retired-kind-7"]); err == nil || !strings.Contains(err.Error(), "unknown sketch kind 7") {
-		t.Fatalf("PeekKind on the retired envelope: %v, want unknown sketch kind 7", err)
+	for _, kind := range []string{"7", "8"} {
+		if _, err := PeekKind(malformedDeltas()["retired-kind-"+kind].data); err == nil || !strings.Contains(err.Error(), "unknown sketch kind "+kind) {
+			t.Fatalf("PeekKind on the retired kind-%s envelope: %v, want unknown sketch kind %s", kind, err, kind)
+		}
 	}
 }
 
@@ -650,6 +904,7 @@ func BenchmarkTrackerDeltaBatch(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				dst, _ = local.AppendDeltaSince(dst[:0], bc.base)
 			}
+			b.ReportMetric(float64(len(dst)), "envelope-B")
 		})
 	}
 }
@@ -690,4 +945,5 @@ func BenchmarkDecodeDeltaInto(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		buf, _ = DecodeDeltaInto(buf, env, maxDeltaInner)
 	}
+	b.ReportMetric(float64(len(env)), "envelope-B")
 }

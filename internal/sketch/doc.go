@@ -34,10 +34,13 @@
 // DecodeDeltaInto; the grammar is in encoding.go) spells the inner encoding
 // as uvarint tokens of three kinds: a zero run, a literal, and an 8-byte
 // counter word that is the float64 of a nonzero integer |v| <= 2^53, written
-// as v zigzagged — one byte for |v| < 16. Encoded counters are float64
-// words and the inner bytes come back verbatim. The non-linear summaries opt
-// out: Bloom filters OR bits rather than add counters, and
-// conservative-update Count-Min refuses Sub/Scale just as it refuses Merge.
+// as v zigzagged — one byte for |v| < 16. The token bytes are then
+// Huffman-coded under a code made for each envelope (entropy.go), or stored
+// when that is not shorter: a few byte values carry most of a delta. Encoded
+// counters are float64 words and the inner bytes come back verbatim. The
+// non-linear summaries opt out: Bloom filters OR bits rather than add
+// counters, and conservative-update Count-Min refuses Sub/Scale just as it
+// refuses Merge.
 //
 // Count-Min counters have one storage rule (see CountMin): an array holds
 // int32 counters while every one is an integer in [-2^31, 2^31), and widens

@@ -46,9 +46,12 @@ const (
 	kindIBLT        = 4
 	kindTracker     = 5
 	kindDyadic      = 6
-	// Kind 7 is retired: it was the delta envelope before integer tokens,
-	// and it is refused as unknown so an older peer's frame fails loudly.
-	kindDelta = 8
+	// Kinds 7 and 8 are retired delta envelopes — before integer tokens, and
+	// before the entropy stage — refused by name so an older peer's frame
+	// fails loudly.
+	kindRetiredDelta7 = 7
+	kindRetiredDelta8 = 8
+	kindDelta         = 9
 )
 
 // Kind is the exported view of the wire-format kind byte, so transport
@@ -66,9 +69,9 @@ const (
 	KindDyadic      Kind = kindDyadic
 	// KindDelta is not a sketch of its own but an envelope: a compressed
 	// encoding of another sketch's encoding — zero runs, literals and
-	// integer-valued counter words — used when the wrapped sketch is the
-	// *difference* of two snapshots and therefore mostly zero or small
-	// integer counters. See EncodeDelta / DecodeDelta.
+	// integer-valued counter words, entropy-coded — used when the wrapped
+	// sketch is the *difference* of two snapshots and therefore mostly zero
+	// or small integer counters. See EncodeDelta / DecodeDelta.
 	KindDelta Kind = kindDelta
 )
 
@@ -111,6 +114,8 @@ func PeekKind(data []byte) (Kind, error) {
 	switch k {
 	case KindCountMin, KindCountSketch, KindBloom, KindIBLT, KindTracker, KindDyadic, KindDelta:
 		return k, nil
+	case kindRetiredDelta7, kindRetiredDelta8:
+		return 0, fmt.Errorf("sketch: unknown sketch kind %d: a retired delta envelope (this release reads kind %d)", uint8(k), kindDelta)
 	default:
 		return 0, fmt.Errorf("sketch: unknown sketch kind %d", uint8(k))
 	}
@@ -661,26 +666,41 @@ func (t *IBLT) MarshalBinary() ([]byte, error) {
 // linearity are valid sketches whose counters are mostly zero (only the
 // buckets touched since the previous snapshot move) and, when the updates are
 // integer counts, small integers where they are not. A KindDelta envelope
-// carries a compression of an inner encoding that knows both shapes:
+// carries a compression of an inner encoding that knows both shapes, in two
+// stages — tokens, then an entropy code over the token bytes:
 //
-//	magic   [4]byte  "SKC1"
-//	version uint8    encodingVersion
-//	kind    uint8    kindDelta (8; kind 7, the envelope before integer
-//	                 tokens, is retired and refused as unknown)
-//	rawLen  uint32   length of the inner encoding in bytes
-//	tokens           tagged uvarints t, each continuing the inner bytes with
-//	                   t&3 == 0: t>>2 >= 1 zero bytes
-//	                   t&3 == 1: a literal of t>>2 >= 1 bytes, which follow t
-//	                   t&3 == 2: the 8 big-endian bytes of Float64bits(
-//	                             float64(v)), v = unzigzag(t>>2), v != 0 and
-//	                             |v| <= 2^53
-//	                   t&3 == 3: invalid
+//	magic    [4]byte  "SKC1"
+//	version  uint8    encodingVersion
+//	kind     uint8    kindDelta (9; kind 7, the envelope before integer
+//	                  tokens, and kind 8, the one before the entropy stage,
+//	                  are retired and refused by name)
+//	rawLen   uint32   length of the inner encoding in bytes
+//	method   uint8    0: the token stream follows as is; 1: Huffman-coded
+//	tokenLen uint32   length of the token stream in bytes, at most
+//	                  rawLen + rawLen/4 + 8
+//	method 0:
+//	  tokens          tokenLen bytes
+//	method 1:
+//	  table           the code length of each byte value 0..255, in runs:
+//	                  one byte length<<4 | run-1 for each maximal run of up
+//	                  to 16 equal lengths (a length is a nibble, so never
+//	                  over 15; 0 is an absent byte value)
+//	  bitstream       the tokenLen token bytes in the canonical code of the
+//	                  table, MSB first, zero-padded to a whole byte
+//
+// The token stream is tagged uvarints t, each continuing the inner bytes with
+//
+//	t&3 == 0: t>>2 >= 1 zero bytes
+//	t&3 == 1: a literal of t>>2 >= 1 bytes, which follow t
+//	t&3 == 2: the 8 big-endian bytes of Float64bits(float64(v)),
+//	          v = unzigzag(t>>2), v != 0 and |v| <= 2^53
+//	t&3 == 3: invalid
 //
 // An integer counter word is one token byte for |v| < 16 and two below 2048,
 // a zero counter is part of a zero run, and anything else — a fractional or
 // huge counter, −0, a header field, a candidate key — travels as a literal.
 // The token stream is a pure function of the inner bytes, fixed by a greedy
-// left-to-right rule:
+// left-to-right rule, with minimal uvarints:
 //
 //   - at a nonzero byte with at least 8 bytes left that form an integer word,
 //     emit the word's token;
@@ -689,6 +709,15 @@ func (t *IBLT) MarshalBinary() ([]byte, error) {
 //   - a gap of fewer than 4 zeros between two literal bytes stays in the
 //     literal; a longer gap, or one that ends at an integer word or at the
 //     end of the input, closes the literal and is a zero run.
+//
+// The entropy stage (entropy.go) is a pure function of the token stream: the
+// code is a length-limited Huffman code of its byte histogram, and the method
+// is 1 exactly when the table and bitstream are shorter than the tokens. A
+// frame therefore never costs more than its token stream and 15 header bytes.
+// The decoder holds an envelope to all of it — minimal uvarints, the greedy
+// token boundaries, the table, the method, zero padding and no trailing
+// bytes — so every inner encoding has one envelope, and decode → encode is a
+// fixed point.
 //
 // The scheme is agnostic to the inner kind — Count-Min, tracker, dyadic and
 // every future family get compact deltas for free — and the inner bytes come
@@ -700,8 +729,11 @@ func (t *IBLT) MarshalBinary() ([]byte, error) {
 // it an encoding that already exists; AppendDeltaSince (Count-Min and
 // tracker) feeds it the difference of two sketches counter by counter, so the
 // replicator's per-tick delta is cut, encoded and framed in one pass with no
-// difference sketch and no dense encoding in between. On the way back
-// DecodeDeltaInto expands an envelope into a buffer the caller keeps.
+// difference sketch and no dense encoding in between. The tokens land in
+// the output buffer, and sealDelta codes them there. On the way back
+// DecodeDeltaInto expands an envelope into a buffer the caller keeps, the
+// token parser pulling each byte straight off the bitstream: no token stream
+// is ever held on that side.
 
 // Envelope token tags, the low two bits of every token.
 const (
@@ -916,9 +948,11 @@ func (e *tokenWriter) finish() []byte {
 }
 
 // appendDeltaHeader appends a KindDelta envelope's fixed header, declaring an
-// inner encoding of rawLen bytes.
+// inner encoding of rawLen bytes; sealDelta fills in the method and the
+// token-stream length once the tokens follow it.
 func appendDeltaHeader(dst []byte, rawLen int) []byte {
-	return binary.BigEndian.AppendUint32(appendHeader(dst, kindDelta), uint32(rawLen))
+	dst = binary.BigEndian.AppendUint32(appendHeader(dst, kindDelta), uint32(rawLen))
+	return append(dst, methodStored, 0, 0, 0, 0)
 }
 
 // EncodeDelta wraps an encoded sketch (the output of any MarshalBinary) in
@@ -926,10 +960,10 @@ func appendDeltaHeader(dst []byte, rawLen int) []byte {
 // difference: mostly zero or small integer counters compress to a small
 // fraction of the dense size.
 func EncodeDelta(inner []byte) []byte {
-	dst := make([]byte, 0, 6+4+binary.MaxVarintLen64+len(inner)/4)
+	dst := make([]byte, 0, deltaHeaderLen+64+len(inner)/4)
 	e := tokenWriter{out: appendDeltaHeader(dst, len(inner))}
 	e.bytes(inner)
-	return e.finish()
+	return sealDelta(e.finish(), 0)
 }
 
 // feedDeltaSince feeds e the encoding of the difference cm - base: cm's
@@ -984,9 +1018,10 @@ func (cm *CountMin) AppendDeltaSince(dst []byte, base *CountMin) ([]byte, error)
 	if err := cm.subtractable(base); err != nil {
 		return dst, err
 	}
+	at := len(dst)
 	e := tokenWriter{out: appendDeltaHeader(dst, countMinHeaderLen+8*cm.stored())}
 	cm.feedDeltaSince(&e, base)
-	return e.finish(), nil
+	return sealDelta(e.finish(), at), nil
 }
 
 // AppendDeltaSince is CountMin.AppendDeltaSince for a tracker: the envelope
@@ -1000,6 +1035,7 @@ func (t *HeavyHitterTracker) AppendDeltaSince(dst []byte, base *HeavyHitterTrack
 	}
 	items := t.sortedCandidates()
 	cmLen := countMinHeaderLen + 8*t.cm.stored()
+	at := len(dst)
 	e := tokenWriter{out: appendDeltaHeader(dst, trackerHeaderLen+cmLen+4+8*len(items))}
 	var head [trackerHeaderLen]byte
 	e.bytes(t.appendEncodingHeader(head[:0], cmLen))
@@ -1008,7 +1044,7 @@ func (t *HeavyHitterTracker) AppendDeltaSince(dst []byte, base *HeavyHitterTrack
 	for _, item := range items {
 		e.word(0, item)
 	}
-	return e.finish(), nil
+	return sealDelta(e.finish(), at), nil
 }
 
 // maxDeltaInner is the default DecodeDelta bound on the declared inner
@@ -1018,7 +1054,8 @@ const maxDeltaInner = 128 << 20
 
 // DecodeDelta unwraps a KindDelta envelope and returns the inner sketch
 // encoding verbatim, ready for PeekKind dispatch and UnmarshalBinary. It
-// rejects truncated, oversized and self-inconsistent envelopes; the inner
+// rejects truncated, oversized and self-inconsistent envelopes, and any
+// envelope other than the one EncodeDelta makes of the inner bytes; the inner
 // length is capped at a generous package default (see DecodeDeltaLimit for
 // callers that know how big their sketches can legitimately be — the
 // envelope compresses, so a tiny body can declare a large inner length,
@@ -1041,11 +1078,16 @@ func DecodeDeltaLimit(data []byte, maxInner int) ([]byte, error) {
 // memory with data. On error it returns nil; buf is the caller's to reuse
 // either way.
 func DecodeDeltaInto(buf, data []byte, maxInner int) ([]byte, error) {
+	if _, err := PeekKind(data); err != nil {
+		return nil, err
+	}
 	r := reader{buf: data}
 	if !r.expectHeader(kindDelta, "Delta") {
 		return nil, r.err
 	}
 	rawLen := r.u32()
+	method := r.u8()
+	tokenLen := r.u32()
 	if r.err != nil {
 		return nil, r.err
 	}
@@ -1054,6 +1096,14 @@ func DecodeDeltaInto(buf, data []byte, maxInner int) ([]byte, error) {
 	}
 	if rawLen > uint32(maxInner) {
 		return nil, fmt.Errorf("sketch: Delta: inner length %d exceeds limit %d", rawLen, maxInner)
+	}
+	if uint64(tokenLen) > maxTokenLen(uint64(rawLen)) {
+		return nil, fmt.Errorf("sketch: Delta: token stream of %d bytes is longer than %d inner bytes can need", tokenLen, rawLen)
+	}
+	var src tokenSource
+	table, err := src.init(method, r.buf, tokenLen)
+	if err != nil {
+		return nil, err
 	}
 	// The zero runs are the cleared buffer showing through: only literals and
 	// integer words are written.
@@ -1064,53 +1114,163 @@ func DecodeDeltaInto(buf, data []byte, maxInner int) ([]byte, error) {
 	} else {
 		inner = make([]byte, rawLen)
 	}
-	pos, tokens := 0, r.buf
-	for i := 0; i < len(tokens); {
-		t := uint64(tokens[i])
-		if t < 0x80 {
-			i++ // most tokens are one byte
+	err = expandTokens(&src, inner)
+	if src.fault != nil {
+		err = src.fault // a bad bitstream shows first as whatever its zeros spell
+	}
+	if err == nil {
+		err = src.finish(method, table, tokenLen)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return inner, nil
+}
+
+// errNotGreedy refuses a token stream that spells its inner bytes other than
+// the greedy rule does.
+func errNotGreedy(what string) error {
+	return fmt.Errorf("sketch: Delta: token stream is not the greedy rule's: %s", what)
+}
+
+// expandTokens writes the inner bytes the token stream of src spells into
+// inner, which is zero, checking that the stream is the one tokenWriter makes
+// of them. The checks follow the greedy rule: minimal uvarints; no two zero
+// runs or two literals in a row; a literal with nonzero ends, no 4 zeros
+// inside, and no integer word starting at a byte of it; and fewer than 4
+// zeros after a literal only ahead of an integer word or the end. A word
+// starting near a literal's end reaches into the tokens after it, so those
+// bytes are checked once the next 8 bytes are written (pend).
+func expandTokens(src *tokenSource, inner []byte) error {
+	pos, prev, gap := 0, -1, false
+	pendLo, pendHi := 0, 0 // literal bytes still to check for a word start
+	for src.at < src.n || src.remaining() > 0 {
+		var t uint64
+		if src.at < src.n { // next, inlined for the decoded chunk's bytes
+			t = uint64(src.chunk[src.at])
+			src.at++
 		} else {
-			var n int
-			if t, n = binary.Uvarint(tokens[i:]); n <= 0 {
-				return nil, fmt.Errorf("sketch: Delta: malformed token")
+			t = uint64(src.next())
+		}
+		if t >= 0x80 {
+			var ok bool
+			if t, ok = src.uvarint(byte(t)); !ok {
+				return fmt.Errorf("sketch: Delta: malformed token")
 			}
-			i += n
 		}
 		arg, left := t>>2, uint64(len(inner)-pos)
-		switch t & 3 {
+		shortGap := gap
+		gap = false
+		switch tag := int(t & 3); tag {
 		case tagZeros, tagLiteral:
 			if arg == 0 {
-				return nil, fmt.Errorf("sketch: Delta: empty zero run or literal")
+				return fmt.Errorf("sketch: Delta: empty zero run or literal")
 			}
 			if arg > left {
-				return nil, fmt.Errorf("sketch: Delta: token overruns declared inner length %d", rawLen)
+				return fmt.Errorf("sketch: Delta: token overruns declared inner length %d", len(inner))
 			}
-			if t&3 == tagLiteral {
-				if uint64(len(tokens)-i) < arg {
-					return nil, fmt.Errorf("sketch: Delta: truncated literal (need %d bytes, have %d)", arg, len(tokens)-i)
-				}
-				i += copy(inner[pos:], tokens[i:i+int(arg)])
+			if prev == tag {
+				return errNotGreedy("two zero runs or two literals in a row")
+			}
+			if tag == tagZeros {
+				gap = prev == tagLiteral && arg < 4
+				pos += int(arg)
+				break
+			}
+			if uint64(src.remaining()) < arg {
+				return fmt.Errorf("sketch: Delta: truncated literal (need %d bytes, have %d)", arg, src.remaining())
+			}
+			if shortGap {
+				return errNotGreedy("fewer than 4 zeros between two literals")
+			}
+			lit := inner[pos : pos+int(arg)]
+			src.read(lit)
+			if err := checkLiteral(lit); err != nil {
+				return err
+			}
+			if pendLo >= pendHi {
+				pendLo = pos
 			}
 			pos += int(arg)
+			pendHi = pos
 		case tagInteger:
 			// arg is v zigzagged: 1..2^54 is every v with 0 < |v| <= 2^53.
 			if arg == 0 || arg > 2*maxTokenInteger {
-				return nil, fmt.Errorf("sketch: Delta: integer token out of range")
+				return fmt.Errorf("sketch: Delta: integer token out of range")
 			}
 			if left < 8 {
-				return nil, fmt.Errorf("sketch: Delta: token overruns declared inner length %d", rawLen)
+				return fmt.Errorf("sketch: Delta: token overruns declared inner length %d", len(inner))
 			}
 			v := int64(arg>>1) ^ -int64(arg&1)
 			binary.BigEndian.PutUint64(inner[pos:], math.Float64bits(float64(v)))
 			pos += 8
 		default:
-			return nil, fmt.Errorf("sketch: Delta: invalid token tag 3")
+			return fmt.Errorf("sketch: Delta: invalid token tag 3")
+		}
+		prev = int(t & 3)
+		if pendLo < pendHi && pendLo+8 <= pos {
+			var err error
+			if pendLo, err = checkWordStarts(inner[:pos], pendLo, pendHi); err != nil {
+				return err
+			}
 		}
 	}
 	if pos != len(inner) {
-		return nil, fmt.Errorf("sketch: Delta: payload decompresses to %d bytes, header claims %d", pos, rawLen)
+		return fmt.Errorf("sketch: Delta: payload decompresses to %d bytes, header claims %d", pos, len(inner))
 	}
-	return inner, nil
+	_, err := checkWordStarts(inner, pendLo, pendHi)
+	return err
+}
+
+// uvarint reads the rest of a uvarint whose first byte was b, refusing an
+// overflowing, truncated or non-minimal one.
+func (s *tokenSource) uvarint(b byte) (uint64, bool) {
+	x := uint64(b & 0x7f)
+	for shift := 7; ; shift += 7 {
+		if s.remaining() == 0 {
+			return 0, false
+		}
+		b = s.next()
+		if shift == 63 && b > 1 {
+			return 0, false
+		}
+		x |= uint64(b&0x7f) << shift
+		if b < 0x80 {
+			return x, b != 0
+		}
+	}
+}
+
+// checkLiteral refuses a literal the greedy rule would not have made: one that
+// starts or ends with a zero, or holds 4 zeros in a row.
+func checkLiteral(lit []byte) error {
+	if lit[0] == 0 || lit[len(lit)-1] == 0 {
+		return errNotGreedy("a literal starts or ends with a zero")
+	}
+	zeros := 0
+	for _, b := range lit {
+		if b != 0 {
+			zeros = 0
+		} else if zeros++; zeros == 4 {
+			return errNotGreedy("a literal holds 4 zeros in a row")
+		}
+	}
+	return nil
+}
+
+// checkWordStarts checks the literal bytes inner[lo:hi] whose 8 bytes inner
+// holds, refusing one where an integer word starts; it returns where it
+// stopped.
+func checkWordStarts(inner []byte, lo, hi int) (int, error) {
+	for ; lo < hi && lo+8 <= len(inner); lo++ {
+		if inner[lo] == 0 {
+			continue
+		}
+		if _, ok := tokenInteger(binary.BigEndian.Uint64(inner[lo:])); ok {
+			return lo, errNotGreedy("an integer word inside a literal")
+		}
+	}
+	return lo, nil
 }
 
 // UnmarshalBinary decodes a table produced by MarshalBinary.

@@ -125,7 +125,9 @@ func FuzzUnmarshalBinary(f *testing.F) {
 // decode-or-error without panicking (with a tight inner-length cap so a
 // forged header cannot demand gigabytes), decoding into a dirty, oversized
 // reused buffer must give what a fresh decode gives (errors included), and
-// any recovered inner encoding must survive EncodeDelta/DecodeDelta verbatim.
+// an accepted envelope must be exactly what EncodeDelta makes of the inner
+// encoding it recovers. Arbitrary bytes, taken as an inner encoding, must
+// tokenize as the oracle does and come back through the envelope.
 func FuzzDecodeDelta(f *testing.F) {
 	seedGoldenCorpus(f)
 	// Also seed well-formed envelopes so the fuzzer sees the real format,
@@ -137,6 +139,19 @@ func FuzzDecodeDelta(f *testing.F) {
 		if data, err := os.ReadFile(p); err == nil {
 			f.Add(EncodeDelta(data))
 		}
+	}
+	// And kind-9 envelopes of both methods: a tiny window stays stored, a
+	// wide one of integer counts is coded.
+	for _, n := range []int{1, 2000} {
+		r := xrand.New(uint64(n))
+		local := NewHeavyHitterTracker(r, 257, 2, 4)
+		base := local.Copy()
+		feed(local, r, n, 5000, deltaShapes[0].delta)
+		env, _ := local.AppendDeltaSince(nil, base)
+		if n == 1 && env[10] != methodStored || n > 1 && env[10] != methodHuffman {
+			f.Fatalf("seed window of %d updates has method %d", n, env[10])
+		}
+		f.Add(env)
 	}
 	for _, shape := range deltaShapes[:3] {
 		for _, n := range []int{10, 200} {
@@ -156,6 +171,9 @@ func FuzzDecodeDelta(f *testing.F) {
 		if got := encodeDeltaAt(data, len(data)%8); !bytes.Equal(got, want) {
 			t.Fatalf("streaming envelope of %d bytes differs from the oracle's (%d vs %d bytes)", len(data), len(got), len(want))
 		}
+		if back, err := DecodeDeltaLimit(want, len(data)); err != nil || !bytes.Equal(back, data) {
+			t.Fatalf("envelope of %d bytes does not decode back to them: %v", len(data), err)
+		}
 		inner, err := DecodeDeltaLimit(data, 1<<20)
 		for i := range dirty {
 			dirty[i] = 0xA5
@@ -170,12 +188,8 @@ func FuzzDecodeDelta(f *testing.F) {
 		if err != nil {
 			return
 		}
-		re, err := DecodeDeltaLimit(EncodeDelta(inner), 1<<20)
-		if err != nil {
-			t.Fatalf("re-encoded envelope does not decode: %v", err)
-		}
-		if !bytes.Equal(inner, re) {
-			t.Fatalf("delta envelope round trip altered the inner bytes (%d vs %d)", len(inner), len(re))
+		if re := EncodeDelta(inner); !bytes.Equal(re, data) {
+			t.Fatalf("accepted envelope of %d bytes re-encodes to %d other bytes", len(data), len(re))
 		}
 	})
 }
