@@ -19,7 +19,7 @@
 // single-threaded heap would.
 //
 // With -push URL the command stops sketching locally and instead streams its
-// items into a running sketchd over one persistent connection (framed SKB2
+// items into a running sketchd over one persistent connection (framed SKB3
 // batches with acks, POST /v1/stream; add -stream-addr to use the daemon's
 // raw TCP streaming listener instead). The heavy hitters are then queried
 // back from the daemon, so hhtop doubles as a feeder and as a terminal view

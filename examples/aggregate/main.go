@@ -7,7 +7,7 @@
 // in-process on loopback ports, each ingests half of a Zipf stream over HTTP
 // from -pushers concurrent connections (exercising the daemons' lock-free
 // producer lanes) — daemon A over persistent streaming connections (framed
-// SKB2 over POST /v1/stream, one pinned producer lane per pusher), daemon B
+// SKB3 over POST /v1/stream, one pinned producer lane per pusher), daemon B
 // over classic per-chunk POSTs, proving the two ingest paths interchange.
 // Daemon A merges daemon B's snapshot, and every estimate is checked against
 // a reference built through a multi-producer engine — the in-process twin of

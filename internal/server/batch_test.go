@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"net"
 	"os"
 	"path/filepath"
@@ -17,32 +18,43 @@ import (
 	"repro/internal/xrand"
 )
 
-// batchCase is one SKB2 batch and the widths its encoding must carry.
+// batchCase is one SKB3 batch and the header its encoding must carry.
 type batchCase struct {
 	name   string
 	items  []uint64
 	deltas []float64
-	kw, dw int
+	kb, db int
+	base   int32
 }
 
 // goldenBatches are the batches testdata/batch.golden freezes, concatenated:
-// one for each delta width.
+// records of 1, 2, 3, 8, 9 and 16 bytes, deltas all equal (db 0), a negative
+// base, and IEEE deltas beside short and full 64-bit keys.
 var goldenBatches = []batchCase{
-	{"dw1", []uint64{0, 255, 1 << 16, 1<<20 - 1}, []float64{1, -1, 127, -128}, 3, 1},
-	{"dw2", []uint64{7, 300}, []float64{128, -32768}, 2, 2},
-	{"dw4", []uint64{1 << 40, 9}, []float64{1<<31 - 1, -(1 << 31)}, 6, 4},
-	{"dw8", []uint64{^uint64(0), 2, 3}, []float64{0.5, math.Copysign(0, -1), 1 << 53}, 8, 8},
+	{"workload", []uint64{0, 255, 1 << 16, 1<<20 - 1}, []float64{1, 4, 2, 3}, 20, 2, 1},
+	{"W1 counting", []uint64{0, 200, 255}, []float64{1, 1, 1}, 8, 0, 1},
+	{"W1", []uint64{5, 15, 0}, []float64{3, 1, 2}, 4, 2, 1},
+	{"turnstile", []uint64{7, 300}, []float64{1, -1}, 9, 2, -1},
+	{"W8", []uint64{1<<31 | 5, 9}, []float64{1<<31 - 1, -(1 << 31)}, 32, 32, -(1 << 31)},
+	{"W9", []uint64{^uint64(0), 2}, []float64{1, 2}, 64, 1, 1},
+	{"W9 IEEE", []uint64{3, 200}, []float64{0.25, 1}, 8, 64, 0},
+	{"W16", []uint64{^uint64(0), 2, 3}, []float64{0.5, math.Copysign(0, -1), 1 << 53}, 64, 64, 0},
 }
 
-// requireRoundTrip encodes c, checks the widths and size the header
-// declares, and decodes it back bit for bit; it returns the encoding.
+// batchHeaderOf reads the header fields past an SKB3 batch's magic and count.
+func batchHeaderOf(body []byte) (kb, db int, base int32) {
+	return int(body[8]), int(body[9]), int32(binary.BigEndian.Uint32(body[10:14]))
+}
+
+// requireRoundTrip encodes c, checks the header fields and size, and decodes
+// it back bit for bit; it returns the encoding.
 func requireRoundTrip(t *testing.T, c batchCase) []byte {
 	t.Helper()
 	body := AppendBatchColumns(nil, c.items, c.deltas)
-	if kw, dw := int(body[8]), int(body[9]); kw != c.kw || dw != c.dw {
-		t.Fatalf("%s: widths %d+%d, want %d+%d", c.name, kw, dw, c.kw, c.dw)
+	if kb, db, base := batchHeaderOf(body); kb != c.kb || db != c.db || base != c.base {
+		t.Fatalf("%s: header kb %d db %d base %d, want %d %d %d", c.name, kb, db, base, c.kb, c.db, c.base)
 	}
-	if want := batchHeaderLen + len(c.items)*(c.kw+c.dw); len(body) != want {
+	if want := batchHeaderLen + len(c.items)*((c.kb+c.db+7)/8); len(body) != want {
 		t.Fatalf("%s: %d bytes, want %d", c.name, len(body), want)
 	}
 	items, deltas, err := DecodeBatchColumns(body, nil, nil)
@@ -64,7 +76,7 @@ func requireRoundTrip(t *testing.T, c batchCase) []byte {
 	return body
 }
 
-// TestBatchGolden freezes the SKB2 layout: the committed file is the golden
+// TestBatchGolden freezes the SKB3 layout: the committed file is the golden
 // batches' encodings byte for byte, and each decodes back bit for bit.
 func TestBatchGolden(t *testing.T) {
 	want, err := os.ReadFile(filepath.Join("testdata", "batch.golden"))
@@ -78,87 +90,195 @@ func TestBatchGolden(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("encoding (%d bytes) differs from testdata/batch.golden (%d bytes)", len(got), len(want))
 	}
-	if !bytes.HasPrefix(want, []byte("SKB2\x00\x00\x00\x04\x03\x01")) {
-		t.Fatalf("golden header %q, want magic SKB2, 4 records, widths 3+1", want[:batchHeaderLen])
+	if !bytes.HasPrefix(want, []byte("SKB3\x00\x00\x00\x04\x14\x02\x00\x00\x00\x01")) {
+		t.Fatalf("golden header %q, want magic SKB3, 4 records, kb 20, db 2, base 1", want[:batchHeaderLen])
 	}
 }
 
-// TestBatchWidthBoundaries round-trips a batch at every key-width and
-// delta-width edge, bit for bit, and refuses every batch the format does not
-// allow before either column grows.
+// TestBatchWidthBoundaries round-trips a batch at every key- and delta-bit
+// edge, bit for bit, and refuses every batch the format does not allow:
+// before either column grows when the header alone decides, and with the
+// caller's columns handed back as they were when the records do.
 func TestBatchWidthBoundaries(t *testing.T) {
 	cases := []batchCase{
-		{"empty", nil, nil, 1, 1},
-		{"key 0", []uint64{0}, []float64{1}, 1, 1},
-		{"key 2^64-1", []uint64{^uint64(0)}, []float64{1}, 8, 1},
+		{"empty", nil, nil, 1, 0, 0},
+		{"key 0", []uint64{0}, []float64{1}, 1, 0, 1},
+		{"key 2^64-1", []uint64{^uint64(0)}, []float64{1}, 64, 0, 1},
+		{"base -2^31", []uint64{5}, []float64{-(1 << 31)}, 3, 0, -(1 << 31)},
+		{"base 2^31-1", []uint64{5, 6}, []float64{1<<31 - 1, 1<<31 - 1}, 3, 0, 1<<31 - 1},
+		{"base 2^31-2, top offset", []uint64{5, 6}, []float64{1<<31 - 2, 1<<31 - 1}, 3, 1, 1<<31 - 2},
+		{"offsets may pass int32, deltas do not", []uint64{5, 6}, []float64{1<<31 - 5, 1<<31 - 1}, 3, 3, 1<<31 - 5},
+		{"int32 span", []uint64{5, 6}, []float64{1<<31 - 1, -(1 << 31)}, 3, 32, -(1 << 31)},
 	}
-	for k := 1; k < 8; k++ {
-		edge := uint64(1) << (8 * k)
+	for k := 1; k < 64; k++ {
+		edge := uint64(1) << k
 		cases = append(cases,
-			batchCase{fmt.Sprintf("key 2^%d-1", 8*k), []uint64{edge - 1}, []float64{1}, k, 1},
-			batchCase{fmt.Sprintf("key 2^%d", 8*k), []uint64{edge}, []float64{1}, k + 1, 1})
+			batchCase{fmt.Sprintf("key 2^%d-1", k), []uint64{edge - 1}, []float64{1}, k, 0, 1},
+			batchCase{fmt.Sprintf("key 2^%d", k), []uint64{edge}, []float64{1}, k + 1, 0, 1})
 	}
-	for _, d := range []struct {
-		delta float64
-		dw    int
-	}{
-		{0, 1}, {127, 1}, {128, 2}, {-128, 1}, {-129, 2},
-		{32767, 2}, {32768, 4}, {-32768, 2}, {-32769, 4},
-		{1<<31 - 1, 4}, {1 << 31, 8}, {-(1 << 31), 4}, {-(1 << 31) - 1, 8},
-		{0.5, 8}, {math.Copysign(0, -1), 8}, {1 << 53, 8}, {-1e300, 8},
-	} {
-		cases = append(cases, batchCase{fmt.Sprintf("delta %g (bits %#x)", d.delta, math.Float64bits(d.delta)),
-			[]uint64{5, 6}, []float64{1, d.delta}, 1, d.dw})
+	// Every key bit length the record layout treats apart, against every
+	// delta bit length: db 0, an offset reaching bit db-1, and IEEE bits.
+	for _, kb := range []int{1, 7, 8, 9, 56, 57, 63, 64} {
+		key := uint64(1) << (kb - 1)
+		for _, db := range []int{0, 1, 31, 32, 64} {
+			c := batchCase{fmt.Sprintf("kb %d db %d", kb, db), []uint64{key, 0}, []float64{-7, -7}, kb, db, -7}
+			switch {
+			case db == 64:
+				c.deltas, c.base = []float64{0.5, 1}, 0
+			case db == 32:
+				c.deltas, c.base = []float64{-(1 << 31), 1 << 30}, -(1 << 31)
+			case db > 0:
+				c.deltas[1] += float64(uint64(1) << (db - 1))
+			}
+			cases = append(cases, c)
+		}
+	}
+	// Deltas SKB2 could not carry in an int32 column travel as IEEE bits.
+	for _, d := range []float64{1 << 31, -(1 << 31) - 1, 0.5, math.Copysign(0, -1), 1 << 53, -1e300} {
+		cases = append(cases, batchCase{fmt.Sprintf("delta %g (bits %#x)", d, math.Float64bits(d)),
+			[]uint64{5, 6}, []float64{1, d}, 3, 64, 0})
 	}
 	for _, c := range cases {
 		requireRoundTrip(t, c)
 	}
 
 	// NaN and ±Inf: TestDecodeBatchColumnsRefusesNonFinite.
-	raw := func(count uint32, kw, dw byte, rest ...byte) []byte {
-		b := binary.BigEndian.AppendUint32([]byte("SKB2"), count)
-		return append(append(b, kw, dw), rest...)
+	raw := func(count uint32, kb, db byte, base int32, records ...byte) []byte {
+		b := binary.BigEndian.AppendUint32([]byte("SKB3"), count)
+		b = binary.BigEndian.AppendUint32(append(b, kb, db), uint32(base))
+		return append(b, records...)
+	}
+	ieee := func(key byte, d float64) []byte {
+		return binary.BigEndian.AppendUint64([]byte{key}, math.Float64bits(d))
 	}
 	valid := AppendBatchColumns(nil, []uint64{5, 1 << 20}, []float64{1, -2})
-	for name, body := range map[string][]byte{
-		"key width 2 for key 5":     raw(1, 2, 1, 0, 5, 1),
-		"key width 2, empty batch":  raw(0, 2, 1),
-		"delta width 2 for 1":       raw(1, 1, 2, 5, 0, 1),
-		"delta width 4 for 32767":   raw(1, 1, 4, 5, 0, 0, 0x7f, 0xff),
-		"delta width 8 for 1.0":     binary.BigEndian.AppendUint64(raw(1, 1, 8, 5), math.Float64bits(1)),
-		"delta width 2, empty":      raw(0, 1, 2),
-		"key width 0":               raw(1, 0, 1, 1),
-		"key width 9":               raw(1, 9, 1, 1, 2, 3, 4, 5, 6, 7, 8, 9, 1),
-		"delta width 3":             raw(1, 1, 3, 5, 0, 0, 1),
-		"delta width 0":             raw(1, 1, 0, 5),
-		"trailing byte":             append(append([]byte(nil), valid...), 0),
-		"missing byte":              valid[:len(valid)-1],
-		"truncated header":          valid[:batchHeaderLen-1],
-		"bad magic":                 append([]byte("SKQ1"), valid[4:]...),
-		"count above the records":   raw(3, 1, 1, 5, 1),
-		"forged count, no records":  raw(math.MaxUint32, 8, 8),
-		"forged count, one record":  raw(math.MaxUint32, 1, 1, 5, 1),
-		"retired SKB1 layout":       append([]byte("SKB1\x00\x00\x00\x01"), make([]byte, 16)...),
-		"retired SKB1 empty header": []byte("SKB1"),
+	for _, c := range []struct {
+		name string
+		body []byte
+		// pass is true for the refusals that need the records decoded.
+		pass bool
+	}{
+		{"key bits 0", raw(1, 0, 0, 1, 5), false},
+		{"key bits 65", raw(1, 65, 0, 1, make([]byte, 9)...), false},
+		{"delta bits 33", raw(1, 1, 33, 0, 0, 0, 0, 0, 1), false},
+		{"delta bits 63", raw(1, 1, 63, 0, make([]byte, 8)...), false},
+		{"base at IEEE deltas", raw(1, 1, 64, 1, ieee(1, 0.5)...), false},
+		{"base in an empty batch", raw(0, 1, 0, 7), false},
+		{"trailing byte", append(append([]byte(nil), valid...), 0), false},
+		{"missing byte", valid[:len(valid)-1], false},
+		{"truncated header", valid[:batchHeaderLen-1], false},
+		{"bad magic", append([]byte("SKQ1"), valid[4:]...), false},
+		{"count above the records", raw(3, 1, 1, 0, 2, 1), false},
+		{"forged count, no records", raw(math.MaxUint32, 64, 64, 0), false},
+		{"forged count, one record", raw(math.MaxUint32, 1, 0, 0, 1), false},
+		{"retired SKB1 layout", append([]byte("SKB1\x00\x00\x00\x01"), make([]byte, 16)...), false},
+		{"retired SKB1 empty header", []byte("SKB1"), false},
+		{"retired SKB2 layout", []byte("SKB2\x00\x00\x00\x01\x01\x01\x05\x01"), false},
+		{"retired SKB2 empty header", []byte("SKB2"), false},
+		{"record bit above kb+db", raw(1, 4, 2, 0, 0x40), true},
+		{"record bit above kb+db, two words", raw(2, 64, 1, 0, 0x03, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1), true},
+		{"no key with bit kb-1", raw(1, 2, 0, 1, 0x01), true},
+		{"key bits 2 in an empty batch", raw(0, 2, 0, 0), true},
+		{"no offset with bit db-1", raw(2, 1, 2, 0, 1<<2|0, 0<<2|1), true},
+		{"delta bits 1 in an empty batch", raw(0, 1, 1, 0), true},
+		{"no zero offset", raw(2, 1, 1, 5, 1<<1|1, 0<<1|1), true},
+		{"base + offset past int32", raw(2, 1, 1, math.MaxInt32, 1<<1|0, 0<<1|1), true},
+		{"IEEE deltas all int32", append(raw(2, 1, 64, 0, ieee(1, 1)...), ieee(0, -(1<<31))...), true},
+		{"IEEE deltas in an empty batch", raw(0, 1, 64, 0), true},
 	} {
-		items, deltas, err := DecodeBatchColumns(body, nil, nil)
+		items, deltas, err := DecodeBatchColumns(c.body, []uint64{42}, []float64{0.5})
 		if err == nil {
-			t.Fatalf("%s: accepted", name)
+			t.Fatalf("%s: accepted", c.name)
 		}
-		if cap(items) != 0 || cap(deltas) != 0 {
-			t.Fatalf("%s: columns grew to %d/%d before the refusal", name, cap(items), cap(deltas))
+		if len(items) != 1 || items[0] != 42 || len(deltas) != 1 || deltas[0] != 0.5 {
+			t.Fatalf("%s: columns came back as %v / %v, want the caller's own", c.name, items, deltas)
 		}
-		if strings.HasPrefix(name, "retired") && !errors.Is(err, errRetiredBatch) {
-			t.Fatalf("%s: err %v, want errRetiredBatch", name, err)
+		if !c.pass && (cap(items) != 1 || cap(deltas) != 1) {
+			t.Fatalf("%s: columns grew to %d/%d before the refusal", c.name, cap(items), cap(deltas))
+		}
+		if strings.HasPrefix(c.name, "retired") && !errors.Is(err, errRetiredBatch) {
+			t.Fatalf("%s: err %v, want errRetiredBatch", c.name, err)
 		}
 	}
 }
 
+// TestBatchNeverMuchLargerThanSKB2: over random batches of every key and
+// delta shape, an SKB3 batch is never more than 4 bytes longer than SKB2's
+// 10-byte header and whole-byte columns would be (kb <= 8·kw, db <= 8·dw),
+// and each round-trips bit for bit.
+func TestBatchNeverMuchLargerThanSKB2(t *testing.T) {
+	r := xrand.New(39)
+	deltaKinds := []func() float64{
+		func() float64 { return float64(1 + r.Uint64()&3) },
+		func() float64 { return float64(int64(r.Uint64()&0xff) - 128) },
+		func() float64 { return float64(int32(r.Uint64())) },
+		func() float64 { return float64(int64(r.Uint64()) >> 20) },
+		func() float64 { return r.Float64() },
+		func() float64 { return math.Copysign(0, -1) },
+		func() float64 { return 0 },
+	}
+	for trial := 0; trial < 2000; trial++ {
+		n := int(r.Uint64() % 40)
+		keyBits := uint(r.Uint64() % 65)
+		kinds := deltaKinds[:1+r.Uint64()%uint64(len(deltaKinds))]
+		items, deltas := make([]uint64, n), make([]float64, n)
+		for i := range items {
+			items[i] = r.Uint64() >> (64 - keyBits)
+			deltas[i] = kinds[r.Uint64()%uint64(len(kinds))]()
+		}
+		c := batchCase{name: fmt.Sprintf("trial %d", trial), items: items, deltas: deltas, kb: 1}
+		var keys uint64
+		for _, k := range items {
+			keys |= k
+		}
+		c.kb = max(1, bits.Len64(keys))
+		lo, hi, ints := deltaSpan(deltas)
+		if ints {
+			c.db, c.base = bits.Len64(uint64(hi-lo)), int32(lo)
+		} else {
+			c.db = ieeeDeltas
+		}
+		body := requireRoundTrip(t, c)
+		// SKB2: a 10-byte header, each key in the fewest whole bytes that
+		// hold the largest, each delta in 1, 2 or 4 bytes when all are
+		// integers an int32 holds (none -0), 8 otherwise.
+		kw, dw := max(1, (bits.Len64(keys)+7)/8), 8
+		switch {
+		case !ints:
+		case lo >= math.MinInt8 && hi <= math.MaxInt8:
+			dw = 1
+		case lo >= math.MinInt16 && hi <= math.MaxInt16:
+			dw = 2
+		default:
+			dw = 4
+		}
+		if skb2 := 10 + n*(kw+dw); len(body) > skb2+4 {
+			t.Fatalf("trial %d: %d records take %d bytes, SKB2 took %d", trial, n, len(body), skb2)
+		}
+	}
+}
+
+// deltaSpan returns the least and greatest delta and true when every delta
+// is an integer an int32 holds and none is -0 (0, 0 and true for none).
+func deltaSpan(deltas []float64) (lo, hi int64, ints bool) {
+	for i, d := range deltas {
+		if float64(int32(d)) != d || math.Signbit(d) && d == 0 {
+			return 0, 0, false
+		}
+		if v := int64(d); i == 0 {
+			lo, hi = v, v
+		} else {
+			lo, hi = min(lo, v), max(hi, v)
+		}
+	}
+	return lo, hi, true
+}
+
 // TestBatchRefusalsOverTheWire: a batch that declares more records than the
 // body cap allows is refused as over-size before it is decoded — 413 on POST
-// /v1/update, an error frame naming the cap on a stream — and an SKB1 body
-// is 400 with a message naming the retired format and the way out. None of
-// them moves a counter.
+// /v1/update, an error frame naming the cap on a stream — and an SKB1 or
+// SKB2 body is 400 with a message naming the retired format and the way
+// out. None of them moves a counter.
 func TestBatchRefusalsOverTheWire(t *testing.T) {
 	const limit = 1024 // 64 records
 	_, client, addr := streamDaemon(t, Config{Width: 128, Depth: 3, K: 8, MaxBodyBytes: limit, MaxFrameBytes: limit})
@@ -180,10 +300,14 @@ func TestBatchRefusalsOverTheWire(t *testing.T) {
 	if status != 413 || !strings.Contains(envelope, "cap is 64") {
 		t.Fatalf("65 records under a 1 KiB cap: status %d, body %s", status, envelope)
 	}
-	skb1 := append([]byte("SKB1\x00\x00\x00\x01"), make([]byte, 16)...)
-	status, envelope = rawRequest(t, client, "POST", "/v1/update", contentTypeBatch, string(skb1), "")
-	if status != 400 || !strings.Contains(envelope, "SKB1") || !strings.Contains(envelope, "same release") || !strings.Contains(envelope, "JSON") {
-		t.Fatalf("SKB1 body: status %d, body %s", status, envelope)
+	for name, body := range map[string][]byte{
+		"SKB1": append([]byte("SKB1\x00\x00\x00\x01"), make([]byte, 16)...),
+		"SKB2": []byte("SKB2\x00\x00\x00\x01\x01\x01\x05\x01"),
+	} {
+		status, envelope = rawRequest(t, client, "POST", "/v1/update", contentTypeBatch, string(body), "")
+		if status != 400 || !strings.Contains(envelope, name) || !strings.Contains(envelope, "same release") || !strings.Contains(envelope, "JSON") {
+			t.Fatalf("%s body: status %d, body %s", name, status, envelope)
+		}
 	}
 
 	conn, err := net.Dial("tcp", addr)
@@ -214,14 +338,68 @@ func TestBatchRefusalsOverTheWire(t *testing.T) {
 	}
 }
 
+// TestIngestBytesCountsBinaryBatches: /v1/stats ingest_bytes is exactly the
+// SKB3 bytes of the accepted POST bodies and stream data frames (the batch
+// after each frame's seq, an empty ack nudge included); JSON bodies and
+// refused batches add nothing.
+func TestIngestBytesCountsBinaryBatches(t *testing.T) {
+	_, client, addr := streamDaemon(t, Config{Width: 128, Depth: 3, K: 8})
+	ctx := context.Background()
+	var want int
+	for _, n := range []int{3, 256} {
+		items, deltas := batchShape(n, false)
+		if err := client.UpdateColumns(ctx, items, deltas); err != nil {
+			t.Fatal(err)
+		}
+		want += len(AppendBatchColumns(nil, items, deltas))
+	}
+	if status, body := rawRequest(t, client, "POST", "/v1/update", contentTypeJSON, `{"updates":[{"item":1,"delta":2}]}`, ""); status != 200 {
+		t.Fatalf("JSON POST: status %d, body %s", status, body)
+	}
+	if status, _ := rawRequest(t, client, "POST", "/v1/update", contentTypeBatch, "SKB3\x00\x00\x00\x01\x02\x00\x00\x00\x00\x01\x01", ""); status != 400 {
+		t.Fatalf("non-canonical batch: status %d, want 400", status)
+	}
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	rd := newFrameReader(bufio.NewReader(conn), 0)
+	mustWrite(t, conn, AppendStreamFrame(nil, StreamFrame{Type: streamFrameHello, Payload: []byte("ingest-bytes")}))
+	if f := mustRead(t, rd); f.Type != streamFrameAck {
+		t.Fatalf("want hello ack, got frame type %d", f.Type)
+	}
+	items, deltas := batchShape(4096, true)
+	for seq, cols := range [][2]int{{0, 4096}, {0, 0}} {
+		mustWrite(t, conn, appendDataFrame(nil, uint64(seq+1), true, items[cols[0]:cols[1]], deltas[cols[0]:cols[1]]))
+		if f := mustRead(t, rd); f.Type != streamFrameAck {
+			t.Fatalf("data frame %d: got frame type %d %q, want an ack", seq+1, f.Type, f.Payload)
+		}
+		want += len(AppendBatchColumns(nil, items[cols[0]:cols[1]], deltas[cols[0]:cols[1]]))
+	}
+
+	st, err := client.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.IngestBytes != int64(want) {
+		t.Fatalf("ingest_bytes %d, want %d", st.IngestBytes, want)
+	}
+}
+
 // TestWideBatchCostsTwoBytes: keys that use all 64 bits with fractional
-// deltas — the shape the width rule cannot narrow — cost SKB1's 16 bytes per
-// record plus the two width bytes of the header, and no more.
+// deltas — the shape the record rule cannot narrow — take the two-word
+// record, 16 bytes as in SKB1, so the batch costs SKB1's bytes plus the six
+// header bytes (two bit lengths and the base) SKB1 did not have.
 func TestWideBatchCostsTwoBytes(t *testing.T) {
 	items, deltas := batchShape(1<<12, true)
 	body := AppendBatchColumns(nil, items, deltas)
-	if skb1 := 8 + 16*len(items); len(body) > skb1+2 {
-		t.Fatalf("%d records of 64-bit keys and fractional deltas: %d bytes, want at most SKB1's %d + 2", len(items), len(body), skb1)
+	if kb, db, _ := batchHeaderOf(body); kb != 64 || db != ieeeDeltas {
+		t.Fatalf("64-bit keys and fractional deltas: kb %d, db %d, want 64 and %d", kb, db, ieeeDeltas)
+	}
+	if skb1 := 8 + 16*len(items); len(body) != skb1+6 {
+		t.Fatalf("%d records of 64-bit keys and fractional deltas: %d bytes, want SKB1's %d + 6", len(items), len(body), skb1)
 	}
 }
 

@@ -132,7 +132,7 @@ func readAllInto(dst []byte, r io.Reader) ([]byte, error) {
 	}
 }
 
-// UpdateColumns ships parallel key/delta columns as one SKB2 batch, the
+// UpdateColumns ships parallel key/delta columns as one SKB3 batch, the
 // body the server's column-decoding ingest path reads.
 func (c *Client) UpdateColumns(ctx context.Context, items []uint64, deltas []float64) error {
 	if len(items) != len(deltas) {

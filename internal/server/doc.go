@@ -83,7 +83,7 @@
 //
 // Producers with a sustained feed can skip per-request HTTP entirely:
 // POST /v1/stream (and its raw TCP twin, Server.ServeStream / sketchd
-// -stream-addr) holds one connection open and carries the same SKB2 batches
+// -stream-addr) holds one connection open and carries the same SKB3 batches
 // as length-prefixed, CRC-guarded frames, with acknowledgement frames
 // streaming back on the same connection. Each connection pins one producer
 // lane for its whole lifetime, so concurrent streams never contend and the

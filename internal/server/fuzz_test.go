@@ -12,24 +12,33 @@ import (
 	"repro/internal/xrand"
 )
 
-// FuzzDecodeBatchColumns attacks the "SKB2" ingest batch parser — the
+// FuzzDecodeBatchColumns attacks the "SKB3" ingest batch parser — the
 // hottest untrusted-input surface in the daemon (every binary POST
 // /v1/update body and SKS1 data frame lands here). Arbitrary bytes must
 // decode-or-error without panicking and without header-driven allocation;
 // accepted input must re-encode through AppendBatchColumns byte-identically
-// (the format has no non-canonical freedom — both widths must be the
-// narrowest, and counts, keys and delta bits come back verbatim), and every
-// delta it yields must be finite: NaN and ±Inf never get past this boundary.
+// (the format has no non-canonical freedom — both bit lengths must be the
+// fewest that hold the records, and the base the least delta — and counts,
+// keys and delta bits come back verbatim), and every delta it yields must be
+// finite: NaN and ±Inf never get past this boundary.
 func FuzzDecodeBatchColumns(f *testing.F) {
 	f.Add(AppendBatchColumns(nil, nil, nil))
 	f.Add(AppendBatchColumns(nil, []uint64{1, 2, 3}, []float64{1, -0.5, 3.25}))
 	f.Add(AppendBatchColumns(nil,
 		[]uint64{0, ^uint64(0), 1 << 33},
 		[]float64{0, -1e300, 0.1}))
-	f.Add([]byte("SKB2\x00\x00\x00\x02\x03\x02junkjunkjunk"))
+	f.Add([]byte("SKB3\x00\x00\x00\x02\x03\x02\x00\x00\x00\x01junkjunkjunk"))
 	f.Add(AppendBatchColumns(nil, []uint64{1, 2}, []float64{1, math.NaN()}))
 	f.Add(AppendBatchColumns(nil, []uint64{1, 2}, []float64{math.Inf(-1), 1}))
 	f.Add(AppendBatchColumns(nil, []uint64{1 << 16, 5}, []float64{-129, 40000}))
+	// One seed per record width class: W 1 with db 0, the benchmark's W 3,
+	// W 8, the two-word W 9 (64-bit keys with offsets) and W 16 (IEEE).
+	f.Add(AppendBatchColumns(nil, []uint64{0, 200, 255}, []float64{1, 1, 1}))
+	f.Add(AppendBatchColumns(nil, []uint64{7, 1<<20 - 1, 1 << 16}, []float64{1, 4, 2}))
+	f.Add(AppendBatchColumns(nil, []uint64{1<<31 | 5, 9}, []float64{1<<31 - 1, -(1 << 31)}))
+	f.Add(AppendBatchColumns(nil, []uint64{^uint64(0), 2}, []float64{-1, 1}))
+	f.Add(AppendBatchColumns(nil, []uint64{^uint64(0), 2}, []float64{0.5, 2}))
+	f.Add([]byte("SKB2\x00\x00\x00\x01\x01\x01\x05\x01"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		items, deltas, err := DecodeBatchColumns(data, nil, nil)
 		if err != nil {

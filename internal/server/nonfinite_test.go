@@ -25,14 +25,14 @@ var nonFinite = []float64{
 }
 
 // TestDecodeBatchColumnsRefusesNonFinite: a NaN or ±Inf delta anywhere in an
-// SKB2 body travels at delta width 8, fails the decode with errNonFiniteDelta
+// SKB3 body travels as IEEE bits (db 64), fails the decode with errNonFiniteDelta
 // and hands the caller's columns back untouched; every finite pattern,
 // extremes included, decodes.
 func TestDecodeBatchColumnsRefusesNonFinite(t *testing.T) {
 	for _, bad := range nonFinite {
 		body := AppendBatchColumns(nil, []uint64{1, 2, 3}, []float64{1, bad, 3})
-		if body[9] != 8 {
-			t.Fatalf("delta bits %#x encoded at width %d, want 8", math.Float64bits(bad), body[9])
+		if body[9] != ieeeDeltas {
+			t.Fatalf("delta bits %#x encoded at db %d, want %d", math.Float64bits(bad), body[9], ieeeDeltas)
 		}
 		items, deltas, err := DecodeBatchColumns(body, []uint64{7}, []float64{8})
 		if !errors.Is(err, errNonFiniteDelta) {
@@ -50,7 +50,7 @@ func TestDecodeBatchColumnsRefusesNonFinite(t *testing.T) {
 }
 
 // TestNonFiniteDeltaTouchesNothing drives one poisoned batch down every
-// update path of a live daemon — SKB2 POST, JSON POST, SKS1 data frame — and
+// update path of a live daemon — SKB3 POST, JSON POST, SKS1 data frame — and
 // one poisoned sketch down both replica paths — a /v1/merge body, a /v1/delta
 // frame — and requires a refusal each time with no counter, mass, generation
 // or watermark moved.
@@ -87,10 +87,10 @@ func TestNonFiniteDeltaTouchesNothing(t *testing.T) {
 		body := AppendBatchColumns(nil, items, []float64{1, 2, bad})
 		status, envelope := rawRequest(t, client, "POST", "/v1/update", contentTypeBatch, string(body), "")
 		if status != 400 || !strings.Contains(envelope, `"invalid_argument"`) || !strings.Contains(envelope, "not finite") {
-			t.Fatalf("SKB2 delta bits %#x: status %d, body %s", math.Float64bits(bad), status, envelope)
+			t.Fatalf("SKB3 delta bits %#x: status %d, body %s", math.Float64bits(bad), status, envelope)
 		}
 	}
-	requireUntouched("after SKB2 POSTs")
+	requireUntouched("after SKB3 POSTs")
 
 	// The JSON path never could carry one: NaN and Infinity are not JSON, and
 	// a literal too large for float64 fails the unmarshal.

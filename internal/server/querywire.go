@@ -13,8 +13,8 @@ import (
 //
 //   - application/json: a QueryBatchRequest object, {"keys":[7,8,...]}
 //   - application/x-sketch-keys: the length-prefixed binary key column below,
-//     the read-side twin of the "SKB2" ingest batch (8 bytes per key instead
-//     of decimal JSON plus parsing; unlike SKB2, keys are not narrowed).
+//     the read-side twin of the "SKB3" ingest batch (8 bytes per key instead
+//     of decimal JSON plus parsing; unlike SKB3, keys are not narrowed).
 //
 // Binary key column layout (integers big-endian):
 //

@@ -434,6 +434,7 @@ type Server struct {
 	bodyScratch sync.Pool
 
 	updates, batches, merges, snapshots            atomic.Int64
+	ingestBytes                                    atomic.Int64 // Stats.IngestBytes
 	deltasApplied, deltasDuplicate, deltasRejected atomic.Int64
 	deltasReplaced                                 atomic.Int64
 
@@ -1175,12 +1176,14 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	lane.items, lane.deltas = lane.items[:0], lane.deltas[:0]
 	if isBinary {
 		var err error
+		size := len(body.data)
 		lane.items, lane.deltas, err = DecodeBatchColumns(body.data, lane.items, lane.deltas)
 		body.release()
 		if err != nil {
 			writeErr(w, http.StatusBadRequest, "%v", err)
 			return
 		}
+		s.ingestBytes.Add(int64(size))
 	} else {
 		for _, u := range req.Updates {
 			lane.items = append(lane.items, u.Item)
@@ -2117,6 +2120,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Mode:            s.eng.Mode(),
 		Updates:         s.updates.Load(),
 		Batches:         s.batches.Load(),
+		IngestBytes:     s.ingestBytes.Load(),
 		Merges:          s.merges.Load(),
 		Snapshots:       s.snapshots.Load(),
 		DeltasApplied:   s.deltasApplied.Load(),

@@ -36,7 +36,7 @@ func testDaemon(t *testing.T, cfg Config) (*Server, *Client) {
 	return srv, NewClient(hs.URL, hs.Client())
 }
 
-// postStream ships a stream slice to client as one SKB2 batch.
+// postStream ships a stream slice to client as one SKB3 batch.
 func postStream(ctx context.Context, client *Client, updates []stream.Update) error {
 	items := make([]uint64, len(updates))
 	deltas := make([]float64, len(updates))
@@ -608,7 +608,7 @@ func TestRequestBodySizing(t *testing.T) {
 	_, client := testDaemon(t, Config{Width: 128, Depth: 3, K: 8, MaxBodyBytes: 1024})
 	ctx := context.Background()
 	small := AppendBatchColumns(nil, []uint64{1}, []float64{2})
-	// 64-bit keys and fractional deltas keep SKB2 at 16 bytes a record: 3.2 kB
+	// 64-bit keys and fractional deltas keep SKB3 at 16 bytes a record: 3.2 kB
 	// of records, over the cap by body size (its 200 records are also over the
 	// 64-record cap, which is only checked once the body is read).
 	bigItems, bigDeltas := batchShape(200, true)

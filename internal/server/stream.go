@@ -20,7 +20,7 @@ import (
 // Streaming ingest ------------------------------------------------------------
 //
 // A producer that keeps one connection open pays the HTTP request/response
-// cycle zero times instead of once per batch: it frames SKB2 batch-columns
+// cycle zero times instead of once per batch: it frames SKB3 batch
 // payloads onto the connection and the server decodes each frame straight
 // into a producer lane pinned to that connection for its whole lifetime.
 // The same framing travels over two transports — a raw TCP listener
@@ -38,7 +38,7 @@ import (
 //
 // Frame types and their payloads:
 //
-//	data  (0): seq uint64, then an SKB2 batch (see AppendBatchColumns).
+//	data  (0): seq uint64, then an SKB3 batch (see AppendBatchColumns).
 //	          seq numbers start at 1 and increase by exactly 1 per frame on a
 //	          session. A zero-record batch is legal: it advances seq without
 //	          touching a counter (clients use it to elicit a final ack).
@@ -134,7 +134,7 @@ func AppendStreamFrame(buf []byte, f StreamFrame) []byte {
 	return binary.BigEndian.AppendUint32(buf, crc32.Checksum(buf[start:], castagnoli))
 }
 
-// appendDataFrame encodes a data frame — seq plus the SKB2 batch of the given
+// appendDataFrame encodes a data frame — seq plus the SKB3 batch of the given
 // columns — directly into buf, with no intermediate payload slice: this is
 // the client's per-frame hot path and must not allocate once buf has grown to
 // its steady-state size.
@@ -597,6 +597,7 @@ func (s *Server) serveFrames(c *streamConn, fr *frameReader, aw ackWriter, remot
 				}
 				sess.seq = seq
 				s.streamFrames.Add(1)
+				s.ingestBytes.Add(int64(len(frame.Payload) - 8))
 				sinceAck++
 				if frame.AckReq || sinceAck >= s.cfg.StreamAckEvery {
 					if !s.sendAck(c, aw, seq) {

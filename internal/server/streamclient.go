@@ -306,6 +306,14 @@ func (su *StreamUpdater) sendColumns(items []uint64, deltas []float64) error {
 	return su.sendFrame(items, deltas, false)
 }
 
+// streamWriteThrough is the data frame size from which sendFrame writes a
+// frame out as soon as it is encoded instead of holding it in the 64 KiB
+// writer behind the next: the daemon decodes and ingests it while the
+// producer encodes the next, and a write per frame that size costs little
+// beside that work. Smaller frames share the writer until an ack is
+// requested or it fills.
+const streamWriteThrough = 4 << 10
+
 // sendFrame encodes the next data frame into a recycled buffer, appends it to
 // the pending window and writes it out (transport failures reconnect and
 // replay). forceAck requests an ack regardless of cadence.
@@ -320,7 +328,7 @@ func (su *StreamUpdater) sendFrame(items []uint64, deltas []float64, forceAck bo
 	su.pending = append(su.pending, pendingFrame{seq: su.seq, buf: buf})
 	return su.retry(func() error {
 		_, err := su.link.bw.Write(buf)
-		if err == nil && ackReq {
+		if err == nil && (ackReq || len(buf) >= streamWriteThrough) {
 			err = su.link.bw.Flush()
 		}
 		return err

@@ -16,26 +16,30 @@ import (
 //   - application/json: an UpdateRequest object,
 //     {"updates":[{"item":7,"delta":2}, ...]}
 //   - application/x-sketch-batch: the length-prefixed binary batch below,
-//     which the Client uses and which costs 2 to 16 bytes per update instead
+//     which the Client uses and which costs 1 to 16 bytes per update instead
 //     of ~25 bytes of JSON plus parsing.
 //
-// Binary batch layout "SKB2" (integers big-endian):
+// Binary batch layout "SKB3" (integers big-endian):
 //
-//	magic  [4]byte "SKB2"
-//	count  uint32
-//	kw     uint8   key width, 1..8: the fewest bytes that hold the largest
-//	               key (1 for an empty batch)
-//	dw     uint8   delta width: 1, 2 or 4 when every delta is an integer (not
-//	               -0) that a signed integer of that many bytes holds, and the
-//	               narrowest that does; 8 otherwise
-//	keys   count x kw bytes
-//	deltas count x dw bytes: two's complement at widths 1, 2 and 4, the
-//	               IEEE-754 bits at width 8
+//	magic   [4]byte "SKB3"
+//	count   uint32
+//	kb      uint8   key bits, 1..64: the bit length of the largest key (at
+//	                least 1)
+//	db      uint8   delta bits: when every delta is an integer an int32 holds
+//	                and none is -0, 0..32, the bit length of the largest
+//	                delta's offset above base; 64 otherwise
+//	base    int32   the least delta (0 at db 64 and in an empty batch)
+//	records count x W bytes, W = (kb+db+7)/8: each update's key<<db |
+//	                (delta - base), or key<<64 | the delta's IEEE-754 bits at
+//	                db 64, big-endian in W bytes
 //
-// Both widths are always the narrowest, so the encoding is canonical: decoding
-// and re-encoding reproduces the bytes, and every delta comes back with the
-// bits it was sent with. The retired "SKB1" layout (a 16-byte record per
-// update) is refused by name.
+// Every header field is the least that holds the records, so the encoding is
+// canonical: decoding and re-encoding reproduces the bytes, and every delta
+// comes back with the bits it was sent with. The decoder refuses any other
+// header (a key or offset bit length with no record that needs it, a base
+// below every delta, IEEE deltas that are all int32 integers, a record bit
+// above kb+db). The retired "SKB1" (a 16-byte record per update) and "SKB2"
+// (key and delta columns at whole-byte widths) layouts are refused by name.
 //
 // Snapshots travel as application/x-sketch-snapshot: the raw versioned
 // encoding produced by the sketch types' MarshalBinary (see
@@ -52,13 +56,15 @@ const (
 )
 
 // batchMagic guards the binary update-batch format.
-var batchMagic = [4]byte{'S', 'K', 'B', '2'}
+var batchMagic = [4]byte{'S', 'K', 'B', '3'}
 
-// retiredBatchMagic is the 16-bytes-per-record layout SKB2 replaced.
-var retiredBatchMagic = [4]byte{'S', 'K', 'B', '1'}
+// retiredBatchMagics are the layouts SKB3 replaced: SKB1's 16-byte records
+// and SKB2's key and delta columns at whole-byte widths.
+var retiredBatchMagics = [][4]byte{{'S', 'K', 'B', '1'}, {'S', 'K', 'B', '2'}}
 
-// batchHeaderLen is the fixed prefix: magic, the count word and both widths.
-const batchHeaderLen = 10
+// batchHeaderLen is the fixed prefix: magic, count, both bit lengths and the
+// base.
+const batchHeaderLen = 14
 
 // bodyBytesPerRecord is the body budget each record a batch declares must
 // have: a body or frame capped at B bytes may declare at most B/16 records.
@@ -204,9 +210,14 @@ type Stats struct {
 	Resident        ResidentSketches `json:"resident_sketches"`
 	Updates         int64            `json:"updates"`
 	Batches         int64            `json:"batches"`
-	Merges          int64            `json:"merges"`
-	Snapshots       int64            `json:"snapshots"`
-	TotalMass       float64          `json:"total_mass"`
+	// IngestBytes counts the binary batch bytes accepted since start: SKB3
+	// bodies of POST /v1/update and the batches inside SKS1 data frames (the
+	// payload after the seq). JSON bodies are not counted, so IngestBytes
+	// over Updates is a binary producer's bytes per update.
+	IngestBytes int64   `json:"ingest_bytes"`
+	Merges      int64   `json:"merges"`
+	Snapshots   int64   `json:"snapshots"`
+	TotalMass   float64 `json:"total_mass"`
 
 	// Delta-replication counters: frames this daemon has applied, absorbed
 	// idempotently (retries of already-applied frames) and rejected at
@@ -377,220 +388,302 @@ type SpectrumResponse struct {
 	Gen          int64                 `json:"gen"`
 }
 
-// AppendBatchColumns appends the SKB2 encoding of parallel key/delta columns
+// AppendBatchColumns appends the SKB3 encoding of parallel key/delta columns
 // to buf and returns the extended slice. The columns must have equal length
 // (panics otherwise — silently dropping surplus deltas would put a
 // valid-looking but lossy batch on the wire). Deltas are not checked here: a
-// NaN or ±Inf travels at width 8 and the decoder refuses it.
+// NaN or ±Inf travels as its IEEE bits and the decoder refuses it.
 func AppendBatchColumns(buf []byte, items []uint64, deltas []float64) []byte {
 	if len(items) != len(deltas) {
 		panic(fmt.Sprintf("server: AppendBatchColumns length mismatch (%d items, %d deltas)", len(items), len(deltas)))
 	}
-	n, kw, dw := len(items), keyWidth(items), deltaWidth(deltas)
-	start := len(buf)
-	buf = slices.Grow(buf, batchHeaderLen+n*(kw+dw))
+	h := headerFor(items, deltas)
+	start, size := len(buf), batchHeaderLen+h.n*h.width()
+	buf = slices.Grow(buf, size)
 	buf = append(buf, batchMagic[:]...)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(n))
-	buf = append(buf, byte(kw), byte(dw))
-	buf = buf[:start+batchHeaderLen+n*(kw+dw)]
-	// Each key is stored as a whole big-endian word shifted to its top kw
-	// bytes; the next key, or the delta column, overwrites the surplus. The
-	// last keys, with fewer than 8 bytes after them, go byte by byte.
-	b, shift := buf[start+batchHeaderLen:], 64-8*kw
-	for _, k := range items {
-		if len(b) < 8 {
-			for j := kw - 1; j >= 0; j, k = j-1, k>>8 {
-				b[j] = byte(k)
-			}
-		} else {
-			binary.BigEndian.PutUint64(b, k<<shift)
-		}
-		b = b[kw:]
-	}
-	switch dw {
-	case 1:
-		for i, d := range deltas {
-			b[i] = byte(int8(d))
-		}
-	case 2:
-		for _, d := range deltas {
-			binary.BigEndian.PutUint16(b, uint16(int16(d)))
-			b = b[2:]
-		}
-	case 4:
-		for _, d := range deltas {
-			binary.BigEndian.PutUint32(b, uint32(int32(d)))
-			b = b[4:]
-		}
-	default:
-		for _, d := range deltas {
-			binary.BigEndian.PutUint64(b, math.Float64bits(d))
-			b = b[8:]
-		}
+	buf = binary.BigEndian.AppendUint32(buf, uint32(h.n))
+	buf = append(buf, byte(h.kb), byte(h.db))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(h.base))
+	buf = buf[:start+size]
+	if b := buf[start+batchHeaderLen:]; h.width() > 8 {
+		putWideRecords(b, items, deltas, h)
+	} else {
+		putRecords(b, items, deltas, h)
 	}
 	return buf
 }
 
-// keyWidth is the fewest bytes that hold every key, at least 1.
-func keyWidth(items []uint64) int {
-	var all uint64
-	for _, k := range items {
-		all |= k
-	}
-	return max(1, (bits.Len64(all)+7)/8)
+// batchHeader is an SKB3 header past its magic: the record count, the key
+// and delta bit lengths, and the base the deltas' offsets count from.
+type batchHeader struct {
+	n, kb, db int
+	base      int32
 }
 
-// deltaWidth is the narrowest SKB2 delta width that carries every delta bit
-// for bit: 1, 2 or 4 when all are integers an int32 holds and none is -0, 8
-// otherwise (a fraction, -0, NaN, ±Inf or a magnitude past the int32 range).
-func deltaWidth(deltas []float64) int {
-	if len(deltas) == 0 {
-		return 1
-	}
+// width is the bytes of one record: kb+db bits, rounded up.
+func (h batchHeader) width() int { return (h.kb + h.db + 7) / 8 }
+
+// headerFor computes the header of the columns' encoding in one pass: kb from
+// the OR of the keys, and db and base from the deltas' range while they are
+// integers. At the first delta that is not, the pass finishes the keys alone.
+// Deltas travel as IEEE bits unless every one is an offsetDelta.
+func headerFor(items []uint64, deltas []float64) batchHeader {
+	var keys uint64
 	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
-	for _, d := range deltas {
+	items = items[:len(deltas)]
+	i := 0
+	for ; i < len(deltas); i++ {
+		keys |= items[i]
 		// Out of the int64 range the conversion's result is the platform's,
 		// but it never round-trips to d unless d is ±2^63, which the range
 		// check below turns away.
+		d := deltas[i]
 		v := int64(d)
 		if float64(v) != d {
-			return 8
+			break
 		}
 		lo, hi = min(lo, v), max(hi, v)
 	}
-	switch {
-	case lo < math.MinInt32 || hi > math.MaxInt32:
-		return 8
-	case lo <= 0 && hi >= 0 && slices.ContainsFunc(deltas, isNegZero):
-		// -0 round-trips through int64 as 0, so only a batch whose
-		// integers reach 0 is searched for one.
-		return 8
-	case lo >= math.MinInt8 && hi <= math.MaxInt8:
-		return 1
-	case lo >= math.MinInt16 && hi <= math.MaxInt16:
-		return 2
+	for _, k := range items[i:] {
+		keys |= k
 	}
-	return 4
+	h := batchHeader{n: len(items), kb: max(1, bits.Len64(keys))}
+	switch {
+	case i < len(deltas) || lo < math.MinInt32 || hi > math.MaxInt32,
+		// -0 round-trips through int64 as 0, so only a batch whose integers
+		// reach 0 is searched for one.
+		lo <= 0 && hi >= 0 && slices.ContainsFunc(deltas, isNegZero):
+		h.db = ieeeDeltas
+	case len(deltas) > 0:
+		h.db, h.base = bits.Len64(uint64(hi-lo)), int32(lo)
+	}
+	return h
+}
+
+// ieeeDeltas is the delta bit length that marks a batch whose deltas travel
+// as their IEEE-754 bits.
+const ieeeDeltas = 64
+
+// offsetDelta reports whether d can travel as an offset above an int32
+// base: an integer an int32 holds, and not -0 (headerFor's rule, one delta at
+// a time). Out of the int32 range the conversion's result is the platform's,
+// but it never converts back to d.
+func offsetDelta(d float64) bool {
+	return float64(int32(d)) == d && !isNegZero(d)
 }
 
 func isNegZero(d float64) bool { return math.Float64bits(d) == 1<<63 }
 
-// DecodeBatchColumns parses an SKB2 batch straight into key/delta columns,
+// putRecords stores records of at most 8 bytes: each is a big-endian word
+// shifted to its top w bytes, and the next record overwrites the surplus. The
+// last records, with fewer than 8 bytes after them, go byte by byte.
+func putRecords(b []byte, items []uint64, deltas []float64, h batchHeader) {
+	w := h.width()
+	shift, db, base := uint(64-8*w)&63, uint(h.db)&63, int64(h.base)
+	deltas = deltas[:len(items)]
+	for i, k := range items {
+		r := k<<db | uint64(int64(deltas[i])-base)
+		if len(b) < 8 {
+			for j := w - 1; j >= 0; j, r = j-1, r>>8 {
+				b[j] = byte(r)
+			}
+		} else {
+			binary.BigEndian.PutUint64(b, r<<shift)
+		}
+		b = b[w:]
+	}
+}
+
+// putWideRecords stores records of 9 to 16 bytes as two big-endian words:
+// the record's bits above 64 in the first w-8 bytes, then its low 64 bits.
+func putWideRecords(b []byte, items []uint64, deltas []float64, h batchHeader) {
+	w := h.width()
+	hw := w - 8
+	shift, db, base := uint(64-8*hw)&63, uint(h.db)&63, int64(h.base)
+	deltas = deltas[:len(items)]
+	for i, k := range items {
+		hi, lo := k, math.Float64bits(deltas[i])
+		if h.db != ieeeDeltas {
+			hi, lo = k>>(-db&63), k<<db|uint64(int64(deltas[i])-base)
+		}
+		binary.BigEndian.PutUint64(b[i*w:], hi<<shift)
+		binary.BigEndian.PutUint64(b[i*w+hw:], lo)
+	}
+}
+
+// DecodeBatchColumns parses an SKB3 batch straight into key/delta columns,
 // appending to the caller's (typically reused) buffers and returning the
-// extended slices — the path the server's ingest lanes use, one pass per
-// column with no per-item structs. Everything about the header is checked
-// before either column grows: the widths (in range, and the narrowest the
-// columns allow — an early-exit scan), and the count against the body length,
-// so a corrupt header cannot demand unbounded memory and no accepted batch
-// has a second encoding.
+// extended slices — the path the server's ingest lanes use, one pass over the
+// records with no per-item structs. The header is checked before either
+// column grows: the bit lengths and base in range, and the count against the
+// body length, so a corrupt header cannot demand unbounded memory. The pass
+// collects what the rest of the canonical form needs (the OR of the keys and
+// of the offsets, a zero offset), so no accepted batch has a second encoding.
 //
 // A NaN or ±Inf delta is refused here (errNonFiniteDelta), at the boundary
 // POST /v1/update bodies and SKS1 data frames share: added to a counter it
 // never washes out, and gossip would replicate it to every peer. On any
 // error the columns come back exactly as they were passed in.
 func DecodeBatchColumns(data []byte, items []uint64, deltas []float64) ([]uint64, []float64, error) {
-	if len(data) >= 4 && [4]byte(data[:4]) == retiredBatchMagic {
-		return items, deltas, errRetiredBatch
+	h, err := parseBatchHeader(data)
+	if err != nil {
+		return items, deltas, err
 	}
-	if len(data) < batchHeaderLen {
-		return items, deltas, fmt.Errorf("server: truncated batch (need %d header bytes, have %d)", batchHeaderLen, len(data))
-	}
-	if [4]byte(data[:4]) != batchMagic {
-		return items, deltas, fmt.Errorf("server: bad batch magic %q", data[:4])
-	}
-	n := binary.BigEndian.Uint32(data[4:8])
-	kw, dw := int(data[8]), int(data[9])
-	if kw < 1 || kw > 8 {
-		return items, deltas, fmt.Errorf("server: batch key width %d (want 1..8)", kw)
-	}
-	if dw != 1 && dw != 2 && dw != 4 && dw != 8 {
-		return items, deltas, fmt.Errorf("server: batch delta width %d (want 1, 2, 4 or 8)", dw)
-	}
-	body := data[batchHeaderLen:]
-	if uint64(len(body)) != uint64(n)*uint64(kw+dw) {
-		return items, deltas, fmt.Errorf("server: batch payload is %d bytes, header claims %d records of %d+%d bytes",
-			len(body), n, kw, dw)
-	}
-	keys, col := body[:int(n)*kw], body[int(n)*kw:]
-	if !narrowest(keys, col, kw, dw) {
-		return items, deltas, fmt.Errorf("server: batch widths %d+%d are wider than its records need", kw, dw)
-	}
-
 	ni, nd := len(items), len(deltas)
-	items = slices.Grow(items, int(n))[:ni+int(n)]
-	deltas = slices.Grow(deltas, int(n))[:nd+int(n)]
-	b, shift := body, 64-8*kw
-	for i := range items[ni:] {
-		var k uint64
-		if len(b) < 8 {
-			for _, c := range b[:kw] {
-				k = k<<8 | uint64(c)
-			}
-		} else {
-			k = binary.BigEndian.Uint64(b) >> shift
-		}
-		items[ni+i] = k
-		b = b[kw:]
+	items = slices.Grow(items, h.n)[:ni+h.n]
+	deltas = slices.Grow(deltas, h.n)[:nd+h.n]
+	var seen witness
+	if body := data[batchHeaderLen:]; h.width() > 8 {
+		seen, err = getWideRecords(body, items[ni:], deltas[nd:], h)
+	} else {
+		seen = getRecords(body, items[ni:], deltas[nd:], h)
 	}
-	out := deltas[nd:]
-	switch dw {
-	case 1:
-		for i := range out {
-			out[i] = float64(int8(b[i]))
-		}
-	case 2:
-		for i := range out {
-			out[i] = float64(int16(binary.BigEndian.Uint16(b)))
-			b = b[2:]
-		}
-	case 4:
-		for i := range out {
-			out[i] = float64(int32(binary.BigEndian.Uint32(b)))
-			b = b[4:]
-		}
-	default:
-		for i := range out {
-			w := binary.BigEndian.Uint64(b)
-			if w&float64ExpMask == float64ExpMask {
-				return items[:ni], deltas[:nd], fmt.Errorf("server: batch record %d (item %d): %w", i, items[ni+i], errNonFiniteDelta)
-			}
-			out[i] = math.Float64frombits(w)
-			b = b[8:]
-		}
+	if err == nil {
+		err = h.canonical(seen, deltas[nd:])
+	}
+	if err != nil {
+		return items[:ni], deltas[:nd], err
 	}
 	return items, deltas, nil
 }
 
-// narrowest reports whether kw and dw are the narrowest widths for the key
-// and delta columns: some key fills its top byte, and some delta does not
-// fit the next narrower width. Both scans stop at the first witness, which
-// on real batches is one of the first few records.
-func narrowest(keys, col []byte, kw, dw int) bool {
-	wideKey := kw == 1
-	for i := 0; !wideKey && i < len(keys); i += kw {
-		wideKey = keys[i] != 0
+// parseBatchHeader checks everything about an SKB3 batch that its header
+// alone decides: the magic, the bit lengths and base in range, and a body of
+// exactly count records.
+func parseBatchHeader(data []byte) (batchHeader, error) {
+	var h batchHeader
+	if len(data) >= 4 && slices.Contains(retiredBatchMagics, [4]byte(data[:4])) {
+		return h, fmt.Errorf("server: %s is %w", data[:4], errRetiredBatch)
 	}
-	wideDelta := dw == 1
-	for i := 0; !wideDelta && i < len(col); i += dw {
-		switch dw {
-		case 2:
-			v := int16(binary.BigEndian.Uint16(col[i:]))
-			wideDelta = v != int16(int8(v))
-		case 4:
-			v := int32(binary.BigEndian.Uint32(col[i:]))
-			wideDelta = v != int32(int16(v))
-		default:
-			d := math.Float64frombits(binary.BigEndian.Uint64(col[i:]))
-			wideDelta = deltaWidth([]float64{d}) == 8
+	if len(data) < batchHeaderLen {
+		return h, fmt.Errorf("server: truncated batch (need %d header bytes, have %d)", batchHeaderLen, len(data))
+	}
+	if [4]byte(data[:4]) != batchMagic {
+		return h, fmt.Errorf("server: bad batch magic %q", data[:4])
+	}
+	n := binary.BigEndian.Uint32(data[4:8])
+	h = batchHeader{kb: int(data[8]), db: int(data[9]), base: int32(binary.BigEndian.Uint32(data[10:14]))}
+	switch {
+	case h.kb < 1 || h.kb > 64:
+		return h, fmt.Errorf("server: batch key bits %d (want 1..64)", h.kb)
+	case h.db > 32 && h.db != ieeeDeltas: // 32 bits span the int32 range
+		return h, fmt.Errorf("server: batch delta bits %d (want 0..32 or %d)", h.db, ieeeDeltas)
+	case h.base != 0 && (n == 0 || h.db == ieeeDeltas):
+		return h, fmt.Errorf("server: batch base %d with %d records at %d delta bits (want 0)", h.base, n, h.db)
+	}
+	if body := data[batchHeaderLen:]; uint64(len(body)) != uint64(n)*uint64(h.width()) {
+		return h, fmt.Errorf("server: batch payload is %d bytes, header claims %d records of %d bytes",
+			len(body), n, h.width())
+	}
+	h.n = int(n)
+	return h, nil
+}
+
+// witness is what a decode pass collects for the canonical checks: the OR of
+// the keys and of the offsets, 1 when some offset is zero, and any record
+// bits above a 64-bit key's.
+type witness struct{ keys, offsets, zero, over uint64 }
+
+// getRecords decodes records of at most 8 bytes into keys and out (both of
+// length h.n): one 8-byte load each while 8 bytes remain, byte by byte after.
+func getRecords(body []byte, keys []uint64, out []float64, h batchHeader) witness {
+	w := h.width()
+	shift, db, base := uint(64-8*w)&63, uint(h.db)&63, int64(h.base)
+	mask := uint64(1)<<db - 1
+	out = out[:len(keys)]
+	var seen witness
+	for i := range keys {
+		var r uint64
+		if len(body) < 8 {
+			for _, c := range body[:w] {
+				r = r<<8 | uint64(c)
+			}
+		} else {
+			r = binary.BigEndian.Uint64(body) >> shift
 		}
+		k, o := r>>db, r&mask
+		keys[i], out[i] = k, float64(base+int64(o))
+		seen.keys, seen.offsets, seen.zero = seen.keys|k, seen.offsets|o, seen.zero|(o-1)>>63
+		body = body[w:]
 	}
-	return wideKey && wideDelta
+	return seen
+}
+
+// getWideRecords decodes two-word records (64-bit keys with offsets).
+func getWideRecords(body []byte, keys []uint64, out []float64, h batchHeader) (witness, error) {
+	if h.db == ieeeDeltas {
+		return getIEEERecords(body, keys, out, h)
+	}
+	w := h.width()
+	hw := w - 8
+	shift, db, base := uint(64-8*hw)&63, uint(h.db)&63, int64(h.base)
+	mask := uint64(1)<<db - 1
+	out = out[:len(keys)]
+	var seen witness
+	for i := range keys {
+		hi := binary.BigEndian.Uint64(body[i*w:]) >> shift
+		lo := binary.BigEndian.Uint64(body[i*w+hw:])
+		k, o := hi<<(-db&63)|lo>>db, lo&mask
+		keys[i], out[i] = k, float64(base+int64(o))
+		seen.keys, seen.offsets, seen.zero = seen.keys|k, seen.offsets|o, seen.zero|(o-1)>>63
+		seen.over |= hi >> db
+	}
+	return seen, nil
+}
+
+// getIEEERecords decodes two-word records whose low word is the delta's IEEE
+// bits, refusing NaN and ±Inf.
+func getIEEERecords(body []byte, keys []uint64, out []float64, h batchHeader) (witness, error) {
+	w := h.width()
+	hw := w - 8
+	shift := uint(64-8*hw) & 63
+	out = out[:len(keys)]
+	var seen witness
+	for i := range keys {
+		k := binary.BigEndian.Uint64(body[i*w:]) >> shift
+		d := binary.BigEndian.Uint64(body[i*w+hw:])
+		if d&float64ExpMask == float64ExpMask {
+			return seen, fmt.Errorf("server: batch record %d (item %d): %w", i, k, errNonFiniteDelta)
+		}
+		keys[i], out[i] = k, math.Float64frombits(d)
+		seen.keys |= k
+	}
+	return seen, nil
+}
+
+// canonical refuses a decoded batch whose header is not the one headerFor
+// gives its columns: kb must be the keys' bit length and db the offsets',
+// the base must be the least delta (some offset is zero) and every delta an
+// int32, and IEEE deltas must include one that cannot travel as an offset.
+func (h batchHeader) canonical(seen witness, deltas []float64) error {
+	if seen.over != 0 || bits.Len64(seen.keys) > h.kb {
+		return fmt.Errorf("server: batch record has a bit set above its %d+%d bits", h.kb, h.db)
+	}
+	if h.kb > 1 && bits.Len64(seen.keys) < h.kb {
+		return fmt.Errorf("server: batch key bits %d, but no key needs more than %d", h.kb, bits.Len64(seen.keys))
+	}
+	if h.db == ieeeDeltas {
+		if !slices.ContainsFunc(deltas, func(d float64) bool { return !offsetDelta(d) }) {
+			return fmt.Errorf("server: batch carries IEEE deltas that are all int32 integers")
+		}
+		return nil
+	}
+	if bits.Len64(seen.offsets) < h.db {
+		return fmt.Errorf("server: batch delta bits %d, but no offset needs more than %d", h.db, bits.Len64(seen.offsets))
+	}
+	if h.n > 0 && seen.zero == 0 {
+		return fmt.Errorf("server: batch base %d is below every delta", h.base)
+	}
+	if int64(h.base)+1<<h.db-1 > math.MaxInt32 && slices.ContainsFunc(deltas, func(d float64) bool { return d > math.MaxInt32 }) {
+		return fmt.Errorf("server: batch delta past the int32 range (base %d)", h.base)
+	}
+	return nil
 }
 
 // checkBatchCount refuses a batch whose header declares more records than a
 // body or frame capped at limit bytes may carry (bodyBytesPerRecord); the
 // caller answers it as over-size. It runs before the decode, so the columns
-// never grow for such a batch. Anything that is not an SKB2 header passes,
+// never grow for such a batch. Anything that is not an SKB3 header passes,
 // for the decoder to name.
 func checkBatchCount(data []byte, limit int64) error {
 	if len(data) < batchHeaderLen || [4]byte(data[:4]) != batchMagic {
@@ -610,8 +703,8 @@ const float64ExpMask = 0x7ff << 52
 // is NaN or ±Inf.
 var errNonFiniteDelta = errors.New("delta is not finite")
 
-// errRetiredBatch answers a body in the retired SKB1 layout.
-var errRetiredBatch = errors.New("server: the SKB1 batch format is retired: use a producer of the same release (SKB2), or the JSON body")
+// errRetiredBatch answers a body in a retired batch layout.
+var errRetiredBatch = errors.New("a retired batch format: use a producer of the same release (SKB3), or the JSON body")
 
 // Delta replication frames ---------------------------------------------------
 //
