@@ -24,26 +24,27 @@ type batchCase struct {
 	items  []uint64
 	deltas []float64
 	kb, db int
-	base   int32
 }
 
 // goldenBatches are the batches testdata/batch.golden freezes, concatenated:
-// records of 1, 2, 3, 8, 9 and 16 bytes, deltas all equal (db 0), a negative
-// base, and IEEE deltas beside short and full 64-bit keys.
+// records of 1, 2, 3, 8, 9, 12 and 16 bytes, counting deltas, ±1 turnstile
+// deltas, the int32 extremes, and IEEE deltas beside short and full 64-bit
+// keys.
 var goldenBatches = []batchCase{
-	{"workload", []uint64{0, 255, 1 << 16, 1<<20 - 1}, []float64{1, 4, 2, 3}, 20, 2, 1},
-	{"W1 counting", []uint64{0, 200, 255}, []float64{1, 1, 1}, 8, 0, 1},
-	{"W1", []uint64{5, 15, 0}, []float64{3, 1, 2}, 4, 2, 1},
-	{"turnstile", []uint64{7, 300}, []float64{1, -1}, 9, 2, -1},
-	{"W8", []uint64{1<<31 | 5, 9}, []float64{1<<31 - 1, -(1 << 31)}, 32, 32, -(1 << 31)},
-	{"W9", []uint64{^uint64(0), 2}, []float64{1, 2}, 64, 1, 1},
-	{"W9 IEEE", []uint64{3, 200}, []float64{0.25, 1}, 8, 64, 0},
-	{"W16", []uint64{^uint64(0), 2, 3}, []float64{0.5, math.Copysign(0, -1), 1 << 53}, 64, 64, 0},
+	{"workload", []uint64{0, 255, 1 << 16, 1<<20 - 1}, []float64{1, 4, 2, 3}, 20, 4},
+	{"W1 counting", []uint64{0, 20, 63}, []float64{1, 1, 1}, 6, 2},
+	{"W1", []uint64{5, 15, 0}, []float64{3, 1, 2}, 4, 3},
+	{"turnstile", []uint64{7, 300}, []float64{1, -1}, 9, 2},
+	{"W8", []uint64{1<<31 | 5, 9}, []float64{1<<31 - 1, -(1 << 31)}, 32, 32},
+	{"W9", []uint64{^uint64(0), 2}, []float64{1, -2}, 64, 2},
+	{"W9 IEEE", []uint64{3, 200}, []float64{0.25, 1}, 8, 64},
+	{"W12", []uint64{^uint64(0), 1}, []float64{-(1 << 31), 7}, 64, 32},
+	{"W16", []uint64{^uint64(0), 2, 3}, []float64{0.5, math.Copysign(0, -1), 1 << 53}, 64, 64},
 }
 
-// batchHeaderOf reads the header fields past an SKB3 batch's magic and count.
-func batchHeaderOf(body []byte) (kb, db int, base int32) {
-	return int(body[8]), int(body[9]), int32(binary.BigEndian.Uint32(body[10:14]))
+// batchHeaderOf reads the bit lengths past an SKB3 batch's magic and count.
+func batchHeaderOf(body []byte) (kb, db int) {
+	return int(body[8]), int(body[9])
 }
 
 // requireRoundTrip encodes c, checks the header fields and size, and decodes
@@ -51,8 +52,8 @@ func batchHeaderOf(body []byte) (kb, db int, base int32) {
 func requireRoundTrip(t *testing.T, c batchCase) []byte {
 	t.Helper()
 	body := AppendBatchColumns(nil, c.items, c.deltas)
-	if kb, db, base := batchHeaderOf(body); kb != c.kb || db != c.db || base != c.base {
-		t.Fatalf("%s: header kb %d db %d base %d, want %d %d %d", c.name, kb, db, base, c.kb, c.db, c.base)
+	if kb, db := batchHeaderOf(body); kb != c.kb || db != c.db {
+		t.Fatalf("%s: header kb %d db %d, want %d %d", c.name, kb, db, c.kb, c.db)
 	}
 	if want := batchHeaderLen + len(c.items)*((c.kb+c.db+7)/8); len(body) != want {
 		t.Fatalf("%s: %d bytes, want %d", c.name, len(body), want)
@@ -90,8 +91,8 @@ func TestBatchGolden(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("encoding (%d bytes) differs from testdata/batch.golden (%d bytes)", len(got), len(want))
 	}
-	if !bytes.HasPrefix(want, []byte("SKB3\x00\x00\x00\x04\x14\x02\x00\x00\x00\x01")) {
-		t.Fatalf("golden header %q, want magic SKB3, 4 records, kb 20, db 2, base 1", want[:batchHeaderLen])
+	if !bytes.HasPrefix(want, []byte("SKB3\x00\x00\x00\x04\x14\x04")) {
+		t.Fatalf("golden header %q, want magic SKB3, 4 records, kb 20, db 4", want[:batchHeaderLen])
 	}
 }
 
@@ -101,34 +102,38 @@ func TestBatchGolden(t *testing.T) {
 // caller's columns handed back as they were when the records do.
 func TestBatchWidthBoundaries(t *testing.T) {
 	cases := []batchCase{
-		{"empty", nil, nil, 1, 0, 0},
-		{"key 0", []uint64{0}, []float64{1}, 1, 0, 1},
-		{"key 2^64-1", []uint64{^uint64(0)}, []float64{1}, 64, 0, 1},
-		{"base -2^31", []uint64{5}, []float64{-(1 << 31)}, 3, 0, -(1 << 31)},
-		{"base 2^31-1", []uint64{5, 6}, []float64{1<<31 - 1, 1<<31 - 1}, 3, 0, 1<<31 - 1},
-		{"base 2^31-2, top offset", []uint64{5, 6}, []float64{1<<31 - 2, 1<<31 - 1}, 3, 1, 1<<31 - 2},
-		{"offsets may pass int32, deltas do not", []uint64{5, 6}, []float64{1<<31 - 5, 1<<31 - 1}, 3, 3, 1<<31 - 5},
-		{"int32 span", []uint64{5, 6}, []float64{1<<31 - 1, -(1 << 31)}, 3, 32, -(1 << 31)},
+		{"empty", nil, nil, 1, 1},
+		{"key 0", []uint64{0}, []float64{1}, 1, 2},
+		{"key 2^64-1", []uint64{^uint64(0)}, []float64{1}, 64, 2},
+		{"delta 0", []uint64{5}, []float64{0}, 3, 1},
+		{"delta -1", []uint64{5, 6}, []float64{-1, 0}, 3, 1},
+		{"delta -2^31", []uint64{5}, []float64{-(1 << 31)}, 3, 32},
+		{"delta 2^31-1", []uint64{5, 6}, []float64{1<<31 - 1, 1<<31 - 1}, 3, 32},
 	}
 	for k := 1; k < 64; k++ {
 		edge := uint64(1) << k
 		cases = append(cases,
-			batchCase{fmt.Sprintf("key 2^%d-1", k), []uint64{edge - 1}, []float64{1}, k, 0, 1},
-			batchCase{fmt.Sprintf("key 2^%d", k), []uint64{edge}, []float64{1}, k + 1, 0, 1})
+			batchCase{fmt.Sprintf("key 2^%d-1", k), []uint64{edge - 1}, []float64{1}, k, 2},
+			batchCase{fmt.Sprintf("key 2^%d", k), []uint64{edge}, []float64{1}, k + 1, 2})
+	}
+	// Both ends of every delta bit length, and the first delta past each.
+	for db := 1; db <= 32; db++ {
+		lo, hi := -float64(uint64(1)<<(db-1)), float64(uint64(1)<<(db-1)-1)
+		cases = append(cases, batchCase{fmt.Sprintf("deltas %g and %g", lo, hi), []uint64{5, 6}, []float64{lo, hi}, 3, db})
+		if db < 32 {
+			cases = append(cases,
+				batchCase{fmt.Sprintf("delta %g", hi+1), []uint64{5}, []float64{hi + 1}, 3, db + 1},
+				batchCase{fmt.Sprintf("delta %g", lo-1), []uint64{5}, []float64{lo - 1}, 3, db + 1})
+		}
 	}
 	// Every key bit length the record layout treats apart, against every
-	// delta bit length: db 0, an offset reaching bit db-1, and IEEE bits.
+	// delta bit length it does: a delta reaching bit db-1, and IEEE bits.
 	for _, kb := range []int{1, 7, 8, 9, 56, 57, 63, 64} {
 		key := uint64(1) << (kb - 1)
-		for _, db := range []int{0, 1, 31, 32, 64} {
-			c := batchCase{fmt.Sprintf("kb %d db %d", kb, db), []uint64{key, 0}, []float64{-7, -7}, kb, db, -7}
-			switch {
-			case db == 64:
-				c.deltas, c.base = []float64{0.5, 1}, 0
-			case db == 32:
-				c.deltas, c.base = []float64{-(1 << 31), 1 << 30}, -(1 << 31)
-			case db > 0:
-				c.deltas[1] += float64(uint64(1) << (db - 1))
+		for _, db := range []int{1, 2, 31, 32, 64} {
+			c := batchCase{fmt.Sprintf("kb %d db %d", kb, db), []uint64{key, 0}, []float64{-float64(uint64(1) << (db - 1)), 0}, kb, db}
+			if db == 64 {
+				c.deltas = []float64{0.5, 1}
 			}
 			cases = append(cases, c)
 		}
@@ -136,17 +141,16 @@ func TestBatchWidthBoundaries(t *testing.T) {
 	// Deltas SKB2 could not carry in an int32 column travel as IEEE bits.
 	for _, d := range []float64{1 << 31, -(1 << 31) - 1, 0.5, math.Copysign(0, -1), 1 << 53, -1e300} {
 		cases = append(cases, batchCase{fmt.Sprintf("delta %g (bits %#x)", d, math.Float64bits(d)),
-			[]uint64{5, 6}, []float64{1, d}, 3, 64, 0})
+			[]uint64{5, 6}, []float64{1, d}, 3, 64})
 	}
 	for _, c := range cases {
 		requireRoundTrip(t, c)
 	}
 
 	// NaN and ±Inf: TestDecodeBatchColumnsRefusesNonFinite.
-	raw := func(count uint32, kb, db byte, base int32, records ...byte) []byte {
+	raw := func(count uint32, kb, db byte, records ...byte) []byte {
 		b := binary.BigEndian.AppendUint32([]byte("SKB3"), count)
-		b = binary.BigEndian.AppendUint32(append(b, kb, db), uint32(base))
-		return append(b, records...)
+		return append(append(b, kb, db), records...)
 	}
 	ieee := func(key byte, d float64) []byte {
 		return binary.BigEndian.AppendUint64([]byte{key}, math.Float64bits(d))
@@ -158,33 +162,31 @@ func TestBatchWidthBoundaries(t *testing.T) {
 		// pass is true for the refusals that need the records decoded.
 		pass bool
 	}{
-		{"key bits 0", raw(1, 0, 0, 1, 5), false},
-		{"key bits 65", raw(1, 65, 0, 1, make([]byte, 9)...), false},
+		{"key bits 0", raw(1, 0, 1, 5), false},
+		{"key bits 65", raw(1, 65, 1, make([]byte, 9)...), false},
+		{"delta bits 0", raw(1, 1, 0, 1), false},
 		{"delta bits 33", raw(1, 1, 33, 0, 0, 0, 0, 0, 1), false},
-		{"delta bits 63", raw(1, 1, 63, 0, make([]byte, 8)...), false},
-		{"base at IEEE deltas", raw(1, 1, 64, 1, ieee(1, 0.5)...), false},
-		{"base in an empty batch", raw(0, 1, 0, 7), false},
+		{"delta bits 63", raw(1, 1, 63, make([]byte, 8)...), false},
 		{"trailing byte", append(append([]byte(nil), valid...), 0), false},
 		{"missing byte", valid[:len(valid)-1], false},
 		{"truncated header", valid[:batchHeaderLen-1], false},
 		{"bad magic", append([]byte("SKQ1"), valid[4:]...), false},
-		{"count above the records", raw(3, 1, 1, 0, 2, 1), false},
-		{"forged count, no records", raw(math.MaxUint32, 64, 64, 0), false},
-		{"forged count, one record", raw(math.MaxUint32, 1, 0, 0, 1), false},
+		{"count above the records", raw(3, 1, 2, 2, 1), false},
+		{"forged count, no records", raw(math.MaxUint32, 64, 64), false},
+		{"forged count, one record", raw(math.MaxUint32, 1, 1, 1), false},
 		{"retired SKB1 layout", append([]byte("SKB1\x00\x00\x00\x01"), make([]byte, 16)...), false},
 		{"retired SKB1 empty header", []byte("SKB1"), false},
 		{"retired SKB2 layout", []byte("SKB2\x00\x00\x00\x01\x01\x01\x05\x01"), false},
 		{"retired SKB2 empty header", []byte("SKB2"), false},
-		{"record bit above kb+db", raw(1, 4, 2, 0, 0x40), true},
-		{"record bit above kb+db, two words", raw(2, 64, 1, 0, 0x03, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1), true},
-		{"no key with bit kb-1", raw(1, 2, 0, 1, 0x01), true},
-		{"key bits 2 in an empty batch", raw(0, 2, 0, 0), true},
-		{"no offset with bit db-1", raw(2, 1, 2, 0, 1<<2|0, 0<<2|1), true},
-		{"delta bits 1 in an empty batch", raw(0, 1, 1, 0), true},
-		{"no zero offset", raw(2, 1, 1, 5, 1<<1|1, 0<<1|1), true},
-		{"base + offset past int32", raw(2, 1, 1, math.MaxInt32, 1<<1|0, 0<<1|1), true},
-		{"IEEE deltas all int32", append(raw(2, 1, 64, 0, ieee(1, 1)...), ieee(0, -(1<<31))...), true},
-		{"IEEE deltas in an empty batch", raw(0, 1, 64, 0), true},
+		{"record bit above kb+db", raw(1, 4, 2, 0x40), true},
+		{"record bit above kb+db, two words", raw(2, 64, 1, 0x03, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1), true},
+		{"no key with bit kb-1", raw(1, 2, 1, 0x01), true},
+		{"key bits 2 in an empty batch", raw(0, 2, 1), true},
+		{"no delta needs db bits", raw(2, 1, 4, 1<<4|1, 0<<4|2), true},
+		{"no negative delta needs db bits", raw(2, 1, 3, 1<<3|7, 0<<3|0), true},
+		{"delta bits 2 in an empty batch", raw(0, 1, 2), true},
+		{"IEEE deltas all int32", append(raw(2, 1, 64, ieee(1, 1)...), ieee(0, -(1<<31))...), true},
+		{"IEEE deltas in an empty batch", raw(0, 1, 64), true},
 	} {
 		items, deltas, err := DecodeBatchColumns(c.body, []uint64{42}, []float64{0.5})
 		if err == nil {
@@ -202,11 +204,11 @@ func TestBatchWidthBoundaries(t *testing.T) {
 	}
 }
 
-// TestBatchNeverMuchLargerThanSKB2: over random batches of every key and
-// delta shape, an SKB3 batch is never more than 4 bytes longer than SKB2's
-// 10-byte header and whole-byte columns would be (kb <= 8·kw, db <= 8·dw),
-// and each round-trips bit for bit.
-func TestBatchNeverMuchLargerThanSKB2(t *testing.T) {
+// TestBatchNeverLargerThanSKB2: over random batches of every key and delta
+// shape, an SKB3 batch is never longer than SKB2's 10-byte header and
+// whole-byte columns would be (kb <= 8·kw, db <= 8·dw), and each round-trips
+// bit for bit.
+func TestBatchNeverLargerThanSKB2(t *testing.T) {
 	r := xrand.New(39)
 	deltaKinds := []func() float64{
 		func() float64 { return float64(1 + r.Uint64()&3) },
@@ -226,17 +228,16 @@ func TestBatchNeverMuchLargerThanSKB2(t *testing.T) {
 			items[i] = r.Uint64() >> (64 - keyBits)
 			deltas[i] = kinds[r.Uint64()%uint64(len(kinds))]()
 		}
-		c := batchCase{name: fmt.Sprintf("trial %d", trial), items: items, deltas: deltas, kb: 1}
 		var keys uint64
 		for _, k := range items {
 			keys |= k
 		}
-		c.kb = max(1, bits.Len64(keys))
+		c := batchCase{name: fmt.Sprintf("trial %d", trial), items: items, deltas: deltas, kb: max(1, bits.Len64(keys)), db: ieeeDeltas}
 		lo, hi, ints := deltaSpan(deltas)
 		if ints {
-			c.db, c.base = bits.Len64(uint64(hi-lo)), int32(lo)
-		} else {
-			c.db = ieeeDeltas
+			// The fewest two's-complement bits whose range holds lo..hi.
+			for c.db = 1; lo < -(1<<(c.db-1)) || hi > 1<<(c.db-1)-1; c.db++ {
+			}
 		}
 		body := requireRoundTrip(t, c)
 		// SKB2: a 10-byte header, each key in the fewest whole bytes that
@@ -252,24 +253,21 @@ func TestBatchNeverMuchLargerThanSKB2(t *testing.T) {
 		default:
 			dw = 4
 		}
-		if skb2 := 10 + n*(kw+dw); len(body) > skb2+4 {
+		if skb2 := 10 + n*(kw+dw); len(body) > skb2 {
 			t.Fatalf("trial %d: %d records take %d bytes, SKB2 took %d", trial, n, len(body), skb2)
 		}
 	}
 }
 
-// deltaSpan returns the least and greatest delta and true when every delta
-// is an integer an int32 holds and none is -0 (0, 0 and true for none).
+// deltaSpan returns the least delta but no more than 0, the greatest but no
+// less than 0, and true when every delta is an integer an int32 holds and
+// none is -0.
 func deltaSpan(deltas []float64) (lo, hi int64, ints bool) {
-	for i, d := range deltas {
+	for _, d := range deltas {
 		if float64(int32(d)) != d || math.Signbit(d) && d == 0 {
 			return 0, 0, false
 		}
-		if v := int64(d); i == 0 {
-			lo, hi = v, v
-		} else {
-			lo, hi = min(lo, v), max(hi, v)
-		}
+		lo, hi = min(lo, int64(d)), max(hi, int64(d))
 	}
 	return lo, hi, true
 }
@@ -356,7 +354,7 @@ func TestIngestBytesCountsBinaryBatches(t *testing.T) {
 	if status, body := rawRequest(t, client, "POST", "/v1/update", contentTypeJSON, `{"updates":[{"item":1,"delta":2}]}`, ""); status != 200 {
 		t.Fatalf("JSON POST: status %d, body %s", status, body)
 	}
-	if status, _ := rawRequest(t, client, "POST", "/v1/update", contentTypeBatch, "SKB3\x00\x00\x00\x01\x02\x00\x00\x00\x00\x01\x01", ""); status != 400 {
+	if status, _ := rawRequest(t, client, "POST", "/v1/update", contentTypeBatch, "SKB3\x00\x00\x00\x01\x02\x02\x01", ""); status != 400 {
 		t.Fatalf("non-canonical batch: status %d, want 400", status)
 	}
 
@@ -390,16 +388,16 @@ func TestIngestBytesCountsBinaryBatches(t *testing.T) {
 
 // TestWideBatchCostsTwoBytes: keys that use all 64 bits with fractional
 // deltas — the shape the record rule cannot narrow — take the two-word
-// record, 16 bytes as in SKB1, so the batch costs SKB1's bytes plus the six
-// header bytes (two bit lengths and the base) SKB1 did not have.
+// record, 16 bytes as in SKB1, so the batch costs SKB1's bytes plus the two
+// header bytes (the bit lengths) SKB1 did not have.
 func TestWideBatchCostsTwoBytes(t *testing.T) {
 	items, deltas := batchShape(1<<12, true)
 	body := AppendBatchColumns(nil, items, deltas)
-	if kb, db, _ := batchHeaderOf(body); kb != 64 || db != ieeeDeltas {
+	if kb, db := batchHeaderOf(body); kb != 64 || db != ieeeDeltas {
 		t.Fatalf("64-bit keys and fractional deltas: kb %d, db %d, want 64 and %d", kb, db, ieeeDeltas)
 	}
-	if skb1 := 8 + 16*len(items); len(body) != skb1+6 {
-		t.Fatalf("%d records of 64-bit keys and fractional deltas: %d bytes, want SKB1's %d + 6", len(items), len(body), skb1)
+	if skb1 := 8 + 16*len(items); len(body) != skb1+2 {
+		t.Fatalf("%d records of 64-bit keys and fractional deltas: %d bytes, want SKB1's %d + 2", len(items), len(body), skb1)
 	}
 }
 

@@ -18,8 +18,8 @@ import (
 // decode-or-error without panicking and without header-driven allocation;
 // accepted input must re-encode through AppendBatchColumns byte-identically
 // (the format has no non-canonical freedom — both bit lengths must be the
-// fewest that hold the records, and the base the least delta — and counts,
-// keys and delta bits come back verbatim), and every delta it yields must be
+// fewest that hold the records — and counts, keys and delta bits come back
+// verbatim), and every delta it yields must be
 // finite: NaN and ±Inf never get past this boundary.
 func FuzzDecodeBatchColumns(f *testing.F) {
 	f.Add(AppendBatchColumns(nil, nil, nil))
@@ -27,17 +27,19 @@ func FuzzDecodeBatchColumns(f *testing.F) {
 	f.Add(AppendBatchColumns(nil,
 		[]uint64{0, ^uint64(0), 1 << 33},
 		[]float64{0, -1e300, 0.1}))
-	f.Add([]byte("SKB3\x00\x00\x00\x02\x03\x02\x00\x00\x00\x01junkjunkjunk"))
+	f.Add([]byte("SKB3\x00\x00\x00\x02\x03\x02junkjunkjunk"))
 	f.Add(AppendBatchColumns(nil, []uint64{1, 2}, []float64{1, math.NaN()}))
 	f.Add(AppendBatchColumns(nil, []uint64{1, 2}, []float64{math.Inf(-1), 1}))
 	f.Add(AppendBatchColumns(nil, []uint64{1 << 16, 5}, []float64{-129, 40000}))
-	// One seed per record width class: W 1 with db 0, the benchmark's W 3,
-	// W 8, the two-word W 9 (64-bit keys with offsets) and W 16 (IEEE).
-	f.Add(AppendBatchColumns(nil, []uint64{0, 200, 255}, []float64{1, 1, 1}))
+	// One seed per record width class: W 1 (a counting stream), the
+	// benchmark's W 3, W 8, the two-word W 9 (64-bit keys with int32
+	// deltas) and W 16 (IEEE).
+	f.Add(AppendBatchColumns(nil, []uint64{0, 20, 63}, []float64{1, 1, 1}))
 	f.Add(AppendBatchColumns(nil, []uint64{7, 1<<20 - 1, 1 << 16}, []float64{1, 4, 2}))
 	f.Add(AppendBatchColumns(nil, []uint64{1<<31 | 5, 9}, []float64{1<<31 - 1, -(1 << 31)}))
 	f.Add(AppendBatchColumns(nil, []uint64{^uint64(0), 2}, []float64{-1, 1}))
 	f.Add(AppendBatchColumns(nil, []uint64{^uint64(0), 2}, []float64{0.5, 2}))
+	f.Add(AppendBatchColumns(nil, []uint64{3, 4}, []float64{-1, 0})) // db 1
 	f.Add([]byte("SKB2\x00\x00\x00\x01\x01\x01\x05\x01"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		items, deltas, err := DecodeBatchColumns(data, nil, nil)

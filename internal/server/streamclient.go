@@ -216,18 +216,16 @@ func (su *StreamUpdater) UpdateColumns(items []uint64, deltas []float64) error {
 	return nil
 }
 
-// Flush ships any batched updates and pushes buffered frames to the wire. It
-// does not wait for acks; Sync does.
+// Flush ships any batched updates as a frame (every frame goes to the wire as
+// it is sent). It does not wait for acks; Sync does.
 func (su *StreamUpdater) Flush() error {
 	if su.err != nil {
 		return su.err
 	}
 	if len(su.batchItems) > 0 {
-		if err := su.flushBatch(); err != nil {
-			return err
-		}
+		return su.flushBatch()
 	}
-	return su.retry(func() error { return su.link.bw.Flush() })
+	return nil
 }
 
 // Sync flushes and then blocks until the server has acknowledged every frame
@@ -245,9 +243,6 @@ func (su *StreamUpdater) Sync() error {
 		// frame advances the session seq without touching a counter.
 		if su.lastAckReq <= su.acked {
 			if err := su.sendFrame(nil, nil, true); err != nil {
-				return err
-			}
-			if err := su.retry(func() error { return su.link.bw.Flush() }); err != nil {
 				return err
 			}
 		}
@@ -296,9 +291,6 @@ func (su *StreamUpdater) sendColumns(items []uint64, deltas []float64) error {
 	for len(su.pending) >= su.cfg.Window {
 		// The window always contains a frame with the ack bit (AckEvery <=
 		// Window), so waiting here terminates.
-		if err := su.retry(func() error { return su.link.bw.Flush() }); err != nil {
-			return err
-		}
 		if err := su.readAck(); err != nil {
 			return err
 		}
@@ -306,17 +298,10 @@ func (su *StreamUpdater) sendColumns(items []uint64, deltas []float64) error {
 	return su.sendFrame(items, deltas, false)
 }
 
-// streamWriteThrough is the data frame size from which sendFrame writes a
-// frame out as soon as it is encoded instead of holding it in the 64 KiB
-// writer behind the next: the daemon decodes and ingests it while the
-// producer encodes the next, and a write per frame that size costs little
-// beside that work. Smaller frames share the writer until an ack is
-// requested or it fills.
-const streamWriteThrough = 4 << 10
-
 // sendFrame encodes the next data frame into a recycled buffer, appends it to
-// the pending window and writes it out (transport failures reconnect and
-// replay). forceAck requests an ack regardless of cadence.
+// the pending window and writes it out at once, so the daemon ingests it while
+// the producer encodes the next (transport failures reconnect and replay).
+// forceAck requests an ack regardless of cadence.
 func (su *StreamUpdater) sendFrame(items []uint64, deltas []float64, forceAck bool) error {
 	su.seq++
 	ackReq := forceAck || su.seq-su.lastAckReq >= uint64(su.cfg.AckEvery)
@@ -328,7 +313,7 @@ func (su *StreamUpdater) sendFrame(items []uint64, deltas []float64, forceAck bo
 	su.pending = append(su.pending, pendingFrame{seq: su.seq, buf: buf})
 	return su.retry(func() error {
 		_, err := su.link.bw.Write(buf)
-		if err == nil && (ackReq || len(buf) >= streamWriteThrough) {
+		if err == nil {
 			err = su.link.bw.Flush()
 		}
 		return err
@@ -358,9 +343,6 @@ func (su *StreamUpdater) readAck() error {
 			// empty ack-requested frame so this wait terminates.
 			if su.lastAckReq <= su.acked && su.acked < su.seq {
 				if err := su.sendFrame(nil, nil, true); err != nil {
-					return err
-				}
-				if err := su.retry(func() error { return su.link.bw.Flush() }); err != nil {
 					return err
 				}
 			}

@@ -26,20 +26,21 @@ import (
 //	kb      uint8   key bits, 1..64: the bit length of the largest key (at
 //	                least 1)
 //	db      uint8   delta bits: when every delta is an integer an int32 holds
-//	                and none is -0, 0..32, the bit length of the largest
-//	                delta's offset above base; 64 otherwise
-//	base    int32   the least delta (0 at db 64 and in an empty batch)
-//	records count x W bytes, W = (kb+db+7)/8: each update's key<<db |
-//	                (delta - base), or key<<64 | the delta's IEEE-754 bits at
-//	                db 64, big-endian in W bytes
+//	                and none is -0, 1..32, the fewest two's-complement bits
+//	                that hold every delta; 64 otherwise
+//	records count x W bytes, W = (kb+db+7)/8: each update's key<<db | its
+//	                delta's low db bits, or key<<64 | the delta's IEEE-754
+//	                bits at db 64, big-endian in W bytes
 //
-// Every header field is the least that holds the records, so the encoding is
+// Both bit lengths are the least that hold the records, so the encoding is
 // canonical: decoding and re-encoding reproduces the bytes, and every delta
 // comes back with the bits it was sent with. The decoder refuses any other
-// header (a key or offset bit length with no record that needs it, a base
-// below every delta, IEEE deltas that are all int32 integers, a record bit
-// above kb+db). The retired "SKB1" (a 16-byte record per update) and "SKB2"
-// (key and delta columns at whole-byte widths) layouts are refused by name.
+// header (a key or delta bit length with no record that needs it, IEEE
+// deltas that are all int32 integers, a record bit above kb+db). An SKB3
+// batch is never longer than the same updates in SKB2 (kb <= 8·kw, db <=
+// 8·dw, and the header is the same 10 bytes). The retired "SKB1" (a 16-byte
+// record per update) and "SKB2" (key and delta columns at whole-byte widths)
+// layouts are refused by name.
 //
 // Snapshots travel as application/x-sketch-snapshot: the raw versioned
 // encoding produced by the sketch types' MarshalBinary (see
@@ -62,9 +63,8 @@ var batchMagic = [4]byte{'S', 'K', 'B', '3'}
 // and SKB2's key and delta columns at whole-byte widths.
 var retiredBatchMagics = [][4]byte{{'S', 'K', 'B', '1'}, {'S', 'K', 'B', '2'}}
 
-// batchHeaderLen is the fixed prefix: magic, count, both bit lengths and the
-// base.
-const batchHeaderLen = 14
+// batchHeaderLen is the fixed prefix: magic, count and both bit lengths.
+const batchHeaderLen = 10
 
 // bodyBytesPerRecord is the body budget each record a batch declares must
 // have: a body or frame capped at B bytes may declare at most B/16 records.
@@ -403,7 +403,6 @@ func AppendBatchColumns(buf []byte, items []uint64, deltas []float64) []byte {
 	buf = append(buf, batchMagic[:]...)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(h.n))
 	buf = append(buf, byte(h.kb), byte(h.db))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(h.base))
 	buf = buf[:start+size]
 	if b := buf[start+batchHeaderLen:]; h.width() > 8 {
 		putWideRecords(b, items, deltas, h)
@@ -413,49 +412,41 @@ func AppendBatchColumns(buf []byte, items []uint64, deltas []float64) []byte {
 	return buf
 }
 
-// batchHeader is an SKB3 header past its magic: the record count, the key
-// and delta bit lengths, and the base the deltas' offsets count from.
-type batchHeader struct {
-	n, kb, db int
-	base      int32
-}
+// batchHeader is an SKB3 header past its magic: the record count and the key
+// and delta bit lengths.
+type batchHeader struct{ n, kb, db int }
 
 // width is the bytes of one record: kb+db bits, rounded up.
 func (h batchHeader) width() int { return (h.kb + h.db + 7) / 8 }
 
 // headerFor computes the header of the columns' encoding in one pass: kb from
-// the OR of the keys, and db and base from the deltas' range while they are
-// integers. At the first delta that is not, the pass finishes the keys alone.
-// Deltas travel as IEEE bits unless every one is an offsetDelta.
+// the OR of the keys, and db from the OR of the deltas' magnitude bits
+// (v^(v>>63) drops a negative delta's sign copies) while they are integers.
+// At the first delta that is not, the pass finishes the keys alone. Deltas
+// travel as IEEE bits unless every one is an intDelta.
 func headerFor(items []uint64, deltas []float64) batchHeader {
-	var keys uint64
-	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+	var keys, mags uint64
 	items = items[:len(deltas)]
 	i := 0
 	for ; i < len(deltas); i++ {
 		keys |= items[i]
 		// Out of the int64 range the conversion's result is the platform's,
-		// but it never round-trips to d unless d is ±2^63, which the range
-		// check below turns away.
+		// but it never converts back to d unless d is ±2^63, which the bit
+		// length below turns away. Comparing bits turns away -0, which comes
+		// back as +0.
 		d := deltas[i]
 		v := int64(d)
-		if float64(v) != d {
+		if math.Float64bits(float64(v)) != math.Float64bits(d) {
 			break
 		}
-		lo, hi = min(lo, v), max(hi, v)
+		mags |= uint64(v ^ v>>63)
 	}
 	for _, k := range items[i:] {
 		keys |= k
 	}
-	h := batchHeader{n: len(items), kb: max(1, bits.Len64(keys))}
-	switch {
-	case i < len(deltas) || lo < math.MinInt32 || hi > math.MaxInt32,
-		// -0 round-trips through int64 as 0, so only a batch whose integers
-		// reach 0 is searched for one.
-		lo <= 0 && hi >= 0 && slices.ContainsFunc(deltas, isNegZero):
+	h := batchHeader{n: len(items), kb: max(1, bits.Len64(keys)), db: 1 + bits.Len64(mags)}
+	if i < len(deltas) || h.db > 32 {
 		h.db = ieeeDeltas
-	case len(deltas) > 0:
-		h.db, h.base = bits.Len64(uint64(hi-lo)), int32(lo)
 	}
 	return h
 }
@@ -464,25 +455,24 @@ func headerFor(items []uint64, deltas []float64) batchHeader {
 // as their IEEE-754 bits.
 const ieeeDeltas = 64
 
-// offsetDelta reports whether d can travel as an offset above an int32
-// base: an integer an int32 holds, and not -0 (headerFor's rule, one delta at
-// a time). Out of the int32 range the conversion's result is the platform's,
-// but it never converts back to d.
-func offsetDelta(d float64) bool {
-	return float64(int32(d)) == d && !isNegZero(d)
+// intDelta reports whether d can travel as a two's-complement field: an
+// integer an int32 holds, and not -0 (headerFor's rule, one delta at a time).
+// Out of the int32 range the conversion's result is the platform's, but it
+// never converts back to d.
+func intDelta(d float64) bool {
+	return math.Float64bits(float64(int32(d))) == math.Float64bits(d)
 }
-
-func isNegZero(d float64) bool { return math.Float64bits(d) == 1<<63 }
 
 // putRecords stores records of at most 8 bytes: each is a big-endian word
 // shifted to its top w bytes, and the next record overwrites the surplus. The
 // last records, with fewer than 8 bytes after them, go byte by byte.
 func putRecords(b []byte, items []uint64, deltas []float64, h batchHeader) {
 	w := h.width()
-	shift, db, base := uint(64-8*w)&63, uint(h.db)&63, int64(h.base)
+	shift, db := uint(64-8*w)&63, uint(h.db)&63
+	mask := uint64(1)<<db - 1
 	deltas = deltas[:len(items)]
 	for i, k := range items {
-		r := k<<db | uint64(int64(deltas[i])-base)
+		r := k<<db | uint64(int64(deltas[i]))&mask
 		if len(b) < 8 {
 			for j := w - 1; j >= 0; j, r = j-1, r>>8 {
 				b[j] = byte(r)
@@ -499,12 +489,13 @@ func putRecords(b []byte, items []uint64, deltas []float64, h batchHeader) {
 func putWideRecords(b []byte, items []uint64, deltas []float64, h batchHeader) {
 	w := h.width()
 	hw := w - 8
-	shift, db, base := uint(64-8*hw)&63, uint(h.db)&63, int64(h.base)
+	shift, db := uint(64-8*hw)&63, uint(h.db)&63
+	mask := uint64(1)<<db - 1
 	deltas = deltas[:len(items)]
 	for i, k := range items {
 		hi, lo := k, math.Float64bits(deltas[i])
 		if h.db != ieeeDeltas {
-			hi, lo = k>>(-db&63), k<<db|uint64(int64(deltas[i])-base)
+			hi, lo = k>>(-db&63), k<<db|uint64(int64(deltas[i]))&mask
 		}
 		binary.BigEndian.PutUint64(b[i*w:], hi<<shift)
 		binary.BigEndian.PutUint64(b[i*w+hw:], lo)
@@ -515,10 +506,10 @@ func putWideRecords(b []byte, items []uint64, deltas []float64, h batchHeader) {
 // appending to the caller's (typically reused) buffers and returning the
 // extended slices — the path the server's ingest lanes use, one pass over the
 // records with no per-item structs. The header is checked before either
-// column grows: the bit lengths and base in range, and the count against the
-// body length, so a corrupt header cannot demand unbounded memory. The pass
+// column grows: the bit lengths in range, and the count against the body
+// length, so a corrupt header cannot demand unbounded memory. The pass
 // collects what the rest of the canonical form needs (the OR of the keys and
-// of the offsets, a zero offset), so no accepted batch has a second encoding.
+// of the deltas' magnitude bits), so no accepted batch has a second encoding.
 //
 // A NaN or ±Inf delta is refused here (errNonFiniteDelta), at the boundary
 // POST /v1/update bodies and SKS1 data frames share: added to a counter it
@@ -548,8 +539,8 @@ func DecodeBatchColumns(data []byte, items []uint64, deltas []float64) ([]uint64
 }
 
 // parseBatchHeader checks everything about an SKB3 batch that its header
-// alone decides: the magic, the bit lengths and base in range, and a body of
-// exactly count records.
+// alone decides: the magic, the bit lengths in range, and a body of exactly
+// count records.
 func parseBatchHeader(data []byte) (batchHeader, error) {
 	var h batchHeader
 	if len(data) >= 4 && slices.Contains(retiredBatchMagics, [4]byte(data[:4])) {
@@ -562,14 +553,12 @@ func parseBatchHeader(data []byte) (batchHeader, error) {
 		return h, fmt.Errorf("server: bad batch magic %q", data[:4])
 	}
 	n := binary.BigEndian.Uint32(data[4:8])
-	h = batchHeader{kb: int(data[8]), db: int(data[9]), base: int32(binary.BigEndian.Uint32(data[10:14]))}
+	h = batchHeader{kb: int(data[8]), db: int(data[9])}
 	switch {
 	case h.kb < 1 || h.kb > 64:
 		return h, fmt.Errorf("server: batch key bits %d (want 1..64)", h.kb)
-	case h.db > 32 && h.db != ieeeDeltas: // 32 bits span the int32 range
-		return h, fmt.Errorf("server: batch delta bits %d (want 0..32 or %d)", h.db, ieeeDeltas)
-	case h.base != 0 && (n == 0 || h.db == ieeeDeltas):
-		return h, fmt.Errorf("server: batch base %d with %d records at %d delta bits (want 0)", h.base, n, h.db)
+	case (h.db < 1 || h.db > 32) && h.db != ieeeDeltas: // 32 bits hold an int32
+		return h, fmt.Errorf("server: batch delta bits %d (want 1..32 or %d)", h.db, ieeeDeltas)
 	}
 	if body := data[batchHeaderLen:]; uint64(len(body)) != uint64(n)*uint64(h.width()) {
 		return h, fmt.Errorf("server: batch payload is %d bytes, header claims %d records of %d bytes",
@@ -580,16 +569,16 @@ func parseBatchHeader(data []byte) (batchHeader, error) {
 }
 
 // witness is what a decode pass collects for the canonical checks: the OR of
-// the keys and of the offsets, 1 when some offset is zero, and any record
-// bits above a 64-bit key's.
-type witness struct{ keys, offsets, zero, over uint64 }
+// the keys and of the deltas' magnitude bits, and any record bits above a
+// 64-bit key's.
+type witness struct{ keys, mags, over uint64 }
 
 // getRecords decodes records of at most 8 bytes into keys and out (both of
 // length h.n): one 8-byte load each while 8 bytes remain, byte by byte after.
+// The low db bits of a record are the delta, sign-extended.
 func getRecords(body []byte, keys []uint64, out []float64, h batchHeader) witness {
 	w := h.width()
-	shift, db, base := uint(64-8*w)&63, uint(h.db)&63, int64(h.base)
-	mask := uint64(1)<<db - 1
+	shift, db, ext := uint(64-8*w)&63, uint(h.db)&63, uint(64-h.db)&63
 	out = out[:len(keys)]
 	var seen witness
 	for i := range keys {
@@ -601,31 +590,30 @@ func getRecords(body []byte, keys []uint64, out []float64, h batchHeader) witnes
 		} else {
 			r = binary.BigEndian.Uint64(body) >> shift
 		}
-		k, o := r>>db, r&mask
-		keys[i], out[i] = k, float64(base+int64(o))
-		seen.keys, seen.offsets, seen.zero = seen.keys|k, seen.offsets|o, seen.zero|(o-1)>>63
+		k, v := r>>db, int64(r<<ext)>>ext
+		keys[i], out[i] = k, float64(v)
+		seen.keys, seen.mags = seen.keys|k, seen.mags|uint64(v^v>>63)
 		body = body[w:]
 	}
 	return seen
 }
 
-// getWideRecords decodes two-word records (64-bit keys with offsets).
+// getWideRecords decodes two-word records (64-bit keys with int32 deltas).
 func getWideRecords(body []byte, keys []uint64, out []float64, h batchHeader) (witness, error) {
 	if h.db == ieeeDeltas {
 		return getIEEERecords(body, keys, out, h)
 	}
 	w := h.width()
 	hw := w - 8
-	shift, db, base := uint(64-8*hw)&63, uint(h.db)&63, int64(h.base)
-	mask := uint64(1)<<db - 1
+	shift, db, ext := uint(64-8*hw)&63, uint(h.db)&63, uint(64-h.db)&63
 	out = out[:len(keys)]
 	var seen witness
 	for i := range keys {
 		hi := binary.BigEndian.Uint64(body[i*w:]) >> shift
 		lo := binary.BigEndian.Uint64(body[i*w+hw:])
-		k, o := hi<<(-db&63)|lo>>db, lo&mask
-		keys[i], out[i] = k, float64(base+int64(o))
-		seen.keys, seen.offsets, seen.zero = seen.keys|k, seen.offsets|o, seen.zero|(o-1)>>63
+		k, v := hi<<ext|lo>>db, int64(lo<<ext)>>ext
+		keys[i], out[i] = k, float64(v)
+		seen.keys, seen.mags = seen.keys|k, seen.mags|uint64(v^v>>63)
 		seen.over |= hi >> db
 	}
 	return seen, nil
@@ -652,9 +640,9 @@ func getIEEERecords(body []byte, keys []uint64, out []float64, h batchHeader) (w
 }
 
 // canonical refuses a decoded batch whose header is not the one headerFor
-// gives its columns: kb must be the keys' bit length and db the offsets',
-// the base must be the least delta (some offset is zero) and every delta an
-// int32, and IEEE deltas must include one that cannot travel as an offset.
+// gives its columns: kb must be the keys' bit length, db the deltas' signed
+// bit length, and IEEE deltas must include one that cannot travel as an
+// int32 field.
 func (h batchHeader) canonical(seen witness, deltas []float64) error {
 	if seen.over != 0 || bits.Len64(seen.keys) > h.kb {
 		return fmt.Errorf("server: batch record has a bit set above its %d+%d bits", h.kb, h.db)
@@ -663,19 +651,11 @@ func (h batchHeader) canonical(seen witness, deltas []float64) error {
 		return fmt.Errorf("server: batch key bits %d, but no key needs more than %d", h.kb, bits.Len64(seen.keys))
 	}
 	if h.db == ieeeDeltas {
-		if !slices.ContainsFunc(deltas, func(d float64) bool { return !offsetDelta(d) }) {
+		if !slices.ContainsFunc(deltas, func(d float64) bool { return !intDelta(d) }) {
 			return fmt.Errorf("server: batch carries IEEE deltas that are all int32 integers")
 		}
-		return nil
-	}
-	if bits.Len64(seen.offsets) < h.db {
-		return fmt.Errorf("server: batch delta bits %d, but no offset needs more than %d", h.db, bits.Len64(seen.offsets))
-	}
-	if h.n > 0 && seen.zero == 0 {
-		return fmt.Errorf("server: batch base %d is below every delta", h.base)
-	}
-	if int64(h.base)+1<<h.db-1 > math.MaxInt32 && slices.ContainsFunc(deltas, func(d float64) bool { return d > math.MaxInt32 }) {
-		return fmt.Errorf("server: batch delta past the int32 range (base %d)", h.base)
+	} else if need := 1 + bits.Len64(seen.mags); need < h.db {
+		return fmt.Errorf("server: batch delta bits %d, but no delta needs more than %d", h.db, need)
 	}
 	return nil
 }
