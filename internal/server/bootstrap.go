@@ -5,13 +5,13 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"maps"
 	"math"
 	"net/http"
 	"slices"
 	"time"
 
+	"repro/internal/frame"
 	"repro/internal/sketch"
 )
 
@@ -75,9 +75,6 @@ const bootstrapMaxIDLen = 256
 // mesh's map of id -> uint64 fits comfortably in 1 MiB.
 const bootstrapMaxMarksLen = 1 << 20
 
-// bootstrapHeaderLen is the fixed prefix: magic, version, flags, idLen.
-const bootstrapHeaderLen = 8
-
 // BootstrapPayload is one decoded SKP1 state: a /v1/bootstrap transfer or
 // the recovery file.
 type BootstrapPayload struct {
@@ -113,7 +110,7 @@ type BootstrapPayload struct {
 // bootstrap payload to buf and returns the extended slice. The hearsay and
 // sender sections are emitted in sorted id order and the watermark JSON uses
 // encoding/json's sorted-key object form, so encoding the same payload twice
-// yields the same bytes — the fixed point FuzzDecodeBootstrapResponse checks.
+// yields the same bytes — the fixed point FuzzFrames checks.
 //
 // A payload the decoder would refuse is refused here instead, so no node
 // serves a transfer, or writes a recovery file, that cannot be installed.
@@ -151,35 +148,26 @@ func AppendBootstrapResponse(buf []byte, p BootstrapPayload) ([]byte, error) {
 	start := len(buf)
 	buf = append(buf, bootstrapMagic[:]...)
 	buf = append(buf, bootstrapVersion, flags)
-	buf = appendBootstrapID(buf, p.NodeID)
+	buf = frame.AppendSection(buf, 2, p.NodeID)
 	buf = binary.BigEndian.AppendUint64(buf, p.LocalGen)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(marks)))
-	buf = append(buf, marks...)
+	buf = frame.AppendSection(buf, 4, marks)
 	buf = binary.BigEndian.AppendUint16(buf, uint16(len(hearsay)))
 	for _, id := range hearsay {
-		buf = appendBootstrapID(buf, id)
+		buf = frame.AppendSection(buf, 2, id)
 	}
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(p.Snapshot)))
-	buf = append(buf, p.Snapshot...)
+	buf = frame.AppendSection(buf, 4, p.Snapshot)
 	buf = binary.BigEndian.AppendUint16(buf, uint16(len(ids)))
 	for _, id := range ids {
-		buf = appendBootstrapID(buf, id)
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(p.Senders[id])))
-		buf = append(buf, p.Senders[id]...)
+		buf = frame.AppendSection(buf, 2, id)
+		buf = frame.AppendSection(buf, 4, p.Senders[id])
 	}
-	return binary.BigEndian.AppendUint32(buf, crc32.Checksum(buf[start:], castagnoli)), nil
+	return frame.Seal(buf, start), nil
 }
 
 // bootstrapIDOK reports whether id fits an SKP1 id section. Every id a node
 // holds must: New refuses a longer NodeID and handleDelta a longer sender.
 func bootstrapIDOK(id string) bool {
 	return len(id) >= 1 && len(id) <= bootstrapMaxIDLen
-}
-
-// appendBootstrapID appends one id section: its uint16 length, then the id.
-func appendBootstrapID(buf []byte, id string) []byte {
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(id)))
-	return append(buf, id...)
 }
 
 // sortedKeys returns m's keys in ascending order.
@@ -202,101 +190,61 @@ func DecodeBootstrapResponse(data []byte, maxSection int) (*BootstrapPayload, er
 	if maxSection <= 0 {
 		maxSection = len(data)
 	}
-	if len(data) < bootstrapHeaderLen+8+4+2+4+2+4 {
-		return nil, fmt.Errorf("server: truncated bootstrap response (%d bytes)", len(data))
+	const name = "server: bootstrap response"
+	r := frame.NewReader(data, name)
+	r.Magic(bootstrapMagic, nil)
+	if v := r.U8(); v != bootstrapVersion {
+		r.Failf("unsupported version %d (want %d; every node of a mesh must run the same release)", v, bootstrapVersion)
 	}
-	if [4]byte(data[:4]) != bootstrapMagic {
-		return nil, fmt.Errorf("server: bad bootstrap magic %q", data[:4])
+	flags := r.U8()
+	if flags&^bootstrapFlagUntracked != 0 {
+		r.Failf("unsupported flags %#x", flags)
 	}
-	if v := data[4]; v != bootstrapVersion {
-		return nil, fmt.Errorf("server: unsupported bootstrap version %d (want %d; every node of a mesh must run the same release)", v, bootstrapVersion)
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
-	if f := data[5]; f&^bootstrapFlagUntracked != 0 {
-		return nil, fmt.Errorf("server: unsupported bootstrap flags %#x", f)
-	}
-	body, trailer := data[:len(data)-4], data[len(data)-4:]
-	if got, want := crc32.Checksum(body, castagnoli), binary.BigEndian.Uint32(trailer); got != want {
-		return nil, fmt.Errorf("server: bootstrap response CRC mismatch (computed %08x, trailer %08x)", got, want)
+	body, err := frame.Open(data, name)
+	if err != nil {
+		return nil, err
 	}
 	p := &BootstrapPayload{
-		Untracked:  data[5]&bootstrapFlagUntracked != 0,
+		Untracked:  flags&bootstrapFlagUntracked != 0,
 		Watermarks: make(map[string]uint64),
 		Senders:    make(map[string][]byte),
 	}
-	r := &bootstrapReader{rest: body[6:]}
-	p.NodeID = r.id("node", "")
-	p.LocalGen = r.uint(8, "local generation")
-	if marks := r.section(4, bootstrapMaxMarksLen, "watermark"); r.err == nil {
+	r = frame.NewReader(body, name)
+	r.Take(6) // the magic, version and flags, checked above
+	p.NodeID = readBootstrapID(&r, "")
+	p.LocalGen = r.U64()
+	if marks := r.Section(4, bootstrapMaxMarksLen); r.Err() == nil {
 		if err := json.Unmarshal(marks, &p.Watermarks); err != nil {
-			return nil, fmt.Errorf("server: bootstrap watermark JSON: %w", err)
+			return nil, fmt.Errorf("%s: watermark JSON: %w", name, err)
 		}
 	}
-	for n, id := r.uint(2, "hearsay count"), ""; n > 0 && r.err == nil; n-- {
-		id = r.id("hearsay", id)
-		if _, ok := p.Watermarks[id]; !ok && r.err == nil {
-			r.err = fmt.Errorf("server: bootstrap hearsay %q has no watermark", id)
+	for n, id := r.U16(), ""; n > 0 && r.Err() == nil; n-- {
+		id = readBootstrapID(&r, id)
+		if _, ok := p.Watermarks[id]; !ok {
+			r.Failf("hearsay %q has no watermark", id)
 		}
 		p.Hearsay = append(p.Hearsay, id)
 	}
-	p.Snapshot = r.section(4, maxSection, "snapshot")
-	for n, id := r.uint(2, "sender count"), ""; n > 0 && r.err == nil; n-- {
-		id = r.id("sender", id)
-		p.Senders[id] = r.section(4, maxSection, "tracker")
+	p.Snapshot = r.Section(4, maxSection)
+	for n, id := r.U16(), ""; n > 0 && r.Err() == nil; n-- {
+		id = readBootstrapID(&r, id)
+		p.Senders[id] = r.Section(4, maxSection)
 	}
-	if r.err == nil && len(r.rest) != 0 {
-		r.err = fmt.Errorf("server: bootstrap response has %d trailing bytes", len(r.rest))
-	}
-	if r.err != nil {
-		return nil, r.err
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 	return p, nil
 }
 
-// bootstrapReader walks an SKP1 body front to back. The first failure
-// sticks: every later read returns a zero value, and err holds it.
-type bootstrapReader struct {
-	rest []byte
-	err  error
-}
-
-// take returns the next n bytes, nil once the body is short of them.
-func (r *bootstrapReader) take(n int, what string) []byte {
-	if r.err == nil && len(r.rest) < n {
-		r.err = fmt.Errorf("server: truncated bootstrap response (%s needs %d bytes, %d left)", what, n, len(r.rest))
-	}
-	if r.err != nil {
-		return nil
-	}
-	out := r.rest[:n]
-	r.rest = r.rest[n:]
-	return out
-}
-
-// uint reads a big-endian unsigned integer size bytes wide.
-func (r *bootstrapReader) uint(size int, what string) uint64 {
-	var v uint64
-	for _, b := range r.take(size, what) {
-		v = v<<8 | uint64(b)
-	}
-	return v
-}
-
-// section reads a lenSize-byte length, refused above limit, and then that
-// many bytes.
-func (r *bootstrapReader) section(lenSize, limit int, what string) []byte {
-	n := r.uint(lenSize, what+" length")
-	if r.err == nil && n > uint64(limit) {
-		r.err = fmt.Errorf("server: bootstrap %s section is %d bytes (cap %d)", what, n, limit)
-	}
-	return r.take(int(n), what)
-}
-
-// id reads one id section; after, when non-empty, is the id before it in a
-// section that must be strictly ascending.
-func (r *bootstrapReader) id(what, after string) string {
-	id := string(r.section(2, bootstrapMaxIDLen, what+" id"))
-	if r.err == nil && (id == "" || after != "" && id <= after) {
-		r.err = fmt.Errorf("server: bootstrap %s id %q is empty or out of order", what, id)
+// readBootstrapID reads one id section; after, when non-empty, is the id
+// before it in a section that must be strictly ascending.
+func readBootstrapID(r *frame.Reader, after string) string {
+	id := string(r.Section(2, bootstrapMaxIDLen))
+	if id == "" || after != "" && id <= after {
+		r.Failf("id %q is empty or out of order", id)
 	}
 	return id
 }

@@ -11,11 +11,11 @@ import (
 )
 
 // readGolden returns the committed fixture testdata/name.
-func readGolden(t *testing.T, name string) []byte {
-	t.Helper()
+func readGolden(tb testing.TB, name string) []byte {
+	tb.Helper()
 	want, err := os.ReadFile(filepath.Join("testdata", name))
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return want
 }

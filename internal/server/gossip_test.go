@@ -394,11 +394,11 @@ func TestDeltaRejectsBadPayloads(t *testing.T) {
 		wantStatus int
 		wantWord   string
 	}{
-		{"empty body", nil, http.StatusBadRequest, "truncated delta frame"},
+		{"empty body", nil, http.StatusBadRequest, "delta frame: truncated"},
 		{"garbage", []byte("hello sketchd"), http.StatusBadRequest, "magic"},
-		{"truncated frame", okFrame[:len(okFrame)-7], http.StatusBadRequest, "claims"},
+		{"truncated frame", okFrame[:len(okFrame)-7], http.StatusBadRequest, "truncated"},
 		{"truncated header", okFrame[:6], http.StatusBadRequest, "truncated"},
-		{"unknown flag bit", corrupt(okFrame, 5, 0x04), http.StatusBadRequest, "unknown delta frame flag bits 0x4"},
+		{"unknown flag bit", corrupt(okFrame, 5, 0x04), http.StatusBadRequest, "delta frame: unknown flag bits 0x4"},
 		{"empty sender", frame(DeltaFrame{Sender: "", FromGen: 0, ToGen: 5, Payload: goodDelta}), http.StatusBadRequest, "sender"},
 		{"backwards generations", frame(DeltaFrame{Sender: "peer", FromGen: 9, ToGen: 5, Payload: goodDelta}), http.StatusBadRequest, "backwards"},
 		{"missing payload", frame(DeltaFrame{Sender: "peer", FromGen: 0, ToGen: 5}), http.StatusBadRequest, "no payload"},

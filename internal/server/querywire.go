@@ -2,8 +2,9 @@ package server
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
+
+	"repro/internal/frame"
 )
 
 // Batch read wire formats.
@@ -44,17 +45,11 @@ const (
 // keyColumnMagic guards the binary key-column format.
 var keyColumnMagic = [4]byte{'S', 'K', 'Q', '1'}
 
-// keyColumnHeaderLen is the fixed prefix: magic plus the count word.
-const keyColumnHeaderLen = 8
-
 // keyRecordLen is the size of one key.
 const keyRecordLen = 8
 
 // estimateColumnMagic guards the binary estimate-column format.
 var estimateColumnMagic = [4]byte{'S', 'K', 'E', '1'}
-
-// estimateColumnHeaderLen is the fixed prefix: magic, generation, count.
-const estimateColumnHeaderLen = 16
 
 // estimateRecordLen is the size of one estimate.
 const estimateRecordLen = 8
@@ -87,17 +82,12 @@ func AppendKeyColumns(buf []byte, keys []uint64) []byte {
 // is validated against the actual body length before any allocation, so a
 // corrupt header cannot demand unbounded memory.
 func DecodeKeyColumns(data []byte, keys []uint64) ([]uint64, error) {
-	if len(data) < keyColumnHeaderLen {
-		return keys, fmt.Errorf("server: truncated key column (need %d header bytes, have %d)", keyColumnHeaderLen, len(data))
-	}
-	if [4]byte(data[:4]) != keyColumnMagic {
-		return keys, fmt.Errorf("server: bad key column magic %q", data[:4])
-	}
-	n := binary.BigEndian.Uint32(data[4:8])
-	payload := data[keyColumnHeaderLen:]
-	if uint64(len(payload)) != uint64(n)*keyRecordLen {
-		return keys, fmt.Errorf("server: key column payload is %d bytes, header claims %d keys (%d bytes)",
-			len(payload), n, uint64(n)*keyRecordLen)
+	r := frame.NewReader(data, "server: key column")
+	r.Magic(keyColumnMagic, nil)
+	n := r.U32()
+	payload := r.Records(uint64(n), keyRecordLen)
+	if err := r.Err(); err != nil {
+		return keys, err
 	}
 	for i := 0; i < int(n); i++ {
 		keys = append(keys, binary.BigEndian.Uint64(payload[i*keyRecordLen:i*keyRecordLen+keyRecordLen]))
@@ -122,18 +112,13 @@ func AppendEstimateColumns(buf []byte, gen int64, ests []float64) []byte {
 // write generation the estimates were answered at. Like the other decoders,
 // the count word is checked against the body length before anything grows.
 func DecodeEstimateColumns(data []byte, ests []float64) ([]float64, int64, error) {
-	if len(data) < estimateColumnHeaderLen {
-		return ests, 0, fmt.Errorf("server: truncated estimate column (need %d header bytes, have %d)", estimateColumnHeaderLen, len(data))
-	}
-	if [4]byte(data[:4]) != estimateColumnMagic {
-		return ests, 0, fmt.Errorf("server: bad estimate column magic %q", data[:4])
-	}
-	gen := int64(binary.BigEndian.Uint64(data[4:12]))
-	n := binary.BigEndian.Uint32(data[12:16])
-	payload := data[estimateColumnHeaderLen:]
-	if uint64(len(payload)) != uint64(n)*estimateRecordLen {
-		return ests, 0, fmt.Errorf("server: estimate column payload is %d bytes, header claims %d estimates (%d bytes)",
-			len(payload), n, uint64(n)*estimateRecordLen)
+	r := frame.NewReader(data, "server: estimate column")
+	r.Magic(estimateColumnMagic, nil)
+	gen := int64(r.U64())
+	n := r.U32()
+	payload := r.Records(uint64(n), estimateRecordLen)
+	if err := r.Err(); err != nil {
+		return ests, 0, err
 	}
 	for i := 0; i < int(n); i++ {
 		ests = append(ests, math.Float64frombits(binary.BigEndian.Uint64(payload[i*estimateRecordLen:i*estimateRecordLen+estimateRecordLen])))

@@ -5,15 +5,16 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"net"
 	"net/http"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/frame"
 	"repro/internal/sketch"
 )
 
@@ -95,9 +96,6 @@ const streamHelloMaxLen = 256
 // is about 1.3 MiB.
 const streamSessionsMax = 4096
 
-// castagnoli is the CRC-32C table shared by every frame encode and decode.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
 // ErrStreamFrameTooLarge is returned (wrapped, with the declared size) when a
 // frame header declares a payload longer than the configured cap — the
 // streaming twin of sketch.DecodeDeltaLimit's guard: a forged ~20-byte header
@@ -122,16 +120,26 @@ type StreamFrame struct {
 // reproduces the input bytes (the fuzz fixed point).
 func AppendStreamFrame(buf []byte, f StreamFrame) []byte {
 	start := len(buf)
-	buf = append(buf, streamMagic[:]...)
-	buf = append(buf, streamFrameVersion)
-	flags := f.Type & streamTypeMask
-	if f.AckReq {
+	buf = appendStreamHeader(buf, f.Type, f.AckReq)
+	return sealStreamFrame(append(buf, f.Payload...), start)
+}
+
+// appendStreamHeader appends a frame header whose length sealStreamFrame
+// fills in once the payload follows it.
+func appendStreamHeader(buf []byte, typ byte, ackReq bool) []byte {
+	flags := typ & streamTypeMask
+	if ackReq {
 		flags |= streamFlagAckReq
 	}
-	buf = append(buf, flags)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(f.Payload)))
-	buf = append(buf, f.Payload...)
-	return binary.BigEndian.AppendUint32(buf, crc32.Checksum(buf[start:], castagnoli))
+	buf = append(buf, streamMagic[:]...)
+	return append(buf, streamFrameVersion, flags, 0, 0, 0, 0)
+}
+
+// sealStreamFrame completes the frame whose header starts at buf[start]: the
+// payload's length, then the CRC-32C trailer.
+func sealStreamFrame(buf []byte, start int) []byte {
+	binary.BigEndian.PutUint32(buf[start+6:start+streamHeaderLen], uint32(len(buf)-start-streamHeaderLen))
+	return frame.Seal(buf, start)
 }
 
 // appendDataFrame encodes a data frame — seq plus the SKB3 batch of the given
@@ -140,48 +148,47 @@ func AppendStreamFrame(buf []byte, f StreamFrame) []byte {
 // its steady-state size.
 func appendDataFrame(buf []byte, seq uint64, ackReq bool, items []uint64, deltas []float64) []byte {
 	start := len(buf)
-	buf = append(buf, streamMagic[:]...)
-	buf = append(buf, streamFrameVersion)
-	flags := byte(streamFrameData)
-	if ackReq {
-		flags |= streamFlagAckReq
-	}
-	buf = append(buf, flags, 0, 0, 0, 0) // length backfilled below
-	buf = binary.BigEndian.AppendUint64(buf, seq)
-	buf = AppendBatchColumns(buf, items, deltas)
-	binary.BigEndian.PutUint32(buf[start+6:start+streamHeaderLen], uint32(len(buf)-start-streamHeaderLen))
-	return binary.BigEndian.AppendUint32(buf, crc32.Checksum(buf[start:], castagnoli))
+	buf = binary.BigEndian.AppendUint64(appendStreamHeader(buf, streamFrameData, ackReq), seq)
+	return sealStreamFrame(AppendBatchColumns(buf, items, deltas), start)
 }
 
 // appendAckFrame encodes an ack frame (applied seq, server write generation)
 // into buf — the server's per-ack hot path, allocation-free once buf exists.
 func appendAckFrame(buf []byte, seq, gen uint64) []byte {
 	start := len(buf)
-	buf = append(buf, streamMagic[:]...)
-	buf = append(buf, streamFrameVersion, streamFrameAck, 0, 0, 0, 16)
-	buf = binary.BigEndian.AppendUint64(buf, seq)
-	buf = binary.BigEndian.AppendUint64(buf, gen)
-	return binary.BigEndian.AppendUint32(buf, crc32.Checksum(buf[start:], castagnoli))
+	buf = binary.BigEndian.AppendUint64(appendStreamHeader(buf, streamFrameAck, false), seq)
+	return sealStreamFrame(binary.BigEndian.AppendUint64(buf, gen), start)
 }
 
-// parseStreamHeader validates the fixed frame prefix and returns the type,
-// ack flag and declared payload length.
-func parseStreamHeader(hdr []byte) (typ byte, ackReq bool, plen uint32, err error) {
-	if [4]byte(hdr[:4]) != streamMagic {
-		return 0, false, 0, fmt.Errorf("server: bad stream frame magic %q", hdr[:4])
+// parseAck reads an ack frame's payload: the applied seq and the server's
+// write generation.
+func parseAck(payload []byte) (seq uint64, gen int64, err error) {
+	r := frame.NewReader(payload, "server: ack payload")
+	seq, gen = r.U64(), int64(r.U64())
+	return seq, gen, r.Done()
+}
+
+// streamFrameName begins every stream frame decode error.
+const streamFrameName = "server: stream frame"
+
+// readStreamHeader reads a frame header off r and returns the frame's type,
+// its ack flag and the declared payload length, refused above maxPayload
+// (when positive) before anything is sized from it.
+func readStreamHeader(r *frame.Reader, maxPayload int) (f StreamFrame, plen int) {
+	r.Magic(streamMagic, nil)
+	r.Version(streamFrameVersion)
+	flags := r.U8()
+	f.Type, f.AckReq = flags&streamTypeMask, flags&streamFlagAckReq != 0
+	n := r.U32()
+	switch {
+	case flags&^byte(streamTypeMask|streamFlagAckReq) != 0:
+		r.Failf("unknown flags %#x", flags)
+	case f.Type > streamFrameError:
+		r.Failf("unknown type %d", f.Type)
+	case maxPayload > 0 && uint64(n) > uint64(maxPayload):
+		r.Fail(fmt.Errorf("%w: header declares %d bytes, cap is %d", ErrStreamFrameTooLarge, n, maxPayload))
 	}
-	if v := hdr[4]; v != streamFrameVersion {
-		return 0, false, 0, fmt.Errorf("server: unsupported stream frame version %d (want %d)", v, streamFrameVersion)
-	}
-	flags := hdr[5]
-	if flags&^byte(streamTypeMask|streamFlagAckReq) != 0 {
-		return 0, false, 0, fmt.Errorf("server: unknown stream frame flags %#x", flags)
-	}
-	typ = flags & streamTypeMask
-	if typ > streamFrameError {
-		return 0, false, 0, fmt.Errorf("server: unknown stream frame type %d", typ)
-	}
-	return typ, flags&streamFlagAckReq != 0, binary.BigEndian.Uint32(hdr[6:streamHeaderLen]), nil
+	return f, int(n)
 }
 
 // DecodeStreamFrame parses one frame from the front of data, returning the
@@ -189,43 +196,34 @@ func parseStreamHeader(hdr []byte) (typ byte, ackReq bool, plen uint32, err erro
 // payload length (ErrStreamFrameTooLarge, wrapped, beyond it); zero means no
 // cap. The returned payload aliases data.
 func DecodeStreamFrame(data []byte, maxPayload int) (StreamFrame, int, error) {
-	var f StreamFrame
-	if len(data) < streamHeaderLen {
-		return f, 0, fmt.Errorf("server: truncated stream frame (need %d header bytes, have %d)", streamHeaderLen, len(data))
+	r := frame.NewReader(data, streamFrameName)
+	f, plen := readStreamHeader(&r, maxPayload)
+	r.Take(plen + streamTrailerLen)
+	if err := r.Err(); err != nil {
+		return StreamFrame{}, 0, err
 	}
-	typ, ackReq, plen, err := parseStreamHeader(data[:streamHeaderLen])
+	n := len(data) - r.Len()
+	body, err := frame.Open(data[:n], streamFrameName)
 	if err != nil {
-		return f, 0, err
+		return StreamFrame{}, 0, err
 	}
-	if maxPayload > 0 && uint64(plen) > uint64(maxPayload) {
-		return f, 0, fmt.Errorf("%w: header declares %d bytes, cap is %d", ErrStreamFrameTooLarge, plen, maxPayload)
-	}
-	total := streamHeaderLen + int(plen) + streamTrailerLen
-	if len(data) < total {
-		return f, 0, fmt.Errorf("server: truncated stream frame (need %d bytes, have %d)", total, len(data))
-	}
-	body := data[:streamHeaderLen+int(plen)]
-	want := binary.BigEndian.Uint32(data[streamHeaderLen+int(plen) : total])
-	if got := crc32.Checksum(body, castagnoli); got != want {
-		return f, 0, fmt.Errorf("server: stream frame CRC mismatch (computed %#x, trailer %#x)", got, want)
-	}
-	f.Type, f.AckReq, f.Payload = typ, ackReq, body[streamHeaderLen:]
-	return f, total, nil
+	f.Payload = body[streamHeaderLen:]
+	return f, n, nil
 }
 
-// frameReader reads frames off a connection into reused buffers: the header
-// array and the payload buffer are owned by the reader and recycled every
-// call, so steady-state frame reception allocates nothing. The declared
-// payload length is checked against max before any buffer grows.
+// frameReader reads frames off a connection into a reused buffer, owned by
+// the reader and recycled every call, so steady-state frame reception
+// allocates nothing. It reads each frame's header, then the rest of it, and
+// parses the whole with DecodeStreamFrame; the declared payload length is
+// checked against max before the buffer grows.
 type frameReader struct {
 	r   io.Reader
 	max int
-	hdr [streamHeaderLen]byte
 	buf []byte
 }
 
 func newFrameReader(r io.Reader, max int) *frameReader {
-	return &frameReader{r: r, max: max}
+	return &frameReader{r: r, max: max, buf: make([]byte, streamHeaderLen)}
 }
 
 // next reads one frame. The returned payload aliases the reader's buffer and
@@ -233,35 +231,24 @@ func newFrameReader(r io.Reader, max int) *frameReader {
 // means a cleanly ended stream; inside a frame it comes back as
 // io.ErrUnexpectedEOF.
 func (fr *frameReader) next() (StreamFrame, error) {
-	var f StreamFrame
-	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
-		return f, err
+	hdr := fr.buf[:streamHeaderLen]
+	if _, err := io.ReadFull(fr.r, hdr); err != nil {
+		return StreamFrame{}, err
 	}
-	typ, ackReq, plen, err := parseStreamHeader(fr.hdr[:])
-	if err != nil {
-		return f, err
+	r := frame.NewReader(hdr, streamFrameName)
+	_, plen := readStreamHeader(&r, fr.max)
+	if err := r.Err(); err != nil {
+		return StreamFrame{}, err
 	}
-	if fr.max > 0 && uint64(plen) > uint64(fr.max) {
-		return f, fmt.Errorf("%w: header declares %d bytes, cap is %d", ErrStreamFrameTooLarge, plen, fr.max)
-	}
-	need := int(plen) + streamTrailerLen
-	if cap(fr.buf) < need {
-		fr.buf = make([]byte, need)
-	}
-	fr.buf = fr.buf[:need]
-	if _, err := io.ReadFull(fr.r, fr.buf); err != nil {
+	fr.buf = slices.Grow(hdr, plen+streamTrailerLen)[:streamHeaderLen+plen+streamTrailerLen]
+	if _, err := io.ReadFull(fr.r, fr.buf[streamHeaderLen:]); err != nil {
 		if errors.Is(err, io.EOF) {
 			err = io.ErrUnexpectedEOF
 		}
-		return f, err
+		return StreamFrame{}, err
 	}
-	want := binary.BigEndian.Uint32(fr.buf[plen:need])
-	got := crc32.Update(crc32.Update(0, castagnoli, fr.hdr[:]), castagnoli, fr.buf[:plen])
-	if got != want {
-		return f, fmt.Errorf("server: stream frame CRC mismatch (computed %#x, trailer %#x)", got, want)
-	}
-	f.Type, f.AckReq, f.Payload = typ, ackReq, fr.buf[:plen]
-	return f, nil
+	f, _, err := DecodeStreamFrame(fr.buf, fr.max)
+	return f, err
 }
 
 // ackWriter is the write side of a stream connection: buffered writes plus an

@@ -350,10 +350,11 @@ func (su *StreamUpdater) readAck() error {
 		}
 		switch frame.Type {
 		case streamFrameAck:
-			if len(frame.Payload) != 16 {
-				return su.fatal(fmt.Errorf("server: malformed ack payload (%d bytes, want 16)", len(frame.Payload)))
+			seq, gen, err := parseAck(frame.Payload)
+			if err != nil {
+				return su.fatal(err)
 			}
-			su.handleAck(beUint64(frame.Payload[:8]), int64(beUint64(frame.Payload[8:16])))
+			su.handleAck(seq, gen)
 			return nil
 		case streamFrameError:
 			return su.fatal(&StreamRemoteError{Msg: string(frame.Payload)})
@@ -465,10 +466,6 @@ func (su *StreamUpdater) connect() error {
 	}
 	switch frame.Type {
 	case streamFrameAck:
-		if len(frame.Payload) != 16 {
-			link.closeFn()
-			return fmt.Errorf("server: malformed hello ack (%d payload bytes, want 16)", len(frame.Payload))
-		}
 	case streamFrameError:
 		link.closeFn()
 		return &StreamRemoteError{Msg: string(frame.Payload)}
@@ -476,7 +473,11 @@ func (su *StreamUpdater) connect() error {
 		link.closeFn()
 		return fmt.Errorf("server: unexpected frame type %d in answer to hello", frame.Type)
 	}
-	watermark, gen := beUint64(frame.Payload[:8]), int64(beUint64(frame.Payload[8:16]))
+	watermark, gen, err := parseAck(frame.Payload)
+	if err != nil {
+		link.closeFn()
+		return err
+	}
 
 	oldest := su.acked + 1 // the oldest frame we can still replay
 	switch {
@@ -553,10 +554,4 @@ func (su *StreamUpdater) dial() (*streamLink, error) {
 			resp.Body.Close()
 		},
 	}, nil
-}
-
-func beUint64(b []byte) uint64 {
-	_ = b[7]
-	return uint64(b[0])<<56 | uint64(b[1])<<48 | uint64(b[2])<<40 | uint64(b[3])<<32 |
-		uint64(b[4])<<24 | uint64(b[5])<<16 | uint64(b[6])<<8 | uint64(b[7])
 }

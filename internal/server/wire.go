@@ -7,6 +7,8 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+
+	"repro/internal/frame"
 )
 
 // Wire formats of the HTTP API.
@@ -542,30 +544,19 @@ func DecodeBatchColumns(data []byte, items []uint64, deltas []float64) ([]uint64
 // alone decides: the magic, the bit lengths in range, and a body of exactly
 // count records.
 func parseBatchHeader(data []byte) (batchHeader, error) {
-	var h batchHeader
-	if len(data) >= 4 && slices.Contains(retiredBatchMagics, [4]byte(data[:4])) {
-		return h, fmt.Errorf("server: %s is %w", data[:4], errRetiredBatch)
-	}
-	if len(data) < batchHeaderLen {
-		return h, fmt.Errorf("server: truncated batch (need %d header bytes, have %d)", batchHeaderLen, len(data))
-	}
-	if [4]byte(data[:4]) != batchMagic {
-		return h, fmt.Errorf("server: bad batch magic %q", data[:4])
-	}
-	n := binary.BigEndian.Uint32(data[4:8])
-	h = batchHeader{kb: int(data[8]), db: int(data[9])}
+	r := frame.NewReader(data, "server: batch")
+	r.Magic(batchMagic, errRetiredBatch, retiredBatchMagics...)
+	n := r.U32()
+	h := batchHeader{n: int(n), kb: int(r.U8()), db: int(r.U8())}
 	switch {
 	case h.kb < 1 || h.kb > 64:
-		return h, fmt.Errorf("server: batch key bits %d (want 1..64)", h.kb)
+		r.Failf("key bits %d (want 1..64)", h.kb)
 	case (h.db < 1 || h.db > 32) && h.db != ieeeDeltas: // 32 bits hold an int32
-		return h, fmt.Errorf("server: batch delta bits %d (want 1..32 or %d)", h.db, ieeeDeltas)
+		r.Failf("delta bits %d (want 1..32 or %d)", h.db, ieeeDeltas)
+	default:
+		r.Records(uint64(n), h.width())
 	}
-	if body := data[batchHeaderLen:]; uint64(len(body)) != uint64(n)*uint64(h.width()) {
-		return h, fmt.Errorf("server: batch payload is %d bytes, header claims %d records of %d bytes",
-			len(body), n, h.width())
-	}
-	h.n = int(n)
-	return h, nil
+	return h, r.Err()
 }
 
 // witness is what a decode pass collects for the canonical checks: the OR of
@@ -630,7 +621,7 @@ func getIEEERecords(body []byte, keys []uint64, out []float64, h batchHeader) (w
 	for i := range keys {
 		k := binary.BigEndian.Uint64(body[i*w:]) >> shift
 		d := binary.BigEndian.Uint64(body[i*w+hw:])
-		if d&float64ExpMask == float64ExpMask {
+		if d&frame.Float64ExpMask == frame.Float64ExpMask {
 			return seen, fmt.Errorf("server: batch record %d (item %d): %w", i, k, errNonFiniteDelta)
 		}
 		keys[i], out[i] = k, math.Float64frombits(d)
@@ -674,10 +665,6 @@ func checkBatchCount(data []byte, limit int64) error {
 	}
 	return nil
 }
-
-// float64ExpMask selects a float64's exponent field; all ones there means
-// NaN or ±Inf.
-const float64ExpMask = 0x7ff << 52
 
 // errNonFiniteDelta is what DecodeBatchColumns wraps when a record's delta
 // is NaN or ±Inf.
@@ -740,9 +727,6 @@ const deltaFlagReset = 1
 // so an older daemon never sees the flag.
 const deltaFlagReplace = 2
 
-// deltaFrameHeaderLen is the fixed prefix: magic, version, flags, senderLen.
-const deltaFrameHeaderLen = 8
-
 // DeltaFrame is one gossip shipment: the sender's identity, the sender-local
 // generation window (FromGen, ToGen] the payload covers, and the payload
 // itself — a sketch.EncodeDelta envelope of the difference sketch. Reset
@@ -760,9 +744,7 @@ type DeltaFrame struct {
 // AppendDeltaFrame appends the binary encoding of a delta frame to buf and
 // returns the extended slice.
 func AppendDeltaFrame(buf []byte, f DeltaFrame) []byte {
-	buf = appendDeltaFrameHeader(buf, f)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(f.Payload)))
-	return append(buf, f.Payload...)
+	return frame.AppendSection(appendDeltaFrameHeader(buf, f), 4, f.Payload)
 }
 
 // appendDeltaFrameHeader appends everything of f's encoding ahead of
@@ -778,9 +760,7 @@ func appendDeltaFrameHeader(buf []byte, f DeltaFrame) []byte {
 	if f.Replace {
 		flags |= deltaFlagReplace
 	}
-	buf = append(buf, flags)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(f.Sender)))
-	buf = append(buf, f.Sender...)
+	buf = frame.AppendSection(append(buf, flags), 2, f.Sender)
 	buf = binary.BigEndian.AppendUint64(buf, f.FromGen)
 	return binary.BigEndian.AppendUint64(buf, f.ToGen)
 }
@@ -791,52 +771,35 @@ func appendDeltaFrameHeader(buf []byte, f DeltaFrame) []byte {
 // shape before it looks at the watermark.
 func DecodeDeltaFrame(data []byte) (DeltaFrame, error) {
 	var f DeltaFrame
-	if len(data) < deltaFrameHeaderLen {
-		return f, fmt.Errorf("server: truncated delta frame (need %d header bytes, have %d)", deltaFrameHeaderLen, len(data))
+	r := frame.NewReader(data, "server: delta frame")
+	r.Magic(deltaMagic, nil)
+	r.Version(deltaFrameVersion)
+	flags := r.U8()
+	if unknown := flags &^ (deltaFlagReset | deltaFlagReplace); unknown != 0 {
+		r.Failf("unknown flag bits %#x", unknown)
 	}
-	if [4]byte(data[:4]) != deltaMagic {
-		return f, fmt.Errorf("server: bad delta frame magic %q", data[:4])
+	f.Reset, f.Replace = flags&deltaFlagReset != 0, flags&deltaFlagReplace != 0
+	f.Sender = string(r.Section(2, len(data)))
+	if f.Sender == "" {
+		r.Failf("empty sender id")
 	}
-	if v := data[4]; v != deltaFrameVersion {
-		return f, fmt.Errorf("server: unsupported delta frame version %d (want %d)", v, deltaFrameVersion)
+	f.FromGen, f.ToGen = r.U64(), r.U64()
+	f.Payload = r.Section(4, len(data))
+	switch {
+	case r.Done() != nil:
+	case f.ToGen < f.FromGen:
+		r.Failf("generations run backwards (from %d to %d)", f.FromGen, f.ToGen)
+	case f.Reset && f.Replace:
+		r.Failf("claims to be both a reset and a replace")
+	case f.Reset && len(f.Payload) != 0:
+		r.Failf("reset frame carries a %d-byte payload (must be empty)", len(f.Payload))
+	case !f.Reset && len(f.Payload) == 0:
+		r.Failf("no payload")
+	case f.Replace && f.FromGen != 0:
+		r.Failf("replace frame declares fromGen %d (must be 0: the payload is the sender's whole local state)", f.FromGen)
 	}
-	if unknown := data[5] &^ (deltaFlagReset | deltaFlagReplace); unknown != 0 {
-		return f, fmt.Errorf("server: unknown delta frame flag bits %#x", unknown)
+	if err := r.Err(); err != nil {
+		return DeltaFrame{}, err
 	}
-	f.Reset = data[5]&deltaFlagReset != 0
-	f.Replace = data[5]&deltaFlagReplace != 0
-	senderLen := int(binary.BigEndian.Uint16(data[6:8]))
-	rest := data[deltaFrameHeaderLen:]
-	if senderLen < 1 {
-		return f, fmt.Errorf("server: delta frame has an empty sender id")
-	}
-	if len(rest) < senderLen+8+8+4 {
-		return f, fmt.Errorf("server: truncated delta frame (need %d more bytes after the header, have %d)", senderLen+20, len(rest))
-	}
-	f.Sender = string(rest[:senderLen])
-	rest = rest[senderLen:]
-	f.FromGen = binary.BigEndian.Uint64(rest[:8])
-	f.ToGen = binary.BigEndian.Uint64(rest[8:16])
-	payloadLen := binary.BigEndian.Uint32(rest[16:20])
-	payload := rest[20:]
-	if uint64(len(payload)) != uint64(payloadLen) {
-		return f, fmt.Errorf("server: delta frame payload is %d bytes, header claims %d", len(payload), payloadLen)
-	}
-	if f.ToGen < f.FromGen {
-		return f, fmt.Errorf("server: delta frame generations run backwards (from %d to %d)", f.FromGen, f.ToGen)
-	}
-	if f.Reset && f.Replace {
-		return f, fmt.Errorf("server: delta frame claims to be both a reset and a replace")
-	}
-	if f.Reset && payloadLen != 0 {
-		return f, fmt.Errorf("server: reset delta frame carries a %d-byte payload (must be empty)", payloadLen)
-	}
-	if !f.Reset && payloadLen == 0 {
-		return f, fmt.Errorf("server: delta frame has no payload")
-	}
-	if f.Replace && f.FromGen != 0 {
-		return f, fmt.Errorf("server: replace delta frame declares fromGen %d (must be 0: the payload is the sender's whole local state)", f.FromGen)
-	}
-	f.Payload = payload
 	return f, nil
 }

@@ -7,6 +7,7 @@ import (
 	"math/bits"
 	"slices"
 
+	"repro/internal/frame"
 	"repro/internal/hashing"
 )
 
@@ -101,16 +102,13 @@ func (k Kind) String() string {
 // version) and returns its kind without decoding the payload. Transports use
 // it to route a snapshot to the right decoder and to reject junk early.
 func PeekKind(data []byte) (Kind, error) {
-	if len(data) < 6 {
-		return 0, fmt.Errorf("sketch: truncated encoding (need 6 header bytes, have %d)", len(data))
+	r := frame.NewReader(data, "sketch")
+	r.Magic(encodingMagic, nil)
+	r.Version(encodingVersion)
+	k := Kind(r.U8())
+	if err := r.Err(); err != nil {
+		return 0, err
 	}
-	if [4]byte(data[:4]) != encodingMagic {
-		return 0, fmt.Errorf("sketch: bad magic %q", data[:4])
-	}
-	if v := data[4]; v != encodingVersion {
-		return 0, fmt.Errorf("sketch: unsupported encoding version %d (want %d)", v, encodingVersion)
-	}
-	k := Kind(data[5])
 	switch k {
 	case KindCountMin, KindCountSketch, KindBloom, KindIBLT, KindTracker, KindDyadic, KindDelta:
 		return k, nil
@@ -136,159 +134,65 @@ func appendHeader(dst []byte, kind uint8) []byte {
 	return append(append(dst, encodingMagic[:]...), encodingVersion, kind)
 }
 
-// reader consumes big-endian primitives, remembering the first error so call
-// sites can stay linear and check once at the end.
-type reader struct {
-	buf []byte
-	err error
-}
+// reader is a frame.Reader over one sketch encoding, with the checks every
+// sketch decoder shares.
+type reader struct{ frame.Reader }
 
-func (r *reader) fail(format string, args ...interface{}) {
-	if r.err == nil {
-		r.err = fmt.Errorf("sketch: "+format, args...)
+// newReader reads an encoding of the given kind, its header already checked;
+// name ("sketch: CountMin") begins every error.
+func newReader(data []byte, kind uint8, name string) reader {
+	r := reader{frame.NewReader(data, name)}
+	r.Magic(encodingMagic, nil)
+	r.Version(encodingVersion)
+	if k := r.U8(); k != kind {
+		r.Failf("wrong sketch kind %d (want %d)", k, kind)
 	}
-}
-
-func (r *reader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if len(r.buf) < n {
-		r.fail("truncated encoding (need %d bytes, have %d)", n, len(r.buf))
-		return nil
-	}
-	out := r.buf[:n]
-	r.buf = r.buf[n:]
-	return out
-}
-
-func (r *reader) u8() uint8 {
-	b := r.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (r *reader) u32() uint32 {
-	b := r.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint32(b)
-}
-
-func (r *reader) u64() uint64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint64(b)
-}
-
-func (r *reader) f64() float64 { return math.Float64frombits(r.u64()) }
-
-// expectHeader validates magic, version and kind, and returns false (with the
-// error recorded) on any mismatch.
-func (r *reader) expectHeader(kind uint8, name string) bool {
-	b := r.take(4)
-	if b == nil {
-		return false
-	}
-	if [4]byte(b) != encodingMagic {
-		r.fail("%s: bad magic %q", name, b)
-		return false
-	}
-	if v := r.u8(); r.err == nil && v != encodingVersion {
-		r.fail("%s: unsupported encoding version %d (want %d)", name, v, encodingVersion)
-		return false
-	}
-	if k := r.u8(); r.err == nil && k != kind {
-		r.fail("%s: wrong sketch kind %d (want %d)", name, k, kind)
-		return false
-	}
-	return r.err == nil
-}
-
-// done verifies the buffer was consumed exactly.
-func (r *reader) done(name string) error {
-	if r.err != nil {
-		return r.err
-	}
-	if len(r.buf) != 0 {
-		return fmt.Errorf("sketch: %s: %d trailing bytes after decode", name, len(r.buf))
-	}
-	return nil
+	return r
 }
 
 // checkDims bounds width/depth-style dimensions read off the wire.
-func (r *reader) checkDims(name string, dims ...uint32) {
+func (r *reader) checkDims(dims ...uint32) {
 	const maxDim = 1 << 30
 	for _, d := range dims {
 		if d < 1 || d > maxDim {
-			r.fail("%s: dimension %d out of range [1, %d]", name, d, maxDim)
+			r.Failf("dimension %d out of range [1, %d]", d, maxDim)
 			return
 		}
-	}
-}
-
-// checkPayload verifies that exactly `words` 8-byte values remain in the
-// buffer. It runs before any allocation sized from the header, so a corrupt
-// header claiming huge dimensions fails here instead of demanding gigabytes.
-func (r *reader) checkPayload(name string, words uint64) {
-	if r.err != nil {
-		return
-	}
-	if uint64(len(r.buf)) != 8*words {
-		r.fail("%s: payload is %d bytes, header claims %d", name, len(r.buf), 8*words)
 	}
 }
 
 // checkFamily verifies a family byte read off the wire names a known hash
 // family (hashing.NewHasher panics on unknown families, so decoders must
 // reject bad bytes with an error first).
-func (r *reader) checkFamily(name string, f hashing.Family) {
+func (r *reader) checkFamily(f hashing.Family) {
 	switch f {
 	case hashing.FamilyPoly2, hashing.FamilyPoly4, hashing.FamilyMultiplyShift, hashing.FamilyTabulation:
 	default:
-		r.fail("%s: unknown hash family %d", name, int(f))
+		r.Failf("unknown hash family %d", int(f))
 	}
 }
 
-// float64ExpMask selects a float64's exponent field; all ones there means
-// NaN or ±Inf.
-const float64ExpMask = 0x7ff << 52
-
-// counters decodes the rest of the buffer — which checkPayload has already
-// proven to be exactly len(dst) words — into dst in one sweep. A NaN or ±Inf
-// counter fails the decode: one poisoned counter would otherwise survive
-// every later merge and replicate to every peer.
-func (r *reader) counters(name string, dst []float64) {
-	if r.err != nil {
-		return
-	}
-	buf := r.buf[:8*len(dst)]
+// counters decodes buf, the payload Records proved to be exactly len(dst)
+// words, into dst in one sweep; the caller has checked Err. A NaN or ±Inf counter fails the decode: one
+// poisoned counter would otherwise survive every later merge and replicate to
+// every peer.
+func (r *reader) counters(buf []byte, dst []float64) {
 	for i := range dst {
 		w := binary.BigEndian.Uint64(buf[8*i:])
-		if w&float64ExpMask == float64ExpMask {
-			r.fail("%s: counter %d is not finite", name, i)
+		if w&frame.Float64ExpMask == frame.Float64ExpMask {
+			r.Failf("counter %d is not finite", i)
 			return
 		}
 		dst[i] = math.Float64frombits(w)
 	}
-	r.buf = r.buf[len(buf):]
 }
 
 // countMinCounters is counters for a fresh Count-Min, which picks its storage
 // as it goes: it stays narrow while every word is an integer in int32 range
 // and not -0 (narrowWord), and widens at the first word that is not, so the
 // decoded sketch re-encodes to the same bytes.
-func (r *reader) countMinCounters(cm *CountMin) {
-	if r.err != nil {
-		return
-	}
+func (r *reader) countMinCounters(buf []byte, cm *CountMin) {
 	n := cm.stored()
-	buf := r.buf[:8*n]
 	i := 0
 	if c := cm.counts32; c != nil {
 		for ; i < n; i++ {
@@ -302,13 +206,12 @@ func (r *reader) countMinCounters(cm *CountMin) {
 	}
 	for ; i < n; i++ {
 		w := binary.BigEndian.Uint64(buf[8*i:])
-		if w&float64ExpMask == float64ExpMask {
-			r.fail("CountMin: counter %d is not finite", i)
+		if w&frame.Float64ExpMask == frame.Float64ExpMask {
+			r.Failf("counter %d is not finite", i)
 			return
 		}
 		cm.counts[i] = math.Float64frombits(w)
 	}
-	r.buf = r.buf[len(buf):]
 }
 
 // CountMin ------------------------------------------------------------------
@@ -357,29 +260,26 @@ func (cm *CountMin) appendEncodingHeader(dst []byte, totalMass float64) []byte {
 // the hash functions from the serialized seed so the result behaves
 // bit-identically to the original.
 func (cm *CountMin) UnmarshalBinary(data []byte) error {
-	r := reader{buf: data}
-	if !r.expectHeader(kindCountMin, "CountMin") {
-		return r.err
+	r := newReader(data, kindCountMin, "sketch: CountMin")
+	family := hashing.Family(r.U8())
+	conservative := r.U8() == 1
+	width := r.U32()
+	depth := r.U32()
+	seed := r.U64()
+	totalMass := r.U64()
+	r.checkDims(width, depth)
+	r.checkFamily(family)
+	body := r.Records(uint64(width)*uint64(depth), 8)
+	if totalMass&frame.Float64ExpMask == frame.Float64ExpMask {
+		r.Failf("total mass is not finite")
 	}
-	family := hashing.Family(r.u8())
-	conservative := r.u8() == 1
-	width := r.u32()
-	depth := r.u32()
-	seed := r.u64()
-	totalMass := r.f64()
-	r.checkDims("CountMin", width, depth)
-	r.checkFamily("CountMin", family)
-	r.checkPayload("CountMin", uint64(width)*uint64(depth))
-	if r.err != nil {
-		return r.err
-	}
-	if math.Float64bits(totalMass)&float64ExpMask == float64ExpMask {
-		return fmt.Errorf("sketch: CountMin: total mass is not finite")
+	if err := r.Err(); err != nil {
+		return err
 	}
 	out := newCountMinFromSeed(seed, int(width), int(depth), family, conservative)
-	out.totalMass = totalMass
-	r.countMinCounters(out)
-	if err := r.done("CountMin"); err != nil {
+	out.totalMass = math.Float64frombits(totalMass)
+	r.countMinCounters(body, out)
+	if err := r.Err(); err != nil {
 		return err
 	}
 	*cm = *out
@@ -406,23 +306,20 @@ func (cs *CountSketch) MarshalBinary() ([]byte, error) {
 
 // UnmarshalBinary decodes a sketch produced by MarshalBinary.
 func (cs *CountSketch) UnmarshalBinary(data []byte) error {
-	r := reader{buf: data}
-	if !r.expectHeader(kindCountSketch, "CountSketch") {
-		return r.err
-	}
-	family := hashing.Family(r.u8())
-	width := r.u32()
-	depth := r.u32()
-	seed := r.u64()
-	r.checkDims("CountSketch", width, depth)
-	r.checkFamily("CountSketch", family)
-	r.checkPayload("CountSketch", uint64(width)*uint64(depth))
-	if r.err != nil {
-		return r.err
+	r := newReader(data, kindCountSketch, "sketch: CountSketch")
+	family := hashing.Family(r.U8())
+	width := r.U32()
+	depth := r.U32()
+	seed := r.U64()
+	r.checkDims(width, depth)
+	r.checkFamily(family)
+	body := r.Records(uint64(width)*uint64(depth), 8)
+	if err := r.Err(); err != nil {
+		return err
 	}
 	out := newCountSketchFromSeed(seed, int(width), int(depth), family)
-	r.counters("CountSketch", out.counts)
-	if err := r.done("CountSketch"); err != nil {
+	r.counters(body, out.counts)
+	if err := r.Err(); err != nil {
 		return err
 	}
 	*cs = *out
@@ -449,36 +346,30 @@ func (bf *BloomFilter) MarshalBinary() ([]byte, error) {
 
 // UnmarshalBinary decodes a filter produced by MarshalBinary.
 func (bf *BloomFilter) UnmarshalBinary(data []byte) error {
-	r := reader{buf: data}
-	if !r.expectHeader(kindBloom, "BloomFilter") {
-		return r.err
-	}
-	m := r.u64()
-	k := r.u32()
-	seed := r.u64()
-	count := r.u64()
-	r.checkDims("BloomFilter", k)
-	if r.err == nil && (m < 1 || m > 1<<36) {
-		r.fail("BloomFilter: bit count %d out of range", m)
+	r := newReader(data, kindBloom, "sketch: BloomFilter")
+	m := r.U64()
+	k := r.U32()
+	seed := r.U64()
+	count := r.U64()
+	r.checkDims(k)
+	if m < 1 || m > 1<<36 {
+		r.Failf("bit count %d out of range", m)
 	}
 	// Each hash function is constructed before a payload byte is read, so the
 	// body must pay for k: more hashes than bits (64 for the smallest
 	// filters) is no filter anyone sized, and 2^30 of them behind a 42-byte
 	// body is minutes of work.
-	if r.err == nil && uint64(k) > max(64, m) {
-		r.fail("BloomFilter: %d hash functions for %d bits", k, m)
+	if uint64(k) > max(64, m) {
+		r.Failf("%d hash functions for %d bits", k, m)
 	}
-	r.checkPayload("BloomFilter", (m+63)/64)
-	if r.err != nil {
-		return r.err
+	body := r.Records((m+63)/64, 8)
+	if err := r.Err(); err != nil {
+		return err
 	}
 	out := newBloomFilterFromSeed(seed, m, int(k))
 	out.count = int(count)
 	for i := range out.bits {
-		out.bits[i] = r.u64()
-	}
-	if err := r.done("BloomFilter"); err != nil {
-		return err
+		out.bits[i] = binary.BigEndian.Uint64(body[8*i:])
 	}
 	*bf = *out
 	return nil
@@ -531,16 +422,12 @@ func (t *HeavyHitterTracker) sortedCandidates() []uint64 {
 // Count-Min is reconstructed (hash seeds and all), and the candidate heap is
 // rebuilt by scoring each shipped item against the decoded counters.
 func (t *HeavyHitterTracker) UnmarshalBinary(data []byte) error {
-	r := reader{buf: data}
-	if !r.expectHeader(kindTracker, "HeavyHitterTracker") {
-		return r.err
-	}
-	k := r.u32()
-	r.checkDims("HeavyHitterTracker", k)
-	cmLen := r.u32()
-	cmBytes := r.take(int(cmLen))
-	if r.err != nil {
-		return r.err
+	r := newReader(data, kindTracker, "sketch: HeavyHitterTracker")
+	k := r.U32()
+	r.checkDims(k)
+	cmBytes := r.Section(4, len(data))
+	if err := r.Err(); err != nil {
+		return err
 	}
 	cm := &CountMin{}
 	if err := cm.UnmarshalBinary(cmBytes); err != nil {
@@ -551,22 +438,17 @@ func (t *HeavyHitterTracker) UnmarshalBinary(data []byte) error {
 		// linearly; refuse rather than ingest under the wrong rule.
 		return fmt.Errorf("sketch: HeavyHitterTracker: embedded sketch uses conservative update, which is not linear")
 	}
-	n := r.u32()
-	if r.err == nil && uint64(n) > uint64(k) {
-		r.fail("HeavyHitterTracker: %d candidates exceed capacity %d", n, k)
+	n := r.U32()
+	if uint64(n) > uint64(k) {
+		r.Failf("%d candidates exceed capacity %d", n, k)
 	}
-	if r.err == nil && uint64(len(r.buf)) != 8*uint64(n) {
-		r.fail("HeavyHitterTracker: candidate payload is %d bytes, header claims %d", len(r.buf), 8*uint64(n))
-	}
-	if r.err != nil {
-		return r.err
+	body := r.Records(uint64(n), 8)
+	if err := r.Err(); err != nil {
+		return err
 	}
 	items := make([]uint64, n)
 	for i := range items {
-		items[i] = r.u64()
-	}
-	if err := r.done("HeavyHitterTracker"); err != nil {
-		return err
+		items[i] = binary.BigEndian.Uint64(body[8*i:])
 	}
 	out := newHeavyHitterTracker(cm, int(k))
 	out.AbsorbCandidates(items)
@@ -596,8 +478,7 @@ func (d *Dyadic) MarshalBinary() ([]byte, error) {
 	w.header(kindDyadic)
 	w.u32(uint32(d.logU))
 	for _, data := range levels {
-		w.u32(uint32(len(data)))
-		w.buf = append(w.buf, data...)
+		w.buf = frame.AppendSection(w.buf, 4, data)
 	}
 	return w.buf, nil
 }
@@ -605,16 +486,13 @@ func (d *Dyadic) MarshalBinary() ([]byte, error) {
 // UnmarshalBinary decodes a hierarchy produced by MarshalBinary,
 // reconstructing every level's hash functions from its serialized seed.
 func (d *Dyadic) UnmarshalBinary(data []byte) error {
-	r := reader{buf: data}
-	if !r.expectHeader(kindDyadic, "Dyadic") {
-		return r.err
+	r := newReader(data, kindDyadic, "sketch: Dyadic")
+	logU := r.U32()
+	if logU < 1 || logU > 63 {
+		r.Failf("universe exponent %d out of range [1, 63]", logU)
 	}
-	logU := r.u32()
-	if r.err == nil && (logU < 1 || logU > 63) {
-		r.fail("Dyadic: universe exponent %d out of range [1, 63]", logU)
-	}
-	if r.err != nil {
-		return r.err
+	if err := r.Err(); err != nil {
+		return err
 	}
 	out := &Dyadic{
 		logU:     int(logU),
@@ -622,10 +500,9 @@ func (d *Dyadic) UnmarshalBinary(data []byte) error {
 		universe: 1 << logU,
 	}
 	for l := range out.levels {
-		cmLen := r.u32()
-		cmBytes := r.take(int(cmLen))
-		if r.err != nil {
-			return r.err
+		cmBytes := r.Section(4, len(data))
+		if err := r.Err(); err != nil {
+			return err
 		}
 		cm := &CountMin{}
 		if err := cm.UnmarshalBinary(cmBytes); err != nil {
@@ -633,7 +510,7 @@ func (d *Dyadic) UnmarshalBinary(data []byte) error {
 		}
 		out.levels[l] = cm
 	}
-	if err := r.done("Dyadic"); err != nil {
+	if err := r.Done(); err != nil {
 		return err
 	}
 	*d = *out
@@ -1081,15 +958,12 @@ func DecodeDeltaInto(buf, data []byte, maxInner int) ([]byte, error) {
 	if _, err := PeekKind(data); err != nil {
 		return nil, err
 	}
-	r := reader{buf: data}
-	if !r.expectHeader(kindDelta, "Delta") {
-		return nil, r.err
-	}
-	rawLen := r.u32()
-	method := r.u8()
-	tokenLen := r.u32()
-	if r.err != nil {
-		return nil, r.err
+	r := newReader(data, kindDelta, "sketch: Delta")
+	rawLen := r.U32()
+	method := r.U8()
+	tokenLen := r.U32()
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
 	if maxInner < 0 || maxInner > maxDeltaInner {
 		maxInner = maxDeltaInner
@@ -1101,7 +975,7 @@ func DecodeDeltaInto(buf, data []byte, maxInner int) ([]byte, error) {
 		return nil, fmt.Errorf("sketch: Delta: token stream of %d bytes is longer than %d inner bytes can need", tokenLen, rawLen)
 	}
 	var src tokenSource
-	table, err := src.init(method, r.buf, tokenLen)
+	table, err := src.init(method, r.Take(r.Len()), tokenLen)
 	if err != nil {
 		return nil, err
 	}
@@ -1275,28 +1149,23 @@ func checkWordStarts(inner []byte, lo, hi int) (int, error) {
 
 // UnmarshalBinary decodes a table produced by MarshalBinary.
 func (t *IBLT) UnmarshalBinary(data []byte) error {
-	r := reader{buf: data}
-	if !r.expectHeader(kindIBLT, "IBLT") {
-		return r.err
-	}
-	m := r.u32()
-	k := r.u32()
-	seed := r.u64()
-	r.checkDims("IBLT", m, k)
-	r.checkPayload("IBLT", 3*uint64(m))
-	if r.err != nil {
-		return r.err
+	r := newReader(data, kindIBLT, "sketch: IBLT")
+	m := r.U32()
+	k := r.U32()
+	seed := r.U64()
+	r.checkDims(m, k)
+	body := r.Records(uint64(m), 24)
+	if err := r.Err(); err != nil {
+		return err
 	}
 	out := newIBLTFromSeed(seed, int(m), int(k))
 	for i := range out.cells {
+		c := body[24*i:]
 		out.cells[i] = ibltCell{
-			count:   int64(r.u64()),
-			keySum:  r.u64(),
-			hashSum: r.u64(),
+			count:   int64(binary.BigEndian.Uint64(c)),
+			keySum:  binary.BigEndian.Uint64(c[8:]),
+			hashSum: binary.BigEndian.Uint64(c[16:]),
 		}
-	}
-	if err := r.done("IBLT"); err != nil {
-		return err
 	}
 	*t = *out
 	return nil

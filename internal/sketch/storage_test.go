@@ -7,6 +7,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/frame"
 	"repro/internal/xrand"
 )
 
@@ -270,7 +271,7 @@ func FuzzCountMinStorageFixedPoint(f *testing.F) {
 		var cm CountMin
 		if err := cm.UnmarshalBinary(enc); err != nil {
 			for _, w := range ws {
-				if w&float64ExpMask == float64ExpMask {
+				if w&frame.Float64ExpMask == frame.Float64ExpMask {
 					return // a non-finite counter: refused, as it must be
 				}
 			}
