@@ -138,8 +138,8 @@ func appendHeader(dst []byte, kind uint8) []byte {
 // sketch decoder shares.
 type reader struct{ frame.Reader }
 
-// newReader reads an encoding of the given kind, its header already checked;
-// name ("sketch: CountMin") begins every error.
+// newReader returns a reader past the checked header of an encoding of the
+// given kind; name ("sketch: CountMin") begins every error.
 func newReader(data []byte, kind uint8, name string) reader {
 	r := reader{frame.NewReader(data, name)}
 	r.Magic(encodingMagic, nil)
@@ -173,9 +173,9 @@ func (r *reader) checkFamily(f hashing.Family) {
 }
 
 // counters decodes buf, the payload Records proved to be exactly len(dst)
-// words, into dst in one sweep; the caller has checked Err. A NaN or ±Inf counter fails the decode: one
-// poisoned counter would otherwise survive every later merge and replicate to
-// every peer.
+// words, into dst in one sweep; the caller has checked Err. A NaN or ±Inf
+// counter fails the decode: one poisoned counter would otherwise survive
+// every later merge and replicate to every peer.
 func (r *reader) counters(buf []byte, dst []float64) {
 	for i := range dst {
 		w := binary.BigEndian.Uint64(buf[8*i:])
