@@ -256,14 +256,22 @@ var nodeSeq atomic.Int64
 // reusable key/delta decode columns. Requests pick a lane round-robin, so P
 // lanes admit P concurrent /v1/update bodies and the only contention left is
 // 1/P lane-local. A request body is decoded straight into the lane's columns
-// (binary batches in one bounds-checked scan, no per-item structs) and the
-// columns are handed to the producer whole, so the steady-state update path
-// allocates nothing per request beyond what net/http itself does.
+// (binary batches in one bounds-checked scan, no per-item structs), its
+// repeated keys are summed in place and what remains goes to the producer
+// whole: the update path allocates nothing per request beyond net/http's.
 type ingestLane struct {
-	mu     sync.Mutex
-	p      *engine.Producer[*sketch.HeavyHitterTracker]
-	items  []uint64  // reusable decode column, guarded by mu
-	deltas []float64 // reusable decode column, guarded by mu
+	mu            sync.Mutex
+	p             *engine.Producer[*sketch.HeavyHitterTracker]
+	ingestColumns // guarded by mu
+}
+
+// ingestColumns is one ingest owner's reusable decode columns and the fold
+// that sums their repeated keys (repeats.go): each lane has one, and so does
+// each stream connection.
+type ingestColumns struct {
+	items  []uint64
+	deltas []float64
+	sum    repeatSum
 }
 
 // Server owns a sharded sketch engine and exposes it over HTTP:
@@ -434,6 +442,7 @@ type Server struct {
 	bodyScratch sync.Pool
 
 	updates, batches, merges, snapshots            atomic.Int64
+	updatesApplied                                 atomic.Int64 // Stats.UpdatesApplied
 	ingestBytes                                    atomic.Int64 // Stats.IngestBytes
 	deltasApplied, deltasDuplicate, deltasRejected atomic.Int64
 	deltasReplaced                                 atomic.Int64
@@ -885,15 +894,21 @@ func writeFileAtomic(dir, name string, data []byte) error {
 	return d.Sync()
 }
 
-// ingestColumns hands a lane's decoded columns to its producer and bumps the
-// write generation. The caller holds lane.mu and has re-checked closed. This
-// plus the decode is the whole /v1/update hot path: an atomic lane pick and
-// one lane-local lock — never the barrier lock, never a global one.
-func (s *Server) ingestColumns(lane *ingestLane) {
-	lane.p.UpdateColumns(lane.items, lane.deltas)
-	lane.p.Flush()
+// ingest hands one decoded batch to p: it folds the batch's repeated keys,
+// dispatches the records that remain and bumps the write generations, and
+// counts the records received and applied. The caller holds the lock that
+// guards c and has re-checked closed. This plus the decode is the whole
+// ingest hot path of /v1/update and of a stream data frame: one owner-local
+// lock — never the barrier lock, never a global one.
+func (s *Server) ingest(p *engine.Producer[*sketch.HeavyHitterTracker], c *ingestColumns) {
+	n := c.sum.fold(c.items, c.deltas)
+	p.UpdateColumns(c.items[:n], c.deltas[:n])
+	p.Flush()
 	s.gen.Add(1)
 	s.localGen.Add(1) // local ingestion: this batch is ours to gossip
+	s.updates.Add(int64(len(c.items)))
+	s.updatesApplied.Add(int64(n))
+	s.batches.Add(1)
 }
 
 // localCut returns the engine's pinned, immutable cut of the locally ingested
@@ -923,7 +938,7 @@ func (s *Server) localCut() (*sketch.HeavyHitterTracker, error) {
 //
 // An acknowledged write is never missing from what this returns. gen is
 // loaded first; a local batch bumps the engine's write generation (dispatch)
-// before ingestColumns bumps gen, so a batch counted in the stamp has already
+// before ingest bumps gen, so a batch counted in the stamp has already
 // invalidated the engine's pinned cut and a barrier is cut behind it — and
 // the same order means an engine still at generation 0 after the load holds
 // none of the stamp's writes. Foreign writes bump gen under snapMu, which the
@@ -1191,11 +1206,8 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	s.ingestColumns(lane)
-	accepted := len(lane.items)
-	s.updates.Add(int64(accepted))
-	s.batches.Add(1)
-	writeJSON(w, http.StatusOK, UpdateResponse{Accepted: accepted})
+	s.ingest(lane.p, &lane.ingestColumns)
+	writeJSON(w, http.StatusOK, UpdateResponse{Accepted: len(lane.items)})
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -2119,6 +2131,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Producers:       len(s.lanes),
 		Mode:            s.eng.Mode(),
 		Updates:         s.updates.Load(),
+		UpdatesApplied:  s.updatesApplied.Load(),
 		Batches:         s.batches.Load(),
 		IngestBytes:     s.ingestBytes.Load(),
 		Merges:          s.merges.Load(),

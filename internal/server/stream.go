@@ -290,8 +290,7 @@ type streamConn struct {
 	aborted atomic.Bool
 	abort   func()
 
-	items  []uint64
-	deltas []float64
+	ingestColumns
 	ackBuf []byte
 }
 
@@ -574,13 +573,8 @@ func (s *Server) serveFrames(c *streamConn, fr *frameReader, aw ackWriter, remot
 					sendErrorFrame(aw, "server is shutting down")
 					return
 				}
-				if n := len(c.items); n > 0 {
-					prod.UpdateColumns(c.items, c.deltas)
-					prod.Flush()
-					s.gen.Add(1)
-					s.localGen.Add(1) // streamed mass is local: ours to gossip
-					s.updates.Add(int64(n))
-					s.batches.Add(1)
+				if len(c.items) > 0 {
+					s.ingest(prod, &c.ingestColumns)
 				}
 				sess.seq = seq
 				s.streamFrames.Add(1)

@@ -211,7 +211,10 @@ type Stats struct {
 	WidenedSketches int              `json:"widened_sketches"`
 	Resident        ResidentSketches `json:"resident_sketches"`
 	Updates         int64            `json:"updates"`
-	Batches         int64            `json:"batches"`
+	// UpdatesApplied counts the records the engine applied: Updates after
+	// each integer batch's repeated keys were summed into one record a key.
+	UpdatesApplied int64 `json:"updates_applied"`
+	Batches        int64 `json:"batches"`
 	// IngestBytes counts the binary batch bytes accepted since start: SKB3
 	// bodies of POST /v1/update and the batches inside SKS1 data frames (the
 	// payload after the seq). JSON bodies are not counted, so IngestBytes
