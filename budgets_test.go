@@ -41,7 +41,7 @@ var lineBudgets = map[string]int{
 	"internal/jl":         385,
 	"internal/linalg":     272,
 	"internal/mat":        303,
-	"internal/server":     6099,
+	"internal/server":     6083,
 	"internal/sfft":       905,
 	"internal/sketch":     5045,
 	"internal/stream":     262,

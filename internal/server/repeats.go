@@ -1,7 +1,6 @@
 package server
 
 import (
-	"math"
 	"math/bits"
 	"math/rand/v2"
 )
@@ -14,24 +13,18 @@ import (
 // receives the same integer whether its deltas arrive one by one or summed,
 // and so does the total mass, as long as both stay below 2^53 in magnitude.
 // The one thing that sees the difference is the tracker's candidate store,
-// which is offered each key once per batch, at the estimate after all of the
-// key's updates in the batch, instead of once per record.
+// which is offered each key once per batch, at the estimate right after its
+// summed update, at the key's first position in the batch, instead of once
+// per record.
 //
-// The gate is the int32 counter storage's own rule for a delta (see
-// sketch.CountMin): every delta an integer in int32 range and none -0. A
-// batch with any other delta goes through as it came, so a fraction, NaN or
-// ±Inf still widens the counters at the same record as it would unsummed.
+// The gate is SKB3's rule for a two's-complement delta (intDelta, applied by
+// headerFor): every delta an integer in int32 range and none -0. A batch with
+// any other delta goes through as it came, so a fraction, NaN or ±Inf still
+// widens the counters at the same record as it would unsummed.
 
-const (
-	// maxSummedBatch bounds the records one fold sums: no partial sum of
-	// 2^21 int32 deltas reaches 2^53, so every sum is exact in float64.
-	maxSummedBatch = 1 << 21
-	// summedBackoff is how many batches an owner passes through untouched
-	// after a fold saved fewer than 1/summedMinSaving of its records: traffic
-	// without repeats pays the fold once in summedBackoff+1 batches.
-	summedBackoff   = 16
-	summedMinSaving = 8
-)
+// maxSummedBatch bounds the records one fold sums: no partial sum of 2^21
+// int32 deltas reaches 2^53, so every sum is exact in float64.
+const maxSummedBatch = 1 << 21
 
 // repeatSum folds a batch's repeated keys into their first occurrence. Each
 // ingest lane and stream connection owns one and uses it under the lock that
@@ -45,26 +38,20 @@ type repeatSum struct {
 	// mul is the odd multiplier of the multiply-shift slot hash, drawn at
 	// random so that no client can choose keys that all probe one run.
 	mul uint64
-	// skip counts the batches left to pass through before folding again.
-	skip int
 }
 
 // fold sums the deltas of repeated keys in place, keeping each key at its
 // first occurrence, and returns how many records remain at the front of
-// items and deltas. A batch that fails the gate, a batch during back-off and
-// a batch of fewer than two records come back untouched, length and all.
+// items and deltas. A batch that fails the gate and a batch of fewer than two
+// records come back untouched, length and all.
 func (r *repeatSum) fold(items []uint64, deltas []float64) int {
 	n := len(items)
 	if n < 2 || n > maxSummedBatch {
 		return n
 	}
-	if r.skip > 0 {
-		r.skip--
-		return n
-	}
 	deltas = deltas[:n]
 	for _, d := range deltas {
-		if float64(int32(d)) != d || math.Float64bits(d) == 1<<63 {
+		if !intDelta(d) {
 			return n
 		}
 	}
@@ -94,8 +81,5 @@ func (r *repeatSum) fold(items []uint64, deltas []float64) int {
 		}
 	}
 	clear(slots)
-	if (n-m)*summedMinSaving < n {
-		r.skip = summedBackoff
-	}
 	return m
 }

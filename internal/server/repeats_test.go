@@ -92,7 +92,6 @@ func TestRepeatSumMatchesPerRecord(t *testing.T) {
 				deltas[i] = float64(rng.IntN(9) - 4)
 			}
 		}
-		r.skip = 0 // the back-off has its own test
 		checkFold(t, &r, items, deltas)
 	}
 }
@@ -105,41 +104,6 @@ func TestRepeatSumGateLeavesColumnUntouched(t *testing.T) {
 		deltas := []float64{1, 2, 3, bad, 5, 6}
 		var r repeatSum
 		checkFold(t, &r, items, deltas)
-		if r.skip != 0 {
-			t.Fatalf("delta %v: a refused column set the back-off", bad)
-		}
-	}
-}
-
-// TestRepeatSumBacksOffWithoutRepeats checks the back-off rule: a fold that
-// saves fewer than 1/8 of its records passes the next 16 batches through
-// untouched, and the one after is folded again.
-func TestRepeatSumBacksOffWithoutRepeats(t *testing.T) {
-	var r repeatSum
-	distinct := make([]uint64, 64)
-	for i := range distinct {
-		distinct[i] = uint64(i)
-	}
-	ones, repeats := make([]float64, 64), make([]uint64, 64)
-	for i := range ones {
-		ones[i], repeats[i] = 1, 7
-	}
-	// 8 repeats in 64 records saves exactly 1/8: no back-off.
-	eighth := slices.Clone(distinct)
-	copy(eighth[56:], distinct[:8])
-	if m := r.fold(eighth, slices.Clone(ones)); m != 56 || r.skip != 0 {
-		t.Fatalf("saving 1/8: %d records, skip %d; want 56 and 0", m, r.skip)
-	}
-	if m := r.fold(slices.Clone(distinct), slices.Clone(ones)); m != 64 || r.skip != summedBackoff {
-		t.Fatalf("no repeats: %d records, skip %d; want 64 and %d", m, r.skip, summedBackoff)
-	}
-	for b := 0; b < summedBackoff; b++ {
-		if m := r.fold(slices.Clone(repeats), slices.Clone(ones)); m != 64 {
-			t.Fatalf("batch %d of the back-off was folded to %d records", b, m)
-		}
-	}
-	if m := r.fold(slices.Clone(repeats), slices.Clone(ones)); m != 1 {
-		t.Fatalf("after the back-off a 64-fold repeat came back as %d records, want 1", m)
 	}
 }
 
@@ -188,7 +152,6 @@ func FuzzRepeatSum(f *testing.F) {
 			}
 			items, deltas = append(items, k), append(deltas, d)
 		}
-		r.skip = 0
 		checkFold(t, &r, items, deltas)
 	})
 }
@@ -356,9 +319,8 @@ func zipfColumn(n int) ([]uint64, []float64) {
 }
 
 // BenchmarkRepeatSumBatch times the fold of one 4096-record batch, copy into
-// the owner's columns included: on the benchmark's Zipf(1.1) column, on a
-// column without repeats folded every time (the cost the back-off bounds),
-// and on that column as an owner meets it, backing off.
+// the owner's columns included: on the benchmark's Zipf(1.1) column and on a
+// column without repeats, where the fold is pure cost.
 func BenchmarkRepeatSumBatch(b *testing.B) {
 	zi, zd := zipfColumn(4096)
 	di, dd := make([]uint64, 4096), slices.Clone(zd)
@@ -366,11 +328,10 @@ func BenchmarkRepeatSumBatch(b *testing.B) {
 		di[i] = uint64(i) * 2654435761
 	}
 	for _, c := range []struct {
-		name    string
-		items   []uint64
-		deltas  []float64
-		backoff bool
-	}{{"zipf", zi, zd, false}, {"distinct", di, dd, false}, {"distinct_backoff", di, dd, true}} {
+		name   string
+		items  []uint64
+		deltas []float64
+	}{{"zipf", zi, zd}, {"distinct", di, dd}} {
 		b.Run(c.name, func(b *testing.B) {
 			fi, fd := slices.Clone(c.items), slices.Clone(c.deltas)
 			var r repeatSum
@@ -380,9 +341,6 @@ func BenchmarkRepeatSumBatch(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				copy(fi, c.items)
 				copy(fd, c.deltas)
-				if !c.backoff {
-					r.skip = 0
-				}
 				m = r.fold(fi, fd)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/4096, "ns/update")
