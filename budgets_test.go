@@ -22,7 +22,7 @@ var lineBudgets = map[string]int{
 	"cmd/hhtop":           378,
 	"cmd/sfftdemo":        172,
 	"cmd/sketchbench":     101,
-	"cmd/sketchd":         249,
+	"cmd/sketchd":         248,
 	"examples/aggregate":  291,
 	"examples/features":   127,
 	"examples/imaging":    95,
@@ -34,16 +34,16 @@ var lineBudgets = map[string]int{
 	"internal/chaostest":  543,
 	"internal/core":       344,
 	"internal/cs":         567,
-	"internal/engine":     1350,
+	"internal/engine":     985,
 	"internal/fourier":    342,
 	"internal/frame":      187,
 	"internal/hashing":    651,
 	"internal/jl":         385,
 	"internal/linalg":     272,
 	"internal/mat":        303,
-	"internal/server":     6083,
+	"internal/server":     6076,
 	"internal/sfft":       905,
-	"internal/sketch":     5045,
+	"internal/sketch":     4594,
 	"internal/stream":     262,
 	"internal/vec":        395,
 	"internal/xrand":      243,

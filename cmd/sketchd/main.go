@@ -85,7 +85,6 @@ func main() {
 		k             = flag.Int("k", 64, "heavy-hitter candidate capacity")
 		seed          = flag.Uint64("seed", 1, "hash seed; daemons that merge snapshots must share it")
 		workers       = flag.Int("workers", 0, "ingestion shard goroutines (0 = GOMAXPROCS)")
-		partition     = flag.Bool("partition", false, "key-partitioned engine mode: workers share one column-partitioned sketch (1x memory) instead of a full clone each (up to workers x memory); reads are bit-identical either way")
 		producers     = flag.Int("producers", 0, "parallel ingestion lanes for /v1/update handlers (0 = GOMAXPROCS)")
 		snapshotDir   = flag.String("snapshot-dir", "", "directory for snapshot shipping and startup recovery")
 		snapshotEvery = flag.Duration("snapshot-every", 0, "period of background snapshots to -snapshot-dir (0 = only on shutdown)")
@@ -141,7 +140,7 @@ func main() {
 		Depth:              *depth,
 		K:                  *k,
 		Seed:               *seed,
-		Engine:             engine.Config{Workers: *workers, Partition: *partition},
+		Engine:             engine.Config{Workers: *workers},
 		Producers:          *producers,
 		SnapshotDir:        *snapshotDir,
 		SnapshotEvery:      *snapshotEvery,

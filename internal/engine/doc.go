@@ -1,7 +1,6 @@
 // Package engine scales sketch ingestion across CPU cores by sharding, with
 // a multi-producer ingestion pipeline on the front and a barrier-consistent
-// snapshot on the back. It offers two sharding modes over the same API and
-// the same bit-identical reads.
+// snapshot on the back.
 //
 // The correctness argument is the survey's central observation: a sketch is a
 // sparse *linear* map of the frequency vector, so for any split of a stream
@@ -9,49 +8,35 @@
 //
 //	sketch(x) = sketch(x_1) + sketch(x_2) + ... + sketch(x_N)
 //
-// provided every term is computed with the same hash functions. In the
-// default *replica* mode the engine exploits this twice. On the consumer
-// side, each of N worker goroutines owns a private replica of a prototype
-// sketch (created with Clone when the worker's first batch arrives, so all
-// replicas share the prototype's hash seeds and an idle worker holds no
-// counters); batches fan across the workers and the replicas fold back together
-// with Merge when a snapshot is requested. On the producer side, any number
-// of goroutines ingest concurrently, each through its own handle from
-// Engine.Producer: a handle owns a private batch buffer and a private
-// round-robin cursor, so the hot path shares no locks — the only
-// synchronization is the per-batch shard channel send, amortized over
-// BatchSize updates. Linearity makes both splits exact: whichever producer
-// an update arrives through and whichever shard its batch lands on, the
-// merged result is *exactly* — not approximately — the sketch a
-// single-threaded run over the whole stream would have produced, because
-// counter addition is associative and commutative; in particular the
-// per-row median estimator of Count-Sketch and the row-minimum estimator of
-// Count-Min are evaluated on identical counter matrices.
+// provided every term is computed with the same hash functions. The engine
+// exploits this twice. On the consumer side, each of N worker goroutines owns
+// a private replica of a prototype sketch (created with Clone when the
+// worker's first batch arrives, so all replicas share the prototype's hash
+// seeds and an idle worker holds no counters); batches fan across the workers
+// and the replicas fold back together with Merge when a snapshot is requested.
+// On the producer side, any number of goroutines ingest concurrently, each
+// through its own handle from Engine.Producer: a handle owns a private batch
+// buffer and a private round-robin cursor, so the hot path shares no locks —
+// the only synchronization is the per-batch shard channel send, amortized over
+// BatchSize updates. Linearity makes both splits exact: whichever producer an
+// update arrives through and whichever shard its batch lands on, the merged
+// result is *exactly* — not approximately — the sketch a single-threaded run
+// over the whole stream would have produced, because counter addition is
+// associative and commutative; in particular the per-row median estimator of
+// Count-Sketch and the row-minimum estimator of Count-Min are evaluated on
+// identical counter matrices.
 //
-// Replica mode buys merge-free ingestion with up to workers x sketch-size
-// memory: one clone per worker that has received a batch.
-// *Partition* mode (Config.Partition, families implementing
-// sketch.ColumnSketch via NewLinear or the family constructors) spends the
-// memory differently: the workers jointly own ONE copy of the logical
-// sketch, shard j holding columns [j*W/N, (j+1)*W/N) of every row. Producers
-// route each batch through the family's shared hash kernels and send every
-// shard only the increments landing in its columns; a snapshot concatenates
-// the slices instead of merging replicas. Because the very same counters get
-// the very same additions, every read — estimates, quantiles, snapshot
-// bytes, deltas — is bit-identical between the two modes for the same
-// stream and seed (pinned by the cross-mode equivalence tests). See
-// partition.go for the routing, barrier-atomicity and candidate-lane
-// details, and docs/CLUSTER.md for when to pick which mode.
+// The price is memory: up to workers x sketch-size counters, one clone per
+// worker that has received a batch (CounterWords and CounterBytes report
+// it).
 //
-// Design notes (replica mode; partition mode differs as noted):
+// Design notes:
 //
 //   - Updates are routed round-robin at batch granularity, not hashed by
 //     item. Linearity makes any assignment of updates to shards correct, and
 //     round-robin gives perfect load balance with zero per-item routing cost.
 //     Each producer handle keeps its own cursor (staggered at creation), so
-//     producers spread across the shard ring without coordinating. In
-//     partition mode routing is by column ownership instead — forced, since
-//     each shard can apply only the increments whose counters it holds.
+//     producers spread across the shard ring without coordinating.
 //   - Batching amortizes channel synchronization: a producer fills a pair of
 //     key/delta columns (BatchSize, default 1024) and hands the pair to a
 //     worker whole, so channel overhead is paid once per batch rather than
@@ -63,12 +48,10 @@
 //     skip the per-record unpacking entirely.
 //   - Snapshot uses a barrier protocol: a sync token is enqueued on every
 //     shard's (FIFO) channel; each worker acknowledges it after applying all
-//     earlier batches and then blocks until the merge has read its replica
-//     (partition mode: until its column slice has been copied). Producers
-//     keep ingesting while a barrier is in flight — their batches land after
-//     the token, so the cut stays consistent without fencing the hot path.
-//     Partition-mode batches span shards, so dispatch and barrier addition
-//     serialize on an RWMutex to keep each batch on one side of the cut.
+//     earlier batches and then blocks until the merge has read its replica.
+//     Producers keep ingesting while a barrier is in flight — their batches
+//     land after the token, so the cut stays consistent without fencing the
+//     hot path.
 //   - Close blocks until every producer handle has been Closed, so the final
 //     merge provably contains every produced update (the exactness
 //     invariant TestConcurrentProducersExact checks under `go test -race`).

@@ -21,14 +21,6 @@ type Config struct {
 	// QueueDepth is the per-shard channel buffer measured in batches. Zero
 	// means 4. It bounds how far the producers can run ahead of the workers.
 	QueueDepth int
-	// Partition selects key-partitioned sharding: the workers own column
-	// slices of ONE logical sketch (memory ~1x) instead of full replicas
-	// (memory up to workers x), and snapshots concatenate instead of merge; see
-	// partition.go. Reads are bit-identical between the modes for the same
-	// stream and seed. Only the column-partitionable families support it
-	// (CountMin without conservative update, CountSketch, Dyadic, the
-	// heavy-hitter tracker); NewLinear refuses it for any other type.
-	Partition bool
 }
 
 func (c Config) withDefaults() Config {
@@ -56,12 +48,10 @@ type batch struct {
 	deltas []float64
 }
 
-// op is a shard channel message: a batch of updates (replica mode), a
-// scatter batch (partition mode), or a snapshot barrier token (ready/resume
-// non-nil).
+// op is a shard channel message: a batch of updates, or a snapshot barrier
+// token (ready/resume non-nil).
 type op struct {
 	b      batch
-	cb     colBatch
 	ready  chan<- struct{} // worker sends when all earlier batches are applied
 	resume <-chan struct{} // worker blocks here until the merge has read its replica
 }
@@ -138,13 +128,12 @@ type Engine[S LinearSketch[S]] struct {
 	producers sync.WaitGroup
 	stagger   atomic.Int64 // spreads new producers' first shard across the ring
 
-	// dispatchMu makes a replica-mode dispatch (shard send + write-generation
-	// bump) atomic with respect to barriers, exactly as partition.dispatchMu
-	// does for multi-shard dispatches: producers hold the read side around
+	// dispatchMu makes a dispatch (shard send + write-generation bump) atomic
+	// with respect to barriers: producers hold the read side around
 	// send+bump, a barrier holds the write side while enqueueing its tokens
 	// and capturing cutGen, so the generation counts exactly the batches on
-	// the snapshot's side of every cut. Producers only ever share it read-read
-	// on the hot path.
+	// the snapshot's side of every cut. Producers only ever share it
+	// read-read on the hot path.
 	dispatchMu sync.RWMutex
 	// writeGen counts dispatched batches: it is the engine's write generation.
 	// A published read epoch whose gen equals writeGen is current; any later
@@ -162,10 +151,6 @@ type Engine[S LinearSketch[S]] struct {
 	epochMisses atomic.Int64
 	readClosed  atomic.Bool // fences the lock-free read path after Close
 	estScratch  sync.Pool   // *sketch.EstimateScratch, shared by EstimateBatch readers
-
-	// part holds the key-partitioned mode's state (column shards, routing,
-	// dispatch lock); nil in replica mode. See partition.go.
-	part *partition[S]
 
 	def *Producer[S] // backs the engine-level convenience ingestion methods
 }
@@ -217,10 +202,6 @@ type Producer[S LinearSketch[S]] struct {
 	cur    batch
 	next   int
 	closed bool
-	// sc is the handle's private column router in partition mode (nil in
-	// replica mode): hash scratch plus per-shard scatter columns, so routing
-	// shares no mutable state between producers.
-	sc *sketch.ColumnScatter
 }
 
 // Producer registers a new ingestion handle. It panics after Engine.Close —
@@ -233,19 +214,14 @@ func (e *Engine[S]) Producer() *Producer[S] {
 		panic("engine: Producer after Close")
 	}
 	e.producers.Add(1)
-	p := &Producer[S]{
+	return &Producer[S]{
 		e: e,
 		cur: batch{
 			items:  make([]uint64, 0, e.cfg.BatchSize),
 			deltas: make([]float64, 0, e.cfg.BatchSize),
 		},
+		next: int(e.stagger.Add(1)-1) % len(e.shards),
 	}
-	if e.part != nil {
-		p.sc = sketch.NewColumnScatter(e.part.shape, len(e.part.shards))
-	} else {
-		p.next = int(e.stagger.Add(1)-1) % len(e.shards)
-	}
-	return p
 }
 
 // Update appends one record to the handle's columns, dispatching the batch
@@ -289,14 +265,9 @@ func (p *Producer[S]) UpdateColumns(items []uint64, deltas []float64) {
 }
 
 // dispatch hands the current batch to the handle's next shard round-robin
-// and starts a fresh column pair from the shared free list. In partition
-// mode it routes the batch by column ownership instead (see partDispatch).
+// and starts a fresh column pair from the shared free list.
 func (p *Producer[S]) dispatch() {
 	if len(p.cur.items) == 0 {
-		return
-	}
-	if p.e.part != nil {
-		p.partDispatch()
 		return
 	}
 	e := p.e
@@ -367,35 +338,13 @@ func (e *Engine[S]) Flush() {
 }
 
 // Workers returns the number of shards.
-func (e *Engine[S]) Workers() int {
-	if e.part != nil {
-		return len(e.part.shards)
-	}
-	return len(e.shards)
-}
-
-// Mode reports the sharding mode: "replica" (each worker owns a full clone)
-// or "partition" (each worker owns a column slice of one logical sketch).
-func (e *Engine[S]) Mode() string {
-	if e.part != nil {
-		return "partition"
-	}
-	return "replica"
-}
+func (e *Engine[S]) Workers() int { return len(e.shards) }
 
 // CounterWords returns the number of resident sketch counters across all
-// shards — the sketch size times the workers that have received a batch (up
-// to workers x) in replica mode, exactly the sketch size in partition mode
-// (TestModeAndCounterWords pins it). Engines over types without a known size
-// report 0.
+// shards: the sketch size times the workers that have received a batch, up
+// to workers x (TestReplicasMaterialiseOnFirstBatch pins it). Engines over
+// types without a known size report 0.
 func (e *Engine[S]) CounterWords() int {
-	if e.part != nil {
-		n := 0
-		for _, sh := range e.part.shards {
-			n += len(sh.counts)
-		}
-		return n
-	}
 	live := 0
 	for _, sh := range e.shards {
 		if sh.live.Load() {
@@ -422,11 +371,8 @@ func (e *Engine[S]) replicaWords() int {
 // CounterBytes returns the bytes the resident counters of CounterWords take:
 // each replica's as it reports them — 4 per counter while a Count-Min
 // family counts in int32, 8 once widened — and 8 per counter for a family
-// that reports nothing and for partition mode's float64 column shards.
+// that reports nothing.
 func (e *Engine[S]) CounterBytes() int {
-	if e.part != nil {
-		return 8 * e.CounterWords()
-	}
 	n := 0
 	for _, sh := range e.shards {
 		if !sh.live.Load() {
@@ -442,8 +388,7 @@ func (e *Engine[S]) CounterBytes() int {
 }
 
 // WidenedReplicas returns how many replicas have widened their counters from
-// int32 to float64 (see sketch.CountMin); partition mode's column shards
-// count in float64 by construction and are not counted.
+// int32 to float64 (see sketch.CountMin).
 func (e *Engine[S]) WidenedReplicas() int {
 	n := 0
 	for _, sh := range e.shards {
@@ -458,28 +403,18 @@ func (e *Engine[S]) WidenedReplicas() int {
 // drained their queues, runs fn, then releases the workers. Callers hold
 // e.mu, which serializes concurrent barriers; producers keep enqueueing
 // batches while a barrier is in flight (they land after the token, so the
-// cut stays consistent). In partition mode the tokens are enqueued under the
-// dispatch write lock, so a multi-shard dispatch can never straddle the cut.
+// cut stays consistent). The tokens are enqueued under the dispatch write
+// lock, so the cut's generation counts exactly the batches ahead of them.
 func (e *Engine[S]) barrier(fn func() error) error {
-	n := e.Workers()
-	ready := make(chan struct{}, n)
+	ready := make(chan struct{}, len(e.shards))
 	resume := make(chan struct{})
-	if e.part != nil {
-		e.part.dispatchMu.Lock()
-		for _, sh := range e.part.shards {
-			sh.ch <- op{ready: ready, resume: resume}
-		}
-		e.cutGen = e.writeGen.Load()
-		e.part.dispatchMu.Unlock()
-	} else {
-		e.dispatchMu.Lock()
-		for _, sh := range e.shards {
-			sh.ch <- op{ready: ready, resume: resume}
-		}
-		e.cutGen = e.writeGen.Load()
-		e.dispatchMu.Unlock()
+	e.dispatchMu.Lock()
+	for _, sh := range e.shards {
+		sh.ch <- op{ready: ready, resume: resume}
 	}
-	for i := 0; i < n; i++ {
+	e.cutGen = e.writeGen.Load()
+	e.dispatchMu.Unlock()
+	for range e.shards {
 		<-ready
 	}
 	err := fn()
@@ -508,15 +443,12 @@ func (e *Engine[S]) Snapshot() (S, error) {
 	return snap, err
 }
 
-// snapshotLocked cuts a barrier and merges (or concatenates) the shards into
-// a fresh replica. Caller holds e.mu and has checked closed. After it
-// returns, e.cutGen is the snapshot's write generation.
+// snapshotLocked cuts a barrier and merges the shards into a fresh replica.
+// Caller holds e.mu and has checked closed. After it returns, e.cutGen is the
+// snapshot's write generation.
 func (e *Engine[S]) snapshotLocked() (S, error) {
 	var zero S
 	e.def.Flush()
-	if e.part != nil {
-		return e.partSnapshot()
-	}
 	out := e.proto.Clone()
 	if err := e.barrier(func() error { return e.mergeLive(out) }); err != nil {
 		return zero, err
@@ -567,9 +499,6 @@ func (e *Engine[S]) Close() (S, error) {
 
 	e.def.Close()
 	e.producers.Wait()
-	if e.part != nil {
-		return e.partClose()
-	}
 	for _, sh := range e.shards {
 		close(sh.ch)
 	}
@@ -606,28 +535,18 @@ type LinearSketch[S any] interface {
 // so a counter-less sketch.Prototype serves). decode reverses the
 // replica's MarshalBinary: it must deserialize a replica and reject sketches
 // incompatible with proto — DecodeReplica trusts it as the gatekeeper.
-//
-// With cfg.Partition set, the workers own column slices of one logical
-// sketch instead of full clones; proto must then implement
-// sketch.ColumnSketch (every linear family in internal/sketch does, except
-// conservative-update CountMin), and every read stays bit-identical to
-// replica mode for the same stream and seed.
 func NewLinear[S LinearSketch[S]](cfg Config, proto S, decode func([]byte) (S, error)) *Engine[S] {
 	cfg = cfg.withDefaults()
 	e := &Engine[S]{cfg: cfg, proto: proto, decode: decode}
-	if cfg.Partition {
-		e.startPartitioned()
-	} else {
-		e.shards = make([]*shard[S], cfg.Workers)
-		e.free = make(chan batch, cfg.Workers*cfg.QueueDepth+1)
-		for i := range e.shards {
-			sh := &shard[S]{
-				ch:   make(chan op, cfg.QueueDepth),
-				done: make(chan struct{}),
-			}
-			e.shards[i] = sh
-			go e.run(sh)
+	e.shards = make([]*shard[S], cfg.Workers)
+	e.free = make(chan batch, cfg.Workers*cfg.QueueDepth+1)
+	for i := range e.shards {
+		sh := &shard[S]{
+			ch:   make(chan op, cfg.QueueDepth),
+			done: make(chan struct{}),
 		}
+		e.shards[i] = sh
+		go e.run(sh)
 	}
 	e.def = e.Producer()
 	return e

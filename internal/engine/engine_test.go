@@ -1,6 +1,9 @@
 package engine
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"slices"
 	"sync"
 	"testing"
@@ -273,6 +276,84 @@ func TestDyadicEngineWireMerge(t *testing.T) {
 	}
 	if _, err := engC.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestGoldenSnapshotBytes replays the sketch package's golden fixture recipe
+// (testdata/*.golden were generated by the original single-threaded
+// [][]float64 implementation) through a 3-worker engine and requires the
+// encoded snapshots to equal the fixtures byte for byte. That chains the
+// pre-refactor code and the sharded engine into one equality: same seed, same
+// stream, same bytes.
+func TestGoldenSnapshotBytes(t *testing.T) {
+	r := xrand.New(7)
+	sr := xrand.New(99)
+	items := make([]uint64, 500)
+	deltas := make([]float64, 500)
+	for i := range items {
+		items[i] = sr.Uint64n(1 << 30)
+		deltas[i] = float64(sr.Uint64n(9)) - 3.5
+	}
+
+	// Construction order matters: each sketch draws its seed from the shared
+	// r in exactly the order the fixture generator did, so every prototype
+	// below is hash-identical to the one that wrote its fixture.
+	cm := sketch.NewCountMin(r, 37, 4)
+	cs := sketch.NewCountSketch(r, 41, 5)
+	_ = sketch.NewBloomFilter(r, 997, 3)
+	_ = sketch.NewIBLT(r, 64, 3)
+	_ = sketch.NewHeavyHitterTracker(r, 53, 3, 8)
+	dy := sketch.NewDyadic(r, 12, 29, 3)
+
+	dyItems := make([]uint64, len(items))
+	for i := range items {
+		dyItems[i] = items[i] % (1 << 12)
+	}
+
+	cfg := Config{Workers: 3, BatchSize: 64}
+	cases := []struct {
+		file string
+		run  func() []byte
+	}{
+		{"countmin.golden", func() []byte {
+			eng := NewCountMin(cfg, cm)
+			eng.UpdateColumns(items, deltas)
+			out := snapshotBytes(t, eng)
+			if _, err := eng.Close(); err != nil {
+				t.Fatalf("countmin close: %v", err)
+			}
+			return out
+		}},
+		{"countsketch.golden", func() []byte {
+			eng := NewCountSketch(cfg, cs)
+			eng.UpdateColumns(items, deltas)
+			out := snapshotBytes(t, eng)
+			if _, err := eng.Close(); err != nil {
+				t.Fatalf("countsketch close: %v", err)
+			}
+			return out
+		}},
+		{"dyadic.golden", func() []byte {
+			eng := NewDyadic(cfg, dy)
+			eng.UpdateColumns(dyItems, deltas)
+			out := snapshotBytes(t, eng)
+			if _, err := eng.Close(); err != nil {
+				t.Fatalf("dyadic close: %v", err)
+			}
+			return out
+		}},
+	}
+	// The tracker fixture is excluded: its encoding includes the candidate
+	// set, which is heuristic under sharding (merges re-score a union). Its
+	// counter-level equivalence is pinned by TestCrossModeEquivalence.
+	for _, tc := range cases {
+		want, err := os.ReadFile(filepath.Join("..", "sketch", "testdata", tc.file))
+		if err != nil {
+			t.Fatalf("reading fixture: %v", err)
+		}
+		if got := tc.run(); !bytes.Equal(got, want) {
+			t.Errorf("%s: snapshot differs from golden fixture (%d vs %d bytes)", tc.file, len(got), len(want))
+		}
 	}
 }
 

@@ -4,17 +4,16 @@ import (
 	"bytes"
 	"fmt"
 	"slices"
-	"sync"
 	"testing"
 
 	"repro/internal/sketch"
 	"repro/internal/xrand"
 )
 
-// Cross-mode equivalence -------------------------------------------------------
+// Engine-versus-reference equivalence ----------------------------------------
 //
-// Partition mode's whole contract is "same bits, less memory": for the same
-// stream and seed, every counter-derived read must match replica mode and the
+// The engine's whole contract is "same bits, more cores": for the same stream
+// and seed, every counter-derived read of a sharded engine must match the
 // single-threaded sketch exactly. These tests pin that with randomized
 // configurations — family, shape, worker count, batch size, update schedule
 // (including negative deltas) and mid-stream Snapshot cuts, each with the
@@ -25,7 +24,7 @@ import (
 // replica it lands in while the others stay int32.
 
 // schedule is one randomized trial: a stream plus the positions (in updates
-// applied) at which each mode must cut a Snapshot and its delta.
+// applied) at which each run must cut a Snapshot and its delta.
 type schedule struct {
 	items  []uint64
 	deltas []float64
@@ -61,9 +60,9 @@ func randomSchedule(r *xrand.Rand, universe uint64, n, cuts int, fraction bool) 
 	return s
 }
 
-// modeRun is everything one mode produced from a schedule: the encoded
+// cutRun is everything one run produced from a schedule: the encoded
 // snapshot and delta at every cut, and the final Close replica.
-type modeRun[S any] struct {
+type cutRun[S any] struct {
 	snaps  [][]byte
 	deltas [][]byte
 	final  S
@@ -89,12 +88,12 @@ func subDelta[S interface {
 // runEngine drives one engine through the schedule, cutting a Snapshot and
 // its delta at exactly each cut position (baseline = previous cut's snapshot,
 // initially the empty prototype) — the way the daemon's replicator cuts a
-// frame. The stream is fed in segments ending at the cuts so every mode
+// frame. The stream is fed in segments ending at the cuts so every run
 // snapshots after the same number of applied updates; within a segment the
 // engine batches by its own BatchSize.
-func runEngine[S LinearSketch[S]](t *testing.T, eng *Engine[S], proto S, s schedule, delta cutDelta[S]) modeRun[S] {
+func runEngine[S LinearSketch[S]](t *testing.T, eng *Engine[S], proto S, s schedule, delta cutDelta[S]) cutRun[S] {
 	t.Helper()
-	var run modeRun[S]
+	var run cutRun[S]
 	baseline := proto.Clone()
 	prev := 0
 	for _, cut := range append(append([]int(nil), s.cuts...), len(s.items)) {
@@ -130,9 +129,9 @@ func runEngine[S LinearSketch[S]](t *testing.T, eng *Engine[S], proto S, s sched
 // runReference replays the schedule single-threaded on a bare sketch,
 // producing the same cut artifacts. cp works around the lack of a Copy
 // method in LinearSketch.
-func runReference[S LinearSketch[S]](t *testing.T, proto S, s schedule, cp func(S) S, delta cutDelta[S]) modeRun[S] {
+func runReference[S LinearSketch[S]](t *testing.T, proto S, s schedule, cp func(S) S, delta cutDelta[S]) cutRun[S] {
 	t.Helper()
-	var run modeRun[S]
+	var run cutRun[S]
 	ref := proto.Clone()
 	baseline := proto.Clone()
 	next := 0
@@ -158,32 +157,23 @@ func runReference[S LinearSketch[S]](t *testing.T, proto S, s schedule, cp func(
 	return run
 }
 
-// checkRuns compares the three modes' artifacts. Snapshot and delta bytes
+// checkRuns compares the engine's artifacts with the reference's. Snapshot and delta bytes
 // must agree byte-for-byte at every cut (the encodings serialize counters,
 // mass and seeds — byte equality IS bit-identity); the finals are compared by
 // the caller's family-specific check (tracker bytes include the heuristic
 // candidate set, so its runner compares counter-derived reads instead).
-func checkRuns[S any](t *testing.T, label string, ref, rep, part modeRun[S], finalEqual func(a, b S) error) {
+func checkRuns[S any](t *testing.T, label string, ref, rep cutRun[S], finalEqual func(a, b S) error) {
 	t.Helper()
 	for i := range ref.snaps {
 		if !bytes.Equal(ref.snaps[i], rep.snaps[i]) {
-			t.Fatalf("%s: replica snapshot %d differs from single-threaded reference", label, i)
-		}
-		if !bytes.Equal(ref.snaps[i], part.snaps[i]) {
-			t.Fatalf("%s: partitioned snapshot %d differs from single-threaded reference", label, i)
+			t.Fatalf("%s: engine snapshot %d differs from single-threaded reference", label, i)
 		}
 		if !bytes.Equal(ref.deltas[i], rep.deltas[i]) {
-			t.Fatalf("%s: replica delta %d differs from single-threaded reference", label, i)
-		}
-		if !bytes.Equal(ref.deltas[i], part.deltas[i]) {
-			t.Fatalf("%s: partitioned delta %d differs from single-threaded reference", label, i)
+			t.Fatalf("%s: engine delta %d differs from single-threaded reference", label, i)
 		}
 	}
 	if err := finalEqual(ref.final, rep.final); err != nil {
-		t.Fatalf("%s: replica final: %v", label, err)
-	}
-	if err := finalEqual(ref.final, part.final); err != nil {
-		t.Fatalf("%s: partitioned final: %v", label, err)
+		t.Fatalf("%s: engine final: %v", label, err)
 	}
 }
 
@@ -204,8 +194,8 @@ func bytesEqualFinal[S LinearSketch[S]](a, b S) error {
 }
 
 // TestCrossModeEquivalence is the property test: randomized configurations,
-// each run through partition mode, replica mode and a single-threaded
-// reference, asserting all artifacts identical — once over integer streams,
+// each run through the engine and a single-threaded reference, asserting all
+// artifacts identical — once over integer streams,
 // once with a fractional delta mid-stream. CI runs it twice under -race.
 func TestCrossModeEquivalence(t *testing.T) {
 	for _, fraction := range []bool{false, true} {
@@ -232,8 +222,7 @@ func crossModeTrials(t *testing.T, fraction bool) {
 		family := int(r.Uint64n(4))
 		seed := r.Uint64()
 
-		repCfg := Config{Workers: workers, BatchSize: batch}
-		partCfg := Config{Workers: workers, BatchSize: batch, Partition: true}
+		cfg := Config{Workers: workers, BatchSize: batch}
 		label := fmt.Sprintf("trial=%d family=%d w=%d d=%d workers=%d batch=%d n=%d", trial, family, width, depth, workers, batch, n)
 
 		switch family {
@@ -241,32 +230,28 @@ func crossModeTrials(t *testing.T, fraction bool) {
 			proto := sketch.NewCountMin(xrand.New(seed), width, depth)
 			delta := func(snap, base *sketch.CountMin) ([]byte, error) { return snap.AppendDeltaSince(nil, base) }
 			ref := runReference(t, proto, sched, func(s *sketch.CountMin) *sketch.CountMin { return s.Copy() }, delta)
-			rep := runEngine(t, NewCountMin(repCfg, proto), proto, sched, delta)
-			part := runEngine(t, NewCountMin(partCfg, proto), proto, sched, delta)
-			checkRuns(t, label, ref, rep, part, bytesEqualFinal)
+			rep := runEngine(t, NewCountMin(cfg, proto), proto, sched, delta)
+			checkRuns(t, label, ref, rep, bytesEqualFinal)
 			requireWidened(t, label, ref.final, fraction)
 		case 1:
 			proto := sketch.NewCountSketch(xrand.New(seed), width, depth)
 			ref := runReference(t, proto, sched, func(s *sketch.CountSketch) *sketch.CountSketch { return s.Copy() }, subDelta)
-			rep := runEngine(t, NewCountSketch(repCfg, proto), proto, sched, subDelta)
-			part := runEngine(t, NewCountSketch(partCfg, proto), proto, sched, subDelta)
-			checkRuns(t, label, ref, rep, part, bytesEqualFinal)
+			rep := runEngine(t, NewCountSketch(cfg, proto), proto, sched, subDelta)
+			checkRuns(t, label, ref, rep, bytesEqualFinal)
 		case 2:
 			logU := 6 + int(r.Uint64n(6))
 			sched := randomSchedule(r, uint64(1)<<logU, n, 3, fraction)
 			proto := sketch.NewDyadic(xrand.New(seed), logU, width, depth)
 			ref := runReference(t, proto, sched, func(s *sketch.Dyadic) *sketch.Dyadic { return s.Copy() }, subDelta)
-			rep := runEngine(t, NewDyadic(repCfg, proto), proto, sched, subDelta)
-			part := runEngine(t, NewDyadic(partCfg, proto), proto, sched, subDelta)
-			checkRuns(t, label, ref, rep, part, bytesEqualFinal)
+			rep := runEngine(t, NewDyadic(cfg, proto), proto, sched, subDelta)
+			checkRuns(t, label, ref, rep, bytesEqualFinal)
 			requireWidened(t, label, ref.final, fraction)
 		case 3:
 			k := 4 + int(r.Uint64n(12))
 			proto := sketch.NewHeavyHitterTracker(xrand.New(seed), width, depth, k)
 			ref := runTrackerReference(t, proto, sched)
-			rep := runTrackerEngine(t, NewTracker(repCfg, proto), proto, sched)
-			part := runTrackerEngine(t, NewTracker(partCfg, proto), proto, sched)
-			checkTrackerRuns(t, label, universe, ref, rep, part)
+			rep := runTrackerEngine(t, NewTracker(cfg, proto), proto, sched)
+			checkTrackerRuns(t, label, universe, ref, rep)
 			requireWidened(t, label, ref.final, fraction)
 		}
 	}
@@ -282,8 +267,8 @@ func requireWidened(t *testing.T, label string, s interface{ Widened() bool }, w
 }
 
 // Tracker runs compare counter-derived reads, not bytes: the tracker
-// encoding includes its candidate set, which is heuristic in every mode
-// (replica merges union and re-score too). What must be bit-identical is the
+// encoding includes its candidate set, which is heuristic under sharding
+// (merges union and re-score). What must be bit-identical is the
 // backing Count-Min — counters, mass, estimates.
 type trackerRun struct {
 	snaps  []*sketch.HeavyHitterTracker
@@ -377,119 +362,17 @@ func trackersCounterEqual(a, b *sketch.HeavyHitterTracker, universe uint64) erro
 	return nil
 }
 
-func checkTrackerRuns(t *testing.T, label string, universe uint64, ref, rep, part trackerRun) {
+func checkTrackerRuns(t *testing.T, label string, universe uint64, ref, rep trackerRun) {
 	t.Helper()
 	for i := range ref.snaps {
-		for name, run := range map[string]trackerRun{"replica": rep, "partitioned": part} {
-			if err := trackersCounterEqual(ref.snaps[i], run.snaps[i], universe); err != nil {
-				t.Fatalf("%s: %s snapshot %d: %v", label, name, i, err)
-			}
-			if err := trackersCounterEqual(ref.deltas[i], run.deltas[i], universe); err != nil {
-				t.Fatalf("%s: %s delta %d: %v", label, name, i, err)
-			}
+		if err := trackersCounterEqual(ref.snaps[i], rep.snaps[i], universe); err != nil {
+			t.Fatalf("%s: engine snapshot %d: %v", label, i, err)
+		}
+		if err := trackersCounterEqual(ref.deltas[i], rep.deltas[i], universe); err != nil {
+			t.Fatalf("%s: engine delta %d: %v", label, i, err)
 		}
 	}
 	if err := trackersCounterEqual(ref.final, rep.final, universe); err != nil {
-		t.Fatalf("%s: replica final: %v", label, err)
-	}
-	if err := trackersCounterEqual(ref.final, part.final, universe); err != nil {
-		t.Fatalf("%s: partitioned final: %v", label, err)
-	}
-}
-
-// TestPartitionConcurrentProducersExact: the multi-producer law holds in
-// partition mode — P goroutines ingesting disjoint interleaved slices of one
-// stream through private handles must close to the exact single-threaded
-// sketch. Under -race this is the data-race oracle for the partition
-// dispatch path (scatter, dispatch lock, buffer recycling).
-func TestPartitionConcurrentProducersExact(t *testing.T) {
-	proto := sketch.NewCountMin(xrand.New(31), 512, 4)
-	single := proto.Clone()
-	s := newZipf(32, 1<<14, 120_000)
-	for _, u := range s.Updates {
-		single.Update(u.Item, float64(u.Delta))
-	}
-
-	for _, producers := range []int{1, 2, 4, 8} {
-		eng := NewCountMin(Config{Workers: 4, BatchSize: 503, Partition: true}, proto)
-		var wg sync.WaitGroup
-		for pid := 0; pid < producers; pid++ {
-			wg.Add(1)
-			go func(pid int) {
-				defer wg.Done()
-				p := eng.Producer()
-				defer p.Close()
-				for i := pid; i < len(s.Updates); i += producers {
-					u := s.Updates[i]
-					p.Update(u.Item, float64(u.Delta))
-				}
-			}(pid)
-		}
-		wg.Wait()
-		merged, err := eng.Close()
-		if err != nil {
-			t.Fatalf("producers=%d: close: %v", producers, err)
-		}
-		if !slices.Equal(single.CounterData(), merged.CounterData()) {
-			t.Fatalf("producers=%d: partitioned counters differ from single-threaded sketch", producers)
-		}
-		if single.TotalMass() != merged.TotalMass() {
-			t.Fatalf("producers=%d: total mass %v != %v", producers, merged.TotalMass(), single.TotalMass())
-		}
-	}
-}
-
-// TestPartitionSnapshotDuringConcurrentIngest: barriers may overlap
-// partitioned ingestion. Each mid-stream snapshot must be internally
-// consistent — its total mass equal to the sum of whole batches (the
-// dispatch lock keeps multi-shard batches atomic under the cut), and its
-// counters a prefix-sum of the stream. The final close must be exact.
-func TestPartitionSnapshotDuringConcurrentIngest(t *testing.T) {
-	proto := sketch.NewCountMin(xrand.New(41), 256, 4)
-	const batch = 64
-	eng := NewCountMin(Config{Workers: 4, BatchSize: batch, Partition: true}, proto)
-	s := newZipf(42, 1<<12, 80_000)
-
-	single := proto.Clone()
-	var totalMass float64
-	for _, u := range s.Updates {
-		single.Update(u.Item, float64(u.Delta))
-		totalMass += float64(u.Delta)
-	}
-
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		p := eng.Producer()
-		defer p.Close()
-		for _, u := range s.Updates {
-			p.Update(u.Item, float64(u.Delta))
-		}
-	}()
-
-	for i := 0; i < 20; i++ {
-		snap, err := eng.Snapshot()
-		if err != nil {
-			t.Fatalf("snapshot %d: %v", i, err)
-		}
-		// Every delta in this stream is a positive integer, so a consistent
-		// cut has integer mass that is a multiple of nothing in particular —
-		// but it must never exceed the full stream's and never be negative.
-		if m := snap.TotalMass(); m < 0 || m > totalMass {
-			t.Fatalf("snapshot %d: mass %v out of range [0, %v]", i, m, totalMass)
-		}
-	}
-	wg.Wait()
-
-	merged, err := eng.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(single.CounterData(), merged.CounterData()) {
-		t.Fatal("final partitioned counters differ from single-threaded sketch")
-	}
-	if merged.TotalMass() != totalMass {
-		t.Fatalf("final mass %v != %v", merged.TotalMass(), totalMass)
+		t.Fatalf("%s: engine final: %v", label, err)
 	}
 }

@@ -12,7 +12,8 @@ import (
 
 // TestReplicasMaterialiseOnFirstBatch: a replica exists only once its shard
 // holds mass. A fresh engine holds none and snapshots as the empty sketch; one
-// flush below BatchSize lands on one shard and materialises exactly that one.
+// flush below BatchSize lands on one shard and materialises exactly that one,
+// and one flush per worker (round-robin) materialises them all.
 func TestReplicasMaterialiseOnFirstBatch(t *testing.T) {
 	const width, depth = 128, 4
 	proto := sketch.NewHeavyHitterTracker(xrand.New(7), width, depth, 8).Prototype()
@@ -41,6 +42,17 @@ func TestReplicasMaterialiseOnFirstBatch(t *testing.T) {
 	if got := eng.CounterWords(); got != width*depth {
 		t.Fatalf("CounterWords() after one flush = %d, want one replica (%d)", got, width*depth)
 	}
+
+	for i := 1; i < eng.Workers(); i++ {
+		eng.Update(uint64(i), 1)
+		eng.Flush()
+	}
+	if _, err := eng.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := eng.CounterWords(), eng.Workers()*width*depth; got != want {
+		t.Fatalf("CounterWords() after a flush per worker = %d, want %d", got, want)
+	}
 	if _, err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +60,7 @@ func TestReplicasMaterialiseOnFirstBatch(t *testing.T) {
 
 // TestOneLiveWorkerIsExact: when a single batch is all an engine of four
 // workers ever sees, the idle workers contribute nothing and both Snapshot and
-// Close equal the single-threaded tracker byte for byte, in either mode.
+// Close equal the single-threaded tracker byte for byte.
 func TestOneLiveWorkerIsExact(t *testing.T) {
 	const width, depth, k = 64, 4, 64
 	items := make([]uint64, 50)
@@ -65,24 +77,20 @@ func TestOneLiveWorkerIsExact(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, partition := range []bool{false, true} {
-		eng := NewTracker(Config{Workers: 4, BatchSize: 1024, Partition: partition}, proto)
-		eng.UpdateColumns(items, deltas)
-		if got := snapshotBytes(t, eng); !bytes.Equal(got, want) {
-			t.Fatalf("%s: snapshot differs from the single-threaded tracker", eng.Mode())
-		}
-		if !partition {
-			if got := eng.CounterWords(); got != width*depth {
-				t.Fatalf("CounterWords() = %d, want one replica (%d)", got, width*depth)
-			}
-		}
-		closed, err := eng.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, _ := closed.MarshalBinary(); !bytes.Equal(got, want) {
-			t.Fatalf("%s: Close differs from the single-threaded tracker", eng.Mode())
-		}
+	eng := NewTracker(Config{Workers: 4, BatchSize: 1024}, proto)
+	eng.UpdateColumns(items, deltas)
+	if got := snapshotBytes(t, eng); !bytes.Equal(got, want) {
+		t.Fatal("snapshot differs from the single-threaded tracker")
+	}
+	if got := eng.CounterWords(); got != width*depth {
+		t.Fatalf("CounterWords() = %d, want one replica (%d)", got, width*depth)
+	}
+	closed, err := eng.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := closed.MarshalBinary(); !bytes.Equal(got, want) {
+		t.Fatal("Close differs from the single-threaded tracker")
 	}
 }
 

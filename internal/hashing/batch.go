@@ -27,7 +27,7 @@ package hashing
 //     the number the two-reduction form computes). Any other family, degree
 //     or range takes the per-row HashBatch kernels inside the same call, so
 //     callers have one entry point and no mode to pick. This is what the
-//     sketches' UpdateBatch, EstimateBatch and ScatterColumns are built on.
+//     sketches' UpdateBatch and EstimateBatch are built on.
 //
 // All batched results are defined to be bit-identical to the scalar ones; the
 // tests in batch_test.go check every family against scalar Hash, and the

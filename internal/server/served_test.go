@@ -333,18 +333,15 @@ func TestReadersRaceDeltaApplyOnReadReplica(t *testing.T) {
 func TestAckedWriteVisibleThroughPinnedCut(t *testing.T) {
 	const key, foreignMass = 7, 1000
 	for _, tc := range []struct {
-		name      string
-		partition bool
-		foreign   bool
-		batches   int
+		name    string
+		foreign bool
+		batches int
 	}{
-		{"replica", false, false, 10_000},
-		{"partition", true, false, 10_000},
-		{"replica, foreign mass resident", false, true, 2_000},
-		{"partition, foreign mass resident", true, true, 2_000},
+		{"local mass only", false, 10_000},
+		{"foreign mass resident", true, 2_000},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := Config{Width: 256, Depth: 4, K: 8, Seed: 103, Engine: engine.Config{Workers: 2, BatchSize: 64, Partition: tc.partition}}
+			cfg := Config{Width: 256, Depth: 4, K: 8, Seed: 103, Engine: engine.Config{Workers: 2, BatchSize: 64}}
 			d, client := testDaemon(t, cfg)
 			base := 0.0
 			if tc.foreign {

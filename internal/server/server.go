@@ -44,9 +44,8 @@ type Config struct {
 	// incompatible snapshots at /v1/merge). Zero means 1.
 	Seed uint64
 	// Engine shapes the sharded ingestion underneath: workers, batch size
-	// and the sharding mode (Engine.Partition trades replica mode's
-	// workers x sketch-size memory for one column-partitioned copy with
-	// bit-identical reads; see internal/engine and docs/CLUSTER.md).
+	// and queue depth. Each worker that has received a batch holds a full
+	// sketch replica (see internal/engine and docs/CLUSTER.md).
 	Engine engine.Config
 	// Producers is the number of parallel ingestion lanes: engine producer
 	// handles that /v1/update requests are spread across round-robin, so P
@@ -2129,7 +2128,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		K:               s.cfg.K,
 		Workers:         s.eng.Workers(),
 		Producers:       len(s.lanes),
-		Mode:            s.eng.Mode(),
 		Updates:         s.updates.Load(),
 		UpdatesApplied:  s.updatesApplied.Load(),
 		Batches:         s.batches.Load(),

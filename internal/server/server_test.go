@@ -512,90 +512,74 @@ func differentSeedSnapshot(t *testing.T, cfg Config) []byte {
 	return data
 }
 
-// TestPartitionModeOverTheWire: a partition-mode daemon must be
-// indistinguishable from a replica-mode one at the API — same estimates
-// (bit for bit against the single-threaded reference), interoperable
-// snapshots/merges — while /v1/stats shows the mode and the memory the
-// choice buys: sketch-size resident counters instead of workers x that.
-func TestPartitionModeOverTheWire(t *testing.T) {
-	base := Config{Width: 512, Depth: 4, K: 32, Seed: 17}
-	repCfg, partCfg := base, base
-	repCfg.Engine = engine.Config{Workers: 4, BatchSize: 101}
-	partCfg.Engine = engine.Config{Workers: 4, BatchSize: 101, Partition: true}
-	_, repClient := testDaemon(t, repCfg)
-	_, partClient := testDaemon(t, partCfg)
+// TestMergeAndCounterWordsOverTheWire: two sharded daemons, each fed half a
+// stream, must answer bit for bit like the single-threaded reference once one
+// has merged the other's snapshot, and /v1/stats must show the memory the
+// sharding costs: no counters before any ingest, width x depth per worker
+// that has received a batch after.
+func TestMergeAndCounterWordsOverTheWire(t *testing.T) {
+	cfg := Config{Width: 512, Depth: 4, K: 32, Seed: 17, Engine: engine.Config{Workers: 4, BatchSize: 101}}
+	_, aClient := testDaemon(t, cfg)
+	_, bClient := testDaemon(t, cfg)
 	ctx := context.Background()
-	size := base.Width * base.Depth
+	size := cfg.Width * cfg.Depth
 
-	// Before any ingest a replica daemon holds no counters at all; the
-	// partitioned one owns its column slices from the start.
-	for _, c := range []struct {
-		client *Client
-		words  int
-	}{{repClient, 0}, {partClient, size}} {
-		stats, err := c.client.Stats(ctx)
+	for _, c := range []*Client{aClient, bClient} {
+		stats, err := c.Stats(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if stats.CounterWords != c.words {
-			t.Fatalf("%s counter_words before any ingest = %d, want %d", stats.Mode, stats.CounterWords, c.words)
+		if stats.CounterWords != 0 {
+			t.Fatalf("counter_words before any ingest = %d, want 0", stats.CounterWords)
 		}
 	}
 
-	reference := sketch.NewHeavyHitterTracker(xrand.New(base.Seed), base.Width, base.Depth, base.K)
+	reference := sketch.NewHeavyHitterTracker(xrand.New(cfg.Seed), cfg.Width, cfg.Depth, cfg.K)
 	s := stream.Zipf(xrand.New(171), 1<<14, 40_000, 1.1)
 	for _, u := range s.Updates {
 		reference.Update(u.Item, float64(u.Delta))
 	}
 
-	// Partitioned daemon ingests the first half, replica daemon the second;
-	// the partitioned one folds in the replica's snapshot (a full tracker
-	// absorbed into column slices over the wire).
 	half := len(s.Updates) / 2
-	if err := postStream(ctx, partClient, s.Updates[:half]); err != nil {
+	if err := postStream(ctx, aClient, s.Updates[:half]); err != nil {
 		t.Fatal(err)
 	}
-	if err := postStream(ctx, repClient, s.Updates[half:]); err != nil {
+	if err := postStream(ctx, bClient, s.Updates[half:]); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := repClient.Snapshot(ctx)
+	snap, err := bClient.Snapshot(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := partClient.Merge(ctx, snap); err != nil {
+	if err := aClient.Merge(ctx, snap); err != nil {
 		t.Fatal(err)
 	}
 
 	for item := uint64(0); item < 1<<14; item += 37 {
-		estimates, err := partClient.Query(ctx, item)
+		estimates, err := aClient.Query(ctx, item)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if want := reference.Estimate(item); estimates[0] != want {
-			t.Fatalf("partitioned estimate(%d) = %v, reference = %v", item, estimates[0], want)
+			t.Fatalf("merged estimate(%d) = %v, reference = %v", item, estimates[0], want)
 		}
 	}
 
-	repStats, err := repClient.Stats(ctx)
+	aStats, err := aClient.Stats(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	partStats, err := partClient.Stats(ctx)
+	bStats, err := bClient.Stats(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if repStats.Mode != "replica" || partStats.Mode != "partition" {
-		t.Fatalf("modes = %q / %q, want replica / partition", repStats.Mode, partStats.Mode)
+	// 20,000 updates in batches of 101, round-robin over 4 workers: every
+	// worker has seen a batch.
+	if bStats.CounterWords != 4*size || bStats.Resident.Replicas != 4 {
+		t.Fatalf("counter_words = %d (%d replicas), want %d (4)", bStats.CounterWords, bStats.Resident.Replicas, 4*size)
 	}
-	if partStats.CounterWords != size || partStats.Resident.Replicas != 1 {
-		t.Fatalf("partition counter_words = %d (%d replicas), want %d (1)", partStats.CounterWords, partStats.Resident.Replicas, size)
-	}
-	// ~200 batches round-robin over 4 workers: every one has seen a batch.
-	if repStats.CounterWords != 4*size || repStats.Resident.Replicas != 4 {
-		t.Fatalf("replica counter_words = %d (%d replicas), want %d (4)", repStats.CounterWords, repStats.Resident.Replicas, 4*size)
-	}
-	if partStats.TotalMass != reference.TotalMass() {
-		t.Fatalf("partitioned total mass %v != reference %v", partStats.TotalMass, reference.TotalMass())
+	if aStats.TotalMass != reference.TotalMass() {
+		t.Fatalf("merged total mass %v != reference %v", aStats.TotalMass, reference.TotalMass())
 	}
 }
 

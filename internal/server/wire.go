@@ -167,9 +167,9 @@ type PeerStat struct {
 // holds, by owner; Stats.CounterBytes is their memory (width x depth x 4
 // bytes each while the counters fit int32, x 8 once widened). Each exists
 // only once it holds mass: Replicas are the engine workers that have
-// received a batch (1 in partition mode), Foreign is 1 once
-// anything has been merged, applied or recovered from outside — 0 while it is
-// all one sender's and the foreign sketch is that sender's tracker — Senders
+// received a batch, Foreign is 1 once anything has been merged, applied or
+// recovered from outside — 0 while it is all one sender's and the foreign
+// sketch is that sender's tracker — Senders
 // are the gossip senders a window frame has been applied from, LocalCut is 1
 // while the engine pins a cut of its local mass (from the first read, gossip
 // tick or bootstrap request that needed one), Baselines are the cuts of older
@@ -194,18 +194,13 @@ type Stats struct {
 	K         int   `json:"k"`
 	Workers   int   `json:"workers"`
 	Producers int   `json:"producers"`
-	// Mode is the engine sharding mode: "replica" (each worker that has
-	// received a batch holds a full sketch clone) or "partition" (workers
-	// share one column-partitioned copy); CounterWords is the engine's
-	// resident counters under that choice, summed across shards — in replica
-	// mode width x depth per worker that holds mass, 0 on a daemon that has
+	// CounterWords is the engine's resident counters summed across shards:
+	// width x depth per worker that holds mass, 0 on a daemon that has
 	// ingested nothing. Resident counts every width x depth counter array
 	// the daemon holds, the engine's included, and CounterBytes is what
 	// they all take: 4 bytes a counter while an array counts in int32 and 8
-	// once it has widened to float64 (partition mode's column shards are
-	// float64 throughout); WidenedSketches counts the widened arrays among
-	// them (docs/CLUSTER.md, "Per-node memory").
-	Mode            string           `json:"mode"`
+	// once it has widened to float64; WidenedSketches counts the widened
+	// arrays among them (docs/CLUSTER.md, "Per-node memory").
 	CounterWords    int              `json:"counter_words"`
 	CounterBytes    int              `json:"counter_bytes"`
 	WidenedSketches int              `json:"widened_sketches"`

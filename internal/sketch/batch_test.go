@@ -512,7 +512,7 @@ func TestUpdateBatchZeroAlloc(t *testing.T) {
 	cm.UpdateBatch(items, deltas)
 	cs.UpdateBatch(items, deltas)
 	tr.UpdateBatch(items, deltas)
-	held := tr.CandidateItems()
+	held := tr.candidateItems()
 	for name, fn := range map[string]func(){
 		"countmin":    func() { cm.UpdateBatch(items, deltas) },
 		"countsketch": func() { cs.UpdateBatch(items, deltas) },
@@ -526,7 +526,7 @@ func TestUpdateBatchZeroAlloc(t *testing.T) {
 		t.Fatalf("tracker store held %d of %d candidates before the measured runs, want it full", len(held), tr.K())
 	}
 	still := make(map[uint64]bool)
-	for _, item := range tr.CandidateItems() {
+	for _, item := range tr.candidateItems() {
 		still[item] = true
 	}
 	evicted := 0

@@ -17,7 +17,7 @@ import (
 // a one-counter sketch it never reads (copy clones it, nothing more).
 func newRefStore(k int) *refTracker { return newRefTracker(NewCountMin(xrand.New(1), 1, 1), k) }
 
-// offerScored is CandidateSet.Offer on the reference store.
+// offerScored is candidateSet.Offer on the reference store.
 func (t *refTracker) offerScored(key uint64, score float64) {
 	if c, ok := t.inHeap[key]; ok {
 		c.count = score
@@ -29,7 +29,7 @@ func (t *refTracker) offerScored(key uint64, score float64) {
 
 // requireSameCandidates asserts the store holds the reference's (key, score)
 // pairs in the reference's heap order, and that its index describes its heap.
-func requireSameCandidates(t *testing.T, step string, got *CandidateSet, want *refTracker) {
+func requireSameCandidates(t *testing.T, step string, got *candidateSet, want *refTracker) {
 	t.Helper()
 	if got.Len() != want.candidates.Len() {
 		t.Fatalf("%s: %d candidates, reference %d", step, got.Len(), want.candidates.Len())
@@ -50,7 +50,7 @@ func requireSameCandidates(t *testing.T, step string, got *CandidateSet, want *r
 // one slot of a table of the given size — and so of every smaller table too,
 // since the home slot is a prefix of the same hash bits.
 func sameHomeKeys(n, slots int) []uint64 {
-	c := &CandidateSet{shift: uint(64 - log2Ceil(uint64(slots)))}
+	c := &candidateSet{shift: uint(64 - log2Ceil(uint64(slots)))}
 	keys := []uint64{0}
 	for k := uint64(1); len(keys) < n; k++ {
 		if c.home(k) == c.home(0) {
@@ -82,7 +82,7 @@ func TestCandidateSetMatchesOracle(t *testing.T) {
 			},
 		}
 		for name, next := range streams {
-			got, want := NewCandidateSet(capacity), newRefStore(capacity)
+			got, want := newCandidateSet(capacity), newRefStore(capacity)
 			for i := 0; i < 4000; i++ {
 				key, score := next(i)
 				got.Offer(key, score)
@@ -95,8 +95,8 @@ func TestCandidateSetMatchesOracle(t *testing.T) {
 
 func TestCandidateSetCopyAndReset(t *testing.T) {
 	r := xrand.New(5)
-	orig, want := NewCandidateSet(64), newRefStore(64)
-	offer := func(c *CandidateSet, ref *refTracker, n int) {
+	orig, want := newCandidateSet(64), newRefStore(64)
+	offer := func(c *candidateSet, ref *refTracker, n int) {
 		for i := 0; i < n; i++ {
 			key, score := r.Uint64n(200), float64(r.Uint64n(1000))
 			c.Offer(key, score)
@@ -126,7 +126,7 @@ func TestCandidateSetCopyAndReset(t *testing.T) {
 // TestCandidateSetLargeCapacityStartsSmall: the capacity is a bound, not a
 // reservation — a decoder may be handed k = 2^30 by a few bytes of input.
 func TestCandidateSetLargeCapacityStartsSmall(t *testing.T) {
-	c := NewCandidateSet(maxCandidates)
+	c := newCandidateSet(maxCandidates)
 	for key := uint64(0); key < 100; key++ {
 		c.Offer(key, float64(key))
 	}
@@ -139,7 +139,7 @@ func TestCandidateSetLargeCapacityStartsSmall(t *testing.T) {
 			t.Fatal("a capacity above maxCandidates did not panic")
 		}
 	}()
-	NewCandidateSet(maxCandidates + 1)
+	newCandidateSet(maxCandidates + 1)
 }
 
 func FuzzCandidateSetMatchesOracle(f *testing.F) {
@@ -151,7 +151,7 @@ func FuzzCandidateSetMatchesOracle(f *testing.F) {
 			return
 		}
 		capacity := []int{1, 2, 64}[int(data[0])%3]
-		got, want := NewCandidateSet(capacity), newRefStore(capacity)
+		got, want := newCandidateSet(capacity), newRefStore(capacity)
 		// One byte picks the key, one the score: 256 keys spread over the
 		// table by the multiplier (byte 0 is key 0), scores in sixteenths so
 		// ties are frequent.
@@ -167,7 +167,7 @@ func FuzzCandidateSetMatchesOracle(f *testing.F) {
 // TestCandidateSetChurnZeroAlloc: a full set admitting a new key on every
 // offer — evict, unindex, re-index — allocates nothing.
 func TestCandidateSetChurnZeroAlloc(t *testing.T) {
-	c := NewCandidateSet(64)
+	c := newCandidateSet(64)
 	next := uint64(0)
 	churn := func() {
 		for i := 0; i < 1000; i++ {

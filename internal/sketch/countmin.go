@@ -185,28 +185,6 @@ func (cm *CountMin) at(i int) float64 {
 	return cm.counts[i]
 }
 
-// store overwrites the counters from off on with src. A narrow sketch stays
-// narrow while each value is what a decoded word must be to stay narrow (an
-// integer in int32 range, not -0), and widens at the first that is not.
-func (cm *CountMin) store(off int, src []float64) {
-	if cm.counts32 != nil {
-		dst := cm.counts32[off:][:len(src)]
-		for i, v := range src {
-			k, ok := narrowWord(math.Float64bits(v))
-			if !ok {
-				cm.widen()
-				off, src = off+i, src[i:]
-				break
-			}
-			dst[i] = k
-		}
-		if cm.counts32 != nil {
-			return
-		}
-	}
-	copy(cm.counts[off:], src)
-}
-
 // Widened reports whether the counters are float64: widened by the storage
 // rule (see CountMin), or conservative from the start. A Prototype holds no
 // counters and is not widened.
@@ -598,82 +576,4 @@ func (cm *CountMin) RowBucket(row int, item uint64) int {
 		panic("sketch: RowBucket row out of range")
 	}
 	return cm.bucket(row, item)
-}
-
-// Column partitioning (see columns.go) ---------------------------------------
-
-// ColumnShape returns the sketch's column-partition geometry: depth rows of
-// width columns.
-func (cm *CountMin) ColumnShape() ColumnShape {
-	return ColumnShape{Rows: cm.depth, Width: cm.width}
-}
-
-// ScatterColumns hashes a key/delta batch through the same row-set kernel
-// UpdateBatch uses and routes each row's counter increment to the shard
-// owning its bucket's column, plus the batch's delta mass. It reads only the
-// shared hash functions and the scatter's own scratch, so any number of
-// producers may scatter through one prototype concurrently. Conservative
-// update is not linear and cannot be partitioned (panics, mirroring Merge's
-// refusal).
-func (cm *CountMin) ScatterColumns(items []uint64, deltas []float64, sc *ColumnScatter) {
-	if len(items) != len(deltas) {
-		panic(fmt.Sprintf("sketch: CountMin.ScatterColumns length mismatch (%d items, %d deltas)", len(items), len(deltas)))
-	}
-	if cm.conservative {
-		panic("sketch: conservative-update CountMin is not linear and cannot be column-partitioned")
-	}
-	cm.scatter(items, deltas, sc, 0, false)
-	for _, d := range deltas {
-		sc.Mass += d
-	}
-}
-
-// scatter routes the increments of one key/delta batch: cm's row r is row
-// firstRow+r of the scatter's geometry (the dyadic hierarchy stacks its
-// levels), and with candidates set every key also goes down the candidate
-// lane with its row-0 bucket (the heavy-hitter tracker). Each shard's lists
-// receive a chunk's rows one after another, so any one counter still gets its
-// increments in stream order.
-func (cm *CountMin) scatter(items []uint64, deltas []float64, sc *ColumnScatter, firstRow int, candidates bool) {
-	idx, stride := indexRows(&sc.idx, cm.depth, len(items))
-	for len(items) > 0 {
-		n := min(len(items), stride)
-		cm.rows.Index(items[:n], idx, stride)
-		for r := 0; r < cm.depth; r++ {
-			off := uint64(r * cm.width)
-			for i, j := range idx[r*stride:][:n] {
-				sc.route(firstRow+r, j-off, deltas[i])
-			}
-		}
-		if candidates {
-			for i, bucket := range idx[:n] { // row 0: the index is the bucket
-				sc.routeCandidate(items[i], bucket)
-			}
-		}
-		items, deltas = items[n:], deltas[n:]
-	}
-}
-
-// AppendColumnSlice appends the row-major counters of the columns shard j of
-// n owns — the exact slice a partitioned engine's shard j holds for this
-// sketch — and returns the extended slice.
-func (cm *CountMin) AppendColumnSlice(dst []float64, shard, shards int) []float64 {
-	lo, hi := cm.ColumnShape().Range(shard, shards)
-	if cm.counts32 != nil {
-		return appendColumnSlice(dst, cm.counts32, cm.width, cm.depth, lo, hi)
-	}
-	return appendColumnSlice(dst, cm.counts, cm.width, cm.depth, lo, hi)
-}
-
-// ConcatColumns overwrites the counters from per-shard column slices (the
-// inverse of AppendColumnSlice over all shards) and sets the total mass to
-// the summed shard masses. With exactly summable deltas the result is
-// bit-identical to the sketch a single-threaded run would have produced. The
-// storage is picked the way a decode picks it (see store).
-func (cm *CountMin) ConcatColumns(slices [][]float64, mass float64) error {
-	if err := concatColumnSlices(slices, cm.ColumnShape(), cm.store); err != nil {
-		return err
-	}
-	cm.totalMass = mass
-	return nil
 }

@@ -316,47 +316,6 @@ func (cs *CountSketch) RowSign(row int, item uint64) float64 {
 	return cs.signs[row].Sign(item)
 }
 
-// Column partitioning (see columns.go) ---------------------------------------
-
-// ColumnShape returns the sketch's column-partition geometry: depth rows of
-// width columns.
-func (cs *CountSketch) ColumnShape() ColumnShape {
-	return ColumnShape{Rows: cs.depth, Width: cs.width}
-}
-
-// ScatterColumns hashes and signs a key/delta batch through the same kernels
-// UpdateBatch uses and routes each row's signed increment to the shard owning
-// its bucket's column. Only the shared hash/sign functions and the scatter's
-// scratch are touched, so producers scatter through one prototype
-// concurrently.
-func (cs *CountSketch) ScatterColumns(items []uint64, deltas []float64, sc *ColumnScatter) {
-	if len(items) != len(deltas) {
-		panic(fmt.Sprintf("sketch: CountSketch.ScatterColumns length mismatch (%d items, %d deltas)", len(items), len(deltas)))
-	}
-	idx, stride := indexRows(&sc.idx, cs.depth, len(items))
-	signs := sc.signScratch(stride)
-	for len(items) > 0 {
-		n := min(len(items), stride)
-		cs.rows.Index(items[:n], idx, stride)
-		for r := 0; r < cs.depth; r++ {
-			hashing.SignBatch(cs.signs[r], items[:n], signs)
-			off := uint64(r * cs.width)
-			for i, j := range idx[r*stride:][:n] {
-				sc.route(r, j-off, signs[i]*deltas[i])
-			}
-		}
-		items, deltas = items[n:], deltas[n:]
-	}
-}
-
-// ConcatColumns overwrites the counters from per-shard column slices. The
-// mass argument is ignored: Count-Sketch keeps no mass accounting.
-func (cs *CountSketch) ConcatColumns(slices [][]float64, _ float64) error {
-	return concatColumnSlices(slices, cs.ColumnShape(), func(off int, src []float64) {
-		copy(cs.counts[off:], src)
-	})
-}
-
 // median returns the median of values; for even counts it averages the two
 // middle elements, which keeps the estimator unbiased. The input slice is
 // sorted in place (it is always a scratch slice here).

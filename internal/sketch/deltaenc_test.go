@@ -289,7 +289,7 @@ func TestAppendDeltaSinceMatchesSeedChain(t *testing.T) {
 							feed(local, r, n, 4*width, shape.delta)
 						}
 						if k == 1 && !midStream {
-							local.cands = NewCandidateSet(k) // no candidates at all
+							local.cands = newCandidateSet(k) // no candidates at all
 						}
 						want := trackerDeltaOracle(t, local, base)
 						prefix := []byte("frame header")

@@ -65,10 +65,10 @@
 //
 //   - The row-set kernel. Each flat-counter sketch compiles its row hashers
 //     into one hashing.Rows at construction (shared with its clones), and
-//     every batched path — UpdateBatch, EstimateBatchWith, ScatterColumns,
-//     the dyadic levels — calls Rows.Index on indexChunk keys at a time to
-//     get every row's flat counter indices in one pass, then walks the
-//     counters row by row off that L1-resident matrix. The default rows
+//     every batched path — UpdateBatch, EstimateBatchWith, the dyadic
+//     levels — calls Rows.Index on indexChunk keys at a time to get every
+//     row's flat counter indices in one pass, then walks the counters row
+//     by row off that L1-resident matrix. The default rows
 //     (pairwise polynomial, power-of-two width) take the kernel's fused
 //     loop, which reduces a*x + b mod 2^61-1 once rather than twice. One
 //     reduction suffices because the folded sum is below 2^63, so a fold and
@@ -85,7 +85,7 @@
 //     deferring it changes neither what the store sees nor what the counters
 //     receive.
 //
-//   - The table-indexed heap. CandidateSet is a flat min-heap with
+//   - The table-indexed heap. candidateSet is a flat min-heap with
 //     container/heap's exact sift order, indexed by an open-addressed table
 //     (linear probing, backward-shift delete, at least four slots per key)
 //     whose slot numbers ride in the heap entries: a sift swap stores two

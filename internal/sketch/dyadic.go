@@ -336,70 +336,6 @@ func (d *Dyadic) Scale(c float64) {
 	}
 }
 
-// Column partitioning (see columns.go) ---------------------------------------
-
-// ColumnShape returns the hierarchy's column-partition geometry: every
-// level's rows stacked level-major — (logU+1)*depth rows of width columns
-// (NewDyadic gives every level the same dimensions).
-func (d *Dyadic) ColumnShape() ColumnShape {
-	return ColumnShape{Rows: len(d.levels) * d.levels[0].depth, Width: d.levels[0].width}
-}
-
-// ScatterColumns routes a key/delta batch level by level: level l hashes the
-// keys' length-2^l prefixes exactly as UpdateBatch does, and each row's
-// increment goes to the shard owning its bucket's column. Items outside the
-// universe panic, mirroring UpdateBatch.
-func (d *Dyadic) ScatterColumns(items []uint64, deltas []float64, sc *ColumnScatter) {
-	if len(items) != len(deltas) {
-		panic(fmt.Sprintf("sketch: Dyadic.ScatterColumns length mismatch (%d items, %d deltas)", len(items), len(deltas)))
-	}
-	for _, item := range items {
-		if item >= d.universe {
-			panic(fmt.Sprintf("sketch: Dyadic item %d outside universe %d", item, d.universe))
-		}
-	}
-	depth := d.levels[0].depth
-	prefixes := sc.keyScratch(len(items))
-	copy(prefixes, items)
-	for l := 0; l <= d.logU; l++ {
-		if l > 0 {
-			for i := range prefixes {
-				prefixes[i] >>= 1
-			}
-		}
-		d.levels[l].scatter(prefixes, deltas, sc, l*depth, false)
-	}
-	for _, dl := range deltas {
-		sc.Mass += dl
-	}
-}
-
-// ConcatColumns overwrites every level's counters from per-shard column
-// slices (level-major: each level's rows in order) and sets each
-// level's total mass to the summed shard masses — every level sees every
-// delta once, so the per-level masses are all the stream's total.
-func (d *Dyadic) ConcatColumns(slices [][]float64, mass float64) error {
-	shape := d.ColumnShape()
-	depth := d.levels[0].depth
-	for j, s := range slices {
-		lo, hi := shape.Range(j, len(slices))
-		w := hi - lo
-		if len(s) != shape.Rows*w {
-			return fmt.Errorf("sketch: dyadic column slice %d holds %d counters, want %d (%d rows x %d columns)",
-				j, len(s), shape.Rows*w, shape.Rows, w)
-		}
-		for rr := 0; rr < shape.Rows; rr++ {
-			cm := d.levels[rr/depth]
-			r := rr % depth
-			cm.store(r*cm.width+lo, s[rr*w:(rr+1)*w])
-		}
-	}
-	for _, cm := range d.levels {
-		cm.totalMass = mass
-	}
-	return nil
-}
-
 // HeavyHitterTracker combines a Count-Min sketch with a candidate heap so
 // that heavy hitters can be reported after a single pass without a second
 // pass over the stream and without knowing the universe. This is the
@@ -409,13 +345,13 @@ func (d *Dyadic) ConcatColumns(slices [][]float64, mass float64) error {
 type HeavyHitterTracker struct {
 	cm    *CountMin
 	k     int
-	cands *CandidateSet
+	cands *candidateSet
 	// scoresLow is the floor-gate latch of UpdateBatch: true while every
 	// stored candidate score is a lower bound on that item's current estimate.
 	// It holds as long as only non-negative deltas have touched the counters
 	// since the scores were set, so anything that can lower a counter clears
-	// it (a negative or NaN delta, Sub, Scale, AbsorbCountMin, ConcatColumns)
-	// and only a full re-score (Merge, UnmarshalBinary) sets it again.
+	// it (a negative or NaN delta, Sub, Scale, AbsorbCountMin) and only a
+	// full re-score (Merge, UnmarshalBinary) sets it again.
 	scoresLow bool
 	// idx and est are UpdateBatch's scratch: the chunk's index matrix (see
 	// indexRows) and the estimate each item of the chunk had right after its
@@ -424,7 +360,7 @@ type HeavyHitterTracker struct {
 	idx []uint64
 	est []float64
 	// unionKeys is Merge's scratch for the candidate union, and candScores
-	// AbsorbCandidates' for the estimates it offers.
+	// absorbCandidates' for the estimates it offers.
 	unionKeys  []uint64
 	candScores []float64
 	// oneKey/oneDelta back the per-item Update, which is a len-1 UpdateBatch.
@@ -446,7 +382,7 @@ func NewHeavyHitterTracker(r *xrand.Rand, width, depth, k int) *HeavyHitterTrack
 // UnmarshalBinary. An empty store has no score to go stale, so the latch
 // starts set.
 func newHeavyHitterTracker(cm *CountMin, k int) *HeavyHitterTracker {
-	return &HeavyHitterTracker{cm: cm, k: k, cands: NewCandidateSet(k), scoresLow: true}
+	return &HeavyHitterTracker{cm: cm, k: k, cands: newCandidateSet(k), scoresLow: true}
 }
 
 // Update processes one update and refreshes the candidate heap. It is a
@@ -752,7 +688,7 @@ func (t *HeavyHitterTracker) Merge(other *HeavyHitterTracker) error {
 	}
 	t.unionKeys = other.cands.AppendItems(t.cands.AppendItems(t.unionKeys[:0]))
 	t.cands.Reset()
-	t.AbsorbCandidates(t.unionKeys)
+	t.absorbCandidates(t.unionKeys)
 	t.scoresLow = true
 	return nil
 }
@@ -822,59 +758,15 @@ func (t *HeavyHitterTracker) CounterBytes() int { return t.cm.CounterBytes() }
 // storage rule on CountMin).
 func (t *HeavyHitterTracker) Widened() bool { return t.cm.Widened() }
 
-// Column partitioning (see columns.go) ---------------------------------------
-
-// ColumnShape returns the backing Count-Min's column-partition geometry.
-func (t *HeavyHitterTracker) ColumnShape() ColumnShape { return t.cm.ColumnShape() }
-
-// ScatterColumns routes a key/delta batch exactly as the backing Count-Min
-// does, and additionally routes every key down the candidate lane to the
-// shard owning its row-0 bucket, paired with that bucket's shard-local index.
-// The owning shard scores the key from its own row-0 counter — the same
-// never-underestimating upper bound the tracker's heap scores with — so
-// partitioned candidate tracking needs no cross-shard reads. Candidate
-// *selection* is a heuristic in every mode (replica merges already union and
-// re-score per-shard heaps); only the counters are bit-identical across
-// modes.
-func (t *HeavyHitterTracker) ScatterColumns(items []uint64, deltas []float64, sc *ColumnScatter) {
-	if len(items) != len(deltas) {
-		panic(fmt.Sprintf("sketch: HeavyHitterTracker.ScatterColumns length mismatch (%d items, %d deltas)", len(items), len(deltas)))
-	}
-	t.cm.scatter(items, deltas, sc, 0, true)
-	for _, dl := range deltas {
-		sc.Mass += dl
-	}
-}
-
-// AppendColumnSlice appends the backing Count-Min's slice for one shard.
-func (t *HeavyHitterTracker) AppendColumnSlice(dst []float64, shard, shards int) []float64 {
-	return t.cm.AppendColumnSlice(dst, shard, shards)
-}
-
-// ConcatColumns reassembles the backing Count-Min from per-shard column
-// slices. Candidates are delivered separately via AbsorbCandidates once the
-// counters are in place, so they score against the full sketch.
-func (t *HeavyHitterTracker) ConcatColumns(slices [][]float64, mass float64) error {
-	t.scoresLow = false
-	return t.cm.ConcatColumns(slices, mass)
-}
-
-// ColumnMass returns the backing sketch's total mass.
-func (t *HeavyHitterTracker) ColumnMass() float64 { return t.cm.TotalMass() }
-
-// CandidateItems returns the tracked candidate keys (unordered).
-func (t *HeavyHitterTracker) CandidateItems() []uint64 {
+// candidateItems returns the tracked candidate keys (unordered).
+func (t *HeavyHitterTracker) candidateItems() []uint64 {
 	return t.cands.AppendItems(make([]uint64, 0, t.cands.Len()))
 }
 
-// CandidateCap returns the candidate capacity k.
-func (t *HeavyHitterTracker) CandidateCap() int { return t.k }
-
-// AbsorbCandidates offers every key to the candidate heap scored by the
-// current sketch estimate — the union-and-re-score reduction Merge applies,
-// exposed for callers that carry candidate keys outside a tracker (the
-// engine's partitioned snapshot assembly).
-func (t *HeavyHitterTracker) AbsorbCandidates(items []uint64) {
+// absorbCandidates offers every key to the candidate heap scored by the
+// current sketch estimate: the re-score step of Merge's union and of
+// UnmarshalBinary.
+func (t *HeavyHitterTracker) absorbCandidates(items []uint64) {
 	if cap(t.candScores) < len(items) {
 		t.candScores = make([]float64, len(items))
 	}

@@ -413,7 +413,7 @@ func (t *HeavyHitterTracker) appendEncodingHeader(dst []byte, cmLen int) []byte 
 // sortedCandidates returns the candidate keys in ascending order, the order
 // they are encoded in.
 func (t *HeavyHitterTracker) sortedCandidates() []uint64 {
-	items := t.CandidateItems()
+	items := t.candidateItems()
 	slices.Sort(items)
 	return items
 }
@@ -451,7 +451,7 @@ func (t *HeavyHitterTracker) UnmarshalBinary(data []byte) error {
 		items[i] = binary.BigEndian.Uint64(body[8*i:])
 	}
 	out := newHeavyHitterTracker(cm, int(k))
-	out.AbsorbCandidates(items)
+	out.absorbCandidates(items)
 	*t = *out
 	return nil
 }

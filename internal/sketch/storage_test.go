@@ -102,33 +102,12 @@ var storageCases = []struct {
 	{"Scale by 0.5", true, func(cm *CountMin) { cm.Update(3, 5); cm.Scale(0.5) }},
 	{"Scale by -1", true, func(cm *CountMin) { cm.Update(3, 5); cm.Scale(-1) }},
 	{"Scale by 0", true, func(cm *CountMin) { cm.Update(3, -5); cm.Scale(0) }},
-	{"ConcatColumns of integers", false, func(cm *CountMin) {
-		src := cm.Clone()
-		src.Update(3, 12)
-		mustNil(cm.ConcatColumns(columnSlices(src, 3), src.TotalMass()))
-	}},
-	{"ConcatColumns holding -0", true, func(cm *CountMin) {
-		src := cm.Clone()
-		src.Update(3, 12)
-		slices := columnSlices(src, 3)
-		slices[1][0] = math.Copysign(0, -1)
-		mustNil(cm.ConcatColumns(slices, src.TotalMass()))
-	}},
 }
 
 func mustNil(err error) {
 	if err != nil {
 		panic(err)
 	}
-}
-
-// columnSlices cuts cm into shards column slices.
-func columnSlices(cm *CountMin, shards int) [][]float64 {
-	out := make([][]float64, shards)
-	for j := range out {
-		out[j] = cm.AppendColumnSlice(nil, j, shards)
-	}
-	return out
 }
 
 // TestStorageBoundaries runs every boundary case on an int32 sketch and on

@@ -16,10 +16,10 @@ import (
 // to add, a second to estimate, a map of heap nodes and container/heap. It is
 // deliberately straight-line and shares nothing with the kernel but the hash
 // functions themselves (through the scalar Hash, not the batch kernels) and
-// the Count-Min's whole-sketch arithmetic (Sub, Scale, Merge, Copy,
-// ConcatColumns), which the kernel change does not touch. Its Count-Min is
-// widened at construction, so the reference counts in float64 as the seed did
-// while the tracker under test keeps whichever storage its stream allows.
+// the Count-Min's whole-sketch arithmetic (Sub, Scale, Merge, Copy), which
+// the kernel change does not touch. Its Count-Min is widened at
+// construction, so the reference counts in float64 as the seed did while the
+// tracker under test keeps whichever storage its stream allows.
 //
 // One liberty: the old Merge offered the union of the two candidate sets in
 // Go map order, so ties at the capacity boundary broke at random. The
@@ -85,7 +85,7 @@ func (t *refTracker) update(item uint64, delta float64) {
 	t.rescore(item)
 }
 
-// rescore is the body shared by the old Update and AbsorbCandidates.
+// rescore is the body shared by the old Update and absorbCandidates.
 func (t *refTracker) rescore(item uint64) {
 	est := t.estimate(item)
 	if c, ok := t.inHeap[item]; ok {
@@ -187,7 +187,7 @@ func requireSameTracker(t *testing.T, step string, got *HeavyHitterTracker, want
 // requireCandidateIndex asserts the store's key index describes its heap:
 // every heap entry's slot points back at the entry, a probe for its key ends
 // on that slot, no other slot is live, and the table keeps four slots per key.
-func requireCandidateIndex(t *testing.T, step string, c *CandidateSet) {
+func requireCandidateIndex(t *testing.T, step string, c *candidateSet) {
 	t.Helper()
 	for i, g := range c.heap {
 		if p := c.slots[g.slot]; int(p) != i+1 {
@@ -326,28 +326,13 @@ func runTrackerOracle(t *testing.T, r *xrand.Rand, f hashing.Family, width, k, b
 		case 4:
 			got, want = got.Copy(), want.copy()
 			requireSameTracker(t, step+" Copy", got, want)
-		case 5: // rebuild the counters from column shards of the older snapshot
-			src := got
-			if gotSnap != nil {
-				src = gotSnap
-			}
-			shards := 1 + int(r.Uint64n(4))
-			slices := make([][]float64, shards)
-			for j := range slices {
-				slices[j] = src.AppendColumnSlice(nil, j, shards)
-			}
-			if err := got.ConcatColumns(slices, src.ColumnMass()); err != nil {
-				t.Fatal(err)
-			}
-			if err := want.cm.ConcatColumns(slices, src.ColumnMass()); err != nil {
-				t.Fatal(err)
-			}
+		case 5: // offer keys from outside, scored against the current counters
 			keys, _ := oracleColumns(r, 1+int(r.Uint64n(20)), universe, false, false)
-			got.AbsorbCandidates(keys)
+			got.absorbCandidates(keys)
 			for _, key := range keys {
 				want.rescore(key)
 			}
-			requireSameTracker(t, step+" ConcatColumns", got, want)
+			requireSameTracker(t, step+" absorbCandidates", got, want)
 		case 6:
 			data, err := got.MarshalBinary()
 			if err != nil {
