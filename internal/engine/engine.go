@@ -342,7 +342,7 @@ func (e *Engine[S]) Workers() int { return len(e.shards) }
 
 // CounterWords returns the number of resident sketch counters across all
 // shards: the sketch size times the workers that have received a batch, up
-// to workers x (TestReplicasMaterialiseOnFirstBatch pins it). Engines over
+// to workers x (TestModeAndCounterWords pins it). Engines over
 // types without a known size report 0.
 func (e *Engine[S]) CounterWords() int {
 	live := 0

@@ -12,8 +12,7 @@ import (
 
 // TestReplicasMaterialiseOnFirstBatch: a replica exists only once its shard
 // holds mass. A fresh engine holds none and snapshots as the empty sketch; one
-// flush below BatchSize lands on one shard and materialises exactly that one,
-// and one flush per worker (round-robin) materialises them all.
+// flush below BatchSize lands on one shard and materialises exactly that one.
 func TestReplicasMaterialiseOnFirstBatch(t *testing.T) {
 	const width, depth = 128, 4
 	proto := sketch.NewHeavyHitterTracker(xrand.New(7), width, depth, 8).Prototype()
@@ -42,20 +41,34 @@ func TestReplicasMaterialiseOnFirstBatch(t *testing.T) {
 	if got := eng.CounterWords(); got != width*depth {
 		t.Fatalf("CounterWords() after one flush = %d, want one replica (%d)", got, width*depth)
 	}
-
-	for i := 1; i < eng.Workers(); i++ {
-		eng.Update(uint64(i), 1)
-		eng.Flush()
-	}
-	if _, err := eng.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := eng.CounterWords(), eng.Workers()*width*depth; got != want {
-		t.Fatalf("CounterWords() after a flush per worker = %d, want %d", got, want)
-	}
 	if _, err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestModeAndCounterWords pins the replica sharding's memory claim: the
+// engine holds sketch-size counters per worker that has seen a batch — none
+// before any ingest, workers x once every worker has — as CounterWords
+// reports.
+func TestModeAndCounterWords(t *testing.T) {
+	proto := sketch.NewCountMin(xrand.New(91), 256, 4)
+	size := 256 * 4
+
+	rep := NewCountMin(Config{Workers: 4}, proto)
+	if got := rep.CounterWords(); got != 0 {
+		t.Fatalf("CounterWords() before any ingest = %d, want 0", got)
+	}
+	for i := 0; i < 4; i++ { // one flush per worker, round-robin
+		rep.Update(uint64(i), 1)
+		rep.Flush()
+	}
+	if _, err := rep.Snapshot(); err != nil { // the barrier: every batch is applied
+		t.Fatal(err)
+	}
+	if got := rep.CounterWords(); got != 4*size {
+		t.Fatalf("CounterWords() = %d, want %d", got, 4*size)
+	}
+	rep.Close()
 }
 
 // TestOneLiveWorkerIsExact: when a single batch is all an engine of four

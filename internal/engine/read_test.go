@@ -45,78 +45,82 @@ func referenceAt(proto *sketch.CountMin, items [][]uint64, deltas [][]float64, g
 // single-threaded replay of the first gen batches, counter for counter, bit
 // for bit.
 func TestReadSnapshotCoherenceUnderRacingIngest(t *testing.T) {
-	const (
-		batchSize = 64
-		nBatches  = 150
-		readers   = 4
-	)
-	proto := sketch.NewCountMin(xrand.New(61), 256, 4)
-	eng := NewCountMin(Config{Workers: 3, BatchSize: batchSize}, proto)
-	items, deltas := readTestBatches(62, nBatches, batchSize)
+	// "replica" names the engine's one sharding; the subtest keeps the name
+	// this check has always run under.
+	t.Run("replica", func(t *testing.T) {
+		const (
+			batchSize = 64
+			nBatches  = 150
+			readers   = 4
+		)
+		proto := sketch.NewCountMin(xrand.New(61), 256, 4)
+		eng := NewCountMin(Config{Workers: 3, BatchSize: batchSize}, proto)
+		items, deltas := readTestBatches(62, nBatches, batchSize)
 
-	var done atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < readers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			checked := 0
-			for !done.Load() || checked == 0 {
-				snap, gen, err := eng.ReadSnapshot()
-				if err != nil {
-					t.Errorf("ReadSnapshot: %v", err)
-					return
-				}
-				if gen > nBatches {
-					t.Errorf("gen %d beyond the %d dispatched batches", gen, nBatches)
-					return
-				}
-				ref := referenceAt(proto, items, deltas, gen)
-				want, got := ref.CounterData(), snap.CounterData()
-				for i := range want {
-					if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
-						t.Errorf("gen %d: counter %d: got %v, reference %v", gen, i, got[i], want[i])
+		var done atomic.Bool
+		var wg sync.WaitGroup
+		for w := 0; w < readers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				checked := 0
+				for !done.Load() || checked == 0 {
+					snap, gen, err := eng.ReadSnapshot()
+					if err != nil {
+						t.Errorf("ReadSnapshot: %v", err)
 						return
 					}
+					if gen > nBatches {
+						t.Errorf("gen %d beyond the %d dispatched batches", gen, nBatches)
+						return
+					}
+					ref := referenceAt(proto, items, deltas, gen)
+					want, got := ref.CounterData(), snap.CounterData()
+					for i := range want {
+						if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
+							t.Errorf("gen %d: counter %d: got %v, reference %v", gen, i, got[i], want[i])
+							return
+						}
+					}
+					if ref.TotalMass() != snap.TotalMass() {
+						t.Errorf("gen %d: total mass: got %v, reference %v", gen, snap.TotalMass(), ref.TotalMass())
+						return
+					}
+					checked++
 				}
-				if ref.TotalMass() != snap.TotalMass() {
-					t.Errorf("gen %d: total mass: got %v, reference %v", gen, snap.TotalMass(), ref.TotalMass())
-					return
-				}
-				checked++
-			}
-		}()
-	}
+			}()
+		}
 
-	p := eng.Producer()
-	for b := range items {
-		// Each UpdateColumns call fills the handle's buffer exactly, so
-		// dispatch b+1 carries precisely batches[0..b] — generation g
-		// means "the first g batches" by construction.
-		p.UpdateColumns(items[b], deltas[b])
-	}
-	p.Close()
-	done.Store(true)
-	wg.Wait()
+		p := eng.Producer()
+		for b := range items {
+			// Each UpdateColumns call fills the handle's buffer exactly, so
+			// dispatch b+1 carries precisely batches[0..b] — generation g
+			// means "the first g batches" by construction.
+			p.UpdateColumns(items[b], deltas[b])
+		}
+		p.Close()
+		done.Store(true)
+		wg.Wait()
 
-	// After the producer closed, a fresh read must see everything.
-	snap, gen, err := eng.ReadSnapshot()
-	if err != nil {
-		t.Fatalf("final ReadSnapshot: %v", err)
-	}
-	if gen != nBatches {
-		t.Fatalf("final gen %d, want %d", gen, nBatches)
-	}
-	ref := referenceAt(proto, items, deltas, nBatches)
-	if ref.TotalMass() != snap.TotalMass() {
-		t.Fatalf("final mass %v, want %v", snap.TotalMass(), ref.TotalMass())
-	}
-	if _, err := eng.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	if _, _, err := eng.ReadSnapshot(); err != ErrClosed {
-		t.Fatalf("ReadSnapshot after Close: err %v, want ErrClosed", err)
-	}
+		// After the producer closed, a fresh read must see everything.
+		snap, gen, err := eng.ReadSnapshot()
+		if err != nil {
+			t.Fatalf("final ReadSnapshot: %v", err)
+		}
+		if gen != nBatches {
+			t.Fatalf("final gen %d, want %d", gen, nBatches)
+		}
+		ref := referenceAt(proto, items, deltas, nBatches)
+		if ref.TotalMass() != snap.TotalMass() {
+			t.Fatalf("final mass %v, want %v", snap.TotalMass(), ref.TotalMass())
+		}
+		if _, err := eng.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		if _, _, err := eng.ReadSnapshot(); err != ErrClosed {
+			t.Fatalf("ReadSnapshot after Close: err %v, want ErrClosed", err)
+		}
+	})
 }
 
 // TestReadSnapshotPinsEpoch: quiescent reads share one snapshot (same
